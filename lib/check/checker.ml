@@ -472,7 +472,9 @@ let sweep_seq ~limit ~domains ~progress ~run seq0 =
     in
     go [] k
   in
-  (* Big chunks amortize Pool's per-call domain spawns; the price is
+  (* Each chunk is one batch handed to the persistent pool's parked
+     workers, and the scan waits for the whole batch; big chunks amortize
+     that handoff and even out uneven schedule run times.  The price is
      at most a chunk of speculative runs past the first violation. *)
   let chunk = if domains <= 1 then 1 else 32 * domains in
   let ran = ref 0 in

@@ -4,7 +4,16 @@
     messages, MoveTo/MoveFrom transfers and file buffers all refer to
     offsets in these spaces, and the kernel genuinely moves the bytes — so
     data-integrity properties (e.g. a page read returns exactly what was
-    written, even under packet loss) are testable end to end. *)
+    written, even under packet loss) are testable end to end.
+
+    A space is stored as 4 KB pages that all start as one shared,
+    all-zero page; a page gets its own buffer the first time a write,
+    blit, fill or transfer stores into it (zeros filled or transferred
+    onto a page that is still shared store nothing).  So a space costs
+    O(touched pages), not O(size): creating one is a pointer array, and
+    untouched pages read as zeros.  The shared zero page is never
+    written.  It is immutable, so spaces built on different
+    {!Vsim.Pool} domains may share it. *)
 
 type t
 

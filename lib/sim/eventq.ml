@@ -49,7 +49,9 @@ type event = {
   seq : int;
   kind : kind;
   born : Time.t;
-  fn : unit -> unit;
+  mutable fn : unit -> unit;
+      (* set to [ignore] on cancel, so a cancelled event still sitting in
+         the heap does not keep its closure's captures alive *)
   mutable cancelled : bool;
   mutable gone : bool;
       (* no longer in any heap: fired, compacted away, or the dummy.
@@ -146,6 +148,7 @@ let add t ~time ?(kind = Kind.other) ?born fn =
 let cancel ev =
   if not ev.cancelled then begin
     ev.cancelled <- true;
+    ev.fn <- ignore;
     if not ev.gone then incr ev.cc
   end
 

@@ -11,13 +11,21 @@ type pending = { p_cost : int; p_action : unit -> unit }
 
 let k_complete = Vsim.Eventq.Kind.intern "disk.complete"
 
+(* The block table is two-level: [chunks] holds one slot per
+   [chunk_blocks] blocks, [no_chunk] until a block in it is first written.
+   Within a chunk, unwritten blocks point at the disk's shared all-zero
+   [zero] block.  So creating a disk costs O(blocks / chunk_blocks)
+   pointers and a disk pays only for the chunks and blocks it writes. *)
+let chunk_bits = 8
+let chunk_blocks = 1 lsl chunk_bits
+let no_chunk : Bytes.t array = [||]
+
 type t = {
   eng : Vsim.Engine.t;
   dhost : int;
-  store : Bytes.t array;
+  nblocks : int;
+  chunks : Bytes.t array array;
   zero : Bytes.t;
-      (* shared all-zero sentinel; [store] slots point at it until first
-         written, so creating a disk is O(blocks) pointers, not O(bytes) *)
   bsize : int;
   mutable lat : latency;
   mutable head_cyl : int;
@@ -41,7 +49,9 @@ let create eng ?(host = 0) ?(latency = Fixed (Vsim.Time.ms 20)) ~blocks
   {
     eng;
     dhost = host;
-    store = Array.make blocks zero;
+    nblocks = blocks;
+    chunks =
+      Array.make ((blocks + chunk_blocks - 1) lsr chunk_bits) no_chunk;
     zero;
     bsize = block_size;
     lat = latency;
@@ -60,7 +70,7 @@ let create eng ?(host = 0) ?(latency = Fixed (Vsim.Time.ms 20)) ~blocks
 
 let engine t = t.eng
 let block_size t = t.bsize
-let blocks t = Array.length t.store
+let blocks t = t.nblocks
 let latency t = t.lat
 let set_latency t lat = t.lat <- lat
 let reads t = t.n_reads
@@ -72,15 +82,33 @@ let queue_waits t = t.n_waits
 let queue_wait_ns t = t.wait_ns
 
 let check_block t b =
-  if b < 0 || b >= Array.length t.store then
-    Fmt.invalid_arg "Disk: block %d out of range (%d blocks)" b
-      (Array.length t.store)
+  if b < 0 || b >= t.nblocks then
+    Fmt.invalid_arg "Disk: block %d out of range (%d blocks)" b t.nblocks
+
+let block t b =
+  let c = t.chunks.(b lsr chunk_bits) in
+  if c == no_chunk then t.zero else c.(b land (chunk_blocks - 1))
+
+(* A private buffer for block [b], allocating its chunk on first use. *)
+let own_block t b =
+  let i = b lsr chunk_bits and j = b land (chunk_blocks - 1) in
+  let c =
+    let c = t.chunks.(i) in
+    if c != no_chunk then c
+    else begin
+      let c = Array.make chunk_blocks t.zero in
+      t.chunks.(i) <- c;
+      c
+    end
+  in
+  if c.(j) == t.zero then c.(j) <- Bytes.create t.bsize;
+  c.(j)
 
 let access_time t b =
   match t.lat with
   | Fixed ns -> ns
   | Seek { base_ns; full_seek_ns; rotation_ns; cylinders } ->
-      let blocks_per_cyl = max 1 (Array.length t.store / cylinders) in
+      let blocks_per_cyl = max 1 (t.nblocks / cylinders) in
       let cyl = b / blocks_per_cyl in
       let travel = abs (cyl - t.head_cyl) in
       t.head_cyl <- cyl;
@@ -140,7 +168,7 @@ let schedule t ~rw b k =
 let read_k t b k =
   check_block t b;
   t.n_reads <- t.n_reads + 1;
-  schedule t ~rw:"read" b (fun () -> k (Bytes.copy t.store.(b)))
+  schedule t ~rw:"read" b (fun () -> k (Bytes.copy (block t b)))
 
 let write_k t b data k =
   check_block t b;
@@ -150,24 +178,29 @@ let write_k t b data k =
   t.n_writes <- t.n_writes + 1;
   let data = Bytes.copy data in
   schedule t ~rw:"write" b (fun () ->
-      if t.store.(b) == t.zero then t.store.(b) <- Bytes.create t.bsize;
-      Bytes.blit data 0 t.store.(b) 0 t.bsize;
+      Bytes.blit data 0 (own_block t b) 0 t.bsize;
       k ())
 
 (* Snapshots capture media contents only (not queue or timing state):
    they exist so crash tests can save an image at one point of a write
    sequence and wind the media back to replay recovery from there. *)
-type snapshot = Bytes.t array
+type snapshot = { s_blocks : int; s_chunks : Bytes.t array array }
+
+(* Copy a chunk, keeping [zero] (the source disk's sentinel) shared. *)
+let copy_chunk ~zero c =
+  if c == no_chunk then no_chunk
+  else Array.map (fun b -> if b == zero then zero else Bytes.copy b) c
 
 let snapshot t =
-  Array.map (fun b -> if b == t.zero then t.zero else Bytes.copy b) t.store
+  { s_blocks = t.nblocks;
+    s_chunks = Array.map (copy_chunk ~zero:t.zero) t.chunks }
 
 let restore t img =
-  if Array.length img <> Array.length t.store then
+  if img.s_blocks <> t.nblocks then
     invalid_arg "Disk.restore: snapshot from a different geometry";
   Array.iteri
-    (fun i b -> t.store.(i) <- (if b == t.zero then t.zero else Bytes.copy b))
-    img
+    (fun i c -> t.chunks.(i) <- copy_chunk ~zero:t.zero c)
+    img.s_chunks
 
 let read t b =
   Vsim.Proc.suspend ~reason:"disk-read" (fun resume -> read_k t b resume)

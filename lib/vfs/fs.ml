@@ -476,7 +476,13 @@ let bmap t (ino : inode) ~inum ~idx ~alloc ?(on_alloc = ignore) () =
 
 (* ---------------- byte-level read/write ---------------- *)
 
-let read_range t ~inum ~pos ~len =
+(* Read-only stand-in for the blocks of a hole. *)
+let hole = Bytes.make block_size '\000'
+
+(* Walks [pos, pos+len) clipped to the file: [start] gets the clipped
+   length and returns the destination, then [piece dst off data data_off n]
+   copies each block's share in order, [off] counted from [pos]. *)
+let iter_range t ~inum ~pos ~len start piece =
   if pos < 0 || len < 0 then Error Bad_argument
   else
     match read_inode t inum with
@@ -484,23 +490,28 @@ let read_range t ~inum ~pos ~len =
     | Ok ino when not ino.i_used -> Error Not_found
     | Ok ino ->
         let len = max 0 (min len (ino.i_size - pos)) in
-        let out = Bytes.make len '\000' in
+        let dst = start len in
         let rec go off =
-          if off >= len then Ok out
+          if off >= len then Ok dst
           else begin
             let abs = pos + off in
             let idx = abs / block_size and boff = abs mod block_size in
             let n = min (block_size - boff) (len - off) in
             match bmap t ino ~inum ~idx ~alloc:false () with
             | Error e -> Error e
-            | Ok None -> go (off + n) (* hole: zeros *)
-            | Ok (Some blk) ->
-                let data = read_block t blk in
-                Bytes.blit data boff out off n;
+            | Ok blk ->
+                let data =
+                  match blk with Some b -> read_block t b | None -> hole
+                in
+                piece dst off data boff n;
                 go (off + n)
           end
         in
         go 0
+
+let read_range t ~inum ~pos ~len =
+  iter_range t ~inum ~pos ~len Bytes.create (fun out off data boff n ->
+      Bytes.blit data boff out off n)
 
 let write_range t ~inum ~pos data =
   let len = Bytes.length data in
@@ -784,6 +795,11 @@ let unlink t name = with_lock t (fun () -> with_txn t (fun () -> unlink_op t nam
 
 let read t ~inum ~pos ~len =
   with_lock t (fun () -> read_range t ~inum ~pos ~len)
+
+let read_into t ~inum ~pos ~len mem ~at =
+  with_lock t (fun () ->
+      iter_range t ~inum ~pos ~len Fun.id (fun _ off data boff n ->
+          Vkernel.Mem.blit_in mem ~pos:(at + off) data ~src_off:boff ~len:n))
 
 let write t ~inum ~pos data =
   with_lock t (fun () -> with_txn t (fun () -> write_range t ~inum ~pos data))

@@ -79,6 +79,13 @@ val read : t -> inum:int -> pos:int -> len:int -> (Bytes.t, error) result
 (** Short reads at end of file return fewer bytes; reads past the end
     return empty. *)
 
+val read_into :
+  t -> inum:int -> pos:int -> len:int -> Vkernel.Mem.t -> at:int ->
+  (int, error) result
+(** {!read} straight into an address space at offset [at], without
+    building the bytes in between; returns the number of bytes read.
+    Raises [Invalid_argument] if they do not fit in the space. *)
+
 val write : t -> inum:int -> pos:int -> Bytes.t -> (unit, error) result
 (** Extends the file as needed (holes read back as zeros). *)
 

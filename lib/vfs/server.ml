@@ -388,13 +388,11 @@ let handle_request t ~mem ~msg ~src ~seg_count =
               let count = min (min count Fs.block_size) dlen in
               fs_work t;
               match
-                Fs.read t.fs ~inum:f.of_inum ~pos:(block * Fs.block_size)
-                  ~len:count
+                Fs.read_into t.fs ~inum:f.of_inum ~pos:(block * Fs.block_size)
+                  ~len:count mem ~at:scratch_ptr
               with
               | Error e -> reply (fs_error_status e) 0
-              | Ok data ->
-                  let n = Bytes.length data in
-                  Vkernel.Mem.write mem ~pos:scratch_ptr data;
+              | Ok n ->
                   Msg.clear_segment msg;
                   Protocol.encode_reply_ext msg ~status:Protocol.Sok ~value:n
                     ~inum:f.of_inum ~version:(file_version t ~inum:f.of_inum);
@@ -451,13 +449,11 @@ let handle_request t ~mem ~msg ~src ~seg_count =
               let count = min (min count Fs.block_size) dlen in
               fs_work t;
               match
-                Fs.read t.fs ~inum:f.of_inum ~pos:(block * Fs.block_size)
-                  ~len:count
+                Fs.read_into t.fs ~inum:f.of_inum ~pos:(block * Fs.block_size)
+                  ~len:count mem ~at:scratch_ptr
               with
               | Error e -> reply (fs_error_status e) 0
-              | Ok data ->
-                  let n = Bytes.length data in
-                  Vkernel.Mem.write mem ~pos:scratch_ptr data;
+              | Ok n ->
                   (match
                      K.move_to t.kernel ~dst_pid:src ~dst:dptr
                        ~src:scratch_ptr ~count:n
@@ -536,11 +532,12 @@ let handle_request t ~mem ~msg ~src ~seg_count =
               | Error e -> reply (fs_error_status e) 0
               | Ok sz -> (
                   let n = min (min sz dlen) count in
-                  match Fs.read t.fs ~inum:f.of_inum ~pos:0 ~len:n with
+                  match
+                    Fs.read_into t.fs ~inum:f.of_inum ~pos:0 ~len:n mem
+                      ~at:load_ptr
+                  with
                   | Error e -> reply (fs_error_status e) 0
-                  | Ok data ->
-                      let n = Bytes.length data in
-                      Vkernel.Mem.write mem ~pos:load_ptr data;
+                  | Ok n ->
                       let unit_sz = max 1 t.cfg.transfer_unit in
                       let rec push off ok =
                         if (not ok) || off >= n then ok

@@ -139,6 +139,63 @@ let test_bounds () =
     Alcotest.fail "short block accepted"
   with Invalid_argument _ -> ()
 
+(* Run [f] as a fiber on a fresh engine with a zero-latency 16,384-block
+   disk (the block table is sparse: 256-block chunks made on first write). *)
+let with_big_disk f =
+  let eng = Vsim.Engine.create () in
+  let d =
+    Vfs.Disk.create eng ~latency:(Vfs.Disk.Fixed 0) ~blocks:16384
+      ~block_size:16 ()
+  in
+  let (_ : Vsim.Proc.t) = Vsim.Proc.spawn eng (fun () -> f d) in
+  Vsim.Engine.run eng;
+  d
+
+let block c = Bytes.make 16 c
+let check_block d b want = Alcotest.(check bytes) (Fmt.str "block %d" b) want (Vfs.Disk.read d b)
+
+let test_sparse_table () =
+  let d =
+    with_big_disk (fun d ->
+        check_block d 9000 (block '\000');
+        (* Blocks 5 and 300 live in different chunks. *)
+        Vfs.Disk.write d 5 (block 'a');
+        Vfs.Disk.write d 300 (block 'b');
+        Vfs.Disk.write d 16383 (block 'c');
+        check_block d 5 (block 'a');
+        check_block d 300 (block 'b');
+        check_block d 16383 (block 'c');
+        check_block d 6 (block '\000');
+        check_block d 299 (block '\000'))
+  in
+  Alcotest.(check int) "blocks" 16384 (Vfs.Disk.blocks d);
+  List.iter
+    (fun b ->
+      Alcotest.check_raises "out of range"
+        (Invalid_argument
+           (Fmt.str "Disk: block %d out of range (16384 blocks)" b))
+        (fun () -> Vfs.Disk.read_k d b ignore))
+    [ 16384; -1 ]
+
+let test_snapshot_restore () =
+  ignore
+    (with_big_disk (fun d ->
+         Vfs.Disk.write d 1 (block 'a');
+         let img = Vfs.Disk.snapshot d in
+         Vfs.Disk.write d 1 (block 'b');
+         Vfs.Disk.write d 2 (block 'c');
+         (* A chunk that did not exist when the snapshot was taken. *)
+         Vfs.Disk.write d 700 (block 'd');
+         Vfs.Disk.restore d img;
+         check_block d 1 (block 'a');
+         check_block d 2 (block '\000');
+         check_block d 700 (block '\000');
+         (* The restored image is a copy: writing the disk again leaves
+            the snapshot as it was. *)
+         Vfs.Disk.write d 1 (block 'e');
+         Vfs.Disk.restore d img;
+         check_block d 1 (block 'a')))
+
 let suite =
   [
     Alcotest.test_case "fixed latency" `Quick test_fixed_latency;
@@ -149,4 +206,6 @@ let suite =
     Alcotest.test_case "idle queue unaccounted" `Quick
       test_queue_idle_unaccounted;
     Alcotest.test_case "bounds" `Quick test_bounds;
+    Alcotest.test_case "sparse block table" `Quick test_sparse_table;
+    Alcotest.test_case "snapshot restore" `Quick test_snapshot_restore;
   ]

@@ -63,7 +63,16 @@ let test_holes_read_zero () =
       get (Vfs.Fs.write fs ~inum ~pos:5000 (Bytes.of_string "end"));
       Alcotest.(check int) "size covers hole" 5003 (get (Vfs.Fs.size fs ~inum));
       let hole = get (Vfs.Fs.read fs ~inum ~pos:1000 ~len:100) in
-      Alcotest.(check bytes) "zeros" (Bytes.make 100 '\000') hole)
+      Alcotest.(check bytes) "zeros" (Bytes.make 100 '\000') hole;
+      (* Reading into a space overwrites what was there, holes included,
+         and stops at the end of the file. *)
+      let mem = Vkernel.Mem.create ~size:8192 in
+      Vkernel.Mem.fill mem ~pos:0 ~len:8192 'x';
+      Alcotest.(check int) "bytes read" 1003
+        (get (Vfs.Fs.read_into fs ~inum ~pos:4000 ~len:2000 mem ~at:100));
+      Alcotest.(check string) "hole then data, rest untouched"
+        (String.make 100 'x' ^ String.make 1000 '\000' ^ "end" ^ "xx")
+        (Bytes.to_string (Vkernel.Mem.read mem ~pos:0 ~len:1105)))
 
 let test_big_file_indirect () =
   with_fs ~blocks:4096 (fun fs ->

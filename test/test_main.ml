@@ -6,6 +6,7 @@ let () =
       ("hw", Test_hw.suite);
       ("net", Test_net.suite);
       ("msg-pid", Test_msg.suite);
+      ("mem", Test_mem.suite);
       ("packet", Test_packet.suite);
       ("kernel-local", Test_kernel_local.suite);
       ("kernel-remote", Test_kernel_remote.suite);

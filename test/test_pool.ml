@@ -150,6 +150,28 @@ let test_eventq_cancel_accounting () =
     (Eventq.cancelled_pending q);
   Alcotest.(check bool) "empty" true (Eventq.is_empty q)
 
+(* Schedules an event whose callback alone holds [payload], which only
+   the weak table [w] sees from outside. *)
+let[@inline never] add_holding q w =
+  let payload = Bytes.make 64 'p' in
+  Weak.set w 0 (Some payload);
+  Eventq.add q ~time:5 (fun () -> ignore (Sys.opaque_identity payload))
+
+(* A cancelled event still sitting in the heap must not keep what its
+   callback captured alive: a retransmission timer captures its packet
+   and continuation, and may stay queued until its deadline. *)
+let test_eventq_cancel_drops_closure () =
+  let q = Eventq.create () in
+  let w = Weak.create 1 in
+  let ev = add_holding q w in
+  Gc.full_major ();
+  Alcotest.(check bool) "held while live" true (Weak.check w 0);
+  Eventq.cancel ev;
+  Gc.full_major ();
+  Alcotest.(check bool) "released on cancel" false (Weak.check w 0);
+  Alcotest.(check int) "still pending" 1 (Eventq.cancelled_pending q);
+  Alcotest.(check bool) "never fires" true (Eventq.pop q = None)
+
 (* The acceptance bar: the depth-2 sweep's report (and its JSON) is a
    pure function of the seed — byte-identical for domains 1, 2 and 4. *)
 let test_sweep_domain_determinism () =
@@ -216,6 +238,8 @@ let suite =
       test_eventq_lazy_compaction;
     Alcotest.test_case "eventq cancel accounting" `Quick
       test_eventq_cancel_accounting;
+    Alcotest.test_case "eventq cancel drops closure" `Quick
+      test_eventq_cancel_drops_closure;
     Alcotest.test_case "sweep domain determinism" `Slow
       test_sweep_domain_determinism;
     Alcotest.test_case "sweep failure domain determinism" `Slow
