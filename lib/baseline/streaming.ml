@@ -65,7 +65,7 @@ let wait_event s ~timeout =
           s.s_wake <-
             Some
               (fun () ->
-                Vsim.Engine.cancel timer;
+                Vsim.Engine.cancel s.s_eng timer;
                 resume true))
 
 let serve_stream s (r : sreq) =
@@ -236,7 +236,7 @@ let stream_file eng ~nic ~server ~inum ?(client_think_ns = 0)
                   st.wake <-
                     Some
                       (fun () ->
-                        Vsim.Engine.cancel timer;
+                        Vsim.Engine.cancel eng timer;
                         resume true))
             in
             ignore ok;

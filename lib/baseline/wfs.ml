@@ -169,7 +169,7 @@ let create_client eng ~nic ~server ?(process_ns = Vsim.Time.us 150)
           | Some p ->
               Hashtbl.remove c.c_pending r.r_id;
               (match p.p_timer with
-              | Some h -> Vsim.Engine.cancel h
+              | Some h -> Vsim.Engine.cancel c.c_eng h
               | None -> ());
               p.p_resume (Some r)
           | None -> ())

@@ -757,13 +757,15 @@ let reclaim_one_alien t =
 (* ------------------------------------------------------------------ *)
 (* Remote send: retransmission machinery                               *)
 
-let cancel_timer = function Some h -> Vsim.Engine.cancel h | None -> ()
+let cancel_timer t = function
+  | Some h -> Vsim.Engine.cancel t.eng h
+  | None -> ()
 
 let finish_send t (d : desc) st =
   match d.d_rsend with
   | None -> ()
   | Some rs ->
-      cancel_timer rs.rs_timer;
+      cancel_timer t rs.rs_timer;
       rs.rs_timer <- None;
       rs.rs_gen <- rs.rs_gen + 1;
       (* Feed the failure detector and — on clean exchanges only (Karn's
@@ -823,7 +825,7 @@ let finish_send t (d : desc) st =
       | None -> note ())
 
 let rec arm_send_timer t (d : desc) (rs : rsend) =
-  cancel_timer rs.rs_timer;
+  cancel_timer t rs.rs_timer;
   rs.rs_gen <- rs.rs_gen + 1;
   let gen = rs.rs_gen in
   let rto = rto_timeout_ns t ~dst_host:rs.rs_dst_host ~bytes:0 in
@@ -887,7 +889,7 @@ let mf_alive t (mfo : mf_out) =
 
 let mt_finish t (mto : mt_out) st =
   if mt_alive t mto then begin
-    cancel_timer mto.mto_timer;
+    cancel_timer t mto.mto_timer;
     mto.mto_tgen <- mto.mto_tgen + 1;
     Hashtbl.remove t.mt_outs mto.mto_seq;
     (match st with
@@ -917,7 +919,7 @@ let mt_finish t (mto : mt_out) st =
   end
 
 let rec mt_arm_timer t (mto : mt_out) =
-  cancel_timer mto.mto_timer;
+  cancel_timer t mto.mto_timer;
   mto.mto_tgen <- mto.mto_tgen + 1;
   let gen = mto.mto_tgen in
   (* Size-scaled: the timer is always armed with at most one fragment
@@ -1027,7 +1029,7 @@ let stream_mf t ~(src_desc : desc) ~requester ~seq ~base_ptr ~total ~from =
 
 let mf_finish t (mfo : mf_out) st =
   if mf_alive t mfo then begin
-    cancel_timer mfo.mfo_timer;
+    cancel_timer t mfo.mfo_timer;
     mfo.mfo_tgen <- mfo.mfo_tgen + 1;
     Hashtbl.remove t.mf_outs mfo.mfo_seq;
     (match st with
@@ -1060,7 +1062,7 @@ let rec mf_send_request t (mfo : mf_out) =
       if mf_alive t mfo then mf_arm_timer t mfo)
 
 and mf_arm_timer t (mfo : mf_out) =
-  cancel_timer mfo.mfo_timer;
+  cancel_timer t mfo.mfo_timer;
   mfo.mfo_tgen <- mfo.mfo_tgen + 1;
   let gen = mfo.mfo_tgen in
   (* Re-armed on every fragment arrival, so at most one fragment (or the
@@ -1404,7 +1406,7 @@ let handle_data_nak t (pkt : Packet.t) =
   | Some mto ->
       mto.mto_gen <- mto.mto_gen + 1;
       mto.mto_tgen <- mto.mto_tgen + 1;
-      cancel_timer mto.mto_timer;
+      cancel_timer t mto.mto_timer;
       mto.mto_timer <- None;
       stream_mt t mto ~from:pkt.Packet.offset
   | None -> (
@@ -1481,7 +1483,7 @@ let handle_getpid_reply t (pkt : Packet.t) =
   match Hashtbl.find_opt t.getpid_waits lid with
   | None -> ()
   | Some gw ->
-      cancel_timer gw.gw_timer;
+      cancel_timer t gw.gw_timer;
       gw.gw_gen <- gw.gw_gen + 1;
       (* First-try replies sample the broadcast round trip; the answering
          host's own estimator is credited too, so a later direct exchange
@@ -1763,27 +1765,27 @@ let crash t =
         d.d_state <- Dead;
         match d.d_rsend with
         | Some rs ->
-            cancel_timer rs.rs_timer;
+            cancel_timer t rs.rs_timer;
             rs.rs_timer <- None;
             rs.rs_gen <- rs.rs_gen + 1
         | None -> ())
       t.procs;
     Hashtbl.iter
       (fun _ mto ->
-        cancel_timer mto.mto_timer;
+        cancel_timer t mto.mto_timer;
         mto.mto_timer <- None;
         mto.mto_gen <- mto.mto_gen + 1;
         mto.mto_tgen <- mto.mto_tgen + 1)
       t.mt_outs;
     Hashtbl.iter
       (fun _ mfo ->
-        cancel_timer mfo.mfo_timer;
+        cancel_timer t mfo.mfo_timer;
         mfo.mfo_timer <- None;
         mfo.mfo_tgen <- mfo.mfo_tgen + 1)
       t.mf_outs;
     Hashtbl.iter
       (fun _ gw ->
-        cancel_timer gw.gw_timer;
+        cancel_timer t gw.gw_timer;
         gw.gw_timer <- None;
         gw.gw_gen <- gw.gw_gen + 1)
       t.getpid_waits;
@@ -2069,7 +2071,7 @@ let forward t msg ~from_pid ~to_pid =
     fd.d_grant <- None;
     (match fd.d_rsend with
     | Some rs ->
-        cancel_timer rs.rs_timer;
+        cancel_timer t rs.rs_timer;
         rs.rs_timer <- None;
         rs.rs_gen <- rs.rs_gen + 1;
         fd.d_rsend <- None

@@ -278,7 +278,7 @@ let release_held t ~at =
       t.held <- None;
       (match t.held_flush with
       | Some h ->
-          Vsim.Engine.cancel h;
+          Vsim.Engine.cancel t.eng h;
           t.held_flush <- None
       | None -> ());
       schedule_rx t frame (targets t frame) ~at
@@ -340,7 +340,7 @@ let rec attempt t (p : pending) =
   | Some cur when now - cur.started < t.cfg.slot_ns ->
       (* Within the collision window of an in-progress transmission: both
          stations detect the collision, abort and back off. *)
-      Vsim.Engine.cancel cur.finish;
+      Vsim.Engine.cancel t.eng cur.finish;
       t.current <- None;
       t.s_collisions <- t.s_collisions + 1;
       if Vsim.Trace.tracing t.eng then

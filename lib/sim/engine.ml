@@ -6,7 +6,7 @@ type t = {
   mutable profile : Profile.t option;
 }
 
-type handle = Eventq.event
+type handle = Eventq.handle
 
 let default_seed = 0x5EED_CAFE_F00DL
 
@@ -50,71 +50,63 @@ let profile t = t.profile
 let now t = t.clock
 let rng t = t.rand
 
+let kind_or_other = function Some k -> k | None -> Eventq.Kind.other
+
 let at t ?kind time fn =
   if time < t.clock then
     invalid_arg
       (Printf.sprintf "Engine.at: time %d is before now %d" time t.clock);
-  Eventq.add t.queue ~time ?kind ~born:t.clock fn
+  Eventq.add t.queue ~time ~kind:(kind_or_other kind) ~born:t.clock fn
 
 let after t ?kind delay fn =
   if delay < 0 then invalid_arg "Engine.after: negative delay";
-  Eventq.add t.queue ~time:(t.clock + delay) ?kind ~born:t.clock fn
+  Eventq.add t.queue ~time:(t.clock + delay) ~kind:(kind_or_other kind)
+    ~born:t.clock fn
 
-let cancel = Eventq.cancel
+let cancel t h = Eventq.cancel t.queue h
+
+(* Fire the earliest event; the queue must not be empty. *)
+let fire t =
+  let q = t.queue in
+  let time = Eventq.top_time q in
+  t.clock <- time;
+  match t.profile with
+  | None -> Eventq.take q ()
+  | Some p ->
+      let kind = Eventq.top_kind q and born = Eventq.top_born q in
+      Profile.time p ~kind ~cost_ns:(time - born) (Eventq.take q)
 
 let step t =
-  match Eventq.pop_ev t.queue with
-  | None -> false
-  | Some ev ->
-      let time = Eventq.ev_time ev in
-      t.clock <- time;
-      (match t.profile with
-      | None -> Eventq.ev_fn ev ()
-      | Some p ->
-          Profile.time p ~kind:(Eventq.ev_kind ev)
-            ~cost_ns:(time - Eventq.ev_born ev)
-            (Eventq.ev_fn ev));
-      true
+  if Eventq.is_empty t.queue then false
+  else begin
+    fire t;
+    true
+  end
 
-let run ?until t =
-  let continue () =
-    match until, Eventq.next_time t.queue with
-    | _, None -> false
-    | None, Some _ -> true
-    | Some limit, Some next -> next <= limit
-  in
-  while continue () do
-    ignore (step t)
-  done;
-  match until with
-  | Some limit when t.clock < limit -> t.clock <- limit
-  | Some _ | None -> ()
+(* True iff the earliest event is due by [limit]. *)
+let due t limit =
+  (not (Eventq.is_empty t.queue)) && Eventq.top_time t.queue <= limit
+
+(* The one run loop: fire due events while fewer than [budget] have fired;
+   returns the count. *)
+let rec drain t ~limit ~budget n =
+  if n < budget && due t limit then begin
+    fire t;
+    drain t ~limit ~budget (n + 1)
+  end
+  else n
 
 let run_bounded ?until ~max_events t =
-  let executed = ref 0 in
-  let continue () =
-    if !executed >= max_events then false
-    else
-      match until, Eventq.next_time t.queue with
-      | _, None -> false
-      | None, Some _ -> true
-      | Some limit, Some next -> next <= limit
-  in
-  while continue () do
-    if step t then incr executed
-  done;
-  let quiescent =
-    match until, Eventq.next_time t.queue with
-    | _, None -> true
-    | None, Some _ -> false
-    | Some limit, Some next -> next > limit
-  in
-  if quiescent then begin
+  let limit = match until with Some l -> l | None -> max_int in
+  let n = drain t ~limit ~budget:max_events 0 in
+  if due t limit then `Exhausted n
+  else begin
     (match until with
     | Some limit when t.clock < limit -> t.clock <- limit
     | Some _ | None -> ());
-    `Quiescent !executed
+    `Quiescent n
   end
-  else `Exhausted !executed
+
+let run ?until t = ignore (run_bounded ?until ~max_events:max_int t)
 
 let pending t = Eventq.live_count t.queue

@@ -5,13 +5,20 @@
     delivery, CPU grants, disk completions, timers — flows through the
     engine's event queue, which is what makes runs reproducible.
 
+    The queue is an indexed binary heap ({!Eventq}): scheduling, firing
+    and cancelling an event are O(log n) and allocate nothing in steady
+    state.  {!cancel} removes the event at once, and cancelling an event
+    that already fired or was cancelled is a no-op.  A {!handle} belongs
+    to the engine that issued it; cancel it only through that engine.
+
     Exceptions raised inside event callbacks propagate out of {!run}: a bug
     in simulated code fails the whole run loudly rather than being lost. *)
 
 type t
 
-type handle = Eventq.event
-(** Cancellable handle for a scheduled event. *)
+type handle = Eventq.handle
+(** Cancellable handle for a scheduled event: an immediate int that
+    belongs to the engine that issued it. *)
 
 val create : ?seed:int64 -> unit -> t
 (** Fresh engine with clock at 0. Default seed is a fixed constant, so all
@@ -35,8 +42,10 @@ val at : t -> ?kind:Eventq.kind -> Time.t -> (unit -> unit) -> handle
 val after : t -> ?kind:Eventq.kind -> Time.t -> (unit -> unit) -> handle
 (** [after t delay fn] schedules [fn] at [now t + delay]. *)
 
-val cancel : handle -> unit
-(** Cancel a scheduled event. Idempotent; safe after the event fired. *)
+val cancel : t -> handle -> unit
+(** Cancel a scheduled event of this engine: it leaves the queue at once
+    (O(log n)) and its closure is released.  A no-op once the event has
+    fired or been cancelled. *)
 
 val run : ?until:Time.t -> t -> unit
 (** Execute events in order until the queue is empty, or until the clock

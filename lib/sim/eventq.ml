@@ -44,164 +44,183 @@ end
 
 type kind = Kind.t
 
-type event = {
-  time : Time.t;
-  seq : int;
-  kind : kind;
-  born : Time.t;
-  mutable fn : unit -> unit;
-      (* set to [ignore] on cancel, so a cancelled event still sitting in
-         the heap does not keep its closure's captures alive *)
-  mutable cancelled : bool;
-  mutable gone : bool;
-      (* no longer in any heap: fired, compacted away, or the dummy.
-         Lets [cancel] keep the owning queue's cancelled-pending count
-         exact even when called after the event fired. *)
-  cc : int ref;  (* owning queue's cancelled-pending counter *)
-}
+(* An indexed binary min-heap.  Heap entry [i] is [times.(i)] and
+   [handles.(i)], unboxed ints, so sifting never runs the write barrier.
+   Each pending event also owns a slab slot [s] holding its kind, born
+   time, heap position and closure in [kinds], [borns], [pos] and [fns];
+   freed slots are threaded into a free list through [pos].  Every array
+   has one element per slot, so a queue of up to 256 slots lives in the
+   minor heap, and growing it does not allocate straight into the major
+   heap (which would pull a major slice forward).
+
+   A handle packs [seq lsl slot_bits lor slot].  [seq] is unique per
+   queue, so comparing handles compares insertion order, and the heap key
+   (time, handle) is exactly the (time, seq) order.  A handle is pending
+   iff the heap entry at its slot's position carries it: once its event
+   has fired or been cancelled no entry does, whatever the slot holds
+   now, which is how a stale [cancel] is detected. *)
+
+type handle = int
+
+let slot_bits = 22
+let slot_mask = (1 lsl slot_bits) - 1
+let max_seq = (1 lsl (62 - slot_bits)) - 1  (* handles stay non-negative *)
+
+let nop () = ()
 
 type t = {
-  mutable heap : event array;
   mutable size : int;
+  mutable times : int array;
+  mutable handles : int array;
+  mutable kinds : int array;
+  mutable borns : int array;
+  mutable pos : int array;
+      (* a pending slot's heap position; a free slot's successor, or -1 *)
+  mutable fns : (unit -> unit) array;
+  mutable free : int;  (* first free slot, -1 when every slot is in use *)
   mutable next_seq : int;
-  cc : int ref;  (* cancelled events still sitting in the heap *)
-  mutable compactions : int;
 }
 
-let dummy =
-  { time = 0; seq = -1; kind = Kind.other; born = 0; fn = ignore;
-    cancelled = true; gone = true; cc = ref 0 }
-
 let create () =
-  { heap = Array.make 64 dummy; size = 0; next_seq = 0; cc = ref 0;
-    compactions = 0 }
-
-let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+  { size = 0; times = [||]; handles = [||]; kinds = [||]; borns = [||];
+    pos = [||]; fns = [||]; free = -1; next_seq = 0 }
 
 let grow t =
-  let heap = Array.make (2 * Array.length t.heap) dummy in
-  Array.blit t.heap 0 heap 0 t.size;
-  t.heap <- heap
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if before t.heap.(i) t.heap.(parent) then begin
-      let tmp = t.heap.(i) in
-      t.heap.(i) <- t.heap.(parent);
-      t.heap.(parent) <- tmp;
-      sift_up t parent
-    end
-  end
-
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && before t.heap.(l) t.heap.(!smallest) then smallest := l;
-  if r < t.size && before t.heap.(r) t.heap.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    let tmp = t.heap.(i) in
-    t.heap.(i) <- t.heap.(!smallest);
-    t.heap.(!smallest) <- tmp;
-    sift_down t !smallest
-  end
-
-(* Drop every cancelled event and rebuild the heap in place (Floyd
-   heapify).  Pop order is unaffected: ordering is the total (time, seq)
-   key, not the array layout.  Called from [add] when cancelled entries
-   outnumber live ones, so a workload that cancels most of what it
-   schedules (retransmit timers) stays O(live) instead of O(scheduled). *)
-let compact t =
-  let j = ref 0 in
-  for i = 0 to t.size - 1 do
-    let ev = t.heap.(i) in
-    if ev.cancelled then ev.gone <- true
-    else begin
-      t.heap.(!j) <- ev;
-      incr j
-    end
-  done;
-  for i = !j to t.size - 1 do
-    t.heap.(i) <- dummy
-  done;
-  t.size <- !j;
-  for i = (t.size / 2) - 1 downto 0 do
-    sift_down t i
-  done;
-  t.cc := 0;
-  t.compactions <- t.compactions + 1
-
-let add t ~time ?(kind = Kind.other) ?born fn =
-  if !(t.cc) > 64 && 2 * !(t.cc) > t.size then compact t;
-  let born = match born with Some b -> b | None -> time in
-  let ev =
-    { time; seq = t.next_seq; kind; born; fn; cancelled = false;
-      gone = false; cc = t.cc }
+  let cap = Array.length t.fns in
+  let cap' = if cap = 0 then 16 else 2 * cap in
+  if cap' > slot_mask + 1 then
+    invalid_arg "Eventq.add: too many pending events for the handle's slot bits";
+  let extend a x =
+    let a' = Array.make cap' x in
+    Array.blit a 0 a' 0 cap;
+    a'
   in
+  t.times <- extend t.times 0;
+  t.handles <- extend t.handles 0;
+  t.kinds <- extend t.kinds 0;
+  t.borns <- extend t.borns 0;
+  t.pos <- extend t.pos (-1);
+  t.fns <- extend t.fns nop;
+  for s = cap to cap' - 2 do
+    t.pos.(s) <- s + 1
+  done;
+  t.free <- cap
+
+(* The sift loops index the heap below [size] and [pos] at slots of
+   pending events, all inside the arrays [grow] sized, so they skip the
+   bounds checks.  The int annotations keep the stores free of the write
+   barrier and the comparisons off the polymorphic compare. *)
+let get (a : int array) i = Array.unsafe_get a i
+let set (a : int array) i (x : int) = Array.unsafe_set a i x
+
+(* Store entry [(time, h)] at heap position [i]. *)
+let place t i time h =
+  set t.times i time;
+  set t.handles i h;
+  set t.pos (h land slot_mask) i
+
+let before (time : int) (h : int) time' h' =
+  time < time' || (time = time' && h < h')
+
+(* Put [(time, h)] at the hole [i] or above it. *)
+let rec sift_up t i time h =
+  if i = 0 then place t 0 time h
+  else
+    let p = (i - 1) lsr 1 in
+    let pt = get t.times p and ph = get t.handles p in
+    if before time h pt ph then begin
+      place t i pt ph;
+      sift_up t p time h
+    end
+    else place t i time h
+
+(* Put [(time, h)] at the hole [i] or below it. *)
+let rec sift_down t i time h =
+  let l = (2 * i) + 1 in
+  if l >= t.size then place t i time h
+  else
+    let r = l + 1 in
+    let c =
+      if
+        r < t.size
+        && before (get t.times r) (get t.handles r) (get t.times l)
+             (get t.handles l)
+      then r
+      else l
+    in
+    let ct = get t.times c and ch = get t.handles c in
+    if before ct ch time h then begin
+      place t i ct ch;
+      sift_down t c time h
+    end
+    else place t i time h
+
+let add t ~time ~kind ~born fn =
+  if t.next_seq > max_seq then
+    invalid_arg "Eventq.add: event sequence numbers exhausted";
+  if t.free < 0 then grow t;
+  let s = t.free in
+  let h = (t.next_seq lsl slot_bits) lor s in
   t.next_seq <- t.next_seq + 1;
-  if t.size = Array.length t.heap then grow t;
-  t.heap.(t.size) <- ev;
+  t.free <- t.pos.(s);
+  t.kinds.(s) <- kind;
+  t.borns.(s) <- born;
+  t.fns.(s) <- fn;
   t.size <- t.size + 1;
-  sift_up t (t.size - 1);
-  ev
+  sift_up t (t.size - 1) time h;
+  h
 
-let cancel ev =
-  if not ev.cancelled then begin
-    ev.cancelled <- true;
-    ev.fn <- ignore;
-    if not ev.gone then incr ev.cc
+(* Return slot [s] to the free list and drop its closure. *)
+let release t s =
+  t.pos.(s) <- t.free;
+  t.fns.(s) <- nop;
+  t.free <- s
+
+(* Remove heap entry [i], refilling the hole with the last entry. *)
+let remove_at t i =
+  let last = t.size - 1 in
+  t.size <- last;
+  if i < last then begin
+    let time = t.times.(last) and h = t.handles.(last) in
+    let p = (i - 1) / 2 in
+    if i > 0 && before time h t.times.(p) t.handles.(p) then
+      sift_up t i time h
+    else sift_down t i time h
   end
 
-let cancelled ev = ev.cancelled
-let cancelled_pending t = !(t.cc)
-let compactions t = t.compactions
-
-let remove_top t =
-  let ev = t.heap.(0) in
-  ev.gone <- true;
-  if ev.cancelled then decr t.cc;
-  t.size <- t.size - 1;
-  t.heap.(0) <- t.heap.(t.size);
-  t.heap.(t.size) <- dummy;
-  if t.size > 0 then sift_down t 0
-
-(* Drop cancelled events from the top so [next_time]/[pop] see live ones. *)
-let rec skim t =
-  if t.size > 0 && t.heap.(0).cancelled then begin
-    remove_top t;
-    skim t
+let cancel t h =
+  let s = h land slot_mask in
+  if s < Array.length t.fns then begin
+    let i = t.pos.(s) in
+    if i >= 0 && i < t.size && t.handles.(i) = h then begin
+      remove_at t i;
+      release t s
+    end
   end
 
-let next_time t =
-  skim t;
-  if t.size = 0 then None else Some t.heap.(0).time
+let is_empty t = t.size = 0
+let live_count t = t.size
+
+let top_slot t =
+  if t.size = 0 then invalid_arg "Eventq: the queue is empty";
+  t.handles.(0) land slot_mask
+
+let top_time t =
+  if t.size = 0 then invalid_arg "Eventq: the queue is empty";
+  t.times.(0)
+
+let top_kind t = t.kinds.(top_slot t)
+let top_born t = t.borns.(top_slot t)
+
+let take t =
+  let s = top_slot t in
+  let fn = t.fns.(s) in
+  remove_at t 0;
+  release t s;
+  fn
 
 let pop t =
-  skim t;
   if t.size = 0 then None
-  else begin
-    let ev = t.heap.(0) in
-    remove_top t;
-    Some (ev.time, ev.fn)
-  end
-
-(* Like [pop], but keeps the scheduling metadata the profiler needs. *)
-let pop_ev t =
-  skim t;
-  if t.size = 0 then None
-  else begin
-    let ev = t.heap.(0) in
-    remove_top t;
-    Some ev
-  end
-
-let ev_time ev = ev.time
-let ev_kind ev = ev.kind
-let ev_born ev = ev.born
-let ev_fn ev = ev.fn
-
-let is_empty t =
-  skim t;
-  t.size = 0
-
-let live_count t = t.size - !(t.cc)
+  else
+    let time = t.times.(0) in
+    Some (time, take t)

@@ -1,15 +1,21 @@
 (** Priority queue of timed events.
 
-    A binary min-heap keyed by [(time, seq)]: events fire in time order, and
-    events scheduled for the same instant fire in insertion order.  The
-    latter is essential for determinism — the whole simulator relies on it.
+    An indexed binary min-heap keyed by [(time, seq)]: events fire in time
+    order, and events scheduled for the same instant fire in insertion
+    order.  The latter is essential for determinism — the whole simulator
+    relies on it.
 
-    Cancellation is O(1): events carry a [cancelled] flag and are skipped
-    (and dropped) when they reach the top of the heap.  Cancelled entries
-    that never reach the top are counted and lazily compacted away once
-    they outnumber the live ones, so cancel-heavy workloads (retransmit
-    timers) do not accumulate garbage in the heap
-    ({!cancelled_pending}). *)
+    Heap keys are unboxed ints and each pending event's closure, kind and
+    born time sit in a slab slot reused through a free list, so a
+    steady-state add, pop or cancel allocates nothing.  {!cancel} removes
+    the event from the heap at once, in O(log n), and releases its
+    closure; the queue holds exactly {!live_count} entries.
+
+    A {!handle} is an immediate int naming one scheduled event of the
+    queue that issued it.  Once that event has fired or been cancelled
+    the handle is stale, and cancelling it is a no-op, even after its
+    slot has been reused.  A handle presented to another queue is
+    meaningless there and may cancel an unrelated event. *)
 
 (** Event kinds, interned to small integer ids so the per-event hot path
     never compares or hashes strings.  Intern each kind once at module
@@ -40,47 +46,43 @@ type kind = Kind.t
 
 type t
 
-type event
-(** A handle to a scheduled event, usable for cancellation. *)
+type handle [@@immediate]
+(** A scheduled event, usable for cancellation. *)
 
 val create : unit -> t
+(** An empty queue.  It allocates its arrays on the first {!add}. *)
 
 val add :
-  t -> time:Time.t -> ?kind:kind -> ?born:Time.t -> (unit -> unit) -> event
+  t -> time:Time.t -> kind:kind -> born:Time.t -> (unit -> unit) -> handle
 (** Schedule a callback at an absolute time.  [kind] labels the event for
-    the profiler (default {!Kind.other}); [born] is the simulated instant
-    the event was scheduled (default [time], i.e. zero modeled delay). *)
+    the profiler; [born] is the simulated instant the event was scheduled.
+    Raises [Invalid_argument], rather than let a handle wrap, once the
+    queue has issued 2{^40} handles or already holds 2{^22} pending
+    events. *)
 
-val cancel : event -> unit
-(** Mark an event so it never fires. Idempotent; safe after the event
-    fired. *)
-
-val cancelled : event -> bool
-
-val cancelled_pending : t -> int
-(** Cancelled events still occupying heap slots.  Drops to zero when they
-    are skimmed off the top or a lazy compaction sweeps them out. *)
-
-val compactions : t -> int
-(** Number of lazy compaction sweeps performed (diagnostics). *)
-
-val next_time : t -> Time.t option
-(** Time of the earliest live event, if any. *)
-
-val pop : t -> (Time.t * (unit -> unit)) option
-(** Remove and return the earliest live event. *)
-
-val pop_ev : t -> event option
-(** Like {!pop} but returns the full event, so callers can read its
-    {!ev_kind} and {!ev_born} (the profiler's accounting inputs). *)
-
-val ev_time : event -> Time.t
-val ev_kind : event -> kind
-val ev_born : event -> Time.t
-val ev_fn : event -> unit -> unit
+val cancel : t -> handle -> unit
+(** Remove a pending event so it never fires, and drop its closure.  A
+    no-op for a handle that already fired or was cancelled. *)
 
 val is_empty : t -> bool
-(** [true] iff no live events remain. *)
+(** [true] iff no events are pending. *)
 
 val live_count : t -> int
-(** Number of non-cancelled events (O(1)). *)
+(** Number of pending events (O(1)). *)
+
+(** {1 The earliest event}
+
+    The engine's allocation-free pop: read what it needs of the earliest
+    event, then {!take} it.  Each raises [Invalid_argument] on an empty
+    queue. *)
+
+val top_time : t -> Time.t
+val top_kind : t -> kind
+val top_born : t -> Time.t
+
+val take : t -> (unit -> unit)
+(** Remove the earliest event and return its callback, without calling
+    it. *)
+
+val pop : t -> (Time.t * (unit -> unit)) option
+(** Remove and return the earliest event with its time. *)

@@ -255,6 +255,52 @@ let test_histogram () =
     (Invalid_argument "Histogram.create: bounds must be strictly increasing")
     (fun () -> ignore (Vsim.Stat.Histogram.create ~bounds:[| 2.0; 1.0 |] ()))
 
+(* Minor-heap words [f n] allocates for [2n] iterations minus those for
+   [n]: set-up and the measurement itself cancel out, leaving the cost of
+   [n] steady-state iterations. *)
+let marginal_minor_words f n =
+  let words k =
+    let w0 = Gc.minor_words () in
+    f k;
+    Gc.minor_words () -. w0
+  in
+  int_of_float (words (2 * n) -. words n)
+
+(* [n] engine steps, each firing a preallocated closure that re-adds
+   itself. *)
+let engine_steps n =
+  let eng = Vsim.Engine.create () in
+  let rec tick () = ignore (Vsim.Engine.after eng 10 tick) in
+  tick ();
+  for _ = 1 to n do
+    ignore (Vsim.Engine.step eng)
+  done
+
+(* [n] untraced remote 32-byte Send-Receive-Reply exchanges between two
+   hosts, after one that warms the kernel tables up. *)
+let remote_exchanges n =
+  let tb = TB.create ~hosts:2 () in
+  let server = Util.start_echo_server tb ~host:2 in
+  Util.run_as_process tb ~host:1 (fun _ ->
+      let k = kernel_of tb 1 and msg = Msg.create () in
+      for _ = 0 to n do
+        ignore (K.send k msg server)
+      done)
+
+(* Pins the host allocation of the event path exactly, so a change that
+   adds a word per event or per packet shows.  The lazily purged
+   record-per-event heap before the indexed one took 13 words per engine
+   step (a 9-word event record, a [Some] for its born time and one on
+   pop) and 978 words per exchange here (1,015 per op in
+   vbench's ipc_pingpong).  The exchange figure is also the first check
+   of lib/sim/trace.ml's promise that an untraced run allocates nothing
+   for tracing.  Both figures are for OCaml 5.1 native code. *)
+let test_host_allocation_gate () =
+  Alcotest.(check int) "minor words for 1000 engine steps" 0
+    (marginal_minor_words engine_steps 1000);
+  Alcotest.(check int) "minor words for 100 remote S-R-R exchanges" 69_700
+    (marginal_minor_words remote_exchanges 100)
+
 let suite =
   [
     Alcotest.test_case "jsonl round-trip" `Quick test_jsonl_roundtrip;
@@ -270,4 +316,5 @@ let suite =
     Alcotest.test_case "series stddev" `Quick test_series_stddev;
     Alcotest.test_case "percentile edges" `Quick test_series_percentile_edges;
     Alcotest.test_case "histogram" `Quick test_histogram;
+    Alcotest.test_case "host allocation gate" `Quick test_host_allocation_gate;
   ]

@@ -99,55 +99,56 @@ let test_kind_interning () =
   | (_ : Eventq.kind) -> Alcotest.fail "of_int accepted an unknown id"
   | exception Invalid_argument _ -> ()
 
-(* Cancelled events are counted exactly and lazily swept: after
-   cancelling far more than half the heap, the next add must compact. *)
-let test_eventq_lazy_compaction () =
-  let q = Eventq.create () in
-  let evs =
-    Array.init 300 (fun i ->
-        Eventq.add q ~time:(i + 1) (fun () -> ()))
-  in
-  Alcotest.(check int) "live" 300 (Eventq.live_count q);
-  Alcotest.(check int) "none cancelled" 0 (Eventq.cancelled_pending q);
-  for i = 0 to 249 do
-    Eventq.cancel evs.(i)
-  done;
-  (* Double cancel must not double count. *)
-  Eventq.cancel evs.(0);
-  Alcotest.(check int) "cancelled pending" 250 (Eventq.cancelled_pending q);
-  Alcotest.(check int) "live after cancel" 50 (Eventq.live_count q);
-  let before = Eventq.compactions q in
-  let (_ : Eventq.event) = Eventq.add q ~time:1000 (fun () -> ()) in
-  Alcotest.(check int) "compaction swept" 0 (Eventq.cancelled_pending q);
-  Alcotest.(check bool) "compaction counted" true
-    (Eventq.compactions q > before);
-  Alcotest.(check int) "live preserved" 51 (Eventq.live_count q);
-  (* The survivors still pop in time order. *)
-  let rec drain acc =
-    match Eventq.pop_ev q with
-    | None -> List.rev acc
-    | Some ev -> drain (Eventq.ev_time ev :: acc)
-  in
-  let times = drain [] in
-  Alcotest.(check int) "drained all" 51 (List.length times);
-  Alcotest.(check (list int)) "time order" (List.sort compare times) times
+let add q ~time fn = Eventq.add q ~time ~kind:Eventq.Kind.other ~born:0 fn
 
-(* Popping a cancelled event off the top must not leave a stale pending
-   count behind (the gone flag), and cancel-after-fire is a no-op. *)
-let test_eventq_cancel_accounting () =
+let rec drain_times q acc =
+  match Eventq.pop q with
+  | None -> List.rev acc
+  | Some (time, _) -> drain_times q (time :: acc)
+
+(* Cancel removes an event at once: after cancelling most of the heap the
+   live count is exact, and the survivors still pop in time order. *)
+let test_eventq_eager_removal () =
   let q = Eventq.create () in
-  let e1 = Eventq.add q ~time:1 (fun () -> ()) in
-  let e2 = Eventq.add q ~time:2 (fun () -> ()) in
-  Eventq.cancel e1;
-  Alcotest.(check int) "one pending" 1 (Eventq.cancelled_pending q);
-  (* pop skips the cancelled head and returns e2. *)
-  (match Eventq.pop_ev q with
-  | Some ev -> Alcotest.(check int) "skipped to live" 2 (Eventq.ev_time ev)
+  let evs = Array.init 300 (fun i -> add q ~time:(i + 1) ignore) in
+  Alcotest.(check int) "live" 300 (Eventq.live_count q);
+  (* Cancel from both ends and the middle, so removal refills holes at
+     the root, at leaves and inside the heap. *)
+  for i = 0 to 249 do
+    Eventq.cancel q evs.((i * 7) mod 300)
+  done;
+  let cancelled = List.init 250 (fun i -> ((i * 7) mod 300) + 1) in
+  (* Double cancel must not double count. *)
+  Eventq.cancel q evs.(0);
+  Alcotest.(check int) "live after cancel" 50 (Eventq.live_count q);
+  ignore (add q ~time:1000 ignore);
+  Alcotest.(check int) "live after add" 51 (Eventq.live_count q);
+  let survivors =
+    List.filter (fun t -> not (List.mem t cancelled)) (List.init 300 succ)
+  in
+  Alcotest.(check (list int)) "survivors in time order" (survivors @ [ 1000 ])
+    (drain_times q [])
+
+(* Cancelling a fired event changes nothing, even after a new event has
+   taken over the fired event's slot. *)
+let test_eventq_cancel_after_fire () =
+  let q = Eventq.create () in
+  let e1 = add q ~time:1 ignore in
+  let e2 = add q ~time:2 ignore in
+  Eventq.cancel q e1;
+  Alcotest.(check int) "one live" 1 (Eventq.live_count q);
+  (match Eventq.pop q with
+  | Some (time, _) -> Alcotest.(check int) "the live event" 2 time
   | None -> Alcotest.fail "queue drained early");
-  Alcotest.(check int) "skim cleared pending" 0 (Eventq.cancelled_pending q);
-  Eventq.cancel e2;
-  Alcotest.(check int) "cancel after fire is free" 0
-    (Eventq.cancelled_pending q);
+  Eventq.cancel q e2;
+  Alcotest.(check bool) "cancel after fire is a no-op" true (Eventq.is_empty q);
+  let e3 = add q ~time:3 ignore and e4 = add q ~time:4 ignore in
+  Eventq.cancel q e1;
+  Eventq.cancel q e2;
+  Alcotest.(check int) "stale handles cancel nothing" 2 (Eventq.live_count q);
+  Eventq.cancel q e4;
+  Alcotest.(check (list int)) "e3 survives" [ 3 ] (drain_times q []);
+  Eventq.cancel q e3;
   Alcotest.(check bool) "empty" true (Eventq.is_empty q)
 
 (* Schedules an event whose callback alone holds [payload], which only
@@ -155,22 +156,38 @@ let test_eventq_cancel_accounting () =
 let[@inline never] add_holding q w =
   let payload = Bytes.make 64 'p' in
   Weak.set w 0 (Some payload);
-  Eventq.add q ~time:5 (fun () -> ignore (Sys.opaque_identity payload))
+  add q ~time:5 (fun () -> ignore (Sys.opaque_identity payload))
 
-(* A cancelled event still sitting in the heap must not keep what its
-   callback captured alive: a retransmission timer captures its packet
-   and continuation, and may stay queued until its deadline. *)
+let[@inline never] fire_next q =
+  match Eventq.pop q with
+  | Some (_, fn) -> fn ()
+  | None -> Alcotest.fail "nothing to fire"
+
+(* A cancelled event must not keep what its callback captured alive: a
+   retransmission timer captures its packet and continuation. *)
 let test_eventq_cancel_drops_closure () =
   let q = Eventq.create () in
   let w = Weak.create 1 in
   let ev = add_holding q w in
   Gc.full_major ();
   Alcotest.(check bool) "held while live" true (Weak.check w 0);
-  Eventq.cancel ev;
+  Eventq.cancel q ev;
   Gc.full_major ();
   Alcotest.(check bool) "released on cancel" false (Weak.check w 0);
-  Alcotest.(check int) "still pending" 1 (Eventq.cancelled_pending q);
+  Alcotest.(check int) "nothing pending" 0 (Eventq.live_count q);
   Alcotest.(check bool) "never fires" true (Eventq.pop q = None)
+
+(* Nor may a fired one, though its slot is not reused yet and its
+   handle is still held. *)
+let test_eventq_fire_drops_closure () =
+  let q = Eventq.create () in
+  let w = Weak.create 1 in
+  let ev = add_holding q w in
+  fire_next q;
+  Gc.full_major ();
+  Alcotest.(check bool) "released on fire" false (Weak.check w 0);
+  Eventq.cancel q ev;
+  Alcotest.(check bool) "empty" true (Eventq.is_empty q)
 
 (* The acceptance bar: the depth-2 sweep's report (and its JSON) is a
    pure function of the seed — byte-identical for domains 1, 2 and 4. *)
@@ -234,12 +251,14 @@ let suite =
       test_pool_persistent_reuse;
     Alcotest.test_case "nested run falls back" `Quick test_pool_nested_run;
     Alcotest.test_case "event kind interning" `Quick test_kind_interning;
-    Alcotest.test_case "eventq lazy compaction" `Quick
-      test_eventq_lazy_compaction;
-    Alcotest.test_case "eventq cancel accounting" `Quick
-      test_eventq_cancel_accounting;
+    Alcotest.test_case "eventq eager removal" `Quick
+      test_eventq_eager_removal;
+    Alcotest.test_case "eventq cancel after fire" `Quick
+      test_eventq_cancel_after_fire;
     Alcotest.test_case "eventq cancel drops closure" `Quick
       test_eventq_cancel_drops_closure;
+    Alcotest.test_case "eventq fired event drops closure" `Quick
+      test_eventq_fire_drops_closure;
     Alcotest.test_case "sweep domain determinism" `Slow
       test_sweep_domain_determinism;
     Alcotest.test_case "sweep failure domain determinism" `Slow

@@ -1,11 +1,11 @@
 (* Tests for the discrete-event engine, fibers and statistics. *)
 
+let add q ~time fn = Vsim.Eventq.add q ~time ~kind:Vsim.Eventq.Kind.other ~born:0 fn
+
 let test_eventq_order () =
   let q = Vsim.Eventq.create () in
   let fired = ref [] in
-  let add time tag =
-    ignore (Vsim.Eventq.add q ~time (fun () -> fired := tag :: !fired))
-  in
+  let add time tag = ignore (add q ~time (fun () -> fired := tag :: !fired)) in
   add 30 "c";
   add 10 "a";
   add 20 "b";
@@ -26,12 +26,11 @@ let test_eventq_order () =
 let test_eventq_cancel () =
   let q = Vsim.Eventq.create () in
   let fired = ref 0 in
-  let ev1 = Vsim.Eventq.add q ~time:10 (fun () -> incr fired) in
-  let _ev2 = Vsim.Eventq.add q ~time:20 (fun () -> incr fired) in
-  Vsim.Eventq.cancel ev1;
-  Alcotest.(check bool) "cancelled" true (Vsim.Eventq.cancelled ev1);
+  let ev1 = add q ~time:10 (fun () -> incr fired) in
+  let _ev2 = add q ~time:20 (fun () -> incr fired) in
+  Vsim.Eventq.cancel q ev1;
   Alcotest.(check int) "live count" 1 (Vsim.Eventq.live_count q);
-  Alcotest.(check (option int)) "next is 20" (Some 20) (Vsim.Eventq.next_time q);
+  Alcotest.(check int) "next is 20" 20 (Vsim.Eventq.top_time q);
   (match Vsim.Eventq.pop q with
   | Some (20, fn) -> fn ()
   | Some (t, _) -> Alcotest.failf "popped time %d" t
@@ -45,7 +44,7 @@ let test_eventq_model =
     QCheck.(list (int_bound 1000))
     (fun times ->
       let q = Vsim.Eventq.create () in
-      List.iter (fun t -> ignore (Vsim.Eventq.add q ~time:t ignore)) times;
+      List.iter (fun t -> ignore (add q ~time:t ignore)) times;
       let popped = ref [] in
       let rec drain () =
         match Vsim.Eventq.pop q with
@@ -56,6 +55,84 @@ let test_eventq_model =
       in
       drain ();
       List.rev !popped = List.sort compare times)
+
+(* Random interleavings of add, cancel and pop on an engine, against a
+   reference list of pending events kept in (time, id) order.  Ids are
+   issued in add order, so they are the engine's insertion order.
+   Small delays make same-instant adds common; [Cancel i] names any event
+   ever added, so it also covers double cancel, cancel after fire and
+   stale handles whose slot has since been reused; an [Add_cancelling]
+   event's callback cancels another event through the engine. *)
+type queue_op =
+  | Add of int
+  | Add_cancelling of int * int
+  | Cancel of int
+  | Pop
+
+let pp_queue_op = function
+  | Add d -> Printf.sprintf "Add %d" d
+  | Add_cancelling (d, v) -> Printf.sprintf "Add_cancelling (%d, %d)" d v
+  | Cancel i -> Printf.sprintf "Cancel %d" i
+  | Pop -> "Pop"
+
+let queue_ops =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (4, map (fun d -> Add d) (int_bound 3));
+        (1, map2 (fun d v -> Add_cancelling (d, v)) (int_bound 3) (int_bound 40));
+        (3, map (fun i -> Cancel i) (int_bound 40));
+        (4, return Pop);
+      ]
+  in
+  QCheck.make ~print:QCheck.Print.(list pp_queue_op) (list_size (int_bound 120) op)
+
+let test_engine_queue_model =
+  Util.qtest ~count:500 "engine add/cancel/pop matches a reference model"
+    queue_ops (fun ops ->
+      let eng = Vsim.Engine.create () in
+      let handles = ref [||] and model = ref [] and fired = ref [] in
+      let model_cancel id =
+        model := List.filter (fun (_, i, _) -> i <> id) !model
+      in
+      let handle id = !handles.(id mod Array.length !handles) in
+      let add delay victim =
+        let id = Array.length !handles in
+        let time = Vsim.Engine.now eng + delay in
+        let h =
+          Vsim.Engine.at eng time (fun () ->
+              fired := id :: !fired;
+              Option.iter
+                (fun v -> Vsim.Engine.cancel eng (fst (handle v)))
+                victim)
+        in
+        handles := Array.append !handles [| (h, id) |];
+        model := List.merge compare !model [ (time, id, victim) ]
+      in
+      let expected = ref [] in
+      let ok = ref true in
+      List.iter
+        (fun op ->
+          (match op with
+          | Add d -> add d None
+          | Add_cancelling (d, v) -> add d (Some v)
+          | Cancel _ when !handles = [||] -> ()
+          | Cancel i ->
+              let h, id = handle i in
+              Vsim.Engine.cancel eng h;
+              model_cancel id
+          | Pop -> (
+              let stepped = Vsim.Engine.step eng in
+              match !model with
+              | [] -> ok := !ok && not stepped
+              | (_, id, victim) :: rest ->
+                  model := rest;
+                  expected := id :: !expected;
+                  Option.iter (fun v -> model_cancel (snd (handle v))) victim));
+          ok := !ok && Vsim.Engine.pending eng = List.length !model)
+        ops;
+      !ok && !fired = !expected)
 
 let test_engine_run_until () =
   let eng = Vsim.Engine.create () in
@@ -195,6 +272,7 @@ let suite =
     Alcotest.test_case "eventq order" `Quick test_eventq_order;
     Alcotest.test_case "eventq cancel" `Quick test_eventq_cancel;
     test_eventq_model;
+    test_engine_queue_model;
     Alcotest.test_case "engine run until" `Quick test_engine_run_until;
     Alcotest.test_case "engine rejects past" `Quick test_engine_no_past;
     Alcotest.test_case "proc sleep and join" `Quick test_proc_sleep_join;
