@@ -345,21 +345,35 @@ let fault_cmd =
 (* --- check: systematic fault-schedule exploration --------------------- *)
 
 let check_cmd =
+  let module Checker = Vcheck.Checker in
+  let module Scenario = Checker.Scenario in
   let depth =
-    Arg.(value & opt int 2
+    Arg.(value & opt (enum [ ("1", 1); ("2", 2) ]) 2
          & info [ "depth" ] ~docv:"N"
-             ~doc:"Maximum scheduled faults per run (1 or 2).")
+             ~doc:"Maximum scheduled faults per run: 1 or 2.")
   in
   let limit =
-    Arg.(value & opt int 600
+    let positive =
+      Arg.conv'
+        ( (fun s ->
+            match int_of_string_opt s with
+            | Some n when n >= 1 -> Ok n
+            | _ ->
+                Error
+                  (Printf.sprintf "invalid value '%s', expected a positive \
+                                   integer" s)),
+          Format.pp_print_int )
+    in
+    Arg.(value & opt positive 600
          & info [ "limit" ] ~docv:"N"
-             ~doc:"Stop after exploring $(docv) schedules.")
+             ~doc:"Stop after exploring $(docv) schedules (at least 1).")
   in
   let repro =
     Arg.(value & opt (some file) None
          & info [ "repro" ] ~docv:"FILE"
              ~doc:"Replay the single schedule in $(docv) (as emitted on a \
-                   violation) instead of sweeping.")
+                   violation) instead of sweeping, against the scenario \
+                   its $(b,# scenario:) line names.")
   in
   let emit =
     Arg.(value & opt string "vcheck.repro"
@@ -374,202 +388,87 @@ let check_cmd =
                    deterministic and byte-identical for any --domains \
                    value.")
   in
-  let crash =
-    Arg.(value & flag
-         & info [ "crash" ]
-             ~doc:"Sweep host crash points instead of network faults: \
-                   crash + restart the file-server host at every baseline \
-                   frame (depth 1), paired with one network fault at every \
-                   other frame at depth 2, over the journaled-recovery \
-                   workload.  Replays of schedules containing crash/restart \
-                   entries select this workload automatically.")
-  in
-  let shared =
-    Arg.(value & flag
-         & info [ "shared" ]
-             ~doc:"Sweep the two-client shared-file coherence workload \
-                   instead: both clients cache through the lease/callback \
-                   protocol of doc/LEASES.md, and every read must observe \
-                   the latest acknowledged write (no stale reads), with \
-                   reopen-under-lease costing zero server requests.  \
-                   Composes with --crash to script file-server crash + \
-                   restart points instead of network faults, and with \
-                   --repro to replay a schedule against this workload.")
-  in
-  let inet =
-    Arg.(value & flag
-         & info [ "inet" ]
-             ~doc:"Sweep the cross-segment internetwork workload instead: \
-                   a client on a 3 Mb segment reaching an echo service and \
-                   a file server on a 10 Mb segment through a \
-                   store-and-forward gateway (doc/INTERNETWORK.md).  \
-                   Network faults act on the client's segment; with \
-                   --crash the schedule crashes + restarts the GATEWAY, \
-                   partitioning the segments until it returns.  Composes \
-                   with --repro.")
-  in
-  let failover =
-    Arg.(value & flag
-         & info [ "failover" ]
-             ~doc:"Sweep the sharded-service failover workload instead: \
-                   crash-STOP the shard-A primary at every baseline frame \
-                   (paired with one network fault at depth 2) and demand \
-                   the standby replica takes the shard over with no \
-                   acknowledged write lost (doc/INTERNETWORK.md).  \
-                   Composes with --repro.")
+  let scenario =
+    let names =
+      List.map (fun (sc : Scenario.t) -> (sc.name, sc.name)) Scenario.all
+    in
+    Arg.(value & opt (some (enum names)) None
+         & info [ "scenario" ] ~docv:"NAME"
+             ~doc:(Printf.sprintf
+                     "The workload and schedule space to sweep or replay \
+                      (doc/CHECKING.md): %s.  Defaults to net; a --repro \
+                      file's own scenario line must agree with it."
+                     (Arg.doc_alts_enum names)))
   in
   let print_violations vs =
     List.iter
-      (fun v ->
-        Format.printf "  violation -- %a@." Vcheck.Checker.pp_violation v)
+      (fun v -> Format.printf "  violation -- %a@." Checker.pp_violation v)
       vs
   in
-  let run spec depth limit repro emit json crash shared inet failover =
+  let run spec depth limit repro emit json scenario =
     Spec.with_obs spec @@ fun () ->
     let seed = spec.Spec.seed in
+    let scenario = Option.bind scenario Scenario.find in
     match repro with
     | Some path -> (
         let text = In_channel.with_open_text path In_channel.input_all in
-        match Vcheck.Schedule.of_string text with
+        match Checker.load_repro ?scenario text with
         | Error e ->
             Format.eprintf "vsim check: %s@." e;
             exit 2
-        | Ok s -> (
-            let has_crash =
-              List.exists
-                (fun e ->
-                  match e.Vcheck.Schedule.action with
-                  | Vcheck.Schedule.Crash | Vcheck.Schedule.Restart _ -> true
-                  | Vcheck.Schedule.Net _ -> false)
-                s
-            in
+        | Ok (sc, s) -> (
             Format.printf "replaying schedule: %a@." Vcheck.Schedule.pp s;
-            let vs =
-              if failover then begin
-                let report =
-                  Vcheck.Failover_workload.run
-                    ~fault:(Vcheck.Schedule.to_fault s) ?seed ()
-                in
-                Format.printf "@[<v>%a@]@." Vcheck.Checker.pp_failover_report
-                  report;
-                Vcheck.Checker.failover_violations_of report
-              end
-              else if inet then begin
-                let report =
-                  Vcheck.Inet_workload.run ~fault:(Vcheck.Schedule.to_fault s)
-                    ?seed ()
-                in
-                Format.printf "@[<v>%a@]@." Vcheck.Checker.pp_inet_report
-                  report;
-                Vcheck.Checker.inet_violations_of report
-              end
-              else if shared then begin
-                let report =
-                  Vcheck.Shared_workload.run
-                    ~fault:(Vcheck.Schedule.to_fault s) ?seed ()
-                in
-                Format.printf "@[<v>%a@]@." Vcheck.Checker.pp_shared_report
-                  report;
-                Vcheck.Checker.shared_violations_of report
-              end
-              else if crash || has_crash then begin
-                let report =
-                  Vcheck.Crash_workload.run
-                    ~fault:(Vcheck.Schedule.to_fault s) ?seed ()
-                in
-                Format.printf "@[<v>%a@]@." Vcheck.Checker.pp_crash_report
-                  report;
-                Vcheck.Checker.crash_violations_of report
-              end
-              else begin
-                let report =
-                  Vcheck.Workload.run ~fault:(Vcheck.Schedule.to_fault s)
-                    ?seed ()
-                in
-                Format.printf "@[<v>%a@]@." Vcheck.Checker.pp_report report;
-                Vcheck.Checker.violations_of report
-              end
-            in
-            match vs with
+            let o = sc.run ?seed s in
+            Format.printf "@[<v>%t@]@." o.pp_digest;
+            match o.violations with
             | [] -> Format.printf "no invariant violations@."
             | vs ->
                 print_violations vs;
                 exit 1))
     | None -> (
-        let result =
-          if failover then
-            Vcheck.Checker.sweep_failover ~depth ~limit ?seed
-              ~domains:spec.Spec.domains ()
-          else if inet then
-            Vcheck.Checker.sweep_inet ~crash ~depth ~limit ?seed
-              ~domains:spec.Spec.domains ()
-          else if shared then
-            Vcheck.Checker.sweep_shared ~crash ~depth ~limit ?seed
-              ~domains:spec.Spec.domains ()
-          else if crash then
-            Vcheck.Checker.sweep_crash ~depth ~limit ?seed
-              ~domains:spec.Spec.domains ()
-          else
-            Vcheck.Checker.sweep ~depth ~limit ?seed
-              ~domains:spec.Spec.domains ()
-        in
-        match result with
+        let sc = Option.value scenario ~default:Scenario.net in
+        match
+          Checker.explore sc ~depth ~limit ?seed ~domains:spec.Spec.domains ()
+        with
         | Error vs ->
             Format.printf "the unfaulted baseline run violates invariants:@.";
             print_violations vs;
             exit 1
         | Ok r when json ->
-            print_endline (Vcheck.Checker.report_to_json r);
-            if r.Vcheck.Checker.failure <> None then exit 1
+            print_endline (Checker.report_to_json r);
+            if r.failure <> None then exit 1
         | Ok r -> (
             Format.printf "baseline workload: %d frames, %d operations@."
-              r.Vcheck.Checker.baseline_frames
-              (if failover then Vcheck.Failover_workload.op_count
-               else if inet then Vcheck.Inet_workload.op_count
-               else if shared then Vcheck.Shared_workload.op_count
-               else if crash then Vcheck.Crash_workload.op_count
-               else Vcheck.Workload.op_count);
-            match r.Vcheck.Checker.failure with
+              r.baseline_frames sc.op_count;
+            match r.failure with
             | None ->
                 Format.printf
                   "explored %d %s schedules (depth <= %d): no invariant \
                    violations@."
-                  r.Vcheck.Checker.schedules_run
-                  (if failover then "crash-stop failover"
-                   else
-                     match (inet, shared, crash) with
-                     | true, _, true -> "internetwork gateway-crash"
-                     | true, _, false -> "internetwork fault"
-                     | false, true, true -> "shared-coherence crash"
-                     | false, true, false -> "shared-coherence fault"
-                     | false, false, true -> "crash"
-                     | false, false, false -> "fault")
-                  depth
+                  r.schedules_run sc.label depth
             | Some f ->
                 Format.printf "violation at schedule %d of the sweep@."
-                  r.Vcheck.Checker.schedules_run;
+                  r.schedules_run;
                 Format.printf "  first failing: %a@." Vcheck.Schedule.pp
-                  f.Vcheck.Checker.schedule;
+                  f.schedule;
                 Format.printf "  minimized:     %a@." Vcheck.Schedule.pp
-                  f.Vcheck.Checker.minimal;
-                print_violations f.Vcheck.Checker.violations;
+                  f.minimal;
+                print_violations f.violations;
                 Out_channel.with_open_text emit (fun oc ->
                     output_string oc
-                      (Vcheck.Checker.repro_file_contents
-                         f.Vcheck.Checker.minimal
-                         f.Vcheck.Checker.violations));
+                      (Checker.repro_file_contents sc f.minimal f.violations));
                 Format.printf "reproducer written to %s@." emit;
                 exit 1))
   in
   Cmd.v
     (Cmd.info "check"
-       ~doc:"Systematically explore fault schedules (drop / duplicate / \
-             delay / reorder per frame — or, with --crash, host crash + \
-             restart points) over a scripted IPC workload, checking the \
-             paper's protocol invariants after every run; violations are \
-             shrunk to a minimal replayable schedule")
-    Term.(const run $ Spec.term $ depth $ limit $ repro $ emit $ json $ crash
-          $ shared $ inet $ failover)
+       ~doc:"Systematically explore the fault schedules of one scenario \
+             (drop / duplicate / delay / reorder per frame, host crash + \
+             restart or crash-stop points) over a scripted workload, \
+             checking the paper's invariants after every run; violations \
+             are shrunk to a minimal replayable schedule")
+    Term.(const run $ Spec.term $ depth $ limit $ repro $ emit $ json
+          $ scenario)
 
 (* --- boot: the multicast boot storm ---------------------------------- *)
 

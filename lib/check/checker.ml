@@ -3,17 +3,49 @@ type violation = { invariant : string; detail : string }
 let pp_violation fmt v =
   Format.fprintf fmt "%s: %s" v.invariant v.detail
 
-(* Shared across all workloads: protocol tables must be empty at
-   quiescence, and each medium's frame accounting must balance. *)
-let kernel_violations ~add (kernels : Workload.kernel_probe list) =
+(* The part of a workload report that every scenario judges and prints
+   the same way. *)
+type common = {
+  completed : bool;
+  events : int;
+  frames : int;
+  ops : Workload.op_result list;
+  kernels : Workload.kernel_probe list;
+  media : (string * Vnet.Medium.stats) list;  (* labelled, segment order *)
+  head : (string * string) list;  (* extra counters on the digest's line 1 *)
+}
+
+(* Judge one run against the paper's claims.  Every workload gets the
+   same prologue — termination, per-op success, and "all operations
+   ran" (a depth-2 schedule forces at most a few retransmissions, far
+   under max_retries, so every operation must still succeed) — then its
+   own invariants, reported by [specific] through [add], then the same
+   epilogue: protocol tables empty at quiescence and each medium's frame
+   accounting balanced. *)
+let judge ~op_count (c : common) specific =
+  let vs = ref [] in
+  let add invariant detail = vs := { invariant; detail } :: !vs in
+  if not c.completed then
+    add "termination"
+      (Printf.sprintf "run did not quiesce cleanly (%d events executed)"
+         c.events);
+  List.iter
+    (fun (o : Workload.op_result) ->
+      if not o.ok then
+        add "op-result" (Printf.sprintf "%s failed (%s)" o.op o.detail))
+    c.ops;
+  if c.completed && List.length c.ops < op_count then
+    add "op-result"
+      (Printf.sprintf "only %d of %d operations ran" (List.length c.ops)
+         op_count);
+  specific add;
   List.iter
     (fun (p : Workload.kernel_probe) ->
-      let t = p.Workload.tables in
+      let t = p.tables in
       let leak name n =
         if n <> 0 then
           add "table-drain"
-            (Printf.sprintf "host %d: %d %s left at quiescence"
-               p.Workload.host n name)
+            (Printf.sprintf "host %d: %d %s left at quiescence" p.host n name)
       in
       leak "live aliens" t.Vkernel.Kernel.aliens_live;
       leak "incomplete mt_ins" t.Vkernel.Kernel.mt_ins_incomplete;
@@ -21,395 +53,268 @@ let kernel_violations ~add (kernels : Workload.kernel_probe list) =
       leak "mf_outs" t.Vkernel.Kernel.mf_outs_pending;
       leak "getpid waits" t.Vkernel.Kernel.getpid_pending;
       leak "blocked senders" t.Vkernel.Kernel.sends_blocked)
-    kernels
-
-let medium_conservation ~add ?(label = "medium") (m : Vnet.Medium.stats) =
-  let open Vnet.Medium in
-  if m.targeted + m.duplicated <> m.delivered + m.dropped then
-    add "conservation"
-      (Printf.sprintf
-         "%s: targeted %d + duplicated %d <> delivered %d + dropped %d" label
-         m.targeted m.duplicated m.delivered m.dropped)
-
-let kernel_and_medium_violations ~add (kernels : Workload.kernel_probe list)
-    (m : Vnet.Medium.stats) =
-  kernel_violations ~add kernels;
-  medium_conservation ~add m
-
-(* Judge one run report against the paper's claims.  A depth-2 schedule
-   can force at most a few retransmissions, far under max_retries, so
-   under any such schedule every operation must still succeed. *)
-let violations_of (r : Workload.report) =
-  let vs = ref [] in
-  let add invariant detail = vs := { invariant; detail } :: !vs in
-  if not r.Workload.completed then
-    add "termination"
-      (Printf.sprintf "run did not quiesce cleanly (%d events executed)"
-         r.Workload.events);
+    c.kernels;
   List.iter
-    (fun (o : Workload.op_result) ->
-      if not o.Workload.ok then
-        add "op-result"
-          (Printf.sprintf "%s failed (%s)" o.Workload.op o.Workload.detail))
-    r.Workload.ops;
-  if r.Workload.completed && List.length r.Workload.ops < Workload.op_count
-  then
-    add "op-result"
-      (Printf.sprintf "only %d of %d operations ran"
-         (List.length r.Workload.ops) Workload.op_count);
-  List.iter
-    (fun (name, n) ->
-      if n <> 1 then
-        add "exactly-once"
-          (Printf.sprintf "server %s applied %d times (want 1)" name n))
-    r.Workload.ledger;
-  if r.Workload.pages_written <> 1 then
-    add "exactly-once"
-      (Printf.sprintf "file server wrote %d pages (want 1)"
-         r.Workload.pages_written);
-  if r.Workload.completed && not r.Workload.file_ok then
-    add "data" "server-side file bytes differ from the client's write";
-  kernel_and_medium_violations ~add r.Workload.kernels r.Workload.medium;
+    (fun (label, (m : Vnet.Medium.stats)) ->
+      if m.targeted + m.duplicated <> m.delivered + m.dropped then
+        add "conservation"
+          (Printf.sprintf
+             "%s: targeted %d + duplicated %d <> delivered %d + dropped %d"
+             label m.targeted m.duplicated m.delivered m.dropped))
+    c.media;
   List.rev !vs
 
-(* Judge one crash run.  The three crash-specific invariants the
-   journal + recovery machinery must uphold:
-   - durability: a write the client saw acknowledged survives the crash
-     (its bytes are on the disk after recovery);
+(* A deterministic, wall-clock-free digest of one run, for replay
+   diagnosis: the shared frame around the workload's own lines. *)
+let pp_digest ~op_width (c : common) specific fmt =
+  Format.fprintf fmt "completed=%b frames=%d" c.completed c.frames;
+  List.iter (fun (k, v) -> Format.fprintf fmt " %s=%s" k v) c.head;
+  Format.fprintf fmt "@,";
+  List.iter
+    (fun (o : Workload.op_result) ->
+      Format.fprintf fmt "op %-*s %s (%s)@," op_width o.op
+        (if o.ok then "ok" else "FAILED")
+        o.detail)
+    c.ops;
+  specific fmt;
+  List.iter
+    (fun (p : Workload.kernel_probe) ->
+      Format.fprintf fmt "host %d: %a@,        %a@," p.host
+        Vkernel.Kernel.pp_stats p.kstats Vkernel.Kernel.pp_table_counts
+        p.tables)
+    c.kernels;
+  List.iteri
+    (fun i (label, (m : Vnet.Medium.stats)) ->
+      if i > 0 then Format.fprintf fmt "@,";
+      Format.fprintf fmt
+        "%s: attempted=%d targeted=%d delivered=%d dropped=%d duplicated=%d \
+         collisions=%d excessive=%d"
+        label m.attempted m.targeted m.delivered m.dropped m.duplicated
+        m.collisions m.excessive)
+    c.media
+
+(* The three recovery invariants the journal + recovery machinery must
+   uphold across a crash (and, for failover, across the takeover):
+   - durability: a write the client saw acknowledged survives (its bytes
+     are on the disk afterwards);
    - atomicity: every block is entirely its old image or entirely its
      new one — a torn block means a mutation was half-applied;
    - fs-consistency: the recovered file system passes {!Vfs.Fs.check}
-     (bitmap, inode table and directory agree).
-   Termination and per-op success still apply: every enumerated crash
-   comes with a restart, so the client must eventually finish. *)
-let crash_violations_of (r : Crash_workload.report) =
-  let vs = ref [] in
-  let add invariant detail = vs := { invariant; detail } :: !vs in
-  if not r.Crash_workload.completed then
-    add "termination"
-      (Printf.sprintf "run did not quiesce cleanly (%d events executed)"
-         r.Crash_workload.events);
-  List.iter
-    (fun (o : Crash_workload.op_result) ->
-      if not o.Crash_workload.ok then
-        add "op-result"
-          (Printf.sprintf "%s failed (%s)" o.Crash_workload.op
-             o.Crash_workload.detail))
-    r.Crash_workload.ops;
-  if
-    r.Crash_workload.completed
-    && List.length r.Crash_workload.ops < Crash_workload.op_count
-  then
-    add "op-result"
-      (Printf.sprintf "only %d of %d operations ran"
-         (List.length r.Crash_workload.ops)
-         Crash_workload.op_count);
+     (bitmap, inode table and directory agree). *)
+let recovery_violations add ~acked_lost ~torn ~fsck =
   List.iter
     (fun b ->
       add "durability" (Printf.sprintf "acknowledged write to block %d lost" b))
-    r.Crash_workload.acked_lost;
+    acked_lost;
   List.iter
     (fun b ->
       add "atomicity"
         (Printf.sprintf "block %d torn: neither old nor new image" b))
-    r.Crash_workload.torn;
-  List.iter (fun msg -> add "fs-consistent" msg) r.Crash_workload.fsck;
-  kernel_and_medium_violations ~add r.Crash_workload.kernels
-    r.Crash_workload.medium;
-  List.rev !vs
+    torn;
+  List.iter (fun msg -> add "fs-consistent" msg) fsck
 
-(* Judge one shared-file coherence run.  The invariant this workload
-   exists for is {e no-stale-read}: every read in the script must
-   observe the latest acknowledged write, because the server breaks all
-   conflicting leases (blocking on each holder's acknowledgement)
-   before acking any mutation.  Its companion is the lease fast path:
-   when client A's reopen happened under a still-valid lease, it must
-   have cost zero server requests. *)
-let shared_violations_of (r : Shared_workload.report) =
-  let vs = ref [] in
-  let add invariant detail = vs := { invariant; detail } :: !vs in
-  if not r.Shared_workload.completed then
-    add "termination"
-      (Printf.sprintf "run did not quiesce cleanly (%d events executed)"
-         r.Shared_workload.events);
-  List.iter
-    (fun (o : Shared_workload.op_result) ->
-      if not o.Shared_workload.ok then
-        add "op-result"
-          (Printf.sprintf "%s failed (%s)" o.Shared_workload.op
-             o.Shared_workload.detail))
-    r.Shared_workload.ops;
-  if
-    r.Shared_workload.completed
-    && List.length r.Shared_workload.ops < Shared_workload.op_count
-  then
-    add "op-result"
-      (Printf.sprintf "only %d of %d operations ran"
-         (List.length r.Shared_workload.ops)
-         Shared_workload.op_count);
-  List.iter (fun msg -> add "no-stale-read" msg) r.Shared_workload.stale;
-  (match r.Shared_workload.lease_reopen_rpcs with
-  | Some n when n <> 0 ->
-      add "lease-fast-path"
-        (Printf.sprintf "reopen under a valid lease cost %d server requests \
-                         (want 0)" n)
-  | _ -> ());
-  kernel_and_medium_violations ~add r.Shared_workload.kernels
-    r.Shared_workload.medium;
-  List.rev !vs
-
-(* Judge one cross-segment run.  The deepened retry budget means even a
-   full gateway outage is survivable, so per-op success still holds
-   under any depth-2 schedule.  Two internetwork-specific invariants:
-   conservation must hold on every segment independently, and no
-   unicast frame may reach the gateway unrouted (the topology installs a
-   route for every host). *)
-let inet_violations_of (r : Inet_workload.report) =
-  let vs = ref [] in
-  let add invariant detail = vs := { invariant; detail } :: !vs in
-  if not r.Inet_workload.completed then
-    add "termination"
-      (Printf.sprintf "run did not quiesce cleanly (%d events executed)"
-         r.Inet_workload.events);
-  List.iter
-    (fun (o : Inet_workload.op_result) ->
-      if not o.Inet_workload.ok then
-        add "op-result"
-          (Printf.sprintf "%s failed (%s)" o.Inet_workload.op
-             o.Inet_workload.detail))
-    r.Inet_workload.ops;
-  if
-    r.Inet_workload.completed
-    && List.length r.Inet_workload.ops < Inet_workload.op_count
-  then
-    add "op-result"
-      (Printf.sprintf "only %d of %d operations ran"
-         (List.length r.Inet_workload.ops)
-         Inet_workload.op_count);
-  let g = r.Inet_workload.gateway in
-  if g.Vnet.Gateway.unrouted <> 0 then
-    add "gw-routed"
-      (Printf.sprintf "gateway saw %d unroutable unicast frames"
-         g.Vnet.Gateway.unrouted);
-  kernel_violations ~add r.Inet_workload.kernels;
-  List.iteri
-    (fun i m ->
-      medium_conservation ~add ~label:(Printf.sprintf "segment %d" i) m)
-    r.Inet_workload.media;
-  List.rev !vs
-
-(* Judge one failover run.  Crash schedules here are crash-stop, so
-   termination and per-op success certify that the standby took the
-   shard over in time; durability demands the acked writes crossed the
-   takeover intact.  One detector-shaped invariant on top: if the
-   primary crashed before the client finished writing, somebody must
-   actually have taken over. *)
-let failover_violations_of (r : Failover_workload.report) =
-  let vs = ref [] in
-  let add invariant detail = vs := { invariant; detail } :: !vs in
-  if not r.Failover_workload.completed then
-    add "termination"
-      (Printf.sprintf "run did not quiesce cleanly (%d events executed)"
-         r.Failover_workload.events);
-  List.iter
-    (fun (o : Failover_workload.op_result) ->
-      if not o.Failover_workload.ok then
-        add "op-result"
-          (Printf.sprintf "%s failed (%s)" o.Failover_workload.op
-             o.Failover_workload.detail))
-    r.Failover_workload.ops;
-  if
-    r.Failover_workload.completed
-    && List.length r.Failover_workload.ops < Failover_workload.op_count
-  then
-    add "op-result"
-      (Printf.sprintf "only %d of %d operations ran"
-         (List.length r.Failover_workload.ops)
-         Failover_workload.op_count);
-  List.iter
-    (fun b ->
-      add "durability" (Printf.sprintf "acknowledged write to block %d lost" b))
-    r.Failover_workload.acked_lost;
-  List.iter
-    (fun b ->
-      add "atomicity"
-        (Printf.sprintf "block %d torn: neither old nor new image" b))
-    r.Failover_workload.torn;
-  List.iter (fun msg -> add "fs-consistent" msg) r.Failover_workload.fsck;
-  kernel_violations ~add r.Failover_workload.kernels;
-  medium_conservation ~add r.Failover_workload.medium;
-  List.rev !vs
-
-let run_schedule ?max_events ?seed (s : Schedule.t) =
-  violations_of (Workload.run ~fault:(Schedule.to_fault s) ?max_events ?seed ())
-
-let run_crash_schedule ?max_events ?seed (s : Schedule.t) =
-  crash_violations_of
-    (Crash_workload.run ~fault:(Schedule.to_fault s) ?max_events ?seed ())
-
-let run_shared_schedule ?max_events ?seed (s : Schedule.t) =
-  shared_violations_of
-    (Shared_workload.run ~fault:(Schedule.to_fault s) ?max_events ?seed ())
-
-let run_inet_schedule ?max_events ?seed (s : Schedule.t) =
-  inet_violations_of
-    (Inet_workload.run ~fault:(Schedule.to_fault s) ?max_events ?seed ())
-
-let run_failover_schedule ?max_events ?seed (s : Schedule.t) =
-  failover_violations_of
-    (Failover_workload.run ~fault:(Schedule.to_fault s) ?max_events ?seed ())
-
-(* A deterministic, wall-clock-free digest of one run, for replay
-   diagnosis. *)
-let pp_report fmt (r : Workload.report) =
-  Format.fprintf fmt "completed=%b frames=%d@," r.Workload.completed
-    r.Workload.frames;
-  List.iter
-    (fun (o : Workload.op_result) ->
-      Format.fprintf fmt "op %-14s %s (%s)@," o.Workload.op
-        (if o.Workload.ok then "ok" else "FAILED")
-        o.Workload.detail)
-    r.Workload.ops;
-  Format.fprintf fmt "ledger:";
-  List.iter
-    (fun (name, n) -> Format.fprintf fmt " %s=%d" name n)
-    r.Workload.ledger;
-  Format.fprintf fmt " pages_written=%d file_ok=%b@," r.Workload.pages_written
-    r.Workload.file_ok;
-  List.iter
-    (fun (p : Workload.kernel_probe) ->
-      Format.fprintf fmt "host %d: %a@,        %a@," p.Workload.host
-        Vkernel.Kernel.pp_stats p.Workload.kstats
-        Vkernel.Kernel.pp_table_counts p.Workload.tables)
-    r.Workload.kernels;
-  let m = r.Workload.medium in
-  Format.fprintf fmt
-    "medium: attempted=%d targeted=%d delivered=%d dropped=%d duplicated=%d \
-     collisions=%d excessive=%d"
-    m.Vnet.Medium.attempted m.Vnet.Medium.targeted m.Vnet.Medium.delivered
-    m.Vnet.Medium.dropped m.Vnet.Medium.duplicated m.Vnet.Medium.collisions
-    m.Vnet.Medium.excessive
-
-let pp_crash_report fmt (r : Crash_workload.report) =
-  let open Crash_workload in
-  Format.fprintf fmt "completed=%b frames=%d crashes=%d restarts=%d@,"
-    r.completed r.frames r.crashes r.restarts;
-  List.iter
-    (fun (o : op_result) ->
-      Format.fprintf fmt "op %-10s %s (%s)@," o.op
-        (if o.ok then "ok" else "FAILED")
-        o.detail)
-    r.ops;
+let pp_recovery fmt ~acked ~acked_lost ~torn ~fsck =
   let ints l = String.concat "," (List.map string_of_int l) in
-  Format.fprintf fmt "acked=[%s] lost=[%s] torn=[%s]@," (ints r.acked)
-    (ints r.acked_lost) (ints r.torn);
-  List.iter (fun msg -> Format.fprintf fmt "fsck: %s@," msg) r.fsck;
-  List.iter
-    (fun (p : Workload.kernel_probe) ->
-      Format.fprintf fmt "host %d: %a@,        %a@," p.Workload.host
-        Vkernel.Kernel.pp_stats p.Workload.kstats
-        Vkernel.Kernel.pp_table_counts p.Workload.tables)
-    r.kernels;
-  let m = r.medium in
-  Format.fprintf fmt
-    "medium: attempted=%d targeted=%d delivered=%d dropped=%d duplicated=%d \
-     collisions=%d excessive=%d"
-    m.Vnet.Medium.attempted m.Vnet.Medium.targeted m.Vnet.Medium.delivered
-    m.Vnet.Medium.dropped m.Vnet.Medium.duplicated m.Vnet.Medium.collisions
-    m.Vnet.Medium.excessive
+  Format.fprintf fmt "acked=[%s] lost=[%s] torn=[%s]@," (ints acked)
+    (ints acked_lost) (ints torn);
+  List.iter (fun msg -> Format.fprintf fmt "fsck: %s@," msg) fsck
 
-let pp_shared_report fmt (r : Shared_workload.report) =
-  let open Shared_workload in
-  Format.fprintf fmt "completed=%b frames=%d crashes=%d restarts=%d@,"
-    r.completed r.frames r.crashes r.restarts;
-  List.iter
-    (fun (o : op_result) ->
-      Format.fprintf fmt "op %-16s %s (%s)@," o.op
-        (if o.ok then "ok" else "FAILED")
-        o.detail)
-    r.ops;
-  Format.fprintf fmt
-    "leases: granted=%d broken=%d expired=%d breaks_acked=a:%d,b:%d \
-     reopen_rpcs=%s@,"
-    r.leases_granted r.leases_broken r.leases_expired r.breaks_a r.breaks_b
-    (match r.lease_reopen_rpcs with
-    | None -> "untested"
-    | Some n -> string_of_int n);
-  List.iter (fun msg -> Format.fprintf fmt "stale: %s@," msg) r.stale;
-  List.iter
-    (fun (p : Workload.kernel_probe) ->
-      Format.fprintf fmt "host %d: %a@,        %a@," p.Workload.host
-        Vkernel.Kernel.pp_stats p.Workload.kstats
-        Vkernel.Kernel.pp_table_counts p.Workload.tables)
-    r.kernels;
-  let m = r.medium in
-  Format.fprintf fmt
-    "medium: attempted=%d targeted=%d delivered=%d dropped=%d duplicated=%d \
-     collisions=%d excessive=%d"
-    m.Vnet.Medium.attempted m.Vnet.Medium.targeted m.Vnet.Medium.delivered
-    m.Vnet.Medium.dropped m.Vnet.Medium.duplicated m.Vnet.Medium.collisions
-    m.Vnet.Medium.excessive
+module Scenario = struct
+  type outcome = {
+    frames : int;
+    violations : violation list;
+    pp_digest : Format.formatter -> unit;
+  }
 
-let pp_medium_line fmt label (m : Vnet.Medium.stats) =
-  Format.fprintf fmt
-    "%s: attempted=%d targeted=%d delivered=%d dropped=%d duplicated=%d \
-     collisions=%d excessive=%d"
-    label m.Vnet.Medium.attempted m.Vnet.Medium.targeted
-    m.Vnet.Medium.delivered m.Vnet.Medium.dropped m.Vnet.Medium.duplicated
-    m.Vnet.Medium.collisions m.Vnet.Medium.excessive
+  type t = {
+    name : string;
+    label : string;
+    op_count : int;
+    run : ?max_events:int -> ?seed:int64 -> Schedule.t -> outcome;
+    enumerate :
+      depth:int ->
+      frames:int ->
+      actions:Vnet.Fault.action list ->
+      Schedule.t Seq.t;
+  }
 
-let pp_inet_report fmt (r : Inet_workload.report) =
-  let open Inet_workload in
-  Format.fprintf fmt "completed=%b frames=%d gw_crashes=%d gw_restarts=%d@,"
-    r.completed r.frames r.gw_crashes r.gw_restarts;
-  List.iter
-    (fun (o : op_result) ->
-      Format.fprintf fmt "op %-10s %s (%s)@," o.op
-        (if o.ok then "ok" else "FAILED")
-        o.detail)
-    r.ops;
-  let g = r.gateway in
-  Format.fprintf fmt
-    "gateway: received=%d forwarded=%d rebroadcast=%d queue_drops=%d \
-     unrouted=%d suppressed=%d crc_drops=%d down_drops=%d@,"
-    g.Vnet.Gateway.received g.Vnet.Gateway.forwarded
-    g.Vnet.Gateway.rebroadcast g.Vnet.Gateway.queue_drops
-    g.Vnet.Gateway.unrouted g.Vnet.Gateway.suppressed g.Vnet.Gateway.crc_drops
-    g.Vnet.Gateway.down_drops;
-  List.iter
-    (fun (p : Workload.kernel_probe) ->
-      Format.fprintf fmt "host %d: %a@,        %a@," p.Workload.host
-        Vkernel.Kernel.pp_stats p.Workload.kstats
-        Vkernel.Kernel.pp_table_counts p.Workload.tables)
-    r.kernels;
-  List.iteri
-    (fun i m ->
-      if i > 0 then Format.fprintf fmt "@,";
-      pp_medium_line fmt (Printf.sprintf "segment %d" i) m)
-    r.media
+  (* Close one workload's typed report into the uniform [outcome]:
+     [common] projects the shared fields, [judge] adds the workload's
+     own invariants, [pp] prints its own digest lines. *)
+  let make ~op_count ~op_width ~run ~common ~judge:specific ~pp ~name ~label
+      ~enumerate =
+    let run ?max_events ?seed s =
+      let r = run (Schedule.to_fault s) max_events seed in
+      let (c : common) = common r in
+      {
+        frames = c.frames;
+        violations = judge ~op_count c (specific r);
+        pp_digest = pp_digest ~op_width c (fun fmt -> pp fmt r);
+      }
+    in
+    { name; label; op_count; run; enumerate }
 
-let pp_failover_report fmt (r : Failover_workload.report) =
-  let open Failover_workload in
-  Format.fprintf fmt
-    "completed=%b frames=%d crashes=%d took_over=%b probes=%d@," r.completed
-    r.frames r.crashes r.took_over r.probes;
-  List.iter
-    (fun (o : op_result) ->
-      Format.fprintf fmt "op %-10s %s (%s)@," o.op
-        (if o.ok then "ok" else "FAILED")
-        o.detail)
-    r.ops;
-  let ints l = String.concat "," (List.map string_of_int l) in
-  Format.fprintf fmt "acked=[%s] lost=[%s] torn=[%s]@," (ints r.acked)
-    (ints r.acked_lost) (ints r.torn);
-  List.iter (fun msg -> Format.fprintf fmt "fsck: %s@," msg) r.fsck;
-  List.iter
-    (fun (p : Workload.kernel_probe) ->
-      Format.fprintf fmt "host %d: %a@,        %a@," p.Workload.host
-        Vkernel.Kernel.pp_stats p.Workload.kstats
-        Vkernel.Kernel.pp_table_counts p.Workload.tables)
-    r.kernels;
-  pp_medium_line fmt "medium" r.medium
+  let restarts =
+    Schedule.enumerate_host ~host:(Schedule.Restart Schedule.default_restart_ns)
+
+  (* The basic protocol workload: a server ledger must hold every request
+     at exactly one application, and the written file's bytes must match
+     the client's. *)
+  let net =
+    make ~name:"net" ~label:"fault" ~enumerate:Schedule.enumerate
+      ~op_count:Workload.op_count ~op_width:14
+      ~run:(fun fault max_events seed ->
+        Workload.run ~fault ?max_events ?seed ())
+      ~common:(fun (r : Workload.report) ->
+        { completed = r.completed; events = r.events; frames = r.frames;
+          ops = r.ops; kernels = r.kernels; media = [ ("medium", r.medium) ];
+          head = [] })
+      ~judge:(fun (r : Workload.report) add ->
+        List.iter
+          (fun (name, n) ->
+            if n <> 1 then
+              add "exactly-once"
+                (Printf.sprintf "server %s applied %d times (want 1)" name n))
+          r.ledger;
+        if r.pages_written <> 1 then
+          add "exactly-once"
+            (Printf.sprintf "file server wrote %d pages (want 1)"
+               r.pages_written);
+        if r.completed && not r.file_ok then
+          add "data" "server-side file bytes differ from the client's write")
+      ~pp:(fun fmt (r : Workload.report) ->
+        Format.fprintf fmt "ledger:";
+        List.iter (fun (name, n) -> Format.fprintf fmt " %s=%d" name n)
+          r.ledger;
+        Format.fprintf fmt " pages_written=%d file_ok=%b@," r.pages_written
+          r.file_ok)
+
+  (* Every enumerated crash comes with a restart, so the client must
+     still finish, and the recovery invariants must hold. *)
+  let crash =
+    make ~name:"crash" ~label:"crash" ~enumerate:restarts
+      ~op_count:Crash_workload.op_count ~op_width:10
+      ~run:(fun fault max_events seed ->
+        Crash_workload.run ~fault ?max_events ?seed ())
+      ~common:(fun (r : Crash_workload.report) ->
+        { completed = r.completed; events = r.events; frames = r.frames;
+          ops = r.ops; kernels = r.kernels; media = [ ("medium", r.medium) ];
+          head =
+            [ ("crashes", string_of_int r.crashes);
+              ("restarts", string_of_int r.restarts) ] })
+      ~judge:(fun (r : Crash_workload.report) add ->
+        recovery_violations add ~acked_lost:r.acked_lost ~torn:r.torn
+          ~fsck:r.fsck)
+      ~pp:(fun fmt (r : Crash_workload.report) ->
+        pp_recovery fmt ~acked:r.acked ~acked_lost:r.acked_lost ~torn:r.torn
+          ~fsck:r.fsck)
+
+  (* The two-client coherence workload exists for {e no-stale-read}:
+     every read must observe the latest acknowledged write, because the
+     server breaks all conflicting leases (blocking on each holder's
+     acknowledgement) before acking any mutation.  Its companion is the
+     lease fast path: a reopen under a still-valid lease must cost zero
+     server requests. *)
+  let shared =
+    make ~op_count:Shared_workload.op_count ~op_width:16
+      ~run:(fun fault max_events seed ->
+        Shared_workload.run ~fault ?max_events ?seed ())
+      ~common:(fun (r : Shared_workload.report) ->
+        { completed = r.completed; events = r.events; frames = r.frames;
+          ops = r.ops; kernels = r.kernels; media = [ ("medium", r.medium) ];
+          head =
+            [ ("crashes", string_of_int r.crashes);
+              ("restarts", string_of_int r.restarts) ] })
+      ~judge:(fun (r : Shared_workload.report) add ->
+        List.iter (fun msg -> add "no-stale-read" msg) r.stale;
+        match r.lease_reopen_rpcs with
+        | Some n when n <> 0 ->
+            add "lease-fast-path"
+              (Printf.sprintf
+                 "reopen under a valid lease cost %d server requests (want 0)"
+                 n)
+        | _ -> ())
+      ~pp:(fun fmt (r : Shared_workload.report) ->
+        Format.fprintf fmt
+          "leases: granted=%d broken=%d expired=%d breaks_acked=a:%d,b:%d \
+           reopen_rpcs=%s@,"
+          r.leases_granted r.leases_broken r.leases_expired r.breaks_a
+          r.breaks_b
+          (match r.lease_reopen_rpcs with
+          | None -> "untested"
+          | Some n -> string_of_int n);
+        List.iter (fun msg -> Format.fprintf fmt "stale: %s@," msg) r.stale)
+
+  (* The deepened retry budget makes even a full gateway outage
+     survivable, so per-op success holds here too.  Conservation is
+     judged on every segment independently, and no unicast frame may
+     reach the gateway unrouted (the topology routes every host). *)
+  let inet =
+    make ~op_count:Inet_workload.op_count ~op_width:10
+      ~run:(fun fault max_events seed ->
+        Inet_workload.run ~fault ?max_events ?seed ())
+      ~common:(fun (r : Inet_workload.report) ->
+        { completed = r.completed; events = r.events; frames = r.frames;
+          ops = r.ops; kernels = r.kernels;
+          media =
+            List.mapi (fun i m -> (Printf.sprintf "segment %d" i, m)) r.media;
+          head =
+            [ ("gw_crashes", string_of_int r.gw_crashes);
+              ("gw_restarts", string_of_int r.gw_restarts) ] })
+      ~judge:(fun (r : Inet_workload.report) add ->
+        if r.gateway.unrouted <> 0 then
+          add "gw-routed"
+            (Printf.sprintf "gateway saw %d unroutable unicast frames"
+               r.gateway.unrouted))
+      ~pp:(fun fmt (r : Inet_workload.report) ->
+        let g = r.gateway in
+        Format.fprintf fmt
+          "gateway: received=%d forwarded=%d rebroadcast=%d queue_drops=%d \
+           unrouted=%d suppressed=%d crc_drops=%d down_drops=%d@,"
+          g.received g.forwarded g.rebroadcast g.queue_drops g.unrouted
+          g.suppressed g.crc_drops g.down_drops)
+
+  (* Crash schedules here are crash-stop, so termination and per-op
+     success certify that the standby took the shard over in time, and
+     the recovery invariants certify the acked writes crossed the
+     takeover intact. *)
+  let failover =
+    make ~name:"failover" ~label:"crash-stop failover"
+      ~enumerate:(Schedule.enumerate_host ~host:Schedule.Crash)
+      ~op_count:Failover_workload.op_count ~op_width:10
+      ~run:(fun fault max_events seed ->
+        Failover_workload.run ~fault ?max_events ?seed ())
+      ~common:(fun (r : Failover_workload.report) ->
+        { completed = r.completed; events = r.events; frames = r.frames;
+          ops = r.ops; kernels = r.kernels; media = [ ("medium", r.medium) ];
+          head =
+            [ ("crashes", string_of_int r.crashes);
+              ("took_over", string_of_bool r.took_over);
+              ("probes", string_of_int r.probes) ] })
+      ~judge:(fun (r : Failover_workload.report) add ->
+        recovery_violations add ~acked_lost:r.acked_lost ~torn:r.torn
+          ~fsck:r.fsck)
+      ~pp:(fun fmt (r : Failover_workload.report) ->
+        pp_recovery fmt ~acked:r.acked ~acked_lost:r.acked_lost ~torn:r.torn
+          ~fsck:r.fsck)
+
+  let all =
+    [
+      net;
+      crash;
+      shared ~name:"shared" ~label:"shared-coherence fault"
+        ~enumerate:Schedule.enumerate;
+      shared ~name:"shared-crash" ~label:"shared-coherence crash"
+        ~enumerate:restarts;
+      inet ~name:"inet" ~label:"internetwork fault"
+        ~enumerate:Schedule.enumerate;
+      inet ~name:"inet-crash" ~label:"internetwork gateway-crash"
+        ~enumerate:restarts;
+      failover;
+    ]
+
+  let find name = List.find_opt (fun s -> s.name = name) all
+end
 
 (* Greedy delta debugging: drop one entry at a time, keeping any removal
    that preserves a violation, until no single removal does.  [run] is a
@@ -435,6 +340,7 @@ type sweep_failure = {
 }
 
 type sweep_report = {
+  scenario : string;
   depth : int;
   limit : int;
   schedules_run : int;
@@ -442,9 +348,8 @@ type sweep_report = {
   failure : sweep_failure option;
 }
 
-(* Shared sweep driver: run every schedule of a (lazy, deterministic)
-   enumeration and stop at the first violation (shrunk to a minimal
-   reproducer) or at [limit].
+(* Run every schedule of a (lazy, deterministic) enumeration and stop at
+   the first violation (shrunk to a minimal reproducer) or at [limit].
 
    Execution is chunked through {!Vsim.Pool}: each chunk of the
    enumeration becomes a batch of jobs, results come back in enumeration
@@ -507,101 +412,34 @@ let sweep_seq ~limit ~domains ~progress ~run seq0 =
   loop ();
   (!ran, !failure)
 
-(* Enumerate network-fault schedules over the baseline run's frame
-   positions.  The baseline run itself must be violation-free. *)
-let sweep ?(depth = 2) ?(limit = 600) ?(actions = Schedule.default_actions)
-    ?max_events ?seed ?(domains = Vsim.Pool.default_domains)
-    ?(progress = fun _ -> ()) () =
-  let baseline = Workload.run ?max_events ?seed () in
-  match violations_of baseline with
+(* The baseline run comes first — its engine is the first one created —
+   and must itself be violation-free; its frame count sizes the
+   scenario's enumeration. *)
+let explore (sc : Scenario.t) ?(depth = 2) ?(limit = 600)
+    ?(actions = Schedule.default_actions) ?max_events ?seed
+    ?(domains = Vsim.Pool.default_domains) ?(progress = fun _ -> ()) () =
+  let baseline = sc.run ?max_events ?seed [] in
+  match baseline.violations with
   | _ :: _ as vs -> Error vs
   | [] ->
-      let frames = baseline.Workload.frames in
-      let run s = run_schedule ?max_events ?seed s in
+      let frames = baseline.frames in
+      let run s = (sc.run ?max_events ?seed s).violations in
       let ran, failure =
         sweep_seq ~limit ~domains ~progress ~run
-          (Schedule.enumerate ~depth ~frames ~actions)
+          (sc.enumerate ~depth ~frames ~actions)
       in
-      Ok { depth; limit; schedules_run = ran; baseline_frames = frames; failure }
+      Ok
+        {
+          scenario = sc.name;
+          depth;
+          limit;
+          schedules_run = ran;
+          baseline_frames = frames;
+          failure;
+        }
 
-(* Crash-point exploration over the crash workload: crash + restart the
-   server host at every baseline frame (depth 1), optionally paired with
-   one network fault elsewhere (depth 2). *)
-let sweep_crash ?(depth = 1) ?(limit = 600) ?restart_ns
-    ?(actions = Schedule.default_actions) ?max_events ?seed
-    ?(domains = Vsim.Pool.default_domains) ?(progress = fun _ -> ()) () =
-  let baseline = Crash_workload.run ?max_events ?seed () in
-  match crash_violations_of baseline with
-  | _ :: _ as vs -> Error vs
-  | [] ->
-      let frames = baseline.Crash_workload.frames in
-      let run s = run_crash_schedule ?max_events ?seed s in
-      let ran, failure =
-        sweep_seq ~limit ~domains ~progress ~run
-          (Schedule.enumerate_crash ~depth ~frames ?restart_ns ~actions ())
-      in
-      Ok { depth; limit; schedules_run = ran; baseline_frames = frames; failure }
-
-(* Coherence exploration over the two-client shared-file workload: every
-   network-fault schedule (or, with [crash], every crash point paired
-   with an optional network fault) against the no-stale-read and
-   lease-fast-path invariants. *)
-let sweep_shared ?(crash = false) ?(depth = 2) ?(limit = 600) ?restart_ns
-    ?(actions = Schedule.default_actions) ?max_events ?seed
-    ?(domains = Vsim.Pool.default_domains) ?(progress = fun _ -> ()) () =
-  let baseline = Shared_workload.run ?max_events ?seed () in
-  match shared_violations_of baseline with
-  | _ :: _ as vs -> Error vs
-  | [] ->
-      let frames = baseline.Shared_workload.frames in
-      let run s = run_shared_schedule ?max_events ?seed s in
-      let seq =
-        if crash then Schedule.enumerate_crash ~depth ~frames ?restart_ns ~actions ()
-        else Schedule.enumerate ~depth ~frames ~actions
-      in
-      let ran, failure = sweep_seq ~limit ~domains ~progress ~run seq in
-      Ok { depth; limit; schedules_run = ran; baseline_frames = frames; failure }
-
-(* Cross-segment exploration over the internetwork workload: every
-   network-fault schedule on segment 0, or with [crash] every GATEWAY
-   crash + restart point paired with an optional network fault — the
-   gateway outage / partition-healing regime. *)
-let sweep_inet ?(crash = false) ?(depth = 2) ?(limit = 600) ?restart_ns
-    ?(actions = Schedule.default_actions) ?max_events ?seed
-    ?(domains = Vsim.Pool.default_domains) ?(progress = fun _ -> ()) () =
-  let baseline = Inet_workload.run ?max_events ?seed () in
-  match inet_violations_of baseline with
-  | _ :: _ as vs -> Error vs
-  | [] ->
-      let frames = baseline.Inet_workload.frames in
-      let run s = run_inet_schedule ?max_events ?seed s in
-      let seq =
-        if crash then
-          Schedule.enumerate_crash ~depth ~frames ?restart_ns ~actions ()
-        else Schedule.enumerate ~depth ~frames ~actions
-      in
-      let ran, failure = sweep_seq ~limit ~domains ~progress ~run seq in
-      Ok { depth; limit; schedules_run = ran; baseline_frames = frames; failure }
-
-(* Failover exploration: crash-STOP the shard-A primary at every
-   baseline frame (depth 1), optionally paired with one network fault
-   (depth 2), via {!Schedule.enumerate_crash_only}.  Completion under
-   every schedule certifies the standby takeover; durability certifies
-   no acked write was lost across it. *)
-let sweep_failover ?(depth = 1) ?(limit = 600)
-    ?(actions = Schedule.default_actions) ?max_events ?seed
-    ?(domains = Vsim.Pool.default_domains) ?(progress = fun _ -> ()) () =
-  let baseline = Failover_workload.run ?max_events ?seed () in
-  match failover_violations_of baseline with
-  | _ :: _ as vs -> Error vs
-  | [] ->
-      let frames = baseline.Failover_workload.frames in
-      let run s = run_failover_schedule ?max_events ?seed s in
-      let ran, failure =
-        sweep_seq ~limit ~domains ~progress ~run
-          (Schedule.enumerate_crash_only ~depth ~frames ~actions ())
-      in
-      Ok { depth; limit; schedules_run = ran; baseline_frames = frames; failure }
+let sweep ?(depth = 2) = explore Scenario.net ~depth
+let sweep_crash ?(depth = 1) = explore Scenario.crash ~depth
 
 (* Deterministic JSON rendering of a sweep report: everything in it is a
    pure function of the sweep inputs, never of wall clock or [domains],
@@ -632,6 +470,7 @@ let report_to_json (r : sweep_report) =
     (Obj
        [
          ("checker", Str "vcheck");
+         ("scenario", Str r.scenario);
          ("depth", Int r.depth);
          ("limit", Int r.limit);
          ("schedules_run", Int r.schedules_run);
@@ -640,9 +479,12 @@ let report_to_json (r : sweep_report) =
          ("failure", failure);
        ])
 
-let repro_file_contents (s : Schedule.t) (vs : violation list) =
+let scenario_tag = "# scenario:"
+
+let repro_file_contents (sc : Scenario.t) s vs =
   let b = Buffer.create 256 in
   Buffer.add_string b "# vcheck minimal reproducer -- replay with: vsim check --repro FILE\n";
+  Buffer.add_string b (Printf.sprintf "%s %s\n" scenario_tag sc.name);
   List.iter
     (fun v ->
       Buffer.add_string b
@@ -651,3 +493,41 @@ let repro_file_contents (s : Schedule.t) (vs : violation list) =
   Buffer.add_string b (Schedule.to_string s);
   Buffer.add_char b '\n';
   Buffer.contents b
+
+(* The scenario comes from the file's [# scenario:] line when it has
+   one; an explicit [scenario] must then agree.  A file without the line
+   runs [scenario] (default net), except that crash or restart entries
+   make the net default ambiguous, so they demand an explicit one. *)
+let load_repro ?scenario text =
+  let named =
+    String.split_on_char '\n' text
+    |> List.find_map (fun line ->
+           let line = String.trim line in
+           let n = String.length scenario_tag in
+           if String.starts_with ~prefix:scenario_tag line then
+             Some (String.trim (String.sub line n (String.length line - n)))
+           else None)
+  in
+  Result.bind (Schedule.of_string text) (fun s ->
+      let host_entries =
+        List.exists
+          (fun (e : Schedule.entry) ->
+            match e.action with Net _ -> false | Crash | Restart _ -> true)
+          s
+      in
+      match (named, scenario) with
+      | Some name, Some (sc : Scenario.t) when sc.name <> name ->
+          Error
+            (Printf.sprintf "the reproducer is for scenario %s, not %s" name
+               sc.name)
+      | Some name, _ -> (
+          match Scenario.find name with
+          | Some sc -> Ok (sc, s)
+          | None ->
+              Error (Printf.sprintf "unknown scenario %S in the reproducer" name))
+      | None, Some sc -> Ok (sc, s)
+      | None, None when host_entries ->
+          Error
+            "the reproducer has crash or restart entries but names no \
+             scenario; pass --scenario"
+      | None, None -> Ok (Scenario.net, s))

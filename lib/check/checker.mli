@@ -1,91 +1,67 @@
-(** The fault-schedule explorer: invariants, sweep, shrinker.
+(** The fault-schedule explorer: scenarios, invariants, sweep, shrinker.
 
     The paper claims (Sections 3.2, 5.4) the V IPC protocol stays
     correct under packet loss: retransmissions are filtered, replies are
-    cached, non-idempotent operations apply exactly once.  {!sweep}
-    tests those claims systematically — every depth-1 and depth-2 fault
-    schedule over the {!Workload} baseline's frames, each run judged by
-    {!violations_of} — and shrinks any failure to a minimal replayable
-    schedule. *)
+    cached, non-idempotent operations apply exactly once.  {!explore}
+    tests those claims, and the later crash, lease, gateway and failover
+    claims, systematically: every depth-1 and depth-2 schedule of a
+    {!Scenario} over its baseline run's frames, each run judged against
+    the scenario's invariants, and any failure shrunk to a minimal
+    replayable schedule. *)
 
 type violation = { invariant : string; detail : string }
 
 val pp_violation : Format.formatter -> violation -> unit
 
-val violations_of : Workload.report -> violation list
-(** Empty iff the run upholds every invariant: termination, per-op
-    success and data fidelity, exactly-once application, protocol-table
-    drain, and medium delivery conservation. *)
+(** One checker workload paired with one schedule space. *)
+module Scenario : sig
+  type outcome = {
+    frames : int;  (** completed transmissions in this run *)
+    violations : violation list;
+        (** empty iff the run upholds every invariant: termination and
+            per-op success, the workload's own invariants, protocol-table
+            drain and delivery conservation on every medium *)
+    pp_digest : Format.formatter -> unit;
+        (** deterministic digest of the run (ops, workload state,
+            per-kernel stats and tables, medium counters) for replay
+            diagnosis; print inside a vertical box *)
+  }
 
-val crash_violations_of : Crash_workload.report -> violation list
-(** Empty iff the crash run upholds termination, per-op success, and the
-    three recovery invariants: durability (no acknowledged write lost),
-    atomicity (no torn block — every block entirely old or entirely
-    new), and fs-consistency ({!Vfs.Fs.check} clean after recovery) —
-    plus the shared table-drain and conservation checks. *)
+  type t = {
+    name : string;  (** the [vsim check --scenario] value *)
+    label : string;  (** what the CLI summary calls its schedules *)
+    op_count : int;  (** client operations in the workload's script *)
+    run : ?max_events:int -> ?seed:int64 -> Schedule.t -> outcome;
+        (** one workload run under the schedule, judged; [[]] is the
+            baseline *)
+    enumerate :
+      depth:int ->
+      frames:int ->
+      actions:Vnet.Fault.action list ->
+      Schedule.t Seq.t;  (** the schedule space over baseline frames *)
+  }
 
-val shared_violations_of : Shared_workload.report -> violation list
-(** Empty iff the two-client coherence run upholds termination, per-op
-    success, {e no-stale-read} (every read observed the latest
-    acknowledged write) and the lease fast path (a reopen performed
-    under a still-valid lease cost zero server requests) — plus the
-    shared table-drain and conservation checks. *)
+  val net : t
+  (** {!Workload} under network faults ({!Schedule.enumerate}):
+      exactly-once application and data fidelity. *)
 
-val inet_violations_of : Inet_workload.report -> violation list
-(** Empty iff the cross-segment run upholds termination and per-op
-    success (the deepened retry budget makes even a full gateway outage
-    survivable), no unroutable unicast reached the gateway, the
-    table-drain checks, and delivery conservation on {e every} segment
-    independently. *)
+  val crash : t
+  (** {!Crash_workload} under file-server crash + restart points: no
+      acknowledged write lost, no torn block, {!Vfs.Fs.check} clean. *)
 
-val failover_violations_of : Failover_workload.report -> violation list
-(** Empty iff the failover run upholds termination and per-op success
-    (under a crash-stop schedule that certifies the standby takeover),
-    durability (no acknowledged write lost across the takeover),
-    atomicity, fs-consistency on both shards, and the table-drain and
-    conservation checks (live hosts only). *)
+  val all : t list
+  (** Every scenario [vsim check] can reach, in this order: [net],
+      [crash], [shared] and [shared-crash] ({!Shared_workload} under
+      network faults, or file-server crash + restart: no stale read, and
+      a reopen under a valid lease costs zero server requests), [inet]
+      and [inet-crash] ({!Inet_workload} under network faults on the
+      client segment, or gateway crash + restart: no unroutable unicast,
+      conservation on every segment), and [failover]
+      ({!Failover_workload} under crash-stop points of the shard-A
+      primary: the standby takes over with no acknowledged write lost). *)
 
-val run_schedule : ?max_events:int -> ?seed:int64 -> Schedule.t -> violation list
-(** One workload run under the schedule, judged. *)
-
-val run_crash_schedule :
-  ?max_events:int -> ?seed:int64 -> Schedule.t -> violation list
-(** One crash-workload run under the schedule, judged by
-    {!crash_violations_of}. *)
-
-val run_shared_schedule :
-  ?max_events:int -> ?seed:int64 -> Schedule.t -> violation list
-(** One shared-coherence run under the schedule, judged by
-    {!shared_violations_of}. *)
-
-val run_inet_schedule :
-  ?max_events:int -> ?seed:int64 -> Schedule.t -> violation list
-(** One cross-segment run under the schedule (host events crash/restart
-    the gateway), judged by {!inet_violations_of}. *)
-
-val run_failover_schedule :
-  ?max_events:int -> ?seed:int64 -> Schedule.t -> violation list
-(** One failover run under the schedule (crash entries stop the shard-A
-    primary for good), judged by {!failover_violations_of}. *)
-
-val pp_report : Format.formatter -> Workload.report -> unit
-(** Deterministic digest of a run (ops, ledger, per-kernel stats and
-    tables, medium counters) for replay diagnosis. *)
-
-val pp_crash_report : Format.formatter -> Crash_workload.report -> unit
-(** Same, for a crash run: ops, acked/lost/torn blocks, fsck findings. *)
-
-val pp_shared_report : Format.formatter -> Shared_workload.report -> unit
-(** Same, for a coherence run: both clients' ops, lease counters, stale
-    findings. *)
-
-val pp_inet_report : Format.formatter -> Inet_workload.report -> unit
-(** Same, for a cross-segment run: ops, gateway counters, per-segment
-    medium counters. *)
-
-val pp_failover_report : Format.formatter -> Failover_workload.report -> unit
-(** Same, for a failover run: ops, takeover state, acked/lost/torn
-    blocks, fsck findings on both shards. *)
+  val find : string -> t option
+end
 
 val shrink : run:(Schedule.t -> violation list) -> Schedule.t -> Schedule.t
 (** Greedy delta debugging: repeatedly remove any single entry whose
@@ -99,6 +75,7 @@ type sweep_failure = {
 }
 
 type sweep_report = {
+  scenario : string;  (** the {!Scenario.t} name *)
   depth : int;
   limit : int;
   schedules_run : int;
@@ -107,6 +84,26 @@ type sweep_report = {
   baseline_frames : int;
   failure : sweep_failure option;  (** [None] when every schedule passed *)
 }
+
+val explore :
+  Scenario.t ->
+  ?depth:int ->
+  ?limit:int ->
+  ?actions:Vnet.Fault.action list ->
+  ?max_events:int ->
+  ?seed:int64 ->
+  ?domains:int ->
+  ?progress:(int -> unit) ->
+  unit ->
+  (sweep_report, violation list) result
+(** Systematic exploration of the scenario's schedules up to [depth]
+    (default 2), stopping at the first violation or after [limit]
+    schedules.  [Error vs] when the unfaulted baseline itself violates
+    (nothing useful can be explored then).  [domains > 1] fans schedule
+    runs out across OCaml 5 domains via {!Vsim.Pool} in deterministic
+    chunks; the returned report is byte-identical for any domain count.
+    [progress] is called with the running schedule count (main domain
+    only). *)
 
 val sweep :
   ?depth:int ->
@@ -118,18 +115,11 @@ val sweep :
   ?progress:(int -> unit) ->
   unit ->
   (sweep_report, violation list) result
-(** Systematic exploration, stopping at the first violation or after
-    [limit] schedules.  [Error vs] when the unfaulted baseline itself
-    violates (nothing useful can be explored then).  [domains > 1] fans
-    schedule runs out across OCaml 5 domains via {!Vsim.Pool} in
-    deterministic chunks; the returned report is byte-identical for any
-    domain count.  [progress] is called with the running schedule count
-    (main domain only). *)
+(** {!explore} over {!Scenario.net}, depth 2 by default. *)
 
 val sweep_crash :
   ?depth:int ->
   ?limit:int ->
-  ?restart_ns:int ->
   ?actions:Vnet.Fault.action list ->
   ?max_events:int ->
   ?seed:int64 ->
@@ -137,71 +127,21 @@ val sweep_crash :
   ?progress:(int -> unit) ->
   unit ->
   (sweep_report, violation list) result
-(** Crash-point exploration over {!Crash_workload}: crash + restart the
-    server host at every baseline frame (depth 1, the default),
-    optionally paired with one network fault at every other frame
-    (depth 2), via {!Schedule.enumerate_crash}.  Same chunked execution,
-    determinism guarantees and failure shrinking as {!sweep}. *)
-
-val sweep_shared :
-  ?crash:bool ->
-  ?depth:int ->
-  ?limit:int ->
-  ?restart_ns:int ->
-  ?actions:Vnet.Fault.action list ->
-  ?max_events:int ->
-  ?seed:int64 ->
-  ?domains:int ->
-  ?progress:(int -> unit) ->
-  unit ->
-  (sweep_report, violation list) result
-(** Coherence exploration over {!Shared_workload}: every network-fault
-    schedule up to [depth] (the default 2), or with [crash] every crash
-    point optionally paired with one network fault
-    ({!Schedule.enumerate_crash}), judged by {!shared_violations_of}.
-    Same chunked execution, determinism guarantees and failure shrinking
-    as {!sweep}. *)
-
-val sweep_inet :
-  ?crash:bool ->
-  ?depth:int ->
-  ?limit:int ->
-  ?restart_ns:int ->
-  ?actions:Vnet.Fault.action list ->
-  ?max_events:int ->
-  ?seed:int64 ->
-  ?domains:int ->
-  ?progress:(int -> unit) ->
-  unit ->
-  (sweep_report, violation list) result
-(** Cross-segment exploration over {!Inet_workload}: every network-fault
-    schedule on segment 0 up to [depth] (default 2), or with [crash]
-    every {e gateway} crash + restart point optionally paired with one
-    network fault ({!Schedule.enumerate_crash}) — the partition-healing
-    regime.  Same chunked execution, determinism guarantees and failure
-    shrinking as {!sweep}. *)
-
-val sweep_failover :
-  ?depth:int ->
-  ?limit:int ->
-  ?actions:Vnet.Fault.action list ->
-  ?max_events:int ->
-  ?seed:int64 ->
-  ?domains:int ->
-  ?progress:(int -> unit) ->
-  unit ->
-  (sweep_report, violation list) result
-(** Failover exploration over {!Failover_workload}: crash-stop the
-    shard-A primary at every baseline frame (depth 1, the default),
-    optionally paired with one network fault (depth 2), via
-    {!Schedule.enumerate_crash_only}.  Completion certifies the standby
-    takeover; durability certifies no acked write lost across it.  Same
-    chunked execution, determinism guarantees and failure shrinking as
-    {!sweep}. *)
+(** {!explore} over {!Scenario.crash}, depth 1 by default. *)
 
 val report_to_json : sweep_report -> string
 (** Compact, deterministic JSON for [vsim check --json] and CI
     assertions.  Contains no wall-clock or domain-count fields. *)
 
-val repro_file_contents : Schedule.t -> violation list -> string
-(** The replayable repro-file text for a minimized schedule. *)
+val repro_file_contents : Scenario.t -> Schedule.t -> violation list -> string
+(** The replayable repro-file text for a minimized schedule.  A
+    [# scenario: NAME] comment line names the scenario it belongs to;
+    {!Schedule.of_string} skips it like any comment. *)
+
+val load_repro :
+  ?scenario:Scenario.t -> string -> (Scenario.t * Schedule.t, string) result
+(** Parse repro-file text and pick its scenario: the file's
+    [# scenario:] line when present ([Error] if [scenario] names another
+    one), else [scenario], else {!Scenario.net} — unless the schedule
+    holds crash or restart entries, which is an [Error] without an
+    explicit [scenario]. *)

@@ -1,7 +1,7 @@
 module K = Vkernel.Kernel
 module Io = Vfs.Client.Io
 
-type op_result = { op : string; ok : bool; detail : string }
+type op_result = Workload.op_result = { op : string; ok : bool; detail : string }
 
 type report = {
   completed : bool;

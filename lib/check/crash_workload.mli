@@ -8,10 +8,10 @@
     closes.  The run report separates what the client was told
     (acknowledged writes) from what the disk actually holds (a direct
     post-mortem audit, running {!Vfs.Fs.recover} first if the host died
-    for good) — {!Checker.crash_violations_of} judges the distance
+    for good) — the [crash] {!Checker.Scenario} judges the distance
     between the two. *)
 
-type op_result = { op : string; ok : bool; detail : string }
+type op_result = Workload.op_result = { op : string; ok : bool; detail : string }
 
 type report = {
   completed : bool;  (** quiesced within budget and the client finished *)

@@ -9,7 +9,7 @@
    through {!Vfs.Client.Sharded} with session recovery on.
 
    Scripted crashes hit host 2 only, and they are crash-STOP — the
-   schedule enumerator is {!Schedule.enumerate_crash_only} and the
+   failover scenario enumerates crash-stop points only and the
    restart hook here is deliberately a no-op.  A restarted primary plus
    a standby that already ran [Fs.recover] would be two live servers on
    one disk; the simulation has no fencing, so the failover contract is
@@ -19,7 +19,7 @@ module K = Vkernel.Kernel
 module Io = Vfs.Client.Io
 module Sharded = Vfs.Client.Sharded
 
-type op_result = { op : string; ok : bool; detail : string }
+type op_result = Workload.op_result = { op : string; ok : bool; detail : string }
 
 type report = {
   completed : bool;

@@ -10,13 +10,13 @@
     Schedule crashes hit host 2 only and are {e crash-stop}: the restart
     hook is a deliberate no-op, because a returned primary next to a
     standby that already ran {!Vfs.Fs.recover} would be two unfenced
-    writers on one disk.  Sweeps therefore use
-    {!Schedule.enumerate_crash_only}; completion under a crash schedule
-    requires the standby to take the shard over, and
-    {!Checker.failover_violations_of} additionally demands that no
-    acknowledged write is lost across the takeover. *)
+    writers on one disk.  The [failover] {!Checker.Scenario} therefore
+    enumerates crash-stop points ({!Schedule.enumerate_host} with
+    [Crash]); completion under a crash schedule requires the standby to
+    take the shard over, and the scenario's judge additionally demands
+    that no acknowledged write is lost across the takeover. *)
 
-type op_result = { op : string; ok : bool; detail : string }
+type op_result = Workload.op_result = { op : string; ok : bool; detail : string }
 
 type report = {
   completed : bool;  (** quiesced within budget and the client finished *)

@@ -15,7 +15,7 @@ module Msg = Vkernel.Msg
 module Topology = Vworkload.Topology
 module Io = Vfs.Client.Io
 
-type op_result = { op : string; ok : bool; detail : string }
+type op_result = Workload.op_result = { op : string; ok : bool; detail : string }
 
 type report = {
   completed : bool;

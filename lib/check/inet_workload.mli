@@ -11,10 +11,10 @@
 
     The workload's kernel config deepens the retry budget so a full
     default gateway outage (50 ms against a 10 ms fixed T) is survivable;
-    {!Checker.inet_violations_of} therefore demands that every operation
-    still succeeds under any depth-2 schedule. *)
+    the [inet] and [inet-crash] {!Checker.Scenario}s therefore demand
+    that every operation still succeeds under any depth-2 schedule. *)
 
-type op_result = { op : string; ok : bool; detail : string }
+type op_result = Workload.op_result = { op : string; ok : bool; detail : string }
 
 type report = {
   completed : bool;  (** quiesced within budget and the client finished *)

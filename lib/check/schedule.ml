@@ -151,19 +151,19 @@ let enumerate ~depth ~frames ~actions =
   | 2 -> Seq.append depth1 depth2
   | d -> invalid_arg (Printf.sprintf "Schedule.enumerate: depth %d not supported" d)
 
-(* Crash-point enumeration: depth 1 crashes the server host at every
-   frame (with a restart so recovery is exercised and the completion
-   invariant stays meaningful); depth 2 additionally pairs each crash
-   point with one network fault at every other frame — the fault may
-   land before the crash (damaging the prefix whose effects recovery
-   must reconstruct) or after it (stressing the re-connect path).
-   Entries are kept in increasing frame order so schedules print and
-   replay canonically. *)
-let enumerate_crash ~depth ~frames ?(restart_ns = default_restart_ns)
-    ?(actions = default_actions) () =
-  let restart f = { frame = f; action = Restart restart_ns } in
+(* Host-event enumeration: depth 1 puts the host entry — a crash +
+   restart, so recovery is exercised and the completion invariant stays
+   meaningful, or a crash-stop, so completion needs a standby to take
+   the dead host's service over — at every frame; depth 2 additionally
+   pairs each such point with one network fault at every other frame.
+   The fault may land before the crash (damaging the prefix whose
+   effects recovery must reconstruct) or after it (stressing the
+   re-connect path).  Entries are kept in increasing frame order so
+   schedules print and replay canonically. *)
+let enumerate_host ~host ~depth ~frames ~actions =
+  let at f = { frame = f; action = host } in
   let frame_seq = Seq.init frames (fun i -> i + 1) in
-  let depth1 = Seq.map (fun f -> [ restart f ]) frame_seq in
+  let depth1 = Seq.map (fun f -> [ at f ]) frame_seq in
   let depth2 =
     Seq.concat_map
       (fun f1 ->
@@ -174,8 +174,7 @@ let enumerate_crash ~depth ~frames ?(restart_ns = default_restart_ns)
               List.to_seq actions
               |> Seq.map (fun a ->
                      let e2 = { frame = f2; action = Net a } in
-                     if f2 < f1 then [ e2; restart f1 ]
-                     else [ restart f1; e2 ]))
+                     if f2 < f1 then [ e2; at f1 ] else [ at f1; e2 ]))
           frame_seq)
       frame_seq
   in
@@ -184,34 +183,4 @@ let enumerate_crash ~depth ~frames ?(restart_ns = default_restart_ns)
   | 2 -> Seq.append depth1 depth2
   | d ->
       invalid_arg
-        (Printf.sprintf "Schedule.enumerate_crash: depth %d not supported" d)
-
-(* Crash-stop enumeration: like {!enumerate_crash} but the host never
-   comes back.  This is the failover regime — completion then depends on
-   a standby taking over the dead host's service, which is exactly the
-   property the failover workload sweeps. *)
-let enumerate_crash_only ~depth ~frames ?(actions = default_actions) () =
-  let crash f = { frame = f; action = Crash } in
-  let frame_seq = Seq.init frames (fun i -> i + 1) in
-  let depth1 = Seq.map (fun f -> [ crash f ]) frame_seq in
-  let depth2 =
-    Seq.concat_map
-      (fun f1 ->
-        Seq.concat_map
-          (fun f2 ->
-            if f2 = f1 then Seq.empty
-            else
-              List.to_seq actions
-              |> Seq.map (fun a ->
-                     let e2 = { frame = f2; action = Net a } in
-                     if f2 < f1 then [ e2; crash f1 ] else [ crash f1; e2 ]))
-          frame_seq)
-      frame_seq
-  in
-  match depth with
-  | 1 -> depth1
-  | 2 -> Seq.append depth1 depth2
-  | d ->
-      invalid_arg
-        (Printf.sprintf "Schedule.enumerate_crash_only: depth %d not supported"
-           d)
+        (Printf.sprintf "Schedule.enumerate_host: depth %d not supported" d)

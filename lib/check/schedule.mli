@@ -52,24 +52,15 @@ val enumerate :
     over frames [1..frames]: depth-1 schedules first, then depth-2 with
     strictly increasing positions.  Lazy, deterministic, duplicate-free. *)
 
-val enumerate_crash :
+val enumerate_host :
+  host:action ->
   depth:int ->
   frames:int ->
-  ?restart_ns:int ->
-  ?actions:Vnet.Fault.action list ->
-  unit ->
+  actions:Vnet.Fault.action list ->
   t Seq.t
-(** Crash-point schedules: depth 1 is one crash + restart at every frame
-    [1..frames]; depth 2 additionally pairs each crash point with one
-    network fault at every other frame (before or after the crash).
-    Lazy, deterministic, duplicate-free. *)
-
-val enumerate_crash_only :
-  depth:int ->
-  frames:int ->
-  ?actions:Vnet.Fault.action list ->
-  unit ->
-  t Seq.t
-(** Like {!enumerate_crash} but crash-stop: the host never restarts, so
-    completion requires a standby to take the service over (the failover
-    workload's regime). *)
+(** Host-event schedules: depth 1 is the [host] entry at every frame
+    [1..frames] — [Restart ns] for crash + restart points, [Crash] for
+    crash-stop points (the host never returns, so completion requires a
+    standby to take its service over).  Depth 2 additionally pairs each
+    such point with one network fault at every other frame (before or
+    after it).  Lazy, deterministic, duplicate-free. *)

@@ -9,9 +9,10 @@
     script also measures the lease fast path: client A closes and
     reopens the file under a still-valid lease and the report records
     how many server requests that reopen cost (the protocol promises
-    zero).  {!Checker.shared_violations_of} judges the report. *)
+    zero).  The [shared] and [shared-crash] {!Checker.Scenario}s judge
+    the report. *)
 
-type op_result = { op : string; ok : bool; detail : string }
+type op_result = Workload.op_result = { op : string; ok : bool; detail : string }
 
 type report = {
   completed : bool;  (** quiesced within budget and both clients finished *)

@@ -13,7 +13,6 @@ type t = {
   corrupt_prob : float;
   collision_bug : bool;
   bug_prob : float;
-  drop_frames : int list;
   actions : (int * action) list;
   host_events : (int * host_event) list;
 }
@@ -24,28 +23,21 @@ let none =
     corrupt_prob = 0.0;
     collision_bug = false;
     bug_prob = 0.0;
-    drop_frames = [];
     actions = [];
     host_events = [];
   }
 
 let drop p = { none with drop_prob = p }
 let corrupt p = { none with corrupt_prob = p }
-let drop_nth frames = { none with drop_frames = frames }
 let script actions = { none with actions }
+let drop_nth frames = script (List.map (fun n -> (n, Drop)) frames)
 let script_hosts host_events = { none with host_events }
 let with_host_events t host_events = { t with host_events }
 let hardware_bug = { none with collision_bug = true; bug_prob = 1.0 /. 2000.0 }
 
-(* [drop_frames] is kept as sugar for scripted Drop actions; an explicit
-   action for the same frame wins so a schedule can override it. *)
-let action_for t n =
-  match List.assoc_opt n t.actions with
-  | Some _ as a -> a
-  | None -> if List.mem n t.drop_frames then Some Drop else None
-
+let action_for t n = List.assoc_opt n t.actions
 let host_event_for t n = List.assoc_opt n t.host_events
-let scripted t = t.drop_frames <> [] || t.actions <> [] || t.host_events <> []
+let scripted t = t.actions <> [] || t.host_events <> []
 
 let action_to_string = function
   | Drop -> "drop"
@@ -62,8 +54,7 @@ let pp_action fmt a = Format.pp_print_string fmt (action_to_string a)
 let pp fmt t =
   Format.fprintf fmt "fault{drop=%.4f corrupt=%.4f bug=%b/%.5f scripted=%d"
     t.drop_prob t.corrupt_prob t.collision_bug t.bug_prob
-    (List.length t.drop_frames + List.length t.actions);
-  List.iter (fun n -> Format.fprintf fmt " drop@%d" n) t.drop_frames;
+    (List.length t.actions);
   List.iter
     (fun (n, a) -> Format.fprintf fmt " %s@%d" (action_to_string a) n)
     t.actions;

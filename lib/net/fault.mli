@@ -29,13 +29,9 @@ type t = {
           set, each frame is corrupted with probability [bug_prob] —
           the paper observed roughly one per 2000 packets. *)
   bug_prob : float;
-  drop_frames : int list;
-      (** Scripted, deterministic loss: 1-based positions in the medium's
-          completed-transmission order whose frames vanish entirely.
-          Sugar for [(n, Drop)] entries in [actions]. *)
   actions : (int * action) list;
-      (** Scripted per-frame actions keyed by the same 1-based
-          completed-transmission order.  Independent of the RNG, so a
+      (** Scripted per-frame actions keyed by 1-based position in the
+          medium's completed-transmission order.  Independent of the RNG, so a
           checker can explore schedules without perturbing any other
           random stream. *)
   host_events : (int * host_event) list;
@@ -66,8 +62,7 @@ val hardware_bug : t
 (** The Section 5.4 configuration: 1/2000 corruption. *)
 
 val action_for : t -> int -> action option
-(** The scripted action for completed transmission [n], if any.  An
-    explicit [actions] entry wins over a [drop_frames] entry. *)
+(** The scripted action for completed transmission [n], if any. *)
 
 val host_event_for : t -> int -> host_event option
 (** The scripted host event for completed transmission [n], if any. *)

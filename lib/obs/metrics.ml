@@ -97,7 +97,7 @@ let handle t (ev : Vsim.Event.t) =
       | _ -> ())
   | Span_close { host; total_ns; _ } ->
       observe t ~host "ipc_rtt_ns" (float_of_int total_ns)
-  | Span_open _ | User _ -> ()
+  | Span_open _ -> ()
 
 let attach t eng = Vsim.Trace.attach eng (fun _ts ev -> handle t ev)
 

@@ -87,7 +87,6 @@ type t =
       total_ns : int;
       segments : (string * int) list;
     }
-  | User of { topic : string; msg : string }
 
 let name = function
   | Send _ -> "send"
@@ -116,7 +115,6 @@ let name = function
   | Cache_op _ -> "cache_op"
   | Span_open _ -> "span_open"
   | Span_close _ -> "span_close"
-  | User _ -> "user"
 
 let topic = function
   | Send _ | Send_done _ | Receive _ | Reply _ | Forward _ | Move _
@@ -130,7 +128,6 @@ let topic = function
   | Fs_request _ | Server_dispatch _ -> "fs"
   | Cache_op _ -> "cache"
   | Span_open _ | Span_close _ -> "span"
-  | User { topic; _ } -> topic
 
 let host = function
   | Send { host; _ }
@@ -158,7 +155,7 @@ let host = function
   | Span_open { host; _ }
   | Span_close { host; _ } ->
       Some host
-  | Collision _ | User _ -> None
+  | Collision _ -> None
 
 (* Flat key/value view for serializers.  Order is fixed per constructor —
    it is part of the deterministic-output contract. *)
@@ -218,19 +215,13 @@ let fields = function
       [ ("kind", S kind); ("pid", I pid); ("seq", I seq);
         ("total_ns", I total_ns) ]
       @ List.map (fun (l, d) -> ("seg:" ^ l, I d)) segments
-  | User { topic = _; msg } -> [ ("msg", S msg) ]
 
 let pp fmt ev =
-  match ev with
-  | User { msg; _ } -> Format.pp_print_string fmt msg
-  | _ ->
-      Format.fprintf fmt "%s" (name ev);
-      (match host ev with
-      | Some h -> Format.fprintf fmt " host=%d" h
-      | None -> ());
-      List.iter
-        (fun (k, v) ->
-          match v with
-          | I i -> Format.fprintf fmt " %s=%d" k i
-          | S s -> Format.fprintf fmt " %s=%s" k s)
-        (fields ev)
+  Format.fprintf fmt "%s" (name ev);
+  (match host ev with Some h -> Format.fprintf fmt " host=%d" h | None -> ());
+  List.iter
+    (fun (k, v) ->
+      match v with
+      | I i -> Format.fprintf fmt " %s=%d" k i
+      | S s -> Format.fprintf fmt " %s=%s" k s)
+    (fields ev)

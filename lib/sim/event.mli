@@ -117,24 +117,21 @@ type t =
     }
       (** [segments] are contiguous (label, duration-ns) slices whose sum
           equals [total_ns]. *)
-  | User of { topic : string; msg : string }
-      (** Free-form escape hatch; carries legacy [Trace.emit] strings. *)
 
 val name : t -> string
 (** Stable snake_case constructor name, e.g. ["packet_tx"]. *)
 
 val topic : t -> string
 (** Coarse routing key: ["kernel"], ["net"], ["cpu"], ["disk"], ["fs"],
-    ["cache"], ["span"], or the embedded topic of a [User] event. *)
+    ["cache"] or ["span"]. *)
 
 val host : t -> int option
 (** The host the event is attributed to; [None] for [Collision] (two
-    stations) and [User]. *)
+    stations). *)
 
 val fields : t -> (string * field) list
 (** Flat key/value view for serializers.  Order is fixed per constructor
     and is part of the deterministic-output contract. *)
 
 val pp : Format.formatter -> t -> unit
-(** One-line human-readable rendering ([name k=v ...]); [User] events
-    print their message verbatim. *)
+(** One-line human-readable rendering ([name k=v ...]). *)

@@ -13,14 +13,6 @@ let event eng ev =
 let attach = Engine.add_tracer
 let detach_all = Engine.clear_tracers
 
-let emit eng ~topic msg =
-  if tracing eng then event eng (Event.User { topic; msg })
-
-let emitf eng ~topic fmt =
-  if tracing eng then
-    Format.kasprintf (fun msg -> event eng (Event.User { topic; msg })) fmt
-  else Format.ikfprintf ignore Format.str_formatter fmt
-
 let to_stderr eng =
   attach eng (fun time ev ->
       Format.eprintf "[%a] %s: %a@." Time.pp time (Event.topic ev) Event.pp ev)

@@ -29,13 +29,6 @@ val attach : Engine.t -> (Time.t -> Event.t -> unit) -> unit
 val detach_all : Engine.t -> unit
 (** Remove every tracer from this engine. *)
 
-val emit : Engine.t -> topic:string -> string -> unit
-(** Free-form message; delivered as an {!Event.User} event. *)
-
-val emitf :
-  Engine.t -> topic:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** Formatted {!emit}; the message is only built when tracing is on. *)
-
 val to_stderr : Engine.t -> unit
 (** Convenience: attach a tracer printing ["[<time>] <topic>: <event>"]
     lines on stderr. *)

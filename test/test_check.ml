@@ -3,10 +3,15 @@
 
 module Schedule = Vcheck.Schedule
 module Checker = Vcheck.Checker
+module Scenario = Checker.Scenario
 module Workload = Vcheck.Workload
 module Fault = Vnet.Fault
 
 let schedule = Alcotest.testable Schedule.pp ( = )
+let scenario name = Option.get (Scenario.find name)
+
+let schedule_of str =
+  match Schedule.of_string str with Ok s -> s | Error e -> Alcotest.fail e
 
 let test_baseline_clean () =
   let r = Workload.run () in
@@ -16,13 +21,11 @@ let test_baseline_clean () =
   Alcotest.(check (list string)) "no violations" []
     (List.map
        (fun (v : Checker.violation) -> v.Checker.invariant)
-       (Checker.violations_of r))
+       (Scenario.net.run []).violations)
 
 let test_baseline_deterministic () =
-  let digest r = Format.asprintf "%a" Checker.pp_report r in
-  Alcotest.(check string) "two runs, one digest"
-    (digest (Workload.run ()))
-    (digest (Workload.run ()))
+  let digest () = Format.asprintf "@[<v>%t@]" (Scenario.net.run []).pp_digest in
+  Alcotest.(check string) "two runs, one digest" (digest ()) (digest ())
 
 let test_depth1_drop_sweep_clean () =
   match Checker.sweep ~depth:1 ~actions:[ Fault.Drop ] () with
@@ -80,7 +83,9 @@ let test_crash_schedule_round_trip () =
 let test_crash_enumeration_shape () =
   let actions = Fault.[ Drop; Duplicate ] in
   let all =
-    Schedule.enumerate_crash ~depth:2 ~frames:4 ~actions () |> List.of_seq
+    Schedule.enumerate_host ~host:(Restart (Vsim.Time.ms 50)) ~depth:2
+      ~frames:4 ~actions
+    |> List.of_seq
   in
   (* 4 crash points, then 4 x 3 other frames x 2 actions pairs. *)
   Alcotest.(check int) "count" (4 + (4 * 3 * 2)) (List.length all);
@@ -111,9 +116,73 @@ let test_repro_file_round_trip () =
       [ { frame = 13; action = Net Fault.Drop }; { frame = 21; action = Net Fault.Drop } ]
   in
   let vs = [ { Checker.invariant = "op-result"; detail = "move-from failed" } ] in
-  match Schedule.of_string (Checker.repro_file_contents s vs) with
+  let text = Checker.repro_file_contents (scenario "inet") s vs in
+  (match Schedule.of_string text with
   | Error e -> Alcotest.fail e
-  | Ok s' -> Alcotest.check schedule "comments stripped, schedule kept" s s'
+  | Ok s' -> Alcotest.check schedule "comments stripped, schedule kept" s s');
+  match Checker.load_repro text with
+  | Error e -> Alcotest.fail e
+  | Ok (sc, s') ->
+      Alcotest.(check string) "scenario named by the file" "inet" sc.name;
+      Alcotest.check schedule "schedule" s s'
+
+(* A reproducer replays against the scenario it names, never a silent
+   default: an explicit scenario must agree with the file, and a file
+   that names none but scripts host events needs one. *)
+let test_repro_scenario_rules () =
+  let loaded ?scenario text =
+    match Checker.load_repro ?scenario text with
+    | Ok (sc, s) -> Ok (sc.Scenario.name, Schedule.to_string s)
+    | Error _ -> Error ()
+  in
+  let result = Alcotest.(result (pair string string) unit) in
+  let named = Checker.repro_file_contents (scenario "shared-crash") [] [] in
+  Alcotest.check result "named, no flag" (Ok ("shared-crash", ""))
+    (loaded named);
+  Alcotest.check result "named, agreeing flag" (Ok ("shared-crash", ""))
+    (loaded ~scenario:(scenario "shared-crash") named);
+  Alcotest.check result "named, disagreeing flag" (Error ())
+    (loaded ~scenario:Scenario.crash named);
+  Alcotest.check result "unknown name" (Error ())
+    (loaded "# scenario: nosuch\ndrop@3\n");
+  Alcotest.check result "headerless net defaults to net" (Ok ("net", "drop@3"))
+    (loaded "drop@3\n");
+  Alcotest.check result "headerless net runs the flag" (Ok ("inet", "drop@3"))
+    (loaded ~scenario:(scenario "inet") "drop@3\n");
+  Alcotest.check result "headerless crash needs a flag" (Error ())
+    (loaded "restart@4+50000us\n");
+  Alcotest.check result "headerless crash with a flag"
+    (Ok ("crash", "restart@4+50000us"))
+    (loaded ~scenario:Scenario.crash "restart@4+50000us\n")
+
+(* One pass over the registry: unique names that [find] resolves, clean
+   baselines, and a short sweep whose JSON does not depend on the domain
+   count. *)
+let test_scenario_registry () =
+  let names = List.map (fun (sc : Scenario.t) -> sc.name) Scenario.all in
+  Alcotest.(check int) "seven scenarios" 7 (List.length names);
+  Alcotest.(check int) "names unique" 7
+    (List.length (List.sort_uniq compare names));
+  List.iter
+    (fun (sc : Scenario.t) ->
+      Alcotest.(check bool) ("find " ^ sc.name) true
+        (match Scenario.find sc.name with
+        | Some sc' -> sc' == sc
+        | None -> false);
+      Alcotest.(check (list string)) (sc.name ^ " baseline clean") []
+        (List.map
+           (fun (v : Checker.violation) -> v.invariant)
+           (sc.run []).violations);
+      let json domains =
+        match Checker.explore sc ~depth:1 ~limit:8 ~domains () with
+        | Error _ -> Alcotest.failf "%s baseline violated" sc.name
+        | Ok r -> Checker.report_to_json r
+      in
+      Alcotest.(check string) (sc.name ^ " JSON domain-independent")
+        (json 1) (json 2))
+    Scenario.all;
+  Alcotest.(check bool) "unknown name" true
+    (Option.is_none (Scenario.find "nosuch"))
 
 let test_enumeration_shape () =
   let actions = Fault.[ Drop; Duplicate ] in
@@ -164,7 +233,7 @@ let test_shrinker_minimizes () =
 let test_injected_violation_caught () =
   (* Starve the run of events: the termination invariant must fire, and a
      schedule replayed under the same budget reports it identically. *)
-  let vs = Checker.run_schedule ~max_events:100 [] in
+  let vs = (Scenario.net.run ~max_events:100 []).violations in
   Alcotest.(check bool) "termination violation" true
     (List.exists
        (fun (v : Checker.violation) -> v.Checker.invariant = "termination")
@@ -172,6 +241,53 @@ let test_injected_violation_caught () =
   match Checker.sweep ~max_events:100 () with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "sweep accepted a non-terminating baseline"
+
+(* The [vsim check] command line itself, run as a subprocess. *)
+let vsim ?(stdout = Filename.null) args =
+  Sys.command
+    (Filename.quote_command "../bin/vsim.exe" ("check" :: args) ~stdout
+       ~stderr:Filename.null)
+
+let with_file contents f =
+  let path = Filename.temp_file "vcheck" ".repro" in
+  Out_channel.with_open_text path (fun oc -> output_string oc contents);
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let usage_error = 124
+
+let test_cli_depth_enum () =
+  Alcotest.(check int) "--depth 3" usage_error (vsim [ "--depth"; "3" ]);
+  Alcotest.(check int) "--depth 0" usage_error (vsim [ "--depth"; "0" ])
+
+let test_cli_limit_positive () =
+  Alcotest.(check int) "--limit 0" usage_error (vsim [ "--limit"; "0" ]);
+  Alcotest.(check int) "--limit -5" usage_error (vsim [ "--limit"; "-5" ])
+
+let test_cli_unknown_scenario () =
+  Alcotest.(check int) "--scenario nosuch" usage_error
+    (vsim [ "--scenario"; "nosuch" ])
+
+let test_cli_repro_scenario () =
+  let text =
+    Checker.repro_file_contents (scenario "inet") (schedule_of "drop@3") []
+  in
+  with_file text (fun path ->
+      with_file "" (fun out ->
+          Alcotest.(check int) "replays its own scenario" 0
+            (vsim ~stdout:out [ "--repro"; path ]);
+          let digest = In_channel.with_open_text out In_channel.input_all in
+          Alcotest.(check bool) "internetwork digest" true
+            (String.split_on_char '\n' digest
+            |> List.exists (String.starts_with ~prefix:"gateway: ")));
+      Alcotest.(check int) "agreeing --scenario" 0
+        (vsim [ "--repro"; path; "--scenario"; "inet" ]);
+      Alcotest.(check int) "disagreeing --scenario" 2
+        (vsim [ "--repro"; path; "--scenario"; "net" ]));
+  with_file "restart@4+50000us\n" (fun path ->
+      Alcotest.(check int) "headerless crash, no --scenario" 2
+        (vsim [ "--repro"; path ]);
+      Alcotest.(check int) "headerless crash, --scenario crash" 0
+        (vsim [ "--repro"; path; "--scenario"; "crash" ]))
 
 let suite =
   [
@@ -189,6 +305,12 @@ let suite =
       test_crash_enumeration_shape;
     Alcotest.test_case "repro file round trip" `Quick
       test_repro_file_round_trip;
+    Alcotest.test_case "repro scenario rules" `Quick test_repro_scenario_rules;
+    Alcotest.test_case "scenario registry" `Quick test_scenario_registry;
+    Alcotest.test_case "cli --depth is 1 or 2" `Quick test_cli_depth_enum;
+    Alcotest.test_case "cli --limit is positive" `Quick test_cli_limit_positive;
+    Alcotest.test_case "cli unknown scenario" `Quick test_cli_unknown_scenario;
+    Alcotest.test_case "cli repro scenario" `Quick test_cli_repro_scenario;
     Alcotest.test_case "enumeration shape" `Quick test_enumeration_shape;
     Alcotest.test_case "shrinker minimizes" `Quick test_shrinker_minimizes;
     Alcotest.test_case "injected violation caught" `Quick

@@ -86,7 +86,7 @@ let test_mid_write_crash_recovers () =
   Alcotest.(check int) "crash fired" 1 r.Crash_workload.crashes;
   Alcotest.(check int) "restart fired" 1 r.Crash_workload.restarts;
   Alcotest.(check (list string)) "no violations" []
-    (violation_strings (Checker.crash_violations_of r))
+    (violation_strings (Checker.Scenario.crash.run s).violations)
 
 (* Regression (found by the depth-1 crash sweep, reproducer
    restart@2+50000us): a crash under the client's very first exchanges
@@ -99,7 +99,7 @@ let test_regression_stale_getpid_cache () =
     [ { Schedule.frame = 2; action = Schedule.Restart (Vsim.Time.ms 50) } ]
   in
   Alcotest.(check (list string)) "restart@2 clean" []
-    (violation_strings (Checker.run_crash_schedule s))
+    (violation_strings (Checker.Scenario.crash.run s).violations)
 
 (* A depth-2 shape: lose a frame while the server is still down, then
    recover through the retransmission machinery as the host returns. *)
@@ -111,7 +111,7 @@ let test_crash_plus_drop () =
     ]
   in
   Alcotest.(check (list string)) "crash+drop clean" []
-    (violation_strings (Checker.run_crash_schedule s))
+    (violation_strings (Checker.Scenario.crash.run s).violations)
 
 (* Regression: session recovery's reopen used to drop the file's cache
    entries — dirty images included — before the re-pushed writes were

@@ -3,12 +3,16 @@
 
 module Schedule = Vcheck.Schedule
 module Checker = Vcheck.Checker
+module Scenario = Checker.Scenario
 module Failover = Vcheck.Failover_workload
 module Inet = Vcheck.Inet_workload
 module Names = Vfs.Names
 
 let invariants vs =
   List.map (fun (v : Checker.violation) -> v.Checker.invariant) vs
+
+let failover = Option.get (Scenario.find "failover")
+let inet_crash = Option.get (Scenario.find "inet-crash")
 
 let schedule_of str =
   match Schedule.of_string str with
@@ -41,13 +45,11 @@ let test_failover_baseline_clean () =
     (List.length r.Failover.ops);
   Alcotest.(check bool) "no takeover without a crash" false r.Failover.took_over;
   Alcotest.(check (list string)) "no violations" []
-    (invariants (Checker.failover_violations_of r))
+    (invariants (failover.run []).violations)
 
 let test_failover_baseline_deterministic () =
-  let digest r = Format.asprintf "%a" Checker.pp_failover_report r in
-  Alcotest.(check string) "two runs, one digest"
-    (digest (Failover.run ()))
-    (digest (Failover.run ()))
+  let digest () = Format.asprintf "@[<v>%t@]" (failover.run []).pp_digest in
+  Alcotest.(check string) "two runs, one digest" (digest ()) (digest ())
 
 (* The headline property: crash-stop the shard-A primary early and the
    standby must take the shard over — the client finishes every
@@ -60,16 +62,16 @@ let test_primary_crash_stop_takeover () =
   Alcotest.(check bool) "client completed" true r.Failover.completed;
   Alcotest.(check (list int)) "no acked write lost" [] r.Failover.acked_lost;
   Alcotest.(check (list string)) "no violations" []
-    (invariants (Checker.failover_violations_of r))
+    (invariants (failover.run s).violations)
 
 (* Regression lock: a depth-2 schedule — one dropped frame, then the
    primary gone for good — found clean by the sweep; keep it that way. *)
 let test_failover_depth2_repro () =
   Alcotest.(check (list string)) "drop@3 crash@9 stays clean" []
-    (invariants (Checker.run_failover_schedule (schedule_of "drop@3 crash@9")))
+    (invariants (failover.run (schedule_of "drop@3 crash@9")).violations)
 
 let test_failover_mini_sweep () =
-  match Checker.sweep_failover ~depth:1 ~limit:5 () with
+  match Checker.explore failover ~depth:1 ~limit:5 () with
   | Error vs ->
       Alcotest.failf "baseline violated: %s"
         (String.concat "; " (invariants vs))
@@ -84,7 +86,7 @@ let test_inet_baseline_clean () =
   Alcotest.(check bool) "completed" true r.Inet.completed;
   Alcotest.(check int) "all ops ran" Inet.op_count (List.length r.Inet.ops);
   Alcotest.(check (list string)) "no violations" []
-    (invariants (Checker.inet_violations_of r))
+    (invariants (inet_crash.run []).violations)
 
 (* Regression lock: a gateway outage mid-workload — the retransmission
    machinery must ride out the partition until the gateway returns. *)
@@ -94,10 +96,10 @@ let test_inet_gateway_outage_repro () =
   Alcotest.(check int) "gateway crashed" 1 r.Inet.gw_crashes;
   Alcotest.(check int) "gateway restarted" 1 r.Inet.gw_restarts;
   Alcotest.(check (list string)) "no violations" []
-    (invariants (Checker.inet_violations_of r))
+    (invariants (inet_crash.run s).violations)
 
 let test_inet_mini_sweep () =
-  match Checker.sweep_inet ~crash:true ~depth:1 ~limit:4 () with
+  match Checker.explore inet_crash ~depth:1 ~limit:4 () with
   | Error vs ->
       Alcotest.failf "baseline violated: %s"
         (String.concat "; " (invariants vs))
@@ -110,7 +112,7 @@ let test_inet_mini_sweep () =
 let test_crash_only_enumeration_shape () =
   let actions = Vnet.Fault.[ Drop; Duplicate ] in
   let all =
-    Schedule.enumerate_crash_only ~depth:2 ~frames:4 ~actions ()
+    Schedule.enumerate_host ~host:Crash ~depth:2 ~frames:4 ~actions
     |> List.of_seq
   in
   Alcotest.(check int) "count" (4 + (4 * 3 * 2)) (List.length all);

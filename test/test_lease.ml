@@ -288,9 +288,10 @@ let violation_strings vs =
    spot schedules (the full sweep runs in CI), and actually exercising
    the machinery it claims to. *)
 let test_shared_workload () =
+  let shared = Option.get (Checker.Scenario.find "shared") in
   let r = Shared_workload.run () in
   Alcotest.(check (list string)) "baseline clean" []
-    (violation_strings (Checker.shared_violations_of r));
+    (violation_strings (shared.run []).violations);
   Alcotest.(check (option int)) "reopen under lease cost zero RPCs"
     (Some 0) r.Shared_workload.lease_reopen_rpcs;
   Alcotest.(check bool) "breaks actually flowed" true
@@ -300,7 +301,7 @@ let test_shared_workload () =
         Alcotest.(check (list string))
           ("schedule " ^ Schedule.to_string sched)
           []
-          (violation_strings (Checker.run_shared_schedule sched)))
+          (violation_strings (shared.run sched).violations))
     Schedule.
       [
         [ { frame = 2; action = Net Vnet.Fault.Drop } ];

@@ -106,9 +106,10 @@ let test_engine_isolation () =
   let eng_a = Vsim.Engine.create () in
   let eng_b = Vsim.Engine.create () in
   Vobs.Jsonl.attach eng_a (Buffer.add_string buf);
-  Vsim.Trace.event eng_b (Vsim.Event.User { topic = "test"; msg = "b" });
+  let ev = Vsim.Event.Collision { a = 1; b = 2 } in
+  Vsim.Trace.event eng_b ev;
   Alcotest.(check string) "nothing from engine B" "" (Buffer.contents buf);
-  Vsim.Trace.event eng_a (Vsim.Event.User { topic = "test"; msg = "a" });
+  Vsim.Trace.event eng_a ev;
   Alcotest.(check bool) "engine A observed" true (Buffer.length buf > 0)
 
 (* --- spans ----------------------------------------------------------- *)
