@@ -43,7 +43,7 @@ let status_of_code : int -> status = function
 
 type scope = Local | Remote | Any
 
-type rto_mode = Fixed | Adaptive
+type rto_mode = Rto.mode = Fixed | Adaptive
 
 type config = {
   retransmit_timeout_ns : int;
@@ -101,22 +101,32 @@ type receive_wait = {
   rw_k : Pid.t * int -> unit;
 }
 
-(* Remote-send state of a locally blocked sender. *)
-type rsend = {
-  mutable rs_pkt : Packet.t;
-  mutable rs_dst_host : int;
-  mutable rs_retries : int;
-  mutable rs_timer : Vsim.Engine.handle option;
-  mutable rs_gen : int;
-      (** timer epoch: a callback from a superseded arm is a no-op *)
-  rs_born : Vsim.Time.t;
-  mutable rs_clean : bool;
-      (** false once anything disturbed the exchange (retransmission,
-          reply-pending, forward, proof-of-life) — Karn's rule: such
-          exchanges contribute no RTT sample *)
+(* The retransmission timer of one remote exchange (Section 3.2): every
+   remote Send, MoveTo, MoveFrom and GetPid embeds one.  Each arm cancels
+   the previous handle and every end of the exchange cancels the last, so
+   a timer that fires always belongs to a live exchange. *)
+type retx = {
+  mutable rx_dst : int;
+      (** estimator key: the destination host, or GetPid's
+          pseudo-destination *)
+  mutable rx_tries : int;
+      (** timer expiries since the exchange began or last showed proof of
+          life *)
+  mutable rx_timer : Vsim.Engine.handle;
 }
 
-type desc = {
+(* Remote-send state of a locally blocked sender. *)
+type rsend = {
+  rs_desc : desc;
+  mutable rs_pkt : Packet.t;
+  mutable rs_since : Vsim.Time.t;
+      (** when the round-trip clock started; [-1] once anything disturbed
+          the exchange (reply-pending, forward, proof-of-life) — Karn's
+          rule: such exchanges contribute no RTT sample *)
+  rs_retx : retx;
+}
+
+and desc = {
   d_pid : Pid.t;
   mutable d_name : string;
   d_mem : Mem.t;
@@ -162,12 +172,10 @@ type mt_out = {
   mto_total : int;
   mto_mem : Mem.t;
   mutable mto_gen : int;  (** invalidates superseded streaming chains *)
-  mutable mto_retries : int;
-  mutable mto_timer : Vsim.Engine.handle option;
-  mutable mto_tgen : int;  (** timer epoch, distinct from the stream epoch *)
+  mto_retx : retx;
   mutable mto_wait_since : Vsim.Time.t;
       (** when the full train was last on the wire and we began waiting
-          for the Data_ack; 0 until then *)
+          for the Data_ack; [-1] until then *)
   mto_done : status -> unit;
 }
 
@@ -197,9 +205,7 @@ type mf_out = {
           outstanding — stale in-flight fragments keep arriving after a
           gap is detected, and NAKing each of them spawns one redundant
           restream per NAK *)
-  mutable mfo_retries : int;
-  mutable mfo_timer : Vsim.Engine.handle option;
-  mutable mfo_tgen : int;  (** timer epoch *)
+  mfo_retx : retx;
   mutable mfo_req_at : Vsim.Time.t;  (** when the last request went out *)
   mfo_done : status -> unit;
 }
@@ -207,25 +213,21 @@ type mf_out = {
 type registry_entry = { re_pid : Pid.t; re_scope : scope }
 
 type getpid_wait = {
-  mutable gw_timer : Vsim.Engine.handle option;
-  mutable gw_tries : int;
-  mutable gw_gen : int;  (** timer epoch *)
+  gw_lid : int;  (** the logical id being resolved *)
+  gw_me : Pid.t;  (** the process that first asked *)
+  mutable gw_seq : int;  (** of the latest broadcast *)
+  gw_retx : retx;
   gw_born : Vsim.Time.t;
   mutable gw_waiters : (Pid.t option -> unit) list;
 }
 
-(* Per-destination adaptive-retransmission state (Jacobson/Karn).  One
-   record per remote host we have exchanged with; the broadcast
-   pseudo-destination carries GetPid state. *)
-type rto_state = {
-  mutable srtt_ns : int;
-  mutable rttvar_ns : int;
-  mutable have_sample : bool;
-  mutable rto_backoff : int;
-      (** consecutive timer expiries without a fresh RTT sample *)
-  mutable rto_fails : int;  (** consecutive retry exhaustions *)
-  mutable rto_suspected : bool;
-}
+(* A remote exchange, as its retransmission timer sees it; the
+   constructor is the exchange's kind. *)
+type exchange =
+  | Send of rsend
+  | Move_to of mt_out
+  | Move_from of mf_out
+  | Getpid of getpid_wait
 
 type addressing = Direct | Mapped
 
@@ -266,7 +268,7 @@ type t = {
   registry : (int, registry_entry) Hashtbl.t;
   getpid_cache : (int, Pid.t) Hashtbl.t;
   getpid_waits : (int, getpid_wait) Hashtbl.t;
-  rtos : (int, rto_state) Hashtbl.t;  (** dst host -> RTO estimator *)
+  rto : Rto.t;  (** per-destination timeouts and failure detector *)
   kfibers : (int, Vsim.Proc.t) Hashtbl.t;
       (** fiber id -> fiber, so a crash can kill every process *)
   mutable down : bool;  (** crashed and not yet restarted *)
@@ -277,7 +279,6 @@ type t = {
   mutable s_tx : int;
   mutable s_rx : int;
   mutable s_retrans : int;
-  mutable s_timeouts : int;
   mutable s_dups : int;
   mutable s_rpend : int;
   mutable s_nacks : int;
@@ -285,7 +286,6 @@ type t = {
   mutable s_aliens : int;
   mutable s_pool_full : int;
   mutable s_reclaims : int;
-  mutable s_suspects : int;
   mutable s_send_local : int;
   mutable s_send_remote : int;
   mutable s_move_local : int;
@@ -327,7 +327,7 @@ let current t =
       Fmt.failwith "V kernel operation outside a process of host %d" t.khost
 
 (* ------------------------------------------------------------------ *)
-(* Adaptive retransmission: per-destination RTO (Jacobson/Karn)        *)
+(* Retransmission timeouts                                             *)
 
 (* GetPid broadcasts have no single destination host.  They used to share
    one estimator under a single pseudo-destination (-1), but once
@@ -340,157 +340,8 @@ let current t =
    timer.  Pseudo-destinations are negative, disjoint from host ids. *)
 let getpid_dst ~logical_id = -1 - logical_id
 
-(* Cost-model seed for a destination we have never measured: the CPU side
-   of an idealized remote S-R-R, both directions.  It deliberately
-   ignores wire time (the kernel does not know the medium), so the
-   no-sample RTO below pads it generously. *)
-let rtt_seed t =
-  let m = model t in
-  (2
-  * (m.Vhw.Cost_model.pkt_send_setup_ns
-    + m.Vhw.Cost_model.pkt_recv_handling_ns
-    + (2 * 64 * m.Vhw.Cost_model.nic_copy_ns_per_byte)))
-  + m.Vhw.Cost_model.send_op_ns + m.Vhw.Cost_model.receive_op_ns
-  + m.Vhw.Cost_model.reply_op_ns
-  + (2 * m.Vhw.Cost_model.context_switch_ns)
-  + (2 * m.Vhw.Cost_model.remote_op_extra_ns)
-
-let rto_state t ~dst_host =
-  match Hashtbl.find_opt t.rtos dst_host with
-  | Some st -> st
-  | None ->
-      let seed = rtt_seed t in
-      let st =
-        {
-          srtt_ns = seed;
-          rttvar_ns = seed / 2;
-          have_sample = false;
-          rto_backoff = 0;
-          rto_fails = 0;
-          rto_suspected = false;
-        }
-      in
-      Hashtbl.replace t.rtos dst_host st;
-      st
-
-(* Read-only probe: does not create detector state for unseen hosts. *)
-let host_suspected t ~host =
-  match Hashtbl.find_opt t.rtos host with
-  | Some st -> st.rto_suspected
-  | None -> false
-
-let rto_clamp t v = min (max v t.cfg.rto_min_ns) t.cfg.rto_max_ns
-
-(* The un-backed-off, un-jittered timeout.  With samples this is the
-   classic srtt + 4*rttvar, floored at 1.5*srtt: in a simulator identical
-   exchanges drive rttvar to zero, and an RTO equal to the RTT itself
-   would race every reply.  Without samples the cost-model seed is padded
-   and floored so a first exchange never times out spuriously. *)
-let rto_base_of t (st : rto_state) ~bytes =
-  let base =
-    if st.have_sample then
-      st.srtt_ns + max (4 * st.rttvar_ns) (st.srtt_ns / 2)
-    else max (3 * rtt_seed t) (Vsim.Time.ms 10)
-  in
-  rto_clamp t (base + (bytes * t.cfg.rto_ns_per_byte))
-
-(* Conservative per-destination interval estimate, used for timer-free
-   decisions (alien reclaim grace, introspection).  Never draws from the
-   RNG. *)
-let rto_base_ns t ~dst_host ~bytes =
-  match t.cfg.rto_mode with
-  | Fixed -> t.cfg.retransmit_timeout_ns
-  | Adaptive -> rto_base_of t (rto_state t ~dst_host) ~bytes
-
-let rto_estimate_ns t ~dst_host = rto_base_ns t ~dst_host ~bytes:0
-
-(* The timeout to arm now: base, shifted by the exponential backoff and
-   capped, plus deterministic jitter from the sim RNG.  Jitter is drawn
-   only on backed-off arms so clean runs consume no RNG — the stream seen
-   by the rest of the simulation is untouched unless loss already
-   perturbed it. *)
-let rto_timeout_ns t ~dst_host ~bytes =
-  match t.cfg.rto_mode with
-  | Fixed -> t.cfg.retransmit_timeout_ns
-  | Adaptive ->
-      let st = rto_state t ~dst_host in
-      let base = rto_base_of t st ~bytes in
-      let backed = min (base * (1 lsl min st.rto_backoff 6)) t.cfg.rto_max_ns in
-      if st.rto_backoff = 0 then backed
-      else backed + Vsim.Rng.int (Vsim.Engine.rng t.eng) (1 + (backed / 8))
-
-(* The interval a peer's retransmission timers plausibly use right now:
-   base shifted by the live backoff and capped, but without jitter and
-   without touching the RNG.  For reclaim horizons that must scale with a
-   backed-off adaptive RTO rather than the static configured timeout. *)
-let rto_current_ns t ~dst_host ~bytes =
-  match t.cfg.rto_mode with
-  | Fixed -> t.cfg.retransmit_timeout_ns
-  | Adaptive ->
-      let st = rto_state t ~dst_host in
-      let base = rto_base_of t st ~bytes in
-      min (base * (1 lsl min st.rto_backoff 6)) t.cfg.rto_max_ns
-
-(* Every retransmission-timer expiry passes through here (both modes):
-   count it, grow the backoff, and trace the interval that just fired. *)
-let rto_note_expiry t ~dst_host ~kind ~seq ~attempt ~rto_ns =
-  t.s_timeouts <- t.s_timeouts + 1;
-  let st = rto_state t ~dst_host in
-  st.rto_backoff <- st.rto_backoff + 1;
-  if Vsim.Trace.tracing t.eng then
-    Vsim.Trace.event t.eng
-      (Vsim.Event.Backoff
-         { host = t.khost; peer = dst_host; kind; seq; attempt; rto_ns })
-
-(* A completed exchange: the destination is alive.  [sample_ns] is the
-   measured round trip, or [None] when Karn's rule rejects it; the
-   backed-off RTO is retained until a fresh sample arrives. *)
-let rto_note_success t ~dst_host ~sample_ns =
-  let st = rto_state t ~dst_host in
-  st.rto_fails <- 0;
-  st.rto_suspected <- false;
-  match sample_ns with
-  | None -> ()
-  | Some r ->
-      let r = max r 1 in
-      st.rto_backoff <- 0;
-      if st.have_sample then begin
-        st.rttvar_ns <- ((3 * st.rttvar_ns) + abs (st.srtt_ns - r)) / 4;
-        st.srtt_ns <- ((7 * st.srtt_ns) + r) / 8
-      end
-      else begin
-        st.have_sample <- true;
-        st.srtt_ns <- r;
-        st.rttvar_ns <- r / 2
-      end;
-      if t.cfg.rto_mode = Adaptive && Vsim.Trace.tracing t.eng then
-        Vsim.Trace.event t.eng
-          (Vsim.Event.Rtt_sample
-             {
-               host = t.khost;
-               peer = dst_host;
-               sample_ns = r;
-               srtt_ns = st.srtt_ns;
-               rttvar_ns = st.rttvar_ns;
-               rto_ns = rto_base_of t st ~bytes:0;
-             })
-
-(* All retries exhausted against [dst_host]: the failure detector marks
-   the host suspect after [suspect_threshold] consecutive exhaustions.
-   Returns the status the failed operation should surface. *)
-let rto_note_exhausted t ~dst_host : status =
-  let st = rto_state t ~dst_host in
-  st.rto_fails <- st.rto_fails + 1;
-  if (not st.rto_suspected) && st.rto_fails >= t.cfg.suspect_threshold
-  then begin
-    st.rto_suspected <- true;
-    t.s_suspects <- t.s_suspects + 1;
-    if Vsim.Trace.tracing t.eng then
-      Vsim.Trace.event t.eng
-        (Vsim.Event.Host_suspected
-           { host = t.khost; peer = dst_host; fails = st.rto_fails })
-  end;
-  if st.rto_suspected then Dead else Retryable
+let host_suspected t ~host = Rto.suspected t.rto ~dst:host
+let rto_estimate_ns t ~dst_host = Rto.base_ns t.rto ~dst:dst_host ~bytes:0
 
 (* ------------------------------------------------------------------ *)
 (* Packet transmission                                                 *)
@@ -565,6 +416,15 @@ let grant_covers (g : grant) ~who ~ptr ~len ~need_write =
      | Msg.Read_only, true | Msg.Write_only, false -> false)
   && ptr >= g.g_ptr
   && ptr + len <= g.g_ptr + g.g_len
+
+(* May [who] move [len] bytes at [ptr] of [d]'s space: [d] awaits [who]'s
+   reply, granted it that access, and the range lies in its space. *)
+let granted (d : desc) ~who ~ptr ~len ~need_write =
+  d.d_state = Awaiting_reply who
+  && (match d.d_grant with
+     | Some g -> grant_covers g ~who ~ptr ~len ~need_write
+     | None -> false)
+  && Mem.valid d.d_mem ~pos:ptr ~len
 
 let grant_of_msg msg ~granted_to =
   match Msg.segment msg with
@@ -729,7 +589,7 @@ let remove_alien t (al : alien) =
 let reclaim_one_alien t =
   let now = Vsim.Engine.now t.eng in
   let grace al =
-    2 * rto_base_ns t ~dst_host:(Pid.host al.al_src) ~bytes:0
+    2 * Rto.base_ns t.rto ~dst:(Pid.host al.al_src) ~bytes:0
   in
   let older a b =
     a.al_replied_at < b.al_replied_at
@@ -755,112 +615,6 @@ let reclaim_one_alien t =
   | None -> false
 
 (* ------------------------------------------------------------------ *)
-(* Remote send: retransmission machinery                               *)
-
-let cancel_timer t = function
-  | Some h -> Vsim.Engine.cancel t.eng h
-  | None -> ()
-
-let finish_send t (d : desc) st =
-  match d.d_rsend with
-  | None -> ()
-  | Some rs ->
-      cancel_timer t rs.rs_timer;
-      rs.rs_timer <- None;
-      rs.rs_gen <- rs.rs_gen + 1;
-      (* Feed the failure detector and — on clean exchanges only (Karn's
-         rule) — the RTT estimator.  Exhaustion statuses must not reset
-         the failure count they just raised. *)
-      (match st with
-      | Ok ->
-          let sample =
-            if rs.rs_clean && rs.rs_retries = 0 then
-              Some (Vsim.Engine.now t.eng - rs.rs_born)
-            else None
-          in
-          rto_note_success t ~dst_host:rs.rs_dst_host ~sample_ns:sample
-      | Retryable | Dead -> ()
-      | Nonexistent | Bad_address | No_permission | Too_big ->
-          (* A NACK answered us: the destination host is alive. *)
-          rto_note_success t ~dst_host:rs.rs_dst_host ~sample_ns:None;
-          if st = Nonexistent then begin
-            (* Proof-positive the pid itself is gone — e.g. its host
-               crashed and restarted, so the local-id space moved on.
-               Any GetPid binding still naming it is stale; drop it so
-               the next lookup re-broadcasts and finds the pid the new
-               incarnation registered. *)
-            let dst = rs.rs_pkt.Packet.dst_pid in
-            let stale =
-              Hashtbl.fold
-                (fun lid p acc -> if Pid.equal p dst then lid :: acc else acc)
-                t.getpid_cache []
-            in
-            List.iter (Hashtbl.remove t.getpid_cache) stale
-          end);
-      d.d_rsend <- None;
-      d.d_state <- Ready;
-      let k = d.d_on_reply in
-      d.d_on_reply <- None;
-      d.d_reply_buf <- None;
-      let seq = rs.rs_pkt.Packet.seq in
-      (* Send_done marks the instant the blocked sender resumes; spans use
-         it as the close timestamp, so it must fire inside the context-
-         switch continuation, at the same engine time [k st] runs. *)
-      let note () =
-        if Vsim.Trace.tracing t.eng then
-          Vsim.Trace.event t.eng
-            (Vsim.Event.Send_done
-               {
-                 host = t.khost;
-                 pid = Pid.to_int d.d_pid;
-                 seq;
-                 status = status_to_string st;
-               })
-      in
-      (match k with
-      | Some k ->
-          charge_k t (model t).Vhw.Cost_model.context_switch_ns (fun () ->
-              note ();
-              k st)
-      | None -> note ())
-
-let rec arm_send_timer t (d : desc) (rs : rsend) =
-  cancel_timer t rs.rs_timer;
-  rs.rs_gen <- rs.rs_gen + 1;
-  let gen = rs.rs_gen in
-  let rto = rto_timeout_ns t ~dst_host:rs.rs_dst_host ~bytes:0 in
-  rs.rs_timer <-
-    Some
-      (Vsim.Engine.after t.eng ~kind:k_rto_send rto (fun () ->
-           retransmit_send t d rs ~gen ~rto))
-
-and retransmit_send t (d : desc) (rs : rsend) ~gen ~rto =
-  match d.d_rsend with
-  | Some rs' when rs' == rs && rs.rs_gen = gen ->
-      rs.rs_timer <- None;
-      rs.rs_clean <- false;
-      rs.rs_retries <- rs.rs_retries + 1;
-      rto_note_expiry t ~dst_host:rs.rs_dst_host ~kind:"send"
-        ~seq:rs.rs_pkt.Packet.seq ~attempt:rs.rs_retries ~rto_ns:rto;
-      if rs.rs_retries > t.cfg.max_retries then
-        finish_send t d (rto_note_exhausted t ~dst_host:rs.rs_dst_host)
-      else begin
-        t.s_retrans <- t.s_retrans + 1;
-        if Vsim.Trace.tracing t.eng then
-          Vsim.Trace.event t.eng
-            (Vsim.Event.Retransmit
-               {
-                 host = t.khost;
-                 kind = "send";
-                 seq = rs.rs_pkt.Packet.seq;
-                 attempt = rs.rs_retries;
-               });
-        send_pkt t ~dst_host:rs.rs_dst_host rs.rs_pkt;
-        arm_send_timer t d rs
-      end
-  | Some _ | None -> ()
-
-(* ------------------------------------------------------------------ *)
 (* NACKs and reply-pendings                                            *)
 
 let send_nack t ~dst_host ~src_pid ~dst_pid ~seq st =
@@ -875,7 +629,75 @@ let send_reply_pending t ~dst_host ~src_pid ~dst_pid ~seq =
     (Packet.make ~op:Packet.Reply_pending ~src_pid ~dst_pid ~seq ())
 
 (* ------------------------------------------------------------------ *)
-(* MoveTo / MoveFrom streaming                                         *)
+(* Ending remote exchanges                                             *)
+
+let new_retx ~dst =
+  { rx_dst = dst; rx_tries = 0; rx_timer = Vsim.Eventq.none }
+
+let stop t rx = Vsim.Engine.cancel t.eng rx.rx_timer
+
+(* The round trip since [since], if it is one (Karn): no timer expired
+   since the clock started, and nothing else disturbed it ([since] >= 0). *)
+let karn_sample t rx ~since =
+  if rx.rx_tries = 0 && since >= 0 then Some (Vsim.Engine.now t.eng - since)
+  else None
+
+(* Feed the estimator as an exchange ends with [st]: a completed exchange
+   may be a round-trip sample, any other answer proves the peer alive,
+   and exhaustion statuses feed nothing — they must not reset the failure
+   count they just raised. *)
+let settle t rx st ~since =
+  match st with
+  | Retryable | Dead -> ()
+  | Ok ->
+      Rto.note_success t.rto ~dst:rx.rx_dst
+        ~sample_ns:(karn_sample t rx ~since)
+  | Nonexistent | Bad_address | No_permission | Too_big ->
+      Rto.note_success t.rto ~dst:rx.rx_dst ~sample_ns:None
+
+let finish_send t (rs : rsend) st =
+  let d = rs.rs_desc in
+  stop t rs.rs_retx;
+  settle t rs.rs_retx st ~since:rs.rs_since;
+  if st = Nonexistent then begin
+    (* Proof-positive the pid itself is gone — e.g. its host crashed and
+       restarted, so the local-id space moved on.  Any GetPid binding
+       still naming it is stale; drop it so the next lookup re-broadcasts
+       and finds the pid the new incarnation registered. *)
+    let dst = rs.rs_pkt.Packet.dst_pid in
+    let stale =
+      Hashtbl.fold
+        (fun lid p acc -> if Pid.equal p dst then lid :: acc else acc)
+        t.getpid_cache []
+    in
+    List.iter (Hashtbl.remove t.getpid_cache) stale
+  end;
+  d.d_rsend <- None;
+  d.d_state <- Ready;
+  let k = d.d_on_reply in
+  d.d_on_reply <- None;
+  d.d_reply_buf <- None;
+  let seq = rs.rs_pkt.Packet.seq in
+  (* Send_done marks the instant the blocked sender resumes; spans use it
+     as the close timestamp, so it must fire inside the context-switch
+     continuation, at the same engine time [k st] runs. *)
+  let note () =
+    if Vsim.Trace.tracing t.eng then
+      Vsim.Trace.event t.eng
+        (Vsim.Event.Send_done
+           {
+             host = t.khost;
+             pid = Pid.to_int d.d_pid;
+             seq;
+             status = status_to_string st;
+           })
+  in
+  match k with
+  | Some k ->
+      charge_k t (model t).Vhw.Cost_model.context_switch_ns (fun () ->
+          note ();
+          k st)
+  | None -> note ()
 
 let mt_alive t (mto : mt_out) =
   match Hashtbl.find_opt t.mt_outs mto.mto_seq with
@@ -887,87 +709,198 @@ let mf_alive t (mfo : mf_out) =
   | Some m -> m == mfo
   | None -> false
 
-let mt_finish t (mto : mt_out) st =
-  if mt_alive t mto then begin
-    cancel_timer t mto.mto_timer;
-    mto.mto_tgen <- mto.mto_tgen + 1;
-    Hashtbl.remove t.mt_outs mto.mto_seq;
-    (match st with
-    | Ok ->
-        (* The gap from end-of-train to Data_ack is a pure control round
-           trip — a valid sample when no timer-driven retransmission
-           touched the transfer (Karn). *)
-        let sample =
-          if mto.mto_retries = 0 && mto.mto_wait_since > 0 then
-            Some (Vsim.Engine.now t.eng - mto.mto_wait_since)
-          else None
-        in
-        rto_note_success t ~dst_host:(Pid.host mto.mto_dst) ~sample_ns:sample
-    | Retryable | Dead -> ()
-    | Nonexistent | Bad_address | No_permission | Too_big ->
-        rto_note_success t ~dst_host:(Pid.host mto.mto_dst) ~sample_ns:None);
-    charge_k t (model t).Vhw.Cost_model.context_switch_ns (fun () ->
-        if Vsim.Trace.tracing t.eng then
-          Vsim.Trace.event t.eng
-            (Vsim.Event.Move_done
-               {
-                 host = t.khost;
-                 seq = mto.mto_seq;
-                 status = status_to_string st;
-               });
-        mto.mto_done st)
-  end
-
-let rec mt_arm_timer t (mto : mt_out) =
-  cancel_timer t mto.mto_timer;
-  mto.mto_tgen <- mto.mto_tgen + 1;
-  let gen = mto.mto_tgen in
-  (* Size-scaled: the timer is always armed with at most one fragment
-     still outstanding (it arms after the train is on the wire), so the
-     margin covers a fragment, not the whole transfer. *)
-  let rto =
-    rto_timeout_ns t
-      ~dst_host:(Pid.host mto.mto_dst)
-      ~bytes:(min mto.mto_total t.cfg.max_packet_data)
-  in
-  mto.mto_timer <-
-    Some
-      (Vsim.Engine.after t.eng ~kind:k_rto_moveto rto (fun () ->
-           mt_timeout t mto ~gen ~rto))
-
-and mt_timeout t (mto : mt_out) ~gen ~rto =
-  if mt_alive t mto && mto.mto_tgen = gen then begin
-    mto.mto_timer <- None;
-    mto.mto_retries <- mto.mto_retries + 1;
-    rto_note_expiry t
-      ~dst_host:(Pid.host mto.mto_dst)
-      ~kind:"move-to" ~seq:mto.mto_seq ~attempt:mto.mto_retries ~rto_ns:rto;
-    if mto.mto_retries > t.cfg.max_retries then
-      mt_finish t mto
-        (rto_note_exhausted t ~dst_host:(Pid.host mto.mto_dst))
-    else begin
-      t.s_retrans <- t.s_retrans + 1;
+let move_done t ~seq st k =
+  charge_k t (model t).Vhw.Cost_model.context_switch_ns (fun () ->
       if Vsim.Trace.tracing t.eng then
         Vsim.Trace.event t.eng
-          (Vsim.Event.Retransmit
-             {
-               host = t.khost;
-               kind = "move-to";
-               seq = mto.mto_seq;
-               attempt = mto.mto_retries;
-             });
+          (Vsim.Event.Move_done
+             { host = t.khost; seq; status = status_to_string st });
+      k st)
+
+let mt_finish t (mto : mt_out) st =
+  if mt_alive t mto then begin
+    stop t mto.mto_retx;
+    Hashtbl.remove t.mt_outs mto.mto_seq;
+    (* The gap from end-of-train to Data_ack is a pure control round
+       trip. *)
+    settle t mto.mto_retx st ~since:mto.mto_wait_since;
+    move_done t ~seq:mto.mto_seq st mto.mto_done
+  end
+
+let mf_finish t (mfo : mf_out) st =
+  if mf_alive t mfo then begin
+    stop t mfo.mfo_retx;
+    Hashtbl.remove t.mf_outs mfo.mfo_seq;
+    (* RTT samples for MoveFrom are taken at first-fragment arrival
+       (handle_data_mf); here we only record liveness. *)
+    settle t mfo.mfo_retx st ~since:(-1);
+    move_done t ~seq:mfo.mfo_seq st mfo.mfo_done
+  end
+
+let getpid_finish t (gw : getpid_wait) found =
+  stop t gw.gw_retx;
+  Hashtbl.remove t.getpid_waits gw.gw_lid;
+  List.iter (fun k -> k found) (List.rev gw.gw_waiters)
+
+let finish t x st =
+  match x with
+  | Send rs -> finish_send t rs st
+  | Move_to mto -> mt_finish t mto st
+  | Move_from mfo -> mf_finish t mfo st
+  | Getpid gw -> getpid_finish t gw None
+
+(* ------------------------------------------------------------------ *)
+(* The retransmission timer                                            *)
+
+let retx_of = function
+  | Send rs -> rs.rs_retx
+  | Move_to mto -> mto.mto_retx
+  | Move_from mfo -> mfo.mfo_retx
+  | Getpid gw -> gw.gw_retx
+
+let retx_seq = function
+  | Send rs -> rs.rs_pkt.Packet.seq
+  | Move_to mto -> mto.mto_seq
+  | Move_from mfo -> mfo.mfo_seq
+  | Getpid gw -> gw.gw_seq
+
+let retx_label = function
+  | Send _ -> "send"
+  | Move_to _ -> "move-to"
+  | Move_from _ -> "move-from"
+  | Getpid _ -> "getpid"
+
+let rec arm t x =
+  let rx = retx_of x in
+  stop t rx;
+  (* Data timers are size-scaled: they arm with at most one fragment (or
+     the request round trip) outstanding, so the margin covers a
+     fragment, not the whole transfer. *)
+  let bytes =
+    match x with
+    | Send _ | Getpid _ -> 0
+    | Move_to mto -> min mto.mto_total t.cfg.max_packet_data
+    | Move_from mfo -> min mfo.mfo_total t.cfg.max_packet_data
+  in
+  let kind =
+    match x with
+    | Send _ -> k_rto_send
+    | Move_to _ -> k_rto_moveto
+    | Move_from _ -> k_rto_movefrom
+    | Getpid _ -> k_rto_getpid
+  in
+  let rto = Rto.timeout_ns t.rto ~dst:rx.rx_dst ~bytes in
+  rx.rx_timer <- Vsim.Engine.after t.eng ~kind rto (fun () -> expire t x ~rto)
+
+(* Every timer expiry: count it, back off and trace the interval that
+   fired; then fail the exchange once its retries are spent, or
+   retransmit and wait again. *)
+and expire t x ~rto =
+  let rx = retx_of x in
+  rx.rx_tries <- rx.rx_tries + 1;
+  Rto.note_expiry t.rto ~dst:rx.rx_dst ~kind:(retx_label x) ~seq:(retx_seq x)
+    ~attempt:rx.rx_tries ~rto_ns:rto;
+  if rx.rx_tries > t.cfg.max_retries then
+    finish t x
+      (if Rto.note_exhausted t.rto ~dst:rx.rx_dst then Dead else Retryable)
+  else begin
+    t.s_retrans <- t.s_retrans + 1;
+    (* A rebroadcast identical to the lost one would be suppressed as a
+       duplicate by any gateway that forwarded the first. *)
+    (match x with
+    | Getpid gw -> gw.gw_seq <- next_seq t
+    | Send _ | Move_to _ | Move_from _ -> ());
+    if Vsim.Trace.tracing t.eng then
+      Vsim.Trace.event t.eng
+        (Vsim.Event.Retransmit
+           {
+             host = t.khost;
+             kind = retx_label x;
+             seq = retx_seq x;
+             attempt = rx.rx_tries;
+           });
+    transmit t x
+  end
+
+(* (Re)send the packet the exchange waits on, and arm its timer. *)
+and transmit t x =
+  match x with
+  | Send rs ->
+      send_pkt t ~dst_host:rs.rs_retx.rx_dst rs.rs_pkt;
+      arm t x
+  | Move_to mto ->
       (* Probe with an empty fragment at [total]: a receiver that is done
          re-acks; one mid-transfer NAKs with the offset it needs, giving
          retransmission from the last correctly received packet. *)
-      let probe =
-        Packet.make ~op:Packet.Data_mt ~src_pid:mto.mto_src
-          ~dst_pid:mto.mto_dst ~seq:mto.mto_seq ~offset:mto.mto_total
-          ~total:mto.mto_total ~aux:mto.mto_dst_ptr ()
+      send_pkt t ~dst_host:mto.mto_retx.rx_dst
+        (Packet.make ~op:Packet.Data_mt ~src_pid:mto.mto_src
+           ~dst_pid:mto.mto_dst ~seq:mto.mto_seq ~offset:mto.mto_total
+           ~total:mto.mto_total ~aux:mto.mto_dst_ptr ());
+      arm t x
+  | Move_from mfo ->
+      mfo.mfo_nak_at <- -1;
+      mfo.mfo_req_at <- Vsim.Engine.now t.eng;
+      let req =
+        Packet.make ~op:Packet.Move_from_req ~src_pid:mfo.mfo_me
+          ~dst_pid:mfo.mfo_src ~seq:mfo.mfo_seq ~offset:mfo.mfo_expected
+          ~total:mfo.mfo_total ~aux:mfo.mfo_src_ptr ()
       in
-      send_pkt t ~dst_host:(Pid.host mto.mto_dst) probe;
-      mt_arm_timer t mto
-    end
-  end
+      send_pkt_k t ~dst_host:mfo.mfo_retx.rx_dst req (fun () ->
+          charge_async t (model t).Vhw.Cost_model.send_bookkeep_ns;
+          if mf_alive t mfo then arm t x)
+  | Getpid gw ->
+      send_pkt_gen t ~dst_addr:Vnet.Addr.broadcast
+        (Packet.make ~op:Packet.Getpid_req ~src_pid:gw.gw_me
+           ~dst_pid:Pid.nil ~seq:gw.gw_seq ~aux:gw.gw_lid ())
+        ignore;
+      arm t x
+
+(* Proof of life from the peer of a blocked remote Send: restart the
+   retry budget and the timer.  The elapsed time now includes more than a
+   round trip, so the exchange no longer yields an RTT sample. *)
+let restart_send t rs =
+  rs.rs_retx.rx_tries <- 0;
+  rs.rs_since <- -1;
+  arm t (Send rs)
+
+(* Launch a remote Send for local process [d], piggybacking the head of a
+   read-accessible segment (Section 3.4); the timer arms once the packet
+   is on the wire.  [since] starts the round-trip clock, or is [-1] for
+   an exchange that can never be a clean sample. *)
+let launch_send t (d : desc) msg ~dst ~seq ~since =
+  let data =
+    match
+      if Msg.piggyback_allowed msg then Msg.readable_segment msg else None
+    with
+    | Some (ptr, len) ->
+        let n = min len t.cfg.max_seg_append in
+        if Mem.valid d.d_mem ~pos:ptr ~len:n then
+          Mem.read d.d_mem ~pos:ptr ~len:n
+        else Bytes.empty
+    | None -> Bytes.empty
+  in
+  let pkt =
+    Packet.make ~op:Packet.Send ~src_pid:d.d_pid ~dst_pid:dst ~seq ~msg
+      ~data ()
+  in
+  let rs =
+    {
+      rs_desc = d;
+      rs_pkt = pkt;
+      rs_since = since;
+      rs_retx = new_retx ~dst:(Pid.host dst);
+    }
+  in
+  d.d_rsend <- Some rs;
+  d.d_state <- Awaiting_reply dst;
+  send_pkt_k t ~dst_host:(Pid.host dst) pkt (fun () ->
+      charge_async t (model t).Vhw.Cost_model.send_bookkeep_ns;
+      match d.d_rsend with
+      | Some rs' when rs' == rs -> arm t (Send rs)
+      | Some _ | None -> ())
+
+(* ------------------------------------------------------------------ *)
+(* MoveTo / MoveFrom streaming                                         *)
 
 (* Stream MoveTo fragments as maximally-sized packets; one acknowledgement
    at the end, none per packet (Section 3.3). *)
@@ -980,7 +913,7 @@ let stream_mt t (mto : mt_out) ~from =
     else if cursor >= mto.mto_total then begin
       charge_async t m.Vhw.Cost_model.send_bookkeep_ns;
       mto.mto_wait_since <- Vsim.Engine.now t.eng;
-      mt_arm_timer t mto
+      arm t (Move_to mto)
     end
     else begin
       let len = min t.cfg.max_packet_data (mto.mto_total - cursor) in
@@ -1026,82 +959,6 @@ let stream_mf t ~(src_desc : desc) ~requester ~seq ~base_ptr ~total ~from =
     end
   in
   go from
-
-let mf_finish t (mfo : mf_out) st =
-  if mf_alive t mfo then begin
-    cancel_timer t mfo.mfo_timer;
-    mfo.mfo_tgen <- mfo.mfo_tgen + 1;
-    Hashtbl.remove t.mf_outs mfo.mfo_seq;
-    (match st with
-    | Retryable | Dead -> ()
-    | Ok | Nonexistent | Bad_address | No_permission | Too_big ->
-        (* RTT samples for MoveFrom are taken at first-fragment arrival
-           (handle_data_mf); here we only record liveness. *)
-        rto_note_success t ~dst_host:(Pid.host mfo.mfo_src) ~sample_ns:None);
-    charge_k t (model t).Vhw.Cost_model.context_switch_ns (fun () ->
-        if Vsim.Trace.tracing t.eng then
-          Vsim.Trace.event t.eng
-            (Vsim.Event.Move_done
-               {
-                 host = t.khost;
-                 seq = mfo.mfo_seq;
-                 status = status_to_string st;
-               });
-        mfo.mfo_done st)
-  end
-
-let rec mf_send_request t (mfo : mf_out) =
-  mfo.mfo_req_at <- Vsim.Engine.now t.eng;
-  let req =
-    Packet.make ~op:Packet.Move_from_req ~src_pid:mfo.mfo_me
-      ~dst_pid:mfo.mfo_src ~seq:mfo.mfo_seq ~offset:mfo.mfo_expected
-      ~total:mfo.mfo_total ~aux:mfo.mfo_src_ptr ()
-  in
-  send_pkt_k t ~dst_host:(Pid.host mfo.mfo_src) req (fun () ->
-      charge_async t (model t).Vhw.Cost_model.send_bookkeep_ns;
-      if mf_alive t mfo then mf_arm_timer t mfo)
-
-and mf_arm_timer t (mfo : mf_out) =
-  cancel_timer t mfo.mfo_timer;
-  mfo.mfo_tgen <- mfo.mfo_tgen + 1;
-  let gen = mfo.mfo_tgen in
-  (* Re-armed on every fragment arrival, so at most one fragment (or the
-     request round trip) is ever outstanding. *)
-  let rto =
-    rto_timeout_ns t
-      ~dst_host:(Pid.host mfo.mfo_src)
-      ~bytes:(min mfo.mfo_total t.cfg.max_packet_data)
-  in
-  mfo.mfo_timer <-
-    Some
-      (Vsim.Engine.after t.eng ~kind:k_rto_movefrom rto (fun () ->
-           mf_timeout t mfo ~gen ~rto))
-
-and mf_timeout t (mfo : mf_out) ~gen ~rto =
-  if mf_alive t mfo && mfo.mfo_tgen = gen then begin
-    mfo.mfo_timer <- None;
-    mfo.mfo_retries <- mfo.mfo_retries + 1;
-    rto_note_expiry t
-      ~dst_host:(Pid.host mfo.mfo_src)
-      ~kind:"move-from" ~seq:mfo.mfo_seq ~attempt:mfo.mfo_retries ~rto_ns:rto;
-    if mfo.mfo_retries > t.cfg.max_retries then
-      mf_finish t mfo
-        (rto_note_exhausted t ~dst_host:(Pid.host mfo.mfo_src))
-    else begin
-      t.s_retrans <- t.s_retrans + 1;
-      if Vsim.Trace.tracing t.eng then
-        Vsim.Trace.event t.eng
-          (Vsim.Event.Retransmit
-             {
-               host = t.khost;
-               kind = "move-from";
-               seq = mfo.mfo_seq;
-               attempt = mfo.mfo_retries;
-             });
-      mfo.mfo_nak_at <- -1;
-      mf_send_request t mfo
-    end
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Receive path: packet handlers                                       *)
@@ -1206,7 +1063,7 @@ let handle_reply_pkt t (pkt : Packet.t) =
               Mem.blit_in d.d_mem ~pos:ptr pkt.Packet.data ~src_off:0 ~len
           end;
           d.d_grant <- None;
-          finish_send t d Ok
+          finish_send t rs Ok
       | Some _ | None -> ())
 
 let handle_reply_pending t (pkt : Packet.t) =
@@ -1215,12 +1072,8 @@ let handle_reply_pending t (pkt : Packet.t) =
   | Some d -> (
       match d.d_rsend with
       | Some rs when rs.rs_pkt.Packet.seq = pkt.Packet.seq ->
-          (* The receiver lives; be patient indefinitely.  The elapsed
-             time now includes server queueing, so the exchange no longer
-             yields an RTT sample. *)
-          rs.rs_retries <- 0;
-          rs.rs_clean <- false;
-          arm_send_timer t d rs
+          (* The receiver lives; be patient indefinitely. *)
+          restart_send t rs
       | Some _ | None -> ())
 
 let handle_nack t (pkt : Packet.t) =
@@ -1238,7 +1091,7 @@ let handle_nack t (pkt : Packet.t) =
       match d.d_rsend with
       | Some rs when rs.rs_pkt.Packet.seq = pkt.Packet.seq ->
           d.d_grant <- None;
-          finish_send t d st
+          finish_send t rs st
       | Some _ | None -> ())
 
 (* Incoming MoveTo fragment. *)
@@ -1249,13 +1102,9 @@ let handle_data_mt t (pkt : Packet.t) =
      life: a long MoveTo into our space must not trip our own Send
      retransmission (the transfer can far outlast T). *)
   (match find_proc t pkt.Packet.dst_pid with
-  | Some dd when dd.d_state = Awaiting_reply mover -> (
-      match dd.d_rsend with
-      | Some rs ->
-          rs.rs_retries <- 0;
-          rs.rs_clean <- false;
-          arm_send_timer t dd rs
-      | None -> ())
+  | Some ({ d_rsend = Some rs; _ } as dd) when dd.d_state = Awaiting_reply mover
+    ->
+      restart_send t rs
   | Some _ | None -> ());
   let nak expected =
     t.s_naks <- t.s_naks + 1;
@@ -1280,15 +1129,7 @@ let handle_data_mt t (pkt : Packet.t) =
             None
         | Some dd ->
             let ptr = pkt.Packet.aux and len = pkt.Packet.total in
-            let allowed =
-              dd.d_state = Awaiting_reply mover
-              && (match dd.d_grant with
-                 | Some g ->
-                     grant_covers g ~who:mover ~ptr ~len ~need_write:true
-                 | None -> false)
-              && Mem.valid dd.d_mem ~pos:ptr ~len
-            in
-            if not allowed then begin
+            if not (granted dd ~who:mover ~ptr ~len ~need_write:true) then begin
               send_nack t ~dst_host:(Pid.host mover)
                 ~src_pid:pkt.Packet.dst_pid ~dst_pid:mover
                 ~seq:pkt.Packet.seq No_permission;
@@ -1308,7 +1149,7 @@ let handle_data_mt t (pkt : Packet.t) =
                   (fun ((src_host, _) as k) mti acc ->
                     let horizon =
                       20
-                      * rto_current_ns t ~dst_host:src_host
+                      * Rto.current_ns t.rto ~dst:src_host
                           ~bytes:(min mti.mti_total t.cfg.max_packet_data)
                     in
                     if now - mti.mti_born > horizon then k :: acc else acc)
@@ -1377,10 +1218,8 @@ let handle_data_mf t (pkt : Packet.t) =
       else begin
         (* The request-to-first-data gap is a clean round-trip sample,
            provided no timeout retransmitted the request (Karn). *)
-        if off = 0 && mfo.mfo_retries = 0 then
-          rto_note_success t
-            ~dst_host:(Pid.host mfo.mfo_src)
-            ~sample_ns:(Some (Vsim.Engine.now t.eng - mfo.mfo_req_at));
+        if off = 0 && mfo.mfo_retx.rx_tries = 0 then
+          settle t mfo.mfo_retx Ok ~since:mfo.mfo_req_at;
         if len > 0 then
           Mem.blit_in mfo.mfo_mem ~pos:(mfo.mfo_dst_ptr + off) pkt.Packet.data
             ~src_off:0 ~len;
@@ -1389,9 +1228,9 @@ let handle_data_mf t (pkt : Packet.t) =
         (* Fresh data: the source is alive, push the timeout out and
            restart the retry budget — retries count consecutive silent
            periods, not total loss over a long transfer. *)
-        mfo.mfo_retries <- 0;
+        mfo.mfo_retx.rx_tries <- 0;
         if mfo.mfo_expected >= mfo.mfo_total then mf_finish t mfo Ok
-        else mf_arm_timer t mfo
+        else arm t (Move_from mfo)
       end
 
 let handle_data_ack t (pkt : Packet.t) =
@@ -1405,9 +1244,7 @@ let handle_data_nak t (pkt : Packet.t) =
   match Hashtbl.find_opt t.mt_outs pkt.Packet.seq with
   | Some mto ->
       mto.mto_gen <- mto.mto_gen + 1;
-      mto.mto_tgen <- mto.mto_tgen + 1;
-      cancel_timer t mto.mto_timer;
-      mto.mto_timer <- None;
+      stop t mto.mto_retx;
       stream_mt t mto ~from:pkt.Packet.offset
   | None -> (
       (* NAK of a MoveFrom stream we source: the NAK carries the transfer
@@ -1428,15 +1265,7 @@ let handle_move_from_req t (pkt : Packet.t) =
         ~dst_pid:requester ~seq:pkt.Packet.seq Nonexistent
   | Some sd ->
       let ptr = pkt.Packet.aux and len = pkt.Packet.total in
-      let allowed =
-        sd.d_state = Awaiting_reply requester
-        && (match sd.d_grant with
-           | Some g ->
-               grant_covers g ~who:requester ~ptr ~len ~need_write:false
-           | None -> false)
-        && Mem.valid sd.d_mem ~pos:ptr ~len
-      in
-      if not allowed then
+      if not (granted sd ~who:requester ~ptr ~len ~need_write:false) then
         send_nack t ~dst_host:(Pid.host requester) ~src_pid:pkt.Packet.dst_pid
           ~dst_pid:requester ~seq:pkt.Packet.seq No_permission
       else begin
@@ -1455,10 +1284,8 @@ let handle_fwd_notice t (pkt : Packet.t) =
       | Some rs when rs.rs_pkt.Packet.seq = pkt.Packet.seq ->
           let new_pid = Pid.of_int pkt.Packet.aux in
           rs.rs_pkt <- { rs.rs_pkt with Packet.dst_pid = new_pid };
-          rs.rs_dst_host <- Pid.host new_pid;
-          rs.rs_retries <- 0;
-          rs.rs_clean <- false;
-          arm_send_timer t d rs;
+          rs.rs_retx.rx_dst <- Pid.host new_pid;
+          restart_send t rs;
           d.d_state <- Awaiting_reply new_pid;
           (match d.d_grant with
           | Some g -> d.d_grant <- Some { g with granted_to = new_pid }
@@ -1483,23 +1310,15 @@ let handle_getpid_reply t (pkt : Packet.t) =
   match Hashtbl.find_opt t.getpid_waits lid with
   | None -> ()
   | Some gw ->
-      cancel_timer t gw.gw_timer;
-      gw.gw_gen <- gw.gw_gen + 1;
       (* First-try replies sample the broadcast round trip; the answering
          host's own estimator is credited too, so a later direct exchange
          starts informed. *)
-      let sample =
-        if gw.gw_tries = 1 then Some (Vsim.Engine.now t.eng - gw.gw_born)
-        else None
-      in
-      rto_note_success t ~dst_host:(getpid_dst ~logical_id:lid)
-        ~sample_ns:sample;
+      settle t gw.gw_retx Ok ~since:gw.gw_born;
       if not (Pid.is_nil pkt.Packet.src_pid) then
-        rto_note_success t
-          ~dst_host:(Pid.host pkt.Packet.src_pid)
-          ~sample_ns:sample;
-      Hashtbl.remove t.getpid_waits lid;
-      List.iter (fun k -> k (Some found)) (List.rev gw.gw_waiters)
+        Rto.note_success t.rto
+          ~dst:(Pid.host pkt.Packet.src_pid)
+          ~sample_ns:(karn_sample t gw.gw_retx ~since:gw.gw_born);
+      getpid_finish t gw (Some found)
 
 (* Main receive dispatch, invoked by the NIC after the receive-side CPU
    charge for the packet itself. *)
@@ -1618,7 +1437,11 @@ let make_kernel eng ~cpu ~nic ~host ~config ~addressing =
       registry = Hashtbl.create 16;
       getpid_cache = Hashtbl.create 16;
       getpid_waits = Hashtbl.create 16;
-      rtos = Hashtbl.create 16;
+      rto =
+        Rto.create eng ~host ~model:(Vhw.Cpu.model cpu) ~mode:config.rto_mode
+          ~fixed_ns:config.retransmit_timeout_ns ~min_ns:config.rto_min_ns
+          ~max_ns:config.rto_max_ns ~ns_per_byte:config.rto_ns_per_byte
+          ~suspect_threshold:config.suspect_threshold;
       kfibers = Hashtbl.create 64;
       down = false;
       restart_hooks = [];
@@ -1627,7 +1450,6 @@ let make_kernel eng ~cpu ~nic ~host ~config ~addressing =
       s_tx = 0;
       s_rx = 0;
       s_retrans = 0;
-      s_timeouts = 0;
       s_dups = 0;
       s_rpend = 0;
       s_nacks = 0;
@@ -1635,7 +1457,6 @@ let make_kernel eng ~cpu ~nic ~host ~config ~addressing =
       s_aliens = 0;
       s_pool_full = 0;
       s_reclaims = 0;
-      s_suspects = 0;
       s_send_local = 0;
       s_send_remote = 0;
       s_move_local = 0;
@@ -1696,6 +1517,24 @@ let destroy t pid =
   | Some d ->
       d.d_state <- Dead;
       Hashtbl.remove t.procs (Pid.local pid);
+      (* Its own remote exchanges die with it, unresumed: nothing would
+         deliver their answers, and their retries would only wear down
+         the failure detector's view of live peers. *)
+      (match d.d_rsend with
+      | Some rs ->
+          stop t rs.rs_retx;
+          d.d_rsend <- None
+      | None -> ());
+      Hashtbl.filter_map_inplace
+        (fun _ mto ->
+          if Pid.equal mto.mto_src pid then (stop t mto.mto_retx; None)
+          else Some mto)
+        t.mt_outs;
+      Hashtbl.filter_map_inplace
+        (fun _ mfo ->
+          if Pid.equal mfo.mfo_me pid then (stop t mfo.mfo_retx; None)
+          else Some mfo)
+        t.mf_outs;
       (* Fail everyone who was talking to it. *)
       Queue.iter
         (fun entry ->
@@ -1763,32 +1602,11 @@ let crash t =
     Hashtbl.iter
       (fun _ d ->
         d.d_state <- Dead;
-        match d.d_rsend with
-        | Some rs ->
-            cancel_timer t rs.rs_timer;
-            rs.rs_timer <- None;
-            rs.rs_gen <- rs.rs_gen + 1
-        | None -> ())
+        match d.d_rsend with Some rs -> stop t rs.rs_retx | None -> ())
       t.procs;
-    Hashtbl.iter
-      (fun _ mto ->
-        cancel_timer t mto.mto_timer;
-        mto.mto_timer <- None;
-        mto.mto_gen <- mto.mto_gen + 1;
-        mto.mto_tgen <- mto.mto_tgen + 1)
-      t.mt_outs;
-    Hashtbl.iter
-      (fun _ mfo ->
-        cancel_timer t mfo.mfo_timer;
-        mfo.mfo_timer <- None;
-        mfo.mfo_tgen <- mfo.mfo_tgen + 1)
-      t.mf_outs;
-    Hashtbl.iter
-      (fun _ gw ->
-        cancel_timer t gw.gw_timer;
-        gw.gw_timer <- None;
-        gw.gw_gen <- gw.gw_gen + 1)
-      t.getpid_waits;
+    Hashtbl.iter (fun _ mto -> stop t mto.mto_retx) t.mt_outs;
+    Hashtbl.iter (fun _ mfo -> stop t mfo.mfo_retx) t.mf_outs;
+    Hashtbl.iter (fun _ gw -> stop t gw.gw_retx) t.getpid_waits;
     Hashtbl.reset t.procs;
     Hashtbl.reset t.fibers;
     Hashtbl.reset t.aliens;
@@ -1799,7 +1617,7 @@ let crash t =
     Hashtbl.reset t.registry;
     Hashtbl.reset t.getpid_cache;
     Hashtbl.reset t.getpid_waits;
-    Hashtbl.reset t.rtos;
+    Rto.reset t.rto;
     Hashtbl.reset t.host_map
   end
 
@@ -1859,37 +1677,10 @@ let send t msg dst =
   else begin
     t.s_send_remote <- t.s_send_remote + 1;
     charge t m.Vhw.Cost_model.remote_op_extra_ns;
-    (* Piggyback the head of a read-accessible segment (Section 3.4). *)
-    let data =
-      match
-        if Msg.piggyback_allowed msg then Msg.readable_segment msg else None
-      with
-      | Some (ptr, len) ->
-          let n = min len t.cfg.max_seg_append in
-          if Mem.valid d.d_mem ~pos:ptr ~len:n then
-            Mem.read d.d_mem ~pos:ptr ~len:n
-          else Bytes.empty
-      | None -> Bytes.empty
-    in
-    let pkt =
-      Packet.make ~op:Packet.Send ~src_pid:d.d_pid ~dst_pid:dst ~seq ~msg
-        ~data ()
-    in
-    let rs =
-      { rs_pkt = pkt; rs_dst_host = Pid.host dst; rs_retries = 0;
-        rs_timer = None; rs_gen = 0; rs_born = Vsim.Engine.now t.eng;
-        rs_clean = true }
-    in
-    d.d_rsend <- Some rs;
-    d.d_state <- Awaiting_reply dst;
     Vsim.Proc.suspend ~reason:"send-remote" (fun resume ->
         d.d_on_reply <- Some resume;
         d.d_reply_buf <- Some msg;
-        send_pkt_k t ~dst_host:(Pid.host dst) pkt (fun () ->
-            charge_async t m.Vhw.Cost_model.send_bookkeep_ns;
-            match d.d_rsend with
-            | Some rs' when rs' == rs -> arm_send_timer t d rs
-            | Some _ | None -> ()))
+        launch_send t d msg ~dst ~seq ~since:(Vsim.Engine.now t.eng))
   end
 
 let receive_gen ?from t msg ~seg =
@@ -1953,15 +1744,11 @@ let reply_gen t msg dst ~seg =
               if not (Mem.valid d.d_mem ~pos:segptr ~len:segsize) then
                 Bad_address
               else begin
-                let allowed =
-                  match dd.d_grant with
-                  | Some g ->
-                      grant_covers g ~who:d.d_pid ~ptr:destptr ~len:segsize
-                        ~need_write:true
-                      && Mem.valid dd.d_mem ~pos:destptr ~len:segsize
-                  | None -> false
-                in
-                if not allowed then No_permission
+                if
+                  not
+                    (granted dd ~who:d.d_pid ~ptr:destptr ~len:segsize
+                       ~need_write:true)
+                then No_permission
                 else begin
                   charge t (segsize * m.Vhw.Cost_model.mem_copy_ns_per_byte);
                   Mem.transfer ~src:d.d_mem ~src_pos:segptr ~dst:dd.d_mem
@@ -2071,9 +1858,7 @@ let forward t msg ~from_pid ~to_pid =
     fd.d_grant <- None;
     (match fd.d_rsend with
     | Some rs ->
-        cancel_timer t rs.rs_timer;
-        rs.rs_timer <- None;
-        rs.rs_gen <- rs.rs_gen + 1;
+        stop t rs.rs_retx;
         fd.d_rsend <- None
     | None -> ());
     let k = fd.d_on_reply in
@@ -2105,37 +1890,8 @@ let forward t msg ~from_pid ~to_pid =
           (* Re-launch the message as a remote Send on the sender's
              behalf; the sender now waits on the network path. *)
           charge t m.Vhw.Cost_model.remote_op_extra_ns;
-          let data =
-            match
-              if Msg.piggyback_allowed msg then Msg.readable_segment msg
-              else None
-            with
-            | Some (ptr, len) ->
-                let n = min len t.cfg.max_seg_append in
-                if Mem.valid fd.d_mem ~pos:ptr ~len:n then
-                  Mem.read fd.d_mem ~pos:ptr ~len:n
-                else Bytes.empty
-            | None -> Bytes.empty
-          in
-          let seq = next_seq t in
-          let pkt =
-            Packet.make ~op:Packet.Send ~src_pid:from_pid ~dst_pid:to_pid
-              ~seq ~msg ~data ()
-          in
-          let rs =
-            { rs_pkt = pkt; rs_dst_host = Pid.host to_pid; rs_retries = 0;
-              rs_timer = None; rs_gen = 0;
-              rs_born = Vsim.Engine.now t.eng;
-              (* The exchange already spans a forward: never sample it. *)
-              rs_clean = false }
-          in
-          fd.d_rsend <- Some rs;
-          fd.d_state <- Awaiting_reply to_pid;
-          send_pkt_k t ~dst_host:(Pid.host to_pid) pkt (fun () ->
-              charge_async t m.Vhw.Cost_model.send_bookkeep_ns;
-              match fd.d_rsend with
-              | Some rs' when rs' == rs -> arm_send_timer t fd rs
-              | Some _ | None -> ());
+          (* The exchange already spans a forward: never sample it. *)
+          launch_send t fd msg ~dst:to_pid ~seq:(next_seq t) ~since:(-1);
           Ok
         end
     | Some _ | None -> No_permission
@@ -2211,16 +1967,8 @@ let move_to t ~dst_pid ~dst ~src ~count =
     match find_proc t dst_pid with
     | None -> Nonexistent
     | Some dd ->
-        let allowed =
-          dd.d_state = Awaiting_reply d.d_pid
-          && (match dd.d_grant with
-             | Some g ->
-                 grant_covers g ~who:d.d_pid ~ptr:dst ~len:count
-                   ~need_write:true
-             | None -> false)
-          && Mem.valid dd.d_mem ~pos:dst ~len:count
-        in
-        if not allowed then No_permission
+        if not (granted dd ~who:d.d_pid ~ptr:dst ~len:count ~need_write:true)
+        then No_permission
         else begin
           if Vsim.Trace.tracing t.eng then
             Vsim.Trace.event t.eng
@@ -2269,10 +2017,8 @@ let move_to t ~dst_pid ~dst ~src ~count =
             mto_total = count;
             mto_mem = d.d_mem;
             mto_gen = 0;
-            mto_retries = 0;
-            mto_timer = None;
-            mto_tgen = 0;
-            mto_wait_since = 0;
+            mto_retx = new_retx ~dst:(Pid.host dst_pid);
+            mto_wait_since = -1;
             mto_done = resume;
           }
         in
@@ -2290,16 +2036,8 @@ let move_from t ~src_pid ~dst ~src ~count =
     match find_proc t src_pid with
     | None -> Nonexistent
     | Some sd ->
-        let allowed =
-          sd.d_state = Awaiting_reply d.d_pid
-          && (match sd.d_grant with
-             | Some g ->
-                 grant_covers g ~who:d.d_pid ~ptr:src ~len:count
-                   ~need_write:false
-             | None -> false)
-          && Mem.valid sd.d_mem ~pos:src ~len:count
-        in
-        if not allowed then No_permission
+        if not (granted sd ~who:d.d_pid ~ptr:src ~len:count ~need_write:false)
+        then No_permission
         else begin
           if Vsim.Trace.tracing t.eng then
             Vsim.Trace.event t.eng
@@ -2348,15 +2086,13 @@ let move_from t ~src_pid ~dst ~src ~count =
             mfo_mem = d.d_mem;
             mfo_expected = 0;
             mfo_nak_at = -1;
-            mfo_retries = 0;
-            mfo_timer = None;
-            mfo_tgen = 0;
+            mfo_retx = new_retx ~dst:(Pid.host src_pid);
             mfo_req_at = 0;
             mfo_done = resume;
           }
         in
         Hashtbl.replace t.mf_outs seq mfo;
-        mf_send_request t mfo)
+        transmit t (Move_from mfo))
   end
 
 (* ------------------------------------------------------------------ *)
@@ -2366,51 +2102,6 @@ let set_pid t ~logical_id pid scope =
   let (_ : desc) = current t in
   charge t (model t).Vhw.Cost_model.syscall_ns;
   Hashtbl.replace t.registry logical_id { re_pid = pid; re_scope = scope }
-
-(* GetPid rides the shared retransmission machinery: each logical id's
-   pseudo-destination gets the same adaptive timer, backoff and stats
-   accounting as every other exchange (retransmissions / timeouts_fired),
-   with [1 + max_retries] attempts total. *)
-let rec getpid_broadcast t ~logical_id (gw : getpid_wait) ~me =
-  gw.gw_tries <- gw.gw_tries + 1;
-  if gw.gw_tries > 1 + t.cfg.max_retries then begin
-    ignore (rto_note_exhausted t ~dst_host:(getpid_dst ~logical_id) : status);
-    Hashtbl.remove t.getpid_waits logical_id;
-    List.iter (fun k -> k None) (List.rev gw.gw_waiters)
-  end
-  else begin
-    let pkt =
-      Packet.make ~op:Packet.Getpid_req ~src_pid:me ~dst_pid:Pid.nil
-        ~seq:(next_seq t) ~aux:logical_id ()
-    in
-    if gw.gw_tries > 1 then begin
-      t.s_retrans <- t.s_retrans + 1;
-      if Vsim.Trace.tracing t.eng then
-        Vsim.Trace.event t.eng
-          (Vsim.Event.Retransmit
-             {
-               host = t.khost;
-               kind = "getpid";
-               seq = pkt.Packet.seq;
-               attempt = gw.gw_tries - 1;
-             })
-    end;
-    send_pkt_gen t ~dst_addr:Vnet.Addr.broadcast pkt ignore;
-    gw.gw_gen <- gw.gw_gen + 1;
-    let gen = gw.gw_gen in
-    let rto = rto_timeout_ns t ~dst_host:(getpid_dst ~logical_id) ~bytes:0 in
-    gw.gw_timer <-
-      Some
-        (Vsim.Engine.after t.eng ~kind:k_rto_getpid rto (fun () ->
-             match Hashtbl.find_opt t.getpid_waits logical_id with
-             | Some gw' when gw' == gw && gw.gw_gen = gen ->
-                 gw.gw_timer <- None;
-                 rto_note_expiry t ~dst_host:(getpid_dst ~logical_id)
-                   ~kind:"getpid"
-                   ~seq:pkt.Packet.seq ~attempt:gw.gw_tries ~rto_ns:rto;
-                 getpid_broadcast t ~logical_id gw ~me
-             | Some _ | None -> ()))
-  end
 
 let get_pid t ~logical_id scope =
   let d = current t in
@@ -2438,17 +2129,21 @@ let get_pid t ~logical_id scope =
                   match Hashtbl.find_opt t.getpid_waits logical_id with
                   | Some gw -> gw.gw_waiters <- resume :: gw.gw_waiters
                   | None ->
+                      (* GetPid rides the shared retransmission timer,
+                         keyed by its logical id: [1 + max_retries]
+                         broadcasts in all. *)
                       let gw =
                         {
-                          gw_timer = None;
-                          gw_tries = 0;
-                          gw_gen = 0;
+                          gw_lid = logical_id;
+                          gw_me = d.d_pid;
+                          gw_seq = next_seq t;
+                          gw_retx = new_retx ~dst:(getpid_dst ~logical_id);
                           gw_born = Vsim.Engine.now t.eng;
                           gw_waiters = [ resume ];
                         }
                       in
                       Hashtbl.replace t.getpid_waits logical_id gw;
-                      getpid_broadcast t ~logical_id gw ~me:d.d_pid)))
+                      transmit t (Getpid gw))))
 
 let get_time t =
   let (_ : desc) = current t in
@@ -2463,7 +2158,7 @@ let stats t =
     packets_sent = t.s_tx;
     packets_received = t.s_rx;
     retransmissions = t.s_retrans;
-    timeouts_fired = t.s_timeouts;
+    timeouts_fired = Rto.timeouts t.rto;
     duplicates_filtered = t.s_dups;
     reply_pendings_sent = t.s_rpend;
     nonexistent_nacks_sent = t.s_nacks;
@@ -2471,7 +2166,7 @@ let stats t =
     aliens_created = t.s_aliens;
     alien_pool_full = t.s_pool_full;
     aliens_reclaimed = t.s_reclaims;
-    hosts_suspected = t.s_suspects;
+    hosts_suspected = Rto.suspects t.rto;
     sends_local = t.s_send_local;
     sends_remote = t.s_send_remote;
     moves_local = t.s_move_local;

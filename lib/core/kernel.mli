@@ -48,12 +48,10 @@ val pp_status : Format.formatter -> status -> unit
     to distinguish per-workstation servers from network-wide ones). *)
 type scope = Local | Remote | Any
 
-(** Retransmission-timer policy.  [Fixed] uses the paper's constant T for
-    every destination.  [Adaptive] estimates a per-destination round trip
-    (Jacobson-style SRTT/RTTVAR, seeded from the cost model, Karn's rule
-    for samples) and backs off exponentially with deterministic jitter
-    drawn from the simulation RNG. *)
-type rto_mode = Fixed | Adaptive
+(** Retransmission-timer policy (see {!Rto.mode}).  [Fixed] uses the
+    paper's constant T for every destination; [Adaptive] estimates a
+    per-destination round trip and backs off exponentially. *)
+type rto_mode = Rto.mode = Fixed | Adaptive
 
 type config = {
   retransmit_timeout_ns : int;  (** the paper's T ([Fixed] mode) *)
@@ -110,7 +108,8 @@ val spawn : t -> ?name:string -> ?mem_size:int -> (Pid.t -> unit) -> Pid.t
 
 val destroy : t -> Pid.t -> unit
 (** Destroy a process: queued and blocked senders are failed with
-    [Nonexistent]. *)
+    [Nonexistent].  Its own remote Send, MoveTo or MoveFrom is abandoned:
+    no further retransmission, and the process is never resumed. *)
 
 val memory : t -> Pid.t -> Mem.t
 (** The process's address space (test and stub-library access). *)

@@ -65,6 +65,7 @@ type handle = int
 let slot_bits = 22
 let slot_mask = (1 lsl slot_bits) - 1
 let max_seq = (1 lsl (62 - slot_bits)) - 1  (* handles stay non-negative *)
+let none = -1
 
 let nop () = ()
 

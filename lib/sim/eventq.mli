@@ -49,6 +49,10 @@ type t
 type handle [@@immediate]
 (** A scheduled event, usable for cancellation. *)
 
+val none : handle
+(** A handle that names no event in any queue: cancelling it is a no-op.
+    For a timer field that has not been armed yet. *)
+
 val create : unit -> t
 (** An empty queue.  It allocates its arrays on the first {!add}. *)
 

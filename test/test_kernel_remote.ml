@@ -274,6 +274,59 @@ let test_cross_host_pids () =
       Alcotest.(check int) "client pid carries host 1" 1 (Vkernel.Pid.host pid);
       ignore (K.send k1 (Msg.create ()) server))
 
+let test_destroy_stops_exchanges () =
+  (* Two processes send-blocked on a slow server and one moving to a
+     silent host are destroyed.  Their exchanges die with them: no further
+     retransmission, no suspicion of the peers, and no process resumed. *)
+  let tb = Util.testbed ~hosts:2 () in
+  let k1 = kernel_of tb 1 and k2 = kernel_of tb 2 in
+  let server =
+    K.spawn k2 ~name:"slow" (fun _ ->
+        let msg = Msg.create () in
+        let rec loop () =
+          let src = K.receive k2 msg in
+          Vsim.Proc.sleep (Vsim.Time.sec 5);
+          ignore (K.reply k2 msg src);
+          loop ()
+        in
+        loop ())
+  in
+  let void = Vkernel.Pid.make ~host:77 ~local:1 in
+  let resumed = ref 0 in
+  let client op =
+    K.spawn k1 ~name:"client" (fun _ ->
+        ignore (op ());
+        incr resumed)
+  in
+  let victims =
+    [
+      client (fun () -> K.send k1 (Msg.create ()) server);
+      client (fun () -> K.send k1 (Msg.create ()) server);
+      client (fun () -> K.move_to k1 ~dst_pid:void ~dst:0 ~src:0 ~count:2048);
+    ]
+  in
+  let at_destroy = ref None in
+  let (_ : Vkernel.Pid.t) =
+    K.spawn k1 ~name:"reaper" (fun _ ->
+        Vsim.Proc.sleep (Vsim.Time.ms 10);
+        List.iter (K.destroy k1) victims;
+        at_destroy := Some (K.stats k1))
+  in
+  Vworkload.Testbed.run tb;
+  let before = Option.get !at_destroy and after = K.stats k1 in
+  Alcotest.(check int) "no retransmission after destroy"
+    before.K.retransmissions after.K.retransmissions;
+  Alcotest.(check int) "no timeout after destroy" before.K.timeouts_fired
+    after.K.timeouts_fired;
+  Alcotest.(check bool) "live server not suspected" false
+    (K.host_suspected k1 ~host:2);
+  Alcotest.(check bool) "silent host not suspected" false
+    (K.host_suspected k1 ~host:77);
+  Alcotest.(check int) "no destroyed process resumed" 0 !resumed;
+  let c = K.table_counts k1 in
+  Alcotest.(check int) "no send left" 0 c.K.sends_blocked;
+  Alcotest.(check int) "no move left" 0 c.K.mt_outs_pending
+
 let suite =
   [
     Alcotest.test_case "remote exchange" `Quick test_remote_exchange;
@@ -295,4 +348,6 @@ let suite =
     Alcotest.test_case "multiple clients" `Quick
       test_multiple_clients_one_server;
     Alcotest.test_case "cross-host pids" `Quick test_cross_host_pids;
+    Alcotest.test_case "destroy stops exchanges" `Quick
+      test_destroy_stops_exchanges;
   ]

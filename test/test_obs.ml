@@ -299,7 +299,7 @@ let remote_exchanges n =
 let test_host_allocation_gate () =
   Alcotest.(check int) "minor words for 1000 engine steps" 0
     (marginal_minor_words engine_steps 1000);
-  Alcotest.(check int) "minor words for 100 remote S-R-R exchanges" 69_700
+  Alcotest.(check int) "minor words for 100 remote S-R-R exchanges" 69_300
     (marginal_minor_words remote_exchanges 100)
 
 let suite =

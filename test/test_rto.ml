@@ -136,6 +136,60 @@ let test_adaptive_recovers_faster () =
     true
     (adaptive < fixed)
 
+let test_exhaustion_every_exchange () =
+  (* Every exchange kind against a silent (crashed) peer, run twice: each
+     attempt fires [max_retries + 1] expiries and [max_retries]
+     retransmissions of its kind; the first exhaustion is transient and
+     the second trips the failure detector.  GetPid surfaces no status, so
+     only the detector shows its second exhaustion. *)
+  let cfg = K.default_config in
+  let cases =
+    [
+      ("send", fun k peer -> Some (K.send k (Msg.create ()) peer));
+      ( "move-to",
+        fun k peer -> Some (K.move_to k ~dst_pid:peer ~dst:0 ~src:0 ~count:2048)
+      );
+      ( "move-from",
+        fun k peer ->
+          Some (K.move_from k ~src_pid:peer ~dst:0 ~src:0 ~count:2048) );
+      ( "getpid",
+        fun k _ ->
+          Alcotest.(check bool) "getpid finds nothing" true
+            (K.get_pid k ~logical_id:404 K.Remote = None);
+          None );
+    ]
+  in
+  List.iter
+    (fun (kind, op) ->
+      let tb = Util.testbed ~hosts:2 () in
+      let k1 = kernel_of tb 1 in
+      K.crash (kernel_of tb 2);
+      let peer = Vkernel.Pid.make ~host:2 ~local:1 in
+      let retransmits = ref 0 and backoffs = ref 0 in
+      Vsim.Trace.attach tb.Vworkload.Testbed.eng (fun _ ev ->
+          match ev with
+          | Vsim.Event.Retransmit r when r.kind = kind -> incr retransmits
+          | Vsim.Event.Backoff b when b.kind = kind -> incr backoffs
+          | _ -> ());
+      let attempt name expect_status suspected =
+        retransmits := 0;
+        backoffs := 0;
+        (match op k1 peer with
+        | Some st ->
+            Alcotest.check Util.status (kind ^ " " ^ name) expect_status st
+        | None -> ());
+        Alcotest.(check int) (kind ^ " retransmits") cfg.K.max_retries
+          !retransmits;
+        Alcotest.(check int) (kind ^ " backoffs") (cfg.K.max_retries + 1)
+          !backoffs;
+        Alcotest.(check int) (kind ^ " suspected") suspected
+          (K.stats k1).K.hosts_suspected
+      in
+      Util.run_as_process tb ~host:1 (fun _ ->
+          attempt "first exhaustion" K.Retryable 0;
+          attempt "second exhaustion" K.Dead 1))
+    cases
+
 let suite =
   [
     Alcotest.test_case "estimator converges" `Quick test_estimator_converges;
@@ -147,4 +201,6 @@ let suite =
       test_determinism_under_loss;
     Alcotest.test_case "adaptive recovers faster" `Quick
       test_adaptive_recovers_faster;
+    Alcotest.test_case "exhaustion in every exchange" `Quick
+      test_exhaustion_every_exchange;
   ]

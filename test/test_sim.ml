@@ -29,6 +29,7 @@ let test_eventq_cancel () =
   let ev1 = add q ~time:10 (fun () -> incr fired) in
   let _ev2 = add q ~time:20 (fun () -> incr fired) in
   Vsim.Eventq.cancel q ev1;
+  Vsim.Eventq.cancel q Vsim.Eventq.none;
   Alcotest.(check int) "live count" 1 (Vsim.Eventq.live_count q);
   Alcotest.(check int) "next is 20" 20 (Vsim.Eventq.top_time q);
   (match Vsim.Eventq.pop q with

@@ -1,0 +1,92 @@
+#!/bin/sh
+# Behaviour-parity oracle for refactors.
+#
+#   tools/parity.sh REV [OUTDIR]
+#
+# Builds git revision REV in a separate tree and the working tree in
+# place, runs the deterministic outputs of both, and compares them:
+#
+#   bench.txt              bench/main.exe all (stdout)
+#   check-SCENARIO.json    vsim check --scenario SCENARIO --depth 2 --json
+#   fault-MODE.txt/.jsonl  vsim fault --drop 0.2 --rto-mode MODE --trace-out
+#   vbench-WORKLOAD.txt    the sim_* lines of vbench run --seconds 0
+#
+# Prints IDENTICAL, or the name and the head of a diff of every output that
+# differs.  Outputs land in OUTDIR (default _parity/) as base/ and head/,
+# and each differing one as a unified diff in OUTDIR/diff/NAME.diff.  Exit
+# status is 0 when identical, 1 when something differs, 2 on a usage or
+# build error.  Run from the repository root.
+set -eu
+
+if [ $# -lt 1 ] || [ $# -gt 2 ]; then
+  echo "usage: tools/parity.sh REV [OUTDIR]" >&2
+  exit 2
+fi
+rev=$1
+out=${2:-_parity}
+root=$(pwd)
+if [ ! -f "$root/dune-project" ]; then
+  echo "parity: run from the repository root" >&2
+  exit 2
+fi
+sha=$(git rev-parse --verify --quiet "$rev^{commit}") || {
+  echo "parity: unknown revision $rev" >&2
+  exit 2
+}
+
+scenarios="net crash shared shared-crash inet inet-crash failover"
+workloads="ipc_pingpong cluster_read_mostly session_write_back fault_sweep boot_storm"
+
+rm -rf "$out"
+mkdir -p "$out/base" "$out/head" "$out/diff"
+out=$(cd "$out" && pwd)
+
+# An exported tree, not a checkout: it leaves no worktree metadata in the
+# repository and builds with its own _build.
+tree=$(mktemp -d)
+trap 'rm -rf "$tree"' EXIT INT TERM
+git archive "$sha" | tar -x -C "$tree"
+
+# collect SRC DEST: run every output of the tree at SRC into DEST.
+collect() {
+  src=$1
+  dst=$2
+  (cd "$src" && dune build 2>&1) >&2 || {
+    echo "parity: build failed in $src" >&2
+    exit 2
+  }
+  bin=$src/_build/default
+  (cd "$src" && "$bin/bench/main.exe" all 2>/dev/null) > "$dst/bench.txt"
+  for s in $scenarios; do
+    "$bin/bin/vsim.exe" check --scenario "$s" --depth 2 --json \
+      > "$dst/check-$s.json" || true
+  done
+  for m in fixed adaptive; do
+    "$bin/bin/vsim.exe" fault --drop 0.2 --rto-mode "$m" \
+      --trace-out "$dst/fault-$m.jsonl" > "$dst/fault-$m.txt"
+  done
+  for w in $workloads; do
+    "$bin/benchmark/vbench.exe" run --workload "$w" --seconds 0 \
+      | grep '^sim_' > "$dst/vbench-$w.txt" || true
+  done
+}
+
+collect "$tree" "$out/base"
+collect "$root" "$out/head"
+
+for f in "$out"/base/*; do
+  name=$(basename "$f")
+  diff -u "$f" "$out/head/$name" > "$out/diff/$name.diff" || true
+  [ -s "$out/diff/$name.diff" ] || rm -f "$out/diff/$name.diff"
+done
+
+if [ -z "$(ls "$out/diff")" ]; then
+  echo "IDENTICAL ($sha vs working tree)"
+  exit 0
+fi
+echo "DIFFERENT ($sha vs working tree):"
+for d in "$out"/diff/*.diff; do
+  echo "--- $(basename "$d" .diff)"
+  head -20 "$d"
+done
+exit 1
