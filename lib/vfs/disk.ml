@@ -13,9 +13,15 @@ let k_complete = Vsim.Eventq.Kind.intern "disk.complete"
 
 (* The block table is two-level: [chunks] holds one slot per
    [chunk_blocks] blocks, [no_chunk] until a block in it is first written.
-   Within a chunk, unwritten blocks point at the disk's shared all-zero
-   [zero] block.  So creating a disk costs O(blocks / chunk_blocks)
-   pointers and a disk pays only for the chunks and blocks it writes. *)
+   Within a chunk, unwritten blocks point at an all-zero block.  So
+   creating a disk costs O(blocks / chunk_blocks) pointers and a disk pays
+   only for the chunks and blocks it writes.
+
+   Blocks are immutable: a completed write stores the private copy
+   [write_k] took at submission, and reads hand out copies.  So a chunk
+   array can be shared with snapshots and with other disks; [owned.(i)]
+   says whether chunk [i] is this disk's alone, and a write to a shared
+   chunk copies its pointer array first. *)
 let chunk_bits = 8
 let chunk_blocks = 1 lsl chunk_bits
 let no_chunk : Bytes.t array = [||]
@@ -25,6 +31,7 @@ type t = {
   dhost : int;
   nblocks : int;
   chunks : Bytes.t array array;
+  owned : bool array;
   zero : Bytes.t;
   bsize : int;
   mutable lat : latency;
@@ -45,14 +52,14 @@ let create eng ?(host = 0) ?(latency = Fixed (Vsim.Time.ms 20)) ~blocks
     ~block_size () =
   if blocks <= 0 || block_size <= 0 then
     invalid_arg "Disk.create: blocks and block_size must be positive";
-  let zero = Bytes.make block_size '\000' in
+  let nchunks = (blocks + chunk_blocks - 1) lsr chunk_bits in
   {
     eng;
     dhost = host;
     nblocks = blocks;
-    chunks =
-      Array.make ((blocks + chunk_blocks - 1) lsr chunk_bits) no_chunk;
-    zero;
+    chunks = Array.make nchunks no_chunk;
+    owned = Array.make nchunks false;
+    zero = Bytes.make block_size '\000';
     bsize = block_size;
     lat = latency;
     head_cyl = 0;
@@ -89,20 +96,16 @@ let block t b =
   let c = t.chunks.(b lsr chunk_bits) in
   if c == no_chunk then t.zero else c.(b land (chunk_blocks - 1))
 
-(* A private buffer for block [b], allocating its chunk on first use. *)
-let own_block t b =
-  let i = b lsr chunk_bits and j = b land (chunk_blocks - 1) in
-  let c =
+(* Store [data] as block [b], taking chunk ownership first. *)
+let set_block t b data =
+  let i = b lsr chunk_bits in
+  if not t.owned.(i) then begin
     let c = t.chunks.(i) in
-    if c != no_chunk then c
-    else begin
-      let c = Array.make chunk_blocks t.zero in
-      t.chunks.(i) <- c;
-      c
-    end
-  in
-  if c.(j) == t.zero then c.(j) <- Bytes.create t.bsize;
-  c.(j)
+    t.chunks.(i) <-
+      (if c == no_chunk then Array.make chunk_blocks t.zero else Array.copy c);
+    t.owned.(i) <- true
+  end;
+  t.chunks.(i).(b land (chunk_blocks - 1)) <- data
 
 let access_time t b =
   match t.lat with
@@ -170,37 +173,56 @@ let read_k t b k =
   t.n_reads <- t.n_reads + 1;
   schedule t ~rw:"read" b (fun () -> k (Bytes.copy (block t b)))
 
-let write_k t b data k =
+(* [data] itself becomes block [b] when the write completes. *)
+let write_shared_k t b data k =
   check_block t b;
   if Bytes.length data <> t.bsize then
     Fmt.invalid_arg "Disk.write: expected %d-byte block, got %d" t.bsize
       (Bytes.length data);
   t.n_writes <- t.n_writes + 1;
-  let data = Bytes.copy data in
   schedule t ~rw:"write" b (fun () ->
-      Bytes.blit data 0 (own_block t b) 0 t.bsize;
+      set_block t b data;
       k ())
 
-(* Snapshots capture media contents only (not queue or timing state):
-   they exist so crash tests can save an image at one point of a write
-   sequence and wind the media back to replay recovery from there. *)
-type snapshot = { s_blocks : int; s_chunks : Bytes.t array array }
+let write_k t b data k = write_shared_k t b (Bytes.copy data) k
 
-(* Copy a chunk, keeping [zero] (the source disk's sentinel) shared. *)
-let copy_chunk ~zero c =
-  if c == no_chunk then no_chunk
-  else Array.map (fun b -> if b == zero then zero else Bytes.copy b) c
+(* A snapshot is the media plus the access counters (not queue or
+   timing state).  It shares the disk's chunk arrays, so taking one
+   gives every chunk up: the disk's next write to a chunk copies it. *)
+type snapshot = {
+  s_blocks : int;
+  s_bsize : int;
+  s_chunks : Bytes.t array array;
+  s_reads : int;
+  s_writes : int;
+}
+
+let disown t = Array.fill t.owned 0 (Array.length t.owned) false
 
 let snapshot t =
-  { s_blocks = t.nblocks;
-    s_chunks = Array.map (copy_chunk ~zero:t.zero) t.chunks }
+  disown t;
+  { s_blocks = t.nblocks; s_bsize = t.bsize; s_chunks = Array.copy t.chunks;
+    s_reads = t.n_reads; s_writes = t.n_writes }
 
-let restore t img =
-  if img.s_blocks <> t.nblocks then
-    invalid_arg "Disk.restore: snapshot from a different geometry";
-  Array.iteri
-    (fun i c -> t.chunks.(i) <- copy_chunk ~zero:t.zero c)
-    img.s_chunks
+(* Install [img]'s media, after checking it has this disk's geometry. *)
+let install fn t img =
+  if img.s_blocks <> t.nblocks || img.s_bsize <> t.bsize then
+    Fmt.invalid_arg "Disk.%s: image of %d %d-byte blocks on a disk of %d \
+                     %d-byte blocks" fn img.s_blocks img.s_bsize t.nblocks
+      t.bsize;
+  Array.blit img.s_chunks 0 t.chunks 0 (Array.length t.chunks);
+  disown t
+
+let restore t img = install "restore" t img
+
+let seed t img =
+  install "seed" t img;
+  t.n_reads <- img.s_reads;
+  t.n_writes <- img.s_writes
+
+let peek t b =
+  check_block t b;
+  Bytes.copy (block t b)
 
 let read t b =
   Vsim.Proc.suspend ~reason:"disk-read" (fun resume -> read_k t b resume)
@@ -208,3 +230,7 @@ let read t b =
 let write t b data =
   Vsim.Proc.suspend ~reason:"disk-write" (fun resume ->
       write_k t b data resume)
+
+let write_shared t b data =
+  Vsim.Proc.suspend ~reason:"disk-write" (fun resume ->
+      write_shared_k t b data resume)

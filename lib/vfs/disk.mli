@@ -43,22 +43,49 @@ val read : t -> int -> Bytes.t
 
 val write : t -> int -> Bytes.t -> unit
 (** [write t b data] blocks for the access latency. [data] must be exactly
-    one block. *)
+    one block; the disk stores a copy of it. *)
+
+val write_shared : t -> int -> Bytes.t -> unit
+(** {!write} without the copy: [data] itself becomes the block.  The
+    caller may go on reading [data] (a block cache keeps it as its
+    entry) but must never change it. *)
 
 val read_k : t -> int -> (Bytes.t -> unit) -> unit
 (** Callback form, e.g. for asynchronous read-ahead. *)
 
 val write_k : t -> int -> Bytes.t -> (unit -> unit) -> unit
 
+(** {1 Images}
+
+    Blocks are immutable values: a write stores a private copy of its
+    data when it completes, and reads return copies.  So a snapshot
+    shares the disk's blocks instead of copying them, and costs one
+    pointer per 256 blocks.  A snapshot is an image that any number of
+    disks, on any domain, may restore or be seeded from: each disk
+    copies a shared 256-block chunk's pointers on its first write there,
+    and never changes the image. *)
+
 type snapshot
 
 val snapshot : t -> snapshot
-(** Copy of the media contents only — no queue or timing state.  Crash
-    tests use it to save the image mid-sequence and wind the media back
-    with {!restore} to replay recovery from that point. *)
+(** The media contents and the {!reads}/{!writes} counters — no queue or
+    timing state.  Crash tests use it to save the image mid-sequence and
+    wind the media back with {!restore} to replay recovery from that
+    point. *)
 
 val restore : t -> snapshot -> unit
-(** Overwrite the media with a snapshot taken from the same geometry. *)
+(** Overwrite the media with a snapshot; the counters are left alone.
+    Raises [Invalid_argument] unless the snapshot has this disk's block
+    count and block size. *)
+
+val seed : t -> snapshot -> unit
+(** {!restore}, and set {!reads}/{!writes} to the snapshot's counts: a
+    fresh disk seeded from an image reads as the image's disk did when
+    the snapshot was taken.  Same geometry check as {!restore}. *)
+
+val peek : t -> int -> Bytes.t
+(** A copy of block [b] as it is now, outside simulated time: no
+    latency, no counters, no trace event. *)
 
 val reads : t -> int
 val writes : t -> int

@@ -116,8 +116,11 @@ let write_block ?(meta = false) t b data =
       Hashtbl.replace tx.tbuf b (Bytes.copy data);
       Hashtbl.replace tx.tmeta b meta
   | None ->
-      if meta || t.cache_on then Hashtbl.replace t.cache b (Bytes.copy data);
-      Disk.write t.dsk b data
+      (* One copy serves as both the cache entry and the disk block:
+         neither is ever changed in place. *)
+      let data = Bytes.copy data in
+      if meta || t.cache_on then Hashtbl.replace t.cache b data;
+      Disk.write_shared t.dsk b data
 
 let set_cache_enabled t on =
   t.cache_on <- on;
@@ -717,6 +720,15 @@ let mount dsk =
     end
   end
 
+(* The cache can be shared entry by entry: inserts store a copy and
+   lookups return one, so no entry is ever changed in place. *)
+let clone t dsk =
+  if Option.is_some t.txn || t.lock_busy then
+    invalid_arg "Fs.clone: filesystem is in the middle of an operation";
+  if Disk.block_size dsk <> block_size || Disk.blocks dsk <> Disk.blocks t.dsk
+  then invalid_arg "Fs.clone: disk geometry differs";
+  { t with dsk; cache = Hashtbl.copy t.cache; lock_waiters = Queue.create () }
+
 let create_op t name =
   if String.length name = 0 then Error Bad_argument
   else if String.length name > max_name then Error Name_too_long
@@ -825,20 +837,20 @@ let check t =
       let geo = t.geo in
       let issues = ref [] in
       let problem fmt = Printf.ksprintf (fun s -> issues := s :: !issues) fmt in
-      (* The bitmap, decoded. *)
-      let used = Array.make geo.nblocks false in
-      for bi = 0 to geo.bitmap_blocks - 1 do
-        let bytes = read_block ~meta:true t (geo.bitmap_start + bi) in
-        for i = 0 to block_size - 1 do
-          let v = Char.code (Bytes.get bytes i) in
-          if v <> 0 then
-            for bit = 0 to 7 do
-              let blk = (((bi * block_size) + i) * 8) + bit in
-              if blk < geo.nblocks && v land (1 lsl bit) <> 0 then
-                used.(blk) <- true
-            done
-        done
-      done;
+      (* The bitmap as read, tested in place: bit [b mod 8] of byte
+         [b / 8].  Blocks past its end read as free. *)
+      let bitmap =
+        Array.init geo.bitmap_blocks (fun bi ->
+            read_block ~meta:true t (geo.bitmap_start + bi))
+      in
+      let used b =
+        let idx = b / 8 in
+        let bi = idx / block_size in
+        bi < Array.length bitmap
+        && Char.code (Bytes.get bitmap.(bi) (idx mod block_size))
+           land (1 lsl (b mod 8))
+           <> 0
+      in
       (* Who owns each block: -2 nobody, -1 the system (metadata,
          journal), otherwise the owning inode. *)
       let owner = Array.make geo.nblocks (-2) in
@@ -884,14 +896,14 @@ let check t =
       (* Bitmap vs ownership. *)
       for b = 0 to geo.nblocks - 1 do
         if owner.(b) = -1 then begin
-          if not used.(b) then
+          if not (used b) then
             problem "reserved block %d marked free in the bitmap" b
         end
         else if owner.(b) >= 0 then begin
-          if not used.(b) then
+          if not (used b) then
             problem "block %d in use by inode %d but marked free" b owner.(b)
         end
-        else if used.(b) then
+        else if used b then
           problem "block %d marked used but referenced by no inode (leak)" b
       done;
       (* Directory entries must point at live inodes. *)

@@ -51,6 +51,13 @@ val mount : Disk.t -> (t, error) result
 
 val disk : t -> Disk.t
 
+val clone : t -> Disk.t -> t
+(** [clone t disk] is [t] on [disk]: the same geometry, block cache,
+    cache counters and journal sequence, with no transaction open and
+    the lock free.  [disk] must hold the same media as [t]'s disk (e.g.
+    seeded from its {!Disk.snapshot}) and have its geometry.  Raises
+    [Invalid_argument] while [t] is in the middle of an operation. *)
+
 val journaled : t -> bool
 
 val recover : t -> unit

@@ -42,36 +42,8 @@ let run_proc t ?(name = "setup") f =
   let (_ : Vsim.Proc.t) = Vsim.Proc.spawn t.eng ~name f in
   Vsim.Engine.run t.eng
 
-let pattern_byte i = Char.chr (((i * 31) + 7) land 0xFF)
-
-let pattern_bytes ~pos ~len =
-  Bytes.init len (fun i -> pattern_byte (pos + i))
+let pattern_byte = Mkfs.pattern_byte
 
 let make_test_fs t ?(host = 1) ?(latency = Vfs.Disk.Fixed 0) ?(blocks = 16384)
     ?(journal_blocks = 0) ~files () =
-  let disk =
-    Vfs.Disk.create t.eng ~host ~latency:(Vfs.Disk.Fixed 0) ~blocks
-      ~block_size:Vfs.Fs.block_size ()
-  in
-  let fs_box = ref None in
-  run_proc t ~name:"mkfs" (fun () ->
-      Vfs.Fs.format disk ~journal_blocks ~ninodes:256 ();
-      let fs =
-        match Vfs.Fs.mount disk with
-        | Ok fs -> fs
-        | Error e -> Fmt.failwith "mkfs: %a" Vfs.Fs.pp_error e
-      in
-      List.iter
-        (fun (name, size) ->
-          match Vfs.Fs.create fs name with
-          | Error e -> Fmt.failwith "mkfs %s: %a" name Vfs.Fs.pp_error e
-          | Ok inum -> (
-              match
-                Vfs.Fs.write fs ~inum ~pos:0 (pattern_bytes ~pos:0 ~len:size)
-              with
-              | Ok () -> ()
-              | Error e -> Fmt.failwith "mkfs %s: %a" name Vfs.Fs.pp_error e))
-        files;
-      fs_box := Some fs);
-  Vfs.Disk.set_latency disk latency;
-  Option.get !fs_box
+  Mkfs.make t.eng ~host ~latency ~blocks ~journal_blocks ~files

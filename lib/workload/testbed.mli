@@ -33,8 +33,8 @@ val host : t -> int -> host
 
 val run_proc : t -> ?name:string -> (unit -> unit) -> unit
 (** Spawn a bare fiber (no kernel process) and run the engine until all
-    activity quiesces.  Used for setup phases: formatting disks, creating
-    files. *)
+    activity quiesces.  Used for setup and audit phases: installing
+    files, reading back what a run left on disk. *)
 
 val run : ?until:Vsim.Time.t -> t -> unit
 (** Run the engine (see {!Vsim.Engine.run}). *)
@@ -51,10 +51,13 @@ val make_test_fs :
   files:(string * int) list ->
   unit ->
   Vfs.Fs.t
-(** Build a formatted filesystem pre-populated with the named files (sizes
-    in bytes, contents from {!pattern_byte}).  Runs its own setup fiber to
-    completion; the disk has zero latency during population, then the
-    requested latency.  [host] (default 1) attributes the disk's [Disk_io]
-    trace events to the server's station address.  [journal_blocks]
-    (default 0, unjournaled) reserves a write-ahead journal so crash
-    tests get atomic, replayable mutations — see {!Vfs.Fs.format}. *)
+(** A formatted filesystem pre-populated with the named files (sizes in
+    bytes, contents from {!pattern_byte}), on a new disk with the
+    requested latency; see {!Mkfs.make}.  The formatting is not
+    simulated: the disk is seeded from an image of the shape built once
+    per domain, so it costs the engine no events or trace records.
+    Afterwards the engine is run until quiescent, like {!run_proc}.
+    [host] (default 1) attributes the disk's [Disk_io] trace events to
+    the server's station address.  [journal_blocks] (default 0,
+    unjournaled) reserves a write-ahead journal so crash tests get
+    atomic, replayable mutations — see {!Vfs.Fs.format}. *)

@@ -110,30 +110,6 @@ let spec_of_string s =
       | Ok _ -> Error "need at least two segments (e.g. 3mb:2,10mb:4)"
       | Error e -> Error e)
 
-let make_fs t ~host:h ?(latency = Vfs.Disk.Fixed 0) ?(blocks = 16384)
+let make_fs t ~host ?(latency = Vfs.Disk.Fixed 0) ?(blocks = 16384)
     ?(journal_blocks = 0) ~files () =
-  let disk =
-    Vfs.Disk.create t.eng ~host:h ~latency:(Vfs.Disk.Fixed 0) ~blocks
-      ~block_size:Vfs.Fs.block_size ()
-  in
-  let fs_box = ref None in
-  run_proc t ~name:"mkfs" (fun () ->
-      Vfs.Fs.format disk ~journal_blocks ~ninodes:256 ();
-      let fs =
-        match Vfs.Fs.mount disk with
-        | Ok fs -> fs
-        | Error e -> Fmt.failwith "mkfs: %a" Vfs.Fs.pp_error e
-      in
-      List.iter
-        (fun (name, size) ->
-          match Vfs.Fs.create fs name with
-          | Error e -> Fmt.failwith "mkfs %s: %a" name Vfs.Fs.pp_error e
-          | Ok inum -> (
-              let data = Bytes.init size (fun i -> Testbed.pattern_byte i) in
-              match Vfs.Fs.write fs ~inum ~pos:0 data with
-              | Ok () -> ()
-              | Error e -> Fmt.failwith "mkfs %s: %a" name Vfs.Fs.pp_error e))
-        files;
-      fs_box := Some fs);
-  Vfs.Disk.set_latency disk latency;
-  Option.get !fs_box
+  Mkfs.make t.eng ~host ~latency ~blocks ~journal_blocks ~files

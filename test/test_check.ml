@@ -289,6 +289,27 @@ let test_cli_repro_scenario () =
       Alcotest.(check int) "headerless crash, --scenario crash" 0
         (vsim [ "--repro"; path; "--scenario"; "crash" ]))
 
+(* tools/parity.sh replays one committed reproducer per scenario; each
+   must name its scenario, script at least one fault and replay clean. *)
+let test_committed_repros () =
+  List.iter
+    (fun (sc : Scenario.t) ->
+      let path = Filename.concat "repro" (sc.name ^ ".repro") in
+      let text = In_channel.with_open_text path In_channel.input_all in
+      match Checker.load_repro text with
+      | Error e -> Alcotest.failf "%s: %s" path e
+      | Ok (sc', s) ->
+          Alcotest.(check string)
+            (path ^ " scenario") sc.name sc'.Scenario.name;
+          Alcotest.(check bool) (path ^ " scripts a fault") true (s <> []);
+          let o = sc'.run s in
+          Alcotest.(check (list string))
+            (path ^ " replays clean") []
+            (List.map
+               (fun (v : Checker.violation) -> v.invariant)
+               o.violations))
+    Scenario.all
+
 let suite =
   [
     Alcotest.test_case "baseline clean" `Quick test_baseline_clean;
@@ -315,4 +336,5 @@ let suite =
     Alcotest.test_case "shrinker minimizes" `Quick test_shrinker_minimizes;
     Alcotest.test_case "injected violation caught" `Quick
       test_injected_violation_caught;
+    Alcotest.test_case "committed repros" `Quick test_committed_repros;
   ]

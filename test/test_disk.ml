@@ -196,6 +196,88 @@ let test_snapshot_restore () =
          Vfs.Disk.restore d img;
          check_block d 1 (block 'a')))
 
+(* A disk holding [img]'s media and counters, on a fresh engine. *)
+let seeded img =
+  let eng = Vsim.Engine.create () in
+  let d =
+    Vfs.Disk.create eng ~latency:(Vfs.Disk.Fixed 0) ~blocks:16384
+      ~block_size:16 ()
+  in
+  Vfs.Disk.seed d img;
+  d
+
+let peek_block d b want =
+  Alcotest.(check bytes) (Fmt.str "block %d" b) want (Vfs.Disk.peek d b)
+
+(* Run [f] as a fiber on [d]'s engine. *)
+let on d f =
+  let eng = Vfs.Disk.engine d in
+  let (_ : Vsim.Proc.t) = Vsim.Proc.spawn eng (fun () -> f d) in
+  Vsim.Engine.run eng
+
+let test_image_sharing () =
+  let src =
+    with_big_disk (fun d ->
+        Vfs.Disk.write d 1 (block 'a');
+        Vfs.Disk.write d 700 (block 'b');
+        ignore (Vfs.Disk.read d 1 : Bytes.t))
+  in
+  let img = Vfs.Disk.snapshot src in
+  let a = seeded img and b = seeded img in
+  Alcotest.(check (pair int int))
+    "counters carry over" (1, 2)
+    (Vfs.Disk.reads a, Vfs.Disk.writes a);
+  on a (fun d ->
+      Vfs.Disk.write d 1 (block 'x');
+      Vfs.Disk.write d 2 (block 'y'));
+  on b (fun d -> Vfs.Disk.write d 700 (block 'z'));
+  (* Each disk sees only its own writes. *)
+  peek_block a 1 (block 'x');
+  peek_block a 2 (block 'y');
+  peek_block a 700 (block 'b');
+  peek_block b 1 (block 'a');
+  peek_block b 2 (block '\000');
+  peek_block b 700 (block 'z');
+  Alcotest.(check (pair int int))
+    "counters move on" (1, 4)
+    (Vfs.Disk.reads a, Vfs.Disk.writes a);
+  (* Neither write reached the source disk or the image. *)
+  peek_block src 1 (block 'a');
+  peek_block src 700 (block 'b');
+  let c = seeded img in
+  peek_block c 1 (block 'a');
+  peek_block c 2 (block '\000');
+  peek_block c 700 (block 'b');
+  (* Restoring the image after writes winds the media back but leaves
+     the counters alone. *)
+  Vfs.Disk.restore a img;
+  peek_block a 1 (block 'a');
+  peek_block a 2 (block '\000');
+  Alcotest.(check int) "restore keeps counters" 4 (Vfs.Disk.writes a);
+  on a (fun d -> Vfs.Disk.write d 1 (block 'w'));
+  peek_block a 1 (block 'w');
+  peek_block b 1 (block 'a');
+  peek_block c 1 (block 'a')
+
+(* Same block count, different block size: the image must not fit. *)
+let test_image_geometry () =
+  let eng = Vsim.Engine.create () in
+  let disk ~blocks ~block_size =
+    Vfs.Disk.create eng ~latency:(Vfs.Disk.Fixed 0) ~blocks ~block_size ()
+  in
+  let img = Vfs.Disk.snapshot (disk ~blocks:64 ~block_size:16) in
+  let refuses name f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted an image of another geometry" name
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun (blocks, block_size) ->
+      let d = disk ~blocks ~block_size in
+      refuses "restore" (fun () -> Vfs.Disk.restore d img);
+      refuses "seed" (fun () -> Vfs.Disk.seed d img))
+    [ (64, 32); (65, 16) ]
+
 let suite =
   [
     Alcotest.test_case "fixed latency" `Quick test_fixed_latency;
@@ -208,4 +290,6 @@ let suite =
     Alcotest.test_case "bounds" `Quick test_bounds;
     Alcotest.test_case "sparse block table" `Quick test_sparse_table;
     Alcotest.test_case "snapshot restore" `Quick test_snapshot_restore;
+    Alcotest.test_case "image sharing" `Quick test_image_sharing;
+    Alcotest.test_case "image geometry" `Quick test_image_geometry;
   ]

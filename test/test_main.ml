@@ -32,6 +32,7 @@ let () =
       ("inet", Test_inet.suite);
       ("failover", Test_failover.suite);
       ("boot", Test_boot.suite);
+      ("mkfs", Test_mkfs.suite);
       ("journal", Test_journal.suite);
       ("crash", Test_crash.suite);
     ]

@@ -10,6 +10,12 @@
 #   check-SCENARIO.json    vsim check --scenario SCENARIO --depth 2 --json
 #   fault-MODE.txt/.jsonl  vsim fault --drop 0.2 --rto-mode MODE --trace-out
 #   vbench-WORKLOAD.txt    the sim_* lines of vbench run --seconds 0
+#   repro-SCENARIO.txt     vsim check --repro test/repro/SCENARIO.repro
+#
+# The sweeps print only summaries, so each scenario also replays one
+# committed fault schedule, whose digest (ops, ledger, frames, kernel
+# stats and tables, medium counters) shows a change inside a single run.
+# Both trees replay the working tree's test/repro files.
 #
 # Prints IDENTICAL, or the name and the head of a diff of every output that
 # differs.  Outputs land in OUTDIR (default _parity/) as base/ and head/,
@@ -64,6 +70,10 @@ collect() {
   for m in fixed adaptive; do
     "$bin/bin/vsim.exe" fault --drop 0.2 --rto-mode "$m" \
       --trace-out "$dst/fault-$m.jsonl" > "$dst/fault-$m.txt"
+  done
+  for r in "$root"/test/repro/*.repro; do
+    "$bin/bin/vsim.exe" check --repro "$r" \
+      > "$dst/repro-$(basename "$r" .repro).txt" || true
   done
   for w in $workloads; do
     "$bin/benchmark/vbench.exe" run --workload "$w" --seconds 0 \
