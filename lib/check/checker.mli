@@ -42,22 +42,22 @@ module Scenario : sig
   }
 
   val net : t
-  (** {!Workload} under network faults ({!Schedule.enumerate}):
+  (** {!Workload.net} under network faults ({!Schedule.enumerate}):
       exactly-once application and data fidelity. *)
 
   val crash : t
-  (** {!Crash_workload} under file-server crash + restart points: no
+  (** {!Workload.crash} under file-server crash + restart points: no
       acknowledged write lost, no torn block, {!Vfs.Fs.check} clean. *)
 
   val all : t list
   (** Every scenario [vsim check] can reach, in this order: [net],
-      [crash], [shared] and [shared-crash] ({!Shared_workload} under
+      [crash], [shared] and [shared-crash] ({!Workload.shared} under
       network faults, or file-server crash + restart: no stale read, and
       a reopen under a valid lease costs zero server requests), [inet]
-      and [inet-crash] ({!Inet_workload} under network faults on the
+      and [inet-crash] ({!Workload.inet} under network faults on the
       client segment, or gateway crash + restart: no unroutable unicast,
       conservation on every segment), and [failover]
-      ({!Failover_workload} under crash-stop points of the shard-A
+      ({!Workload.failover} under crash-stop points of the shard-A
       primary: the standby takes over with no acknowledged write lost). *)
 
   val find : string -> t option

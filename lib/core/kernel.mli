@@ -44,6 +44,9 @@ type status =
 val status_to_string : status -> string
 val pp_status : Format.formatter -> status -> unit
 
+val status_to_code : status -> int
+(** The status as a byte, as Nack packets carry it: [Ok] is 0. *)
+
 (** Visibility of a registry entry or lookup (paper, Section 3.1: needed
     to distinguish per-workstation servers from network-wide ones). *)
 type scope = Local | Remote | Any

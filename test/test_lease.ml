@@ -8,7 +8,6 @@ module K = Vkernel.Kernel
 module Io = Vfs.Client.Io
 module Schedule = Vcheck.Schedule
 module Checker = Vcheck.Checker
-module Shared_workload = Vcheck.Shared_workload
 
 let kernel_of tb i = (Vworkload.Testbed.host tb i).Vworkload.Testbed.kernel
 let now tb = Vsim.Engine.now tb.Vworkload.Testbed.eng
@@ -289,13 +288,13 @@ let violation_strings vs =
    the machinery it claims to. *)
 let test_shared_workload () =
   let shared = Option.get (Checker.Scenario.find "shared") in
-  let r = Shared_workload.run () in
+  let x = (Vcheck.Workload.run Vcheck.Workload.shared ()).extra in
   Alcotest.(check (list string)) "baseline clean" []
     (violation_strings (shared.run []).violations);
   Alcotest.(check (option int)) "reopen under lease cost zero RPCs"
-    (Some 0) r.Shared_workload.lease_reopen_rpcs;
+    (Some 0) x.lease_reopen_rpcs;
   Alcotest.(check bool) "breaks actually flowed" true
-    (r.Shared_workload.breaks_a >= 1 && r.Shared_workload.breaks_b >= 1);
+    (x.breaks_a >= 1 && x.breaks_b >= 1);
   List.iter
     (fun sched ->
         Alcotest.(check (list string))
