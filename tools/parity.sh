@@ -7,15 +7,20 @@
 # place, runs the deterministic outputs of both, and compares them:
 #
 #   bench.txt              bench/main.exe all (stdout)
-#   check-SCENARIO.json    vsim check --scenario SCENARIO --depth 2 --json
+#   check-SCENARIO.json    vsim check --scenario SCENARIO --depth 2 --json,
+#                          every depth-2 schedule (--limit 100000)
 #   fault-MODE.txt/.jsonl  vsim fault --drop 0.2 --rto-mode MODE --trace-out
 #   vbench-WORKLOAD.txt    the sim_* lines of vbench run --seconds 0
-#   repro-SCENARIO.txt     vsim check --repro test/repro/SCENARIO.repro
+#   repro-NAME.txt/.jsonl  vsim check --repro test/repro/NAME.repro
+#                          --trace-out, and failing-NAME for each
+#                          test/repro/failing/NAME.repro
 #
 # The sweeps print only summaries, so each scenario also replays one
 # committed fault schedule, whose digest (ops, ledger, frames, kernel
-# stats and tables, medium counters) shows a change inside a single run.
-# Both trees replay the working tree's test/repro files.
+# stats and tables, medium counters) and JSONL trace (every packet,
+# MoveTo/MoveFrom page train and GetPid broadcast) show a change inside
+# a single run.  The failing reproducers cover the error paths a clean
+# run never takes.  Both trees replay the working tree's repro files.
 #
 # Prints IDENTICAL, or the name and the head of a diff of every output that
 # differs.  Outputs land in OUTDIR (default _parity/) as base/ and head/,
@@ -64,16 +69,18 @@ collect() {
   bin=$src/_build/default
   (cd "$src" && "$bin/bench/main.exe" all 2>/dev/null) > "$dst/bench.txt"
   for s in $scenarios; do
-    "$bin/bin/vsim.exe" check --scenario "$s" --depth 2 --json \
-      > "$dst/check-$s.json" || true
+    "$bin/bin/vsim.exe" check --scenario "$s" --depth 2 --limit 100000 \
+      --json > "$dst/check-$s.json" || true
   done
   for m in fixed adaptive; do
     "$bin/bin/vsim.exe" fault --drop 0.2 --rto-mode "$m" \
       --trace-out "$dst/fault-$m.jsonl" > "$dst/fault-$m.txt"
   done
-  for r in "$root"/test/repro/*.repro; do
+  for r in "$root"/test/repro/*.repro "$root"/test/repro/failing/*.repro; do
+    name=$(basename "$r" .repro)
+    case $r in */failing/*) name=failing-$name ;; esac
     "$bin/bin/vsim.exe" check --repro "$r" \
-      > "$dst/repro-$(basename "$r" .repro).txt" || true
+      --trace-out "$dst/repro-$name.jsonl" > "$dst/repro-$name.txt" || true
   done
   for w in $workloads; do
     "$bin/benchmark/vbench.exe" run --workload "$w" --seconds 0 \
