@@ -305,8 +305,9 @@ let charge t ns = Vhw.Cpu.charge t.kcpu ns
 let charge_k t ns k = Vhw.Cpu.charge_k t.kcpu ns k
 
 (* Asynchronous accounting charge: real processor time that overlaps the
-   network round trip (timer setup, alien reclamation, ...). *)
-let charge_async t ns = if ns > 0 then Vhw.Cpu.charge_k t.kcpu ns ignore
+   network round trip (timer setup, alien reclamation, ...).  Nothing
+   waits for it, so it is a reservation rather than an event. *)
+let charge_async t ns = Vhw.Cpu.reserve t.kcpu ns
 
 let next_seq t =
   t.next_seq <- t.next_seq + 1;

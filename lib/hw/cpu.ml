@@ -21,17 +21,22 @@ let engine t = t.eng
 let busy_ns t = t.busy
 let free_at t = max t.free (Vsim.Engine.now t.eng)
 
-let charge_k t ns k =
-  let ns = max ns 0 in
-  let now = Vsim.Engine.now t.eng in
-  let start = max now t.free in
+(* Queue [ns] of work behind whatever the CPU already holds and return the
+   instant it completes. *)
+let book t ns =
+  let start = max (Vsim.Engine.now t.eng) t.free in
   let finish = start + ns in
   t.free <- finish;
   t.busy <- t.busy + ns;
   if ns > 0 && Vsim.Trace.tracing t.eng then
     Vsim.Trace.event t.eng
       (Vsim.Event.Cpu_grant { host = t.chost; cpu = t.cname; ns });
-  ignore (Vsim.Engine.at t.eng ~kind:k_grant finish k)
+  finish
+
+let charge_k t ns k =
+  ignore (Vsim.Engine.at t.eng ~kind:k_grant (book t (max ns 0)) k)
+
+let reserve t ns = if ns > 0 then ignore (book t ns)
 
 let charge t ns =
   Vsim.Proc.suspend ~reason:"cpu" (fun resume -> charge_k t ns resume)

@@ -7,10 +7,13 @@
     utilization measurements, and the file-server saturation behaviour of
     Section 7 — a server CPU that is busy delays the next request.
 
-    Two charging forms exist because kernel code runs in two contexts:
+    Three charging forms exist because kernel work comes in three kinds:
     - {!charge} blocks the calling fiber (process context);
     - {!charge_k} schedules a continuation (interrupt context, e.g. packet
-      reception, where there is no fiber to block). *)
+      reception, where there is no fiber to block);
+    - {!reserve} books time that nothing waits for (bookkeeping that
+      overlaps other work); it schedules no event, but later charges on
+      the CPU still queue behind it. *)
 
 type t
 
@@ -26,12 +29,21 @@ val engine : t -> Vsim.Engine.t
 
 val charge : t -> int -> unit
 (** [charge cpu ns] blocks the current fiber until the CPU has executed
-    [ns] of work for it. [ns <= 0] is a no-op. *)
+    [ns] of work for it.  A charge of [ns <= 0] still waits: it returns
+    once the work already queued on the CPU has finished (behind a
+    1,000 ns {!charge_k} issued at t = 0 it returns at t = 1,000), and on
+    an idle CPU it still yields to the events due now. *)
 
 val charge_k : t -> int -> (unit -> unit) -> unit
 (** [charge_k cpu ns k] reserves [ns] of CPU and calls [k] when that work
     completes. Never calls [k] synchronously (even for [ns <= 0]), keeping
     callback re-entrancy out of kernel code. *)
+
+val reserve : t -> int -> unit
+(** [reserve cpu ns] books [ns] of CPU exactly as [charge_k cpu ns ignore]
+    does: {!busy_ns} and {!free_at} advance alike, later charges wait
+    behind it, and a traced CPU emits the same [Cpu_grant] event at once.
+    It schedules no engine event.  [ns <= 0] reserves nothing. *)
 
 val compute : t -> int -> unit
 (** Application-level computation; same semantics as {!charge}. *)

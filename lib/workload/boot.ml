@@ -225,11 +225,11 @@ let run ?seed ?(config = default_config) ?(max_events = default_max_events)
       let op = Bytes.get_uint8 p 0 in
       if op = op_join && Bytes.length p >= 4 then begin
         incr joins;
-        Vhw.Cpu.charge_k s_cpu (rx_cost (Bytes.length p)) ignore
+        Vhw.Cpu.reserve s_cpu (rx_cost (Bytes.length p))
       end
       else if op = op_status && Bytes.length p >= 6 then begin
         incr statuses;
-        Vhw.Cpu.charge_k s_cpu (rx_cost (Bytes.length p)) ignore;
+        Vhw.Cpu.reserve s_cpu (rx_cost (Bytes.length p));
         let addr = Bytes.get_uint16_be p 2 in
         let is_done = Bytes.get_uint8 p 4 = 1 in
         let k = Bytes.get_uint8 p 5 in
@@ -299,7 +299,7 @@ let run ?seed ?(config = default_config) ?(max_events = default_max_events)
         if idx < config.pages && not c.c_have.(idx) then begin
           c.c_have.(idx) <- true;
           c.c_got <- c.c_got + 1;
-          Vhw.Cpu.charge_k c.c_cpu (rx_cost (Bytes.length p)) ignore
+          Vhw.Cpu.reserve c.c_cpu (rx_cost (Bytes.length p))
         end
       end
       else if op = op_end && Bytes.length p >= 4 then

@@ -48,6 +48,113 @@ let test_cpu_blocking_charge () =
   Vsim.Engine.run eng;
   Alcotest.(check int) "sequential charges" 500 !t
 
+(* A charge of 0 ns is not a no-op: it waits for the work already queued
+   on the CPU, and on an idle CPU it still yields to the events due now.
+   Kernel paths such as a zero-length segment copy rely on both. *)
+let test_cpu_zero_charge_waits () =
+  let eng = Vsim.Engine.create () in
+  let cpu = Vhw.Cpu.create eng ~model:Vhw.Cost_model.sun_8mhz ~name:"cpu" in
+  let queued_at = ref (-1) and idle_at = ref (-1) and ran_first = ref false in
+  Vhw.Cpu.charge_k cpu 1_000 ignore;
+  let (_ : Vsim.Proc.t) =
+    Vsim.Proc.spawn eng (fun () ->
+        Vhw.Cpu.charge cpu 0;
+        queued_at := Vsim.Engine.now eng;
+        let due_now = ref false in
+        ignore (Vsim.Engine.after eng 0 (fun () -> due_now := true));
+        Vhw.Cpu.charge cpu 0;
+        ran_first := !due_now;
+        idle_at := Vsim.Engine.now eng)
+  in
+  Vsim.Engine.run eng;
+  Alcotest.(check int) "0 ns waits behind a 1,000 ns charge_k" 1_000
+    !queued_at;
+  Alcotest.(check int) "0 ns on an idle CPU takes no time" 1_000 !idle_at;
+  Alcotest.(check bool) "0 ns on an idle CPU yields to events due now" true
+    !ran_first;
+  Alcotest.(check int) "0 ns adds no busy time" 1_000 (Vhw.Cpu.busy_ns cpu)
+
+(* [reserve] books CPU time exactly as [charge_k ... ignore] does, without
+   an event.  Each check runs the same history on a reserving CPU and on
+   a charge_k CPU, in separate engines, and compares them. *)
+let test_cpu_reserve () =
+  let pair () =
+    let mk () =
+      let eng = Vsim.Engine.create () in
+      (eng, Vhw.Cpu.create eng ~model:Vhw.Cost_model.sun_8mhz ~name:"cpu")
+    in
+    (mk (), mk ())
+  in
+  let same what (_, r) (_, c) =
+    Alcotest.(check int) (what ^ ": busy_ns") (Vhw.Cpu.busy_ns c)
+      (Vhw.Cpu.busy_ns r);
+    Alcotest.(check int) (what ^ ": free_at") (Vhw.Cpu.free_at c)
+      (Vhw.Cpu.free_at r)
+  in
+  (* An idle CPU, a queued one, and one idle again after a gap. *)
+  let ((reng, rcpu) as r), ((ceng, ccpu) as c) = pair () in
+  let pending0 = Vsim.Engine.pending reng in
+  Vhw.Cpu.reserve rcpu 300;
+  Vhw.Cpu.charge_k ccpu 300 ignore;
+  Alcotest.(check int) "reserve schedules nothing" pending0
+    (Vsim.Engine.pending reng);
+  same "idle" r c;
+  Vhw.Cpu.reserve rcpu 200;
+  Vhw.Cpu.charge_k ccpu 200 ignore;
+  same "queued" r c;
+  Alcotest.(check int) "queued: 500 busy" 500 (Vhw.Cpu.busy_ns rcpu);
+  let at_gap (eng, cpu) f =
+    ignore (Vsim.Engine.at eng 2_000 (fun () -> f cpu))
+  in
+  at_gap r (fun cpu -> Vhw.Cpu.reserve cpu 100);
+  at_gap c (fun cpu -> Vhw.Cpu.charge_k cpu 100 ignore);
+  Vsim.Engine.run reng;
+  Vsim.Engine.run ceng;
+  same "after a gap" r c;
+  Alcotest.(check int) "after a gap: free at 2,100" 2_100
+    (Vhw.Cpu.free_at rcpu);
+  (* A charge_k behind a reserve completes at the reserve's end plus its
+     own ns, as it does behind a charge_k. *)
+  let done_at (eng, cpu) first =
+    let t = ref (-1) in
+    first cpu;
+    Vhw.Cpu.charge_k cpu 50 (fun () -> t := Vsim.Engine.now eng);
+    Vsim.Engine.run eng;
+    !t
+  in
+  let r, c = pair () in
+  let by_reserve = done_at r (fun cpu -> Vhw.Cpu.reserve cpu 300) in
+  Alcotest.(check int) "charge_k behind a reserve" 350 by_reserve;
+  Alcotest.(check int) "charge_k behind a charge_k" by_reserve
+    (done_at c (fun cpu -> Vhw.Cpu.charge_k cpu 300 ignore));
+  (* ns <= 0 changes nothing. *)
+  let eng, cpu = fst (pair ()) in
+  ignore (Vsim.Engine.at eng 700 ignore);
+  Vsim.Engine.run eng;
+  Vhw.Cpu.reserve cpu 0;
+  Vhw.Cpu.reserve cpu (-5);
+  Alcotest.(check int) "ns <= 0: no busy time" 0 (Vhw.Cpu.busy_ns cpu);
+  Alcotest.(check int) "ns <= 0: free now" 700 (Vhw.Cpu.free_at cpu);
+  Alcotest.(check int) "ns <= 0: nothing pending" 0 (Vsim.Engine.pending eng);
+  (* A traced reserve emits one Cpu_grant carrying its ns, like charge_k;
+     a 0 ns reserve emits none. *)
+  let grants (eng, cpu) book =
+    let got = ref [] in
+    Vsim.Trace.attach eng (fun _ ev ->
+        match ev with
+        | Vsim.Event.Cpu_grant { ns; _ } -> got := ns :: !got
+        | _ -> ());
+    book cpu 0;
+    book cpu 420;
+    Vsim.Engine.run eng;
+    List.rev !got
+  in
+  let r, c = pair () in
+  let traced = grants r Vhw.Cpu.reserve in
+  Alcotest.(check (list int)) "traced reserve: one cpu_grant" [ 420 ] traced;
+  Alcotest.(check (list int)) "traced charge_k: the same cpu_grant" traced
+    (grants c (fun cpu ns -> Vhw.Cpu.charge_k cpu ns ignore))
+
 let test_calibration_pinned () =
   (* These are the constants everything else is calibrated against; a
      change here invalidates EXPERIMENTS.md. *)
@@ -110,4 +217,7 @@ let suite =
     Alcotest.test_case "calibration pinned" `Quick test_calibration_pinned;
     Alcotest.test_case "penalty formula" `Quick test_penalty_formula;
     Alcotest.test_case "cost model scale" `Quick test_scale;
+    Alcotest.test_case "cpu zero charge waits" `Quick
+      test_cpu_zero_charge_waits;
+    Alcotest.test_case "cpu reserve" `Quick test_cpu_reserve;
   ]
