@@ -395,9 +395,19 @@ let run (Spec s) ?(fault = Vnet.Fault.none) ?(max_events = s.max_events) ?seed
 (* Crash recovery: a pre-populated file whose blocks are overwritten.
    Old images come from the testbed pattern and new ones from a distinct
    per-block pattern, so a torn block, neither all-old nor all-new, is
-   detectable byte-for-byte. *)
-let old_block b = block_of (fun i -> (b * bs) + i)
-let new_block b = block_of (fun i -> 7000 + (b * bs) + i)
+   detectable byte-for-byte.  Like every image a script or audit compares
+   against, they are built once and shared: [Write] and [Mem.write] copy
+   them, and nothing changes them. *)
+let file_blocks = 4 (* the most blocks a workload's file holds *)
+
+let old_blocks =
+  Array.init file_blocks (fun b -> block_of (fun i -> (b * bs) + i))
+
+let new_blocks =
+  Array.init file_blocks (fun b -> block_of (fun i -> 7000 + (b * bs) + i))
+
+let old_block b = old_blocks.(b)
+let new_block b = new_blocks.(b)
 
 type recovery = {
   acked : int list;
@@ -421,7 +431,7 @@ let overwrite file blocks =
    actually hold?  [recover] first runs recovery there, the model of
    carrying the disk of a host that never came back to another
    machine. *)
-let audit_recovery (w : world) (r : run) ~recover ~file ~blocks =
+let audit_recovery (w : world) (r : run) ~recover ~file =
   let fs = List.hd w.fs in
   let acked_lost = ref [] and torn = ref [] and fsck = ref [] in
   if r.quiescent then
@@ -430,7 +440,7 @@ let audit_recovery (w : world) (r : run) ~recover ~file ~blocks =
         (match Vfs.Fs.lookup fs file with
         | None -> fsck := [ Printf.sprintf "audit: file %s vanished" file ]
         | Some inum ->
-            for b = 0 to blocks - 1 do
+            for b = 0 to file_blocks - 1 do
               match Vfs.Fs.read fs ~inum ~pos:(b * bs) ~len:bs with
               | Error _ -> torn := b :: !torn
               | Ok got ->
@@ -503,6 +513,12 @@ let seg_len = 512
 let io_block = 2 (* file block the cached write dirties *)
 let io_expect = block_of (fun i -> 1000 + i)
 
+(* The server's reply segment, the mover's MoveTo source and the
+   client's MoveFrom source, each also what its receiver checks. *)
+let seg_image = Bytes.init seg_len pattern
+let move_image = Bytes.init move_len (fun i -> pattern (i * 3))
+let from_image = Bytes.init from_len (fun i -> pattern (8192 + i))
+
 let net_setup (w : world) =
   let k2 = kernel w 2 and k3 = kernel w 3 in
   let server = Vfs.Server.start k2 (List.hd w.fs) () in
@@ -520,12 +536,9 @@ let net_setup (w : world) =
     let count () = incr (List.assoc name counts) in
     pids := (name, serve k name ?init ~count handle) :: !pids
   in
-  let load len f pid =
-    Mem.write (K.memory k2 pid) ~pos:0
-      (Bytes.init len (fun i -> pattern (f i)))
-  in
+  let load image pid = Mem.write (K.memory k2 pid) ~pos:0 image in
   serve k2 "echo" (bump k2 ~add:1);
-  serve k2 "seg" ~init:(load seg_len Fun.id) (fun _ msg src ->
+  serve k2 "seg" ~init:(load seg_image) (fun _ msg src ->
       match Msg.writable_segment msg with
       | Some (p, _) ->
           Msg.clear_segment msg;
@@ -533,14 +546,13 @@ let net_setup (w : world) =
             (K.reply_with_segment k2 msg src ~destptr:p ~segptr:0
                ~segsize:seg_len)
       | None -> ignore (K.reply k2 msg src));
-  serve k2 "mover" ~init:(load move_len (fun i -> i * 3)) (fun _ msg src ->
+  serve k2 "mover" ~init:(load move_image) (fun _ msg src ->
       ignore (K.move_to k2 ~dst_pid:src ~dst:4096 ~src:0 ~count:move_len);
       ignore (K.reply k2 msg src));
   serve k2 "reader" (fun pid msg src ->
       let st = K.move_from k2 ~src_pid:src ~dst:0 ~src:8192 ~count:from_len in
       let got = Mem.read (K.memory k2 pid) ~pos:0 ~len:from_len in
-      let expect = Bytes.init from_len (fun i -> pattern (8192 + i)) in
-      let data_ok = Bytes.equal got expect in
+      let data_ok = Bytes.equal got from_image in
       Msg.set_u8 msg 4 (if st = K.Ok && data_ok then 1 else 0);
       (* Diagnosis detail: the reader's status and data verdict. *)
       Msg.set_u8 msg 5 (K.status_to_code st);
@@ -572,22 +584,17 @@ let net_script =
     exchange "reply-segment" "seg"
       (fun _ msg -> Msg.set_segment msg Msg.Write_only ~ptr:2048 ~len:seg_len)
       (fun mem _ ->
-        Bytes.equal
-          (Mem.read mem ~pos:2048 ~len:seg_len)
-          (Bytes.init seg_len pattern));
+        Bytes.equal (Mem.read mem ~pos:2048 ~len:seg_len) seg_image);
     (* Inbound MoveTo page train. *)
     exchange "move-to" "mover"
       (fun _ msg ->
         Msg.set_segment msg Msg.Read_write ~ptr:4096 ~len:move_len;
         Msg.set_no_piggyback msg)
       (fun mem _ ->
-        Bytes.equal
-          (Mem.read mem ~pos:4096 ~len:move_len)
-          (Bytes.init move_len (fun i -> pattern (i * 3))));
+        Bytes.equal (Mem.read mem ~pos:4096 ~len:move_len) move_image);
     (* Outbound MoveFrom page train; the reader verifies. *)
     call "move-from" (fun e ->
-        Mem.write (K.my_memory e.k) ~pos:8192
-          (Bytes.init from_len (fun i -> pattern (8192 + i)));
+        Mem.write (K.my_memory e.k) ~pos:8192 from_image;
         let msg = Msg.create () in
         Msg.set_segment msg Msg.Read_only ~ptr:8192 ~len:from_len;
         Msg.set_no_piggyback msg;
@@ -654,7 +661,14 @@ let crash =
     {
       network = Hosts 2;
       kernel_config = fast_config;
-      fs = [ { fs_host = 2; journal_blocks = 64; files = [ (file, 4 * bs) ] } ];
+      fs =
+        [
+          {
+            fs_host = 2;
+            journal_blocks = 64;
+            files = [ (file, file_blocks * bs) ];
+          };
+        ];
       target = Server 2;
       max_events = 4_000_000;
       setup =
@@ -677,8 +691,7 @@ let crash =
         ];
       audit =
         (fun w () run ->
-          audit_recovery w run ~recover:(K.is_down (kernel w 2)) ~file
-            ~blocks:4);
+          audit_recovery w run ~recover:(K.is_down (kernel w 2)) ~file);
     }
 
 (* --- shared: two lease clients on hosts 1 and 3 take turns mutating a
@@ -912,7 +925,11 @@ let failover =
       kernel_config = fast_config;
       fs =
         [
-          { fs_host = 2; journal_blocks = 64; files = [ (file_a, 4 * bs) ] };
+          {
+            fs_host = 2;
+            journal_blocks = 64;
+            files = [ (file_a, file_blocks * bs) ];
+          };
           { fs_host = 4; journal_blocks = 0; files = [ (file_b, 2 * bs) ] };
         ];
       target = Server_stop 2;
@@ -965,7 +982,7 @@ let failover =
             took_over;
             probes = Vfs.Replica.probes replica;
             recovery =
-              audit_recovery w run ~file:file_a ~blocks:4
+              audit_recovery w run ~file:file_a
                 ~recover:(K.is_down (kernel w 2) && not took_over);
           });
     }

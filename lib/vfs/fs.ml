@@ -88,23 +88,34 @@ let get32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFF_FFFF
 (* Metadata blocks (superblock, bitmap, inode table, indirect tables) are
    always cached: any real file server keeps them in memory, and the
    experiments that disable the cache mean *data* caching — Table 6-2's
-   one-disk-access-per-page condition. *)
-let read_block ?(meta = false) t b =
-  match t.txn with
-  | Some tx when Hashtbl.mem tx.tbuf b ->
+   one-disk-access-per-page condition.
+
+   [view] returns the block itself — the open transaction's buffer, the
+   cache entry, or on a miss the disk's copy, which becomes the entry —
+   so its caller must only read it.  That is safe because none of these
+   is ever changed in place: every write stores a fresh copy in its
+   place.  A caller that changes the block takes a copy with
+   [read_block]. *)
+let view ?(meta = false) t b =
+  match
+    match t.txn with Some tx -> Hashtbl.find_opt tx.tbuf b | None -> None
+  with
+  | Some data ->
       t.hits <- t.hits + 1;
-      Bytes.copy (Hashtbl.find tx.tbuf b)
-  | _ -> (
+      data
+  | None -> (
       let cached = meta || t.cache_on in
       match if cached then Hashtbl.find_opt t.cache b else None with
       | Some data ->
           t.hits <- t.hits + 1;
-          Bytes.copy data
+          data
       | None ->
           t.misses <- t.misses + 1;
           let data = Disk.read t.dsk b in
-          if cached then Hashtbl.replace t.cache b (Bytes.copy data);
+          if cached then Hashtbl.replace t.cache b data;
           data)
+
+let read_block ?meta t b = Bytes.copy (view ?meta t b)
 
 (* Write-through: the cache is updated and the disk written.  Under an
    open transaction the write is buffered instead; it reaches cache and
@@ -382,16 +393,14 @@ type inode = {
   mutable i_indirect : int;
 }
 
-let inode_location t inum =
-  let geo = t.geo in
-  ( geo.inode_start + (inum / inodes_per_block),
-    inum mod inodes_per_block * inode_size )
+let inode_block t inum = t.geo.inode_start + (inum / inodes_per_block)
+let inode_offset inum = inum mod inodes_per_block * inode_size
 
 let read_inode t inum =
   if inum < 0 || inum >= t.geo.ninodes then Error Bad_argument
   else begin
-    let blk, off = inode_location t inum in
-    let bytes = read_block ~meta:true t blk in
+    let bytes = view ~meta:true t (inode_block t inum) in
+    let off = inode_offset inum in
     let ino =
       {
         i_used = Bytes.get bytes off <> '\000';
@@ -404,7 +413,7 @@ let read_inode t inum =
   end
 
 let write_inode t inum (ino : inode) =
-  let blk, off = inode_location t inum in
+  let blk = inode_block t inum and off = inode_offset inum in
   let bytes = read_block ~meta:true t blk in
   Bytes.set bytes off (if ino.i_used then '\001' else '\000');
   set32 bytes (off + 4) ino.i_size;
@@ -452,7 +461,7 @@ let bmap t (ino : inode) ~inum ~idx ~alloc ?(on_alloc = ignore) () =
   else begin
     let slot = idx - n_direct in
     let with_indirect iblk =
-      let table = read_block ~meta:true t iblk in
+      let table = view ~meta:true t iblk in
       let ptr = get32 table (4 * slot) in
       if ptr <> 0 then Ok (Some ptr)
       else if not alloc then Ok None
@@ -461,6 +470,7 @@ let bmap t (ino : inode) ~inum ~idx ~alloc ?(on_alloc = ignore) () =
         | Error e -> Error e
         | Ok blk ->
             on_alloc blk;
+            let table = Bytes.copy table in
             set32 table (4 * slot) blk;
             write_block ~meta:true t iblk table;
             Ok (Some blk)
@@ -503,9 +513,7 @@ let iter_range t ~inum ~pos ~len start piece =
             match bmap t ino ~inum ~idx ~alloc:false () with
             | Error e -> Error e
             | Ok blk ->
-                let data =
-                  match blk with Some b -> read_block t b | None -> hole
-                in
+                let data = match blk with Some b -> view t b | None -> hole in
                 piece dst off data boff n;
                 go (off + n)
           end
@@ -697,7 +705,7 @@ let mount dsk =
   if Disk.block_size dsk <> block_size then Error Bad_argument
   else begin
     let t0 = make_t dsk (compute_geometry ~nblocks:(Disk.blocks dsk) ~ninodes:1) in
-    let sb = read_block ~meta:true t0 0 in
+    let sb = view ~meta:true t0 0 in
     if get32 sb 0 <> magic then Error Not_formatted
     else begin
       let geo =
@@ -720,8 +728,8 @@ let mount dsk =
     end
   end
 
-(* The cache can be shared entry by entry: inserts store a copy and
-   lookups return one, so no entry is ever changed in place. *)
+(* The cache can be shared entry by entry: no entry is ever changed in
+   place (see [view]). *)
 let clone t dsk =
   if Option.is_some t.txn || t.lock_busy then
     invalid_arg "Fs.clone: filesystem is in the middle of an operation";
@@ -769,7 +777,7 @@ let lookup t name =
 let free_file_blocks t (ino : inode) =
   Array.iter (fun blk -> if blk <> 0 then free_block t blk) ino.i_direct;
   if ino.i_indirect <> 0 then begin
-    let table = read_block ~meta:true t ino.i_indirect in
+    let table = view ~meta:true t ino.i_indirect in
     for i = 0 to ptrs_per_block - 1 do
       let ptr = get32 table (4 * i) in
       if ptr <> 0 then free_block t ptr
@@ -837,74 +845,95 @@ let check t =
       let geo = t.geo in
       let issues = ref [] in
       let problem fmt = Printf.ksprintf (fun s -> issues := s :: !issues) fmt in
-      (* The bitmap as read, tested in place: bit [b mod 8] of byte
-         [b / 8].  Blocks past its end read as free. *)
+      (* The bitmap as read, a byte at a time: bit [b mod 8] of byte
+         [b / 8].  Bytes past its end read as free. *)
       let bitmap =
         Array.init geo.bitmap_blocks (fun bi ->
-            read_block ~meta:true t (geo.bitmap_start + bi))
+            view ~meta:true t (geo.bitmap_start + bi))
       in
-      let used b =
-        let idx = b / 8 in
-        let bi = idx / block_size in
-        bi < Array.length bitmap
-        && Char.code (Bytes.get bitmap.(bi) (idx mod block_size))
-           land (1 lsl (b mod 8))
-           <> 0
+      let bitmap_byte i =
+        let bi = i / block_size in
+        if bi < Array.length bitmap then
+          Char.code (Bytes.get bitmap.(bi) (i mod block_size))
+        else 0
       in
-      (* Who owns each block: -2 nobody, -1 the system (metadata,
-         journal), otherwise the owning inode. *)
-      let owner = Array.make geo.nblocks (-2) in
-      for b = 0 to geo.data_start - 1 do
-        owner.(b) <- -1
-      done;
-      if geo.journal_blocks > 0 then
-        for b = geo.journal_start to geo.nblocks - 1 do
-          owner.(b) <- -1
-        done;
+      (* The system owns the metadata area and the journal; inodes own
+         the blocks they claim. *)
+      let reserved b =
+        b < geo.data_start || (geo.journal_blocks > 0 && b >= geo.journal_start)
+      in
+      let owner = Hashtbl.create 64 in
       let claim inum what blk =
         if blk < 0 || blk >= geo.nblocks then
           problem "inode %d: %s points outside the disk (block %d)" inum what
             blk
-        else if owner.(blk) = -1 then
+        else if reserved blk then
           problem "inode %d: %s claims reserved block %d" inum what blk
-        else if owner.(blk) >= 0 then
-          problem "block %d claimed by both inode %d and inode %d" blk
-            owner.(blk) inum
-        else owner.(blk) <- inum
+        else
+          match Hashtbl.find_opt owner blk with
+          | Some first ->
+              problem "block %d claimed by both inode %d and inode %d" blk
+                first inum
+          | None -> Hashtbl.replace owner blk inum
       in
       for inum = 0 to geo.ninodes - 1 do
-        match read_inode t inum with
-        | Error _ -> problem "inode %d: unreadable" inum
-        | Ok ino when not ino.i_used -> ()
-        | Ok ino ->
-            if ino.i_size < 0 || ino.i_size > max_file_size then
-              problem "inode %d: impossible size %d" inum ino.i_size;
-            Array.iter
-              (fun blk -> if blk <> 0 then claim inum "direct pointer" blk)
-              ino.i_direct;
-            if ino.i_indirect <> 0 then begin
-              claim inum "indirect table" ino.i_indirect;
-              if ino.i_indirect > 0 && ino.i_indirect < geo.nblocks then begin
-                let table = read_block ~meta:true t ino.i_indirect in
-                for i = 0 to ptrs_per_block - 1 do
-                  let ptr = get32 table (4 * i) in
-                  if ptr <> 0 then claim inum "indirect pointer" ptr
-                done
-              end
+        let ib = view ~meta:true t (inode_block t inum) in
+        let off = inode_offset inum in
+        if Bytes.get ib off <> '\000' then begin
+          let size = get32 ib (off + 4) in
+          if size > max_file_size then
+            problem "inode %d: impossible size %d" inum size;
+          for i = 0 to n_direct - 1 do
+            let blk = get32 ib (off + 8 + (4 * i)) in
+            if blk <> 0 then claim inum "direct pointer" blk
+          done;
+          let iblk = get32 ib (off + 8 + (4 * n_direct)) in
+          if iblk <> 0 then begin
+            claim inum "indirect table" iblk;
+            if iblk < geo.nblocks then begin
+              let table = view ~meta:true t iblk in
+              for i = 0 to ptrs_per_block - 1 do
+                let ptr = get32 table (4 * i) in
+                if ptr <> 0 then claim inum "indirect pointer" ptr
+              done
             end
+          end
+        end
       done;
-      (* Bitmap vs ownership. *)
-      for b = 0 to geo.nblocks - 1 do
-        if owner.(b) = -1 then begin
-          if not (used b) then
-            problem "reserved block %d marked free in the bitmap" b
-        end
-        else if owner.(b) >= 0 then begin
-          if not (used b) then
-            problem "block %d in use by inode %d but marked free" b owner.(b)
-        end
-        else if used b then
-          problem "block %d marked used but referenced by no inode (leak)" b
+      (* Bitmap vs ownership: the bitmap ownership implies, built as
+         bytes, against the one read; only differing bytes are examined
+         bit by bit. *)
+      let nbytes = (geo.nblocks + 7) / 8 in
+      let implied = Bytes.make nbytes '\000' in
+      let mark b =
+        let i = b / 8 in
+        Bytes.set implied i
+          (Char.chr (Char.code (Bytes.get implied i) lor (1 lsl (b mod 8))))
+      in
+      for b = 0 to min geo.data_start geo.nblocks - 1 do
+        mark b
+      done;
+      if geo.journal_blocks > 0 then
+        for b = geo.journal_start to geo.nblocks - 1 do
+          mark b
+        done;
+      Hashtbl.iter (fun b _ -> mark b) owner;
+      for i = 0 to nbytes - 1 do
+        let diff = Char.code (Bytes.get implied i) lxor bitmap_byte i in
+        if diff <> 0 then
+          for bit = 0 to 7 do
+            let b = (i * 8) + bit in
+            if diff land (1 lsl bit) <> 0 && b < geo.nblocks then
+              if reserved b then
+                problem "reserved block %d marked free in the bitmap" b
+              else
+                match Hashtbl.find_opt owner b with
+                | Some inum ->
+                    problem "block %d in use by inode %d but marked free" b inum
+                | None ->
+                    problem
+                      "block %d marked used but referenced by no inode (leak)" b
+          done
       done;
       (* Directory entries must point at live inodes. *)
       List.iter
@@ -912,9 +941,8 @@ let check t =
           if inum < 0 || inum >= geo.ninodes then
             problem "dirent %S points outside the inode table (%d)" name inum
           else
-            match read_inode t inum with
-            | Ok ino when ino.i_used -> ()
-            | Ok _ -> problem "dirent %S points to free inode %d" name inum
-            | Error _ -> problem "dirent %S: inode %d unreadable" name inum)
+            let ib = view ~meta:true t (inode_block t inum) in
+            if Bytes.get ib (inode_offset inum) = '\000' then
+              problem "dirent %S points to free inode %d" name inum)
         (list t);
       List.rev !issues)

@@ -17,6 +17,12 @@
     "data buffered in memory" condition of Table 6-1; disable it to force
     every access to pay disk latency.
 
+    Cached blocks are read-only: a write stores a fresh copy in the
+    cache (and on the disk) in place of the old entry, and nothing ever
+    changes an entry in place.  So reads, directory scans and {!check}
+    look at cached blocks without copying them, and {!clone}s share
+    entries.  Every read still hands its caller bytes of its own.
+
     All calls block the calling fiber for the disk time they incur. *)
 
 type t
@@ -52,9 +58,9 @@ val mount : Disk.t -> (t, error) result
 val disk : t -> Disk.t
 
 val clone : t -> Disk.t -> t
-(** [clone t disk] is [t] on [disk]: the same geometry, block cache,
-    cache counters and journal sequence, with no transaction open and
-    the lock free.  [disk] must hold the same media as [t]'s disk (e.g.
+(** [clone t disk] is [t] on [disk]: the same geometry, block cache
+    (a new table sharing [t]'s read-only entries), cache counters and
+    journal sequence, with no transaction open and the lock free.  [disk] must hold the same media as [t]'s disk (e.g.
     seeded from its {!Disk.snapshot}) and have its geometry.  Raises
     [Invalid_argument] while [t] is in the middle of an operation. *)
 
@@ -70,8 +76,9 @@ val recover : t -> unit
 val check : t -> string list
 (** Offline-style consistency check ("fsck"): bitmap vs reachable
     blocks, double claims, reserved-region integrity, directory entries
-    vs inode table.  Returns human-readable problems; [[]] means
-    consistent. *)
+    vs inode table.  Returns human-readable problems, inodes first (in
+    inode order), then the bitmap (in block order), then directory
+    entries (in slot order); [[]] means consistent. *)
 
 (** {1 Files} *)
 
