@@ -116,7 +116,6 @@ let m_rate v = Cat.metric ~units:"per_s" ~better:Cat.Higher v
 let m_count v = Cat.metric ~units:"count" (float_of_int v)
 let m_frac_lo v = Cat.metric ~units:"frac" v
 let m_x v = Cat.metric ~units:"x" ~better:Cat.Higher v
-let m_wall_rate v = Cat.metric ~units:"per_s" ~better:Cat.Higher ~wall:true v
 
 (* ------------------------------------------------------------------ *)
 (* Table 4-1: network penalty                                          *)
@@ -727,7 +726,7 @@ let baseline_comparison () =
       Vsim.Proc.spawn tb.TB.eng (fun () ->
           (match Vbaseline.Wfs.read_page client ~inum ~block:0 () with
           | Ok _ -> ()
-          | Error e -> Fmt.failwith "wfs: %s" e);
+          | Error e -> failwith ("wfs: " ^ e));
           let t0 = Vsim.Engine.now tb.TB.eng in
           for i = 1 to 50 do
             ignore (Vbaseline.Wfs.read_page client ~inum ~block:(i mod 16) ())
@@ -779,7 +778,7 @@ let baseline_comparison () =
               ~server:1 ~inum ()
           with
           | Ok s -> out := s.Vbaseline.Streaming.per_page_ns
-          | Error e -> Fmt.failwith "stream: %s" e)
+          | Error e -> failwith ("stream: " ^ e))
     in
     TB.run tb;
     !out
@@ -1204,55 +1203,42 @@ let server_scaling () =
     (String.concat "," (List.map row_json rows))
 
 (* ------------------------------------------------------------------ *)
-(* vcheck sweep throughput                                             *)
+(* vcheck fault-schedule sweep                                         *)
 
 let check_sweep () =
   Report.section
     "vcheck: deterministic fault-schedule sweep over the scripted IPC \
-     workload (schedules per wall-clock second)";
+     workload (schedules run per depth)";
   let depths = [ (1, 200); (2, 600) ] in
   let rows =
     List.map
       (fun (depth, limit) ->
-        let result, dt =
-          Report.timed (fun () ->
-              without_metrics_capture (fun () ->
-                  Vcheck.Checker.sweep ~depth ~limit ~domains:!domains ()))
-        in
-        match result with
+        match
+          without_metrics_capture (fun () ->
+              Vcheck.Checker.sweep ~depth ~limit ~domains:!domains ())
+        with
         | Error _ -> failwith "check_sweep: baseline workload violated"
         | Ok res ->
             if res.Vcheck.Checker.failure <> None then
               failwith "check_sweep: sweep found an invariant violation";
-            (depth, res.Vcheck.Checker.schedules_run, dt))
+            (depth, res.Vcheck.Checker.schedules_run))
       depths
   in
   List.iter
-    (fun (depth, n, dt) ->
+    (fun (depth, n) ->
       record ~bench:"check_sweep" ~params:[ pi "depth" depth ]
-        [
-          ("schedules", m_count n);
-          ("schedules_per_s", m_wall_rate (float_of_int n /. dt));
-        ])
+        [ ("schedules", m_count n) ])
     rows;
-  (* Wall-clock rates go to stderr: stdout must stay a pure function of
-     the seed for CI's byte-determinism comparison. *)
   Report.table
     ~header:[ "depth"; "schedules" ]
     (List.map
-       (fun (depth, n, _) -> [ string_of_int depth; string_of_int n ])
+       (fun (depth, n) -> [ string_of_int depth; string_of_int n ])
        rows);
-  List.iter
-    (fun (depth, n, dt) ->
-      Report.wall_note "check_sweep depth %d: %.2f s, %.0f schedules/s"
-        depth dt
-        (float_of_int n /. dt))
-    rows;
   Report.note
     "Each schedule is a full six-operation workload run under injected \
      drop/duplicate/delay/reorder faults, judged against the paper's \
      exactly-once and termination claims.";
-  let row_json (depth, n, _) =
+  let row_json (depth, n) =
     Printf.sprintf "{\"depth\":%d,\"schedules\":%d}" depth n
   in
   Format.printf "{\"experiment\":\"check_sweep\",\"rows\":[%s]}@."
@@ -1577,22 +1563,12 @@ let profile () =
        (fun eng ->
          ignore (Vsim.Engine.enable_profiling ~profile:prof eng);
          match prev with Some h -> h eng | None -> ()));
-  let result, wall =
-    Fun.protect
-      ~finally:(fun () -> Vsim.Engine.set_create_hook prev)
-      (fun () -> Report.timed (fun () -> R.contention ~workers:4 ~clients:8 ()))
-  in
-  ignore result;
+  Fun.protect
+    ~finally:(fun () -> Vsim.Engine.set_create_hook prev)
+    (fun () -> ignore (R.contention ~workers:4 ~clients:8 ()));
   Format.printf "%a@." Vsim.Profile.pp prof;
-  let events = Vsim.Profile.events prof in
-  let events_per_s = float_of_int events /. wall in
-  Report.wall_note "profile: %d events in %.2f s wall (%.0f events/s)"
-    events wall events_per_s;
   record ~bench:"profile" ~params:[ pi "workers" 4; pi "clients" 8 ]
-    (("events", m_count events)
-     :: ("sim_cost_ms",
-         m_msf (float_of_int (Vsim.Profile.sim_cost_total_ns prof) /. 1.0e6))
-     :: ("events_per_s", m_wall_rate events_per_s)
+    (("events", m_count (Vsim.Profile.events prof))
      :: List.map
           (fun (kind, e) ->
             ("fires." ^ kind, m_count e.Vsim.Profile.fires))

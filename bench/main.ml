@@ -4,18 +4,18 @@
    ablation comparisons.  Every experiment also records its headline
    numbers as catalog cells (lib/obs/catalog.ml); the harness can write
    them out as a BENCH_*.json catalog and diff a fresh run against a
-   committed baseline — the CI regression gate.  See doc/BENCHMARKS.md.
+   committed baseline — the CI regression gate.  Every number it records
+   is simulated or counted, so the comparison is exact; host speed is the
+   repository benchmark's business (benchmark/).  See doc/BENCHMARKS.md.
 
    Usage:
      dune exec bench/main.exe                 # all experiments
      dune exec bench/main.exe -- table_6_3    # a single experiment
-     dune exec bench/main.exe -- all --json-out BENCH_2026-08-08.json
-     dune exec bench/main.exe -- compare --baseline BENCH_2026-08-08.json \
-         [--tolerance 0.5] [--wall-tolerance 50] [--json-out fresh.json]
+     dune exec bench/main.exe -- all --json-out BENCH_2026-10-17.json
+     dune exec bench/main.exe -- compare --baseline BENCH_2026-10-17.json \
+         [--json-out fresh.json]
      dune exec bench/main.exe -- --list
-     dune exec bench/main.exe -- all --domains 4   # fan grids across domains
-     dune exec bench/main.exe -- --bechamel   # Bechamel timing of each
-                                              # experiment harness *)
+     dune exec bench/main.exe -- all --domains 4   # fan grids across domains *)
 
 let experiments =
   [
@@ -56,7 +56,7 @@ let experiments =
    byte-identical for any --domains value.  Two runs of the same
    experiment at the same seed produce the same digest; a digest change
    flags that the run's full metric set shifted even where the headline
-   numbers stayed inside tolerance. *)
+   numbers did not. *)
 let domains = ref Vsim.Pool.default_domains
 
 let run_experiment f =
@@ -93,7 +93,7 @@ let save_catalog file =
   Format.eprintf "wrote %d catalog cells to %s@."
     (Experiments.cell_count ()) file
 
-let compare_cmd ~baseline ~tolerance ~wall_tolerance ~json_out =
+let compare_cmd ~baseline ~json_out =
   run_all ();
   Option.iter save_catalog json_out;
   match Vobs.Catalog.load baseline with
@@ -102,99 +102,25 @@ let compare_cmd ~baseline ~tolerance ~wall_tolerance ~json_out =
       exit 2
   | Ok base ->
       let report =
-        Vobs.Catalog.compare ?tolerance_pct:tolerance
-          ?wall_tolerance_pct:wall_tolerance ~baseline:base
-          ~current:(current_catalog ()) ()
+        Vobs.Catalog.compare ~baseline:base ~current:(current_catalog ())
       in
       Format.printf "@.%a@." Vobs.Catalog.pp_report report;
       if not (Vobs.Catalog.report_ok report) then exit 1
 
-(* One Bechamel test per table: measures the wall-clock cost of each
-   experiment harness itself (the simulator's own performance). *)
-let bechamel () =
-  let open Bechamel in
-  let test =
-    Test.make_grouped ~name:"experiments"
-      (List.map
-         (fun (name, f) ->
-           Test.make ~name
-             (Staged.stage (fun () ->
-                  (* Run the experiment with its output suppressed. *)
-                  let old =
-                    Format.pp_get_formatter_out_functions
-                      Format.std_formatter ()
-                  in
-                  Format.pp_set_formatter_out_functions Format.std_formatter
-                    {
-                      old with
-                      Format.out_string = (fun _ _ _ -> ());
-                      out_flush = (fun () -> ());
-                    };
-                  Fun.protect
-                    ~finally:(fun () ->
-                      Format.pp_set_formatter_out_functions
-                        Format.std_formatter old)
-                    f)))
-         experiments)
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:10 ~quota:(Time.second 1.0) ~kde:None
-      ~stabilize:false ()
-  in
-  let raw = Benchmark.all cfg [ instance ] test in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols instance raw in
-  Format.printf "@.Bechamel: wall-clock cost of each experiment harness@.@.";
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols ->
-      let est =
-        match Analyze.OLS.estimates ols with
-        | Some (e :: _) -> Printf.sprintf "%.1f ms" (e /. 1e6)
-        | Some [] | None -> "n/a"
-      in
-      rows := [ name; est ] :: !rows)
-    results;
-  Report.table ~header:[ "experiment"; "time/run" ]
-    (List.sort compare !rows)
-
-type opts = {
-  json_out : string option;
-  baseline : string option;
-  tolerance : float option;
-  wall_tolerance : float option;
-}
+type opts = { json_out : string option; baseline : string option }
 
 let usage () =
   Format.eprintf
     "usage: bench [all | NAME...] [--json-out FILE] [--domains N]@.       \
-     bench compare --baseline FILE [--tolerance PCT] [--wall-tolerance \
-     PCT] [--json-out FILE]@.       bench --list | --bechamel@.";
+     bench compare --baseline FILE [--json-out FILE]@.       bench --list@.";
   exit 2
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
-  let pct flag v =
-    match float_of_string_opt v with
-    | Some f when f >= 0.0 -> f
-    | Some _ | None ->
-        Format.eprintf "%s: expected a non-negative percentage, got %S@."
-          flag v;
-        exit 2
-  in
   let rec parse names o = function
     | [] -> (List.rev names, o)
     | "--json-out" :: f :: rest -> parse names { o with json_out = Some f } rest
     | "--baseline" :: f :: rest -> parse names { o with baseline = Some f } rest
-    | "--tolerance" :: v :: rest ->
-        parse names { o with tolerance = Some (pct "--tolerance" v) } rest
-    | "--wall-tolerance" :: v :: rest ->
-        parse names
-          { o with wall_tolerance = Some (pct "--wall-tolerance" v) }
-          rest
     | "--domains" :: v :: rest ->
         (match int_of_string_opt v with
         | Some n when n >= 1 ->
@@ -205,28 +131,21 @@ let () =
             exit 2);
         parse names o rest
     | a :: _ when String.length a > 2 && String.sub a 0 2 = "--"
-                  && a <> "--list" && a <> "--bechamel" ->
+                  && a <> "--list" ->
         Format.eprintf "unknown or incomplete option %s@." a;
         usage ()
     | a :: rest -> parse (a :: names) o rest
   in
-  let names, o =
-    parse [] { json_out = None; baseline = None; tolerance = None;
-               wall_tolerance = None }
-      args
-  in
+  let names, o = parse [] { json_out = None; baseline = None } args in
   match names with
   | [ "--list" ] ->
       List.iter (fun (name, _) -> print_endline name) experiments
-  | [ "--bechamel" ] -> bechamel ()
   | [ "compare" ] -> (
       match o.baseline with
       | None ->
           Format.eprintf "compare requires --baseline FILE@.";
           usage ()
-      | Some baseline ->
-          compare_cmd ~baseline ~tolerance:o.tolerance
-            ~wall_tolerance:o.wall_tolerance ~json_out:o.json_out)
+      | Some baseline -> compare_cmd ~baseline ~json_out:o.json_out)
   | [] | [ "all" ] ->
       run_all ();
       Option.iter save_catalog o.json_out

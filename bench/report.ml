@@ -32,21 +32,6 @@ let table ~header rows =
   List.iter print_row rows;
   printf "@."
 
-(* --- wall-clock isolation ------------------------------------------- *)
-(* All wall-clock measurement in the bench suite goes through [timed],
-   and all printing of wall-clock values goes through [wall_note], which
-   writes to stderr.  Stdout therefore stays a pure function of the seed,
-   so CI's run-twice byte comparison keeps working even though rates are
-   measured and recorded (as [wall] catalog metrics). *)
-
-let timed f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-let wall_note fmt =
-  Format.kasprintf (fun s -> Format.eprintf "%s@." s) fmt
-
 let ms ns = Printf.sprintf "%.2f" (Vsim.Time.to_float_ms ns)
 let msf v = Printf.sprintf "%.2f" v
 let paper v = Printf.sprintf "%.2f" v

@@ -65,8 +65,8 @@ let term =
     Arg.(value & flag
          & info [ "profile" ] ~docs
              ~doc:"Profile the simulation engine: per-event-kind fire \
-                   counts and simulated costs (deterministic, stdout) plus \
-                   wall-clock buckets (stderr).")
+                   counts (deterministic, stdout) plus wall-clock buckets \
+                   (stderr).")
   in
   Term.(const (fun seed domains trace_out topics metrics metrics_out profile ->
             { seed; domains; trace_out; topics; metrics; metrics_out;

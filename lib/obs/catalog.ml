@@ -1,14 +1,14 @@
 (* The benchmark result catalog: one JSON line per experiment cell, a
-   versioned schema, and a tolerance-aware comparison against a stored
-   baseline.  This is the machine-checked perf trajectory of the repo:
+   versioned schema, and an exact comparison against a stored baseline.
+   This is the machine-checked perf trajectory of the repo:
    `bench all --json-out BENCH_<date>.json` writes a catalog, the file is
    committed, and `bench compare --baseline FILE` re-runs the grid and
    gates CI on per-cell regressions.
 
-   Determinism contract: simulated-time metrics ([wall = false]) are pure
-   functions of the seed and must reproduce exactly; wall-clock metrics
-   ([wall = true], e.g. schedules/s) vary run to run and are compared
-   under a separate, looser tolerance. *)
+   Determinism contract: every metric is a simulated quantity or a count,
+   a pure function of the seed, so a fresh run must print exactly what
+   the baseline holds.  Host speed is not a catalog metric; it is gated
+   by the repository benchmark (benchmark/). *)
 
 type better = Lower | Higher
 
@@ -16,7 +16,6 @@ type metric = {
   value : float;
   units : string;
   better : better;
-  wall : bool;
 }
 
 type cell = {
@@ -30,8 +29,7 @@ type t = { cells : cell list }
 
 let version = 1
 
-let metric ?(units = "") ?(better = Lower) ?(wall = false) value =
-  { value; units; better; wall }
+let metric ?(units = "") ?(better = Lower) value = { value; units; better }
 
 let sort_fields l = List.sort (fun (a, _) (b, _) -> compare a b) l
 
@@ -39,8 +37,6 @@ let cell ~bench ~params ?digest metrics =
   { bench; params = sort_fields params; metrics = sort_fields metrics;
     digest }
 
-let empty = { cells = [] }
-let cells t = t.cells
 let of_cells cells = { cells }
 
 (* Cell identity within a catalog: bench name plus the canonical JSON of
@@ -73,8 +69,7 @@ let metric_to_json m =
   Json.Obj
     ([ ("value", Json.Float m.value) ]
     @ (if m.units = "" then [] else [ ("units", Json.Str m.units) ])
-    @ [ ("better", Json.Str (better_to_string m.better)) ]
-    @ if m.wall then [ ("wall", Json.Bool true) ] else [])
+    @ [ ("better", Json.Str (better_to_string m.better)) ])
 
 let cell_to_json c =
   Json.Obj
@@ -102,15 +97,12 @@ let metric_of_json j =
       let units =
         match Json.member "units" j with Some (Json.Str u) -> u | _ -> ""
       in
-      let wall =
-        match Json.member "wall" j with Some (Json.Bool b) -> b | _ -> false
-      in
       match Json.member "better" j with
       | Some (Json.Str b) -> (
           match better_of_string b with
-          | Some better -> Ok { value = v; units; better; wall }
+          | Some better -> Ok { value = v; units; better }
           | None -> Error (Printf.sprintf "unknown better %S" b))
-      | _ -> Ok { value = v; units; better = Lower; wall })
+      | _ -> Error "metric missing \"better\"")
 
 let cell_of_json j =
   match Json.member "v" j with
@@ -150,19 +142,18 @@ let of_line line =
 
 let to_string t = String.concat "" (List.map (fun c -> to_line c ^ "\n") t.cells)
 
+(* Blank lines are skipped but still counted, so an error names the
+   file's own line number. *)
 let of_string s =
-  let lines =
-    String.split_on_char '\n' s
-    |> List.filter (fun l -> String.trim l <> "")
-  in
   let rec go acc i = function
     | [] -> Ok { cells = List.rev acc }
+    | l :: rest when String.trim l = "" -> go acc (i + 1) rest
     | l :: rest -> (
         match of_line l with
         | Ok c -> go (c :: acc) (i + 1) rest
         | Error e -> Error (Printf.sprintf "line %d: %s" i e))
   in
-  go [] 1 lines
+  go [] 1 (String.split_on_char '\n' s)
 
 let save path t =
   Out_channel.with_open_text path (fun oc ->
@@ -173,26 +164,8 @@ let load path =
   | s -> of_string s
   | exception Sys_error e -> Error e
 
-(* [merge a b]: cells of [b] override same-key cells of [a]; cells unique
-   to either side are kept.  Order: [a]'s order, then [b]'s new cells. *)
-let merge a b =
-  let bkeys = Hashtbl.create 64 in
-  List.iter (fun c -> Hashtbl.replace bkeys (key c) c) b.cells;
-  let merged =
-    List.map
-      (fun c ->
-        match Hashtbl.find_opt bkeys (key c) with
-        | Some c' -> Hashtbl.remove bkeys (key c); c'
-        | None -> c)
-      a.cells
-  in
-  let extra =
-    List.filter (fun c -> Hashtbl.mem bkeys (key c)) b.cells
-  in
-  { cells = merged @ extra }
-
 (* ------------------------------------------------------------------ *)
-(* Comparison with tolerances                                          *)
+(* Exact comparison                                                    *)
 
 type verdict = Pass | Improve | Regress
 
@@ -201,7 +174,6 @@ type mdiff = {
   m_base : float;
   m_cur : float;
   m_delta_pct : float;
-  m_wall : bool;
   m_verdict : verdict;
 }
 
@@ -227,24 +199,21 @@ let delta_pct ~base ~cur =
   let denom = if base = 0.0 then 1.0 else Float.abs base in
   100.0 *. (cur -. base) /. denom
 
-let metric_verdict ~tol ~(m : metric) ~base ~cur =
-  let d = delta_pct ~base ~cur in
-  let worse =
-    match m.better with Lower -> d > tol | Higher -> d < -.tol
-  in
-  let better_ =
-    match m.better with Lower -> d < -.tol | Higher -> d > tol
-  in
-  if worse then Regress else if better_ then Improve else Pass
+(* Every metric is deterministic, so any change a catalog line can show
+   is a real one: a metric passes when both sides print the same, and is
+   otherwise an improvement or a regression by its [better]. *)
+let metric_verdict ~(m : metric) ~base ~cur =
+  let repr v = Json.to_string (Json.Float v) in
+  if repr base = repr cur then Pass
+  else
+    match m.better with
+    | Lower -> if cur < base then Improve else Regress
+    | Higher -> if cur > base then Improve else Regress
 
 (* Compare [current] against [baseline].  A metric present in only one
    side of a shared cell counts as a regression (the cell's shape
-   changed under us).  [tolerance_pct] gates simulated metrics (default
-   0.5%: they are deterministic, so any drift is a real change);
-   [wall_tolerance_pct] gates wall-clock metrics (default 50%: CI noise).
-   Digest changes are counted but never gate. *)
-let compare ?(tolerance_pct = 0.5) ?(wall_tolerance_pct = 50.0) ~baseline
-    ~current () =
+   changed under us).  Digest changes are counted but never gate. *)
+let compare ~baseline ~current =
   let cur_tbl = Hashtbl.create 64 in
   List.iter (fun c -> Hashtbl.replace cur_tbl (key c) c) current.cells;
   let pass = ref 0 and improve = ref 0 and regress = ref 0 in
@@ -258,22 +227,16 @@ let compare ?(tolerance_pct = 0.5) ?(wall_tolerance_pct = 50.0) ~baseline
           | None ->
               incr regress;
               { m_name = name; m_base = bm.value; m_cur = nan;
-                m_delta_pct = nan; m_wall = bm.wall; m_verdict = Regress }
+                m_delta_pct = nan; m_verdict = Regress }
           | Some cm ->
-              let tol =
-                if bm.wall || cm.wall then wall_tolerance_pct
-                else tolerance_pct
-              in
-              let v =
-                metric_verdict ~tol ~m:bm ~base:bm.value ~cur:cm.value
-              in
+              let v = metric_verdict ~m:bm ~base:bm.value ~cur:cm.value in
               (match v with
               | Pass -> incr pass
               | Improve -> incr improve
               | Regress -> incr regress);
               { m_name = name; m_base = bm.value; m_cur = cm.value;
                 m_delta_pct = delta_pct ~base:bm.value ~cur:cm.value;
-                m_wall = bm.wall || cm.wall; m_verdict = v })
+                m_verdict = v })
         base_c.metrics
     in
     let extra =
@@ -284,7 +247,7 @@ let compare ?(tolerance_pct = 0.5) ?(wall_tolerance_pct = 50.0) ~baseline
             incr regress;
             Some
               { m_name = name; m_base = nan; m_cur = cm.value;
-                m_delta_pct = nan; m_wall = cm.wall; m_verdict = Regress }
+                m_delta_pct = nan; m_verdict = Regress }
           end)
         cur_metrics
     in
@@ -351,10 +314,9 @@ let pp_report fmt r =
           List.iter
             (fun md ->
               if md.m_verdict <> Pass then
-                Format.fprintf fmt "%a %s :: %s  %.4g -> %.4g (%+.1f%%)%s@,"
+                Format.fprintf fmt "%a %s :: %s  %.12g -> %.12g (%+.3g%%)@,"
                   pp_verdict md.m_verdict cd.c_key md.m_name md.m_base
-                  md.m_cur md.m_delta_pct
-                  (if md.m_wall then " [wall]" else ""))
+                  md.m_cur md.m_delta_pct)
             mds;
           if digest_changed then
             Format.fprintf fmt "digest  %s changed@," cd.c_key)

@@ -1,13 +1,12 @@
 (** Benchmark result catalog: a versioned, one-JSON-line-per-cell record
-    of every experiment's headline metrics, with load/save/merge and a
-    tolerance-aware comparison against a stored baseline.
+    of every experiment's headline metrics, with load/save and an exact
+    comparison against a stored baseline.
 
     Each {!cell} is one experiment cell: the bench name, its parameter
     point (loss rate, workers, clients, …), its metrics, and optionally a
-    digest of the run's metrics registry.  Simulated-time metrics are
-    deterministic and gated tightly; wall-clock metrics ([wall = true])
-    are gated under a separate, looser tolerance.  See doc/BENCHMARKS.md
-    for the workflow. *)
+    digest of the run's metrics registry.  Every metric is a pure
+    function of the seed, so the comparison is exact.  See
+    doc/BENCHMARKS.md for the workflow. *)
 
 type better = Lower | Higher
 
@@ -15,7 +14,6 @@ type metric = {
   value : float;
   units : string;  (** e.g. "ms", "per_s", "count"; "" if unitless *)
   better : better;  (** which direction is an improvement *)
-  wall : bool;  (** wall-clock measurement: nondeterministic *)
 }
 
 type cell = {
@@ -30,8 +28,8 @@ type t
 val version : int
 (** Schema version stamped into (and checked out of) every line. *)
 
-val metric : ?units:string -> ?better:better -> ?wall:bool -> float -> metric
-(** Defaults: unitless, [Lower] is better, simulated (not wall). *)
+val metric : ?units:string -> ?better:better -> float -> metric
+(** Defaults: unitless, [Lower] is better. *)
 
 val cell :
   bench:string ->
@@ -41,8 +39,6 @@ val cell :
   cell
 (** Canonicalizes params and metrics by sorting on key. *)
 
-val empty : t
-val cells : t -> cell list
 val of_cells : cell list -> t
 
 val key : cell -> string
@@ -58,12 +54,11 @@ val to_string : t -> string
 (** JSON lines, one cell per line, trailing newline. *)
 
 val of_string : string -> (t, string) result
+(** Parses JSON lines, skipping blank ones.  A metric must carry
+    ["better"]; an error names the physical line it occurred on. *)
+
 val save : string -> t -> unit
 val load : string -> (t, string) result
-
-val merge : t -> t -> t
-(** [merge a b]: [b]'s cells override same-key cells of [a]; cells unique
-    to either side are kept. *)
 
 (** {1 Comparison} *)
 
@@ -74,7 +69,6 @@ type mdiff = {
   m_base : float;
   m_cur : float;
   m_delta_pct : float;
-  m_wall : bool;
   m_verdict : verdict;
 }
 
@@ -93,20 +87,14 @@ type report = {
   digest_changes : int;
 }
 
-val compare :
-  ?tolerance_pct:float ->
-  ?wall_tolerance_pct:float ->
-  baseline:t ->
-  current:t ->
-  unit ->
-  report
-(** Diff [current] against [baseline] per cell and metric.  Defaults:
-    [tolerance_pct = 0.5] for simulated metrics (deterministic, so any
-    drift is a real change), [wall_tolerance_pct = 50.0] for wall-clock
-    metrics.  A metric present on only one side of a shared cell is a
-    regression; a baseline cell absent from [current] is [`Missing]; a
-    new cell is [`New] (not gating).  Digest changes are counted but do
-    not gate. *)
+val compare : baseline:t -> current:t -> report
+(** Diff [current] against [baseline] per cell and metric.  A metric
+    passes when both sides print the same under the catalog's float
+    rendering (12 significant digits); any other difference is an
+    improvement or a regression by its [better].  A metric present on
+    only one side of a shared cell is a regression; a baseline cell
+    absent from [current] is [`Missing]; a new cell is [`New] (not
+    gating).  Digest changes are counted but do not gate. *)
 
 val report_ok : report -> bool
 (** [true] iff no regressions and no missing cells. *)

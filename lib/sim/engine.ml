@@ -56,25 +56,25 @@ let at t ?kind time fn =
   if time < t.clock then
     invalid_arg
       (Printf.sprintf "Engine.at: time %d is before now %d" time t.clock);
-  Eventq.add t.queue ~time ~kind:(kind_or_other kind) ~born:t.clock fn
+  Eventq.add t.queue ~time ~kind:(kind_or_other kind) fn
 
 let after t ?kind delay fn =
   if delay < 0 then invalid_arg "Engine.after: negative delay";
-  Eventq.add t.queue ~time:(t.clock + delay) ~kind:(kind_or_other kind)
-    ~born:t.clock fn
+  Eventq.add t.queue ~time:(t.clock + delay) ~kind:(kind_or_other kind) fn
 
 let cancel t h = Eventq.cancel t.queue h
 
 (* Fire the earliest event; the queue must not be empty. *)
 let fire t =
   let q = t.queue in
-  let time = Eventq.top_time q in
-  t.clock <- time;
+  t.clock <- Eventq.top_time q;
   match t.profile with
   | None -> Eventq.take q ()
   | Some p ->
-      let kind = Eventq.top_kind q and born = Eventq.top_born q in
-      Profile.time p ~kind ~cost_ns:(time - born) (Eventq.take q)
+      (* Arguments evaluate right to left: read the kind before [take]
+         removes the event. *)
+      let kind = Eventq.top_kind q in
+      Profile.time p ~kind (Eventq.take q)
 
 let step t =
   if Eventq.is_empty t.queue then false

@@ -96,8 +96,7 @@ val get_create_hook : unit -> (t -> unit) option
 (** {1 Profiling}
 
     Opt-in per engine.  When enabled, {!step} accounts every fired event
-    into a {!Profile.t}: per-kind fire counts, modeled simulated cost,
-    and wall-clock buckets. *)
+    into a {!Profile.t}: per-kind fire counts and wall-clock buckets. *)
 
 val enable_profiling : ?profile:Profile.t -> t -> Profile.t
 (** Enable profiling on this engine, creating a fresh {!Profile.t} unless

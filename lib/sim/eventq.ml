@@ -46,8 +46,8 @@ type kind = Kind.t
 
 (* An indexed binary min-heap.  Heap entry [i] is [times.(i)] and
    [handles.(i)], unboxed ints, so sifting never runs the write barrier.
-   Each pending event also owns a slab slot [s] holding its kind, born
-   time, heap position and closure in [kinds], [borns], [pos] and [fns];
+   Each pending event also owns a slab slot [s] holding its kind, heap
+   position and closure in [kinds], [pos] and [fns];
    freed slots are threaded into a free list through [pos].  Every array
    has one element per slot, so a queue of up to 256 slots lives in the
    minor heap, and growing it does not allocate straight into the major
@@ -74,7 +74,6 @@ type t = {
   mutable times : int array;
   mutable handles : int array;
   mutable kinds : int array;
-  mutable borns : int array;
   mutable pos : int array;
       (* a pending slot's heap position; a free slot's successor, or -1 *)
   mutable fns : (unit -> unit) array;
@@ -83,8 +82,8 @@ type t = {
 }
 
 let create () =
-  { size = 0; times = [||]; handles = [||]; kinds = [||]; borns = [||];
-    pos = [||]; fns = [||]; free = -1; next_seq = 0 }
+  { size = 0; times = [||]; handles = [||]; kinds = [||]; pos = [||];
+    fns = [||]; free = -1; next_seq = 0 }
 
 let grow t =
   let cap = Array.length t.fns in
@@ -99,7 +98,6 @@ let grow t =
   t.times <- extend t.times 0;
   t.handles <- extend t.handles 0;
   t.kinds <- extend t.kinds 0;
-  t.borns <- extend t.borns 0;
   t.pos <- extend t.pos (-1);
   t.fns <- extend t.fns nop;
   for s = cap to cap' - 2 do
@@ -156,7 +154,7 @@ let rec sift_down t i time h =
     end
     else place t i time h
 
-let add t ~time ~kind ~born fn =
+let add t ~time ~kind fn =
   if t.next_seq > max_seq then
     invalid_arg "Eventq.add: event sequence numbers exhausted";
   if t.free < 0 then grow t;
@@ -165,7 +163,6 @@ let add t ~time ~kind ~born fn =
   t.next_seq <- t.next_seq + 1;
   t.free <- t.pos.(s);
   t.kinds.(s) <- kind;
-  t.borns.(s) <- born;
   t.fns.(s) <- fn;
   t.size <- t.size + 1;
   sift_up t (t.size - 1) time h;
@@ -211,7 +208,6 @@ let top_time t =
   t.times.(0)
 
 let top_kind t = t.kinds.(top_slot t)
-let top_born t = t.borns.(top_slot t)
 
 let take t =
   let s = top_slot t in

@@ -5,9 +5,9 @@
     order.  The latter is essential for determinism — the whole simulator
     relies on it.
 
-    Heap keys are unboxed ints and each pending event's closure, kind and
-    born time sit in a slab slot reused through a free list, so a
-    steady-state add, pop or cancel allocates nothing.  {!cancel} removes
+    Heap keys are unboxed ints and each pending event's closure and kind
+    sit in a slab slot reused through a free list, so a steady-state
+    add, pop or cancel allocates nothing.  {!cancel} removes
     the event from the heap at once, in O(log n), and releases its
     closure; the queue holds exactly {!live_count} entries.
 
@@ -56,13 +56,11 @@ val none : handle
 val create : unit -> t
 (** An empty queue.  It allocates its arrays on the first {!add}. *)
 
-val add :
-  t -> time:Time.t -> kind:kind -> born:Time.t -> (unit -> unit) -> handle
+val add : t -> time:Time.t -> kind:kind -> (unit -> unit) -> handle
 (** Schedule a callback at an absolute time.  [kind] labels the event for
-    the profiler; [born] is the simulated instant the event was scheduled.
-    Raises [Invalid_argument], rather than let a handle wrap, once the
-    queue has issued 2{^40} handles or already holds 2{^22} pending
-    events. *)
+    the profiler.  Raises [Invalid_argument], rather than let a handle
+    wrap, once the queue has issued 2{^40} handles or already holds
+    2{^22} pending events. *)
 
 val cancel : t -> handle -> unit
 (** Remove a pending event so it never fires, and drop its closure.  A
@@ -82,7 +80,6 @@ val live_count : t -> int
 
 val top_time : t -> Time.t
 val top_kind : t -> kind
-val top_born : t -> Time.t
 
 val take : t -> (unit -> unit)
 (** Remove the earliest event and return its callback, without calling

@@ -1,12 +1,11 @@
 (* Deterministic engine profiler.
 
-   Counts every fired event by its scheduling [kind] and attributes to it
-   the simulated delay it modeled (fire time minus schedule time), plus a
-   wall-clock bucket measured around the callback.  Counts and simulated
-   costs depend only on the event sequence, so two same-seed runs report
-   byte-identical tables; wall-clock buckets and GC figures are
-   diagnostics of the host process and are rendered separately
-   ({!pp_wall}) so deterministic output stays comparable byte-for-byte.
+   Counts every fired event by its scheduling [kind], plus a wall-clock
+   bucket measured around the callback.  Counts depend only on the event
+   sequence, so two same-seed runs report byte-identical tables;
+   wall-clock buckets and GC figures are diagnostics of the host process
+   and are rendered separately ({!pp_wall}) so deterministic output stays
+   comparable byte-for-byte.
 
    Kinds are interned ints (Eventq.Kind), so the per-event accounting is
    an array index, not a hashtable probe.  Rendering resolves names and
@@ -19,14 +18,12 @@
 
 type entry = {
   mutable fires : int;
-  mutable sim_cost_ns : int;
   mutable wall_s : float;
 }
 
 type t = {
   mutable kinds : entry option array;  (* indexed by Eventq.Kind id *)
   mutable events : int;
-  mutable sim_cost_total_ns : int;
   start_alloc_bytes : float;
   start_wall : float;
 }
@@ -41,7 +38,6 @@ let create () =
   {
     kinds = Array.make (max 16 (Eventq.Kind.count ())) None;
     events = 0;
-    sim_cost_total_ns = 0;
     start_alloc_bytes = Gc.allocated_bytes ();
     start_wall = !clock ();
   }
@@ -56,18 +52,15 @@ let entry t (kind : Eventq.kind) =
   match t.kinds.(id) with
   | Some e -> e
   | None ->
-      let e = { fires = 0; sim_cost_ns = 0; wall_s = 0.0 } in
+      let e = { fires = 0; wall_s = 0.0 } in
       t.kinds.(id) <- Some e;
       e
 
-(* Run [fn] as one fired event of [kind] whose modeled delay was
-   [cost_ns]. *)
-let time t ~kind ~cost_ns fn =
+(* Run [fn] as one fired event of [kind]. *)
+let time t ~kind fn =
   let e = entry t kind in
   e.fires <- e.fires + 1;
-  e.sim_cost_ns <- e.sim_cost_ns + cost_ns;
   t.events <- t.events + 1;
-  t.sim_cost_total_ns <- t.sim_cost_total_ns + cost_ns;
   let t0 = !clock () in
   match fn () with
   | () -> e.wall_s <- e.wall_s +. (!clock () -. t0)
@@ -76,7 +69,6 @@ let time t ~kind ~cost_ns fn =
       raise exn
 
 let events t = t.events
-let sim_cost_total_ns t = t.sim_cost_total_ns
 
 let fold f t acc =
   let acc = ref acc in
@@ -113,11 +105,9 @@ let merge_into ~dst src =
       | Some e ->
           let d = entry dst (Eventq.Kind.of_int id) in
           d.fires <- d.fires + e.fires;
-          d.sim_cost_ns <- d.sim_cost_ns + e.sim_cost_ns;
           d.wall_s <- d.wall_s +. e.wall_s)
     src.kinds;
-  dst.events <- dst.events + src.events;
-  dst.sim_cost_total_ns <- dst.sim_cost_total_ns + src.sim_cost_total_ns
+  dst.events <- dst.events + src.events
 
 let aggregate = function
   | [] -> create ()
@@ -127,25 +117,18 @@ let aggregate = function
       List.iter (fun p -> merge_into ~dst:acc p) rest;
       acc
 
-(* Deterministic rendering: per-kind fire counts and simulated costs and
-   engine totals only.  No wall-clock values, and no GC figures — heap
+(* Deterministic rendering: per-kind fire counts and the engine total
+   only.  No wall-clock values, and no GC figures — heap
    high-water and allocation totals depend on what else the process (or
    a Pool worker domain) has run, so they'd break the byte-determinism
    of any stream this is printed to. *)
 let pp fmt t =
   Format.fprintf fmt "@[<v>-- engine profile --@,";
-  Format.fprintf fmt "%-22s %10s %14s %7s@," "event kind" "fires"
-    "sim cost ms" "share";
-  let total = max 1 t.sim_cost_total_ns in
+  Format.fprintf fmt "%-22s %10s@," "event kind" "fires";
   List.iter
-    (fun (kind, e) ->
-      Format.fprintf fmt "%-22s %10d %14.3f %6.1f%%@," kind e.fires
-        (float_of_int e.sim_cost_ns /. 1e6)
-        (100.0 *. float_of_int e.sim_cost_ns /. float_of_int total))
+    (fun (kind, e) -> Format.fprintf fmt "%-22s %10d@," kind e.fires)
     (entries t);
-  Format.fprintf fmt "%-22s %10d %14.3f %7s@," "total" t.events
-    (float_of_int t.sim_cost_total_ns /. 1e6)
-    "";
+  Format.fprintf fmt "%-22s %10d@," "total" t.events;
   Format.fprintf fmt "@]"
 
 (* Host-process diagnostics: wall-clock seconds inside callbacks per kind

@@ -1,33 +1,29 @@
 (** Deterministic engine profiler.
 
     When enabled on an engine ({!Engine.enable_profiling}), every fired
-    event is counted under the [kind] it was scheduled with and charged
-    the simulated delay it modeled (fire time minus schedule time).
-    Counts and simulated costs are pure functions of the event sequence:
-    two same-seed runs produce byte-identical {!pp} output.  Wall-clock
-    buckets and GC figures are host-process diagnostics, rendered only by
-    {!pp_wall} / the accessors so deterministic output stays clean. *)
+    event is counted under the [kind] it was scheduled with.  Counts are
+    pure functions of the event sequence: two same-seed runs produce
+    byte-identical {!pp} output.  Wall-clock buckets and GC figures are
+    host-process diagnostics, rendered only by {!pp_wall} / the
+    accessors so deterministic output stays clean. *)
 
 type t
 
 type entry = {
   mutable fires : int;  (** events of this kind that fired *)
-  mutable sim_cost_ns : int;  (** summed modeled delay, ns of sim time *)
   mutable wall_s : float;  (** wall clock spent inside the callbacks *)
 }
 
 val create : unit -> t
 (** Snapshot [Gc.allocated_bytes] and the wall clock as the baseline. *)
 
-val time : t -> kind:Eventq.kind -> cost_ns:int -> (unit -> unit) -> unit
+val time : t -> kind:Eventq.kind -> (unit -> unit) -> unit
 (** Account one fired event and run its callback.  Called by
     {!Engine.step}; exposed for tests.  Accounting is an array index on
     the interned kind id — no string hashing on the hot path. *)
 
 val events : t -> int
 (** Total events fired. *)
-
-val sim_cost_total_ns : t -> int
 
 val entries : t -> (string * entry) list
 (** Per-kind entries sorted by kind name (names resolved through
@@ -55,8 +51,7 @@ val set_clock : (unit -> float) -> unit
     link [unix] install [Unix.gettimeofday]. *)
 
 val pp : Format.formatter -> t -> unit
-(** Deterministic table: kind, fires, simulated cost, share, plus
-    totals. *)
+(** Deterministic table: fires per kind, plus the total. *)
 
 val pp_wall : Format.formatter -> t -> unit
 (** Wall-clock buckets, events/s, and GC allocation / heap high-water —

@@ -335,9 +335,9 @@ let test_host_allocation_gate () =
     (marginal_minor_words remote_exchanges 100);
   Alcotest.(check int) "events fired for 100 remote S-R-R exchanges" 1_600
     (marginal_events 100);
-  Alcotest.(check int) "minor words for a fault-free net schedule" 18_717
+  Alcotest.(check int) "minor words for a fault-free net schedule" 18_699
     (schedule_minor_words Vcheck.Checker.Scenario.net);
-  Alcotest.(check int) "minor words for a fault-free crash schedule" 20_172
+  Alcotest.(check int) "minor words for a fault-free crash schedule" 20_154
     (schedule_minor_words Vcheck.Checker.Scenario.crash)
 
 let suite =

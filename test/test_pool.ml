@@ -99,7 +99,7 @@ let test_kind_interning () =
   | (_ : Eventq.kind) -> Alcotest.fail "of_int accepted an unknown id"
   | exception Invalid_argument _ -> ()
 
-let add q ~time fn = Eventq.add q ~time ~kind:Eventq.Kind.other ~born:0 fn
+let add q ~time fn = Eventq.add q ~time ~kind:Eventq.Kind.other fn
 
 let rec drain_times q acc =
   match Eventq.pop q with

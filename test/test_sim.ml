@@ -1,6 +1,6 @@
 (* Tests for the discrete-event engine, fibers and statistics. *)
 
-let add q ~time fn = Vsim.Eventq.add q ~time ~kind:Vsim.Eventq.Kind.other ~born:0 fn
+let add q ~time fn = Vsim.Eventq.add q ~time ~kind:Vsim.Eventq.Kind.other fn
 
 let test_eventq_order () =
   let q = Vsim.Eventq.create () in

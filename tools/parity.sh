@@ -3,8 +3,9 @@
 #
 #   tools/parity.sh REV [OUTDIR]
 #
-# Builds git revision REV in a separate tree and the working tree in
-# place, runs the deterministic outputs of both, and compares them:
+# Builds git revision REV in a separate tree (tools/tree.sh) and the
+# working tree in place, runs the deterministic outputs of both, and
+# compares them:
 #
 #   bench.txt              bench/main.exe all (stdout)
 #   check-SCENARIO.json    vsim check --scenario SCENARIO --depth 2 --json,
@@ -33,17 +34,10 @@ if [ $# -lt 1 ] || [ $# -gt 2 ]; then
   echo "usage: tools/parity.sh REV [OUTDIR]" >&2
   exit 2
 fi
+tool=parity
 rev=$1
 out=${2:-_parity}
-root=$(pwd)
-if [ ! -f "$root/dune-project" ]; then
-  echo "parity: run from the repository root" >&2
-  exit 2
-fi
-sha=$(git rev-parse --verify --quiet "$rev^{commit}") || {
-  echo "parity: unknown revision $rev" >&2
-  exit 2
-}
+. "$(dirname "$0")/tree.sh"
 
 scenarios="net crash shared shared-crash inet inet-crash failover"
 workloads="ipc_pingpong cluster_read_mostly session_write_back fault_sweep boot_storm"
@@ -52,20 +46,11 @@ rm -rf "$out"
 mkdir -p "$out/base" "$out/head" "$out/diff"
 out=$(cd "$out" && pwd)
 
-# An exported tree, not a checkout: it leaves no worktree metadata in the
-# repository and builds with its own _build.
-tree=$(mktemp -d)
-trap 'rm -rf "$tree"' EXIT INT TERM
-git archive "$sha" | tar -x -C "$tree"
-
 # collect SRC DEST: run every output of the tree at SRC into DEST.
 collect() {
   src=$1
   dst=$2
-  (cd "$src" && dune build 2>&1) >&2 || {
-    echo "parity: build failed in $src" >&2
-    exit 2
-  }
+  build_tree "$src"
   bin=$src/_build/default
   (cd "$src" && "$bin/bench/main.exe" all 2>/dev/null) > "$dst/bench.txt"
   for s in $scenarios; do
