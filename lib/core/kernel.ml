@@ -7,6 +7,8 @@ type status =
   | Retryable
   | Dead
 
+module Itbl = Vsim.Itbl
+
 let k_rto_send = Vsim.Eventq.Kind.intern "kernel.rto_send"
 let k_rto_moveto = Vsim.Eventq.Kind.intern "kernel.rto_moveto"
 let k_rto_movefrom = Vsim.Eventq.Kind.intern "kernel.rto_movefrom"
@@ -86,6 +88,13 @@ type grant = {
 }
 
 type pstate = Ready | Receive_blocked | Awaiting_reply of Pid.t | Dead
+
+(* Tests on [pstate] match rather than use [=], which on a type with a
+   non-constant constructor is a C call to polymorphic compare. *)
+let awaiting_reply state who =
+  match state with
+  | Awaiting_reply p -> Pid.equal p who
+  | Ready | Receive_blocked | Dead -> false
 
 type queued = {
   q_src : Pid.t;
@@ -257,19 +266,19 @@ type t = {
   khost : int;
   cfg : config;
   addressing : addressing;
-  host_map : (int, Vnet.Addr.t) Hashtbl.t;  (** Mapped mode only *)
-  procs : (int, desc) Hashtbl.t;  (** local id -> descriptor *)
-  fibers : (int, desc) Hashtbl.t;  (** fiber id -> descriptor *)
-  aliens : (Pid.t, alien) Hashtbl.t;
+  host_map : Vnet.Addr.t Itbl.t;  (** Mapped mode only *)
+  procs : desc Itbl.t;  (** local id -> descriptor *)
+  fibers : desc Itbl.t;  (** fiber id -> descriptor *)
+  aliens : alien Itbl.t;  (** keyed by [Pid.to_int] of the sender *)
   mutable alien_count : int;
-  mt_outs : (int, mt_out) Hashtbl.t;
-  mt_ins : (int * int, mt_in) Hashtbl.t;
-  mf_outs : (int, mf_out) Hashtbl.t;
-  registry : (int, registry_entry) Hashtbl.t;
-  getpid_cache : (int, Pid.t) Hashtbl.t;
-  getpid_waits : (int, getpid_wait) Hashtbl.t;
+  mt_outs : mt_out Itbl.t;
+  mt_ins : mt_in Itbl.t;  (** keyed by {!mt_in_key} *)
+  mf_outs : mf_out Itbl.t;
+  registry : registry_entry Itbl.t;
+  getpid_cache : Pid.t Itbl.t;
+  getpid_waits : getpid_wait Itbl.t;
   rto : Rto.t;  (** per-destination timeouts and failure detector *)
-  kfibers : (int, Vsim.Proc.t) Hashtbl.t;
+  kfibers : Vsim.Proc.t Itbl.t;
       (** fiber id -> fiber, so a crash can kill every process *)
   mutable down : bool;  (** crashed and not yet restarted *)
   mutable restart_hooks : (unit -> unit) list;
@@ -316,15 +325,15 @@ let next_seq t =
 let find_proc t pid =
   if Pid.host pid <> t.khost then None
   else
-    match Hashtbl.find_opt t.procs (Pid.local pid) with
-    | Some d when d.d_state <> Dead -> Some d
-    | Some _ | None -> None
+    match Itbl.find_opt t.procs (Pid.local pid) with
+    | Some { d_state = Dead; _ } | None -> None
+    | Some _ as found -> found
 
 let current t =
   let fiber = Vsim.Proc.self () in
-  match Hashtbl.find_opt t.fibers (Vsim.Proc.id fiber) with
-  | Some d -> d
-  | None ->
+  match Itbl.find t.fibers (Vsim.Proc.id fiber) with
+  | d -> d
+  | exception Not_found ->
       Fmt.failwith "V kernel operation outside a process of host %d" t.khost
 
 (* ------------------------------------------------------------------ *)
@@ -353,7 +362,7 @@ let addr_for t ~dst_host =
   match t.addressing with
   | Direct -> dst_host land 0xFF
   | Mapped -> (
-      match Hashtbl.find_opt t.host_map dst_host with
+      match Itbl.find_opt t.host_map dst_host with
       | Some a -> a
       | None -> Vnet.Addr.broadcast)
 
@@ -421,7 +430,7 @@ let grant_covers (g : grant) ~who ~ptr ~len ~need_write =
 (* May [who] move [len] bytes at [ptr] of [d]'s space: [d] awaits [who]'s
    reply, granted it that access, and the range lies in its space. *)
 let granted (d : desc) ~who ~ptr ~len ~need_write =
-  d.d_state = Awaiting_reply who
+  awaiting_reply d.d_state who
   && (match d.d_grant with
      | Some g -> grant_covers g ~who ~ptr ~len ~need_write
      | None -> false)
@@ -452,7 +461,7 @@ let deliver_segment t ~(entry : queued) ~seg ~(recv : desc) =
             find_proc t entry.q_src )
         with
         | Some (sptr, slen), Some sender ->
-            let count = min slen segsize in
+            let count = Int.min slen segsize in
             let count =
               if
                 Mem.valid sender.d_mem ~pos:sptr ~len:count
@@ -470,9 +479,9 @@ let deliver_segment t ~(entry : queued) ~seg ~(recv : desc) =
             count
         | _ -> 0
       else
-        match Hashtbl.find_opt t.aliens entry.q_src with
+        match Itbl.find_opt t.aliens (Pid.to_int entry.q_src) with
         | Some al when al.al_seq = entry.q_seq ->
-            let count = min (Bytes.length al.al_data) segsize in
+            let count = Int.min (Bytes.length al.al_data) segsize in
             let count =
               if Mem.valid recv.d_mem ~pos:segptr ~len:count then count else 0
             in
@@ -491,10 +500,10 @@ let deliver_segment t ~(entry : queued) ~seg ~(recv : desc) =
 let entry_valid t (d : desc) (entry : queued) =
   if entry.q_local then
     match find_proc t entry.q_src with
-    | Some sender -> sender.d_state = Awaiting_reply d.d_pid
+    | Some sender -> awaiting_reply sender.d_state d.d_pid
     | None -> false
   else
-    match Hashtbl.find_opt t.aliens entry.q_src with
+    match Itbl.find_opt t.aliens (Pid.to_int entry.q_src) with
     | Some al -> al.al_seq = entry.q_seq && al.al_state = A_queued
     | None -> false
 
@@ -525,7 +534,7 @@ let pop_valid ?from t (d : desc) =
 
 let mark_received t (entry : queued) =
   if not entry.q_local then
-    match Hashtbl.find_opt t.aliens entry.q_src with
+    match Itbl.find_opt t.aliens (Pid.to_int entry.q_src) with
     | Some al -> al.al_state <- A_received
     | None -> ()
 
@@ -574,7 +583,7 @@ let try_deliver t (d : desc) =
 (* Alien management                                                    *)
 
 let remove_alien t (al : alien) =
-  Hashtbl.remove t.aliens al.al_src;
+  Itbl.remove t.aliens (Pid.to_int al.al_src);
   t.alien_count <- t.alien_count - 1
 
 (* Reclaim a replied alien to make room; returns true on success.
@@ -598,7 +607,7 @@ let reclaim_one_alien t =
        && Pid.to_int a.al_src < Pid.to_int b.al_src)
   in
   let victim =
-    Hashtbl.fold
+    Itbl.fold
       (fun _ al acc ->
         if al.al_state <> A_replied || now - al.al_replied_at < grace al
         then acc
@@ -667,11 +676,11 @@ let finish_send t (rs : rsend) st =
        and finds the pid the new incarnation registered. *)
     let dst = rs.rs_pkt.Packet.dst_pid in
     let stale =
-      Hashtbl.fold
+      Itbl.fold
         (fun lid p acc -> if Pid.equal p dst then lid :: acc else acc)
         t.getpid_cache []
     in
-    List.iter (Hashtbl.remove t.getpid_cache) stale
+    List.iter (Itbl.remove t.getpid_cache) stale
   end;
   d.d_rsend <- None;
   d.d_state <- Ready;
@@ -701,12 +710,12 @@ let finish_send t (rs : rsend) st =
   | None -> note ()
 
 let mt_alive t (mto : mt_out) =
-  match Hashtbl.find_opt t.mt_outs mto.mto_seq with
+  match Itbl.find_opt t.mt_outs mto.mto_seq with
   | Some m -> m == mto
   | None -> false
 
 let mf_alive t (mfo : mf_out) =
-  match Hashtbl.find_opt t.mf_outs mfo.mfo_seq with
+  match Itbl.find_opt t.mf_outs mfo.mfo_seq with
   | Some m -> m == mfo
   | None -> false
 
@@ -721,7 +730,7 @@ let move_done t ~seq st k =
 let mt_finish t (mto : mt_out) st =
   if mt_alive t mto then begin
     stop t mto.mto_retx;
-    Hashtbl.remove t.mt_outs mto.mto_seq;
+    Itbl.remove t.mt_outs mto.mto_seq;
     (* The gap from end-of-train to Data_ack is a pure control round
        trip. *)
     settle t mto.mto_retx st ~since:mto.mto_wait_since;
@@ -731,7 +740,7 @@ let mt_finish t (mto : mt_out) st =
 let mf_finish t (mfo : mf_out) st =
   if mf_alive t mfo then begin
     stop t mfo.mfo_retx;
-    Hashtbl.remove t.mf_outs mfo.mfo_seq;
+    Itbl.remove t.mf_outs mfo.mfo_seq;
     (* RTT samples for MoveFrom are taken at first-fragment arrival
        (handle_data_mf); here we only record liveness. *)
     settle t mfo.mfo_retx st ~since:(-1);
@@ -740,7 +749,7 @@ let mf_finish t (mfo : mf_out) st =
 
 let getpid_finish t (gw : getpid_wait) found =
   stop t gw.gw_retx;
-  Hashtbl.remove t.getpid_waits gw.gw_lid;
+  Itbl.remove t.getpid_waits gw.gw_lid;
   List.iter (fun k -> k found) (List.rev gw.gw_waiters)
 
 let finish t x st =
@@ -780,8 +789,8 @@ let rec arm t x =
   let bytes =
     match x with
     | Send _ | Getpid _ -> 0
-    | Move_to mto -> min mto.mto_total t.cfg.max_packet_data
-    | Move_from mfo -> min mfo.mfo_total t.cfg.max_packet_data
+    | Move_to mto -> Int.min mto.mto_total t.cfg.max_packet_data
+    | Move_from mfo -> Int.min mfo.mfo_total t.cfg.max_packet_data
   in
   let kind =
     match x with
@@ -874,7 +883,7 @@ let launch_send t (d : desc) msg ~dst ~seq ~since =
       if Msg.piggyback_allowed msg then Msg.readable_segment msg else None
     with
     | Some (ptr, len) ->
-        let n = min len t.cfg.max_seg_append in
+        let n = Int.min len t.cfg.max_seg_append in
         if Mem.valid d.d_mem ~pos:ptr ~len:n then
           Mem.read d.d_mem ~pos:ptr ~len:n
         else Bytes.empty
@@ -917,7 +926,7 @@ let stream_mt t (mto : mt_out) ~from =
       arm t (Move_to mto)
     end
     else begin
-      let len = min t.cfg.max_packet_data (mto.mto_total - cursor) in
+      let len = Int.min t.cfg.max_packet_data (mto.mto_total - cursor) in
       let data = Mem.read mto.mto_mem ~pos:(mto.mto_src_ptr + cursor) ~len in
       let pkt =
         Packet.make ~op:Packet.Data_mt ~src_pid:mto.mto_src
@@ -937,7 +946,7 @@ let stream_mf t ~(src_desc : desc) ~requester ~seq ~base_ptr ~total ~from =
   let gen = src_desc.d_mf_gen in
   let ok () =
     src_desc.d_mf_gen = gen
-    && src_desc.d_state = Awaiting_reply requester
+    && awaiting_reply src_desc.d_state requester
     && (match src_desc.d_grant with
        | Some g ->
            grant_covers g ~who:requester ~ptr:base_ptr ~len:total
@@ -949,7 +958,7 @@ let stream_mf t ~(src_desc : desc) ~requester ~seq ~base_ptr ~total ~from =
     else if cursor >= total then
       charge_async t m.Vhw.Cost_model.server_bookkeep_ns
     else begin
-      let len = min t.cfg.max_packet_data (total - cursor) in
+      let len = Int.min t.cfg.max_packet_data (total - cursor) in
       let data = Mem.read src_desc.d_mem ~pos:(base_ptr + cursor) ~len in
       let pkt =
         Packet.make ~op:Packet.Data_mf ~src_pid:src_desc.d_pid
@@ -974,7 +983,7 @@ let handle_send_pkt t (pkt : Packet.t) =
       send_nack t ~dst_host:reply_host ~src_pid:dst ~dst_pid:src
         ~seq:pkt.Packet.seq Nonexistent
   | Some dd -> (
-      match Hashtbl.find_opt t.aliens src with
+      match Itbl.find_opt t.aliens (Pid.to_int src) with
       | Some al when al.al_seq = pkt.Packet.seq -> (
           (* Retransmission of a message we already hold. *)
           t.s_dups <- t.s_dups + 1;
@@ -1024,7 +1033,7 @@ let handle_send_pkt t (pkt : Packet.t) =
                 al_replied_at = 0;
               }
             in
-            Hashtbl.replace t.aliens src al;
+            Itbl.replace t.aliens (Pid.to_int src) al;
             t.alien_count <- t.alien_count + 1;
             t.s_aliens <- t.s_aliens + 1;
             enqueue_msg t dd
@@ -1080,10 +1089,10 @@ let handle_reply_pending t (pkt : Packet.t) =
 let handle_nack t (pkt : Packet.t) =
   let st = status_of_code pkt.Packet.aux in
   (* A NACK may target a blocked sender or an in-flight data transfer. *)
-  (match Hashtbl.find_opt t.mt_outs pkt.Packet.seq with
+  (match Itbl.find_opt t.mt_outs pkt.Packet.seq with
   | Some mto -> mt_finish t mto st
   | None -> ());
-  (match Hashtbl.find_opt t.mf_outs pkt.Packet.seq with
+  (match Itbl.find_opt t.mf_outs pkt.Packet.seq with
   | Some mfo -> mf_finish t mfo st
   | None -> ());
   match find_proc t pkt.Packet.dst_pid with
@@ -1095,15 +1104,20 @@ let handle_nack t (pkt : Packet.t) =
           finish_send t rs st
       | Some _ | None -> ())
 
+(* An inbound MoveTo is named by its mover's host and sequence number,
+   which arrives in a 32-bit wire field: both fit in one int key. *)
+let mt_in_key ~host ~seq = (host lsl 32) lor seq
+let mt_in_host key = key lsr 32
+
 (* Incoming MoveTo fragment. *)
 let handle_data_mt t (pkt : Packet.t) =
-  let key = (Pid.host pkt.Packet.src_pid, pkt.Packet.seq) in
+  let key = mt_in_key ~host:(Pid.host pkt.Packet.src_pid) ~seq:pkt.Packet.seq in
   let mover = pkt.Packet.src_pid in
   (* Data arriving from the process we are send-blocked on is proof of
      life: a long MoveTo into our space must not trip our own Send
      retransmission (the transfer can far outlast T). *)
   (match find_proc t pkt.Packet.dst_pid with
-  | Some ({ d_rsend = Some rs; _ } as dd) when dd.d_state = Awaiting_reply mover
+  | Some ({ d_rsend = Some rs; _ } as dd) when awaiting_reply dd.d_state mover
     ->
       restart_send t rs
   | Some _ | None -> ());
@@ -1119,8 +1133,8 @@ let handle_data_mt t (pkt : Packet.t) =
          ~dst_pid:mover ~seq:pkt.Packet.seq ())
   in
   let mti =
-    match Hashtbl.find_opt t.mt_ins key with
-    | Some mti -> Some mti
+    match Itbl.find_opt t.mt_ins key with
+    | Some _ as found -> found
     | None -> (
         (* First fragment of a new transfer: validate the grant. *)
         match find_proc t pkt.Packet.dst_pid with
@@ -1143,20 +1157,22 @@ let handle_data_mt t (pkt : Packet.t) =
                  adaptive, backed-off estimator the static configured
                  timeout can be far shorter than the mover's live timer,
                  and a fixed horizon would reclaim an in-progress inbound
-                 transfer whose next fragment is merely slow. *)
+                 transfer whose next fragment is merely slow.  The walk
+                 only picks keys to remove, and the estimators it may
+                 create are never walked, so its order does not matter. *)
               let now = Vsim.Engine.now t.eng in
               let stale =
-                Hashtbl.fold
-                  (fun ((src_host, _) as k) mti acc ->
+                Itbl.fold
+                  (fun k mti acc ->
                     let horizon =
                       20
-                      * Rto.current_ns t.rto ~dst:src_host
-                          ~bytes:(min mti.mti_total t.cfg.max_packet_data)
+                      * Rto.current_ns t.rto ~dst:(mt_in_host k)
+                          ~bytes:(Int.min mti.mti_total t.cfg.max_packet_data)
                     in
                     if now - mti.mti_born > horizon then k :: acc else acc)
                   t.mt_ins []
               in
-              List.iter (Hashtbl.remove t.mt_ins) stale;
+              List.iter (Itbl.remove t.mt_ins) stale;
               let mti =
                 {
                   mti_src = mover;
@@ -1168,7 +1184,7 @@ let handle_data_mt t (pkt : Packet.t) =
                   mti_complete = false;
                 }
               in
-              Hashtbl.replace t.mt_ins key mti;
+              Itbl.replace t.mt_ins key mti;
               Some mti
             end)
   in
@@ -1199,7 +1215,7 @@ let handle_data_mt t (pkt : Packet.t) =
 
 (* Incoming MoveFrom data fragment at the requester. *)
 let handle_data_mf t (pkt : Packet.t) =
-  match Hashtbl.find_opt t.mf_outs pkt.Packet.seq with
+  match Itbl.find_opt t.mf_outs pkt.Packet.seq with
   | None -> ()
   | Some mfo ->
       let off = pkt.Packet.offset and len = Bytes.length pkt.Packet.data in
@@ -1235,14 +1251,14 @@ let handle_data_mf t (pkt : Packet.t) =
       end
 
 let handle_data_ack t (pkt : Packet.t) =
-  match Hashtbl.find_opt t.mt_outs pkt.Packet.seq with
+  match Itbl.find_opt t.mt_outs pkt.Packet.seq with
   | None -> ()
   | Some mto -> mt_finish t mto Ok
 
 (* A NAK against one of our outgoing streams: rewind to the offset the
    receiver reports and restart the stream from there. *)
 let handle_data_nak t (pkt : Packet.t) =
-  match Hashtbl.find_opt t.mt_outs pkt.Packet.seq with
+  match Itbl.find_opt t.mt_outs pkt.Packet.seq with
   | Some mto ->
       mto.mto_gen <- mto.mto_gen + 1;
       stop t mto.mto_retx;
@@ -1296,7 +1312,7 @@ let handle_fwd_notice t (pkt : Packet.t) =
 (* Registry packets. *)
 let handle_getpid_req t (pkt : Packet.t) =
   let lid = pkt.Packet.aux in
-  match Hashtbl.find_opt t.registry lid with
+  match Itbl.find_opt t.registry lid with
   | Some { re_pid; re_scope = Remote | Any } ->
       send_pkt t ~dst_host:(Pid.host pkt.Packet.src_pid)
         (Packet.make ~op:Packet.Getpid_reply ~src_pid:re_pid
@@ -1307,8 +1323,8 @@ let handle_getpid_req t (pkt : Packet.t) =
 let handle_getpid_reply t (pkt : Packet.t) =
   let lid = pkt.Packet.aux in
   let found = Pid.of_int pkt.Packet.offset in
-  Hashtbl.replace t.getpid_cache lid found;
-  match Hashtbl.find_opt t.getpid_waits lid with
+  Itbl.replace t.getpid_cache lid found;
+  match Itbl.find_opt t.getpid_waits lid with
   | None -> ()
   | Some gw ->
       (* First-try replies sample the broadcast round trip; the answering
@@ -1354,7 +1370,7 @@ let handle_frame t (frame : Vnet.Frame.t) =
         t.s_rx <- t.s_rx + 1;
         (* 10 Mb style host mapping is learned from traffic. *)
         if t.addressing = Mapped && not (Pid.is_nil pkt.Packet.src_pid) then
-          Hashtbl.replace t.host_map
+          Itbl.replace t.host_map
             (Pid.host pkt.Packet.src_pid)
             frame.Vnet.Frame.src;
         if
@@ -1427,23 +1443,23 @@ let make_kernel eng ~cpu ~nic ~host ~config ~addressing =
       khost = host;
       cfg = config;
       addressing;
-      host_map = Hashtbl.create 16;
-      procs = Hashtbl.create 64;
-      fibers = Hashtbl.create 64;
-      aliens = Hashtbl.create 64;
+      host_map = Itbl.create 16;
+      procs = Itbl.create 64;
+      fibers = Itbl.create 64;
+      aliens = Itbl.create 64;
       alien_count = 0;
-      mt_outs = Hashtbl.create 16;
-      mt_ins = Hashtbl.create 16;
-      mf_outs = Hashtbl.create 16;
-      registry = Hashtbl.create 16;
-      getpid_cache = Hashtbl.create 16;
-      getpid_waits = Hashtbl.create 16;
+      mt_outs = Itbl.create 16;
+      mt_ins = Itbl.create 16;
+      mf_outs = Itbl.create 16;
+      registry = Itbl.create 16;
+      getpid_cache = Itbl.create 16;
+      getpid_waits = Itbl.create 16;
       rto =
         Rto.create eng ~host ~model:(Vhw.Cpu.model cpu) ~mode:config.rto_mode
           ~fixed_ns:config.retransmit_timeout_ns ~min_ns:config.rto_min_ns
           ~max_ns:config.rto_max_ns ~ns_per_byte:config.rto_ns_per_byte
           ~suspect_threshold:config.suspect_threshold;
-      kfibers = Hashtbl.create 64;
+      kfibers = Itbl.create 64;
       down = false;
       restart_hooks = [];
       next_local_id = 0;
@@ -1498,18 +1514,18 @@ let spawn t ?(name = "process") ?mem_size body =
       d_mf_gen = 0;
     }
   in
-  Hashtbl.replace t.procs (Pid.local pid) d;
+  Itbl.replace t.procs (Pid.local pid) d;
   let p =
     Vsim.Proc.spawn t.eng ~name (fun () ->
         let self = Vsim.Proc.self () in
-        Hashtbl.replace t.fibers (Vsim.Proc.id self) d;
+        Itbl.replace t.fibers (Vsim.Proc.id self) d;
         Fun.protect
           ~finally:(fun () ->
-            Hashtbl.remove t.fibers (Vsim.Proc.id self);
-            Hashtbl.remove t.kfibers (Vsim.Proc.id self))
+            Itbl.remove t.fibers (Vsim.Proc.id self);
+            Itbl.remove t.kfibers (Vsim.Proc.id self))
           (fun () -> body pid))
   in
-  Hashtbl.replace t.kfibers (Vsim.Proc.id p) p;
+  Itbl.replace t.kfibers (Vsim.Proc.id p) p;
   pid
 
 let destroy t pid =
@@ -1517,7 +1533,7 @@ let destroy t pid =
   | None -> ()
   | Some d ->
       d.d_state <- Dead;
-      Hashtbl.remove t.procs (Pid.local pid);
+      Itbl.remove t.procs (Pid.local pid);
       (* Its own remote exchanges die with it, unresumed: nothing would
          deliver their answers, and their retries would only wear down
          the failure detector's view of live peers. *)
@@ -1526,12 +1542,12 @@ let destroy t pid =
           stop t rs.rs_retx;
           d.d_rsend <- None
       | None -> ());
-      Hashtbl.filter_map_inplace
+      Itbl.filter_map_inplace
         (fun _ mto ->
           if Pid.equal mto.mto_src pid then (stop t mto.mto_retx; None)
           else Some mto)
         t.mt_outs;
-      Hashtbl.filter_map_inplace
+      Itbl.filter_map_inplace
         (fun _ mfo ->
           if Pid.equal mfo.mfo_me pid then (stop t mfo.mfo_retx; None)
           else Some mfo)
@@ -1541,9 +1557,9 @@ let destroy t pid =
         (fun entry ->
           if entry.q_local then (
             match
-              Hashtbl.find_opt t.procs (Pid.local entry.q_src)
+              Itbl.find_opt t.procs (Pid.local entry.q_src)
             with
-            | Some sender when sender.d_state = Awaiting_reply pid ->
+            | Some sender when awaiting_reply sender.d_state pid ->
                 sender.d_state <- Ready;
                 let k = sender.d_on_reply in
                 sender.d_on_reply <- None;
@@ -1553,7 +1569,7 @@ let destroy t pid =
                 | None -> ())
             | Some _ | None -> ())
           else
-            match Hashtbl.find_opt t.aliens entry.q_src with
+            match Itbl.find_opt t.aliens (Pid.to_int entry.q_src) with
             | Some al when al.al_seq = entry.q_seq ->
                 remove_alien t al;
                 send_nack t ~dst_host:(Pid.host entry.q_src) ~src_pid:pid
@@ -1561,11 +1577,13 @@ let destroy t pid =
             | Some _ | None -> ())
         d.d_queue;
       Queue.clear d.d_queue;
-      (* Fail ReceiveSpecific waiters blocked on the destroyed process. *)
-      Hashtbl.iter
+      (* Fail ReceiveSpecific waiters blocked on the destroyed process.
+         They resume in [procs]'s walk order, which [Itbl] keeps equal
+         to a polymorphic [Hashtbl]'s. *)
+      Itbl.iter
         (fun _ (w : desc) ->
           match w.d_recv with
-          | Some rw when rw.rw_from = Some pid ->
+          | Some ({ rw_from = Some from; _ } as rw) when Pid.equal from pid ->
               w.d_recv <- None;
               w.d_state <- Ready;
               charge_k t 0 (fun () -> rw.rw_k (Pid.nil, 0))
@@ -1598,28 +1616,30 @@ let process_name t pid =
 let crash t =
   if not t.down then begin
     t.down <- true;
-    Hashtbl.iter (fun _ p -> Vsim.Proc.kill p) t.kfibers;
-    Hashtbl.reset t.kfibers;
-    Hashtbl.iter
+    (* Killing a fiber wakes its joiners, in [kfibers]'s walk order, which
+       [Itbl] keeps equal to a polymorphic [Hashtbl]'s. *)
+    Itbl.iter (fun _ p -> Vsim.Proc.kill p) t.kfibers;
+    Itbl.reset t.kfibers;
+    Itbl.iter
       (fun _ d ->
         d.d_state <- Dead;
         match d.d_rsend with Some rs -> stop t rs.rs_retx | None -> ())
       t.procs;
-    Hashtbl.iter (fun _ mto -> stop t mto.mto_retx) t.mt_outs;
-    Hashtbl.iter (fun _ mfo -> stop t mfo.mfo_retx) t.mf_outs;
-    Hashtbl.iter (fun _ gw -> stop t gw.gw_retx) t.getpid_waits;
-    Hashtbl.reset t.procs;
-    Hashtbl.reset t.fibers;
-    Hashtbl.reset t.aliens;
+    Itbl.iter (fun _ mto -> stop t mto.mto_retx) t.mt_outs;
+    Itbl.iter (fun _ mfo -> stop t mfo.mfo_retx) t.mf_outs;
+    Itbl.iter (fun _ gw -> stop t gw.gw_retx) t.getpid_waits;
+    Itbl.reset t.procs;
+    Itbl.reset t.fibers;
+    Itbl.reset t.aliens;
     t.alien_count <- 0;
-    Hashtbl.reset t.mt_outs;
-    Hashtbl.reset t.mt_ins;
-    Hashtbl.reset t.mf_outs;
-    Hashtbl.reset t.registry;
-    Hashtbl.reset t.getpid_cache;
-    Hashtbl.reset t.getpid_waits;
+    Itbl.reset t.mt_outs;
+    Itbl.reset t.mt_ins;
+    Itbl.reset t.mf_outs;
+    Itbl.reset t.registry;
+    Itbl.reset t.getpid_cache;
+    Itbl.reset t.getpid_waits;
     Rto.reset t.rto;
-    Hashtbl.reset t.host_map
+    Itbl.reset t.host_map
   end
 
 let restart t =
@@ -1630,7 +1650,7 @@ let restart t =
 
 let is_down t = t.down
 let on_restart t hook = t.restart_hooks <- hook :: t.restart_hooks
-let forget_pid t ~logical_id = Hashtbl.remove t.getpid_cache logical_id
+let forget_pid t ~logical_id = Itbl.remove t.getpid_cache logical_id
 
 (* ------------------------------------------------------------------ *)
 (* IPC primitives                                                      *)
@@ -1737,7 +1757,7 @@ let reply_gen t msg dst ~seg =
   charge t (m.Vhw.Cost_model.reply_op_ns + seg_cost);
   if Pid.host dst = t.khost then begin
     match find_proc t dst with
-    | Some dd when dd.d_state = Awaiting_reply d.d_pid -> (
+    | Some dd when awaiting_reply dd.d_state d.d_pid -> (
         let seg_status =
           match seg with
           | None -> Ok
@@ -1791,7 +1811,7 @@ let reply_gen t msg dst ~seg =
   end
   else begin
     (* Reply to an alien: the reply packet is the acknowledgement. *)
-    match Hashtbl.find_opt t.aliens dst with
+    match Itbl.find_opt t.aliens (Pid.to_int dst) with
     | Some al
       when Pid.equal al.al_dst d.d_pid
            && (al.al_state = A_received || al.al_state = A_queued) -> (
@@ -1872,7 +1892,7 @@ let forward t msg ~from_pid ~to_pid =
   if Pid.host from_pid = t.khost then begin
     (* The sender is local to this kernel. *)
     match find_proc t from_pid with
-    | Some fd when fd.d_state = Awaiting_reply d.d_pid ->
+    | Some fd when awaiting_reply fd.d_state d.d_pid ->
         fd.d_grant <- grant_of_msg msg ~granted_to:to_pid;
         if Pid.host to_pid = t.khost then begin
           match find_proc t to_pid with
@@ -1899,7 +1919,7 @@ let forward t msg ~from_pid ~to_pid =
   end
   else begin
     (* The sender is an alien: it sent from another workstation. *)
-    match Hashtbl.find_opt t.aliens from_pid with
+    match Itbl.find_opt t.aliens (Pid.to_int from_pid) with
     | Some al
       when Pid.equal al.al_dst d.d_pid
            && (al.al_state = A_received || al.al_state = A_queued) ->
@@ -1914,7 +1934,7 @@ let forward t msg ~from_pid ~to_pid =
           | Some td ->
               Msg.blit ~src:msg ~dst:al.al_msg;
               let al' = { al with al_dst = to_pid; al_state = A_queued } in
-              Hashtbl.replace t.aliens from_pid al';
+              Itbl.replace t.aliens (Pid.to_int from_pid) al';
               enqueue_msg t td
                 { q_src = from_pid; q_seq = al.al_seq; q_msg = al'.al_msg;
                   q_local = false };
@@ -2023,7 +2043,7 @@ let move_to t ~dst_pid ~dst ~src ~count =
             mto_done = resume;
           }
         in
-        Hashtbl.replace t.mt_outs seq mto;
+        Itbl.replace t.mt_outs seq mto;
         stream_mt t mto ~from:0)
   end
 
@@ -2092,7 +2112,7 @@ let move_from t ~src_pid ~dst ~src ~count =
             mfo_done = resume;
           }
         in
-        Hashtbl.replace t.mf_outs seq mfo;
+        Itbl.replace t.mf_outs seq mfo;
         transmit t (Move_from mfo))
   end
 
@@ -2102,13 +2122,13 @@ let move_from t ~src_pid ~dst ~src ~count =
 let set_pid t ~logical_id pid scope =
   let (_ : desc) = current t in
   charge t (model t).Vhw.Cost_model.syscall_ns;
-  Hashtbl.replace t.registry logical_id { re_pid = pid; re_scope = scope }
+  Itbl.replace t.registry logical_id { re_pid = pid; re_scope = scope }
 
 let get_pid t ~logical_id scope =
   let d = current t in
   charge t (model t).Vhw.Cost_model.syscall_ns;
   let local_entry visible =
-    match Hashtbl.find_opt t.registry logical_id with
+    match Itbl.find_opt t.registry logical_id with
     | Some e when visible e.re_scope -> Some e.re_pid
     | Some _ | None -> None
   in
@@ -2123,11 +2143,11 @@ let get_pid t ~logical_id scope =
       match first with
       | Some pid -> Some pid
       | None -> (
-          match Hashtbl.find_opt t.getpid_cache logical_id with
+          match Itbl.find_opt t.getpid_cache logical_id with
           | Some pid -> Some pid
           | None ->
               Vsim.Proc.suspend ~reason:"getpid" (fun resume ->
-                  match Hashtbl.find_opt t.getpid_waits logical_id with
+                  match Itbl.find_opt t.getpid_waits logical_id with
                   | Some gw -> gw.gw_waiters <- resume :: gw.gw_waiters
                   | None ->
                       (* GetPid rides the shared retransmission timer,
@@ -2143,7 +2163,7 @@ let get_pid t ~logical_id scope =
                           gw_waiters = [ resume ];
                         }
                       in
-                      Hashtbl.replace t.getpid_waits logical_id gw;
+                      Itbl.replace t.getpid_waits logical_id gw;
                       transmit t (Getpid gw))))
 
 let get_time t =
@@ -2194,7 +2214,7 @@ let table_counts t =
   let aliens_live = ref 0
   and aliens_replied = ref 0
   and aliens_forwarded = ref 0 in
-  Hashtbl.iter
+  Itbl.iter
     (fun _ al ->
       match al.al_state with
       | A_queued | A_received -> incr aliens_live
@@ -2202,11 +2222,11 @@ let table_counts t =
       | A_forwarded -> incr aliens_forwarded)
     t.aliens;
   let mt_ins_incomplete = ref 0 in
-  Hashtbl.iter
+  Itbl.iter
     (fun _ mti -> if not mti.mti_complete then incr mt_ins_incomplete)
     t.mt_ins;
   let sends_blocked = ref 0 in
-  Hashtbl.iter
+  Itbl.iter
     (fun _ d -> if d.d_rsend <> None then incr sends_blocked)
     t.procs;
   {
@@ -2214,10 +2234,10 @@ let table_counts t =
     aliens_replied = !aliens_replied;
     aliens_forwarded = !aliens_forwarded;
     mt_ins_incomplete = !mt_ins_incomplete;
-    mt_ins_total = Hashtbl.length t.mt_ins;
-    mt_outs_pending = Hashtbl.length t.mt_outs;
-    mf_outs_pending = Hashtbl.length t.mf_outs;
-    getpid_pending = Hashtbl.length t.getpid_waits;
+    mt_ins_total = Itbl.length t.mt_ins;
+    mt_outs_pending = Itbl.length t.mt_outs;
+    mf_outs_pending = Itbl.length t.mf_outs;
+    getpid_pending = Itbl.length t.getpid_waits;
     sends_blocked = !sends_blocked;
   }
 

@@ -21,7 +21,7 @@ type t = {
   ns_per_byte : int;
   suspect_threshold : int;
   seed_ns : int;
-  dests : (int, dest) Hashtbl.t;
+  dests : dest Vsim.Itbl.t;
   mutable timeouts : int;
   mutable suspects : int;
 }
@@ -52,19 +52,19 @@ let create eng ~host ~model ~mode ~fixed_ns ~min_ns ~max_ns ~ns_per_byte
     ns_per_byte;
     suspect_threshold;
     seed_ns = rtt_seed model;
-    dests = Hashtbl.create 16;
+    dests = Vsim.Itbl.create 16;
     timeouts = 0;
     suspects = 0;
   }
 
-let reset t = Hashtbl.reset t.dests
+let reset t = Vsim.Itbl.reset t.dests
 let timeouts t = t.timeouts
 let suspects t = t.suspects
 
 let state t dst =
-  match Hashtbl.find_opt t.dests dst with
-  | Some d -> d
-  | None ->
+  match Vsim.Itbl.find t.dests dst with
+  | d -> d
+  | exception Not_found ->
       let d =
         {
           srtt_ns = t.seed_ns;
@@ -75,11 +75,11 @@ let state t dst =
           suspected = false;
         }
       in
-      Hashtbl.replace t.dests dst d;
+      Vsim.Itbl.replace t.dests dst d;
       d
 
 let suspected t ~dst =
-  match Hashtbl.find_opt t.dests dst with
+  match Vsim.Itbl.find_opt t.dests dst with
   | Some d -> d.suspected
   | None -> false
 
@@ -90,13 +90,13 @@ let suspected t ~dst =
    is padded and floored so a first exchange never times out spuriously. *)
 let base_of t d ~bytes =
   let base =
-    if d.have_sample then d.srtt_ns + max (4 * d.rttvar_ns) (d.srtt_ns / 2)
-    else max (3 * t.seed_ns) (Vsim.Time.ms 10)
+    if d.have_sample then d.srtt_ns + Int.max (4 * d.rttvar_ns) (d.srtt_ns / 2)
+    else Int.max (3 * t.seed_ns) (Vsim.Time.ms 10)
   in
-  min (max (base + (bytes * t.ns_per_byte)) t.min_ns) t.max_ns
+  Int.min (Int.max (base + (bytes * t.ns_per_byte)) t.min_ns) t.max_ns
 
 let backed_off t d ~bytes =
-  min (base_of t d ~bytes * (1 lsl min d.backoff 6)) t.max_ns
+  Int.min (base_of t d ~bytes * (1 lsl Int.min d.backoff 6)) t.max_ns
 
 let base_ns t ~dst ~bytes =
   match t.mode with
@@ -133,7 +133,7 @@ let note_success t ~dst ~sample_ns =
   match sample_ns with
   | None -> ()
   | Some r ->
-      let r = max r 1 in
+      let r = Int.max r 1 in
       d.backoff <- 0;
       if d.have_sample then begin
         d.rttvar_ns <- ((3 * d.rttvar_ns) + abs (d.srtt_ns - r)) / 4;

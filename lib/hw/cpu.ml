@@ -19,12 +19,12 @@ let host t = t.chost
 let model t = t.cmodel
 let engine t = t.eng
 let busy_ns t = t.busy
-let free_at t = max t.free (Vsim.Engine.now t.eng)
+let free_at t = Int.max t.free (Vsim.Engine.now t.eng)
 
 (* Queue [ns] of work behind whatever the CPU already holds and return the
    instant it completes. *)
 let book t ns =
-  let start = max (Vsim.Engine.now t.eng) t.free in
+  let start = Int.max (Vsim.Engine.now t.eng) t.free in
   let finish = start + ns in
   t.free <- finish;
   t.busy <- t.busy + ns;
@@ -34,7 +34,7 @@ let book t ns =
   finish
 
 let charge_k t ns k =
-  ignore (Vsim.Engine.at t.eng ~kind:k_grant (book t (max ns 0)) k)
+  ignore (Vsim.Engine.at t.eng ~kind:k_grant (book t (Int.max ns 0)) k)
 
 let reserve t ns = if ns > 0 then ignore (book t ns)
 

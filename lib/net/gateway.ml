@@ -47,7 +47,7 @@ type t = {
   cfg : config;
   segments : Medium.t array;
   outs : out array;
-  routes : (Addr.t, int) Hashtbl.t;
+  routes : int Vsim.Itbl.t;  (** host address -> segment index *)
   seen : (int * int * int * int, unit) Hashtbl.t;
       (** recent broadcast identities: (src, ethertype, len, payload hash) *)
   seen_fifo : (int * int * int * int) Queue.t;
@@ -138,7 +138,7 @@ let on_frame t seg (frame : Frame.t) =
     end
   end
   else
-    match Hashtbl.find_opt t.routes frame.Frame.dst with
+    match Vsim.Itbl.find_opt t.routes frame.Frame.dst with
     | None -> t.s_unrouted <- t.s_unrouted + 1
     | Some j when j = seg -> ()  (* local traffic; nothing to do *)
     | Some j -> enqueue t j frame
@@ -155,7 +155,7 @@ let create ?(config = default_config) eng ~addr segments =
       segments;
       outs =
         Array.map (fun _ -> { q = Queue.create (); busy = false }) segments;
-      routes = Hashtbl.create 32;
+      routes = Vsim.Itbl.create 32;
       seen = Hashtbl.create 64;
       seen_fifo = Queue.create ();
       down = false;
@@ -180,9 +180,9 @@ let addr t = t.addr
 let add_route t ~host ~segment =
   if segment < 0 || segment >= Array.length t.segments then
     invalid_arg "Gateway.add_route: no such segment";
-  Hashtbl.replace t.routes host segment
+  Vsim.Itbl.replace t.routes host segment
 
-let route t host = Hashtbl.find_opt t.routes host
+let route t host = Vsim.Itbl.find_opt t.routes host
 
 let crash t =
   t.down <- true;

@@ -61,9 +61,12 @@ type t = {
   cfg : config;
   eng : Vsim.Engine.t;
   rng : Vsim.Rng.t;
-  ports : (Addr.t, port) Hashtbl.t;
-  taps : (Addr.t, port) Hashtbl.t;
+  ports : port Vsim.Itbl.t;
+  taps : port Vsim.Itbl.t;
       (** promiscuous stations (bridges): targeted by every frame *)
+  mutable fanout : port list;  (** every port, in broadcast order *)
+  mutable tap_list : port list;  (** every tap, in delivery order *)
+  mutable fanout_stale : bool;  (** a station attached since they were built *)
   waiters : pending Queue.t;
   mutable busy_until : Vsim.Time.t;
   mutable current : current option;
@@ -100,8 +103,11 @@ let create eng cfg =
     cfg;
     eng;
     rng = Vsim.Rng.split (Vsim.Engine.rng eng);
-    ports = Hashtbl.create 16;
-    taps = Hashtbl.create 4;
+    ports = Vsim.Itbl.create 16;
+    taps = Vsim.Itbl.create 4;
+    fanout = [];
+    tap_list = [];
+    fanout_stale = false;
     waiters = Queue.create ();
     busy_until = 0;
     current = None;
@@ -131,19 +137,21 @@ let set_host_handler t ~crash ~restart = t.host_handler <- Some (crash, restart)
 let attach t ~addr ~rx =
   if not (Addr.is_valid addr) || Addr.is_broadcast addr then
     invalid_arg "Medium.attach: bad address";
-  if Hashtbl.mem t.ports addr then
+  if Vsim.Itbl.mem t.ports addr then
     Fmt.invalid_arg "Medium.attach: address %d already attached" addr;
   let port = { paddr = addr; prx = rx } in
-  Hashtbl.replace t.ports addr port;
+  Vsim.Itbl.replace t.ports addr port;
+  t.fanout_stale <- true;
   port
 
 let attach_tap t ~addr ~rx =
   if not (Addr.is_valid addr) || Addr.is_broadcast addr then
     invalid_arg "Medium.attach_tap: bad address";
-  if Hashtbl.mem t.ports addr || Hashtbl.mem t.taps addr then
+  if Vsim.Itbl.mem t.ports addr || Vsim.Itbl.mem t.taps addr then
     Fmt.invalid_arg "Medium.attach_tap: address %d already attached" addr;
   let port = { paddr = addr; prx = rx } in
-  Hashtbl.replace t.taps addr port;
+  Vsim.Itbl.replace t.taps addr port;
+  t.fanout_stale <- true;
   port
 
 let stats t =
@@ -202,27 +210,46 @@ let deliver_to t frame (port : port) =
    bits fall on the floor and are not counted as targeted.  Taps
    (promiscuous bridge ports) hear every frame they did not source
    themselves, appended after the regular ports so that a tapless medium
-   keeps the exact delivery order it had before taps existed. *)
-let tap_targets t frame acc =
-  Hashtbl.fold
-    (fun addr port acc ->
-      if Addr.equal addr frame.Frame.src then acc else port :: acc)
-    t.taps acc
+   keeps the exact delivery order it had before taps existed.
+
+   A broadcast reaches the ports in the reverse of the port table's walk
+   order, and taps follow in walk order; that is the order in which
+   folding each table into a list once put them.  [fanout] and
+   [tap_list] hold those orders, rebuilt by the first frame after an
+   attach (so attaching n stations costs one rebuild, not n), and a frame
+   only drops its source from them.  [Vsim.Itbl] walks a table in the
+   order a polymorphic [Hashtbl] would, so the order is the one the
+   per-frame folds gave. *)
+let refresh t =
+  if t.fanout_stale then begin
+    t.fanout_stale <- false;
+    t.fanout <- Vsim.Itbl.fold (fun _ port acc -> port :: acc) t.ports [];
+    t.tap_list <-
+      List.rev (Vsim.Itbl.fold (fun _ port acc -> port :: acc) t.taps [])
+  end
+
+(* [ports] without the one at [addr], sharing the tail after it, or
+   [ports] itself if none is there (a frame bridged in from another
+   segment). *)
+let rec without addr = function
+  | [] -> []
+  | port :: rest as ports ->
+      if Addr.equal port.paddr addr then rest
+      else
+        let rest' = without addr rest in
+        if rest' == rest then ports else port :: rest'
 
 let targets t frame =
+  refresh t;
+  let src = frame.Frame.src in
   let direct =
-    if Frame.is_broadcast frame then
-      Hashtbl.fold
-        (fun addr port acc ->
-          if Addr.equal addr frame.Frame.src then acc else port :: acc)
-        t.ports []
+    if Frame.is_broadcast frame then without src t.fanout
     else
-      match Hashtbl.find_opt t.ports frame.Frame.dst with
-      | Some port -> [ port ]
-      | None -> []
+      match Vsim.Itbl.find t.ports frame.Frame.dst with
+      | port -> [ port ]
+      | exception Not_found -> []
   in
-  if Hashtbl.length t.taps = 0 then direct
-  else direct @ List.rev (tap_targets t frame [])
+  match t.tap_list with [] -> direct | taps -> direct @ without src taps
 
 (* Batched delivery: one event per arrival instant covers every target
    port, iterated in target order — the same relative delivery order the
@@ -390,7 +417,7 @@ and backoff t (p : pending) =
     p.on_sent ()
   end
   else begin
-    let k = min p.attempts 10 in
+    let k = Int.min p.attempts 10 in
     let slots = Vsim.Rng.int t.rng (1 lsl k) in
     let delay = t.cfg.jam_ns + (slots * t.cfg.slot_ns) in
     ignore
@@ -414,7 +441,7 @@ let transmit ?(on_sent = ignore) ?(bridged = false) t frame =
   (* A bridge forwards frames transparently: the original source address
      is preserved even though that station is attached to another segment,
      so Mapped-mode address learning keeps working across the gateway. *)
-  if (not bridged) && not (Hashtbl.mem t.ports frame.Frame.src) then
+  if (not bridged) && not (Vsim.Itbl.mem t.ports frame.Frame.src) then
     invalid_arg "Medium.transmit: source not attached";
   t.s_attempted <- t.s_attempted + 1;
   attempt t { frame; attempts = 0; on_sent }

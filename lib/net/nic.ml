@@ -3,7 +3,7 @@ type t = {
   ncpu : Vhw.Cpu.t;
   nmedium : Medium.t;
   eng : Vsim.Engine.t;
-  receivers : (int, Frame.t -> unit) Hashtbl.t;
+  receivers : (Frame.t -> unit) Vsim.Itbl.t;
   mutable rx_count : int;
   mutable crc_count : int;
   mutable tx_count : int;
@@ -31,9 +31,9 @@ let on_frame t frame =
       end
       else begin
         t.rx_count <- t.rx_count + 1;
-        match Hashtbl.find_opt t.receivers frame.Frame.ethertype with
-        | Some handler -> handler frame
-        | None -> ()
+        match Vsim.Itbl.find t.receivers frame.Frame.ethertype with
+        | handler -> handler frame
+        | exception Not_found -> ()
       end)
 
 let create eng ~cpu ~medium ~addr =
@@ -43,7 +43,7 @@ let create eng ~cpu ~medium ~addr =
       ncpu = cpu;
       nmedium = medium;
       eng;
-      receivers = Hashtbl.create 4;
+      receivers = Vsim.Itbl.create 4;
       rx_count = 0;
       crc_count = 0;
       tx_count = 0;
@@ -57,7 +57,7 @@ let create eng ~cpu ~medium ~addr =
 let addr t = t.naddr
 let cpu t = t.ncpu
 let medium t = t.nmedium
-let set_receiver t ~ethertype f = Hashtbl.replace t.receivers ethertype f
+let set_receiver t ~ethertype f = Vsim.Itbl.replace t.receivers ethertype f
 
 let release_tx_buf t () =
   if Queue.is_empty t.tx_waiters then t.tx_buf_busy <- false

@@ -127,6 +127,63 @@ let test_odd_sizes =
       in
       !ok)
 
+(* Two movers on different hosts stream into one kernel under the same
+   transaction sequence number.  The receiver names an inbound MoveTo by
+   (mover host, seq), so the two trains must stay apart and both land
+   intact.  Hosts 2 and 3 run the same program, so their kernels hand
+   out equal sequence numbers, which the test checks first. *)
+let test_move_to_same_seq_two_hosts () =
+  let tb = Util.testbed ~hosts:3 () in
+  let k1 = kernel_of tb 1 and len = 8192 in
+  let image h =
+    Bytes.init len (fun i -> Vworkload.Testbed.pattern_byte ((i * h) + h))
+  in
+  let done_seqs = ref [] in
+  Vsim.Trace.attach tb.Vworkload.Testbed.eng (fun _ ev ->
+      match ev with
+      | Vsim.Event.Move_done { host; seq; _ } ->
+          done_seqs := (host, seq) :: !done_seqs
+      | _ -> ());
+  let mover h =
+    let k = kernel_of tb h in
+    K.spawn k ~name:"mover" (fun pid ->
+        let msg = Msg.create () in
+        let src = K.receive k msg in
+        Vkernel.Mem.write (K.memory k pid) ~pos:0 (image h);
+        Alcotest.check Util.status "move_to" K.Ok
+          (K.move_to k ~dst_pid:src ~dst:0 ~src:0 ~count:len);
+        ignore (K.reply k msg src))
+  in
+  let landed = ref [] in
+  let granter mover_pid =
+    ignore
+      (K.spawn k1 ~name:"granter" (fun pid ->
+           let msg = Msg.create () in
+           Msg.set_segment msg Msg.Read_write ~ptr:0 ~len;
+           Msg.set_no_piggyback msg;
+           Alcotest.check Util.status "grant send" K.Ok
+             (K.send k1 msg mover_pid);
+           let got = Vkernel.Mem.read (K.memory k1 pid) ~pos:0 ~len in
+           landed := (Vkernel.Pid.host mover_pid, got) :: !landed))
+  in
+  granter (mover 2);
+  granter (mover 3);
+  Vworkload.Testbed.run tb;
+  (match List.sort compare !done_seqs with
+  | [ (2, s2); (3, s3) ] -> Alcotest.(check int) "same seq" s2 s3
+  | l ->
+      Alcotest.failf "expected one MoveTo per mover, saw %d" (List.length l));
+  List.iter
+    (fun h ->
+      match List.assoc_opt h !landed with
+      | Some got ->
+          Alcotest.(check bool)
+            (Printf.sprintf "host %d's image intact" h)
+            true
+            (Bytes.equal got (image h))
+      | None -> Alcotest.failf "granter of host %d never finished" h)
+    [ 2; 3 ]
+
 let test_move_packet_count () =
   (* A 64 KB MoveTo should use total/1024 data packets + 1 ack and no
      retransmissions on a clean network. *)
@@ -157,4 +214,6 @@ let suite =
     Alcotest.test_case "zero-byte move" `Quick test_zero_byte_move;
     test_odd_sizes;
     Alcotest.test_case "move packet counts" `Quick test_move_packet_count;
+    Alcotest.test_case "move_to same seq from two hosts" `Quick
+      test_move_to_same_seq_two_hosts;
   ]

@@ -152,6 +152,39 @@ let test_scripted_reorder () =
     (s.Vnet.Medium.targeted + s.Vnet.Medium.duplicated
     - s.Vnet.Medium.delivered - s.Vnet.Medium.dropped)
 
+(* Receivers hear a broadcast in one fixed order, which every traced run
+   and checker schedule depends on: the order of the port table's walk,
+   which is neither address nor attach order, with the taps after the
+   ports.  It must survive a station attached between frames, a frame
+   bridged in from another segment and a frame a tap sends itself. *)
+let test_broadcast_order () =
+  let eng, medium = setup () in
+  let heard = ref [] in
+  let station attach a =
+    ignore (attach medium ~addr:a ~rx:(fun _ -> heard := a :: !heard))
+  in
+  List.iter (station Vnet.Medium.attach) [ 7; 2; 30; 1; 19; 4; 12 ];
+  List.iter (station Vnet.Medium.attach_tap) [ 200; 60; 90 ];
+  let order ?bridged ~src ~dst () =
+    heard := [];
+    Vnet.Medium.transmit ?bridged medium
+      (Vnet.Frame.make ~src ~dst ~ethertype:0 (Bytes.make 10 'b'));
+    Vsim.Engine.run eng;
+    List.rev !heard
+  in
+  let bc = Vnet.Addr.broadcast in
+  let check name expect got = Alcotest.(check (list int)) name expect got in
+  check "broadcast" [ 19; 1; 4; 12; 7; 30; 60; 200; 90 ]
+    (order ~src:2 ~dst:bc ());
+  station Vnet.Medium.attach 25;
+  check "after an attach" [ 1; 25; 4; 12; 7; 30; 2; 60; 200; 90 ]
+    (order ~src:19 ~dst:bc ());
+  check "bridged in" [ 19; 1; 25; 4; 12; 7; 30; 2; 60; 200; 90 ]
+    (order ~bridged:true ~src:99 ~dst:bc ());
+  check "from a tap" [ 19; 1; 25; 4; 12; 7; 30; 2; 200; 90 ]
+    (order ~bridged:true ~src:60 ~dst:bc ());
+  check "unicast" [ 30; 60; 200; 90 ] (order ~src:7 ~dst:30 ())
+
 let test_broadcast_drop_per_receiver () =
   (* A scripted drop of a broadcast frame loses one copy per receiver:
      with three stations attached, two intended deliveries are lost and
@@ -289,6 +322,7 @@ let suite =
   [
     Alcotest.test_case "delivery timing" `Quick test_delivery_timing;
     Alcotest.test_case "broadcast" `Quick test_broadcast;
+    Alcotest.test_case "broadcast order" `Quick test_broadcast_order;
     Alcotest.test_case "carrier sense" `Quick test_carrier_sense;
     Alcotest.test_case "collision backoff" `Quick test_collision_backoff;
     Alcotest.test_case "fault drop" `Quick test_fault_drop;

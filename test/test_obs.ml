@@ -312,6 +312,18 @@ let schedule_minor_words (sc : Vcheck.Checker.Scenario.t) =
   run ();
   int_of_float (Gc.minor_words () -. w0)
 
+(* Events fired and minor words of one boot storm of 16 clients over the
+   default two segments, measured after a warm-up storm.  Every PAGE is a
+   broadcast, so this pins the medium's fan-out. *)
+let boot_storm_cost () =
+  let storm () =
+    Vworkload.Boot.(run ~segments:(default_segments ~clients:16) ())
+  in
+  ignore (storm ());
+  let w0 = Gc.minor_words () in
+  let r = storm () in
+  (r.Vworkload.Boot.events, int_of_float (Gc.minor_words () -. w0))
+
 (* Pins the host allocation of the event path exactly, so a change that
    adds a word per event or per packet shows.  The lazily purged
    record-per-event heap before the indexed one took 13 words per engine
@@ -319,26 +331,35 @@ let schedule_minor_words (sc : Vcheck.Checker.Scenario.t) =
    pop) and 978 words per exchange here (1,015 per op in
    vbench's ipc_pingpong).  The exchange figure is also the first check
    of lib/sim/trace.ml's promise that an untraced run allocates nothing
-   for tracing.  Both figures are for OCaml 5.1 native code.  The event
-   count pins the events per exchange: CPU time that nothing waits for
-   is a reservation, so an [ignore] callback put back on the event queue
-   shows here (and took 1,800 events).  The schedule figures pin what
+   for tracing.  Every minor-words pin is for OCaml 5.1 native code built
+   with the workspace's default (release) profile: the dev profile's
+   -opaque stops cross-module inlining, which changes what allocates
+   (100 exchanges took 68,900 words under dev, before the kernel's int
+   tables, and 67,900 under release).  The event count pins the events
+   per exchange: CPU time that nothing waits for is a reservation, so an
+   [ignore] callback put back on the event queue shows here (and took
+   1,800 events).  The schedule figures pin what
    judging a checker schedule costs: with images rebuilt per schedule,
    a copy per file-system block read and fsck's per-inode block copies
    they were 19,471 (net) and 46,365 (crash) words.  A 512-byte block
    is 65 words here; objects over 256 words go straight to the major
-   heap and do not show. *)
+   heap and do not show.  The boot storm pins the broadcast path: when
+   the medium folded its port table for every frame, the storm took
+   134,185 words. *)
 let test_host_allocation_gate () =
   Alcotest.(check int) "minor words for 1000 engine steps" 0
     (marginal_minor_words engine_steps 1000);
-  Alcotest.(check int) "minor words for 100 remote S-R-R exchanges" 68_900
+  Alcotest.(check int) "minor words for 100 remote S-R-R exchanges" 65_900
     (marginal_minor_words remote_exchanges 100);
   Alcotest.(check int) "events fired for 100 remote S-R-R exchanges" 1_600
     (marginal_events 100);
-  Alcotest.(check int) "minor words for a fault-free net schedule" 18_699
+  Alcotest.(check int) "minor words for a fault-free net schedule" 18_164
     (schedule_minor_words Vcheck.Checker.Scenario.net);
-  Alcotest.(check int) "minor words for a fault-free crash schedule" 20_154
-    (schedule_minor_words Vcheck.Checker.Scenario.crash)
+  Alcotest.(check int) "minor words for a fault-free crash schedule" 19_918
+    (schedule_minor_words Vcheck.Checker.Scenario.crash);
+  let events, words = boot_storm_cost () in
+  Alcotest.(check int) "events fired for a 16-client boot storm" 2_463 events;
+  Alcotest.(check int) "minor words for a 16-client boot storm" 115_158 words
 
 let suite =
   [

@@ -268,6 +268,44 @@ let test_time_pp () =
   Alcotest.(check string) "adaptive us" "2.50us" (Format.asprintf "%a" Vsim.Time.pp 2_500);
   Alcotest.(check int) "of_float_ms" 3_180_000 (Vsim.Time.of_float_ms 3.18)
 
+(* Itbl's hash is the runtime's, bit for bit, on every int. *)
+let test_itbl_hash () =
+  List.iter
+    (fun i ->
+      Alcotest.(check int) (string_of_int i) (Hashtbl.hash i)
+        (Vsim.Itbl.hash i))
+    [ 0; 1; -1; max_int; min_int; max_int - 1; min_int + 1; 1 lsl 31;
+      (1 lsl 31) - 1; -(1 lsl 31); 1 lsl 32; (1 lsl 32) - 1; 1 lsl 61;
+      -(1 lsl 61); (2 lsl 32) lor 7 ];
+  for i = -70_000 to 70_000 do
+    if Vsim.Itbl.hash i <> Hashtbl.hash i then
+      Alcotest.failf "Itbl.hash %d = %d, Hashtbl.hash = %d" i
+        (Vsim.Itbl.hash i) (Hashtbl.hash i)
+  done
+
+let test_itbl_hash_random =
+  Util.qtest "itbl hash equals Hashtbl.hash" QCheck.int (fun i ->
+      Vsim.Itbl.hash i = Hashtbl.hash i)
+
+(* The same replaces and removes leave an Itbl and a polymorphic Hashtbl
+   walking their bindings in one order, through resizes and collisions. *)
+let test_itbl_walk_order =
+  Util.qtest "itbl walks in Hashtbl order"
+    QCheck.(list (pair bool (int_range (-3000) 300_000)))
+    (fun ops ->
+      let it = Vsim.Itbl.create 4 and ht = Hashtbl.create 4 in
+      List.iteri
+        (fun n (add, k) ->
+          if add then (Vsim.Itbl.replace it k n; Hashtbl.replace ht k n)
+          else (Vsim.Itbl.remove it k; Hashtbl.remove ht k))
+        ops;
+      Vsim.Itbl.filter_map_inplace
+        (fun k v -> if k mod 7 = 0 then None else Some v) it;
+      Hashtbl.filter_map_inplace
+        (fun k v -> if k mod 7 = 0 then None else Some v) ht;
+      let walk fold t = fold (fun k v acc -> (k, v) :: acc) t [] in
+      walk Vsim.Itbl.fold it = walk Hashtbl.fold ht)
+
 let suite =
   [
     Alcotest.test_case "eventq order" `Quick test_eventq_order;
@@ -285,4 +323,7 @@ let suite =
     test_rng_bounds;
     Alcotest.test_case "rng bernoulli" `Quick test_rng_bernoulli;
     Alcotest.test_case "time pretty-printing" `Quick test_time_pp;
+    Alcotest.test_case "itbl hash" `Quick test_itbl_hash;
+    test_itbl_hash_random;
+    test_itbl_walk_order;
   ]
