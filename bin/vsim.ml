@@ -44,6 +44,24 @@ let local_arg =
 let trials_arg =
   Arg.(value & opt int 100 & info [ "trials" ] ~doc:"Measurement trials.")
 
+(* An int flag that must be at least 1: anything else is a usage error. *)
+let positive =
+  Arg.conv'
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= 1 -> Ok n
+        | _ ->
+            Error
+              (Printf.sprintf "invalid value '%s', expected a positive \
+                               integer" s)),
+      Format.pp_print_int )
+
+let workers_arg =
+  Arg.(value & opt positive 1
+       & info [ "workers" ]
+           ~doc:"File-server worker processes, at least 1 (1 = the classic \
+                 single Receive loop).")
+
 let pp_cols (c : Vworkload.Rigs.cols) =
   Format.printf "elapsed      %a ms@." Vsim.Time.pp_ms c.Vworkload.Rigs.elapsed;
   Format.printf "client cpu   %a ms@." Vsim.Time.pp_ms c.Vworkload.Rigs.client_cpu;
@@ -149,12 +167,6 @@ let page_cmd =
           s.Vfs.Cache.hits s.Vfs.Cache.misses s.Vfs.Cache.evictions
           s.Vfs.Cache.writebacks s.Vfs.Cache.invalidations
     | None -> ()
-  in
-  let workers_arg =
-    Arg.(value & opt int 1
-         & info [ "workers" ]
-             ~doc:"File-server worker processes (1 = the classic single \
-                   Receive loop).")
   in
   let run spec mhz net local write basic cache_blocks cache_policy workers =
     Spec.with_obs spec @@ fun () ->
@@ -264,12 +276,6 @@ let capacity_cmd =
   let duration =
     Arg.(value & opt int 4 & info [ "duration" ] ~doc:"Simulated seconds.")
   in
-  let workers =
-    Arg.(value & opt int 1
-         & info [ "workers" ]
-             ~doc:"File-server worker processes (1 = the classic single \
-                   Receive loop).")
-  in
   let run spec mhz clients think duration workers =
     Spec.with_obs spec @@ fun () ->
     let rows =
@@ -289,7 +295,7 @@ let capacity_cmd =
   Cmd.v
     (Cmd.info "capacity" ~doc:"File-server capacity under multi-client load")
     Term.(const run $ Spec.term $ mhz_arg $ clients $ think $ duration
-          $ workers)
+          $ workers_arg)
 
 (* --- fault ------------------------------------------------------------ *)
 
@@ -353,17 +359,6 @@ let check_cmd =
              ~doc:"Maximum scheduled faults per run: 1 or 2.")
   in
   let limit =
-    let positive =
-      Arg.conv'
-        ( (fun s ->
-            match int_of_string_opt s with
-            | Some n when n >= 1 -> Ok n
-            | _ ->
-                Error
-                  (Printf.sprintf "invalid value '%s', expected a positive \
-                                   integer" s)),
-          Format.pp_print_int )
-    in
     Arg.(value & opt positive 600
          & info [ "limit" ] ~docv:"N"
              ~doc:"Stop after exploring $(docv) schedules (at least 1).")
@@ -494,20 +489,9 @@ let boot_cmd =
                    segment.  Overrides --clients.  Default: --clients split \
                    over 10mb,3mb.")
   in
-  let run spec clients pages page_bytes topology =
+  let module Boot = Vworkload.Boot in
+  let storm spec ~config ~segments =
     Spec.with_obs spec @@ fun () ->
-    let module Boot = Vworkload.Boot in
-    let segments =
-      match topology with
-      | None -> Boot.default_segments ~clients
-      | Some s -> (
-          match Vworkload.Topology.spec_of_string s with
-          | Ok segs -> segs
-          | Error e ->
-              Format.eprintf "--topology: %s@." e;
-              exit 1)
-    in
-    let config = { Boot.default_config with pages; page_bytes } in
     let r = Boot.run ?seed:spec.Spec.seed ~config ~segments () in
     let cpu_s_per_k, bytes_per_k = Boot.cost_per_1000_clients r in
     Format.printf "boot storm: %d clients, %d x %d-byte pages over %d segments@."
@@ -536,12 +520,28 @@ let boot_cmd =
       cpu_s_per_k bytes_per_k;
     if not r.Boot.completed then exit 1
   in
+  let run spec clients pages page_bytes topology =
+    let segments =
+      match topology with
+      | None -> Boot.default_segments ~clients
+      | Some s -> (
+          match Vworkload.Topology.spec_of_string s with
+          | Ok segs -> segs
+          | Error e ->
+              Format.eprintf "--topology: %s@." e;
+              exit 1)
+    in
+    let config = { Boot.default_config with pages; page_bytes } in
+    match Boot.validate config ~segments with
+    | Error e -> `Error (true, e)
+    | Ok () -> `Ok (storm spec ~config ~segments)
+  in
   Cmd.v
     (Cmd.info "boot"
        ~doc:"Boot storm: N diskless clients multicast-load one kernel image \
              from a single boot server across a gatewayed two-segment \
              internetwork, with NACK-driven re-multicast rounds")
-    Term.(const run $ Spec.term $ clients $ pages $ page_bytes $ topology)
+    Term.(ret (const run $ Spec.term $ clients $ pages $ page_bytes $ topology))
 
 (* --- run: assemble a program and execute it on a diskless ws --------- *)
 

@@ -114,10 +114,8 @@ let of_string str =
   in
   go [] words
 
-let default_delay_ns = Vsim.Time.ms 15
-
 let default_actions =
-  Vnet.Fault.[ Drop; Duplicate; Delay default_delay_ns; Reorder ]
+  Vnet.Fault.[ Drop; Duplicate; Delay (Vsim.Time.ms 15); Reorder ]
 
 let default_restart_ns = Vsim.Time.ms 50
 

@@ -34,13 +34,10 @@ val of_string : string -> (t, string) result
 
 val pp : Format.formatter -> t -> unit
 
-val default_delay_ns : int
-(** 15 ms: longer than the workload's 10 ms retransmission timeout, so a
-    delayed frame both forces a retransmission and later lands as a
-    duplicate. *)
-
 val default_actions : Vnet.Fault.action list
-(** Drop, Duplicate, Delay {!default_delay_ns}, Reorder. *)
+(** Drop, Duplicate, Delay 15 ms, Reorder.  The delay is longer than the
+    workload's 10 ms retransmission timeout, so a delayed frame both
+    forces a retransmission and later lands as a duplicate. *)
 
 val default_restart_ns : int
 (** 50 ms: long enough that in-flight exchanges time out and the

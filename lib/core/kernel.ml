@@ -51,14 +51,7 @@ type config = {
   retransmit_timeout_ns : int;
   max_retries : int;
   max_aliens : int;
-  max_packet_data : int;
-  max_seg_append : int;
   rto_mode : rto_mode;
-  rto_min_ns : int;
-  rto_max_ns : int;
-  rto_ns_per_byte : int;
-  suspect_threshold : int;
-  default_mem_size : int;
   ip_header_mode : bool;
   process_server_mode : bool;
 }
@@ -68,17 +61,20 @@ let default_config =
     retransmit_timeout_ns = Vsim.Time.ms 200;
     max_retries = 5;
     max_aliens = 64;
-    max_packet_data = 1024;
-    max_seg_append = 512;
     rto_mode = Fixed;
-    rto_min_ns = Vsim.Time.ms 1;
-    rto_max_ns = Vsim.Time.ms 800;
-    rto_ns_per_byte = 3_000;
-    suspect_threshold = 2;
-    default_mem_size = 256 * 1024;
     ip_header_mode = false;
     process_server_mode = false;
   }
+
+(* Data bytes per maximally-sized packet. *)
+let max_packet_data = 1024
+
+(* How much of a read-accessible segment a Send piggybacks: "at least as
+   large as a file block". *)
+let max_seg_append = 512
+
+(* Address-space size for new processes. *)
+let default_mem_size = 256 * 1024
 
 type grant = {
   granted_to : Pid.t;
@@ -789,8 +785,8 @@ let rec arm t x =
   let bytes =
     match x with
     | Send _ | Getpid _ -> 0
-    | Move_to mto -> Int.min mto.mto_total t.cfg.max_packet_data
-    | Move_from mfo -> Int.min mfo.mfo_total t.cfg.max_packet_data
+    | Move_to mto -> Int.min mto.mto_total max_packet_data
+    | Move_from mfo -> Int.min mfo.mfo_total max_packet_data
   in
   let kind =
     match x with
@@ -883,7 +879,7 @@ let launch_send t (d : desc) msg ~dst ~seq ~since =
       if Msg.piggyback_allowed msg then Msg.readable_segment msg else None
     with
     | Some (ptr, len) ->
-        let n = Int.min len t.cfg.max_seg_append in
+        let n = Int.min len max_seg_append in
         if Mem.valid d.d_mem ~pos:ptr ~len:n then
           Mem.read d.d_mem ~pos:ptr ~len:n
         else Bytes.empty
@@ -926,7 +922,7 @@ let stream_mt t (mto : mt_out) ~from =
       arm t (Move_to mto)
     end
     else begin
-      let len = Int.min t.cfg.max_packet_data (mto.mto_total - cursor) in
+      let len = Int.min max_packet_data (mto.mto_total - cursor) in
       let data = Mem.read mto.mto_mem ~pos:(mto.mto_src_ptr + cursor) ~len in
       let pkt =
         Packet.make ~op:Packet.Data_mt ~src_pid:mto.mto_src
@@ -958,7 +954,7 @@ let stream_mf t ~(src_desc : desc) ~requester ~seq ~base_ptr ~total ~from =
     else if cursor >= total then
       charge_async t m.Vhw.Cost_model.server_bookkeep_ns
     else begin
-      let len = Int.min t.cfg.max_packet_data (total - cursor) in
+      let len = Int.min max_packet_data (total - cursor) in
       let data = Mem.read src_desc.d_mem ~pos:(base_ptr + cursor) ~len in
       let pkt =
         Packet.make ~op:Packet.Data_mf ~src_pid:src_desc.d_pid
@@ -1167,7 +1163,7 @@ let handle_data_mt t (pkt : Packet.t) =
                     let horizon =
                       20
                       * Rto.current_ns t.rto ~dst:(mt_in_host k)
-                          ~bytes:(Int.min mti.mti_total t.cfg.max_packet_data)
+                          ~bytes:(Int.min mti.mti_total max_packet_data)
                     in
                     if now - mti.mti_born > horizon then k :: acc else acc)
                   t.mt_ins []
@@ -1456,9 +1452,7 @@ let make_kernel eng ~cpu ~nic ~host ~config ~addressing =
       getpid_waits = Itbl.create 16;
       rto =
         Rto.create eng ~host ~model:(Vhw.Cpu.model cpu) ~mode:config.rto_mode
-          ~fixed_ns:config.retransmit_timeout_ns ~min_ns:config.rto_min_ns
-          ~max_ns:config.rto_max_ns ~ns_per_byte:config.rto_ns_per_byte
-          ~suspect_threshold:config.suspect_threshold;
+          ~fixed_ns:config.retransmit_timeout_ns;
       kfibers = Itbl.create 64;
       down = false;
       restart_hooks = [];
@@ -1498,7 +1492,7 @@ let spawn t ?(name = "process") ?mem_size body =
   t.next_local_id <- t.next_local_id + 1;
   if t.next_local_id > 0xFFFF then failwith "Kernel.spawn: out of local ids";
   let pid = Pid.make ~host:t.khost ~local:t.next_local_id in
-  let mem_size = Option.value mem_size ~default:t.cfg.default_mem_size in
+  let mem_size = Option.value mem_size ~default:default_mem_size in
   let d =
     {
       d_pid = pid;
@@ -1595,7 +1589,6 @@ let memory t pid =
   | Some d -> d.d_mem
   | None -> Fmt.invalid_arg "Kernel.memory: no process %a" Pid.pp pid
 
-let self_pid t = (current t).d_pid
 let my_memory t = (current t).d_mem
 let alive t pid = find_proc t pid <> None
 
@@ -1843,7 +1836,7 @@ let reply_gen t msg dst ~seg =
         match seg with
         | None -> build_and_send Bytes.empty 0
         | Some (destptr, segptr, segsize) ->
-            if segsize > t.cfg.max_packet_data then Too_big
+            if segsize > max_packet_data then Too_big
             else if not (Mem.valid d.d_mem ~pos:segptr ~len:segsize) then
               Bad_address
             else

@@ -60,20 +60,7 @@ type config = {
   retransmit_timeout_ns : int;  (** the paper's T ([Fixed] mode) *)
   max_retries : int;  (** the paper's N *)
   max_aliens : int;  (** alien descriptor pool size *)
-  max_packet_data : int;  (** data bytes per maximally-sized packet *)
-  max_seg_append : int;
-      (** how much of a read-accessible segment a Send piggybacks; "at
-          least as large as a file block" *)
   rto_mode : rto_mode;
-  rto_min_ns : int;  (** adaptive-timer floor *)
-  rto_max_ns : int;  (** adaptive-timer (and backoff) cap *)
-  rto_ns_per_byte : int;
-      (** extra timeout margin per outstanding data byte: size-scales
-          MoveTo/MoveFrom page-train timers *)
-  suspect_threshold : int;
-      (** consecutive retry exhaustions before a destination host is
-          marked suspect and failures surface as [Dead] *)
-  default_mem_size : int;  (** address-space size for new processes *)
   ip_header_mode : bool;
       (** ablation: layered internet headers (+20 bytes, + per-packet CPU) *)
   process_server_mode : bool;
@@ -82,6 +69,11 @@ type config = {
 }
 
 val default_config : config
+
+val max_seg_append : int
+(** How much of a read-accessible segment a Send piggybacks (512 bytes):
+    "at least as large as a file block".  A packet carries at most
+    [max_packet_data] (1024) data bytes. *)
 
 val create :
   Vsim.Engine.t -> cpu:Vhw.Cpu.t -> nic:Vnet.Nic.t -> host:int ->
@@ -107,7 +99,9 @@ val config : t -> config
 (** {1 Processes} *)
 
 val spawn : t -> ?name:string -> ?mem_size:int -> (Pid.t -> unit) -> Pid.t
-(** Create a process; its body starts as a fiber at the current instant. *)
+(** Create a process; its body starts as a fiber at the current instant.
+    Its address space has [mem_size] bytes, by default the constant
+    [default_mem_size] (256 KB). *)
 
 val destroy : t -> Pid.t -> unit
 (** Destroy a process: queued and blocked senders are failed with
@@ -116,9 +110,6 @@ val destroy : t -> Pid.t -> unit
 
 val memory : t -> Pid.t -> Mem.t
 (** The process's address space (test and stub-library access). *)
-
-val self_pid : t -> Pid.t
-(** Pid of the calling process. Must be called from a process fiber. *)
 
 val my_memory : t -> Mem.t
 (** Address space of the calling process. *)
@@ -154,7 +145,7 @@ val forget_pid : t -> logical_id:int -> unit
 val host_suspected : t -> host:int -> bool
 (** Whether this kernel's failure detector currently suspects
     destination [host] (consecutive retry exhaustions reached the
-    suspect threshold; see [suspect_threshold] in {!config}).  [false]
+    constant [Rto.suspect_threshold], 2; see {!Rto.create}).  [false]
     for hosts the kernel has never talked to.  Read-only: servers use
     it to reclaim resources held on behalf of dead clients. *)
 
@@ -266,4 +257,5 @@ val pp_table_counts : Format.formatter -> table_counts -> unit
 val rto_estimate_ns : t -> dst_host:int -> int
 (** The current un-backed-off retransmission interval for [dst_host]: the
     configured T in [Fixed] mode, the live srtt/rttvar-derived estimate in
-    [Adaptive] mode (tests and observability). *)
+    [Adaptive] mode, clamped to the constants [Rto.min_ns] (1 ms) and
+    [Rto.max_ns] (800 ms) (tests and observability). *)

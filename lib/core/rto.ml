@@ -16,10 +16,6 @@ type t = {
   host : int;
   mode : mode;
   fixed_ns : int;
-  min_ns : int;
-  max_ns : int;
-  ns_per_byte : int;
-  suspect_threshold : int;
   seed_ns : int;
   dests : dest Vsim.Itbl.t;
   mutable timeouts : int;
@@ -40,17 +36,21 @@ let rtt_seed (m : Vhw.Cost_model.t) =
   + (2 * m.Vhw.Cost_model.context_switch_ns)
   + (2 * m.Vhw.Cost_model.remote_op_extra_ns)
 
-let create eng ~host ~model ~mode ~fixed_ns ~min_ns ~max_ns ~ns_per_byte
-    ~suspect_threshold =
+(* Adaptive timeouts are clamped to [min_ns, max_ns] (which also caps
+   backoff) and grow by [ns_per_byte] per outstanding data byte, so
+   MoveTo/MoveFrom page trains get size-scaled timers.  [suspect_threshold]
+   consecutive retry exhaustions mark a destination suspect. *)
+let min_ns = Vsim.Time.ms 1
+let max_ns = Vsim.Time.ms 800
+let ns_per_byte = 3_000
+let suspect_threshold = 2
+
+let create eng ~host ~model ~mode ~fixed_ns =
   {
     eng;
     host;
     mode;
     fixed_ns;
-    min_ns;
-    max_ns;
-    ns_per_byte;
-    suspect_threshold;
     seed_ns = rtt_seed model;
     dests = Vsim.Itbl.create 16;
     timeouts = 0;
@@ -93,10 +93,10 @@ let base_of t d ~bytes =
     if d.have_sample then d.srtt_ns + Int.max (4 * d.rttvar_ns) (d.srtt_ns / 2)
     else Int.max (3 * t.seed_ns) (Vsim.Time.ms 10)
   in
-  Int.min (Int.max (base + (bytes * t.ns_per_byte)) t.min_ns) t.max_ns
+  Int.min (Int.max (base + (bytes * ns_per_byte)) min_ns) max_ns
 
 let backed_off t d ~bytes =
-  Int.min (base_of t d ~bytes * (1 lsl Int.min d.backoff 6)) t.max_ns
+  Int.min (base_of t d ~bytes * (1 lsl Int.min d.backoff 6)) max_ns
 
 let base_ns t ~dst ~bytes =
   match t.mode with
@@ -159,7 +159,7 @@ let note_success t ~dst ~sample_ns =
 let note_exhausted t ~dst =
   let d = state t dst in
   d.fails <- d.fails + 1;
-  if (not d.suspected) && d.fails >= t.suspect_threshold then begin
+  if (not d.suspected) && d.fails >= suspect_threshold then begin
     d.suspected <- true;
     t.suspects <- t.suspects + 1;
     if Vsim.Trace.tracing t.eng then

@@ -20,15 +20,12 @@ val create :
   model:Vhw.Cost_model.t ->
   mode:mode ->
   fixed_ns:int ->
-  min_ns:int ->
-  max_ns:int ->
-  ns_per_byte:int ->
-  suspect_threshold:int ->
   t
-(** The estimators of the kernel on [host]: [fixed_ns] is T, [min_ns] and
-    [max_ns] clamp adaptive timeouts (and cap backoff), [ns_per_byte]
-    size-scales them, and [suspect_threshold] consecutive exhaustions mark
-    a destination suspect. *)
+(** The estimators of the kernel on [host]; [fixed_ns] is T.  Module
+    constants fix the rest: [min_ns] (1 ms) and [max_ns] (800 ms) clamp
+    adaptive timeouts (and cap backoff), [ns_per_byte] (3 us) size-scales
+    them, and [suspect_threshold] (2) consecutive exhaustions mark a
+    destination suspect. *)
 
 val reset : t -> unit
 (** Forget every destination (host crash).  The counters survive. *)

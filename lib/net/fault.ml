@@ -31,7 +31,6 @@ let drop p = { none with drop_prob = p }
 let corrupt p = { none with corrupt_prob = p }
 let script actions = { none with actions }
 let drop_nth frames = script (List.map (fun n -> (n, Drop)) frames)
-let script_hosts host_events = { none with host_events }
 let with_host_events t host_events = { t with host_events }
 let hardware_bug = { none with collision_bug = true; bug_prob = 1.0 /. 2000.0 }
 
@@ -48,8 +47,6 @@ let action_to_string = function
 let host_event_to_string = function
   | Crash -> "crash"
   | Restart ns -> Printf.sprintf "restart+%dus" (ns / 1000)
-
-let pp_action fmt a = Format.pp_print_string fmt (action_to_string a)
 
 let pp fmt t =
   Format.fprintf fmt "fault{drop=%.4f corrupt=%.4f bug=%b/%.5f scripted=%d"

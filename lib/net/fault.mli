@@ -52,9 +52,6 @@ val drop_nth : int list -> t
 val script : (int * action) list -> t
 (** Scripted actions only: [script [(2, Duplicate); (5, Drop)]]. *)
 
-val script_hosts : (int * host_event) list -> t
-(** Scripted host events only: [script_hosts [(3, Restart 1_000_000)]]. *)
-
 val with_host_events : t -> (int * host_event) list -> t
 (** [t] with its host-event script replaced. *)
 
@@ -70,7 +67,4 @@ val host_event_for : t -> int -> host_event option
 val scripted : t -> bool
 (** True when any scripted entries are present. *)
 
-val action_to_string : action -> string
-val host_event_to_string : host_event -> string
-val pp_action : Format.formatter -> action -> unit
 val pp : Format.formatter -> t -> unit

@@ -14,19 +14,19 @@ type config = {
   queue_capacity : int;  (** bounded output queue, per segment *)
   fixed_ns : int;  (** per-frame store-and-forward CPU *)
   per_byte_ns : int;  (** per-byte copy cost through the gateway *)
-  dedup_window : int;  (** recent broadcast identities remembered *)
 }
 
-let config_of_model (m : Vhw.Cost_model.t) =
+let default_config =
+  let m = Vhw.Cost_model.sun_10mhz in
   {
     queue_capacity = 16;
     fixed_ns = m.Vhw.Cost_model.pkt_recv_handling_ns
                + m.Vhw.Cost_model.pkt_send_setup_ns;
     per_byte_ns = m.Vhw.Cost_model.nic_copy_ns_per_byte;
-    dedup_window = 128;
   }
 
-let default_config = config_of_model Vhw.Cost_model.sun_10mhz
+(* Recent broadcast identities remembered for duplicate suppression. *)
+let dedup_window = 128
 
 type stats = {
   received : int;
@@ -82,7 +82,7 @@ let seen t key = Hashtbl.mem t.seen key
 let remember t key =
   Hashtbl.replace t.seen key ();
   Queue.add key t.seen_fifo;
-  if Queue.length t.seen_fifo > t.cfg.dedup_window then
+  if Queue.length t.seen_fifo > dedup_window then
     Hashtbl.remove t.seen (Queue.pop t.seen_fifo)
 
 let rec pump t j =
@@ -181,8 +181,6 @@ let add_route t ~host ~segment =
   if segment < 0 || segment >= Array.length t.segments then
     invalid_arg "Gateway.add_route: no such segment";
   Vsim.Itbl.replace t.routes host segment
-
-let route t host = Vsim.Itbl.find_opt t.routes host
 
 let crash t =
   t.down <- true;

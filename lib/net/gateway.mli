@@ -30,15 +30,12 @@ type config = {
   queue_capacity : int;  (** bounded output queue, per segment *)
   fixed_ns : int;  (** per-frame store-and-forward CPU *)
   per_byte_ns : int;  (** per-byte copy cost through the gateway *)
-  dedup_window : int;  (** recent broadcast identities remembered *)
 }
 
-val config_of_model : Vhw.Cost_model.t -> config
-(** Forwarding costs from a host cost model: [fixed_ns] is packet receive
-    handling plus send setup; [per_byte_ns] is the NIC copy cost. *)
-
 val default_config : config
-(** [config_of_model Vhw.Cost_model.sun_10mhz]. *)
+(** Forwarding costs from {!Vhw.Cost_model.sun_10mhz}: [fixed_ns] is
+    packet receive handling plus send setup; [per_byte_ns] is the NIC
+    copy cost.  The output queues hold 16 frames. *)
 
 type t
 
@@ -53,8 +50,6 @@ val addr : t -> Addr.t
 val add_route : t -> host:Addr.t -> segment:int -> unit
 (** Declare that station [host] lives on [segment] (an index into the
     segment list given to {!create}). *)
-
-val route : t -> Addr.t -> int option
 
 val crash : t -> unit
 (** Take the gateway down: queued frames are dropped (accounted as

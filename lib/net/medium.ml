@@ -2,19 +2,19 @@ type config = {
   name : string;
   bit_rate_bps : int;
   latency_ns : int;
-  slot_ns : int;
-  jam_ns : int;
-  max_payload : int;
 }
+
+(* Both Ethernets share the collision window, the bus occupancy after a
+   collision, and the largest frame. *)
+let slot_ns = 10_000
+let jam_ns = 3_000
+let max_payload = 1536
 
 let config_3mb =
   {
     name = "3Mb-Ethernet";
     bit_rate_bps = 2_940_000;
     latency_ns = 30_000;
-    slot_ns = 10_000;
-    jam_ns = 3_000;
-    max_payload = 1536;
   }
 
 let config_10mb =
@@ -22,13 +22,9 @@ let config_10mb =
     name = "10Mb-Ethernet";
     bit_rate_bps = 10_000_000;
     latency_ns = 15_000;
-    slot_ns = 10_000;
-    jam_ns = 3_000;
-    max_payload = 1536;
   }
 
 let byte_time_ns cfg = 8_000_000_000 / cfg.bit_rate_bps
-let wire_time_ns cfg n = n * byte_time_ns cfg
 
 type port = { paddr : Addr.t; prx : Frame.t -> unit }
 
@@ -338,7 +334,7 @@ let deliver t frame =
       t.s_targeted <- t.s_targeted + n;
       t.s_duplicated <- t.s_duplicated + n;
       schedule_rx t frame tgts ~at:arrival;
-      schedule_rx t frame tgts ~at:(arrival + t.cfg.slot_ns);
+      schedule_rx t frame tgts ~at:(arrival + slot_ns);
       release_held t ~at:(arrival + 1)
   | Some (Fault.Delay extra) ->
       t.s_targeted <- t.s_targeted + n;
@@ -364,7 +360,7 @@ let deliver t frame =
 let rec attempt t (p : pending) =
   let now = Vsim.Engine.now t.eng in
   match t.current with
-  | Some cur when now - cur.started < t.cfg.slot_ns ->
+  | Some cur when now - cur.started < slot_ns ->
       (* Within the collision window of an in-progress transmission: both
          stations detect the collision, abort and back off. *)
       Vsim.Engine.cancel t.eng cur.finish;
@@ -374,7 +370,7 @@ let rec attempt t (p : pending) =
         Vsim.Trace.event t.eng
           (Vsim.Event.Collision
              { a = cur.who.frame.Frame.src; b = p.frame.Frame.src });
-      t.busy_until <- now + t.cfg.jam_ns;
+      t.busy_until <- now + jam_ns;
       ignore (Vsim.Engine.at t.eng ~kind:k_drain t.busy_until (fun () -> drain t));
       backoff t cur.who;
       backoff t p
@@ -384,7 +380,7 @@ let rec attempt t (p : pending) =
   | None ->
       if now < t.busy_until then Queue.add p t.waiters
       else begin
-        let tx = wire_time_ns t.cfg (Frame.length p.frame) in
+        let tx = Frame.length p.frame * byte_time_ns t.cfg in
         let finish_at = now + tx in
         let finish =
           Vsim.Engine.at t.eng ~kind:k_tx_done finish_at (fun () ->
@@ -419,7 +415,7 @@ and backoff t (p : pending) =
   else begin
     let k = Int.min p.attempts 10 in
     let slots = Vsim.Rng.int t.rng (1 lsl k) in
-    let delay = t.cfg.jam_ns + (slots * t.cfg.slot_ns) in
+    let delay = jam_ns + (slots * slot_ns) in
     ignore
       (Vsim.Engine.after t.eng ~kind:k_backoff delay (fun () ->
            attempt t p))
@@ -435,9 +431,9 @@ and drain t =
   done
 
 let transmit ?(on_sent = ignore) ?(bridged = false) t frame =
-  if Frame.length frame > t.cfg.max_payload then
+  if Frame.length frame > max_payload then
     Fmt.invalid_arg "Medium.transmit: frame of %d bytes exceeds max %d"
-      (Frame.length frame) t.cfg.max_payload;
+      (Frame.length frame) max_payload;
   (* A bridge forwards frames transparently: the original source address
      is preserved even though that station is attached to another segment,
      so Mapped-mode address learning keeps working across the gateway. *)

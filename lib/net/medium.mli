@@ -2,9 +2,9 @@
 
     An event-driven CSMA/CD model:
     - a station transmits immediately if the medium is idle;
-    - a transmission beginning within [slot_ns] of another's start collides
-      with it (the collision window); both abort, jam, and retry after
-      binary-exponential backoff;
+    - a transmission beginning within one 10 us slot of another's start
+      collides with it (the collision window); both abort, jam the bus for
+      3 us, and retry after binary-exponential backoff;
     - a station sensing carrier defers and retries when the medium frees
       (so two deferred stations genuinely collide when they both start).
 
@@ -22,10 +22,11 @@ type config = {
   name : string;
   bit_rate_bps : int;
   latency_ns : int;  (** interface + propagation latency, last-bit to rx *)
-  slot_ns : int;  (** collision window *)
-  jam_ns : int;  (** bus occupancy after a collision *)
-  max_payload : int;  (** largest payload a single frame may carry *)
 }
+
+val max_payload : int
+(** Largest frame, in bytes, that {!transmit} accepts on any segment
+    (1536). *)
 
 val config_3mb : config
 (** The experimental 3 Mb Ethernet: 2.94 Mb/s. *)
@@ -35,9 +36,6 @@ val config_10mb : config
 
 val byte_time_ns : config -> int
 (** Wire time for one payload byte. *)
-
-val wire_time_ns : config -> int -> int
-(** Wire time for [n] payload bytes. *)
 
 type t
 

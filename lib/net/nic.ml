@@ -4,9 +4,7 @@ type t = {
   nmedium : Medium.t;
   eng : Vsim.Engine.t;
   receivers : (Frame.t -> unit) Vsim.Itbl.t;
-  mutable rx_count : int;
   mutable crc_count : int;
-  mutable tx_count : int;
   mutable tx_buf_busy : bool;
   tx_waiters : (unit -> unit) Queue.t;
 }
@@ -29,12 +27,10 @@ let on_frame t frame =
                  bytes = Frame.length frame;
                })
       end
-      else begin
-        t.rx_count <- t.rx_count + 1;
+      else
         match Vsim.Itbl.find t.receivers frame.Frame.ethertype with
         | handler -> handler frame
-        | exception Not_found -> ()
-      end)
+        | exception Not_found -> ())
 
 let create eng ~cpu ~medium ~addr =
   let t =
@@ -44,9 +40,7 @@ let create eng ~cpu ~medium ~addr =
       nmedium = medium;
       eng;
       receivers = Vsim.Itbl.create 4;
-      rx_count = 0;
       crc_count = 0;
-      tx_count = 0;
       tx_buf_busy = false;
       tx_waiters = Queue.create ();
     }
@@ -71,7 +65,6 @@ let send_k t ?(pre_cost = 0) ~dst ~ethertype payload k =
   in
   let go () =
     Vhw.Cpu.charge_k t.ncpu cost (fun () ->
-        t.tx_count <- t.tx_count + 1;
         Medium.transmit t.nmedium ~on_sent:(release_tx_buf t)
           (Frame.make ~src:t.naddr ~dst ~ethertype payload);
         k ())
@@ -92,6 +85,4 @@ let send t ?pre_cost ~dst ~ethertype payload =
   Vsim.Proc.suspend ~reason:"nic-tx" (fun resume ->
       send_k t ?pre_cost ~dst ~ethertype payload resume)
 
-let frames_received t = t.rx_count
 let crc_drops t = t.crc_count
-let frames_sent t = t.tx_count

@@ -47,6 +47,4 @@ val send :
 (** Blocking form of {!send_k} for fiber context: returns when the frame
     has been handed to the medium (not when delivered). *)
 
-val frames_received : t -> int
 val crc_drops : t -> int
-val frames_sent : t -> int

@@ -5,8 +5,6 @@
     with a fixed field order, so identically seeded runs produce
     byte-identical files. *)
 
-val json_of_event : ?run:int -> Vsim.Time.t -> Vsim.Event.t -> Json.t
-
 val wanted : string list -> Vsim.Event.t -> bool
 (** Topic filter shared by the sinks: empty list accepts everything. *)
 

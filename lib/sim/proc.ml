@@ -97,8 +97,6 @@ let sleep delay =
   suspend ~reason:"sleep" (fun resume ->
       ignore (Engine.after p.eng ~kind:k_sleep delay (fun () -> resume ())))
 
-let yield () = sleep 0
-
 let join other =
   if not (terminated other) then
     suspend ~reason:"join" (fun resume ->

@@ -44,10 +44,6 @@ val suspend : reason:string -> (('a -> unit) -> unit) -> 'a
 val sleep : Time.t -> unit
 (** Block the current fiber for a simulated duration. *)
 
-val yield : unit -> unit
-(** Reschedule the current fiber at the same instant (after already-queued
-    events). *)
-
 val join : t -> unit
 (** Block until the given fiber terminates. Returns immediately if it
     already has. *)

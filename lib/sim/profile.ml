@@ -109,13 +109,10 @@ let merge_into ~dst src =
     src.kinds;
   dst.events <- dst.events + src.events
 
-let aggregate = function
-  | [] -> create ()
-  | first :: rest ->
-      let acc = create () in
-      merge_into ~dst:acc first;
-      List.iter (fun p -> merge_into ~dst:acc p) rest;
-      acc
+let aggregate ps =
+  let acc = create () in
+  List.iter (merge_into ~dst:acc) ps;
+  acc
 
 (* Deterministic rendering: per-kind fire counts and the engine total
    only.  No wall-clock values, and no GC figures — heap

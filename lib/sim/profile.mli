@@ -32,16 +32,11 @@ val entries : t -> (string * entry) list
 val fires : t -> string -> int
 (** Fire count of one kind; 0 if never seen. *)
 
-val allocated_bytes : t -> float
-(** Bytes allocated by the process since {!create}. *)
-
 val top_heap_words : unit -> int
 (** GC heap high-water mark of the process, in words. *)
 
 val wall_total_s : t -> float
-val elapsed_wall_s : t -> float
 
-val merge_into : dst:t -> t -> unit
 val aggregate : t list -> t
 (** Sum per-kind entries and totals across profiles (multi-engine
     commands); the result carries fresh GC/wall baselines. *)

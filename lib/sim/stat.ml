@@ -36,8 +36,7 @@ module Acc = struct
 
   let count t = t.n
   let mean t = if t.n = 0 then 0.0 else t.mean
-  let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
-  let stddev t = sqrt (variance t)
+  let stddev t = if t.n < 2 then 0.0 else sqrt (t.m2 /. float_of_int (t.n - 1))
   let min t = t.mn
   let max t = t.mx
   let total t = t.sum

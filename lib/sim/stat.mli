@@ -1,6 +1,6 @@
 (** Statistics accumulators for experiment harnesses. *)
 
-(** Streaming mean / variance / extrema (Welford's algorithm). *)
+(** Streaming mean / standard deviation / extrema (Welford's algorithm). *)
 module Acc : sig
   type t
 
@@ -11,10 +11,9 @@ module Acc : sig
   val mean : t -> float
   (** 0.0 when empty. *)
 
-  val variance : t -> float
-  (** Sample variance; 0.0 with fewer than two samples. *)
-
   val stddev : t -> float
+  (** Sample standard deviation; 0.0 with fewer than two samples. *)
+
   val min : t -> float
   (** [nan] when empty. *)
 
@@ -52,11 +51,9 @@ end
 module Histogram : sig
   type t
 
-  val default_bounds : float array
-  (** Decades from 1e3 to 1e9 — microsecond-to-second latencies in ns. *)
-
   val create : ?bounds:float array -> unit -> t
-  (** [bounds] must be non-empty and strictly increasing. *)
+  (** [bounds] must be non-empty and strictly increasing; the default is
+      decades from 1e3 to 1e9 — microsecond-to-second latencies in ns. *)
 
   val add : t -> float -> unit
   val count : t -> int

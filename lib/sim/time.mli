@@ -19,9 +19,6 @@ val ms : int -> t
 val sec : int -> t
 (** [sec n] is [n] seconds. *)
 
-val to_float_us : t -> float
-(** Time expressed in microseconds. *)
-
 val to_float_ms : t -> float
 (** Time expressed in milliseconds. *)
 

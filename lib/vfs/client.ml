@@ -31,6 +31,10 @@ let connect_to k pid =
 
 let server_pid c = c.server
 
+(* Whether retrying the operation could plausibly succeed: a server may
+   yet register, and a server I/O error may be transient.  Definitive
+   refusals are final, and the kernel has already retried an IPC failure
+   at the packet level. *)
 let error_is_retryable = function
   | No_server | Server Protocol.Sio_error | Ipc K.Retryable -> true
   | Server _ | Ipc _ -> false
@@ -828,7 +832,8 @@ module Sharded = struct
      never pays GetPid for shards it does not touch.  Each shard gets
      its own cache: inode numbers are per-shard namespaces, so sharing
      one cache across shards would alias unrelated blocks. *)
-  let io_for t lid =
+  let io_for t name =
+    let lid = Names.shard_of t.names name in
     match Hashtbl.find_opt t.ios lid with
     | Some io -> Ok io
     | None -> (
@@ -843,19 +848,13 @@ module Sharded = struct
             Hashtbl.replace t.ios lid io;
             Ok io)
 
-  let io_for_name t name = io_for t (Names.shard_of t.names name)
-
   let open_file t name =
-    match io_for_name t name with
+    match io_for t name with
     | Error e -> Error e
     | Ok io -> Io.open_file io name
 
   let create t name =
-    match io_for_name t name with
+    match io_for t name with
     | Error e -> Error e
     | Ok io -> Io.create io name
-
-  let ios t =
-    Hashtbl.fold (fun lid io acc -> (lid, io) :: acc) t.ios []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
 end

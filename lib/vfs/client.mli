@@ -34,13 +34,6 @@ type error =
 val error_to_string : error -> string
 val pp_error : Format.formatter -> error -> unit
 
-val error_is_retryable : error -> bool
-(** Whether retrying the operation could plausibly succeed: [true] for
-    {!No_server} (a server may yet register) and transient server I/O
-    errors ([Sio_error]); [false] for definitive refusals (bad handle,
-    not found, ...) and for IPC failures, which the kernel has already
-    retried at the packet level. *)
-
 val connect :
   Vkernel.Kernel.t -> ?logical_id:int -> unit -> (conn, error) result
 (** Locate a file server via GetPid (broadcast if unknown locally). *)
@@ -247,10 +240,4 @@ module Sharded : sig
       operations ([Io.read], [Io.write], [Io.close], ...). *)
 
   val create : t -> string -> (Io.file, error) result
-
-  val io_for : t -> int -> (Io.t, error) result
-  (** The session for a shard logical id (connecting on first use). *)
-
-  val ios : t -> (int * Io.t) list
-  (** Sessions created so far, by logical id. *)
 end

@@ -137,7 +137,6 @@ let set_cache_enabled t on =
   t.cache_on <- on;
   if not on then Hashtbl.reset t.cache
 
-let cache_enabled t = t.cache_on
 let evict_cache t = Hashtbl.reset t.cache
 let cache_hits t = t.hits
 let cache_misses t = t.misses

@@ -108,7 +108,6 @@ val list : t -> (string * int) list
 (** {1 Cache control} *)
 
 val set_cache_enabled : t -> bool -> unit
-val cache_enabled : t -> bool
 val evict_cache : t -> unit
 val cache_hits : t -> int
 val cache_misses : t -> int

@@ -39,6 +39,3 @@ let shard_of t name =
   with
   | Some e -> e.logical_id
   | None -> t.default
-
-let logical_ids t =
-  List.sort_uniq compare (t.default :: List.map (fun e -> e.logical_id) t.entries)

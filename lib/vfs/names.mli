@@ -24,6 +24,3 @@ val default : t -> int
 
 val shard_of : t -> string -> int
 (** The logical id serving [name]: longest matching prefix wins. *)
-
-val logical_ids : t -> int list
-(** Every id the map can resolve to (default included), sorted, unique. *)

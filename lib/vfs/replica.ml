@@ -23,7 +23,6 @@ type t = {
   mutable server : Server.t option;
   mutable probes : int;
   mutable misses : int;
-  mutable takeovers : int;
 }
 
 let probe t =
@@ -44,7 +43,6 @@ let probe t =
           Error `Miss)
 
 let take_over t =
-  t.takeovers <- t.takeovers + 1;
   Fs.recover t.fs;
   let config = { t.server_config with Server.register_id = Some t.logical_id } in
   t.server <- Some (Server.start t.kernel t.fs ~config ())
@@ -83,7 +81,6 @@ let standby kernel fs ~logical_id ?(server_config = Server.default_config)
       server = None;
       probes = 0;
       misses = 0;
-      takeovers = 0;
     }
   in
   let (_ : Vkernel.Pid.t) =
@@ -93,6 +90,5 @@ let standby kernel fs ~logical_id ?(server_config = Server.default_config)
 
 let stop t = t.stopped <- true
 let server t = t.server
-let took_over t = t.takeovers > 0
-let takeovers t = t.takeovers
+let took_over t = Option.is_some t.server
 let probes t = t.probes

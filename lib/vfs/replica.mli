@@ -35,5 +35,4 @@ val server : t -> Server.t option
 (** The server started at takeover, if any. *)
 
 val took_over : t -> bool
-val takeovers : t -> int
 val probes : t -> int

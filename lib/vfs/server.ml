@@ -6,8 +6,6 @@ type config = {
   read_ahead : bool;
   write_behind : bool;
   fs_process_ns : int;
-  exec_compute_ns_per_page : int;
-      (** processor time the Exec facility charges per scanned page *)
   max_open : int;
   workers : int;
   register_id : int option;
@@ -20,12 +18,13 @@ let default_config =
     read_ahead = false;
     write_behind = false;
     fs_process_ns = 0;
-    exec_compute_ns_per_page = Vsim.Time.us 500;
     max_open = 32;
     workers = 1;
     register_id = Some Protocol.fileserver_logical_id;
     lease_term_ns = Vsim.Time.ms 200;
   }
+
+let exec_compute_ns_per_page = Vsim.Time.us 500
 
 type open_file = {
   of_inum : int;
@@ -65,14 +64,13 @@ type t = {
   mutable n_requests : int;
   mutable n_reads : int;
   mutable n_writes : int;
-  mutable n_loads : int;
   mutable n_execs : int;
   mutable n_dispatches : int;
   mutable n_reclaimed : int;
 }
 
 let pid t = t.spid
-let workers t = max 1 t.cfg.workers
+let workers t = t.cfg.workers
 
 let file_version t ~inum =
   match Hashtbl.find_opt t.versions inum with Some v -> v | None -> 1
@@ -86,7 +84,6 @@ let leases_expired t = t.n_lease_expired
 let grace_waits t = t.n_grace_waits
 let pages_read t = t.n_reads
 let pages_written t = t.n_writes
-let loads_served t = t.n_loads
 let execs_served t = t.n_execs
 let dispatches t = t.n_dispatches
 let handles_reclaimed t = t.n_reclaimed
@@ -507,8 +504,7 @@ let handle_request t ~mem ~msg ~src ~seg_count =
                   with
                   | Error e -> Error e
                   | Ok data ->
-                      Vhw.Cpu.compute (K.cpu t.kernel)
-                        t.cfg.exec_compute_ns_per_page;
+                      Vhw.Cpu.compute (K.cpu t.kernel) exec_compute_ns_per_page;
                       let s = ref sum in
                       Bytes.iter
                         (fun c -> s := (!s + Char.code c) land 0xFFFF_FFFF)
@@ -526,7 +522,6 @@ let handle_request t ~mem ~msg ~src ~seg_count =
           | Some _, (None | Some ((Msg.Read_only, _, _))) ->
               reply Protocol.Sbad_request 0
           | Some f, Some ((Msg.Write_only | Msg.Read_write), dptr, dlen) -> (
-              t.n_loads <- t.n_loads + 1;
               fs_work t;
               match Fs.size t.fs ~inum:f.of_inum with
               | Error e -> reply (fs_error_status e) 0
@@ -648,7 +643,7 @@ let dispatcher_body t pid () =
    assigned below is visible before any body runs. *)
 let spawn_team t =
   let kernel = t.kernel in
-  if t.cfg.workers <= 1 then begin
+  if t.cfg.workers = 1 then begin
     let pid =
       K.spawn kernel ~name:"file-server" ~mem_size:(256 * 1024) (fun pid ->
           let mem = K.memory kernel pid in
@@ -673,6 +668,7 @@ let spawn_team t =
   end
 
 let start kernel fs ?(config = default_config) ?(restartable = false) () =
+  if config.workers < 1 then invalid_arg "Server.start: workers must be >= 1";
   let t =
     {
       kernel;
@@ -692,7 +688,6 @@ let start kernel fs ?(config = default_config) ?(restartable = false) () =
       n_requests = 0;
       n_reads = 0;
       n_writes = 0;
-      n_loads = 0;
       n_execs = 0;
       n_dispatches = 0;
       n_reclaimed = 0;

@@ -31,8 +31,6 @@ type config = {
   read_ahead : bool;
   write_behind : bool;
   fs_process_ns : int;  (** per-request file-system processing time *)
-  exec_compute_ns_per_page : int;
-      (** processor time the Exec facility charges per scanned page *)
   max_open : int;  (** open-file table size *)
   workers : int;
       (** number of worker processes; [1] (the default) preserves the
@@ -53,6 +51,9 @@ type config = {
 
 val default_config : config
 
+val exec_compute_ns_per_page : int
+(** Processor time the Exec facility charges per scanned page (500 us). *)
+
 type t
 
 val start :
@@ -62,14 +63,15 @@ val start :
     (default false) the server registers a {!Vkernel.Kernel.on_restart}
     hook: after a host crash + restart it runs {!Fs.recover} and then
     re-spawns its process team with a fresh handle table — open handles
-    and version state die with the host, disk contents survive. *)
+    and version state die with the host, disk contents survive.  Raises
+    [Invalid_argument] if [config.workers < 1]. *)
 
 val pid : t -> Vkernel.Pid.t
 (** The pid clients Send to: the server process itself in single-worker
     mode, the dispatcher in team mode. *)
 
 val workers : t -> int
-(** Configured team size (at least 1). *)
+(** Configured team size. *)
 
 val file_version : t -> inum:int -> int
 (** Current version number of the inode, starting at 1 and bumped on
@@ -108,7 +110,6 @@ val grace_waits : t -> int
 val requests_served : t -> int
 val pages_read : t -> int
 val pages_written : t -> int
-val loads_served : t -> int
 val execs_served : t -> int
 
 val dispatches : t -> int

@@ -17,6 +17,7 @@
    are staggered by client index to keep N stations from colliding their
    way through CSMA backoff at the same instant. *)
 
+(* The boot server's station address, outside the client range. *)
 let server_addr = 251
 let default_max_events = 20_000_000
 
@@ -86,15 +87,31 @@ type client = {
   mutable c_got : int;
 }
 
+(* A PAGE frame is a 6-byte header and the page. *)
+let page_header = 6
+
+let validate (config : config) ~segments =
+  let n = List.fold_left (fun a s -> a + s.Topology.seg_hosts) 0 segments in
+  let frame = page_header + config.page_bytes in
+  let fail fmt = Printf.ksprintf Result.error fmt in
+  match segments with
+  | [] | [ _ ] -> fail "need at least two segments"
+  | _ when n < 1 || n > 200 -> fail "need 1..200 clients, not %d" n
+  | _ when config.pages < 1 || config.pages > 0xffff ->
+      fail "need 1..65535 pages, not %d" config.pages
+  | _ when config.page_bytes < 1 ->
+      fail "need pages of at least 1 byte, not %d" config.page_bytes
+  | _ when frame > Vnet.Medium.max_payload ->
+      fail "a %d-byte page makes a %d-byte frame, over the %d-byte maximum"
+        config.page_bytes frame Vnet.Medium.max_payload
+  | _ -> Ok ()
+
 let run ?seed ?(config = default_config) ?(max_events = default_max_events)
     ~segments () =
-  (match segments with
-  | _ :: _ :: _ -> ()
-  | _ -> invalid_arg "Boot.run: need at least two segments");
+  (match validate config ~segments with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Boot.run: " ^ e));
   let n = List.fold_left (fun a s -> a + s.Topology.seg_hosts) 0 segments in
-  if n < 1 || n > 200 then invalid_arg "Boot.run: need 1..200 clients";
-  if config.pages < 1 || config.pages > 0xffff then
-    invalid_arg "Boot.run: bad page count";
   let eng = Vsim.Engine.create ?seed () in
   let media =
     Array.of_list
@@ -163,13 +180,13 @@ let run ?seed ?(config = default_config) ?(max_events = default_max_events)
     end
   in
   let page_payload round idx =
-    let p = Bytes.create (6 + config.page_bytes) in
+    let p = Bytes.create (page_header + config.page_bytes) in
     Bytes.set_uint8 p 0 op_page;
     Bytes.set_uint8 p 1 round;
     Bytes.set_uint16_be p 2 idx;
     Bytes.set_uint16_be p 4 config.pages;
     for j = 0 to config.page_bytes - 1 do
-      Bytes.set_uint8 p (6 + j) (((idx * 31) + (j * 7)) land 0xff)
+      Bytes.set_uint8 p (page_header + j) (((idx * 31) + (j * 7)) land 0xff)
     done;
     p
   in
@@ -294,7 +311,7 @@ let run ?seed ?(config = default_config) ?(max_events = default_max_events)
     let p = fr.Vnet.Frame.payload in
     if (not fr.Vnet.Frame.corrupted) && Bytes.length p >= 1 then
       let op = Bytes.get_uint8 p 0 in
-      if op = op_page && Bytes.length p >= 6 then begin
+      if op = op_page && Bytes.length p >= page_header then begin
         let idx = Bytes.get_uint16_be p 2 in
         if idx < config.pages && not c.c_have.(idx) then begin
           c.c_have.(idx) <- true;

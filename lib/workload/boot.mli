@@ -23,9 +23,6 @@
     Everything is deterministic: same seed, same report.  See
     doc/INTERNETWORK.md. *)
 
-val server_addr : Vnet.Addr.t
-(** The boot server's station address (251), outside the client range. *)
-
 val default_max_events : int
 
 type config = {
@@ -65,6 +62,14 @@ val default_segments : clients:int -> Topology.segment_spec list
 (** The paper's installation shape: a 10 Mb segment (with the boot
     server) and a 3 Mb segment, the clients split evenly. *)
 
+val validate :
+  config -> segments:Topology.segment_spec list -> (unit, string) result
+(** Why {!run} would reject [config] and [segments], if it would: fewer
+    than two segments, a client count outside 1..200, a page count
+    outside 1..65535, or a page under 1 byte or too large for its PAGE
+    frame (6 header bytes plus the page) to fit
+    {!Vnet.Medium.max_payload}. *)
+
 val run :
   ?seed:int64 ->
   ?config:config ->
@@ -76,7 +81,8 @@ val run :
     is the number of diskless clients on that segment (1..200 total).
     The boot server always sits on segment 0.  A protocol stall (lost
     END with every client silent) quiesces rather than hangs: the run
-    ends with [completed = false]. *)
+    ends with [completed = false].  Raises [Invalid_argument] before
+    simulating anything if {!validate} rejects the arguments. *)
 
 val cost_per_1000_clients : report -> float * float
 (** [(server CPU seconds, network bytes)] normalized per 1000 booting

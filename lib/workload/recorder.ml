@@ -15,26 +15,21 @@ let create eng ?(warmup = 0) () =
     last = -1;
   }
 
-let add_ns t ns =
+let measure t f =
+  let t0 = Vsim.Engine.now t.eng in
+  let x = f () in
   let now = Vsim.Engine.now t.eng in
   if now >= t.warmup_until then begin
     if t.first < 0 then t.first <- now;
     t.last <- now;
-    Vsim.Stat.Series.add t.samples (float_of_int ns)
-  end
-
-let measure t f =
-  let t0 = Vsim.Engine.now t.eng in
-  let x = f () in
-  add_ns t (Vsim.Engine.now t.eng - t0);
+    Vsim.Stat.Series.add t.samples (float_of_int (now - t0))
+  end;
   x
 
 let count t = Vsim.Stat.Series.count t.samples
 let to_ms ns = ns /. 1e6
 let mean_ms t = to_ms (Vsim.Stat.Series.mean t.samples)
-let p50_ms t = to_ms (Vsim.Stat.Series.percentile t.samples 50.0)
 let p95_ms t = to_ms (Vsim.Stat.Series.percentile t.samples 95.0)
-let max_ms t = to_ms (Vsim.Stat.Series.max t.samples)
 
 let throughput_per_sec t =
   let n = count t in

@@ -12,14 +12,9 @@ val create : Vsim.Engine.t -> ?warmup:Vsim.Time.t -> unit -> t
 val measure : t -> (unit -> 'a) -> 'a
 (** Time one operation in simulated time and record it. *)
 
-val add_ns : t -> int -> unit
-(** Record an externally measured duration. *)
-
 val count : t -> int
 val mean_ms : t -> float
-val p50_ms : t -> float
 val p95_ms : t -> float
-val max_ms : t -> float
 
 val throughput_per_sec : t -> float
 (** Completed operations per simulated second of recording (first to last

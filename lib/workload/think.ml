@@ -13,12 +13,6 @@ let sample t rng =
   | Exponential mean ->
       int_of_float (Vsim.Rng.exponential rng ~mean:(float_of_int mean))
 
-let mean_ns = function
-  | Zero -> 0.0
-  | Constant ns -> float_of_int ns
-  | Uniform (lo, hi) -> float_of_int (lo + hi) /. 2.0
-  | Exponential mean -> float_of_int mean
-
 let pp fmt = function
   | Zero -> Format.pp_print_string fmt "zero"
   | Constant ns -> Format.fprintf fmt "const(%a)" Vsim.Time.pp ns

@@ -7,5 +7,4 @@ type t =
   | Exponential of Vsim.Time.t  (** mean *)
 
 val sample : t -> Vsim.Rng.t -> Vsim.Time.t
-val mean_ns : t -> float
 val pp : Format.formatter -> t -> unit

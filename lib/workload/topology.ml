@@ -5,7 +5,6 @@ type t = {
   media : Vnet.Medium.t array;
   gateway : Vnet.Gateway.t;
   hosts : Testbed.host array;
-  segment_of : int array;
 }
 
 let gateway_addr = 254
@@ -54,17 +53,12 @@ let create ?seed ?(cpu_model = Vhw.Cost_model.sun_10mhz)
   Array.iteri
     (fun i seg -> Vnet.Gateway.add_route gateway ~host:(i + 1) ~segment:seg)
     segment_of;
-  { eng; media; gateway; hosts = Array.map Option.get hosts; segment_of }
+  { eng; media; gateway; hosts = Array.map Option.get hosts }
 
 let host t i =
   if i < 1 || i > Array.length t.hosts then
     Fmt.invalid_arg "Topology.host: no host %d" i;
   t.hosts.(i - 1)
-
-let segment_of_host t i =
-  if i < 1 || i > Array.length t.hosts then
-    Fmt.invalid_arg "Topology.segment_of_host: no host %d" i;
-  t.segment_of.(i - 1)
 
 let medium t seg =
   if seg < 0 || seg >= Array.length t.media then

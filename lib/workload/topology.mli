@@ -19,7 +19,6 @@ type t = {
   media : Vnet.Medium.t array;
   gateway : Vnet.Gateway.t;
   hosts : Testbed.host array;
-  segment_of : int array;  (** segment index by host index (addr - 1) *)
 }
 
 val gateway_addr : Vnet.Addr.t
@@ -39,7 +38,6 @@ val create :
 val host : t -> int -> Testbed.host
 (** 1-based, by global station address. *)
 
-val segment_of_host : t -> int -> int
 val medium : t -> int -> Vnet.Medium.t
 
 val run : ?until:Vsim.Time.t -> t -> unit

@@ -89,6 +89,22 @@ let test_stall_quiesces () =
   Alcotest.(check bool) "the gateway dropped the overflow" true
     (r.Boot.gateway.Vnet.Gateway.queue_drops > 0)
 
+(* [Boot.run] rejects a bad size before it creates an engine, with the
+   message [Boot.validate] gives. *)
+let rejects ~pages ~page_bytes msg () =
+  let config = { Boot.default_config with Boot.pages; page_bytes } in
+  let segments = Boot.default_segments ~clients:4 in
+  Alcotest.(check (result unit string)) "validate" (Error msg)
+    (Boot.validate config ~segments);
+  Alcotest.check_raises "run" (Invalid_argument ("Boot.run: " ^ msg))
+    (fun () -> ignore (Boot.run ~config ~segments ()))
+
+let test_largest_page_fits () =
+  (* 6 header bytes + 1530 fill the 1536-byte frame exactly. *)
+  let config = { small_config with Boot.page_bytes = 1530 } in
+  let r = Boot.run ~config ~segments:(Boot.default_segments ~clients:4) () in
+  Alcotest.(check bool) "completed" true r.Boot.completed
+
 let suite =
   [
     Alcotest.test_case "8 clients boot over two segments" `Quick
@@ -100,4 +116,14 @@ let suite =
     Alcotest.test_case "cost_per_1000_clients cells" `Quick test_cost_per_1000;
     Alcotest.test_case "stalled storm quiesces incomplete" `Quick
       test_stall_quiesces;
+    Alcotest.test_case "zero pages rejected" `Quick
+      (rejects ~pages:0 ~page_bytes:512 "need 1..65535 pages, not 0");
+    Alcotest.test_case "empty page rejected" `Quick
+      (rejects ~pages:32 ~page_bytes:0 "need pages of at least 1 byte, not 0");
+    Alcotest.test_case "page over the frame limit rejected" `Quick
+      (rejects ~pages:32 ~page_bytes:1531
+         "a 1531-byte page makes a 1537-byte frame, over the 1536-byte \
+          maximum");
+    Alcotest.test_case "largest page that fits boots" `Quick
+      test_largest_page_fits;
   ]

@@ -90,11 +90,7 @@ let test_cross_segment_getpid () =
 
 let test_queue_bound () =
   let gateway_config =
-    { Gateway.default_config with
-      Gateway.queue_capacity = 1;
-      fixed_ns = Vsim.Time.ms 10;
-      per_byte_ns = 0;
-    }
+    { Gateway.queue_capacity = 1; fixed_ns = Vsim.Time.ms 10; per_byte_ns = 0 }
   in
   let tp = two_segment ~gateway_config ~h1:1 ~h2:1 () in
   let m0 = Topology.medium tp 0 in

@@ -141,7 +141,7 @@ let test_reply_segment_too_big () =
 let test_segment_truncation () =
   (* The receiver's segsize caps the piggyback; the kernel's
      max_seg_append caps what the Send transmits. *)
-  let cap = K.default_config.K.max_seg_append in
+  let cap = K.max_seg_append in
   let tb = Util.testbed ~hosts:2 () in
   let k1 = kernel_of tb 1 and k2 = kernel_of tb 2 in
   let counts = ref [] in

@@ -353,9 +353,9 @@ let test_host_allocation_gate () =
     (marginal_minor_words remote_exchanges 100);
   Alcotest.(check int) "events fired for 100 remote S-R-R exchanges" 1_600
     (marginal_events 100);
-  Alcotest.(check int) "minor words for a fault-free net schedule" 18_164
+  Alcotest.(check int) "minor words for a fault-free net schedule" 18_145
     (schedule_minor_words Vcheck.Checker.Scenario.net);
-  Alcotest.(check int) "minor words for a fault-free crash schedule" 19_918
+  Alcotest.(check int) "minor words for a fault-free crash schedule" 19_905
     (schedule_minor_words Vcheck.Checker.Scenario.crash);
   let events, words = boot_storm_cost () in
   Alcotest.(check int) "events fired for a 16-client boot storm" 2_463 events;

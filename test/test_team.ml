@@ -96,9 +96,18 @@ let test_contention_deterministic () =
     c1.R.c_disk_waits;
   Alcotest.(check bool) "team queues the disk" true (c4.R.c_disk_waits > 0)
 
+let test_no_workers_rejected () =
+  let tb = Util.testbed ~hosts:1 () in
+  let fs = Vworkload.Testbed.make_test_fs tb ~files:[ ("f", 512) ] () in
+  let config = { Vfs.Server.default_config with Vfs.Server.workers = 0 } in
+  Alcotest.check_raises "workers = 0"
+    (Invalid_argument "Server.start: workers must be >= 1") (fun () ->
+      ignore (Vfs.Server.start (kernel_of tb 1) fs ~config ()))
+
 let suite =
   [
     Alcotest.test_case "team serves clients" `Quick test_team_serves_clients;
     Alcotest.test_case "contention determinism + speedup" `Quick
       test_contention_deterministic;
+    Alcotest.test_case "zero workers rejected" `Quick test_no_workers_rejected;
   ]
