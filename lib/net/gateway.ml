@@ -68,9 +68,10 @@ let k_forward = Vsim.Eventq.Kind.intern "net.gw_forward"
    frame contents so every gateway that hears a copy computes the same key. *)
 let payload_hash b =
   let h = ref 0x811c9dc5 in
-  Bytes.iter
-    (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0x3FFFFFFF)
-    b;
+  for i = 0 to Bytes.length b - 1 do
+    h :=
+      (!h lxor Char.code (Bytes.unsafe_get b i)) * 0x01000193 land 0x3FFFFFFF
+  done;
   !h
 
 let dedup_key (f : Frame.t) =

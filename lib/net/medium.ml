@@ -60,7 +60,8 @@ type t = {
   ports : port Vsim.Itbl.t;
   taps : port Vsim.Itbl.t;
       (** promiscuous stations (bridges): targeted by every frame *)
-  mutable fanout : port list;  (** every port, in broadcast order *)
+  mutable everyone : port list;
+      (** every port, in broadcast order, then [tap_list] *)
   mutable tap_list : port list;  (** every tap, in delivery order *)
   mutable fanout_stale : bool;  (** a station attached since they were built *)
   waiters : pending Queue.t;
@@ -101,7 +102,7 @@ let create eng cfg =
     rng = Vsim.Rng.split (Vsim.Engine.rng eng);
     ports = Vsim.Itbl.create 16;
     taps = Vsim.Itbl.create 4;
-    fanout = [];
+    everyone = [];
     tap_list = [];
     fanout_stale = false;
     waiters = Queue.create ();
@@ -133,7 +134,7 @@ let set_host_handler t ~crash ~restart = t.host_handler <- Some (crash, restart)
 let attach t ~addr ~rx =
   if not (Addr.is_valid addr) || Addr.is_broadcast addr then
     invalid_arg "Medium.attach: bad address";
-  if Vsim.Itbl.mem t.ports addr then
+  if Vsim.Itbl.mem t.ports addr || Vsim.Itbl.mem t.taps addr then
     Fmt.invalid_arg "Medium.attach: address %d already attached" addr;
   let port = { paddr = addr; prx = rx } in
   Vsim.Itbl.replace t.ports addr port;
@@ -210,18 +211,20 @@ let deliver_to t frame (port : port) =
 
    A broadcast reaches the ports in the reverse of the port table's walk
    order, and taps follow in walk order; that is the order in which
-   folding each table into a list once put them.  [fanout] and
+   folding each table into a list once put them.  [everyone] and
    [tap_list] hold those orders, rebuilt by the first frame after an
-   attach (so attaching n stations costs one rebuild, not n), and a frame
-   only drops its source from them.  [Vsim.Itbl] walks a table in the
-   order a polymorphic [Hashtbl] would, so the order is the one the
-   per-frame folds gave. *)
+   attach (so attaching n stations costs one rebuild, not n), and a
+   frame only drops its source from them.  No address is both a port and
+   a tap, so dropping the source from the joined list drops it from the
+   half it is in.  [Vsim.Itbl] walks a table in the order a polymorphic
+   [Hashtbl] would, so the order is the one the per-frame folds gave. *)
 let refresh t =
   if t.fanout_stale then begin
     t.fanout_stale <- false;
-    t.fanout <- Vsim.Itbl.fold (fun _ port acc -> port :: acc) t.ports [];
     t.tap_list <-
-      List.rev (Vsim.Itbl.fold (fun _ port acc -> port :: acc) t.taps [])
+      List.rev (Vsim.Itbl.fold (fun _ port acc -> port :: acc) t.taps []);
+    t.everyone <-
+      Vsim.Itbl.fold (fun _ port acc -> port :: acc) t.ports t.tap_list
   end
 
 (* [ports] without the one at [addr], sharing the tail after it, or
@@ -238,14 +241,22 @@ let rec without addr = function
 let targets t frame =
   refresh t;
   let src = frame.Frame.src in
-  let direct =
-    if Frame.is_broadcast frame then without src t.fanout
-    else
-      match Vsim.Itbl.find t.ports frame.Frame.dst with
-      | port -> [ port ]
-      | exception Not_found -> []
-  in
-  match t.tap_list with [] -> direct | taps -> direct @ without src taps
+  if Frame.is_broadcast frame then without src t.everyone
+  else
+    let taps = without src t.tap_list in
+    match Vsim.Itbl.find t.ports frame.Frame.dst with
+    | port -> port :: taps
+    | exception Not_found -> taps
+
+(* The length of [tgts = targets t frame], without walking a broadcast's
+   list: [without] gives back [everyone] itself exactly when the source
+   is not in it.  A unicast reaches at most its destination and the
+   taps. *)
+let target_count t frame tgts =
+  if Frame.is_broadcast frame then
+    Vsim.Itbl.length t.ports + Vsim.Itbl.length t.taps
+    - if tgts == t.everyone then 0 else 1
+  else List.length tgts
 
 (* Batched delivery: one event per arrival instant covers every target
    port, iterated in target order — the same relative delivery order the
@@ -324,7 +335,7 @@ let deliver t frame =
   | _ -> ());
   let arrival = Vsim.Engine.now t.eng + t.cfg.latency_ns in
   let tgts = targets t frame in
-  let n = List.length tgts in
+  let n = target_count t frame tgts in
   match Fault.action_for t.flt t.frame_no with
   | Some Fault.Drop ->
       t.s_targeted <- t.s_targeted + n;

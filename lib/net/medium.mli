@@ -49,7 +49,7 @@ val attach : t -> addr:Addr.t -> rx:(Frame.t -> unit) -> port
 (** Connect a station. [rx] is invoked (in event context) when a frame
     addressed to [addr] — or broadcast — arrives, including corrupted
     frames (the NIC's CRC check is the receiver's job). Each address may be
-    attached once. *)
+    attached once, as a port or as a tap. *)
 
 val attach_tap : t -> addr:Addr.t -> rx:(Frame.t -> unit) -> port
 (** Connect a promiscuous station (a bridge port): [rx] is invoked for

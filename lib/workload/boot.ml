@@ -6,16 +6,23 @@
 
      JOIN    client -> server   unicast   "I want the image"
      PAGE    server -> all      broadcast one image page (round, index)
-     END     server -> all      broadcast round complete
-     STATUS  client -> server   unicast   done flag + missing pages (capped)
+     END     server -> all      broadcast round over + acknowledged clients
+     STATUS  client -> server   unicast   missing count + missing ranges
 
-   The server multicasts every page once, then re-multicasts the union of
-   reported-missing pages in NACK-driven rounds until every client reports
-   done (or max_rounds passes).  Page payloads carry the round number so a
-   re-sent page hashes differently and the gateway's broadcast duplicate
-   suppression does not eat legitimate retransmissions.  Client responses
-   are staggered by client index to keep N stations from colliding their
-   way through CSMA backoff at the same instant. *)
+   The server multicasts every page once, paced so that the gateway
+   forwards each page before the next arrives, then re-multicasts the
+   union of reported-missing pages in NACK-driven rounds.  A STATUS with
+   nothing missing is a DONE; each END carries a bitmap of the clients
+   whose DONE the server has heard, and a client not in it answers the
+   END again, so a lost DONE is retransmitted until acknowledged.  The
+   storm ends when every client is acknowledged (one last END tells them
+   all) or after [max_rounds] consecutive rounds that taught the server
+   nothing.  Page payloads carry the round number so a re-sent page
+   hashes differently and the gateway's broadcast duplicate suppression
+   does not eat legitimate retransmissions.  Clients answer at random
+   offsets drawn from the engine's generator, so N stations neither
+   collide their way through CSMA backoff at one instant nor repeat the
+   same unlucky pattern every round. *)
 
 (* The boot server's station address, outside the client range. *)
 let server_addr = 251
@@ -24,25 +31,12 @@ let default_max_events = 20_000_000
 type config = {
   pages : int;  (** image size in pages *)
   page_bytes : int;  (** page payload bytes *)
-  stagger_ns : int;  (** per-client offset for JOIN/STATUS responses *)
-  join_window_ns : int;  (** extra wait before round 1 starts *)
-  status_window_slack_ns : int;  (** extra wait for STATUS after each END *)
-  status_cap : int;  (** missing-page indices carried per STATUS *)
-  max_rounds : int;  (** give up after this many rounds *)
-  cpu_model : Vhw.Cost_model.t;
+  max_rounds : int;
+      (** give up after this many consecutive rounds that taught the
+          server nothing *)
 }
 
-let default_config =
-  {
-    pages = 128;
-    page_bytes = 512;
-    stagger_ns = 100_000;
-    join_window_ns = 2_000_000;
-    status_window_slack_ns = 10_000_000;
-    status_cap = 32;
-    max_rounds = 16;
-    cpu_model = Vhw.Cost_model.sun_10mhz;
-  }
+let default_config = { pages = 128; page_bytes = 512; max_rounds = 16 }
 
 type report = {
   completed : bool;
@@ -52,6 +46,7 @@ type report = {
   rounds : int;
   joins : int;
   statuses : int;
+  acked : int;
   resent_pages : int;
   elapsed_ns : int;
   server_cpu_ns : int;
@@ -76,19 +71,31 @@ let op_page = 2
 let op_end = 3
 let op_status = 4
 
+(* PAGE: op, round, index (16 bits), page count (16 bits), then the page. *)
+let page_header = 6
+
+(* END: op, round, then one bit per client (address - 1), set once the
+   server has heard that client's DONE. *)
+let end_header = 2
+
+(* STATUS: op, round, address, missing count, range count (16 bits
+   each), then (first, count) ranges of missing pages, as many as fit one
+   frame.  A missing count of 0 is a DONE. *)
+let status_header = 8
+let range_bytes = 4
+let max_ranges = (Vnet.Medium.max_payload - status_header) / range_bytes
+
+let model = Vhw.Cost_model.sun_10mhz
 let k_timer = Vsim.Eventq.Kind.intern "boot.timer"
 
 type client = {
-  c_index : int;
   c_addr : Vnet.Addr.t;
   c_cpu : Vhw.Cpu.t;
   c_medium : Vnet.Medium.t;
   c_have : bool array;
   mutable c_got : int;
+  mutable c_round : int;  (** the last round it answered *)
 }
-
-(* A PAGE frame is a 6-byte header and the page. *)
-let page_header = 6
 
 let validate (config : config) ~segments =
   let n = List.fold_left (fun a s -> a + s.Topology.seg_hosts) 0 segments in
@@ -106,11 +113,31 @@ let validate (config : config) ~segments =
         config.page_bytes frame Vnet.Medium.max_payload
   | _ -> Ok ()
 
+(* Calls [f first count] for each run of pages [have] lacks, at most
+   [max_ranges] of them, in page order; returns how many it called. *)
+let missing_ranges have f =
+  let pages = Array.length have in
+  let k = ref 0 and i = ref 0 in
+  while !i < pages && !k < max_ranges do
+    if have.(!i) then incr i
+    else begin
+      let first = !i in
+      while !i < pages && not have.(!i) do
+        incr i
+      done;
+      f !k first (!i - first);
+      incr k
+    end
+  done;
+  !k
+
 let run ?seed ?(config = default_config) ?(max_events = default_max_events)
-    ~segments () =
+    ?(faults = []) ~segments () =
   (match validate config ~segments with
   | Ok () -> ()
   | Error e -> invalid_arg ("Boot.run: " ^ e));
+  if List.length faults > List.length segments then
+    invalid_arg "Boot.run: more faults than segments";
   let n = List.fold_left (fun a s -> a + s.Topology.seg_hosts) 0 segments in
   let eng = Vsim.Engine.create ?seed () in
   let media =
@@ -121,19 +148,52 @@ let run ?seed ?(config = default_config) ?(max_events = default_max_events)
   let gw =
     Vnet.Gateway.create eng ~addr:Topology.gateway_addr (Array.to_list media)
   in
-  let m = config.cpu_model in
+  List.iteri
+    (fun i fault ->
+      Vnet.Medium.set_fault media.(i) fault;
+      Vnet.Medium.set_host_handler media.(i)
+        ~crash:(fun () -> Vnet.Gateway.crash gw)
+        ~restart:(fun () -> Vnet.Gateway.restart gw))
+    faults;
+  let rng = Vsim.Engine.rng eng in
+  (* The path's bottleneck: the gateway stores and copies a [len]-byte
+     frame, then re-sends it on a segment no faster than the slowest one.
+     PAGEs go out one [pace] apart, so the gateway's queue never grows;
+     clients answer within [window], which gives the gateway one small
+     STATUS's crossing time per client. *)
+  let slowest =
+    List.fold_left
+      (fun a s ->
+        Int.max a (Vnet.Medium.byte_time_ns s.Topology.medium_config))
+      0 segments
+  in
+  let crossing len =
+    let gw = Vnet.Gateway.default_config in
+    gw.Vnet.Gateway.fixed_ns + (len * (gw.Vnet.Gateway.per_byte_ns + slowest))
+  in
+  let pace = crossing (page_header + config.page_bytes) in
+  let window = n * crossing (status_header + range_bytes) in
   let tx_cost len =
-    Vhw.Cost_model.(m.pkt_send_setup_ns + (m.nic_copy_ns_per_byte * len))
+    Vhw.Cost_model.(
+      model.pkt_send_setup_ns + (model.nic_copy_ns_per_byte * len))
   in
   let rx_cost len =
-    Vhw.Cost_model.(m.pkt_recv_handling_ns + (m.nic_copy_ns_per_byte * len))
+    Vhw.Cost_model.(
+      model.pkt_recv_handling_ns + (model.nic_copy_ns_per_byte * len))
   in
-  let bframe ~src ~dst payload =
-    Vnet.Frame.make ~src ~dst ~ethertype:Vnet.Frame.ethertype_boot payload
+  let send cpu medium ~src ~dst p =
+    Vhw.Cpu.charge_k cpu
+      (tx_cost (Bytes.length p))
+      (fun () ->
+        Vnet.Medium.transmit medium
+          (Vnet.Frame.make ~src ~dst ~ethertype:Vnet.Frame.ethertype_boot p))
   in
   (* The boot server: one CPU and one raw station on segment 0. *)
   let s_cpu =
-    Vhw.Cpu.create eng ~host:server_addr ~model:m ~name:"boot-server"
+    Vhw.Cpu.create eng ~host:server_addr ~model ~name:"boot-server"
+  in
+  let broadcast p =
+    send s_cpu media.(0) ~src:server_addr ~dst:Vnet.Addr.broadcast p
   in
   Vnet.Gateway.add_route gw ~host:server_addr ~segment:0;
   let joins = ref 0 in
@@ -142,7 +202,13 @@ let run ?seed ?(config = default_config) ?(max_events = default_max_events)
   let rounds = ref 0 in
   let completed = ref false in
   let completed_at = ref 0 in
-  let client_done = Array.make n false in
+  let acked = Bytes.make ((n + 7) / 8) '\000' in
+  let acked_count = ref 0 in
+  (* The fewest pages each client has said it misses, and whether this
+     round taught the server anything (a DONE or a shorter missing set). *)
+  let reported = Array.make n max_int in
+  let progress = ref false in
+  let idle_rounds = ref 0 in
   let missing_union = Array.make config.pages false in
   (* The clients: a boot ROM is a CPU and a raw station, nothing more.
      Station addresses 1..n, assigned segment by segment in order, with
@@ -150,19 +216,18 @@ let run ?seed ?(config = default_config) ?(max_events = default_max_events)
   let clients =
     let next = ref 0 in
     let mk seg _ =
-      let i = !next in
       incr next;
-      let addr = i + 1 in
+      let addr = !next in
       Vnet.Gateway.add_route gw ~host:addr ~segment:seg;
       {
-        c_index = i;
         c_addr = addr;
         c_cpu =
-          Vhw.Cpu.create eng ~host:addr ~model:m
+          Vhw.Cpu.create eng ~host:addr ~model
             ~name:(Printf.sprintf "boot-rom%d" addr);
         c_medium = media.(seg);
         c_have = Array.make config.pages false;
         c_got = 0;
+        c_round = -1;
       }
     in
     Array.of_list
@@ -172,17 +237,10 @@ let run ?seed ?(config = default_config) ?(max_events = default_max_events)
             segments))
   in
   (* Server-side protocol. *)
-  let all_done () = Array.for_all Fun.id client_done in
-  let finish () =
-    if not !completed then begin
-      completed := true;
-      completed_at := Vsim.Engine.now eng
-    end
-  in
   let page_payload round idx =
     let p = Bytes.create (page_header + config.page_bytes) in
     Bytes.set_uint8 p 0 op_page;
-    Bytes.set_uint8 p 1 round;
+    Bytes.set_uint8 p 1 (round land 0xff);
     Bytes.set_uint16_be p 2 idx;
     Bytes.set_uint16_be p 4 config.pages;
     for j = 0 to config.page_bytes - 1 do
@@ -191,41 +249,46 @@ let run ?seed ?(config = default_config) ?(max_events = default_max_events)
     p
   in
   let end_payload round =
-    let p = Bytes.create 4 in
+    let p = Bytes.create (end_header + Bytes.length acked) in
     Bytes.set_uint8 p 0 op_end;
-    Bytes.set_uint8 p 1 round;
-    Bytes.set_uint16_be p 2 config.pages;
+    Bytes.set_uint8 p 1 (round land 0xff);
+    Bytes.blit acked 0 p end_header (Bytes.length acked);
     p
   in
-  let status_window = (n * config.stagger_ns) + config.status_window_slack_ns in
+  let ack i =
+    let byte = Bytes.get_uint8 acked (i / 8) and bit = 1 lsl (i land 7) in
+    if byte land bit = 0 then begin
+      Bytes.set_uint8 acked (i / 8) (byte lor bit);
+      incr acked_count;
+      progress := true;
+      if !acked_count = n then begin
+        completed := true;
+        completed_at := Vsim.Engine.now eng;
+        broadcast (end_payload !rounds)
+      end
+    end
+  in
   let rec start_round round idxs =
     rounds := round;
     if round > 1 then resent := !resent + List.length idxs;
     send_pages round idxs
   and send_pages round = function
+    | _ when !completed -> ()
     | idx :: rest ->
-        let p = page_payload round idx in
-        Vhw.Cpu.charge_k s_cpu
-          (tx_cost (Bytes.length p))
-          (fun () ->
-            Vnet.Medium.transmit media.(0)
-              ~on_sent:(fun () -> send_pages round rest)
-              (bframe ~src:server_addr ~dst:Vnet.Addr.broadcast p))
+        broadcast (page_payload round idx);
+        ignore
+          (Vsim.Engine.after eng ~kind:k_timer pace (fun () ->
+               send_pages round rest))
     | [] ->
-        let p = end_payload round in
-        Vhw.Cpu.charge_k s_cpu
-          (tx_cost (Bytes.length p))
-          (fun () ->
-            Vnet.Medium.transmit media.(0)
-              ~on_sent:(fun () ->
-                ignore
-                  (Vsim.Engine.after eng ~kind:k_timer status_window
-                     (fun () -> close_round round)))
-              (bframe ~src:server_addr ~dst:Vnet.Addr.broadcast p))
+        broadcast (end_payload round);
+        ignore
+          (Vsim.Engine.after eng ~kind:k_timer ((2 * pace) + window)
+             (fun () -> close_round round))
   and close_round round =
-    if not !completed then
-      if all_done () then finish ()
-      else if round < config.max_rounds then begin
+    if not !completed then begin
+      idle_rounds := if !progress then 0 else !idle_rounds + 1;
+      progress := false;
+      if !idle_rounds < config.max_rounds then begin
         let idxs = ref [] in
         for i = config.pages - 1 downto 0 do
           if missing_union.(i) then begin
@@ -235,118 +298,110 @@ let run ?seed ?(config = default_config) ?(max_events = default_max_events)
         done;
         start_round (round + 1) !idxs
       end
+    end
   in
   let server_rx fr =
     let p = fr.Vnet.Frame.payload in
-    if (not fr.Vnet.Frame.corrupted) && Bytes.length p >= 1 then
+    let len = Bytes.length p in
+    if (not fr.Vnet.Frame.corrupted) && len >= 1 then
       let op = Bytes.get_uint8 p 0 in
-      if op = op_join && Bytes.length p >= 4 then begin
+      if op = op_join && len >= 4 then begin
         incr joins;
-        Vhw.Cpu.reserve s_cpu (rx_cost (Bytes.length p))
+        Vhw.Cpu.reserve s_cpu (rx_cost len)
       end
-      else if op = op_status && Bytes.length p >= 6 then begin
+      else if op = op_status && len >= status_header then begin
         incr statuses;
-        Vhw.Cpu.reserve s_cpu (rx_cost (Bytes.length p));
+        Vhw.Cpu.reserve s_cpu (rx_cost len);
         let addr = Bytes.get_uint16_be p 2 in
-        let is_done = Bytes.get_uint8 p 4 = 1 in
-        let k = Bytes.get_uint8 p 5 in
-        if addr >= 1 && addr <= n then
-          if is_done then begin
-            client_done.(addr - 1) <- true;
-            if all_done () then finish ()
-          end
-          else
+        let missing = Bytes.get_uint16_be p 4 in
+        let k = Bytes.get_uint16_be p 6 in
+        if addr >= 1 && addr <= n && len >= status_header + (range_bytes * k)
+        then
+          if missing = 0 then ack (addr - 1)
+          else begin
+            if missing < reported.(addr - 1) then begin
+              reported.(addr - 1) <- missing;
+              progress := true
+            end;
             for j = 0 to k - 1 do
-              if Bytes.length p >= 8 + (2 * j) then begin
-                let idx = Bytes.get_uint16_be p (6 + (2 * j)) in
-                if idx < config.pages then missing_union.(idx) <- true
-              end
+              let at = status_header + (range_bytes * j) in
+              let first = Bytes.get_uint16_be p at in
+              let last = first + Bytes.get_uint16_be p (at + 2) in
+              for idx = first to Int.min last config.pages - 1 do
+                missing_union.(idx) <- true
+              done
             done
+          end
       end
   in
   let (_ : Vnet.Medium.port) =
     Vnet.Medium.attach media.(0) ~addr:server_addr ~rx:server_rx
   in
-  (* Client-side protocol.  The response slot rotates with the round
-     number: a fixed slot per client would make every round's collision
-     and queue-overflow pattern identical (the simulation is
-     deterministic), so a STATUS lost in round r would be lost in every
-     round after it.  Rotation breaks the symmetry — no client keeps the
-     same unlucky slot twice. *)
-  let send_status c round =
-    let slot = (c.c_index + (round * 13)) mod n in
+  (* Client-side protocol: every answer goes out at a random offset
+     within [window], its contents decided when it goes. *)
+  let answer c payload =
     ignore
-      (Vsim.Engine.after eng ~kind:k_timer (slot * config.stagger_ns)
-         (fun () ->
-           let is_done = c.c_got = config.pages in
-           let missing = ref [] in
-           if not is_done then (
-             let left = ref config.status_cap in
-             let i = ref 0 in
-             while !left > 0 && !i < config.pages do
-               if not c.c_have.(!i) then begin
-                 missing := !i :: !missing;
-                 decr left
-               end;
-               incr i
-             done);
-           let missing = List.rev !missing in
-           let k = List.length missing in
-           let p = Bytes.create (6 + (2 * k)) in
-           Bytes.set_uint8 p 0 op_status;
-           Bytes.set_uint8 p 1 round;
-           Bytes.set_uint16_be p 2 c.c_addr;
-           Bytes.set_uint8 p 4 (if is_done then 1 else 0);
-           Bytes.set_uint8 p 5 k;
-           List.iteri
-             (fun j idx -> Bytes.set_uint16_be p (6 + (2 * j)) idx)
-             missing;
-           Vhw.Cpu.charge_k c.c_cpu
-             (tx_cost (Bytes.length p))
-             (fun () ->
-               Vnet.Medium.transmit c.c_medium
-                 (bframe ~src:c.c_addr ~dst:server_addr p))))
+      (Vsim.Engine.after eng ~kind:k_timer (Vsim.Rng.int rng window)
+         (fun () -> send c.c_cpu c.c_medium ~src:c.c_addr ~dst:server_addr
+                      (payload ())))
+  in
+  let status_payload c round () =
+    let k = missing_ranges c.c_have (fun _ _ _ -> ()) in
+    let p = Bytes.create (status_header + (range_bytes * k)) in
+    Bytes.set_uint8 p 0 op_status;
+    Bytes.set_uint8 p 1 round;
+    Bytes.set_uint16_be p 2 c.c_addr;
+    Bytes.set_uint16_be p 4 (config.pages - c.c_got);
+    Bytes.set_uint16_be p 6 k;
+    ignore
+      (missing_ranges c.c_have (fun j first count ->
+           let at = status_header + (range_bytes * j) in
+           Bytes.set_uint16_be p at first;
+           Bytes.set_uint16_be p (at + 2) count));
+    p
   in
   let client_rx c fr =
     let p = fr.Vnet.Frame.payload in
-    if (not fr.Vnet.Frame.corrupted) && Bytes.length p >= 1 then
+    let len = Bytes.length p in
+    if (not fr.Vnet.Frame.corrupted) && len >= 1 then
       let op = Bytes.get_uint8 p 0 in
-      if op = op_page && Bytes.length p >= page_header then begin
+      if op = op_page && len >= page_header then begin
         let idx = Bytes.get_uint16_be p 2 in
         if idx < config.pages && not c.c_have.(idx) then begin
           c.c_have.(idx) <- true;
           c.c_got <- c.c_got + 1;
-          Vhw.Cpu.reserve c.c_cpu (rx_cost (Bytes.length p))
+          Vhw.Cpu.reserve c.c_cpu (rx_cost len)
         end
       end
-      else if op = op_end && Bytes.length p >= 4 then
-        send_status c (Bytes.get_uint8 p 1)
+      else if op = op_end && len >= end_header + Bytes.length acked then begin
+        let round = Bytes.get_uint8 p 1 in
+        let i = c.c_addr - 1 in
+        let is_acked =
+          Bytes.get_uint8 p (end_header + (i / 8)) land (1 lsl (i land 7)) <> 0
+        in
+        if (not is_acked) && round <> c.c_round then begin
+          c.c_round <- round;
+          answer c (status_payload c round)
+        end
+      end
   in
   Array.iter
     (fun c ->
       let (_ : Vnet.Medium.port) =
         Vnet.Medium.attach c.c_medium ~addr:c.c_addr ~rx:(client_rx c)
       in
-      (* The boot request: staggered so N ROMs powering on together do not
-         collide their way through backoff before the storm even starts. *)
-      ignore
-        (Vsim.Engine.after eng ~kind:k_timer (c.c_index * config.stagger_ns)
-           (fun () ->
-             let p = Bytes.create 4 in
-             Bytes.set_uint8 p 0 op_join;
-             Bytes.set_uint8 p 1 0;
-             Bytes.set_uint16_be p 2 c.c_addr;
-             Vhw.Cpu.charge_k c.c_cpu
-               (tx_cost (Bytes.length p))
-               (fun () ->
-                 Vnet.Medium.transmit c.c_medium
-                   (bframe ~src:c.c_addr ~dst:server_addr p)))))
+      (* The boot request, at a random instant of the join window. *)
+      answer c (fun () ->
+          let p = Bytes.create 4 in
+          Bytes.set_uint8 p 0 op_join;
+          Bytes.set_uint8 p 1 0;
+          Bytes.set_uint16_be p 2 c.c_addr;
+          p))
     clients;
-  (* Round 1 begins after every JOIN has had time to land. *)
+  (* Round 1 begins once every JOIN has had time to cross. *)
   ignore
-    (Vsim.Engine.after eng ~kind:k_timer
-       ((n * config.stagger_ns) + config.join_window_ns)
-       (fun () -> start_round 1 (List.init config.pages Fun.id)));
+    (Vsim.Engine.after eng ~kind:k_timer (window + pace) (fun () ->
+         start_round 1 (List.init config.pages Fun.id)));
   let events =
     match Vsim.Engine.run_bounded ~max_events eng with
     | `Quiescent e | `Exhausted e -> e
@@ -359,6 +414,7 @@ let run ?seed ?(config = default_config) ?(max_events = default_max_events)
     rounds = !rounds;
     joins = !joins;
     statuses = !statuses;
+    acked = !acked_count;
     resent_pages = !resent;
     elapsed_ns = (if !completed then !completed_at else Vsim.Engine.now eng);
     server_cpu_ns = Vhw.Cpu.busy_ns s_cpu;

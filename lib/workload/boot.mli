@@ -16,9 +16,13 @@
     {!Vnet.Frame.ethertype_boot}: JOIN (client requests the image), PAGE
     (one image page, broadcast, tagged with a round number so gateway
     duplicate suppression never eats a legitimate retransmission), END
-    (round complete), STATUS (client reports done or a capped list of
-    missing pages).  Client transmissions are staggered by client index
-    to keep the storm from collapsing into CSMA backoff.
+    (round over, with a bitmap of the clients whose DONE the server has
+    heard), STATUS (the client's missing count and missing pages as
+    ranges; nothing missing is a DONE).  The server paces PAGEs at the
+    gateway's forwarding time onto the slowest segment, so one round
+    delivers the image unless frames are really lost.  A client answers
+    each END that does not acknowledge it, at a random offset drawn from
+    the engine's generator.
 
     Everything is deterministic: same seed, same report.  See
     doc/INTERNETWORK.md. *)
@@ -28,26 +32,24 @@ val default_max_events : int
 type config = {
   pages : int;  (** image size in pages *)
   page_bytes : int;  (** page payload bytes *)
-  stagger_ns : int;  (** per-client offset for JOIN/STATUS responses *)
-  join_window_ns : int;  (** extra wait before round 1 starts *)
-  status_window_slack_ns : int;  (** extra wait for STATUS after each END *)
-  status_cap : int;  (** missing-page indices carried per STATUS *)
-  max_rounds : int;  (** give up after this many rounds *)
-  cpu_model : Vhw.Cost_model.t;
+  max_rounds : int;
+      (** give up after this many consecutive rounds that taught the
+          server nothing (no new DONE, no shorter missing set) *)
 }
 
 val default_config : config
-(** 128 pages x 512 bytes (a 64 KB image), 100 us stagger, 16 rounds,
-    {!Vhw.Cost_model.sun_10mhz}. *)
+(** 128 pages x 512 bytes (a 64 KB image), 16 idle rounds.  Server and
+    clients cost {!Vhw.Cost_model.sun_10mhz}. *)
 
 type report = {
-  completed : bool;  (** every client reported the full image *)
+  completed : bool;  (** every client's DONE was acknowledged *)
   clients : int;
   pages : int;
   page_bytes : int;
   rounds : int;  (** multicast rounds used *)
   joins : int;  (** JOIN frames the server heard *)
   statuses : int;  (** STATUS frames the server heard *)
+  acked : int;  (** clients whose DONE the server acknowledged *)
   resent_pages : int;  (** pages re-multicast beyond round 1 *)
   elapsed_ns : int;  (** power-on to last client done *)
   server_cpu_ns : int;
@@ -74,15 +76,19 @@ val run :
   ?seed:int64 ->
   ?config:config ->
   ?max_events:int ->
+  ?faults:Vnet.Fault.t list ->
   segments:Topology.segment_spec list ->
   unit ->
   report
 (** One boot storm.  [segments] needs at least two entries; [seg_hosts]
     is the number of diskless clients on that segment (1..200 total).
-    The boot server always sits on segment 0.  A protocol stall (lost
-    END with every client silent) quiesces rather than hangs: the run
-    ends with [completed = false].  Raises [Invalid_argument] before
-    simulating anything if {!validate} rejects the arguments. *)
+    The boot server always sits on segment 0.  [faults] go to the
+    segments in order (fewer than the segments leave the rest clean);
+    their host events crash and restart the gateway.  A storm that stops
+    making progress quiesces rather than hangs: the run ends with
+    [completed = false].  Raises [Invalid_argument] before simulating
+    anything if {!validate} rejects the arguments or [faults] outnumber
+    the segments. *)
 
 val cost_per_1000_clients : report -> float * float
 (** [(server CPU seconds, network bytes)] normalized per 1000 booting

@@ -67,9 +67,10 @@ let test_cost_per_1000 () =
     (float_of_int r.Boot.wire_bytes *. 125.0)
     bytes
 
-(* A storm that cannot finish (one round, and the 10mb -> 3mb gateway
-   queue necessarily drops part of a 128-page blast) must quiesce with
-   [completed = false], not hang. *)
+(* A storm that cannot finish must quiesce with [completed = false], not
+   hang.  From its third frame on, the far segment loses everything, so
+   the far client hears neither the rest of the image nor any END, and
+   after one round that teaches the server nothing it gives up. *)
 let test_stall_quiesces () =
   let config = { Boot.default_config with Boot.max_rounds = 1 } in
   let segments =
@@ -80,14 +81,13 @@ let test_stall_quiesces () =
         seg_hosts = 1 };
     ]
   in
-  let r = Boot.run ~config ~segments () in
+  let far = Vnet.Fault.drop_nth (List.init 1000 (fun i -> i + 3)) in
+  let r = Boot.run ~config ~faults:[ Vnet.Fault.none; far ] ~segments () in
   Alcotest.(check bool) "not complete" false r.Boot.completed;
   Alcotest.(check bool) "quiesced within budget" true
     (r.Boot.events < Boot.default_max_events);
   Alcotest.(check bool) "the far client is missing pages" true
-    (Array.exists (fun got -> got < 128) r.Boot.per_client_pages);
-  Alcotest.(check bool) "the gateway dropped the overflow" true
-    (r.Boot.gateway.Vnet.Gateway.queue_drops > 0)
+    (Array.exists (fun got -> got < 128) r.Boot.per_client_pages)
 
 (* [Boot.run] rejects a bad size before it creates an engine, with the
    message [Boot.validate] gives. *)
@@ -104,6 +104,72 @@ let test_largest_page_fits () =
   let config = { small_config with Boot.page_bytes = 1530 } in
   let r = Boot.run ~config ~segments:(Boot.default_segments ~clients:4) () in
   Alcotest.(check bool) "completed" true r.Boot.completed
+
+(* The boot invariant under loss and a gateway outage: a storm completes
+   exactly when every client holds the image and the server has
+   acknowledged every client's DONE, it never acknowledges a client
+   without the image, and it never ends with every client booted but one
+   unacknowledged.  A clean wire needs one paced round: nothing re-sent,
+   nothing dropped at the gateway. *)
+let test_invariant_sweep () =
+  let drop p = [ Vnet.Fault.drop p; Vnet.Fault.drop p ] in
+  (* Segment 0 carries the n JOINs, then the pages: crash the gateway a
+     quarter of the way into round 1 and bring it back 50 ms later. *)
+  let outage ~clients ~pages =
+    [
+      Vnet.Fault.with_host_events Vnet.Fault.none
+        [ (clients + (pages / 4), Vnet.Fault.Restart 50_000_000) ];
+    ]
+  in
+  let storm seed clients pages (what, faults) =
+    let label =
+      Printf.sprintf "seed %d, %d clients, %d pages, %s" seed clients pages
+        what
+    in
+    let r =
+      Boot.run ~seed:(Int64.of_int seed)
+        ~config:{ Boot.default_config with Boot.pages }
+        ~faults ~segments:(Boot.default_segments ~clients) ()
+    in
+    let booted =
+      Array.fold_left
+        (fun a got -> if got = pages then a + 1 else a)
+        0 r.Boot.per_client_pages
+    in
+    let lost =
+      r.Boot.gateway.Vnet.Gateway.down_drops
+      + List.fold_left (fun a m -> a + m.Vnet.Medium.dropped) 0 r.Boot.media
+    in
+    let check what = Alcotest.(check bool) (label ^ ": " ^ what) in
+    check "frames lost iff faulty" (faults <> []) (lost > 0);
+    check "completed iff booted and acked"
+      (booted = clients && r.Boot.acked = clients)
+      r.Boot.completed;
+    check "acked only the booted" true (r.Boot.acked <= booted);
+    check "no unacked DONE" true (r.Boot.completed || booted < clients);
+    if faults = [] then begin
+      Alcotest.(check int) (label ^ ": rounds") 1 r.Boot.rounds;
+      Alcotest.(check int) (label ^ ": resent") 0 r.Boot.resent_pages;
+      Alcotest.(check int) (label ^ ": gateway drops") 0
+        r.Boot.gateway.Vnet.Gateway.queue_drops
+    end
+  in
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun clients ->
+          List.iter
+            (fun pages ->
+              List.iter (storm seed clients pages)
+                [
+                  ("clean", []);
+                  ("drop 0.01", drop 0.01);
+                  ("drop 0.05", drop 0.05);
+                  ("gateway outage", outage ~clients ~pages);
+                ])
+            [ 32; 128 ])
+        [ 16; 64 ])
+    [ 1; 2; 3 ]
 
 let suite =
   [
@@ -126,4 +192,6 @@ let suite =
           maximum");
     Alcotest.test_case "largest page that fits boots" `Quick
       test_largest_page_fits;
+    Alcotest.test_case "invariant under loss and gateway outage" `Quick
+      test_invariant_sweep;
   ]

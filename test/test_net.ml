@@ -183,7 +183,13 @@ let test_broadcast_order () =
     (order ~bridged:true ~src:99 ~dst:bc ());
   check "from a tap" [ 19; 1; 25; 4; 12; 7; 30; 2; 200; 90 ]
     (order ~bridged:true ~src:60 ~dst:bc ());
-  check "unicast" [ 30; 60; 200; 90 ] (order ~src:7 ~dst:30 ())
+  check "unicast" [ 30; 60; 200; 90 ] (order ~src:7 ~dst:30 ());
+  (* The medium counts each frame's targets without walking the list. *)
+  Alcotest.(check int) "targeted" (9 + 10 + 11 + 10 + 4)
+    (Vnet.Medium.stats medium).Vnet.Medium.targeted;
+  Alcotest.check_raises "a tap's address is taken"
+    (Invalid_argument "Medium.attach: address 60 already attached")
+    (fun () -> station Vnet.Medium.attach 60)
 
 let test_broadcast_drop_per_receiver () =
   (* A scripted drop of a broadcast frame loses one copy per receiver:
