@@ -8,10 +8,6 @@ module Msg = Vkernel.Msg
 module TB = Vworkload.Testbed
 module R = Vworkload.Rigs
 
-let kernel_of tb i = (TB.host tb i).TB.kernel
-let cpu_of tb i = (TB.host tb i).TB.cpu
-let nic_of tb i = (TB.host tb i).TB.nic
-
 let m8 = Vhw.Cost_model.sun_8mhz
 let m10 = Vhw.Cost_model.sun_10mhz
 let net3 = Vnet.Medium.config_3mb
@@ -161,18 +157,17 @@ let table_4_1 () =
 let kernel_table ~bench ~mhz ~cpu_model ~paper_rows title =
   Report.section title;
   let gt = R.gettime ~cpu_model () in
-  let srr_l = R.srr_local ~cpu_model () in
-  let srr_r = R.srr_remote ~cpu_model ~medium_config:net3 () in
-  let mf_l = R.move_local ~cpu_model ~count:1024 ~to_remote:false () in
-  let mf_r =
-    R.move_remote ~cpu_model ~medium_config:net3 ~count:1024 ~to_remote:false
-      ()
+  let srr host = R.srr ~cpu_model ~medium_config:net3 ~server_host:host () in
+  let move host ~to_remote =
+    R.move ~cpu_model ~medium_config:net3 ~count:1024 ~to_remote
+      ~sender_host:host ()
   in
-  let mt_l = R.move_local ~cpu_model ~count:1024 ~to_remote:true () in
-  let mt_r =
-    R.move_remote ~cpu_model ~medium_config:net3 ~count:1024 ~to_remote:true
-      ()
-  in
+  let srr_l = (srr 1).R.elapsed in
+  let srr_r = srr 2 in
+  let mf_l = (move 1 ~to_remote:false).R.elapsed in
+  let mf_r = move 2 ~to_remote:false in
+  let mt_l = (move 1 ~to_remote:true).R.elapsed in
+  let mt_r = move 2 ~to_remote:true in
   let p = R.penalty_ns ~cpu_model ~medium_config:net3 in
   let srr_penalty = 2 * p 64 in
   let move_penalty = p 64 + p 1088 in
@@ -250,8 +245,8 @@ let section_5_4 () =
     let recs = Array.init pairs (fun _ -> Vsim.Stat.Acc.create ()) in
     let mark = Vnet.Medium.mark tb.TB.medium in
     for p = 0 to pairs - 1 do
-      let server = R.start_echo tb ~host:((2 * p) + 2) in
-      let k = kernel_of tb ((2 * p) + 1) in
+      let server = R.start_echo (TB.kernel tb ((2 * p) + 2)) in
+      let k = TB.kernel tb ((2 * p) + 1) in
       ignore
         (K.spawn k ~name:"flood" (fun _ ->
              let msg = Msg.create () in
@@ -310,7 +305,7 @@ let section_5_4 () =
     "two concurrent pairs see minimal degradation. Sim pair-1 vs pair-2 \
      S-R-R: %.2f vs %.2f ms." srr1 srr2;
   let bug =
-    R.srr_remote ~trials:3000 ~cpu_model:m8 ~medium_config:net3
+    R.srr ~server_host:2 ~trials:3000 ~cpu_model:m8 ~medium_config:net3
       ~fault:Vnet.Fault.hardware_bug ()
   in
   Report.note
@@ -535,19 +530,17 @@ let section_6_crossover () =
         ~files:[ ("pages", 16 * 512) ] ()
     in
     Vfs.Fs.set_cache_enabled fs false;
-    let k = kernel_of tb client_host in
-    let out = ref 0 in
+    let client = TB.host tb client_host in
     R.as_process tb ~host:client_host (fun _ ->
-        let conn = R.get (Vfs.Client.connect k ()) in
+        let conn = R.get (Vfs.Client.connect client.TB.kernel ()) in
         let h = R.get (Vfs.Client.open_file conn "pages") in
-        ignore (R.get (Vfs.Client.read_page conn h ~block:0 ~buf:0 ()));
-        let trials = 20 in
-        let t0 = Vsim.Engine.now (K.engine k) in
-        for i = 1 to trials do
-          ignore (R.get (Vfs.Client.read_page conn h ~block:(i mod 16) ~buf:0 ()))
-        done;
-        out := (Vsim.Engine.now (K.engine k) - t0) / trials);
-    !out
+        let read i =
+          ignore
+            (R.get (Vfs.Client.read_page conn h ~block:(i mod 16) ~buf:0 ()))
+        in
+        read 0;
+        (R.time_trials ~client ~server:(TB.host tb 1) ~trials:20 read)
+          .R.elapsed)
   in
   let server_latency = 16 in
   let diskless = page_with_disk ~client_host:2 ~latency_ms:server_latency in
@@ -589,7 +582,7 @@ let section_7_exec () =
   let tb, _fs, _srv =
     R.file_rig ~latency:(Vfs.Disk.Fixed 0) ~files:[ ("scan", 64 * 512) ] ()
   in
-  let k2 = kernel_of tb 2 in
+  let k2 = TB.kernel tb 2 in
   let exec_row = ref [] and fetch_row = ref [] in
   let compute_per_page = Vfs.Server.exec_compute_ns_per_page in
   R.as_process tb ~host:2 (fun _ ->
@@ -597,7 +590,7 @@ let section_7_exec () =
       let h = R.get (Vfs.Client.open_file conn "scan") in
       let medium = tb.TB.medium in
       let measure ?(key = "") name f =
-        let c1 = cpu_of tb 1 in
+        let c1 = TB.cpu tb 1 in
         let mk = Vhw.Cpu.mark c1 in
         let nm = Vnet.Medium.mark medium in
         let t0 = Vsim.Engine.now (K.engine k2) in
@@ -628,7 +621,7 @@ let section_7_exec () =
             for b = 0 to 63 do
               ignore (R.get (Vfs.Client.read_page conn h ~block:b ~buf:0 ()));
               (* The same per-page computation, on the workstation. *)
-              Vhw.Cpu.compute (cpu_of tb 2) compute_per_page
+              Vhw.Cpu.compute (TB.cpu tb 2) compute_per_page
             done));
   Report.table
     ~header:[ "strategy"; "elapsed ms"; "server-cpu ms"; "net bytes" ]
@@ -676,7 +669,7 @@ let section_7_multi_server () =
 
 let section_8_10mb () =
   Report.section "Section 8: preliminary 10 Mb Ethernet figures (8 MHz)";
-  let srr = R.srr_remote ~cpu_model:m8 ~medium_config:net10 () in
+  let srr = R.srr ~server_host:2 ~cpu_model:m8 ~medium_config:net10 () in
   let pr =
     (R.page_op ~cpu_model:m8 ~medium_config:net10 ~client_host:2
        ~write:false ~basic:false ())
@@ -715,10 +708,10 @@ let baseline_comparison () =
     let tb = TB.create ~cpu_model:m10 ~hosts:2 () in
     let fs = TB.make_test_fs tb ~files:[ ("f", 16 * 512) ] () in
     let (_ : Vbaseline.Wfs.server) =
-      Vbaseline.Wfs.start_server tb.TB.eng ~nic:(nic_of tb 1) ~fs ()
+      Vbaseline.Wfs.start_server tb.TB.eng ~nic:(TB.nic tb 1) ~fs ()
     in
     let client =
-      Vbaseline.Wfs.create_client tb.TB.eng ~nic:(nic_of tb 2) ~server:1 ()
+      Vbaseline.Wfs.create_client tb.TB.eng ~nic:(TB.nic tb 2) ~server:1 ()
     in
     let inum = Option.get (Vfs.Fs.lookup fs "f") in
     let out = ref 0 in
@@ -727,11 +720,13 @@ let baseline_comparison () =
           (match Vbaseline.Wfs.read_page client ~inum ~block:0 () with
           | Ok _ -> ()
           | Error e -> failwith ("wfs: " ^ e));
-          let t0 = Vsim.Engine.now tb.TB.eng in
-          for i = 1 to 50 do
-            ignore (Vbaseline.Wfs.read_page client ~inum ~block:(i mod 16) ())
-          done;
-          out := (Vsim.Engine.now tb.TB.eng - t0) / 50)
+          let c =
+            R.time_trials ~client:(TB.host tb 2) ~server:(TB.host tb 1)
+              ~trials:50 (fun i ->
+                ignore
+                  (Vbaseline.Wfs.read_page client ~inum ~block:(i mod 16) ()))
+          in
+          out := c.R.elapsed)
     in
     TB.run tb;
     !out
@@ -768,13 +763,13 @@ let baseline_comparison () =
     let inum = Option.get (Vfs.Fs.lookup fs "s") in
     Vfs.Fs.evict_cache fs;
     let (_ : Vbaseline.Streaming.server) =
-      Vbaseline.Streaming.start_server tb.TB.eng ~nic:(nic_of tb 1) ~fs ()
+      Vbaseline.Streaming.start_server tb.TB.eng ~nic:(TB.nic tb 1) ~fs ()
     in
     let out = ref 0 in
     let (_ : Vsim.Proc.t) =
       Vsim.Proc.spawn tb.TB.eng (fun () ->
           match
-            Vbaseline.Streaming.stream_file tb.TB.eng ~nic:(nic_of tb 2)
+            Vbaseline.Streaming.stream_file tb.TB.eng ~nic:(TB.nic tb 2)
               ~server:1 ~inum ()
           with
           | Ok s -> out := s.Vbaseline.Streaming.per_page_ns
@@ -806,14 +801,14 @@ let baseline_comparison () =
 
 let ablations () =
   Report.section "Ablations: the paper's design-choice measurements";
-  let base = R.srr_remote ~cpu_model:m8 ~medium_config:net3 () in
+  let base = R.srr ~server_host:2 ~cpu_model:m8 ~medium_config:net3 () in
   let ip =
-    R.srr_remote ~cpu_model:m8 ~medium_config:net3
+    R.srr ~server_host:2 ~cpu_model:m8 ~medium_config:net3
       ~kernel_config:{ K.default_config with K.ip_header_mode = true }
       ()
   in
   let relay =
-    R.srr_remote ~cpu_model:m8 ~medium_config:net3
+    R.srr ~server_host:2 ~cpu_model:m8 ~medium_config:net3
       ~kernel_config:{ K.default_config with K.process_server_mode = true }
       ()
   in
@@ -845,7 +840,7 @@ let ablations () =
      checksum'; a process-level network server cost a factor of four (we \
      model only its extra copies and context switches, and measure ~2x).";
   let lossy =
-    R.srr_remote ~trials:200 ~cpu_model:m8 ~medium_config:net3
+    R.srr ~server_host:2 ~trials:200 ~cpu_model:m8 ~medium_config:net3
       ~fault:(Vnet.Fault.drop 0.05)
       ~kernel_config:
         { K.default_config with K.retransmit_timeout_ns = Vsim.Time.ms 20 }
@@ -874,7 +869,7 @@ let span_decomposition () =
   let trials = 50 in
   let elapsed = ref 0 and t_start = ref 0 in
   R.as_process tb ~host:2 (fun _ ->
-      let k = kernel_of tb 2 in
+      let k = TB.kernel tb 2 in
       let conn = R.get (Vfs.Client.connect k ()) in
       let h = R.get (Vfs.Client.open_file conn "pages") in
       (* Warm the server's block cache so measured reads are uniform. *)
@@ -1066,10 +1061,10 @@ let loss_sweep () =
       TB.create ~seed:7L ~cpu_model:m10 ~medium_config:net10
         ~kernel_config:kcfg ~hosts:2 ()
     in
-    let k1 = kernel_of tb 1 in
+    let k1 = TB.kernel tb 1 in
     if drop > 0.0 then
       Vnet.Medium.set_fault tb.TB.medium (Vnet.Fault.drop drop);
-    let server = R.start_echo tb ~host:2 in
+    let server = R.start_echo (TB.kernel tb 2) in
     let samples = ref [] in
     R.as_process tb ~host:1 (fun _ ->
         let msg = Msg.create () in
@@ -1325,10 +1320,10 @@ let lease_coherence () =
     let fs =
       TB.make_test_fs tb ~host:2 ~files:[ ("bench", file_blocks * bs) ] ()
     in
-    let server = Vfs.Server.start (kernel_of tb 2) fs () in
+    let server = Vfs.Server.start (TB.kernel tb 2) fs () in
     let warm = ref 0 and reopen_min = ref max_int and reopen_max = ref 0 in
     let lease_valid_on_reopen = ref true in
-    let k1 = kernel_of tb 1 in
+    let k1 = TB.kernel tb 1 in
     let (_ : Vkernel.Pid.t) =
       K.spawn k1 ~name:"bench-client" (fun _ ->
           let cache =

@@ -2,15 +2,22 @@
 
    Examples:
      vsim ipc --mhz 8                    # remote Send-Receive-Reply
-     vsim ipc --local --mhz 10
+     vsim ipc --local --mhz 10           # same workstation: one CPU column
      vsim penalty --bytes 512 --net 10
-     vsim move --bytes 4096 --from
-     vsim page --write --basic
-     vsim load --unit 16384 --net 10
+     vsim move --bytes 4096 --from       # also --local
+     vsim page --write --basic           # also --local
+     vsim load --unit 16384 --net 10     # also --local
      vsim seq --latency 15
      vsim capacity --clients 5,10,20 --domains 4
      vsim fault --drop 0.1 --timeout 20
      vsim check --domains 4 --json
+
+   ipc, move, page and load print per-operation elapsed time plus client
+   and server CPU, measured by Vworkload.Rigs.srr, move, page_op and
+   program_load; with --local client and server share host 1, so the two
+   CPU lines agree.  A value out of a flag's range (--trials 0, --net 5,
+   --unit 0, --bytes=-5, an unknown --cache-policy...) is a usage error,
+   exit 124.
 
    Every subcommand shares the Spec flags: --seed, --domains, and the
    observability set (--trace-out/--trace-topics/--metrics/--metrics-out/
@@ -24,37 +31,41 @@ let model_of_mhz = function
   | 10 -> Vhw.Cost_model.sun_10mhz
   | mhz -> Vhw.Cost_model.scale Vhw.Cost_model.sun_10mhz ~mhz
 
-let medium_of_net = function
-  | 3 -> Vnet.Medium.config_3mb
-  | 10 -> Vnet.Medium.config_10mb
-  | _ -> invalid_arg "--net must be 3 or 10"
+(* An int flag that must be at least [lo]: anything else is a usage
+   error. *)
+let at_least lo =
+  Arg.conv'
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= lo -> Ok n
+        | _ ->
+            Error
+              (Printf.sprintf "invalid value '%s', expected an integer >= %d"
+                 s lo)),
+      Format.pp_print_int )
+
+let positive = at_least 1
 
 let mhz_arg =
-  Arg.(value & opt int 10 & info [ "mhz" ] ~docv:"MHZ"
+  Arg.(value & opt positive 10 & info [ "mhz" ] ~docv:"MHZ"
          ~doc:"Processor speed: 8 and 10 are the paper's calibrated SUNs; \
                other values cycle-scale the 10 MHz model.")
 
 let net_arg =
-  Arg.(value & opt int 3 & info [ "net" ] ~docv:"MBITS"
-         ~doc:"Ethernet: 3 (experimental 2.94 Mb/s) or 10.")
+  Arg.(value
+       & opt
+           (enum [ ("3", Vnet.Medium.config_3mb);
+                   ("10", Vnet.Medium.config_10mb) ])
+           Vnet.Medium.config_3mb
+       & info [ "net" ] ~docv:"MBITS"
+           ~doc:"Ethernet: 3 (experimental 2.94 Mb/s) or 10.")
 
 let local_arg =
   Arg.(value & flag & info [ "local" ] ~doc:"Same-workstation operation.")
 
 let trials_arg =
-  Arg.(value & opt int 100 & info [ "trials" ] ~doc:"Measurement trials.")
-
-(* An int flag that must be at least 1: anything else is a usage error. *)
-let positive =
-  Arg.conv'
-    ( (fun s ->
-        match int_of_string_opt s with
-        | Some n when n >= 1 -> Ok n
-        | _ ->
-            Error
-              (Printf.sprintf "invalid value '%s', expected a positive \
-                               integer" s)),
-      Format.pp_print_int )
+  Arg.(value & opt positive 100
+       & info [ "trials" ] ~doc:"Measurement trials, at least 1.")
 
 let workers_arg =
   Arg.(value & opt positive 1
@@ -62,25 +73,29 @@ let workers_arg =
            ~doc:"File-server worker processes, at least 1 (1 = the classic \
                  single Receive loop).")
 
-let pp_cols (c : Vworkload.Rigs.cols) =
-  Format.printf "elapsed      %a ms@." Vsim.Time.pp_ms c.Vworkload.Rigs.elapsed;
+let pp_cpu (c : Vworkload.Rigs.cols) =
   Format.printf "client cpu   %a ms@." Vsim.Time.pp_ms c.Vworkload.Rigs.client_cpu;
   Format.printf "server cpu   %a ms@." Vsim.Time.pp_ms c.Vworkload.Rigs.server_cpu
+
+let pp_cols (c : Vworkload.Rigs.cols) =
+  Format.printf "elapsed      %a ms@." Vsim.Time.pp_ms c.Vworkload.Rigs.elapsed;
+  pp_cpu c
+
+(* A --local ipc or move names its operation on the elapsed line. *)
+let pp_local name (c : Vworkload.Rigs.cols) =
+  Format.printf "local %s: %a ms@." name Vsim.Time.pp_ms c.Vworkload.Rigs.elapsed;
+  pp_cpu c
 
 (* --- ipc ------------------------------------------------------------ *)
 
 let ipc_cmd =
-  let run spec mhz net local trials =
+  let run spec mhz medium_config local trials =
     Spec.with_obs spec @@ fun () ->
-    let seed = spec.Spec.seed in
-    let cpu_model = model_of_mhz mhz in
-    if local then
-      Format.printf "local Send-Receive-Reply: %a ms@." Vsim.Time.pp_ms
-        (Vworkload.Rigs.srr_local ~trials ~cpu_model ?seed ())
-    else
-      pp_cols
-        (Vworkload.Rigs.srr_remote ~trials ~cpu_model
-           ~medium_config:(medium_of_net net) ?seed ())
+    let c =
+      Vworkload.Rigs.srr ~trials ~cpu_model:(model_of_mhz mhz) ~medium_config
+        ?seed:spec.Spec.seed ~server_host:(if local then 1 else 2) ()
+    in
+    if local then pp_local "Send-Receive-Reply" c else pp_cols c
   in
   Cmd.v (Cmd.info "ipc" ~doc:"Send-Receive-Reply message exchange")
     Term.(const run $ Spec.term $ mhz_arg $ net_arg $ local_arg $ trials_arg)
@@ -89,11 +104,12 @@ let ipc_cmd =
 
 let penalty_cmd =
   let bytes =
-    Arg.(value & opt int 1024 & info [ "bytes" ] ~doc:"Datagram size.")
+    Arg.(value & opt (at_least 0) 1024
+         & info [ "bytes" ] ~doc:"Datagram size.")
   in
-  let run spec mhz net n trials =
+  let run spec mhz medium_config n trials =
     Spec.with_obs spec @@ fun () ->
-    let cpu_model = model_of_mhz mhz and medium_config = medium_of_net net in
+    let cpu_model = model_of_mhz mhz in
     let measured =
       Vworkload.Rigs.measure_penalty ~trials ?seed:spec.Spec.seed ~cpu_model
         ~medium_config n
@@ -111,25 +127,27 @@ let penalty_cmd =
 
 let move_cmd =
   let bytes =
-    Arg.(value & opt int 1024 & info [ "bytes" ] ~doc:"Transfer size.")
+    Arg.(value & opt (at_least 0) 1024
+         & info [ "bytes" ] ~doc:"Transfer size, at least 0.")
   in
   let from_flag =
     Arg.(value & flag & info [ "from" ] ~doc:"MoveFrom instead of MoveTo.")
   in
-  let run spec mhz net local count from_ =
+  let run spec mhz medium_config local count from_ =
     Spec.with_obs spec @@ fun () ->
-    let seed = spec.Spec.seed in
-    let cpu_model = model_of_mhz mhz in
     let to_remote = not from_ in
+    let c =
+      Vworkload.Rigs.move ~cpu_model:(model_of_mhz mhz) ~medium_config ~count
+        ~to_remote ?seed:spec.Spec.seed ~sender_host:(if local then 1 else 2)
+        ()
+    in
     if local then
-      Format.printf "local Move%s %d bytes: %a ms@."
-        (if to_remote then "To" else "From")
-        count Vsim.Time.pp_ms
-        (Vworkload.Rigs.move_local ~cpu_model ~count ~to_remote ?seed ())
-    else
-      pp_cols
-        (Vworkload.Rigs.move_remote ~cpu_model
-           ~medium_config:(medium_of_net net) ~count ~to_remote ?seed ())
+      pp_local
+        (Printf.sprintf "Move%s %d bytes"
+           (if to_remote then "To" else "From")
+           count)
+        c
+    else pp_cols c
   in
   Cmd.v (Cmd.info "move" ~doc:"MoveTo/MoveFrom bulk data transfer")
     Term.(const run $ Spec.term $ mhz_arg $ net_arg $ local_arg $ bytes
@@ -148,13 +166,18 @@ let page_cmd =
                    the segment path (2 packets).")
   in
   let cache_blocks_arg =
-    Arg.(value & opt int 0
+    Arg.(value & opt (at_least 0) 0
          & info [ "cache-blocks" ]
              ~doc:"Client block-cache capacity in blocks; 0 disables the \
                    cache and uses the plain per-protocol stubs.")
   in
   let cache_policy_arg =
-    Arg.(value & opt string "wt"
+    let policies =
+      Vfs.Cache.
+        [ ("wt", Write_through); ("write-through", Write_through);
+          ("wb", Write_back); ("write-back", Write_back) ]
+    in
+    Arg.(value & opt (enum policies) Vfs.Cache.Write_through
          & info [ "cache-policy" ]
              ~doc:"Cache write policy: wt (write-through) or wb \
                    (write-back).")
@@ -168,44 +191,37 @@ let page_cmd =
           s.Vfs.Cache.writebacks s.Vfs.Cache.invalidations
     | None -> ()
   in
-  let run spec mhz net local write basic cache_blocks cache_policy workers =
+  let run spec mhz medium_config local write basic cache_blocks policy workers
+      =
     Spec.with_obs spec @@ fun () ->
     let seed = spec.Spec.seed in
-    let cpu_model = model_of_mhz mhz
-    and medium_config = medium_of_net net in
+    let cpu_model = model_of_mhz mhz in
     if cache_blocks = 0 then
       pp_cols
         (Vworkload.Rigs.page_op ~cpu_model ~medium_config ~workers ?seed
            ~client_host:(if local then 1 else 2)
            ~write ~basic ())
-    else
-      match Vfs.Cache.policy_of_string cache_policy with
-      | None ->
-          Fmt.failwith "unknown cache policy %S (expected wt or wb)"
-            cache_policy
-      | Some policy ->
-          if write then begin
-            let per_write, flush_ns, stats =
-              Vworkload.Rigs.cached_write ~cpu_model ~medium_config ?seed
-                ~cache_blocks ~policy ()
-            in
-            Format.printf "per write    %a ms (%s)@." Vsim.Time.pp_ms
-              per_write
-              (Vfs.Cache.policy_to_string policy);
-            Format.printf "flush total  %a ms@." Vsim.Time.pp_ms flush_ns;
-            pp_cache_stats stats
-          end
-          else begin
-            let r =
-              Vworkload.Rigs.cached_read ~cpu_model ~medium_config ?seed
-                ~cache_blocks ~policy ()
-            in
-            Format.printf "cold read    %a ms@." Vsim.Time.pp_ms
-              r.Vworkload.Rigs.cold_ns;
-            Format.printf "warm read    %a ms@." Vsim.Time.pp_ms
-              r.Vworkload.Rigs.warm_ns;
-            pp_cache_stats r.Vworkload.Rigs.cache_stats
-          end
+    else if write then begin
+      let per_write, flush_ns, stats =
+        Vworkload.Rigs.cached_write ~cpu_model ~medium_config ?seed
+          ~cache_blocks ~policy ()
+      in
+      Format.printf "per write    %a ms (%s)@." Vsim.Time.pp_ms per_write
+        (Vfs.Cache.policy_to_string policy);
+      Format.printf "flush total  %a ms@." Vsim.Time.pp_ms flush_ns;
+      pp_cache_stats stats
+    end
+    else begin
+      let r =
+        Vworkload.Rigs.cached_read ~cpu_model ~medium_config ?seed
+          ~cache_blocks ~policy ()
+      in
+      Format.printf "cold read    %a ms@." Vsim.Time.pp_ms
+        r.Vworkload.Rigs.cold_ns;
+      Format.printf "warm read    %a ms@." Vsim.Time.pp_ms
+        r.Vworkload.Rigs.warm_ns;
+      pp_cache_stats r.Vworkload.Rigs.cache_stats
+    end
   in
   Cmd.v
     (Cmd.info "page"
@@ -218,14 +234,14 @@ let page_cmd =
 
 let load_cmd =
   let unit_arg =
-    Arg.(value & opt int 4096
-         & info [ "unit" ] ~doc:"MoveTo transfer unit in bytes.")
+    Arg.(value & opt positive 4096
+         & info [ "unit" ] ~doc:"MoveTo transfer unit in bytes, at least 1.")
   in
-  let run spec mhz net local transfer_unit =
+  let run spec mhz medium_config local transfer_unit =
     Spec.with_obs spec @@ fun () ->
     let c =
       Vworkload.Rigs.program_load ~cpu_model:(model_of_mhz mhz)
-        ~medium_config:(medium_of_net net) ?seed:spec.Spec.seed ~transfer_unit
+        ~medium_config ?seed:spec.Spec.seed ~transfer_unit
         ~client_host:(if local then 1 else 2)
         ()
     in
@@ -244,7 +260,8 @@ let seq_cmd =
          & info [ "latency" ] ~doc:"Server disk latency in ms.")
   in
   let pages =
-    Arg.(value & opt int 30 & info [ "pages" ] ~doc:"File length in pages.")
+    Arg.(value & opt positive 30
+         & info [ "pages" ] ~doc:"File length in pages, at least 1.")
   in
   let run spec mhz latency npages =
     Spec.with_obs spec @@ fun () ->
@@ -263,7 +280,7 @@ let seq_cmd =
 
 let capacity_cmd =
   let clients =
-    Arg.(value & opt (list int) [ 10 ]
+    Arg.(value & opt (list positive) [ 10 ]
          & info [ "clients" ] ~docv:"LIST"
              ~doc:"Diskless workstation counts: a single value or a \
                    comma-separated sweep (e.g. 5,10,20), one closed-loop \
@@ -325,7 +342,7 @@ let fault_cmd =
                    $(b,adaptive) estimates per-destination RTT \
                    (Jacobson/Karn) with exponential backoff.")
   in
-  let run spec mhz net drop corrupt bug timeout rto_mode trials =
+  let run spec mhz medium_config drop corrupt bug timeout rto_mode trials =
     Spec.with_obs spec @@ fun () ->
     let fault =
       if bug then Vnet.Fault.hardware_bug
@@ -339,9 +356,8 @@ let fault_cmd =
         rto_mode }
     in
     pp_cols
-      (Vworkload.Rigs.srr_remote ~trials ~cpu_model:(model_of_mhz mhz)
-         ~medium_config:(medium_of_net net) ~fault ~kernel_config
-         ?seed:spec.Spec.seed ())
+      (Vworkload.Rigs.srr ~trials ~cpu_model:(model_of_mhz mhz) ~medium_config
+         ~fault ~kernel_config ?seed:spec.Spec.seed ~server_host:2 ())
   in
   Cmd.v
     (Cmd.info "fault" ~doc:"Message exchange under network faults")
@@ -554,7 +570,7 @@ let run_cmd =
   let trace =
     Arg.(value & flag & info [ "trace" ] ~doc:"Print kernel/network trace.")
   in
-  let run spec mhz net source_path trace =
+  let run spec mhz medium_config source_path trace =
     Spec.with_obs spec @@ fun () ->
     let source = In_channel.with_open_text source_path In_channel.input_all in
     let img =
@@ -567,7 +583,7 @@ let run_cmd =
     let tb =
       Vworkload.Testbed.create ?seed:spec.Spec.seed
         ~cpu_model:(model_of_mhz mhz)
-        ~medium_config:(medium_of_net net) ~hosts:2 ()
+        ~medium_config ~hosts:2 ()
     in
     if trace then Vsim.Trace.to_stderr tb.Vworkload.Testbed.eng;
     let fs = Vworkload.Testbed.make_test_fs tb ~files:[] () in
@@ -576,8 +592,8 @@ let run_cmd =
         match Vfs.Fs.write fs ~inum ~pos:0 (Vexec.Image.to_bytes img) with
         | Ok () -> ()
         | Error e -> Fmt.failwith "install: %a" Vfs.Fs.pp_error e);
-    let k_fs = (Vworkload.Testbed.host tb 1).Vworkload.Testbed.kernel in
-    let k_ws = (Vworkload.Testbed.host tb 2).Vworkload.Testbed.kernel in
+    let k_fs = Vworkload.Testbed.kernel tb 1 in
+    let k_ws = Vworkload.Testbed.kernel tb 2 in
     let (_ : Vfs.Server.t) = Vfs.Server.start k_fs fs () in
     let (_ : Vkernel.Pid.t) =
       Vkernel.Kernel.spawn k_ws ~name:"workstation" (fun _ ->

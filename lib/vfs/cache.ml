@@ -11,11 +11,6 @@ type policy = Write_through | Write_back
 
 type config = { capacity_blocks : int; policy : policy }
 
-let policy_of_string = function
-  | "wt" | "write-through" -> Some Write_through
-  | "wb" | "write-back" -> Some Write_back
-  | _ -> None
-
 let policy_to_string = function
   | Write_through -> "write-through"
   | Write_back -> "write-back"

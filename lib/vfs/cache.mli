@@ -30,9 +30,6 @@ type policy = Write_through | Write_back
 
 type config = { capacity_blocks : int; policy : policy }
 
-val policy_of_string : string -> policy option
-(** Recognizes ["wt"]/["write-through"] and ["wb"]/["write-back"]. *)
-
 val policy_to_string : policy -> string
 
 type stats = {

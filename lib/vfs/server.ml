@@ -533,11 +533,10 @@ let handle_request t ~mem ~msg ~src ~seg_count =
                   with
                   | Error e -> reply (fs_error_status e) 0
                   | Ok n ->
-                      let unit_sz = max 1 t.cfg.transfer_unit in
                       let rec push off ok =
                         if (not ok) || off >= n then ok
                         else begin
-                          let chunk = min unit_sz (n - off) in
+                          let chunk = min t.cfg.transfer_unit (n - off) in
                           match
                             K.move_to t.kernel ~dst_pid:src ~dst:(dptr + off)
                               ~src:(load_ptr + off) ~count:chunk
@@ -669,6 +668,8 @@ let spawn_team t =
 
 let start kernel fs ?(config = default_config) ?(restartable = false) () =
   if config.workers < 1 then invalid_arg "Server.start: workers must be >= 1";
+  if config.transfer_unit < 1 then
+    invalid_arg "Server.start: transfer_unit must be >= 1";
   let t =
     {
       kernel;

@@ -27,7 +27,7 @@
     visible on their own. *)
 
 type config = {
-  transfer_unit : int;  (** MoveTo chunk for program loading *)
+  transfer_unit : int;  (** MoveTo chunk for program loading, >= 1 *)
   read_ahead : bool;
   write_behind : bool;
   fs_process_ns : int;  (** per-request file-system processing time *)
@@ -64,7 +64,8 @@ val start :
     hook: after a host crash + restart it runs {!Fs.recover} and then
     re-spawns its process team with a fresh handle table — open handles
     and version state die with the host, disk contents survive.  Raises
-    [Invalid_argument] if [config.workers < 1]. *)
+    [Invalid_argument] if [config.workers < 1] or
+    [config.transfer_unit < 1]. *)
 
 val pid : t -> Vkernel.Pid.t
 (** The pid clients Send to: the server process itself in single-worker

@@ -1,144 +1,108 @@
 module K = Vkernel.Kernel
 module Msg = Vkernel.Msg
 
-let kernel_of tb i = (Testbed.host tb i).Testbed.kernel
-let cpu_of tb i = (Testbed.host tb i).Testbed.cpu
-let nic_of tb i = (Testbed.host tb i).Testbed.nic
-
 type cols = { elapsed : int; client_cpu : int; server_cpu : int }
 
-let start_echo tb ~host =
-  let k = kernel_of tb host in
+let time_trials ~client ~server ~trials op =
+  if trials < 1 then invalid_arg "Rigs.time_trials: trials must be >= 1";
+  let eng = K.engine client.Testbed.kernel in
+  let per_trial (h : Testbed.host) mark =
+    Vhw.Cpu.busy_since h.cpu mark / trials
+  in
+  let mkc = Vhw.Cpu.mark client.Testbed.cpu in
+  let mks = Vhw.Cpu.mark server.Testbed.cpu in
+  let t0 = Vsim.Engine.now eng in
+  for i = 1 to trials do
+    op i
+  done;
+  {
+    elapsed = (Vsim.Engine.now eng - t0) / trials;
+    client_cpu = per_trial client mkc;
+    server_cpu = per_trial server mks;
+  }
+
+let start_echo k =
   K.spawn k ~name:"echo" (fun _ ->
       let msg = Msg.create () in
       let rec loop () =
         let src = K.receive k msg in
-        ignore (K.reply k msg src);
+        Msg.set_u8 msg 4 ((Msg.get_u8 msg 4 + 1) land 0xFF);
+        (match K.reply k msg src with
+        | K.Ok -> ()
+        | st -> Fmt.failwith "echo reply: %s" (K.status_to_string st));
         loop ()
       in
       loop ())
 
 let as_process tb ~host f =
-  let k = kernel_of tb host in
-  let (_ : Vkernel.Pid.t) = K.spawn k ~name:"rig" (fun pid -> f pid) in
-  Testbed.run tb
+  let out = ref None in
+  let (_ : Vkernel.Pid.t) =
+    K.spawn (Testbed.kernel tb host) ~name:"rig" (fun pid ->
+        out := Some (f pid))
+  in
+  Testbed.run tb;
+  match !out with
+  | Some v -> v
+  | None -> failwith "Rigs.as_process: the rig process did not finish"
 
-let srr_remote ?(trials = 50) ~cpu_model ~medium_config ?fault
-    ?(kernel_config = K.default_config) ?seed () =
+let srr ?(trials = 50) ~cpu_model ~medium_config ?fault
+    ?(kernel_config = K.default_config) ?seed ~server_host () =
   let tb =
-    Testbed.create ?seed ~cpu_model ~medium_config ~kernel_config ~hosts:2 ()
+    Testbed.create ?seed ~cpu_model ~medium_config ~kernel_config
+      ~hosts:server_host ()
   in
   (match fault with
   | Some f -> Vnet.Medium.set_fault tb.Testbed.medium f
   | None -> ());
-  let server = start_echo tb ~host:2 in
-  let k1 = kernel_of tb 1 in
-  let out = ref { elapsed = 0; client_cpu = 0; server_cpu = 0 } in
-  as_process tb ~host:1 (fun _ ->
-      let msg = Msg.create () in
-      ignore (K.send k1 msg server);
-      let c1 = cpu_of tb 1 and c2 = cpu_of tb 2 in
-      let mk1 = Vhw.Cpu.mark c1 and mk2 = Vhw.Cpu.mark c2 in
-      let t0 = Vsim.Engine.now (K.engine k1) in
-      for _ = 1 to trials do
-        ignore (K.send k1 msg server)
-      done;
-      out :=
-        {
-          elapsed = (Vsim.Engine.now (K.engine k1) - t0) / trials;
-          client_cpu = Vhw.Cpu.busy_since c1 mk1 / trials;
-          server_cpu = Vhw.Cpu.busy_since c2 mk2 / trials;
-        });
-  !out
-
-let srr_local ?(trials = 50) ~cpu_model ?seed () =
-  let tb = Testbed.create ?seed ~cpu_model ~hosts:1 () in
-  let server = start_echo tb ~host:1 in
-  let k = kernel_of tb 1 in
-  let out = ref 0 in
+  let server = start_echo (Testbed.kernel tb server_host) in
+  let k = Testbed.kernel tb 1 in
   as_process tb ~host:1 (fun _ ->
       let msg = Msg.create () in
       ignore (K.send k msg server);
-      let t0 = Vsim.Engine.now (K.engine k) in
-      for _ = 1 to trials do
-        ignore (K.send k msg server)
-      done;
-      out := (Vsim.Engine.now (K.engine k) - t0) / trials);
-  !out
+      time_trials ~client:(Testbed.host tb 1)
+        ~server:(Testbed.host tb server_host) ~trials (fun _ ->
+          ignore (K.send k msg server)))
 
 let gettime ~cpu_model ?seed () =
   let tb = Testbed.create ?seed ~cpu_model ~hosts:1 () in
-  let k = kernel_of tb 1 in
-  let out = ref 0 in
-  as_process tb ~host:1 (fun _ ->
-      let t0 = Vsim.Engine.now (K.engine k) in
-      for _ = 1 to 50 do
-        ignore (K.get_time k)
-      done;
-      out := (Vsim.Engine.now (K.engine k) - t0) / 50);
-  !out
+  let h = Testbed.host tb 1 in
+  (as_process tb ~host:1 (fun _ ->
+       time_trials ~client:h ~server:h ~trials:50 (fun _ ->
+           ignore (K.get_time h.Testbed.kernel))))
+    .elapsed
 
-let move_remote ?(trials = 30) ~cpu_model ~medium_config ~count ~to_remote
-    ?seed () =
-  let tb = Testbed.create ?seed ~cpu_model ~medium_config ~hosts:2 () in
-  let k1 = kernel_of tb 1 and k2 = kernel_of tb 2 in
-  let out = ref { elapsed = 0; client_cpu = 0; server_cpu = 0 } in
-  let mover =
-    K.spawn k1 ~name:"mover" (fun _ ->
-        let msg = Msg.create () in
-        let src = K.receive k1 msg in
-        let op () =
-          if to_remote then K.move_to k1 ~dst_pid:src ~dst:0 ~src:0 ~count
-          else K.move_from k1 ~src_pid:src ~dst:0 ~src:0 ~count
-        in
-        ignore (op ());
-        let c1 = cpu_of tb 1 and c2 = cpu_of tb 2 in
-        let mk1 = Vhw.Cpu.mark c1 and mk2 = Vhw.Cpu.mark c2 in
-        let t0 = Vsim.Engine.now (K.engine k1) in
-        for _ = 1 to trials do
-          ignore (op ())
-        done;
-        out :=
-          {
-            elapsed = (Vsim.Engine.now (K.engine k1) - t0) / trials;
-            client_cpu = Vhw.Cpu.busy_since c1 mk1 / trials;
-            server_cpu = Vhw.Cpu.busy_since c2 mk2 / trials;
-          };
-        ignore (K.reply k1 msg src))
+let move ?(trials = 30) ~cpu_model ~medium_config ~count ~to_remote ?seed
+    ~sender_host () =
+  let tb =
+    Testbed.create ?seed ~cpu_model ~medium_config ~hosts:sender_host ()
   in
-  as_process tb ~host:2 (fun _ ->
-      let msg = Msg.create () in
-      Msg.set_segment msg Msg.Read_write ~ptr:0 ~len:(128 * 1024);
-      Msg.set_no_piggyback msg;
-      ignore (K.send k2 msg mover));
-  !out
-
-let move_local ?(trials = 30) ~cpu_model ~count ~to_remote ?seed () =
-  let tb = Testbed.create ?seed ~cpu_model ~hosts:1 () in
-  let k = kernel_of tb 1 in
-  let out = ref 0 in
+  let k = Testbed.kernel tb 1 in
+  let out = ref None in
   let mover =
     K.spawn k ~name:"mover" (fun _ ->
         let msg = Msg.create () in
         let src = K.receive k msg in
-        let op () =
-          if to_remote then K.move_to k ~dst_pid:src ~dst:0 ~src:0 ~count
-          else K.move_from k ~src_pid:src ~dst:0 ~src:0 ~count
+        let op _ =
+          match
+            if to_remote then K.move_to k ~dst_pid:src ~dst:0 ~src:0 ~count
+            else K.move_from k ~src_pid:src ~dst:0 ~src:0 ~count
+          with
+          | K.Ok -> ()
+          | st -> Fmt.failwith "Rigs.move: %s" (K.status_to_string st)
         in
-        ignore (op ());
-        let t0 = Vsim.Engine.now (K.engine k) in
-        for _ = 1 to trials do
-          ignore (op ())
-        done;
-        out := (Vsim.Engine.now (K.engine k) - t0) / trials;
+        op 0;
+        out :=
+          Some
+            (time_trials ~client:(Testbed.host tb 1)
+               ~server:(Testbed.host tb sender_host) ~trials op);
         ignore (K.reply k msg src))
   in
-  as_process tb ~host:1 (fun _ ->
+  as_process tb ~host:sender_host (fun _ ->
       let msg = Msg.create () in
       Msg.set_segment msg Msg.Read_write ~ptr:0 ~len:(128 * 1024);
       Msg.set_no_piggyback msg;
-      ignore (K.send k msg mover));
-  !out
+      ignore (K.send (Testbed.kernel tb sender_host) msg mover));
+  Option.get !out
 
 let penalty_ns ~cpu_model ~medium_config n =
   cpu_model.Vhw.Cost_model.pkt_send_setup_ns
@@ -151,7 +115,7 @@ let penalty_ns ~cpu_model ~medium_config n =
 let measure_penalty ?(trials = 100) ?seed ~cpu_model ~medium_config n =
   let tb = Testbed.create ?seed ~cpu_model ~medium_config ~hosts:2 () in
   let eng = tb.Testbed.eng in
-  let nic1 = nic_of tb 1 and nic2 = nic_of tb 2 in
+  let nic1 = Testbed.nic tb 1 and nic2 = Testbed.nic tb 2 in
   let pending = ref None in
   Vnet.Nic.set_receiver nic2 ~ethertype:Vnet.Frame.ethertype_raw (fun _ ->
       match !pending with
@@ -186,7 +150,9 @@ let file_rig ?(hosts = 2) ?(cpu_model = Vhw.Cost_model.sun_10mhz)
     ~files () =
   let tb = Testbed.create ?seed ~cpu_model ~medium_config ~hosts () in
   let fs = Testbed.make_test_fs tb ?latency ~files () in
-  let server = Vfs.Server.start (kernel_of tb 1) fs ?config:server_config () in
+  let server =
+    Vfs.Server.start (Testbed.kernel tb 1) fs ?config:server_config ()
+  in
   (tb, fs, server)
 
 let page_op ?(trials = 50) ?(cpu_model = Vhw.Cost_model.sun_10mhz)
@@ -197,8 +163,7 @@ let page_op ?(trials = 50) ?(cpu_model = Vhw.Cost_model.sun_10mhz)
       ~server_config:{ Vfs.Server.default_config with workers }
       ~latency:(Vfs.Disk.Fixed 0) ~files:[ ("pages", 16 * 512) ] ()
   in
-  let k = kernel_of tb client_host in
-  let out = ref { elapsed = 0; client_cpu = 0; server_cpu = 0 } in
+  let k = Testbed.kernel tb client_host in
   as_process tb ~host:client_host (fun _ ->
       let conn = get (Vfs.Client.connect k ()) in
       let h = get (Vfs.Client.open_file conn "pages") in
@@ -213,19 +178,8 @@ let page_op ?(trials = 50) ?(cpu_model = Vhw.Cost_model.sun_10mhz)
             get (Vfs.Client.write_page_basic conn h ~block ~buf:0 ~count:512)
       in
       ignore (op 0);
-      let c1 = cpu_of tb 1 and cc = cpu_of tb client_host in
-      let mk1 = Vhw.Cpu.mark c1 and mkc = Vhw.Cpu.mark cc in
-      let t0 = Vsim.Engine.now (K.engine k) in
-      for i = 1 to trials do
-        ignore (op (i mod 16))
-      done;
-      out :=
-        {
-          elapsed = (Vsim.Engine.now (K.engine k) - t0) / trials;
-          client_cpu = Vhw.Cpu.busy_since cc mkc / trials;
-          server_cpu = Vhw.Cpu.busy_since c1 mk1 / trials;
-        });
-  !out
+      time_trials ~client:(Testbed.host tb client_host)
+        ~server:(Testbed.host tb 1) ~trials (fun i -> ignore (op (i mod 16))))
 
 let program_load ?(cpu_model = Vhw.Cost_model.sun_10mhz)
     ?(medium_config = Vnet.Medium.config_3mb) ?seed ~transfer_unit
@@ -238,26 +192,16 @@ let program_load ?(cpu_model = Vhw.Cost_model.sun_10mhz)
       ~server_config ~latency:(Vfs.Disk.Fixed 0) ~files:[ ("prog", 65536) ]
       ()
   in
-  let k = kernel_of tb client_host in
-  let out = ref { elapsed = 0; client_cpu = 0; server_cpu = 0 } in
+  let k = Testbed.kernel tb client_host in
   as_process tb ~host:client_host (fun _ ->
       let conn = get (Vfs.Client.connect k ()) in
       let h = get (Vfs.Client.open_file conn "prog") in
-      ignore (get (Vfs.Client.load_program conn h ~buf:8192 ~max:65536));
-      let c1 = cpu_of tb 1 and cc = cpu_of tb client_host in
-      let mk1 = Vhw.Cpu.mark c1 and mkc = Vhw.Cpu.mark cc in
-      let t0 = Vsim.Engine.now (K.engine k) in
-      let trials = 5 in
-      for _ = 1 to trials do
+      let load _ =
         ignore (get (Vfs.Client.load_program conn h ~buf:8192 ~max:65536))
-      done;
-      out :=
-        {
-          elapsed = (Vsim.Engine.now (K.engine k) - t0) / trials;
-          client_cpu = Vhw.Cpu.busy_since cc mkc / trials;
-          server_cpu = Vhw.Cpu.busy_since c1 mk1 / trials;
-        });
-  !out
+      in
+      load 0;
+      time_trials ~client:(Testbed.host tb client_host)
+        ~server:(Testbed.host tb 1) ~trials:5 load)
 
 let sequential_read ?(cpu_model = Vhw.Cost_model.sun_10mhz) ?(npages = 30)
     ?seed ~disk_latency_ns () =
@@ -271,8 +215,7 @@ let sequential_read ?(cpu_model = Vhw.Cost_model.sun_10mhz) ?(npages = 30)
       ()
   in
   Vfs.Fs.evict_cache fs;
-  let k = kernel_of tb 2 in
-  let out = ref 0 in
+  let k = Testbed.kernel tb 2 in
   as_process tb ~host:2 (fun _ ->
       let conn = get (Vfs.Client.connect k ()) in
       let h = get (Vfs.Client.open_file conn "seq") in
@@ -280,8 +223,7 @@ let sequential_read ?(cpu_model = Vhw.Cost_model.sun_10mhz) ?(npages = 30)
       let (_ : int) =
         get (Vfs.Client.read_sequential conn h ~buf:0 ~on_page:(fun _ _ -> ()))
       in
-      out := (Vsim.Engine.now (K.engine k) - t0) / npages);
-  !out
+      (Vsim.Engine.now (K.engine k) - t0) / npages)
 
 type cache_cols = {
   cold_ns : int;
@@ -305,8 +247,7 @@ let cached_read ?(passes = 4) ?(cpu_model = Vhw.Cost_model.sun_10mhz)
       ~files:[ ("data", file_blocks * bs) ]
       ()
   in
-  let k = kernel_of tb 2 in
-  let out = ref { cold_ns = 0; warm_ns = 0; cache_stats = None } in
+  let k = Testbed.kernel tb 2 in
   as_process tb ~host:2 (fun _ ->
       let conn = get (Vfs.Client.connect k ()) in
       let cache = make_cache tb ~host:2 ~cache_blocks ~policy in
@@ -326,13 +267,11 @@ let cached_read ?(passes = 4) ?(cpu_model = Vhw.Cost_model.sun_10mhz)
       done;
       let t2 = Vsim.Engine.now eng in
       let warm_reads = max 1 ((passes - 1) * working_set) in
-      out :=
-        {
-          cold_ns = (t1 - t0) / working_set;
-          warm_ns = (t2 - t1) / warm_reads;
-          cache_stats = Option.map Vfs.Cache.stats cache;
-        });
-  !out
+      {
+        cold_ns = (t1 - t0) / working_set;
+        warm_ns = (t2 - t1) / warm_reads;
+        cache_stats = Option.map Vfs.Cache.stats cache;
+      })
 
 let cached_write ?(cpu_model = Vhw.Cost_model.sun_10mhz)
     ?(medium_config = Vnet.Medium.config_3mb) ?(blocks = 16) ?seed
@@ -343,8 +282,7 @@ let cached_write ?(cpu_model = Vhw.Cost_model.sun_10mhz)
       ~files:[ ("out", blocks * bs) ]
       ()
   in
-  let k = kernel_of tb 2 in
-  let out = ref (0, 0, None) in
+  let k = Testbed.kernel tb 2 in
   as_process tb ~host:2 (fun _ ->
       let conn = get (Vfs.Client.connect k ()) in
       let cache = make_cache tb ~host:2 ~cache_blocks ~policy in
@@ -360,9 +298,7 @@ let cached_write ?(cpu_model = Vhw.Cost_model.sun_10mhz)
       get (Vfs.Client.Io.flush f);
       let t2 = Vsim.Engine.now eng in
       get (Vfs.Client.Io.close f);
-      out :=
-        ((t1 - t0) / blocks, t2 - t1, Option.map Vfs.Cache.stats cache));
-  !out
+      ((t1 - t0) / blocks, t2 - t1, Option.map Vfs.Cache.stats cache))
 
 let capacity ?(cpu_model = Vhw.Cost_model.sun_10mhz)
     ?(duration = Vsim.Time.sec 4) ?(think_mean = Vsim.Time.ms 320)
@@ -386,7 +322,7 @@ let capacity ?(cpu_model = Vhw.Cost_model.sun_10mhz)
             ()
         in
         let srv =
-          Vfs.Server.start (kernel_of tb (i + 1)) fs ~config:server_config ()
+          Vfs.Server.start (Testbed.kernel tb (i + 1)) fs ~config:server_config ()
         in
         Vfs.Server.pid srv)
   in
@@ -395,11 +331,11 @@ let capacity ?(cpu_model = Vhw.Cost_model.sun_10mhz)
   (* Aggregate CPU utilization across *all* server hosts (1..servers),
      not just the first one. *)
   let cpu_marks =
-    Array.init servers (fun i -> Vhw.Cpu.mark (cpu_of tb (i + 1)))
+    Array.init servers (fun i -> Vhw.Cpu.mark (Testbed.cpu tb (i + 1)))
   in
   let net_mark = Vnet.Medium.mark tb.Testbed.medium in
   for c = 1 to clients do
-    let k = kernel_of tb (c + servers) in
+    let k = Testbed.kernel tb (c + servers) in
     let my_server = server_pids.(c mod servers) in
     ignore
       (K.spawn k ~name:"ws" (fun _ ->
@@ -429,7 +365,7 @@ let capacity ?(cpu_model = Vhw.Cost_model.sun_10mhz)
     let sum = ref 0.0 in
     Array.iteri
       (fun i mark ->
-        sum := !sum +. Vhw.Cpu.utilization_since (cpu_of tb (i + 1)) mark)
+        sum := !sum +. Vhw.Cpu.utilization_since (Testbed.cpu tb (i + 1)) mark)
       cpu_marks;
     !sum /. float_of_int servers
   in
@@ -471,12 +407,12 @@ let contention ?(cpu_model = Vhw.Cost_model.sun_10mhz) ?(workers = 1)
       ()
   in
   Vfs.Fs.set_cache_enabled fs false;
-  let srv = Vfs.Server.start (kernel_of tb 1) fs ~config:server_config () in
+  let srv = Vfs.Server.start (Testbed.kernel tb 1) fs ~config:server_config () in
   let spid = Vfs.Server.pid srv in
   let eng = tb.Testbed.eng in
   let rec_ = Recorder.create eng () in
   for c = 1 to clients do
-    let k = kernel_of tb (c + 1) in
+    let k = Testbed.kernel tb (c + 1) in
     ignore
       (K.spawn k ~name:"ws" (fun _ ->
            let rng = Vsim.Rng.split (Vsim.Engine.rng eng) in
@@ -522,47 +458,25 @@ let srr_gateway ?(trials = 50) ~cpu_model ?seed () =
         ]
       ()
   in
-  let kernel_at i = (Topology.host tp i).Testbed.kernel in
-  let cpu_at i = (Topology.host tp i).Testbed.cpu in
-  let start_echo host =
-    let k = kernel_at host in
-    K.spawn k ~name:"echo" (fun _ ->
-        let msg = Msg.create () in
-        let rec loop () =
-          let src = K.receive k msg in
-          ignore (K.reply k msg src);
-          loop ()
-        in
-        loop ())
-  in
-  let near = start_echo 2 in
-  let far = start_echo 3 in
-  let k1 = kernel_at 1 in
-  let zero = { elapsed = 0; client_cpu = 0; server_cpu = 0 } in
-  let near_out = ref zero and far_out = ref zero in
+  let near = start_echo (Topology.kernel tp 2) in
+  let far = start_echo (Topology.kernel tp 3) in
+  let k1 = Topology.kernel tp 1 in
   let measure server ~server_host =
     let msg = Msg.create () in
     (* Warm: first exchange pays one-time path setup. *)
     ignore (K.send k1 msg server);
-    let c1 = cpu_at 1 and cs = cpu_at server_host in
-    let mk1 = Vhw.Cpu.mark c1 and mks = Vhw.Cpu.mark cs in
-    let t0 = Vsim.Engine.now (K.engine k1) in
-    for _ = 1 to trials do
-      ignore (K.send k1 msg server)
-    done;
-    {
-      elapsed = (Vsim.Engine.now (K.engine k1) - t0) / trials;
-      client_cpu = Vhw.Cpu.busy_since c1 mk1 / trials;
-      server_cpu = Vhw.Cpu.busy_since cs mks / trials;
-    }
+    time_trials ~client:(Topology.host tp 1)
+      ~server:(Topology.host tp server_host) ~trials (fun _ ->
+        ignore (K.send k1 msg server))
   in
+  let out = ref None in
   let (_ : Vkernel.Pid.t) =
     K.spawn k1 ~name:"rig" (fun _ ->
-        near_out := measure near ~server_host:2;
-        far_out := measure far ~server_host:3)
+        let near = measure near ~server_host:2 in
+        out := Some (near, measure far ~server_host:3))
   in
   Topology.run tp;
-  (!near_out, !far_out)
+  Option.get !out
 
 (* --- sweep drivers ----------------------------------------------------
 
@@ -572,28 +486,27 @@ let srr_gateway ?(trials = 50) ~cpu_model ?seed () =
    Vsim.Pool, so grids parallelize across domains while results stay in
    grid order and each cell stays byte-deterministic. *)
 
-let capacity_sweep ?cpu_model ?duration ?think_mean ?servers ?workers ?seed
-    ?(domains = Vsim.Pool.default_domains) ~clients () =
+(* One job per grid point, labelled [label point], returning the point
+   with its cell. *)
+let sweep ~domains ~label cell points =
   Vsim.Pool.run_list ~domains
     (List.map
-       (fun n ->
-         Vsim.Job.v
-           ~label:(Printf.sprintf "capacity:%d" n)
-           (fun () ->
-             ( n,
-               capacity ?cpu_model ?duration ?think_mean ?servers ?workers
-                 ?seed ~clients:n () )))
-       clients)
+       (fun p -> Vsim.Job.v ~label:(label p) (fun () -> (p, cell p)))
+       points)
+
+let capacity_sweep ?cpu_model ?duration ?think_mean ?servers ?workers ?seed
+    ?(domains = Vsim.Pool.default_domains) ~clients () =
+  sweep ~domains ~label:(Printf.sprintf "capacity:%d")
+    (fun n ->
+      capacity ?cpu_model ?duration ?think_mean ?servers ?workers ?seed
+        ~clients:n ())
+    clients
 
 let contention_sweep ?cpu_model ?reads_per_client ?think_mean ?seed
     ?(domains = Vsim.Pool.default_domains) ~grid () =
-  Vsim.Pool.run_list ~domains
-    (List.map
-       (fun (workers, clients) ->
-         Vsim.Job.v
-           ~label:(Printf.sprintf "contention:w%d/c%d" workers clients)
-           (fun () ->
-             ( (workers, clients),
-               contention ?cpu_model ~workers ?reads_per_client ?think_mean
-                 ?seed ~clients () )))
-       grid)
+  sweep ~domains
+    ~label:(fun (w, c) -> Printf.sprintf "contention:w%d/c%d" w c)
+    (fun (workers, clients) ->
+      contention ?cpu_model ~workers ?reads_per_client ?think_mean ?seed
+        ~clients ())
+    grid

@@ -1,9 +1,15 @@
 (** Measurement rigs for the paper's experiments.
 
-    Each function builds a fresh testbed, runs one of the paper's
-    measurement procedures (Sections 4-8) and returns per-operation
-    numbers.  The benchmark harness and the [vsim] command-line tool are
-    both thin wrappers over these. *)
+    Each rig builds a fresh testbed, runs one of the paper's measurement
+    procedures (Sections 4-8) and returns per-operation numbers.  The
+    benchmark harness and the [vsim] command-line tool are both thin
+    wrappers over these.
+
+    The per-operation rigs of Tables 5-1, 5-2, 6-1 and 6-3 share one
+    procedure: a process issues one warm-up operation, then
+    {!time_trials} runs the measured trials and reports elapsed time and
+    client and server processor time per operation.  A rig's locality
+    is one host-number argument: host 1 is the same machine. *)
 
 type cols = {
   elapsed : int;  (** per-op elapsed simulated time, ns *)
@@ -11,43 +17,62 @@ type cols = {
   server_cpu : int;  (** per-op server processor time, ns *)
 }
 
-val srr_remote :
+val time_trials :
+  client:Testbed.host ->
+  server:Testbed.host ->
+  trials:int ->
+  (int -> unit) ->
+  cols
+(** [time_trials ~client ~server ~trials op] marks both processors and
+    the clock, runs [op i] for [i = 1..trials] and returns the per-trial
+    averages.  It must run inside a running process, after the caller's
+    own warm-up.  When [client == server] both CPU columns are that
+    host's time.  Raises [Invalid_argument] when [trials < 1]. *)
+
+val start_echo : Vkernel.Kernel.t -> Vkernel.Pid.t
+(** A forever-looping echo server process: it replies to each message
+    with byte 4 incremented, and fails the simulation if a reply does not
+    return [Ok]. *)
+
+val as_process : Testbed.t -> host:int -> (Vkernel.Pid.t -> 'a) -> 'a
+(** Run a function as a kernel process on [host], drive the engine to
+    quiescence and return the function's result.  Fails if the process
+    did not finish. *)
+
+val srr :
   ?trials:int ->
   cpu_model:Vhw.Cost_model.t ->
   medium_config:Vnet.Medium.config ->
   ?fault:Vnet.Fault.t ->
   ?kernel_config:Vkernel.Kernel.config ->
   ?seed:int64 ->
+  server_host:int ->
   unit ->
   cols
-(** Remote Send-Receive-Reply between two workstations (Tables 5-1/5-2). *)
-
-val srr_local :
-  ?trials:int -> cpu_model:Vhw.Cost_model.t -> ?seed:int64 -> unit -> int
-(** Local Send-Receive-Reply elapsed time. *)
+(** Send-Receive-Reply (Tables 5-1/5-2) from a client on host 1 to an
+    echo server on [server_host] of a [server_host]-host testbed: [1]
+    is the local exchange, [2] the remote one between two
+    workstations.  [fault] applies to the medium. *)
 
 val gettime : cpu_model:Vhw.Cost_model.t -> ?seed:int64 -> unit -> int
-(** The trivial kernel operation. *)
+(** Per-op elapsed time of the trivial kernel operation. *)
 
-val move_remote :
+val move :
   ?trials:int ->
   cpu_model:Vhw.Cost_model.t ->
   medium_config:Vnet.Medium.config ->
   count:int ->
   to_remote:bool ->
   ?seed:int64 ->
+  sender_host:int ->
   unit ->
   cols
-(** Remote MoveTo ([to_remote = true]) or MoveFrom of [count] bytes. *)
-
-val move_local :
-  ?trials:int ->
-  cpu_model:Vhw.Cost_model.t ->
-  count:int ->
-  to_remote:bool ->
-  ?seed:int64 ->
-  unit ->
-  int
+(** MoveTo ([to_remote = true]) or MoveFrom of [count] bytes by a
+    process on host 1 into or out of the segment that a process on
+    [sender_host] granted it with a Send ([1] = same machine, [2] =
+    remote; the testbed has [sender_host] hosts).  Client CPU is the
+    mover's host 1, server CPU the sender's host.  Fails if a move does
+    not return [Ok]. *)
 
 val penalty_ns :
   cpu_model:Vhw.Cost_model.t -> medium_config:Vnet.Medium.config -> int -> int
@@ -77,13 +102,6 @@ val file_rig :
 val get : ('a, Vfs.Client.error) result -> 'a
 (** Unwrap a client-stub result, failing the simulation on error. *)
 
-val as_process : Testbed.t -> host:int -> (Vkernel.Pid.t -> unit) -> unit
-(** Run a function as a kernel process on [host] and drive the engine to
-    quiescence. *)
-
-val start_echo : Testbed.t -> host:int -> Vkernel.Pid.t
-(** A forever-looping echo server process. *)
-
 val page_op :
   ?trials:int ->
   ?cpu_model:Vhw.Cost_model.t ->
@@ -109,7 +127,9 @@ val program_load :
   client_host:int ->
   unit ->
   cols
-(** 64-kilobyte program load (Table 6-3). *)
+(** 64-kilobyte program load (Table 6-3) from [client_host] against a
+    file server on host 1 that pushes the image in [transfer_unit]-byte
+    MoveTos: one warm-up load, then five timed ones. *)
 
 val sequential_read :
   ?cpu_model:Vhw.Cost_model.t ->

@@ -36,6 +36,10 @@ let host t i =
     Fmt.invalid_arg "Testbed.host: no host %d" i;
   t.hosts.(i - 1)
 
+let kernel t i = (host t i).kernel
+let cpu t i = (host t i).cpu
+let nic t i = (host t i).nic
+
 let run ?until t = Vsim.Engine.run ?until t.eng
 
 let run_proc t ?(name = "setup") f =

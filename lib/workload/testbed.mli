@@ -31,6 +31,11 @@ val create :
 val host : t -> int -> host
 (** 1-based, by station address. *)
 
+val kernel : t -> int -> Vkernel.Kernel.t
+val cpu : t -> int -> Vhw.Cpu.t
+val nic : t -> int -> Vnet.Nic.t
+(** One field of {!host}. *)
+
 val run_proc : t -> ?name:string -> (unit -> unit) -> unit
 (** Spawn a bare fiber (no kernel process) and run the engine until all
     activity quiesces.  Used for setup and audit phases: installing

@@ -60,6 +60,8 @@ let host t i =
     Fmt.invalid_arg "Topology.host: no host %d" i;
   t.hosts.(i - 1)
 
+let kernel t i = (host t i).Testbed.kernel
+
 let medium t seg =
   if seg < 0 || seg >= Array.length t.media then
     Fmt.invalid_arg "Topology.medium: no segment %d" seg;

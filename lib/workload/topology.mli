@@ -38,6 +38,9 @@ val create :
 val host : t -> int -> Testbed.host
 (** 1-based, by global station address. *)
 
+val kernel : t -> int -> Vkernel.Kernel.t
+(** The kernel of {!host}. *)
+
 val medium : t -> int -> Vnet.Medium.t
 
 val run : ?until:Vsim.Time.t -> t -> unit

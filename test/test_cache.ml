@@ -6,12 +6,12 @@
 module K = Vkernel.Kernel
 module Io = Vfs.Client.Io
 
-let kernel_of tb i = (Vworkload.Testbed.host tb i).Vworkload.Testbed.kernel
+module TB = Vworkload.Testbed
 
 let rig ?(files = [ ("data", 8 * 512) ]) () =
   let tb = Util.testbed ~hosts:3 () in
   let fs = Vworkload.Testbed.make_test_fs tb ~files () in
-  let server = Vfs.Server.start (kernel_of tb 1) fs () in
+  let server = Vfs.Server.start (TB.kernel tb 1) fs () in
   ignore server;
   (tb, fs)
 
@@ -24,7 +24,7 @@ let fs_get = function
   | Error e -> Alcotest.failf "fs: %a" Vfs.Fs.pp_error e
 
 let make_io tb ~host ~capacity ~policy =
-  let k = kernel_of tb host in
+  let k = TB.kernel tb host in
   let conn = get (Vfs.Client.connect k ()) in
   let cache =
     Vfs.Cache.create tb.Vworkload.Testbed.eng ~host
@@ -114,7 +114,7 @@ let test_reopen_invalidation () =
         (get (Io.read f ~off:0 ~len:512));
       (* A second workstation overwrites block 0 through the plain
          stubs while we hold the file cached. *)
-      let k3 = kernel_of tb 3 in
+      let k3 = TB.kernel tb 3 in
       let done_ = ref false in
       let (_ : Vkernel.Pid.t) =
         K.spawn k3 ~name:"remote-writer" (fun pid ->
@@ -161,7 +161,7 @@ let test_no_stale_retag () =
       Alcotest.(check bytes)
         "block 5 cached" (expect_block 5)
         (get (Io.read f ~off:(5 * 512) ~len:512));
-      let k3 = kernel_of tb 3 in
+      let k3 = TB.kernel tb 3 in
       let done_ = ref false in
       let (_ : Vkernel.Pid.t) =
         K.spawn k3 ~name:"remote-writer" (fun pid ->
@@ -262,7 +262,7 @@ let test_writeback_retag_gap () =
       (* Dirty block 0 locally; nothing reaches the server yet. *)
       let (_ : int) = get (Io.write f ~off:0 (Bytes.make 512 'W')) in
       (* A remote writer bumps the file version behind our back. *)
-      let k3 = kernel_of tb 3 in
+      let k3 = TB.kernel tb 3 in
       let done_ = ref false in
       let (_ : Vkernel.Pid.t) =
         K.spawn k3 ~name:"remote-writer" (fun pid ->

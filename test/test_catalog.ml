@@ -162,9 +162,8 @@ let profiled_srr () =
     ~finally:(fun () -> Vsim.Engine.set_create_hook prev)
     (fun () ->
       ignore
-        (Vworkload.Rigs.srr_remote ~trials:10
-           ~cpu_model:Vhw.Cost_model.sun_10mhz
-           ~medium_config:Vnet.Medium.config_3mb ()));
+        (Vworkload.Rigs.srr ~trials:10 ~cpu_model:Vhw.Cost_model.sun_10mhz
+           ~medium_config:Vnet.Medium.config_3mb ~server_host:2 ()));
   prof
 
 let test_profiler_determinism () =

@@ -4,7 +4,7 @@
 module K = Vkernel.Kernel
 module Msg = Vkernel.Msg
 
-let kernel_of tb i = (Vworkload.Testbed.host tb i).Vworkload.Testbed.kernel
+module TB = Vworkload.Testbed
 
 (* A short retransmission timeout so fault tests converge quickly. *)
 let fast_config =
@@ -12,9 +12,9 @@ let fast_config =
 
 let test_send_survives_loss () =
   let tb = Util.testbed ~kernel_config:fast_config ~hosts:2 () in
-  let k1 = kernel_of tb 1 in
+  let k1 = TB.kernel tb 1 in
   Vnet.Medium.set_fault tb.Vworkload.Testbed.medium (Vnet.Fault.drop 0.25);
-  let server = Util.start_echo_server tb ~host:2 in
+  let server = Vworkload.Rigs.start_echo (TB.kernel tb 2) in
   Util.run_as_process tb ~host:1 (fun _ ->
       let msg = Msg.create () in
       for i = 1 to 30 do
@@ -33,7 +33,7 @@ let test_duplicate_filtering () =
      server already served: the alien must filter them and re-send the
      cached reply, and the server process must never see a duplicate. *)
   let tb = Util.testbed ~kernel_config:fast_config ~hosts:2 () in
-  let k1 = kernel_of tb 1 and k2 = kernel_of tb 2 in
+  let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 in
   let served = ref 0 in
   let server =
     K.spawn k2 ~name:"server" (fun _ ->
@@ -65,7 +65,7 @@ let test_duplicate_filtering () =
 
 let test_moveto_survives_loss () =
   let tb = Util.testbed ~kernel_config:fast_config ~hosts:2 () in
-  let k1 = kernel_of tb 1 and k2 = kernel_of tb 2 in
+  let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 in
   Vnet.Medium.set_fault tb.Vworkload.Testbed.medium (Vnet.Fault.drop 0.1);
   let mover =
     K.spawn k2 ~name:"mover" (fun pid ->
@@ -97,7 +97,7 @@ let test_moveto_survives_loss () =
 
 let test_movefrom_survives_loss () =
   let tb = Util.testbed ~kernel_config:fast_config ~hosts:2 () in
-  let k1 = kernel_of tb 1 and k2 = kernel_of tb 2 in
+  let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 in
   Vnet.Medium.set_fault tb.Vworkload.Testbed.medium (Vnet.Fault.drop 0.1);
   let mover =
     K.spawn k2 ~name:"mover" (fun pid ->
@@ -123,9 +123,9 @@ let test_hardware_bug_mode () =
   let tb =
     Util.testbed ~cpu_model:Vhw.Cost_model.sun_8mhz ~hosts:2 ()
   in
-  let k1 = kernel_of tb 1 in
+  let k1 = TB.kernel tb 1 in
   Vnet.Medium.set_fault tb.Vworkload.Testbed.medium Vnet.Fault.hardware_bug;
-  let server = Util.start_echo_server tb ~host:2 in
+  let server = Vworkload.Rigs.start_echo (TB.kernel tb 2) in
   Util.run_as_process tb ~host:1 (fun _ ->
       let msg = Msg.create () in
       let n = 3000 in
@@ -148,7 +148,7 @@ let test_alien_pool_exhaustion () =
     { fast_config with K.max_aliens = 2 }
   in
   let tb = Util.testbed ~kernel_config:small_pool ~hosts:6 () in
-  let k1 = kernel_of tb 1 in
+  let k1 = TB.kernel tb 1 in
   (* A slow server that holds messages for a while before replying. *)
   let server =
     K.spawn k1 ~name:"slow" (fun _ ->
@@ -163,7 +163,7 @@ let test_alien_pool_exhaustion () =
   in
   let completions = ref 0 in
   for h = 2 to 6 do
-    let k = kernel_of tb h in
+    let k = TB.kernel tb h in
     ignore
       (K.spawn k ~name:"client" (fun _ ->
            let msg = Msg.create () in
@@ -182,7 +182,7 @@ let test_send_to_dead_host_times_out () =
      and the send fails fast.  A pid whose host does not answer at all
      exhausts retries. *)
   let tb = Util.testbed ~kernel_config:fast_config ~hosts:2 () in
-  let k1 = kernel_of tb 1 in
+  let k1 = TB.kernel tb 1 in
   Util.run_as_process tb ~host:1 (fun _ ->
       let msg = Msg.create () in
       (* Existing host, no such process: NACKed. *)
@@ -205,7 +205,7 @@ let test_reply_pending_extends_patience () =
   (* A server that sits on the message longer than N x T: the client must
      keep waiting (reply-pending resets the retry count), not fail. *)
   let tb = Util.testbed ~kernel_config:fast_config ~hosts:2 () in
-  let k1 = kernel_of tb 1 and k2 = kernel_of tb 2 in
+  let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 in
   let server =
     K.spawn k2 ~name:"ponderous" (fun _ ->
         let msg = Msg.create () in
@@ -226,9 +226,9 @@ let test_scripted_send_reply_loss () =
      Dropping exactly the reply forces one timeout, one retransmission and
      one filtered duplicate — each visible in the stat counters. *)
   let tb = Util.testbed ~kernel_config:fast_config ~hosts:2 () in
-  let k1 = kernel_of tb 1 and k2 = kernel_of tb 2 in
+  let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 in
   Vnet.Medium.set_fault tb.Vworkload.Testbed.medium (Vnet.Fault.drop_nth [ 2 ]);
-  let server = Util.start_echo_server tb ~host:2 in
+  let server = Vworkload.Rigs.start_echo (TB.kernel tb 2) in
   Util.run_as_process tb ~host:1 (fun _ ->
       let msg = Msg.create () in
       Msg.set_u8 msg 4 7;
@@ -249,7 +249,7 @@ let move_config =
 let scripted_moveto tb ~fault =
   (* A 3-fragment MoveTo inside a Send-Receive-MoveTo-Reply exchange.
      Wire order: 1 Send, 2-4 data fragments, 5 Data_ack, 6 Reply. *)
-  let k1 = kernel_of tb 1 and k2 = kernel_of tb 2 in
+  let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 in
   Vnet.Medium.set_fault tb.Vworkload.Testbed.medium fault;
   let count = 3 * 1024 in
   let mover =
@@ -276,7 +276,7 @@ let test_scripted_moveto_fragment_loss () =
   scripted_moveto tb ~fault:(Vnet.Fault.drop_nth [ 3 ]);
   (* Losing a mid-train fragment is repaired by the receiver's gap NAK,
      well before the mover's end-of-train timer can fire. *)
-  let s1 = kernel_of tb 1 |> K.stats and s2 = kernel_of tb 2 |> K.stats in
+  let s1 = TB.kernel tb 1 |> K.stats and s2 = TB.kernel tb 2 |> K.stats in
   Alcotest.(check int) "receiver NAKed the gap" 1 s1.K.gap_naks_sent;
   Alcotest.(check int) "mover timer never fired" 0 s2.K.timeouts_fired
 
@@ -285,7 +285,7 @@ let test_scripted_moveto_ack_loss () =
   scripted_moveto tb ~fault:(Vnet.Fault.drop_nth [ 5 ]);
   (* Losing the Data_ack leaves the mover waiting: its timer fires, it
      probes, and the receiver — already complete — re-acks. *)
-  let s2 = kernel_of tb 2 |> K.stats in
+  let s2 = TB.kernel tb 2 |> K.stats in
   Alcotest.(check int) "mover timed out once" 1 s2.K.timeouts_fired;
   Alcotest.(check int) "mover retransmitted once" 1 s2.K.retransmissions
 
@@ -294,7 +294,7 @@ let test_scripted_movefrom_fragment_loss () =
      6 Reply.  Dropping fragment 4 makes fragment 5 arrive out of order;
      the requester NAKs and the stream resumes from the gap. *)
   let tb = Util.testbed ~kernel_config:move_config ~hosts:2 () in
-  let k1 = kernel_of tb 1 and k2 = kernel_of tb 2 in
+  let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 in
   Vnet.Medium.set_fault tb.Vworkload.Testbed.medium (Vnet.Fault.drop_nth [ 4 ]);
   let count = 3 * 1024 in
   let mover =
@@ -322,7 +322,7 @@ let test_scripted_movefrom_fragment_loss () =
    request no matter how many copies of a frame the wire produces. *)
 let scripted_duplicate_exchange ~script =
   let tb = Util.testbed ~kernel_config:fast_config ~hosts:2 () in
-  let k1 = kernel_of tb 1 and k2 = kernel_of tb 2 in
+  let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 in
   let served = ref 0 in
   let server =
     K.spawn k2 ~name:"server" (fun _ ->
@@ -366,7 +366,7 @@ let test_scripted_duplicate_moveto_data () =
      re-blitted or NAKed. *)
   let tb = Util.testbed ~kernel_config:move_config ~hosts:2 () in
   scripted_moveto tb ~fault:(Vnet.Fault.script [ (3, Vnet.Fault.Duplicate) ]);
-  let s1 = kernel_of tb 1 |> K.stats and s2 = kernel_of tb 2 |> K.stats in
+  let s1 = TB.kernel tb 1 |> K.stats and s2 = TB.kernel tb 2 |> K.stats in
   Alcotest.(check bool) "receiver filtered the twin" true
     (s1.K.duplicates_filtered >= 1);
   Alcotest.(check int) "no gap NAK" 0 s1.K.gap_naks_sent;
@@ -378,7 +378,7 @@ let test_stale_straggler_filtered () =
      server.  The straggler carries an older sequence number and must be
      filtered — not treated as a fresh message and served again. *)
   let tb = Util.testbed ~kernel_config:fast_config ~hosts:2 () in
-  let k1 = kernel_of tb 1 and k2 = kernel_of tb 2 in
+  let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 in
   let served = ref 0 in
   let server =
     K.spawn k2 ~name:"server" (fun _ ->
@@ -416,7 +416,7 @@ let test_movefrom_nak_storm_suppressed () =
      Wire order: 1 Send, 2 Move_from_req, 3-5 data, then after the NAK
      frame 7 is the restreamed first fragment. *)
   let tb = Util.testbed ~kernel_config:move_config ~hosts:2 () in
-  let k1 = kernel_of tb 1 and k2 = kernel_of tb 2 in
+  let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 in
   Vnet.Medium.set_fault tb.Vworkload.Testbed.medium
     (Vnet.Fault.script [ (3, Vnet.Fault.Drop); (7, Vnet.Fault.Drop) ]);
   let count = 3 * 1024 in
@@ -451,7 +451,7 @@ let test_alien_reclaim_safety () =
      reclaims the descriptor and both complete. *)
   let cfg = { fast_config with K.max_aliens = 1 } in
   let tb = Util.testbed ~kernel_config:cfg ~hosts:3 () in
-  let k1 = kernel_of tb 1 and k2 = kernel_of tb 2 and k3 = kernel_of tb 3 in
+  let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 and k3 = TB.kernel tb 3 in
   let served = ref 0 in
   let server =
     K.spawn k1 ~name:"server" (fun _ ->
@@ -516,7 +516,7 @@ let test_mt_in_reclaim_follows_adaptive_rto () =
   in
   let tb = Util.testbed ~kernel_config:cfg ~hosts:3 () in
   let medium = tb.Vworkload.Testbed.medium in
-  let k1 = kernel_of tb 1 and k2 = kernel_of tb 2 and k3 = kernel_of tb 3 in
+  let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 and k3 = TB.kernel tb 3 in
   let count = 3 * 1024 in
   let mk_mover k name =
     K.spawn k ~name (fun pid ->
@@ -585,7 +585,7 @@ let test_reply_just_before_timeout () =
      duplicate service, no double resume. *)
   let delay = ref 0 in
   let tb = Util.testbed ~kernel_config:fast_config ~hosts:2 () in
-  let k1 = kernel_of tb 1 and k2 = kernel_of tb 2 in
+  let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 in
   let served = ref 0 in
   let server =
     K.spawn k2 ~name:"edge-server" (fun _ ->

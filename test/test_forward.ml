@@ -4,7 +4,7 @@
 module K = Vkernel.Kernel
 module Msg = Vkernel.Msg
 
-let kernel_of tb i = (Vworkload.Testbed.host tb i).Vworkload.Testbed.kernel
+module TB = Vworkload.Testbed
 
 (* A worker that receives one message, adds [delta] to byte 4, replies. *)
 let one_shot_adder k ~delta =
@@ -24,13 +24,13 @@ let dispatcher k ~target ~forward_status =
 
 let run_forward_case ~hosts ~client_host ~dispatcher_host ~worker_host () =
   let tb = Util.testbed ~hosts () in
-  let worker = one_shot_adder (kernel_of tb worker_host) ~delta:10 in
+  let worker = one_shot_adder (TB.kernel tb worker_host) ~delta:10 in
   let fstatus = ref None in
   let disp =
-    dispatcher (kernel_of tb dispatcher_host) ~target:worker
+    dispatcher (TB.kernel tb dispatcher_host) ~target:worker
       ~forward_status:fstatus
   in
-  let kc = kernel_of tb client_host in
+  let kc = TB.kernel tb client_host in
   Util.run_as_process tb ~host:client_host (fun _ ->
       let msg = Msg.create () in
       Msg.set_u8 msg 4 5;
@@ -60,14 +60,14 @@ let test_forward_reply_bypasses_dispatcher () =
   (* In the three-host case the dispatcher must see the Send but not the
      Reply: count its packets. *)
   let tb = Util.testbed ~hosts:3 () in
-  let worker = one_shot_adder (kernel_of tb 3) ~delta:1 in
+  let worker = one_shot_adder (TB.kernel tb 3) ~delta:1 in
   let fstatus = ref None in
-  let disp = dispatcher (kernel_of tb 2) ~target:worker ~forward_status:fstatus in
-  let kc = kernel_of tb 1 in
+  let disp = dispatcher (TB.kernel tb 2) ~target:worker ~forward_status:fstatus in
+  let kc = TB.kernel tb 1 in
   Util.run_as_process tb ~host:1 (fun _ ->
       let msg = Msg.create () in
       ignore (K.send kc msg disp));
-  let s2 = K.stats (kernel_of tb 2) in
+  let s2 = K.stats (TB.kernel tb 2) in
   (* Dispatcher host sent: forwarded Send + Fwd_notice = 2 packets, and
      received just the original Send. *)
   Alcotest.(check int) "dispatcher tx" 2 s2.K.packets_sent;
@@ -75,7 +75,7 @@ let test_forward_reply_bypasses_dispatcher () =
 
 let test_forward_without_receive () =
   let tb = Util.testbed ~hosts:1 () in
-  let k = kernel_of tb 1 in
+  let k = TB.kernel tb 1 in
   let idle = K.spawn k ~name:"idle" (fun _ -> Vsim.Proc.sleep (Vsim.Time.sec 1)) in
   Util.run_as_process tb ~host:1 (fun _ ->
       let msg = Msg.create () in
@@ -84,7 +84,7 @@ let test_forward_without_receive () =
 
 let test_forward_to_dead () =
   let tb = Util.testbed ~hosts:1 () in
-  let k = kernel_of tb 1 in
+  let k = TB.kernel tb 1 in
   let ghost = Vkernel.Pid.make ~host:1 ~local:999 in
   let fstatus = ref None in
   let disp = dispatcher k ~target:ghost ~forward_status:fstatus in
@@ -104,7 +104,7 @@ let test_forward_with_segment_grant () =
   (* Forward preserving a write grant: the worker replies with a segment
      straight into the original sender's space (remote-to-remote). *)
   let tb = Util.testbed ~hosts:3 () in
-  let k3 = kernel_of tb 3 in
+  let k3 = TB.kernel tb 3 in
   let worker =
     K.spawn k3 ~name:"worker" (fun pid ->
         let mem = K.memory k3 pid in
@@ -121,7 +121,7 @@ let test_forward_with_segment_grant () =
           (K.reply_with_segment k3 msg src ~destptr:dptr ~segptr:0
              ~segsize:512))
   in
-  let k2 = kernel_of tb 2 in
+  let k2 = TB.kernel tb 2 in
   let (_ : Vkernel.Pid.t) =
     K.spawn k2 ~name:"dispatcher" (fun _ ->
         let msg = Msg.create () in
@@ -129,7 +129,7 @@ let test_forward_with_segment_grant () =
         Alcotest.check Util.status "forward" K.Ok
           (K.forward k2 msg ~from_pid:src ~to_pid:worker))
   in
-  let k1 = kernel_of tb 1 in
+  let k1 = TB.kernel tb 1 in
   let disp_pid = ref Vkernel.Pid.nil in
   (* find dispatcher pid: it is the only process on host 2 *)
   ignore disp_pid;
@@ -148,12 +148,12 @@ let test_forward_chain () =
      worker; each hop re-targets the sender's retransmission state, and
      the reply still travels in one hop from worker to sender. *)
   let tb = Util.testbed ~hosts:4 () in
-  let worker = one_shot_adder (kernel_of tb 4) ~delta:100 in
+  let worker = one_shot_adder (TB.kernel tb 4) ~delta:100 in
   let f2 = ref None in
-  let d2 = dispatcher (kernel_of tb 3) ~target:worker ~forward_status:f2 in
+  let d2 = dispatcher (TB.kernel tb 3) ~target:worker ~forward_status:f2 in
   let f1 = ref None in
-  let d1 = dispatcher (kernel_of tb 2) ~target:d2 ~forward_status:f1 in
-  let k1 = kernel_of tb 1 in
+  let d1 = dispatcher (TB.kernel tb 2) ~target:d2 ~forward_status:f1 in
+  let k1 = TB.kernel tb 1 in
   Util.run_as_process tb ~host:1 (fun _ ->
       let msg = Msg.create () in
       Msg.set_u8 msg 4 1;
@@ -164,7 +164,7 @@ let test_forward_chain () =
   Alcotest.(check (option Util.status)) "hop 2" (Some K.Ok) !f2;
   (* The worker host sent exactly one packet: the direct reply. *)
   Alcotest.(check int) "worker tx is just the reply" 1
-    (K.stats (kernel_of tb 4)).K.packets_sent
+    (K.stats (TB.kernel tb 4)).K.packets_sent
 
 let test_forward_under_loss () =
   (* Forwarding composes with the reliability machinery: drop packets and
@@ -175,7 +175,7 @@ let test_forward_under_loss () =
   let tb = Util.testbed ~kernel_config:fast ~hosts:3 () in
   Vnet.Medium.set_fault tb.Vworkload.Testbed.medium (Vnet.Fault.drop 0.15);
   let served = ref 0 in
-  let k3 = kernel_of tb 3 in
+  let k3 = TB.kernel tb 3 in
   let worker =
     K.spawn k3 ~name:"worker" (fun _ ->
         let msg = Msg.create () in
@@ -188,7 +188,7 @@ let test_forward_under_loss () =
         in
         loop ())
   in
-  let k2 = kernel_of tb 2 in
+  let k2 = TB.kernel tb 2 in
   let (_ : Vkernel.Pid.t) =
     K.spawn k2 ~name:"dispatcher" (fun _ ->
         let msg = Msg.create () in
@@ -200,7 +200,7 @@ let test_forward_under_loss () =
         loop ())
   in
   let disp = Vkernel.Pid.make ~host:2 ~local:1 in
-  let k1 = kernel_of tb 1 in
+  let k1 = TB.kernel tb 1 in
   Util.run_as_process tb ~host:1 (fun _ ->
       let msg = Msg.create () in
       for i = 1 to 15 do
@@ -213,7 +213,7 @@ let test_forward_under_loss () =
 
 let test_receive_specific_local () =
   let tb = Util.testbed ~hosts:1 () in
-  let k = kernel_of tb 1 in
+  let k = TB.kernel tb 1 in
   let order = ref [] in
   let server = ref Vkernel.Pid.nil in
   let srv =
@@ -246,7 +246,7 @@ let test_receive_specific_local () =
 
 let test_receive_specific_dead () =
   let tb = Util.testbed ~hosts:1 () in
-  let k = kernel_of tb 1 in
+  let k = TB.kernel tb 1 in
   Util.run_as_process tb ~host:1 (fun _ ->
       let msg = Msg.create () in
       let ghost = Vkernel.Pid.make ~host:1 ~local:999 in
@@ -255,7 +255,7 @@ let test_receive_specific_dead () =
 
 let test_receive_specific_destroyed_while_waiting () =
   let tb = Util.testbed ~hosts:1 () in
-  let k = kernel_of tb 1 in
+  let k = TB.kernel tb 1 in
   let victim =
     K.spawn k ~name:"victim" (fun _ -> Vsim.Proc.sleep (Vsim.Time.sec 10))
   in
@@ -277,7 +277,7 @@ let test_receive_specific_destroyed_while_waiting () =
 let test_receive_specific_preserves_queue () =
   (* Receiving from B must not lose A's queued message. *)
   let tb = Util.testbed ~hosts:1 () in
-  let k = kernel_of tb 1 in
+  let k = TB.kernel tb 1 in
   let seen = ref [] in
   let srv =
     K.spawn k ~name:"srv" (fun _ ->

@@ -14,10 +14,9 @@ let two_segment ?seed ?kernel_config ?gateway_config ~h1 ~h2 () =
       ]
     ()
 
-let kernel_of tp i = (Topology.host tp i).Vworkload.Testbed.kernel
 
 let run_as_process (tp : Topology.t) ~host f =
-  let k = kernel_of tp host in
+  let k = Topology.kernel tp host in
   let completed = ref false in
   let (_ : Vkernel.Pid.t) =
     K.spawn k ~name:"test-main" (fun pid ->
@@ -27,24 +26,10 @@ let run_as_process (tp : Topology.t) ~host f =
   Topology.run tp;
   if not !completed then Alcotest.fail "test process did not run to completion"
 
-let start_echo_server (tp : Topology.t) ~host =
-  let k = kernel_of tp host in
-  K.spawn k ~name:"echo" (fun _ ->
-      let msg = Msg.create () in
-      let rec loop () =
-        let src = K.receive k msg in
-        Msg.set_u8 msg 4 ((Msg.get_u8 msg 4 + 1) land 0xFF);
-        (match K.reply k msg src with
-        | K.Ok -> ()
-        | st -> Alcotest.failf "echo reply failed: %s" (K.status_to_string st));
-        loop ()
-      in
-      loop ())
-
 let test_cross_segment_srr () =
   let tp = two_segment ~h1:1 ~h2:1 () in
-  let server = start_echo_server tp ~host:2 in
-  let k1 = kernel_of tp 1 in
+  let server = Vworkload.Rigs.start_echo (Topology.kernel tp 2) in
+  let k1 = Topology.kernel tp 1 in
   run_as_process tp ~host:1 (fun _ ->
       let msg = Msg.create () in
       Msg.set_u8 msg 4 41;
@@ -61,7 +46,7 @@ let test_cross_segment_srr () =
 
 let test_cross_segment_getpid () =
   let tp = two_segment ~h1:1 ~h2:1 () in
-  let k2 = kernel_of tp 2 in
+  let k2 = Topology.kernel tp 2 in
   let registered = ref Vkernel.Pid.nil in
   let (_ : Vkernel.Pid.t) =
     K.spawn k2 ~name:"svc" (fun pid ->
@@ -71,7 +56,7 @@ let test_cross_segment_getpid () =
         let src = K.receive k2 msg in
         ignore (K.reply k2 msg src))
   in
-  let k1 = kernel_of tp 1 in
+  let k1 = Topology.kernel tp 1 in
   run_as_process tp ~host:1 (fun _ ->
       match K.get_pid k1 ~logical_id:7 K.Any with
       | None -> Alcotest.fail "GetPid did not cross the gateway"
@@ -173,9 +158,9 @@ let test_getpid_estimator_per_logical_id () =
     in
     ()
   in
-  serve (kernel_of tp 2) lid_near;
-  serve (kernel_of tp 3) lid_far;
-  let k1 = kernel_of tp 1 in
+  serve (Topology.kernel tp 2) lid_near;
+  serve (Topology.kernel tp 3) lid_far;
+  let k1 = Topology.kernel tp 1 in
   run_as_process tp ~host:1 (fun _ ->
       (* Many same-segment lookups: the near estimator converges on a
          sub-millisecond round trip. *)

@@ -3,12 +3,12 @@
 module K = Vkernel.Kernel
 module Msg = Vkernel.Msg
 
-let kernel_of tb i = (Vworkload.Testbed.host tb i).Vworkload.Testbed.kernel
+module TB = Vworkload.Testbed
 
 let test_send_receive_reply () =
   let tb = Util.testbed ~hosts:1 () in
-  let k = kernel_of tb 1 in
-  let server = Util.start_echo_server tb ~host:1 in
+  let k = TB.kernel tb 1 in
+  let server = Vworkload.Rigs.start_echo (TB.kernel tb 1) in
   Util.run_as_process tb ~host:1 (fun _ ->
       let msg = Msg.create () in
       Msg.set_u8 msg 4 7;
@@ -17,7 +17,7 @@ let test_send_receive_reply () =
 
 let test_send_nonexistent () =
   let tb = Util.testbed ~hosts:1 () in
-  let k = kernel_of tb 1 in
+  let k = TB.kernel tb 1 in
   Util.run_as_process tb ~host:1 (fun _ ->
       let msg = Msg.create () in
       let ghost = Vkernel.Pid.make ~host:1 ~local:999 in
@@ -28,7 +28,7 @@ let test_fcfs_queueing () =
   (* Two clients send before the server ever receives; messages must be
      delivered first-come-first-served. *)
   let tb = Util.testbed ~hosts:1 () in
-  let k = kernel_of tb 1 in
+  let k = TB.kernel tb 1 in
   let order = ref [] in
   let server =
     K.spawn k ~name:"slow-server" (fun _ ->
@@ -55,7 +55,7 @@ let test_fcfs_queueing () =
 
 let test_reply_without_receive () =
   let tb = Util.testbed ~hosts:1 () in
-  let k = kernel_of tb 1 in
+  let k = TB.kernel tb 1 in
   let idle = K.spawn k ~name:"idle" (fun _ -> Vsim.Proc.sleep (Vsim.Time.sec 1)) in
   Util.run_as_process tb ~host:1 (fun _ ->
       let msg = Msg.create () in
@@ -64,8 +64,8 @@ let test_reply_without_receive () =
 
 let test_local_timing_8mhz () =
   let tb = Util.testbed ~cpu_model:Vhw.Cost_model.sun_8mhz ~hosts:1 () in
-  let k = kernel_of tb 1 in
-  let server = Util.start_echo_server tb ~host:1 in
+  let k = TB.kernel tb 1 in
+  let server = Vworkload.Rigs.start_echo (TB.kernel tb 1) in
   Util.run_as_process tb ~host:1 (fun _ ->
       let msg = Msg.create () in
       ignore (K.send k msg server);
@@ -80,7 +80,7 @@ let test_local_timing_8mhz () =
 
 let test_gettime () =
   let tb = Util.testbed ~cpu_model:Vhw.Cost_model.sun_8mhz ~hosts:1 () in
-  let k = kernel_of tb 1 in
+  let k = TB.kernel tb 1 in
   Util.run_as_process tb ~host:1 (fun _ ->
       let t0 = Vsim.Engine.now (K.engine k) in
       let reported = K.get_time k in
@@ -91,7 +91,7 @@ let test_gettime () =
 
 let test_local_move_with_grant () =
   let tb = Util.testbed ~hosts:1 () in
-  let k = kernel_of tb 1 in
+  let k = TB.kernel tb 1 in
   let mover_ready = ref None in
   let mover =
     K.spawn k ~name:"mover" (fun pid ->
@@ -126,7 +126,7 @@ let test_local_move_with_grant () =
 
 let test_move_without_grant () =
   let tb = Util.testbed ~hosts:1 () in
-  let k = kernel_of tb 1 in
+  let k = TB.kernel tb 1 in
   let server =
     K.spawn k ~name:"server" (fun _ ->
         let msg = Msg.create () in
@@ -142,7 +142,7 @@ let test_move_without_grant () =
 
 let test_read_only_grant_refuses_write () =
   let tb = Util.testbed ~hosts:1 () in
-  let k = kernel_of tb 1 in
+  let k = TB.kernel tb 1 in
   let server =
     K.spawn k ~name:"server" (fun _ ->
         let msg = Msg.create () in
@@ -160,7 +160,7 @@ let test_read_only_grant_refuses_write () =
 
 let test_grant_cleared_after_reply () =
   let tb = Util.testbed ~hosts:1 () in
-  let k = kernel_of tb 1 in
+  let k = TB.kernel tb 1 in
   let partner = ref Vkernel.Pid.nil in
   let server =
     K.spawn k ~name:"server" (fun _ ->
@@ -181,7 +181,7 @@ let test_grant_cleared_after_reply () =
 
 let test_destroy_fails_senders () =
   let tb = Util.testbed ~hosts:1 () in
-  let k = kernel_of tb 1 in
+  let k = TB.kernel tb 1 in
   let victim = K.spawn k ~name:"victim" (fun _ -> Vsim.Proc.sleep (Vsim.Time.sec 10)) in
   let sent = ref None in
   let (_ : Vkernel.Pid.t) =
@@ -201,7 +201,7 @@ let test_destroy_fails_senders () =
 
 let test_spawn_metadata () =
   let tb = Util.testbed ~hosts:1 () in
-  let k = kernel_of tb 1 in
+  let k = TB.kernel tb 1 in
   let pid = K.spawn k ~name:"worker" ~mem_size:4096 (fun _ -> ()) in
   Alcotest.(check (option string)) "name" (Some "worker") (K.process_name k pid);
   Alcotest.(check int) "mem size" 4096 (Vkernel.Mem.size (K.memory k pid));

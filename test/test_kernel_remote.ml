@@ -3,13 +3,12 @@
 module K = Vkernel.Kernel
 module Msg = Vkernel.Msg
 
-let kernel_of tb i = (Vworkload.Testbed.host tb i).Vworkload.Testbed.kernel
-let cpu_of tb i = (Vworkload.Testbed.host tb i).Vworkload.Testbed.cpu
+module TB = Vworkload.Testbed
 
 let test_remote_exchange () =
   let tb = Util.testbed ~hosts:2 () in
-  let k1 = kernel_of tb 1 in
-  let server = Util.start_echo_server tb ~host:2 in
+  let k1 = TB.kernel tb 1 in
+  let server = Vworkload.Rigs.start_echo (TB.kernel tb 2) in
   Util.run_as_process tb ~host:1 (fun _ ->
       let msg = Msg.create () in
       Msg.set_u8 msg 4 41;
@@ -25,13 +24,13 @@ let test_remote_timing_8mhz () =
   let tb =
     Util.testbed ~cpu_model:Vhw.Cost_model.sun_8mhz ~hosts:2 ()
   in
-  let k1 = kernel_of tb 1 in
-  let server = Util.start_echo_server tb ~host:2 in
+  let k1 = TB.kernel tb 1 in
+  let server = Vworkload.Rigs.start_echo (TB.kernel tb 2) in
   Util.run_as_process tb ~host:1 (fun _ ->
       let msg = Msg.create () in
       ignore (K.send k1 msg server);
       let n = 20 in
-      let c1 = cpu_of tb 1 and c2 = cpu_of tb 2 in
+      let c1 = TB.cpu tb 1 and c2 = TB.cpu tb 2 in
       let m1 = Vhw.Cpu.mark c1 and m2 = Vhw.Cpu.mark c2 in
       let t0 = Vsim.Engine.now (K.engine k1) in
       for _ = 1 to n do
@@ -49,12 +48,12 @@ let test_concurrency_overlap () =
   (* Client + server processor time must exceed elapsed time: the paper's
      evidence of overlap between the workstations. *)
   let tb = Util.testbed ~cpu_model:Vhw.Cost_model.sun_8mhz ~hosts:2 () in
-  let k1 = kernel_of tb 1 in
-  let server = Util.start_echo_server tb ~host:2 in
+  let k1 = TB.kernel tb 1 in
+  let server = Vworkload.Rigs.start_echo (TB.kernel tb 2) in
   Util.run_as_process tb ~host:1 (fun _ ->
       let msg = Msg.create () in
       ignore (K.send k1 msg server);
-      let c1 = cpu_of tb 1 and c2 = cpu_of tb 2 in
+      let c1 = TB.cpu tb 1 and c2 = TB.cpu tb 2 in
       let m1 = Vhw.Cpu.mark c1 and m2 = Vhw.Cpu.mark c2 in
       let t0 = Vsim.Engine.now (K.engine k1) in
       let n = 20 in
@@ -70,7 +69,7 @@ let test_piggybacked_segment () =
   (* A Send with a read segment delivers its head to a
      ReceiveWithSegment. *)
   let tb = Util.testbed ~hosts:2 () in
-  let k1 = kernel_of tb 1 and k2 = kernel_of tb 2 in
+  let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 in
   let seen = ref (-1) in
   let server =
     K.spawn k2 ~name:"server" (fun pid ->
@@ -94,7 +93,7 @@ let test_piggybacked_segment () =
 
 let test_reply_with_segment_remote () =
   let tb = Util.testbed ~hosts:2 () in
-  let k1 = kernel_of tb 1 and k2 = kernel_of tb 2 in
+  let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 in
   let server =
     K.spawn k2 ~name:"server" (fun pid ->
         let mem = K.memory k2 pid in
@@ -123,7 +122,7 @@ let test_reply_with_segment_remote () =
 
 let test_reply_segment_too_big () =
   let tb = Util.testbed ~hosts:2 () in
-  let k1 = kernel_of tb 1 and k2 = kernel_of tb 2 in
+  let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 in
   let server =
     K.spawn k2 ~name:"server" (fun _ ->
         let msg = Msg.create () in
@@ -143,7 +142,7 @@ let test_segment_truncation () =
      max_seg_append caps what the Send transmits. *)
   let cap = K.max_seg_append in
   let tb = Util.testbed ~hosts:2 () in
-  let k1 = kernel_of tb 1 and k2 = kernel_of tb 2 in
+  let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 in
   let counts = ref [] in
   let server =
     K.spawn k2 ~name:"server" (fun _ ->
@@ -177,7 +176,7 @@ let test_plain_receive_ignores_segment () =
      processes simply using Send": a plain Receive gets the message and
      no data is deposited anywhere. *)
   let tb = Util.testbed ~hosts:2 () in
-  let k1 = kernel_of tb 1 and k2 = kernel_of tb 2 in
+  let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 in
   let server =
     K.spawn k2 ~name:"server" (fun pid ->
         let mem = K.memory k2 pid in
@@ -200,7 +199,7 @@ let test_bad_piggyback_range () =
   (* A read segment pointing outside the sender's space: the Send still
      completes, but nothing is piggybacked. *)
   let tb = Util.testbed ~hosts:2 () in
-  let k1 = kernel_of tb 1 and k2 = kernel_of tb 2 in
+  let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 in
   let seen = ref (-1) in
   let server =
     K.spawn k2 ~name:"server" (fun _ ->
@@ -228,8 +227,8 @@ let test_trace_attach () =
   Vsim.Trace.attach eng (fun _ ev ->
       if Vsim.Event.topic ev = "kernel" then incr hits);
   Alcotest.(check bool) "tracing" true (Vsim.Trace.tracing eng);
-  let k1 = kernel_of tb 1 in
-  let server = Util.start_echo_server tb ~host:2 in
+  let k1 = TB.kernel tb 1 in
+  let server = Vworkload.Rigs.start_echo (TB.kernel tb 2) in
   Util.run_as_process tb ~host:1 (fun _ ->
       ignore (K.send k1 (Msg.create ()) server));
   Vsim.Trace.detach_all eng;
@@ -248,10 +247,10 @@ let test_page_read_timing_pinned () =
 
 let test_multiple_clients_one_server () =
   let tb = Util.testbed ~hosts:4 () in
-  let server = Util.start_echo_server tb ~host:1 in
+  let server = Vworkload.Rigs.start_echo (TB.kernel tb 1) in
   let done_count = ref 0 in
   for h = 2 to 4 do
-    let k = kernel_of tb h in
+    let k = TB.kernel tb h in
     ignore
       (K.spawn k ~name:"client" (fun _ ->
            let msg = Msg.create () in
@@ -267,8 +266,8 @@ let test_multiple_clients_one_server () =
 
 let test_cross_host_pids () =
   let tb = Util.testbed ~hosts:2 () in
-  let k1 = kernel_of tb 1 in
-  let server = Util.start_echo_server tb ~host:2 in
+  let k1 = TB.kernel tb 1 in
+  let server = Vworkload.Rigs.start_echo (TB.kernel tb 2) in
   Alcotest.(check int) "server pid carries host 2" 2 (Vkernel.Pid.host server);
   Util.run_as_process tb ~host:1 (fun pid ->
       Alcotest.(check int) "client pid carries host 1" 1 (Vkernel.Pid.host pid);
@@ -279,7 +278,7 @@ let test_destroy_stops_exchanges () =
      silent host are destroyed.  Their exchanges die with them: no further
      retransmission, no suspicion of the peers, and no process resumed. *)
   let tb = Util.testbed ~hosts:2 () in
-  let k1 = kernel_of tb 1 and k2 = kernel_of tb 2 in
+  let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 in
   let server =
     K.spawn k2 ~name:"slow" (fun _ ->
         let msg = Msg.create () in

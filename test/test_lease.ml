@@ -9,7 +9,7 @@ module Io = Vfs.Client.Io
 module Schedule = Vcheck.Schedule
 module Checker = Vcheck.Checker
 
-let kernel_of tb i = (Vworkload.Testbed.host tb i).Vworkload.Testbed.kernel
+module TB = Vworkload.Testbed
 let now tb = Vsim.Engine.now tb.Vworkload.Testbed.eng
 
 let get = function
@@ -29,14 +29,14 @@ let rig ?(lease_term_ns = Vsim.Time.ms 200) () =
       ()
   in
   let server =
-    Vfs.Server.start (kernel_of tb 1) fs
+    Vfs.Server.start (TB.kernel tb 1) fs
       ~config:{ Vfs.Server.default_config with lease_term_ns }
       ~restartable:true ()
   in
   (tb, fs, server)
 
 let make_io ?(recover = false) ?(lease = true) tb ~host =
-  let k = kernel_of tb host in
+  let k = TB.kernel tb host in
   let conn = get (Vfs.Client.connect k ()) in
   let cache =
     Vfs.Cache.create tb.Vworkload.Testbed.eng ~host
@@ -53,7 +53,7 @@ let inum_of fs =
 
 (* Remote writer through the plain stubs: no cache, no lease. *)
 let stub_write tb ~host ~block fill =
-  let k = kernel_of tb host in
+  let k = TB.kernel tb host in
   let mem = K.my_memory k in
   let conn = get (Vfs.Client.connect k ()) in
   let h = get (Vfs.Client.open_file conn "data") in
@@ -107,7 +107,7 @@ let test_break () =
         (get (Io.read f ~off:0 ~len:512));
       let writer_done = ref false in
       let (_ : Vkernel.Pid.t) =
-        K.spawn (kernel_of tb 3) ~name:"writer" (fun _ ->
+        K.spawn (TB.kernel tb 3) ~name:"writer" (fun _ ->
             stub_write tb ~host:3 ~block:0 'R';
             writer_done := true)
       in
@@ -138,7 +138,7 @@ let test_expiry () =
         (Io.file_lease_valid f);
       let writer_done = ref false in
       let (_ : Vkernel.Pid.t) =
-        K.spawn (kernel_of tb 3) ~name:"writer" (fun _ ->
+        K.spawn (TB.kernel tb 3) ~name:"writer" (fun _ ->
             stub_write tb ~host:3 ~block:0 'R';
             writer_done := true)
       in
@@ -158,7 +158,7 @@ let test_expiry () =
    acking the conflicting write (the Gray-Cheriton guarantee). *)
 let test_waitout () =
   let tb, _, server = rig ~lease_term_ns:(Vsim.Time.ms 200) () in
-  let k2 = kernel_of tb 2 in
+  let k2 = TB.kernel tb 2 in
   let granted_at = ref 0 in
   let a_ready = ref false in
   let (_ : Vkernel.Pid.t) =
@@ -227,13 +227,13 @@ let test_zero_rpc_reopen () =
    demote itself instead of trusting the dead incarnation's lease. *)
 let test_restart_grace () =
   let tb, fs, server = rig ~lease_term_ns:(Vsim.Time.ms 200) () in
-  let k1 = kernel_of tb 1 in
+  let k1 = TB.kernel tb 1 in
   let inum = inum_of fs in
   let holder_io = ref None in
   let holder_file = ref None in
   let a_ready = ref false in
   let (_ : Vkernel.Pid.t) =
-    K.spawn (kernel_of tb 2) ~name:"holder" (fun _ ->
+    K.spawn (TB.kernel tb 2) ~name:"holder" (fun _ ->
         let io, _ = make_io ~recover:true tb ~host:2 in
         let f = get (Io.open_file io "data") in
         let (_ : Bytes.t) = get (Io.read f ~off:0 ~len:512) in

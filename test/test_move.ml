@@ -3,7 +3,7 @@
 module K = Vkernel.Kernel
 module Msg = Vkernel.Msg
 
-let kernel_of tb i = (Vworkload.Testbed.host tb i).Vworkload.Testbed.kernel
+module TB = Vworkload.Testbed
 
 (* Standard two-host rig: a "granter" on host 1 sends to a "mover" on
    host 2 with a read/write grant on [0, grant_len), then checks a
@@ -11,7 +11,7 @@ let kernel_of tb i = (Vworkload.Testbed.host tb i).Vworkload.Testbed.kernel
 let with_mover ?kernel_config ?(grant_len = 128 * 1024) ~mover_body
     ~granter_check () =
   let tb = Util.testbed ?kernel_config ~hosts:2 () in
-  let k1 = kernel_of tb 1 and k2 = kernel_of tb 2 in
+  let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 in
   let mover =
     K.spawn k2 ~name:"mover" (fun pid ->
         let mem = K.memory k2 pid in
@@ -87,7 +87,7 @@ let test_move_beyond_grant () =
 
 let test_move_to_dead_process () =
   let tb = Util.testbed ~hosts:2 () in
-  let k2 = kernel_of tb 2 in
+  let k2 = TB.kernel tb 2 in
   let ghost = Vkernel.Pid.make ~host:1 ~local:999 in
   Util.run_as_process tb ~host:2 (fun _ ->
       Alcotest.check Util.status "move to ghost" K.Nonexistent
@@ -134,7 +134,7 @@ let test_odd_sizes =
    out equal sequence numbers, which the test checks first. *)
 let test_move_to_same_seq_two_hosts () =
   let tb = Util.testbed ~hosts:3 () in
-  let k1 = kernel_of tb 1 and len = 8192 in
+  let k1 = TB.kernel tb 1 and len = 8192 in
   let image h =
     Bytes.init len (fun i -> Vworkload.Testbed.pattern_byte ((i * h) + h))
   in
@@ -145,7 +145,7 @@ let test_move_to_same_seq_two_hosts () =
           done_seqs := (host, seq) :: !done_seqs
       | _ -> ());
   let mover h =
-    let k = kernel_of tb h in
+    let k = TB.kernel tb h in
     K.spawn k ~name:"mover" (fun pid ->
         let msg = Msg.create () in
         let src = K.receive k msg in

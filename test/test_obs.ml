@@ -5,7 +5,6 @@ module K = Vkernel.Kernel
 module Msg = Vkernel.Msg
 module TB = Vworkload.Testbed
 
-let kernel_of tb i = (TB.host tb i).TB.kernel
 
 let contains s sub =
   let n = String.length sub in
@@ -19,8 +18,8 @@ let contains s sub =
 let run_srr ?seed ~trials tb_fn =
   let tb = Util.testbed ?seed ~hosts:2 () in
   tb_fn tb;
-  let k1 = kernel_of tb 1 in
-  let server = Util.start_echo_server tb ~host:2 in
+  let k1 = TB.kernel tb 1 in
+  let server = Vworkload.Rigs.start_echo (TB.kernel tb 2) in
   let elapsed = ref 0 in
   Util.run_as_process tb ~host:1 (fun _ ->
       let msg = Msg.create () in
@@ -283,9 +282,9 @@ let engine_steps n =
 let remote_exchanges ?(prepare = ignore) n =
   let tb = TB.create ~hosts:2 () in
   prepare tb.TB.eng;
-  let server = Util.start_echo_server tb ~host:2 in
+  let server = Vworkload.Rigs.start_echo (TB.kernel tb 2) in
   Util.run_as_process tb ~host:1 (fun _ ->
-      let k = kernel_of tb 1 and msg = Msg.create () in
+      let k = TB.kernel tb 1 and msg = Msg.create () in
       for _ = 0 to n do
         ignore (K.send k msg server)
       done)

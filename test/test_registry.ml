@@ -3,11 +3,11 @@
 module K = Vkernel.Kernel
 module Msg = Vkernel.Msg
 
-let kernel_of tb i = (Vworkload.Testbed.host tb i).Vworkload.Testbed.kernel
+module TB = Vworkload.Testbed
 
 let test_local_scope () =
   let tb = Util.testbed ~hosts:1 () in
-  let k = kernel_of tb 1 in
+  let k = TB.kernel tb 1 in
   Util.run_as_process tb ~host:1 (fun pid ->
       K.set_pid k ~logical_id:5 pid K.Local;
       Alcotest.(check bool) "local lookup finds it" true
@@ -17,9 +17,9 @@ let test_local_scope () =
 
 let test_remote_discovery () =
   let tb = Util.testbed ~hosts:3 () in
-  let k2 = kernel_of tb 2 in
+  let k2 = TB.kernel tb 2 in
   let server = ref Vkernel.Pid.nil in
-  let k1 = kernel_of tb 1 in
+  let k1 = TB.kernel tb 1 in
   let (_ : Vkernel.Pid.t) =
     K.spawn k1 ~name:"server" (fun pid ->
         server := pid;
@@ -37,7 +37,7 @@ let test_remote_discovery () =
 
 let test_local_only_not_visible_remotely () =
   let tb = Util.testbed ~hosts:2 () in
-  let k1 = kernel_of tb 1 and k2 = kernel_of tb 2 in
+  let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 in
   let (_ : Vkernel.Pid.t) =
     K.spawn k1 ~name:"server" (fun pid ->
         K.set_pid k1 ~logical_id:7 pid K.Local;
@@ -55,7 +55,7 @@ let test_local_only_not_visible_remotely () =
 
 let test_not_found_times_out () =
   let tb = Util.testbed ~hosts:2 () in
-  let k1 = kernel_of tb 1 in
+  let k1 = TB.kernel tb 1 in
   let t_took = ref 0 in
   Util.run_as_process tb ~host:1 (fun _ ->
       let t0 = Vsim.Engine.now (K.engine k1) in
@@ -77,7 +77,7 @@ let test_not_found_times_out () =
 
 let test_cache_after_discovery () =
   let tb = Util.testbed ~hosts:2 () in
-  let k1 = kernel_of tb 1 and k2 = kernel_of tb 2 in
+  let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 in
   let (_ : Vkernel.Pid.t) =
     K.spawn k1 ~name:"server" (fun pid ->
         K.set_pid k1 ~logical_id:3 pid K.Any;
@@ -102,7 +102,7 @@ let test_send_via_logical_id () =
   (* The canonical client flow: find the file server by logical id, then
      talk to it. *)
   let tb = Util.testbed ~hosts:2 () in
-  let k1 = kernel_of tb 1 and k2 = kernel_of tb 2 in
+  let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 in
   let (_ : Vkernel.Pid.t) =
     K.spawn k1 ~name:"server" (fun pid ->
         K.set_pid k1 ~logical_id:77 pid K.Any;

@@ -4,13 +4,13 @@
 module K = Vkernel.Kernel
 module Msg = Vkernel.Msg
 
-let kernel_of tb i = (Vworkload.Testbed.host tb i).Vworkload.Testbed.kernel
+module TB = Vworkload.Testbed
 let adaptive_config = { K.default_config with K.rto_mode = K.Adaptive }
 
 let test_estimator_converges () =
   let tb = Util.testbed ~kernel_config:adaptive_config ~hosts:2 () in
-  let k1 = kernel_of tb 1 in
-  let server = Util.start_echo_server tb ~host:2 in
+  let k1 = TB.kernel tb 1 in
+  let server = Vworkload.Rigs.start_echo (TB.kernel tb 2) in
   let before = K.rto_estimate_ns k1 ~dst_host:2 in
   Util.run_as_process tb ~host:1 (fun _ ->
       let msg = Msg.create () in
@@ -32,9 +32,9 @@ let test_karn_rule () =
      round trip as an RTT sample.  The following clean exchange finally
      seeds the estimator. *)
   let tb = Util.testbed ~kernel_config:adaptive_config ~hosts:2 () in
-  let k1 = kernel_of tb 1 in
+  let k1 = TB.kernel tb 1 in
   Vnet.Medium.set_fault tb.Vworkload.Testbed.medium (Vnet.Fault.drop_nth [ 1 ]);
-  let server = Util.start_echo_server tb ~host:2 in
+  let server = Vworkload.Rigs.start_echo (TB.kernel tb 2) in
   let tainted = ref 0 and clean = ref 0 in
   Util.run_as_process tb ~host:1 (fun _ ->
       let msg = Msg.create () in
@@ -50,7 +50,7 @@ let test_karn_rule () =
 
 let test_failure_detector () =
   let tb = Util.testbed ~kernel_config:adaptive_config ~hosts:2 () in
-  let k1 = kernel_of tb 1 in
+  let k1 = TB.kernel tb 1 in
   Util.run_as_process tb ~host:1 (fun _ ->
       let msg = Msg.create () in
       let void = Vkernel.Pid.make ~host:77 ~local:1 in
@@ -67,8 +67,8 @@ let test_success_resets_detector () =
   (* A completed exchange clears the consecutive-failure count: two
      exhaustions separated by a success never trip the detector. *)
   let tb = Util.testbed ~kernel_config:adaptive_config ~hosts:2 () in
-  let k1 = kernel_of tb 1 in
-  let server = Util.start_echo_server tb ~host:2 in
+  let k1 = TB.kernel tb 1 in
+  let server = Vworkload.Rigs.start_echo (TB.kernel tb 2) in
   Util.run_as_process tb ~host:1 (fun _ ->
       let msg = Msg.create () in
       let ghost = Vkernel.Pid.make ~host:2 ~local:999 in
@@ -85,9 +85,9 @@ let test_determinism_under_loss () =
     let tb =
       Util.testbed ~seed:424242L ~kernel_config:adaptive_config ~hosts:2 ()
     in
-    let k1 = kernel_of tb 1 in
+    let k1 = TB.kernel tb 1 in
     Vnet.Medium.set_fault tb.Vworkload.Testbed.medium (Vnet.Fault.drop 0.15);
-    let server = Util.start_echo_server tb ~host:2 in
+    let server = Vworkload.Rigs.start_echo (TB.kernel tb 2) in
     let elapsed = ref 0 in
     Util.run_as_process tb ~host:1 (fun _ ->
         let msg = Msg.create () in
@@ -112,8 +112,8 @@ let test_adaptive_recovers_faster () =
      one scripted loss under both modes. *)
   let run cfg =
     let tb = Util.testbed ~kernel_config:cfg ~hosts:2 () in
-    let k1 = kernel_of tb 1 in
-    let server = Util.start_echo_server tb ~host:2 in
+    let k1 = TB.kernel tb 1 in
+    let server = Vworkload.Rigs.start_echo (TB.kernel tb 2) in
     let elapsed = ref 0 in
     Util.run_as_process tb ~host:1 (fun _ ->
         let msg = Msg.create () in
@@ -162,8 +162,8 @@ let test_exhaustion_every_exchange () =
   List.iter
     (fun (kind, op) ->
       let tb = Util.testbed ~hosts:2 () in
-      let k1 = kernel_of tb 1 in
-      K.crash (kernel_of tb 2);
+      let k1 = TB.kernel tb 1 in
+      K.crash (TB.kernel tb 2);
       let peer = Vkernel.Pid.make ~host:2 ~local:1 in
       let retransmits = ref 0 and backoffs = ref 0 in
       Vsim.Trace.attach tb.Vworkload.Testbed.eng (fun _ ev ->

@@ -2,7 +2,7 @@
 
 module K = Vkernel.Kernel
 
-let kernel_of tb i = (Vworkload.Testbed.host tb i).Vworkload.Testbed.kernel
+module TB = Vworkload.Testbed
 
 (* Server on host 1 with the given files; returns (testbed, server). *)
 let rig ?(files = [ ("prog", 65536); ("notes", 3000) ]) ?server_config
@@ -10,7 +10,7 @@ let rig ?(files = [ ("prog", 65536); ("notes", 3000) ]) ?server_config
   let tb = Util.testbed ~hosts:2 () in
   let fs = Vworkload.Testbed.make_test_fs tb ?latency ~files () in
   let server =
-    Vfs.Server.start (kernel_of tb 1) fs ?config:server_config ()
+    Vfs.Server.start (TB.kernel tb 1) fs ?config:server_config ()
   in
   (tb, fs, server)
 
@@ -25,7 +25,7 @@ let get = function
 
 let test_open_read () =
   let tb, _, _ = rig () in
-  let k2 = kernel_of tb 2 in
+  let k2 = TB.kernel tb 2 in
   Util.run_as_process tb ~host:2 (fun pid ->
       let mem = K.memory k2 pid in
       let conn = connect k2 in
@@ -43,7 +43,7 @@ let test_open_read () =
 
 let test_write_then_read_back () =
   let tb, _, _ = rig () in
-  let k2 = kernel_of tb 2 in
+  let k2 = TB.kernel tb 2 in
   Util.run_as_process tb ~host:2 (fun pid ->
       let mem = K.memory k2 pid in
       let conn = connect k2 in
@@ -58,7 +58,7 @@ let test_write_then_read_back () =
 
 let test_basic_variants () =
   let tb, _, _ = rig () in
-  let k2 = kernel_of tb 2 in
+  let k2 = TB.kernel tb 2 in
   Util.run_as_process tb ~host:2 (fun pid ->
       let mem = K.memory k2 pid in
       let conn = connect k2 in
@@ -74,7 +74,7 @@ let test_basic_variants () =
 
 let test_load_program () =
   let tb, _, _ = rig () in
-  let k2 = kernel_of tb 2 in
+  let k2 = TB.kernel tb 2 in
   Util.run_as_process tb ~host:2 (fun pid ->
       let mem = K.memory k2 pid in
       let conn = connect k2 in
@@ -87,7 +87,7 @@ let test_load_program () =
 
 let test_errors () =
   let tb, _, _ = rig () in
-  let k2 = kernel_of tb 2 in
+  let k2 = TB.kernel tb 2 in
   Util.run_as_process tb ~host:2 (fun _ ->
       let conn = connect k2 in
       (match Vfs.Client.open_file conn "no-such-file" with
@@ -101,7 +101,7 @@ let test_errors () =
 
 let test_delete () =
   let tb, _, _ = rig () in
-  let k2 = kernel_of tb 2 in
+  let k2 = TB.kernel tb 2 in
   Util.run_as_process tb ~host:2 (fun _ ->
       let conn = connect k2 in
       get (Vfs.Client.delete_file conn "notes");
@@ -120,7 +120,7 @@ let test_sequential_read_with_latency () =
       ~latency:(Vfs.Disk.Fixed (Vsim.Time.ms 10)) ()
   in
   Vfs.Fs.evict_cache fs;
-  let k2 = kernel_of tb 2 in
+  let k2 = TB.kernel tb 2 in
   Util.run_as_process tb ~host:2 (fun _ ->
       let conn = connect k2 in
       let h = get (Vfs.Client.open_file conn "seq") in
@@ -140,7 +140,7 @@ let test_write_behind_faster () =
   let run ~write_behind =
     let server_config = { Vfs.Server.default_config with Vfs.Server.write_behind } in
     let tb, _, _ = rig ~files:[ ("wb", 8 * 512) ] ~server_config ~latency:slow_disk () in
-    let k2 = kernel_of tb 2 in
+    let k2 = TB.kernel tb 2 in
     let elapsed = ref 0 in
     Util.run_as_process tb ~host:2 (fun pid ->
         let mem = K.memory k2 pid in
@@ -162,7 +162,7 @@ let test_partial_page_count () =
   (* A read with count < block size returns exactly count bytes, from the
      right offset. *)
   let tb, _, _ = rig () in
-  let k2 = kernel_of tb 2 in
+  let k2 = TB.kernel tb 2 in
   Util.run_as_process tb ~host:2 (fun pid ->
       let mem = K.memory k2 pid in
       let conn = connect k2 in
@@ -177,7 +177,7 @@ let test_exec_scan () =
   (* Remote execution returns the same checksum as fetching the pages and
      scanning locally. *)
   let tb, _, srv = rig ~files:[ ("scan", 32 * 512) ] () in
-  let k2 = kernel_of tb 2 in
+  let k2 = TB.kernel tb 2 in
   Util.run_as_process tb ~host:2 (fun pid ->
       let mem = K.memory k2 pid in
       let conn = connect k2 in
@@ -199,7 +199,7 @@ let test_exec_cheaper_on_the_wire () =
   (* The exec path generates 2 packets regardless of file size; the fetch
      path generates 2 per page. *)
   let tb, _, _ = rig ~files:[ ("scan", 32 * 512) ] () in
-  let k2 = kernel_of tb 2 in
+  let k2 = TB.kernel tb 2 in
   let medium = tb.Vworkload.Testbed.medium in
   let exec_pkts = ref 0 and fetch_pkts = ref 0 in
   Util.run_as_process tb ~host:2 (fun _ ->
@@ -232,7 +232,7 @@ let test_read_ahead_sequential_only () =
         ~latency:(Vfs.Disk.Fixed (Vsim.Time.ms 5)) ()
     in
     Vfs.Fs.evict_cache fs;
-    let k2 = kernel_of tb 2 in
+    let k2 = TB.kernel tb 2 in
     let dsk = Vfs.Fs.disk fs in
     let count = ref 0 in
     Util.run_as_process tb ~host:2 (fun _ ->
@@ -266,8 +266,8 @@ let test_handle_reclaim () =
   let tb, _, srv =
     rig ~files:[ ("a", 1024); ("b", 1024); ("c", 1024) ] ~server_config ()
   in
-  let k1 = kernel_of tb 1 in
-  let k2 = kernel_of tb 2 in
+  let k1 = TB.kernel tb 1 in
+  let k2 = TB.kernel tb 2 in
   (* A local client fills the whole table and never closes. *)
   let holder =
     K.spawn k1 ~name:"holder" (fun _ ->
@@ -301,10 +301,10 @@ let test_handle_reclaim () =
 let test_multi_client_counts () =
   let tb = Util.testbed ~hosts:4 () in
   let fs = Vworkload.Testbed.make_test_fs tb ~files:[ ("f", 4096) ] () in
-  let server = Vfs.Server.start (kernel_of tb 1) fs () in
+  let server = Vfs.Server.start (TB.kernel tb 1) fs () in
   let done_count = ref 0 in
   for h = 2 to 4 do
-    let k = kernel_of tb h in
+    let k = TB.kernel tb h in
     ignore
       (K.spawn k ~name:"client" (fun _ ->
            let conn = connect k in

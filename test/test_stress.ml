@@ -4,7 +4,7 @@
 module K = Vkernel.Kernel
 module Msg = Vkernel.Msg
 
-let kernel_of tb i = (Vworkload.Testbed.host tb i).Vworkload.Testbed.kernel
+module TB = Vworkload.Testbed
 
 (* Fuzz: random topology, random fault rates, random operation mix; every
    exchange must complete correctly and every transferred byte must be
@@ -41,7 +41,7 @@ let test_ipc_fuzz =
           Vnet.Fault.drop_prob = drop;
           corrupt_prob = corrupt;
         };
-      let ks = kernel_of tb 1 in
+      let ks = TB.kernel tb 1 in
       (* Server: echoes, and pushes a 2 KB pattern via MoveTo when the
          message carries a write segment. *)
       let server =
@@ -65,7 +65,7 @@ let test_ipc_fuzz =
       let failures = ref 0 in
       let completed = ref 0 in
       for c = 1 to clients do
-        let k = kernel_of tb (c + 1) in
+        let k = TB.kernel tb (c + 1) in
         ignore
           (K.spawn k ~name:"fuzz-client" (fun pid ->
                let mem = K.memory k pid in
@@ -105,7 +105,7 @@ let test_alien_bound () =
     }
   in
   let tb = Util.testbed ~kernel_config:cfg ~hosts:9 () in
-  let ks = kernel_of tb 1 in
+  let ks = TB.kernel tb 1 in
   let server =
     K.spawn ks ~name:"slow" (fun _ ->
         let msg = Msg.create () in
@@ -119,7 +119,7 @@ let test_alien_bound () =
   in
   let done_ = ref 0 in
   for h = 2 to 9 do
-    let k = kernel_of tb h in
+    let k = TB.kernel tb h in
     ignore
       (K.spawn k ~name:"c" (fun _ ->
            let msg = Msg.create () in
@@ -176,7 +176,7 @@ let test_concurrent_bulk () =
   let oks = ref 0 in
   (* Hosts 1-3 run movers; hosts 4-6 run granters pairing 1-4, 2-5, 3-6. *)
   for i = 1 to 3 do
-    let km = kernel_of tb i and kg = kernel_of tb (i + 3) in
+    let km = TB.kernel tb i and kg = TB.kernel tb (i + 3) in
     let mover =
       Vkernel.Kernel.spawn km ~name:"mover" (fun pid ->
           let mem = Vkernel.Kernel.memory km pid in
@@ -220,9 +220,9 @@ let test_system_determinism () =
     in
     let tb = Util.testbed ~seed ~kernel_config:fast ~hosts:3 () in
     Vnet.Medium.set_fault tb.Vworkload.Testbed.medium (Vnet.Fault.drop 0.2);
-    let server = Util.start_echo_server tb ~host:1 in
+    let server = Vworkload.Rigs.start_echo (TB.kernel tb 1) in
     for h = 2 to 3 do
-      let k = kernel_of tb h in
+      let k = TB.kernel tb h in
       ignore
         (K.spawn k ~name:"c" (fun _ ->
              let msg = Msg.create () in
@@ -232,7 +232,7 @@ let test_system_determinism () =
     done;
     Vworkload.Testbed.run tb;
     ( Vsim.Engine.now tb.Vworkload.Testbed.eng,
-      Format.asprintf "%a" K.pp_stats (K.stats (kernel_of tb 1)) )
+      Format.asprintf "%a" K.pp_stats (K.stats (TB.kernel tb 1)) )
   in
   let a = run 5L and b = run 5L and c = run 6L in
   Alcotest.(check bool) "same seed, same end time and stats" true (a = b);

@@ -4,7 +4,7 @@
 module K = Vkernel.Kernel
 module R = Vworkload.Rigs
 
-let kernel_of tb i = (Vworkload.Testbed.host tb i).Vworkload.Testbed.kernel
+module TB = Vworkload.Testbed
 
 let connect k =
   match Vfs.Client.connect k () with
@@ -21,10 +21,10 @@ let test_team_serves_clients () =
   let tb = Util.testbed ~hosts:4 () in
   let fs = Vworkload.Testbed.make_test_fs tb ~files:[ ("f", 16 * 512) ] () in
   let config = { Vfs.Server.default_config with Vfs.Server.workers = 4 } in
-  let server = Vfs.Server.start (kernel_of tb 1) fs ~config () in
+  let server = Vfs.Server.start (TB.kernel tb 1) fs ~config () in
   let done_count = ref 0 in
   for h = 2 to 4 do
-    let k = kernel_of tb h in
+    let k = TB.kernel tb h in
     ignore
       (K.spawn k ~name:"client" (fun pid ->
            let mem = K.memory k pid in
@@ -102,7 +102,19 @@ let test_no_workers_rejected () =
   let config = { Vfs.Server.default_config with Vfs.Server.workers = 0 } in
   Alcotest.check_raises "workers = 0"
     (Invalid_argument "Server.start: workers must be >= 1") (fun () ->
-      ignore (Vfs.Server.start (kernel_of tb 1) fs ~config ()))
+      ignore (Vfs.Server.start (TB.kernel tb 1) fs ~config ()))
+
+(* A transfer unit below one byte has no meaning: the server refuses it
+   rather than pick a unit of its own. *)
+let test_zero_transfer_unit_rejected () =
+  let tb = Util.testbed ~hosts:1 () in
+  let fs = Vworkload.Testbed.make_test_fs tb ~files:[ ("f", 512) ] () in
+  let config =
+    { Vfs.Server.default_config with Vfs.Server.transfer_unit = 0 }
+  in
+  Alcotest.check_raises "transfer_unit = 0"
+    (Invalid_argument "Server.start: transfer_unit must be >= 1") (fun () ->
+      ignore (Vfs.Server.start (TB.kernel tb 1) fs ~config ()))
 
 let suite =
   [
@@ -110,4 +122,6 @@ let suite =
     Alcotest.test_case "contention determinism + speedup" `Quick
       test_contention_deterministic;
     Alcotest.test_case "zero workers rejected" `Quick test_no_workers_rejected;
+    Alcotest.test_case "zero transfer unit rejected" `Quick
+      test_zero_transfer_unit_rejected;
   ]

@@ -3,13 +3,13 @@
 module K = Vkernel.Kernel
 module Msg = Vkernel.Msg
 
-let kernel_of tb i = (Vworkload.Testbed.host tb i).Vworkload.Testbed.kernel
+module TB = Vworkload.Testbed
 
 (* Run an assembled program in a fresh one-host world; return (outcome,
    console output). *)
 let run_program ?config source =
   let tb = Util.testbed ~hosts:1 () in
-  let k = kernel_of tb 1 in
+  let k = TB.kernel tb 1 in
   let img = Vexec.Asm.assemble_exn source in
   let out = ref None in
   let console = Buffer.create 64 in
@@ -263,7 +263,7 @@ loop:   jmp loop
 let test_cpu_charged () =
   (* Interpretation costs simulated processor time. *)
   let tb = Util.testbed ~hosts:1 () in
-  let k = kernel_of tb 1 in
+  let k = TB.kernel tb 1 in
   let img = Vexec.Asm.assemble_exn {|
         loadi r1, 1000
         loadi r2, 1
@@ -303,7 +303,7 @@ let test_syscall_ipc () =
   (* An interpreted program finds the echo server through GetPid and does
      a real remote message exchange. *)
   let tb = Util.testbed ~hosts:2 () in
-  let k1 = kernel_of tb 1 and k2 = kernel_of tb 2 in
+  let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 in
   let (_ : Vkernel.Pid.t) =
     K.spawn k1 ~name:"incr-server" (fun pid ->
         K.set_pid k1 ~logical_id:5 pid K.Any;
@@ -371,8 +371,8 @@ done:   loadi r1, 7
       match Vfs.Fs.write fs ~inum ~pos:0 file with
       | Ok () -> ()
       | Error e -> Alcotest.failf "install: %s" (Vfs.Fs.error_to_string e));
-  let (_ : Vfs.Server.t) = Vfs.Server.start (kernel_of tb 1) fs () in
-  let k2 = kernel_of tb 2 in
+  let (_ : Vfs.Server.t) = Vfs.Server.start (TB.kernel tb 1) fs () in
+  let k2 = TB.kernel tb 2 in
   let console = Buffer.create 16 in
   let outcome = ref None in
   Util.run_as_process tb ~host:2 (fun _ ->
@@ -396,8 +396,8 @@ done:   loadi r1, 7
 let test_loader_missing_and_garbage () =
   let tb = Util.testbed ~hosts:2 () in
   let fs = Vworkload.Testbed.make_test_fs tb ~files:[ ("junk", 2048) ] () in
-  let (_ : Vfs.Server.t) = Vfs.Server.start (kernel_of tb 1) fs () in
-  let k2 = kernel_of tb 2 in
+  let (_ : Vfs.Server.t) = Vfs.Server.start (TB.kernel tb 1) fs () in
+  let k2 = TB.kernel tb 2 in
   Util.run_as_process tb ~host:2 (fun _ ->
       let conn = Result.get_ok (Vfs.Client.connect k2 ()) in
       (match Vexec.Loader.load k2 ~conn ~name:"absent" with

@@ -67,10 +67,61 @@ let test_testbed_hosts () =
     (Invalid_argument "Testbed.host: no host 9") (fun () ->
       ignore (Vworkload.Testbed.host tb 9))
 
+module R = Vworkload.Rigs
+
+let m10 = Vhw.Cost_model.sun_10mhz
+let net3 = Vnet.Medium.config_3mb
+
+let test_time_trials () =
+  Alcotest.check_raises "trials = 0"
+    (Invalid_argument "Rigs.time_trials: trials must be >= 1") (fun () ->
+      ignore (R.srr ~trials:0 ~cpu_model:m10 ~medium_config:net3
+                ~server_host:2 ()));
+  let local = R.srr ~cpu_model:m10 ~medium_config:net3 ~server_host:1 () in
+  Alcotest.(check int) "one host: client cpu = server cpu" local.R.client_cpu
+    local.R.server_cpu;
+  let remote = R.srr ~cpu_model:m10 ~medium_config:net3 ~server_host:2 () in
+  Alcotest.(check bool) "remote exchange costs more than local" true
+    (remote.R.elapsed > local.R.elapsed)
+
+(* A move that fails is not timed: the cost of 30 Bad_address returns is
+   no transfer time. *)
+let test_move_fails_loudly () =
+  match
+    R.move ~cpu_model:m10 ~medium_config:net3 ~count:(-5) ~to_remote:true
+      ~sender_host:2 ()
+  with
+  | _ -> Alcotest.fail "a failed MoveTo was timed"
+  | exception Failure e ->
+      Alcotest.(check string) "status" "Rigs.move: bad-address" e
+
+(* The rigs' command lines reject bad values as cmdliner usage errors
+   (exit 124) instead of dying on an exception or reporting nonsense. *)
+let test_rig_usage_errors () =
+  List.iter
+    (fun args ->
+      Alcotest.(check int) (String.concat " " args) 124
+        (Sys.command
+           (Filename.quote_command "../bin/vsim.exe" args
+              ~stdout:Filename.null ~stderr:Filename.null)))
+    [
+      [ "ipc"; "--trials"; "0" ];
+      [ "seq"; "--pages"; "0" ];
+      [ "ipc"; "--net"; "5" ];
+      [ "ipc"; "--mhz"; "0" ];
+      [ "page"; "--cache-blocks"; "4"; "--cache-policy"; "foo" ];
+      [ "load"; "--unit"; "0" ];
+      [ "move"; "--bytes=-5" ];
+      [ "capacity"; "--clients"; "0" ];
+    ]
+
 let suite =
   [
     Alcotest.test_case "think distributions" `Quick test_think_distributions;
     Alcotest.test_case "recorder" `Quick test_recorder;
     Alcotest.test_case "testbed fs" `Quick test_testbed_fs;
     Alcotest.test_case "testbed hosts" `Quick test_testbed_hosts;
+    Alcotest.test_case "timing harness" `Quick test_time_trials;
+    Alcotest.test_case "failed move raises" `Quick test_move_fails_loudly;
+    Alcotest.test_case "rig usage errors" `Quick test_rig_usage_errors;
   ]

@@ -23,24 +23,6 @@ let run_as_process (tb : Vworkload.Testbed.t) ~host f =
   Vworkload.Testbed.run tb;
   if not !completed then Alcotest.fail "test process did not run to completion"
 
-(* A standard echo server: receives, increments byte 4 of the message,
-   replies. *)
-let start_echo_server (tb : Vworkload.Testbed.t) ~host =
-  let k = (Vworkload.Testbed.host tb host).Vworkload.Testbed.kernel in
-  Vkernel.Kernel.spawn k ~name:"echo" (fun _ ->
-      let msg = Vkernel.Msg.create () in
-      let rec loop () =
-        let src = Vkernel.Kernel.receive k msg in
-        Vkernel.Msg.set_u8 msg 4 ((Vkernel.Msg.get_u8 msg 4 + 1) land 0xFF);
-        (match Vkernel.Kernel.reply k msg src with
-        | Vkernel.Kernel.Ok -> ()
-        | st ->
-            Alcotest.failf "echo server reply failed: %s"
-              (Vkernel.Kernel.status_to_string st));
-        loop ()
-      in
-      loop ())
-
 let pattern = Vworkload.Testbed.pattern_byte
 
 let fill_pattern mem ~pos ~len =

@@ -15,6 +15,10 @@
 #   repro-NAME.txt/.jsonl  vsim check --repro test/repro/NAME.repro
 #                          --trace-out, and failing-NAME for each
 #                          test/repro/failing/NAME.repro
+#   vsim-RUN.txt/.jsonl    the measurement rigs' commands with --trace-out:
+#                          ipc, move, move --from, page and load, each
+#                          remote and (RUN-local) with --local, plus seq
+#                          and penalty; see rig_runs below
 #
 # The sweeps print only summaries, so each scenario also replays one
 # committed fault schedule, whose digest (ops, ledger, frames, kernel
@@ -42,6 +46,24 @@ out=${2:-_parity}
 scenarios="net crash shared shared-crash inet inet-crash failover"
 workloads="ipc_pingpong cluster_read_mostly session_write_back fault_sweep boot_storm"
 
+# rig_runs: one line per vsim rig run, its output name then its arguments.
+rig_runs() {
+  cat <<'EOF'
+ipc ipc
+ipc-local ipc --local
+move move
+move-local move --local
+move-from move --from
+move-from-local move --from --local
+page page
+page-local page --local
+load load
+load-local load --local
+seq seq
+penalty penalty
+EOF
+}
+
 rm -rf "$out"
 mkdir -p "$out/base" "$out/head" "$out/diff"
 out=$(cd "$out" && pwd)
@@ -66,6 +88,11 @@ collect() {
     case $r in */failing/*) name=failing-$name ;; esac
     "$bin/bin/vsim.exe" check --repro "$r" \
       --trace-out "$dst/repro-$name.jsonl" > "$dst/repro-$name.txt" || true
+  done
+  rig_runs | while read -r name args; do
+    # $args is a word list: leave it unquoted.
+    "$bin/bin/vsim.exe" $args --trace-out "$dst/vsim-$name.jsonl" \
+      > "$dst/vsim-$name.txt"
   done
   for w in $workloads; do
     "$bin/benchmark/vbench.exe" run --workload "$w" --seconds 0 \
