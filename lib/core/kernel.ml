@@ -142,7 +142,7 @@ and desc = {
   mutable d_reply_buf : Msg.t option;
   mutable d_recv : receive_wait option;
   mutable d_rsend : rsend option;
-  mutable d_mf_gen : int;
+  mutable d_train_gen : int;
       (** invalidates superseded MoveFrom streams sourced from this
           process — a retransmitted request or a NAK starts a fresh
           stream, and without supersession the old ones keep running and
@@ -167,52 +167,45 @@ type alien = {
           period counts from here *)
 }
 
-(* Sender side of an in-flight MoveTo. *)
-type mt_out = {
-  mto_seq : int;
-  mto_src : Pid.t;  (** the mover *)
-  mto_dst : Pid.t;
-  mto_src_ptr : int;
-  mto_dst_ptr : int;
-  mto_total : int;
-  mto_mem : Mem.t;
-  mutable mto_gen : int;  (** invalidates superseded streaming chains *)
-  mto_retx : retx;
-  mutable mto_wait_since : Vsim.Time.t;
-      (** when the full train was last on the wire and we began waiting
-          for the Data_ack; [-1] until then *)
-  mto_done : status -> unit;
+(* The direction of a bulk transfer: MoveTo or MoveFrom. *)
+type dir = Vsim.Event.dir = To | From
+
+(* Our end of an in-flight remote MoveTo or MoveFrom (Section 3.3), keyed
+   by its sequence number: the mover that streams a MoveTo's page train,
+   or the requester that receives a MoveFrom's. *)
+type move_out = {
+  mo_dir : dir;
+  mo_seq : int;
+  mo_me : Pid.t;  (** the moving process *)
+  mo_peer : Pid.t;  (** the remote process whose segment we move *)
+  mo_ptr : int;  (** where the bytes are in [mo_me]'s space *)
+  mo_peer_ptr : int;  (** and in [mo_peer]'s *)
+  mo_total : int;
+  mo_mem : Mem.t;  (** [mo_me]'s space *)
+  mutable mo_gen : int;
+      (** MoveTo: invalidates the streaming chains a NAK superseded *)
+  mutable mo_expected : int;  (** MoveFrom: the next offset to place *)
+  mutable mo_nak_at : int;
+      (** MoveFrom: expected offset the last NAK reported, [-1] if none
+          is outstanding — stale in-flight fragments keep arriving after
+          a gap is detected, and NAKing each of them spawns one redundant
+          restream per NAK *)
+  mo_retx : retx;
+  mutable mo_since : Vsim.Time.t;
+      (** MoveTo: when the full train was last on the wire and we began
+          waiting for the Data_ack, [-1] until then; MoveFrom: when the
+          last request went out *)
+  mo_done : status -> unit;
 }
 
 (* Receiver side of an in-flight MoveTo, keyed by (src host, seq). *)
 type mt_in = {
-  mti_src : Pid.t;
-  mti_dst : Pid.t;
+  mti_mem : Mem.t;  (** the receiving process's space *)
   mti_dst_ptr : int;
   mti_total : int;
   mti_born : Vsim.Time.t;
   mutable mti_expected : int;
   mutable mti_complete : bool;
-}
-
-(* Requester side of an in-flight MoveFrom. *)
-type mf_out = {
-  mfo_seq : int;
-  mfo_me : Pid.t;  (** the requesting process *)
-  mfo_src : Pid.t;  (** remote process we read from *)
-  mfo_src_ptr : int;
-  mfo_dst_ptr : int;
-  mfo_total : int;
-  mfo_mem : Mem.t;
-  mutable mfo_expected : int;
-  mutable mfo_nak_at : int;
-      (** expected offset the last NAK reported, [-1] if none is
-          outstanding — stale in-flight fragments keep arriving after a
-          gap is detected, and NAKing each of them spawns one redundant
-          restream per NAK *)
-  mfo_retx : retx;
-  mutable mfo_req_at : Vsim.Time.t;  (** when the last request went out *)
-  mfo_done : status -> unit;
 }
 
 type registry_entry = { re_pid : Pid.t; re_scope : scope }
@@ -230,8 +223,7 @@ type getpid_wait = {
    constructor is the exchange's kind. *)
 type exchange =
   | Send of rsend
-  | Move_to of mt_out
-  | Move_from of mf_out
+  | Move of move_out
   | Getpid of getpid_wait
 
 type addressing = Direct | Mapped
@@ -267,9 +259,8 @@ type t = {
   fibers : desc Itbl.t;  (** fiber id -> descriptor *)
   aliens : alien Itbl.t;  (** keyed by [Pid.to_int] of the sender *)
   mutable alien_count : int;
-  mt_outs : mt_out Itbl.t;
+  move_outs : move_out Itbl.t;  (** keyed by [mo_seq] *)
   mt_ins : mt_in Itbl.t;  (** keyed by {!mt_in_key} *)
-  mf_outs : mf_out Itbl.t;
   registry : registry_entry Itbl.t;
   getpid_cache : Pid.t Itbl.t;
   getpid_waits : getpid_wait Itbl.t;
@@ -705,42 +696,32 @@ let finish_send t (rs : rsend) st =
           k st)
   | None -> note ()
 
-let mt_alive t (mto : mt_out) =
-  match Itbl.find_opt t.mt_outs mto.mto_seq with
-  | Some m -> m == mto
-  | None -> false
+(* Lookups in [move_outs] run per fragment, so they match
+   [exception Not_found] rather than allocate an option. *)
+let move_alive t (mo : move_out) =
+  match Itbl.find t.move_outs mo.mo_seq with
+  | m -> m == mo
+  | exception Not_found -> false
 
-let mf_alive t (mfo : mf_out) =
-  match Itbl.find_opt t.mf_outs mfo.mfo_seq with
-  | Some m -> m == mfo
-  | None -> false
-
-let move_done t ~seq st k =
-  charge_k t (model t).Vhw.Cost_model.context_switch_ns (fun () ->
-      if Vsim.Trace.tracing t.eng then
-        Vsim.Trace.event t.eng
-          (Vsim.Event.Move_done
-             { host = t.khost; seq; status = status_to_string st });
-      k st)
-
-let mt_finish t (mto : mt_out) st =
-  if mt_alive t mto then begin
-    stop t mto.mto_retx;
-    Itbl.remove t.mt_outs mto.mto_seq;
-    (* The gap from end-of-train to Data_ack is a pure control round
-       trip. *)
-    settle t mto.mto_retx st ~since:mto.mto_wait_since;
-    move_done t ~seq:mto.mto_seq st mto.mto_done
-  end
-
-let mf_finish t (mfo : mf_out) st =
-  if mf_alive t mfo then begin
-    stop t mfo.mfo_retx;
-    Itbl.remove t.mf_outs mfo.mfo_seq;
-    (* RTT samples for MoveFrom are taken at first-fragment arrival
-       (handle_data_mf); here we only record liveness. *)
-    settle t mfo.mfo_retx st ~since:(-1);
-    move_done t ~seq:mfo.mfo_seq st mfo.mfo_done
+let move_finish t (mo : move_out) st =
+  if move_alive t mo then begin
+    stop t mo.mo_retx;
+    Itbl.remove t.move_outs mo.mo_seq;
+    (* A MoveTo's gap from end-of-train to Data_ack is a pure control
+       round trip; a MoveFrom samples at its first fragment
+       (handle_data_mf), so here it only records liveness. *)
+    settle t mo.mo_retx st
+      ~since:(match mo.mo_dir with To -> mo.mo_since | From -> -1);
+    charge_k t (model t).Vhw.Cost_model.context_switch_ns (fun () ->
+        if Vsim.Trace.tracing t.eng then
+          Vsim.Trace.event t.eng
+            (Vsim.Event.Move_done
+               {
+                 host = t.khost;
+                 seq = mo.mo_seq;
+                 status = status_to_string st;
+               });
+        mo.mo_done st)
   end
 
 let getpid_finish t (gw : getpid_wait) found =
@@ -751,8 +732,7 @@ let getpid_finish t (gw : getpid_wait) found =
 let finish t x st =
   match x with
   | Send rs -> finish_send t rs st
-  | Move_to mto -> mt_finish t mto st
-  | Move_from mfo -> mf_finish t mfo st
+  | Move mo -> move_finish t mo st
   | Getpid gw -> getpid_finish t gw None
 
 (* ------------------------------------------------------------------ *)
@@ -760,20 +740,18 @@ let finish t x st =
 
 let retx_of = function
   | Send rs -> rs.rs_retx
-  | Move_to mto -> mto.mto_retx
-  | Move_from mfo -> mfo.mfo_retx
+  | Move mo -> mo.mo_retx
   | Getpid gw -> gw.gw_retx
 
 let retx_seq = function
   | Send rs -> rs.rs_pkt.Packet.seq
-  | Move_to mto -> mto.mto_seq
-  | Move_from mfo -> mfo.mfo_seq
+  | Move mo -> mo.mo_seq
   | Getpid gw -> gw.gw_seq
 
 let retx_label = function
   | Send _ -> "send"
-  | Move_to _ -> "move-to"
-  | Move_from _ -> "move-from"
+  | Move { mo_dir = To; _ } -> "move-to"
+  | Move { mo_dir = From; _ } -> "move-from"
   | Getpid _ -> "getpid"
 
 let rec arm t x =
@@ -785,14 +763,13 @@ let rec arm t x =
   let bytes =
     match x with
     | Send _ | Getpid _ -> 0
-    | Move_to mto -> Int.min mto.mto_total max_packet_data
-    | Move_from mfo -> Int.min mfo.mfo_total max_packet_data
+    | Move mo -> Int.min mo.mo_total max_packet_data
   in
   let kind =
     match x with
     | Send _ -> k_rto_send
-    | Move_to _ -> k_rto_moveto
-    | Move_from _ -> k_rto_movefrom
+    | Move { mo_dir = To; _ } -> k_rto_moveto
+    | Move { mo_dir = From; _ } -> k_rto_movefrom
     | Getpid _ -> k_rto_getpid
   in
   let rto = Rto.timeout_ns t.rto ~dst:rx.rx_dst ~bytes in
@@ -815,7 +792,7 @@ and expire t x ~rto =
        duplicate by any gateway that forwarded the first. *)
     (match x with
     | Getpid gw -> gw.gw_seq <- next_seq t
-    | Send _ | Move_to _ | Move_from _ -> ());
+    | Send _ | Move _ -> ());
     if Vsim.Trace.tracing t.eng then
       Vsim.Trace.event t.eng
         (Vsim.Event.Retransmit
@@ -834,26 +811,26 @@ and transmit t x =
   | Send rs ->
       send_pkt t ~dst_host:rs.rs_retx.rx_dst rs.rs_pkt;
       arm t x
-  | Move_to mto ->
+  | Move ({ mo_dir = To; _ } as mo) ->
       (* Probe with an empty fragment at [total]: a receiver that is done
          re-acks; one mid-transfer NAKs with the offset it needs, giving
          retransmission from the last correctly received packet. *)
-      send_pkt t ~dst_host:mto.mto_retx.rx_dst
-        (Packet.make ~op:Packet.Data_mt ~src_pid:mto.mto_src
-           ~dst_pid:mto.mto_dst ~seq:mto.mto_seq ~offset:mto.mto_total
-           ~total:mto.mto_total ~aux:mto.mto_dst_ptr ());
+      send_pkt t ~dst_host:mo.mo_retx.rx_dst
+        (Packet.make ~op:Packet.Data_mt ~src_pid:mo.mo_me ~dst_pid:mo.mo_peer
+           ~seq:mo.mo_seq ~offset:mo.mo_total ~total:mo.mo_total
+           ~aux:mo.mo_peer_ptr ());
       arm t x
-  | Move_from mfo ->
-      mfo.mfo_nak_at <- -1;
-      mfo.mfo_req_at <- Vsim.Engine.now t.eng;
+  | Move ({ mo_dir = From; _ } as mo) ->
+      mo.mo_nak_at <- -1;
+      mo.mo_since <- Vsim.Engine.now t.eng;
       let req =
-        Packet.make ~op:Packet.Move_from_req ~src_pid:mfo.mfo_me
-          ~dst_pid:mfo.mfo_src ~seq:mfo.mfo_seq ~offset:mfo.mfo_expected
-          ~total:mfo.mfo_total ~aux:mfo.mfo_src_ptr ()
+        Packet.make ~op:Packet.Move_from_req ~src_pid:mo.mo_me
+          ~dst_pid:mo.mo_peer ~seq:mo.mo_seq ~offset:mo.mo_expected
+          ~total:mo.mo_total ~aux:mo.mo_peer_ptr ()
       in
-      send_pkt_k t ~dst_host:mfo.mfo_retx.rx_dst req (fun () ->
+      send_pkt_k t ~dst_host:mo.mo_retx.rx_dst req (fun () ->
           charge_async t (model t).Vhw.Cost_model.send_bookkeep_ns;
-          if mf_alive t mfo then arm t x)
+          if move_alive t mo then arm t x)
   | Getpid gw ->
       send_pkt_gen t ~dst_addr:Vnet.Addr.broadcast
         (Packet.make ~op:Packet.Getpid_req ~src_pid:gw.gw_me
@@ -908,63 +885,87 @@ let launch_send t (d : desc) msg ~dst ~seq ~since =
 (* ------------------------------------------------------------------ *)
 (* MoveTo / MoveFrom streaming                                         *)
 
-(* Stream MoveTo fragments as maximally-sized packets; one acknowledgement
-   at the end, none per packet (Section 3.3). *)
-let stream_mt t (mto : mt_out) ~from =
-  let m = model t in
-  let gen = mto.mto_gen in
-  let ok () = mt_alive t mto && mto.mto_gen = gen in
+(* Send a page train (Section 3.3): the [total] bytes at [ptr] in [mem]
+   from offset [from] on, as back-to-back maximally sized packets with no
+   per-packet acknowledgement.  A train is at least one packet, so a
+   0-byte move sends one empty fragment at offset 0.  Each fragment goes
+   out only while [live ()] holds, and [at_end] runs once the last one is
+   on the wire. *)
+let stream t ~op ~src_pid ~dst_pid ~seq ~mem ~ptr ~total ~aux ~live ~at_end
+    ~from =
+  (* An empty train's one fragment steps the cursor past its end. *)
   let rec go cursor =
-    if not (ok ()) then ()
-    else if cursor >= mto.mto_total then begin
-      charge_async t m.Vhw.Cost_model.send_bookkeep_ns;
-      mto.mto_wait_since <- Vsim.Engine.now t.eng;
-      arm t (Move_to mto)
-    end
+    if not (live ()) then ()
+    else if cursor >= Int.max total 1 then at_end ()
     else begin
-      let len = Int.min max_packet_data (mto.mto_total - cursor) in
-      let data = Mem.read mto.mto_mem ~pos:(mto.mto_src_ptr + cursor) ~len in
+      let len = Int.min max_packet_data (total - cursor) in
+      let data = Mem.read mem ~pos:(ptr + cursor) ~len in
       let pkt =
-        Packet.make ~op:Packet.Data_mt ~src_pid:mto.mto_src
-          ~dst_pid:mto.mto_dst ~seq:mto.mto_seq ~offset:cursor
-          ~total:mto.mto_total ~aux:mto.mto_dst_ptr ~data ()
+        Packet.make ~op ~src_pid ~dst_pid ~seq ~offset:cursor ~total ~aux
+          ~data ()
       in
-      send_pkt_k t ~pre_cost:m.Vhw.Cost_model.data_pkt_op_ns
-        ~dst_host:(Pid.host mto.mto_dst) pkt (fun () -> go (cursor + len))
+      send_pkt_k t ~pre_cost:(model t).Vhw.Cost_model.data_pkt_op_ns
+        ~dst_host:(Pid.host dst_pid) pkt (fun () ->
+          go (cursor + Int.max len 1))
     end
   in
   go from
 
-(* Stream MoveFrom data from a local reply-blocked process's granted
-   segment back to a remote requester. *)
-let stream_mf t ~(src_desc : desc) ~requester ~seq ~base_ptr ~total ~from =
-  let m = model t in
-  let gen = src_desc.d_mf_gen in
-  let ok () =
-    src_desc.d_mf_gen = gen
-    && awaiting_reply src_desc.d_state requester
-    && (match src_desc.d_grant with
-       | Some g ->
-           grant_covers g ~who:requester ~ptr:base_ptr ~len:total
-             ~need_write:false
-       | None -> false)
-  in
-  let rec go cursor =
-    if not (ok ()) then ()
-    else if cursor >= total then
-      charge_async t m.Vhw.Cost_model.server_bookkeep_ns
-    else begin
-      let len = Int.min max_packet_data (total - cursor) in
-      let data = Mem.read src_desc.d_mem ~pos:(base_ptr + cursor) ~len in
-      let pkt =
-        Packet.make ~op:Packet.Data_mf ~src_pid:src_desc.d_pid
-          ~dst_pid:requester ~seq ~offset:cursor ~total ~data ()
-      in
-      send_pkt_k t ~pre_cost:m.Vhw.Cost_model.data_pkt_op_ns
-        ~dst_host:(Pid.host requester) pkt (fun () -> go (cursor + len))
-    end
-  in
-  go from
+(* (Re)stream our MoveTo from [from], superseding any chain still
+   running, then wait for the Data_ack. *)
+let stream_to t (mo : move_out) ~from =
+  mo.mo_gen <- mo.mo_gen + 1;
+  stop t mo.mo_retx;
+  let gen = mo.mo_gen in
+  stream t ~op:Packet.Data_mt ~src_pid:mo.mo_me ~dst_pid:mo.mo_peer
+    ~seq:mo.mo_seq ~mem:mo.mo_mem ~ptr:mo.mo_ptr ~total:mo.mo_total
+    ~aux:mo.mo_peer_ptr ~from
+    ~live:(fun () -> move_alive t mo && mo.mo_gen = gen)
+    ~at_end:(fun () ->
+      charge_async t (model t).Vhw.Cost_model.send_bookkeep_ns;
+      mo.mo_since <- Vsim.Engine.now t.eng;
+      arm t (Move mo))
+
+(* (Re)stream a MoveFrom's data from local reply-blocked process [sd]'s
+   granted segment back to the remote [requester], superseding any
+   stream [sd] still sources. *)
+let stream_from t (sd : desc) ~requester ~seq ~ptr ~total ~from =
+  sd.d_train_gen <- sd.d_train_gen + 1;
+  let gen = sd.d_train_gen in
+  stream t ~op:Packet.Data_mf ~src_pid:sd.d_pid ~dst_pid:requester ~seq
+    ~mem:sd.d_mem ~ptr ~total ~aux:0 ~from
+    ~live:(fun () ->
+      sd.d_train_gen = gen
+      && granted sd ~who:requester ~ptr ~len:total ~need_write:false)
+    ~at_end:(fun () ->
+      charge_async t (model t).Vhw.Cost_model.server_bookkeep_ns)
+
+(* The in-order step of a train's receiving end, shared by the MoveTo
+   receiver and the MoveFrom requester: a fragment past [expected] shows
+   a gap, one before it is a duplicate, and the one at it is placed at
+   [ptr] plus its offset in [mem]. *)
+type arrival = Gap | Duplicate | Placed
+
+let arrive t (pkt : Packet.t) ~expected ~mem ~ptr =
+  let off = pkt.Packet.offset in
+  if off > expected then Gap
+  else if off < expected then begin
+    t.s_dups <- t.s_dups + 1;
+    Duplicate
+  end
+  else begin
+    let len = Bytes.length pkt.Packet.data in
+    if len > 0 then
+      Mem.blit_in mem ~pos:(ptr + off) pkt.Packet.data ~src_off:0 ~len;
+    Placed
+  end
+
+(* Ask [dst_pid], the sender of train [seq], to restream from [offset]. *)
+let send_gap_nak t ~src_pid ~dst_pid ~seq ~offset ~total ~aux =
+  t.s_naks <- t.s_naks + 1;
+  send_pkt t ~dst_host:(Pid.host dst_pid)
+    (Packet.make ~op:Packet.Data_nak ~src_pid ~dst_pid ~seq ~offset ~total ~aux
+       ())
 
 (* ------------------------------------------------------------------ *)
 (* Receive path: packet handlers                                       *)
@@ -1085,12 +1086,9 @@ let handle_reply_pending t (pkt : Packet.t) =
 let handle_nack t (pkt : Packet.t) =
   let st = status_of_code pkt.Packet.aux in
   (* A NACK may target a blocked sender or an in-flight data transfer. *)
-  (match Itbl.find_opt t.mt_outs pkt.Packet.seq with
-  | Some mto -> mt_finish t mto st
-  | None -> ());
-  (match Itbl.find_opt t.mf_outs pkt.Packet.seq with
-  | Some mfo -> mf_finish t mfo st
-  | None -> ());
+  (match Itbl.find t.move_outs pkt.Packet.seq with
+  | mo -> move_finish t mo st
+  | exception Not_found -> ());
   match find_proc t pkt.Packet.dst_pid with
   | None -> ()
   | Some d -> (
@@ -1117,17 +1115,6 @@ let handle_data_mt t (pkt : Packet.t) =
     ->
       restart_send t rs
   | Some _ | None -> ());
-  let nak expected =
-    t.s_naks <- t.s_naks + 1;
-    send_pkt t ~dst_host:(Pid.host mover)
-      (Packet.make ~op:Packet.Data_nak ~src_pid:pkt.Packet.dst_pid
-         ~dst_pid:mover ~seq:pkt.Packet.seq ~offset:expected ())
-  in
-  let ack () =
-    send_pkt t ~dst_host:(Pid.host mover)
-      (Packet.make ~op:Packet.Data_ack ~src_pid:pkt.Packet.dst_pid
-         ~dst_pid:mover ~seq:pkt.Packet.seq ())
-  in
   let mti =
     match Itbl.find_opt t.mt_ins key with
     | Some _ as found -> found
@@ -1171,8 +1158,7 @@ let handle_data_mt t (pkt : Packet.t) =
               List.iter (Itbl.remove t.mt_ins) stale;
               let mti =
                 {
-                  mti_src = mover;
-                  mti_dst = dd.d_pid;
+                  mti_mem = dd.d_mem;
                   mti_dst_ptr = ptr;
                   mti_total = len;
                   mti_born = now;
@@ -1187,87 +1173,75 @@ let handle_data_mt t (pkt : Packet.t) =
   match mti with
   | None -> ()
   | Some mti ->
-      if mti.mti_complete then ack ()
-      else begin
-        let off = pkt.Packet.offset
-        and len = Bytes.length pkt.Packet.data in
-        if off > mti.mti_expected then nak mti.mti_expected
-        else if off < mti.mti_expected then
-          (* Duplicate; data already placed. *)
-          t.s_dups <- t.s_dups + 1
-        else begin
-          (match find_proc t mti.mti_dst with
-          | Some dd when len > 0 ->
-              Mem.blit_in dd.d_mem ~pos:(mti.mti_dst_ptr + off)
-                pkt.Packet.data ~src_off:0 ~len
-          | Some _ | None -> ());
-          mti.mti_expected <- off + len;
-          if mti.mti_expected >= mti.mti_total then begin
-            mti.mti_complete <- true;
-            ack ()
-          end
-        end
-      end
+      (if not mti.mti_complete then
+         match
+           arrive t pkt ~expected:mti.mti_expected ~mem:mti.mti_mem
+             ~ptr:mti.mti_dst_ptr
+         with
+         | Gap ->
+             send_gap_nak t ~src_pid:pkt.Packet.dst_pid ~dst_pid:mover
+               ~seq:pkt.Packet.seq ~offset:mti.mti_expected ~total:0 ~aux:0
+         | Duplicate -> ()
+         | Placed ->
+             mti.mti_expected <-
+               mti.mti_expected + Bytes.length pkt.Packet.data;
+             mti.mti_complete <- mti.mti_expected >= mti.mti_total);
+      (* The fragment that completes the train is acked, and so is each
+         one (or probe) that arrives after. *)
+      if mti.mti_complete then
+        send_pkt t ~dst_host:(Pid.host mover)
+          (Packet.make ~op:Packet.Data_ack ~src_pid:pkt.Packet.dst_pid
+             ~dst_pid:mover ~seq:pkt.Packet.seq ())
 
 (* Incoming MoveFrom data fragment at the requester. *)
 let handle_data_mf t (pkt : Packet.t) =
-  match Itbl.find_opt t.mf_outs pkt.Packet.seq with
-  | None -> ()
-  | Some mfo ->
-      let off = pkt.Packet.offset and len = Bytes.length pkt.Packet.data in
-      if off > mfo.mfo_expected then begin
-        (* NAK each gap once; a lost NAK is recovered by the request
-           timeout, which re-enables NAKing. *)
-        if mfo.mfo_nak_at <> mfo.mfo_expected then begin
-          mfo.mfo_nak_at <- mfo.mfo_expected;
-          t.s_naks <- t.s_naks + 1;
-          send_pkt t ~dst_host:(Pid.host mfo.mfo_src)
-            (Packet.make ~op:Packet.Data_nak ~src_pid:mfo.mfo_me
-               ~dst_pid:mfo.mfo_src ~seq:mfo.mfo_seq ~offset:mfo.mfo_expected
-               ~total:mfo.mfo_total ~aux:mfo.mfo_src_ptr ())
-        end
-      end
-      else if off < mfo.mfo_expected then t.s_dups <- t.s_dups + 1
-      else begin
-        (* The request-to-first-data gap is a clean round-trip sample,
-           provided no timeout retransmitted the request (Karn). *)
-        if off = 0 && mfo.mfo_retx.rx_tries = 0 then
-          settle t mfo.mfo_retx Ok ~since:mfo.mfo_req_at;
-        if len > 0 then
-          Mem.blit_in mfo.mfo_mem ~pos:(mfo.mfo_dst_ptr + off) pkt.Packet.data
-            ~src_off:0 ~len;
-        mfo.mfo_expected <- off + len;
-        mfo.mfo_nak_at <- -1;
-        (* Fresh data: the source is alive, push the timeout out and
-           restart the retry budget — retries count consecutive silent
-           periods, not total loss over a long transfer. *)
-        mfo.mfo_retx.rx_tries <- 0;
-        if mfo.mfo_expected >= mfo.mfo_total then mf_finish t mfo Ok
-        else arm t (Move_from mfo)
-      end
+  match Itbl.find t.move_outs pkt.Packet.seq with
+  | { mo_dir = From; _ } as mo -> (
+      match
+        arrive t pkt ~expected:mo.mo_expected ~mem:mo.mo_mem ~ptr:mo.mo_ptr
+      with
+      | Gap ->
+          (* NAK each gap once; a lost NAK is recovered by the request
+             timeout, which re-enables NAKing. *)
+          if mo.mo_nak_at <> mo.mo_expected then begin
+            mo.mo_nak_at <- mo.mo_expected;
+            send_gap_nak t ~src_pid:mo.mo_me ~dst_pid:mo.mo_peer
+              ~seq:mo.mo_seq ~offset:mo.mo_expected ~total:mo.mo_total
+              ~aux:mo.mo_peer_ptr
+          end
+      | Duplicate -> ()
+      | Placed ->
+          (* The request-to-first-data gap is a clean round-trip sample,
+             provided no timeout retransmitted the request (Karn). *)
+          if pkt.Packet.offset = 0 && mo.mo_retx.rx_tries = 0 then
+            settle t mo.mo_retx Ok ~since:mo.mo_since;
+          mo.mo_expected <- mo.mo_expected + Bytes.length pkt.Packet.data;
+          mo.mo_nak_at <- -1;
+          (* Fresh data: the source is alive, push the timeout out and
+             restart the retry budget — retries count consecutive silent
+             periods, not total loss over a long transfer. *)
+          mo.mo_retx.rx_tries <- 0;
+          if mo.mo_expected >= mo.mo_total then move_finish t mo Ok
+          else arm t (Move mo))
+  | { mo_dir = To; _ } | (exception Not_found) -> ()
 
 let handle_data_ack t (pkt : Packet.t) =
-  match Itbl.find_opt t.mt_outs pkt.Packet.seq with
-  | None -> ()
-  | Some mto -> mt_finish t mto Ok
+  match Itbl.find t.move_outs pkt.Packet.seq with
+  | { mo_dir = To; _ } as mo -> move_finish t mo Ok
+  | { mo_dir = From; _ } | (exception Not_found) -> ()
 
 (* A NAK against one of our outgoing streams: rewind to the offset the
    receiver reports and restart the stream from there. *)
 let handle_data_nak t (pkt : Packet.t) =
-  match Itbl.find_opt t.mt_outs pkt.Packet.seq with
-  | Some mto ->
-      mto.mto_gen <- mto.mto_gen + 1;
-      stop t mto.mto_retx;
-      stream_mt t mto ~from:pkt.Packet.offset
-  | None -> (
+  match Itbl.find t.move_outs pkt.Packet.seq with
+  | { mo_dir = To; _ } as mo -> stream_to t mo ~from:pkt.Packet.offset
+  | { mo_dir = From; _ } | (exception Not_found) -> (
       (* NAK of a MoveFrom stream we source: the NAK carries the transfer
          shape (base/total) so no source-side transfer state is needed. *)
       match find_proc t pkt.Packet.dst_pid with
-      | Some src_desc ->
-          src_desc.d_mf_gen <- src_desc.d_mf_gen + 1;
-          stream_mf t ~src_desc ~requester:pkt.Packet.src_pid
-            ~seq:pkt.Packet.seq ~base_ptr:pkt.Packet.aux
-            ~total:pkt.Packet.total ~from:pkt.Packet.offset
+      | Some sd ->
+          stream_from t sd ~requester:pkt.Packet.src_pid ~seq:pkt.Packet.seq
+            ~ptr:pkt.Packet.aux ~total:pkt.Packet.total ~from:pkt.Packet.offset
       | None -> ())
 
 let handle_move_from_req t (pkt : Packet.t) =
@@ -1281,11 +1255,9 @@ let handle_move_from_req t (pkt : Packet.t) =
       if not (granted sd ~who:requester ~ptr ~len ~need_write:false) then
         send_nack t ~dst_host:(Pid.host requester) ~src_pid:pkt.Packet.dst_pid
           ~dst_pid:requester ~seq:pkt.Packet.seq No_permission
-      else begin
-        sd.d_mf_gen <- sd.d_mf_gen + 1;
-        stream_mf t ~src_desc:sd ~requester ~seq:pkt.Packet.seq ~base_ptr:ptr
-          ~total:len ~from:pkt.Packet.offset
-      end
+      else
+        stream_from t sd ~requester ~seq:pkt.Packet.seq ~ptr ~total:len
+          ~from:pkt.Packet.offset
 
 (* A forward notice: our blocked sender's message moved to a new server;
    retarget retransmissions and the segment grant (Thoth's Forward). *)
@@ -1444,9 +1416,8 @@ let make_kernel eng ~cpu ~nic ~host ~config ~addressing =
       fibers = Itbl.create 64;
       aliens = Itbl.create 64;
       alien_count = 0;
-      mt_outs = Itbl.create 16;
+      move_outs = Itbl.create 16;
       mt_ins = Itbl.create 16;
-      mf_outs = Itbl.create 16;
       registry = Itbl.create 16;
       getpid_cache = Itbl.create 16;
       getpid_waits = Itbl.create 16;
@@ -1505,7 +1476,7 @@ let spawn t ?(name = "process") ?mem_size body =
       d_reply_buf = None;
       d_recv = None;
       d_rsend = None;
-      d_mf_gen = 0;
+      d_train_gen = 0;
     }
   in
   Itbl.replace t.procs (Pid.local pid) d;
@@ -1537,15 +1508,10 @@ let destroy t pid =
           d.d_rsend <- None
       | None -> ());
       Itbl.filter_map_inplace
-        (fun _ mto ->
-          if Pid.equal mto.mto_src pid then (stop t mto.mto_retx; None)
-          else Some mto)
-        t.mt_outs;
-      Itbl.filter_map_inplace
-        (fun _ mfo ->
-          if Pid.equal mfo.mfo_me pid then (stop t mfo.mfo_retx; None)
-          else Some mfo)
-        t.mf_outs;
+        (fun _ mo ->
+          if Pid.equal mo.mo_me pid then (stop t mo.mo_retx; None)
+          else Some mo)
+        t.move_outs;
       (* Fail everyone who was talking to it. *)
       Queue.iter
         (fun entry ->
@@ -1618,16 +1584,14 @@ let crash t =
         d.d_state <- Dead;
         match d.d_rsend with Some rs -> stop t rs.rs_retx | None -> ())
       t.procs;
-    Itbl.iter (fun _ mto -> stop t mto.mto_retx) t.mt_outs;
-    Itbl.iter (fun _ mfo -> stop t mfo.mfo_retx) t.mf_outs;
+    Itbl.iter (fun _ mo -> stop t mo.mo_retx) t.move_outs;
     Itbl.iter (fun _ gw -> stop t gw.gw_retx) t.getpid_waits;
     Itbl.reset t.procs;
     Itbl.reset t.fibers;
     Itbl.reset t.aliens;
     t.alien_count <- 0;
-    Itbl.reset t.mt_outs;
+    Itbl.reset t.move_outs;
     Itbl.reset t.mt_ins;
-    Itbl.reset t.mf_outs;
     Itbl.reset t.registry;
     Itbl.reset t.getpid_cache;
     Itbl.reset t.getpid_waits;
@@ -1971,143 +1935,88 @@ let forward t msg ~from_pid ~to_pid =
 (* ------------------------------------------------------------------ *)
 (* Data transfer                                                       *)
 
-let move_to t ~dst_pid ~dst ~src ~count =
+(* MoveTo ([dir = To]) or MoveFrom ([From]) between the current
+   process's space and [peer]'s granted segment: [count] bytes from [src]
+   in the one to [dst] in the other.  A remote move blocks until its page
+   train ends. *)
+let move t dir ~peer ~dst ~src ~count =
   let d = current t in
   let m = model t in
   charge t m.Vhw.Cost_model.move_setup_ns;
-  if count < 0 || not (Mem.valid d.d_mem ~pos:src ~len:count) then Bad_address
-  else if Pid.host dst_pid = t.khost then begin
-    t.s_move_local <- t.s_move_local + 1;
-    match find_proc t dst_pid with
-    | None -> Nonexistent
-    | Some dd ->
-        if not (granted dd ~who:d.d_pid ~ptr:dst ~len:count ~need_write:true)
-        then No_permission
-        else begin
-          if Vsim.Trace.tracing t.eng then
-            Vsim.Trace.event t.eng
-              (Vsim.Event.Move
-                 {
-                   host = t.khost;
-                   dir = Vsim.Event.To;
-                   src = Pid.to_int d.d_pid;
-                   dst = Pid.to_int dst_pid;
-                   seq = 0;
-                   bytes = count;
-                   remote = false;
-                 });
-          charge t (count * m.Vhw.Cost_model.mem_copy_ns_per_byte);
-          Mem.transfer ~src:d.d_mem ~src_pos:src ~dst:dd.d_mem ~dst_pos:dst
-            ~len:count;
-          Ok
-        end
-  end
+  let ptr = match dir with To -> src | From -> dst in
+  let peer_ptr = match dir with To -> dst | From -> src in
+  if count < 0 || not (Mem.valid d.d_mem ~pos:ptr ~len:count) then Bad_address
   else begin
-    t.s_move_remote <- t.s_move_remote + 1;
-    (* Hoisted out of the suspend body (which runs synchronously at
-       registration) so the Move event can carry the sequence number. *)
-    let seq = next_seq t in
-    if Vsim.Trace.tracing t.eng then
-      Vsim.Trace.event t.eng
-        (Vsim.Event.Move
-           {
-             host = t.khost;
-             dir = Vsim.Event.To;
-             src = Pid.to_int d.d_pid;
-             dst = Pid.to_int dst_pid;
-             seq;
-             bytes = count;
-             remote = true;
-           });
-    charge t m.Vhw.Cost_model.remote_op_extra_ns;
-    Vsim.Proc.suspend ~reason:"moveto" (fun resume ->
-        let mto =
-          {
-            mto_seq = seq;
-            mto_src = d.d_pid;
-            mto_dst = dst_pid;
-            mto_src_ptr = src;
-            mto_dst_ptr = dst;
-            mto_total = count;
-            mto_mem = d.d_mem;
-            mto_gen = 0;
-            mto_retx = new_retx ~dst:(Pid.host dst_pid);
-            mto_wait_since = -1;
-            mto_done = resume;
-          }
-        in
-        Itbl.replace t.mt_outs seq mto;
-        stream_mt t mto ~from:0)
+    let remote = Pid.host peer <> t.khost in
+    if remote then t.s_move_remote <- t.s_move_remote + 1
+    else t.s_move_local <- t.s_move_local + 1;
+    let local_peer = if remote then None else find_proc t peer in
+    let need_write = match dir with To -> true | From -> false in
+    match local_peer with
+    | None when not remote -> Nonexistent
+    | Some pd
+      when not (granted pd ~who:d.d_pid ~ptr:peer_ptr ~len:count ~need_write)
+      ->
+        No_permission
+    | Some _ | None -> (
+        (* A remote move's sequence number names its exchange; a local
+           one has none. *)
+        let seq = if remote then next_seq t else 0 in
+        if Vsim.Trace.tracing t.eng then begin
+          let me = Pid.to_int d.d_pid and them = Pid.to_int peer in
+          Vsim.Trace.event t.eng
+            (Vsim.Event.Move
+               {
+                 host = t.khost;
+                 dir;
+                 src = (match dir with To -> me | From -> them);
+                 dst = (match dir with To -> them | From -> me);
+                 seq;
+                 bytes = count;
+                 remote;
+               })
+        end;
+        match local_peer with
+        | Some pd ->
+            charge t (count * m.Vhw.Cost_model.mem_copy_ns_per_byte);
+            let src_mem = match dir with To -> d.d_mem | From -> pd.d_mem in
+            let dst_mem = match dir with To -> pd.d_mem | From -> d.d_mem in
+            Mem.transfer ~src:src_mem ~src_pos:src ~dst:dst_mem ~dst_pos:dst
+              ~len:count;
+            Ok
+        | None ->
+            charge t m.Vhw.Cost_model.remote_op_extra_ns;
+            let reason = match dir with To -> "moveto" | From -> "movefrom" in
+            Vsim.Proc.suspend ~reason (fun resume ->
+                let mo =
+                  {
+                    mo_dir = dir;
+                    mo_seq = seq;
+                    mo_me = d.d_pid;
+                    mo_peer = peer;
+                    mo_ptr = ptr;
+                    mo_peer_ptr = peer_ptr;
+                    mo_total = count;
+                    mo_mem = d.d_mem;
+                    mo_gen = 0;
+                    mo_expected = 0;
+                    mo_nak_at = -1;
+                    mo_retx = new_retx ~dst:(Pid.host peer);
+                    mo_since = -1;
+                    mo_done = resume;
+                  }
+                in
+                Itbl.replace t.move_outs seq mo;
+                match dir with
+                | To -> stream_to t mo ~from:0
+                | From -> transmit t (Move mo)))
   end
 
+let move_to t ~dst_pid ~dst ~src ~count =
+  move t To ~peer:dst_pid ~dst ~src ~count
+
 let move_from t ~src_pid ~dst ~src ~count =
-  let d = current t in
-  let m = model t in
-  charge t m.Vhw.Cost_model.move_setup_ns;
-  if count < 0 || not (Mem.valid d.d_mem ~pos:dst ~len:count) then Bad_address
-  else if Pid.host src_pid = t.khost then begin
-    t.s_move_local <- t.s_move_local + 1;
-    match find_proc t src_pid with
-    | None -> Nonexistent
-    | Some sd ->
-        if not (granted sd ~who:d.d_pid ~ptr:src ~len:count ~need_write:false)
-        then No_permission
-        else begin
-          if Vsim.Trace.tracing t.eng then
-            Vsim.Trace.event t.eng
-              (Vsim.Event.Move
-                 {
-                   host = t.khost;
-                   dir = Vsim.Event.From;
-                   src = Pid.to_int src_pid;
-                   dst = Pid.to_int d.d_pid;
-                   seq = 0;
-                   bytes = count;
-                   remote = false;
-                 });
-          charge t (count * m.Vhw.Cost_model.mem_copy_ns_per_byte);
-          Mem.transfer ~src:sd.d_mem ~src_pos:src ~dst:d.d_mem ~dst_pos:dst
-            ~len:count;
-          Ok
-        end
-  end
-  else begin
-    t.s_move_remote <- t.s_move_remote + 1;
-    (* Hoisted as in [move_to]: the Move event carries the sequence. *)
-    let seq = next_seq t in
-    if Vsim.Trace.tracing t.eng then
-      Vsim.Trace.event t.eng
-        (Vsim.Event.Move
-           {
-             host = t.khost;
-             dir = Vsim.Event.From;
-             src = Pid.to_int src_pid;
-             dst = Pid.to_int d.d_pid;
-             seq;
-             bytes = count;
-             remote = true;
-           });
-    charge t m.Vhw.Cost_model.remote_op_extra_ns;
-    Vsim.Proc.suspend ~reason:"movefrom" (fun resume ->
-        let mfo =
-          {
-            mfo_seq = seq;
-            mfo_me = d.d_pid;
-            mfo_src = src_pid;
-            mfo_src_ptr = src;
-            mfo_dst_ptr = dst;
-            mfo_total = count;
-            mfo_mem = d.d_mem;
-            mfo_expected = 0;
-            mfo_nak_at = -1;
-            mfo_retx = new_retx ~dst:(Pid.host src_pid);
-            mfo_req_at = 0;
-            mfo_done = resume;
-          }
-        in
-        Itbl.replace t.mf_outs seq mfo;
-        transmit t (Move_from mfo))
-  end
+  move t From ~peer:src_pid ~dst ~src ~count
 
 (* ------------------------------------------------------------------ *)
 (* Naming and time                                                     *)
@@ -2218,6 +2127,13 @@ let table_counts t =
   Itbl.iter
     (fun _ mti -> if not mti.mti_complete then incr mt_ins_incomplete)
     t.mt_ins;
+  let mt_outs_pending = ref 0 and mf_outs_pending = ref 0 in
+  Itbl.iter
+    (fun _ mo ->
+      match mo.mo_dir with
+      | To -> incr mt_outs_pending
+      | From -> incr mf_outs_pending)
+    t.move_outs;
   let sends_blocked = ref 0 in
   Itbl.iter
     (fun _ d -> if d.d_rsend <> None then incr sends_blocked)
@@ -2228,8 +2144,8 @@ let table_counts t =
     aliens_forwarded = !aliens_forwarded;
     mt_ins_incomplete = !mt_ins_incomplete;
     mt_ins_total = Itbl.length t.mt_ins;
-    mt_outs_pending = Itbl.length t.mt_outs;
-    mf_outs_pending = Itbl.length t.mf_outs;
+    mt_outs_pending = !mt_outs_pending;
+    mf_outs_pending = !mf_outs_pending;
     getpid_pending = Itbl.length t.getpid_waits;
     sends_blocked = !sends_blocked;
   }

@@ -291,26 +291,43 @@ let test_cli_repro_scenario () =
       Alcotest.(check int) "headerless crash, --scenario crash" 0
         (vsim [ "--repro"; path; "--scenario"; "crash" ]))
 
-(* tools/parity.sh replays one committed reproducer per scenario; each
-   must name its scenario, script at least one fault and replay clean. *)
+(* tools/parity.sh replays every committed reproducer: one named after
+   each scenario, plus the net page-train recovery paths
+   (net-moveto-gap, net-moveto-ack, net-movefrom-req, net-movefrom-gap).
+   Each must name its scenario (SCENARIO.repro or SCENARIO-CASE.repro),
+   script at least one fault and replay clean. *)
 let test_committed_repros () =
+  let names = List.map (fun (sc : Scenario.t) -> sc.name) Scenario.all in
+  let files =
+    List.filter_map
+      (fun f -> Filename.chop_suffix_opt ~suffix:".repro" f)
+      (List.sort compare (Array.to_list (Sys.readdir "repro")))
+  in
   List.iter
-    (fun (sc : Scenario.t) ->
-      let path = Filename.concat "repro" (sc.name ^ ".repro") in
+    (fun name ->
+      Alcotest.(check bool) (name ^ ".repro committed") true
+        (List.mem name files))
+    names;
+  List.iter
+    (fun name ->
+      let path = Filename.concat "repro" (name ^ ".repro") in
       let text = In_channel.with_open_text path In_channel.input_all in
       match Checker.load_repro text with
       | Error e -> Alcotest.failf "%s: %s" path e
-      | Ok (sc', s) ->
-          Alcotest.(check string)
-            (path ^ " scenario") sc.name sc'.Scenario.name;
+      | Ok (sc, s) ->
+          let scn = sc.Scenario.name in
+          Alcotest.(check bool) (path ^ " names its scenario") true
+            (String.equal name scn
+            || String.starts_with ~prefix:(scn ^ "-") name
+               && not (List.mem name names));
           Alcotest.(check bool) (path ^ " scripts a fault") true (s <> []);
-          let o = sc'.run s in
+          let o = sc.run s in
           Alcotest.(check (list string))
             (path ^ " replays clean") []
             (List.map
                (fun (v : Checker.violation) -> v.invariant)
                o.violations))
-    Scenario.all
+    files
 
 (* The committed failing reproducers take the error paths a clean run
    never does; tools/parity.sh diffs their digests and traces.  Each

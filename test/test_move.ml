@@ -93,16 +93,59 @@ let test_move_to_dead_process () =
       Alcotest.check Util.status "move to ghost" K.Nonexistent
         (K.move_to k2 ~dst_pid:ghost ~dst:0 ~src:0 ~count:1024))
 
+(* A train is at least one packet: a 0-byte remote move sends one empty
+   fragment, which the receiver validates and acks (MoveTo) or the
+   requester completes on (MoveFrom), so no retransmission timer fires
+   and each takes one round trip of minimum-size packets. *)
 let test_zero_byte_move () =
-  let (_ : _) =
+  let elapsed = ref [] in
+  let (_ : _), k1, k2 =
     with_mover
       ~mover_body:(fun k2 _ src ->
-        Alcotest.check Util.status "empty move_to" K.Ok
-          (K.move_to k2 ~dst_pid:src ~dst:0 ~src:0 ~count:0))
+        let timed name move =
+          let t0 = Vsim.Engine.now (K.engine k2) in
+          Alcotest.check Util.status name K.Ok (move ());
+          elapsed := (name, Vsim.Engine.now (K.engine k2) - t0) :: !elapsed
+        in
+        timed "empty move_to" (fun () ->
+            K.move_to k2 ~dst_pid:src ~dst:0 ~src:0 ~count:0);
+        timed "empty move_from" (fun () ->
+            K.move_from k2 ~src_pid:src ~dst:0 ~src:0 ~count:0))
       ~granter_check:(fun _ _ -> ())
       ()
   in
-  ()
+  Alcotest.(check (list (pair string int)))
+    "elapsed ns"
+    [ ("empty move_to", 2_643_072); ("empty move_from", 2_643_072) ]
+    (List.rev !elapsed);
+  List.iter
+    (fun (name, k) ->
+      let s = K.stats k in
+      Alcotest.(check int) (name ^ " timeouts") 0 s.K.timeouts_fired;
+      Alcotest.(check int) (name ^ " retransmissions") 0 s.K.retransmissions)
+    [ ("granter", k1); ("mover", k2) ];
+  (* The empty fragment still meets the receiver's checks. *)
+  let tb = Util.testbed ~hosts:2 () in
+  let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 in
+  let peer =
+    K.spawn k2 ~name:"peer" (fun _ ->
+        let msg = Msg.create () in
+        let src = K.receive k2 msg in
+        ignore (K.reply k2 msg src))
+  in
+  let ghost = Vkernel.Pid.make ~host:2 ~local:999 in
+  Util.run_as_process tb ~host:1 (fun _ ->
+      Alcotest.check Util.status "empty move_to a missing pid" K.Nonexistent
+        (K.move_to k1 ~dst_pid:ghost ~dst:0 ~src:0 ~count:0);
+      Alcotest.check Util.status "empty move_from a missing pid" K.Nonexistent
+        (K.move_from k1 ~src_pid:ghost ~dst:0 ~src:0 ~count:0);
+      Alcotest.check Util.status "empty move_to without a grant"
+        K.No_permission
+        (K.move_to k1 ~dst_pid:peer ~dst:0 ~src:0 ~count:0);
+      Alcotest.check Util.status "empty move_from without a grant"
+        K.No_permission
+        (K.move_from k1 ~src_pid:peer ~dst:0 ~src:0 ~count:0);
+      ignore (K.send k1 (Msg.create ()) peer))
 
 let test_odd_sizes =
   (* Transfers that are not multiples of the packet size must still be

@@ -289,6 +289,29 @@ let remote_exchanges ?(prepare = ignore) n =
         ignore (K.send k msg server)
       done)
 
+(* [n] untraced remote 4 KB MoveTo and MoveFrom pairs, after one pair
+   that warms the kernel tables up: a mover on host 2 writes into and
+   reads back from the read/write segment a granter on host 1 holds out
+   in a Send. *)
+let remote_moves n =
+  let tb = TB.create ~hosts:2 () in
+  let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 in
+  let mover =
+    K.spawn k2 ~name:"mover" (fun _ ->
+        let msg = Msg.create () in
+        let granter = K.receive k2 msg in
+        for _ = 0 to n do
+          ignore (K.move_to k2 ~dst_pid:granter ~dst:0 ~src:0 ~count:4096);
+          ignore (K.move_from k2 ~src_pid:granter ~dst:0 ~src:0 ~count:4096)
+        done;
+        ignore (K.reply k2 msg granter))
+  in
+  Util.run_as_process tb ~host:1 (fun _ ->
+      let msg = Msg.create () in
+      Msg.set_segment msg Msg.Read_write ~ptr:0 ~len:4096;
+      Msg.set_no_piggyback msg;
+      ignore (K.send k1 msg mover))
+
 (* Events fired by [n] steady-state [remote_exchanges], by the same
    difference as {!marginal_minor_words}. *)
 let marginal_events n =
@@ -345,7 +368,10 @@ let boot_storm_cost () =
    heap and do not show.  The boot storm pins the broadcast path: when
    the medium folded its port table for every frame, the storm took
    134,185 words, and while repair rounds made up for the gateway queue
-   overflow that unpaced pages caused, 2,463 events and 115,158 words. *)
+   overflow that unpaced pages caused, 2,463 events and 115,158 words.
+   The page-train pin covers remote MoveTo and MoveFrom: while each
+   direction had its own copy of the train, 20 pairs took 102,018
+   words (and the net and crash schedules 18,145 and 19,905). *)
 let test_host_allocation_gate () =
   Alcotest.(check int) "minor words for 1000 engine steps" 0
     (marginal_minor_words engine_steps 1000);
@@ -353,9 +379,11 @@ let test_host_allocation_gate () =
     (marginal_minor_words remote_exchanges 100);
   Alcotest.(check int) "events fired for 100 remote S-R-R exchanges" 1_600
     (marginal_events 100);
-  Alcotest.(check int) "minor words for a fault-free net schedule" 18_145
+  Alcotest.(check int) "minor words for 20 remote 4 KB MoveTo+MoveFrom pairs"
+    101_798 (marginal_minor_words remote_moves 20);
+  Alcotest.(check int) "minor words for a fault-free net schedule" 18_113
     (schedule_minor_words Vcheck.Checker.Scenario.net);
-  Alcotest.(check int) "minor words for a fault-free crash schedule" 19_905
+  Alcotest.(check int) "minor words for a fault-free crash schedule" 19_887
     (schedule_minor_words Vcheck.Checker.Scenario.crash);
   let events, words = boot_storm_cost () in
   Alcotest.(check int) "events fired for a 16-client boot storm" 1_092 events;

@@ -17,8 +17,9 @@
 #                          test/repro/failing/NAME.repro
 #   vsim-RUN.txt/.jsonl    the measurement rigs' commands with --trace-out:
 #                          ipc, move, move --from, page and load, each
-#                          remote and (RUN-local) with --local, plus seq
-#                          and penalty; see rig_runs below
+#                          remote and (RUN-local) with --local, plus seq,
+#                          penalty and a 0-byte remote move each way;
+#                          see rig_runs below
 #
 # The sweeps print only summaries, so each scenario also replays one
 # committed fault schedule, whose digest (ops, ledger, frames, kernel
@@ -55,6 +56,8 @@ move move
 move-local move --local
 move-from move --from
 move-from-local move --from --local
+move-zero move --bytes 0
+move-from-zero move --bytes 0 --from
 page page
 page-local page --local
 load load
