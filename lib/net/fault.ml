@@ -34,8 +34,14 @@ let drop_nth frames = script (List.map (fun n -> (n, Drop)) frames)
 let with_host_events t host_events = { t with host_events }
 let hardware_bug = { none with collision_bug = true; bug_prob = 1.0 /. 2000.0 }
 
-let action_for t n = List.assoc_opt n t.actions
-let host_event_for t n = List.assoc_opt n t.host_events
+(* [List.assoc_opt] with an int key: the medium asks once per completed
+   frame, and the polymorphic compare would be a C call per entry. *)
+let rec find_int n = function
+  | [] -> None
+  | (k, v) :: rest -> if Int.equal k n then Some v else find_int n rest
+
+let action_for t n = find_int n t.actions
+let host_event_for t n = find_int n t.host_events
 let scripted t = t.actions <> [] || t.host_events <> []
 
 let action_to_string = function

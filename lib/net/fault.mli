@@ -21,8 +21,9 @@ type host_event =
 type t = {
   drop_prob : float;  (** Frame silently lost in transit. *)
   corrupt_prob : float;
-      (** Frame delivered with [corrupted] set; the NIC's CRC check drops
-          it after reception. *)
+      (** Each delivery is, with this probability, a private copy of the
+          frame with [corrupted] set; the NIC's CRC check drops it after
+          reception. *)
   collision_bug : bool;
       (** The paper's 3 Mb interface hardware bug (Section 5.4): collisions
           sometimes go undetected and "show up as corrupted packets".  When

@@ -41,6 +41,20 @@ type stats = {
 
 type out = { q : Frame.t Queue.t; mutable busy : bool }
 
+(* A broadcast's identity: source, ethertype, length and payload hash.
+   Nothing walks the window, so its bucket order is free. *)
+type key = { k_src : int; k_type : int; k_len : int; k_hash : int }
+
+module Seen = Hashtbl.Make (struct
+  type t = key
+
+  let equal a b =
+    Int.equal a.k_hash b.k_hash && Int.equal a.k_src b.k_src
+    && Int.equal a.k_type b.k_type && Int.equal a.k_len b.k_len
+
+  let hash k = k.k_hash lxor (k.k_src lsl 8) lxor (k.k_type lsl 16)
+end)
+
 type t = {
   eng : Vsim.Engine.t;
   addr : Addr.t;
@@ -48,9 +62,8 @@ type t = {
   segments : Medium.t array;
   outs : out array;
   routes : int Vsim.Itbl.t;  (** host address -> segment index *)
-  seen : (int * int * int * int, unit) Hashtbl.t;
-      (** recent broadcast identities: (src, ethertype, len, payload hash) *)
-  seen_fifo : (int * int * int * int) Queue.t;
+  seen : unit Seen.t;  (** recent broadcast identities *)
+  seen_fifo : key Queue.t;  (** the same, oldest first *)
   mutable down : bool;
   mutable s_received : int;
   mutable s_forwarded : int;
@@ -64,27 +77,26 @@ type t = {
 
 let k_forward = Vsim.Eventq.Kind.intern "net.gw_forward"
 
-(* FNV-1a over the payload; broadcast identity must be a pure function of
-   frame contents so every gateway that hears a copy computes the same key. *)
-let payload_hash b =
-  let h = ref 0x811c9dc5 in
-  for i = 0 to Bytes.length b - 1 do
-    h :=
-      (!h lxor Char.code (Bytes.unsafe_get b i)) * 0x01000193 land 0x3FFFFFFF
-  done;
-  !h
-
+(* Broadcast identity must be a pure function of frame contents so every
+   gateway that hears a copy computes the same key.  The payload hash is
+   memoised on the frame, and a gateway forwards the frame it heard, so
+   hearing its own re-broadcast on the far segment costs a lookup, not a
+   second pass over the payload. *)
 let dedup_key (f : Frame.t) =
-  (f.Frame.src, f.Frame.ethertype, Bytes.length f.Frame.payload,
-   payload_hash f.Frame.payload)
+  {
+    k_src = f.Frame.src;
+    k_type = f.Frame.ethertype;
+    k_len = Frame.length f;
+    k_hash = Frame.payload_hash f;
+  }
 
-let seen t key = Hashtbl.mem t.seen key
+let seen t key = Seen.mem t.seen key
 
 let remember t key =
-  Hashtbl.replace t.seen key ();
+  Seen.add t.seen key ();
   Queue.add key t.seen_fifo;
   if Queue.length t.seen_fifo > dedup_window then
-    Hashtbl.remove t.seen (Queue.pop t.seen_fifo)
+    Seen.remove t.seen (Queue.pop t.seen_fifo)
 
 let rec pump t j =
   let out = t.outs.(j) in
@@ -100,18 +112,14 @@ let rec pump t j =
              out.busy <- false
            end
            else begin
-             let copy =
-               Frame.make ~src:frame.Frame.src ~dst:frame.Frame.dst
-                 ~ethertype:frame.Frame.ethertype frame.Frame.payload
-             in
-             if Frame.is_broadcast copy then
+             if Frame.is_broadcast frame then
                t.s_rebroadcast <- t.s_rebroadcast + 1
              else t.s_forwarded <- t.s_forwarded + 1;
              Medium.transmit ~bridged:true
                ~on_sent:(fun () ->
                  out.busy <- false;
                  pump t j)
-               t.segments.(j) copy
+               t.segments.(j) frame
            end))
   end
 
@@ -157,7 +165,7 @@ let create ?(config = default_config) eng ~addr segments =
       outs =
         Array.map (fun _ -> { q = Queue.create (); busy = false }) segments;
       routes = Vsim.Itbl.create 32;
-      seen = Hashtbl.create 64;
+      seen = Seen.create dedup_window;
       seen_fifo = Queue.create ();
       down = false;
       s_received = 0;

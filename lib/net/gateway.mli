@@ -14,9 +14,12 @@
     - {b Broadcast} frames (GetPid, boot multicast) are re-broadcast
       onto every other segment with duplicate suppression: a bounded
       window of recently seen frame identities (source, ethertype,
-      payload hash) ensures each distinct broadcast crosses each segment
-      at most once even with multiple gateways — and keeps the gateway
-      from forwarding its own re-broadcasts in a loop.
+      length, payload hash) ensures each distinct broadcast crosses each
+      segment at most once even with multiple gateways — and keeps the
+      gateway from forwarding its own re-broadcasts in a loop.  The hash
+      is computed once per frame ({!Frame.payload_hash}) and the gateway
+      forwards the frame it heard, so its own re-broadcast's echo costs
+      a table lookup.
     - {b Store-and-forward}: each forwarded frame first pays a per-frame
       CPU cost derived from the {!Vhw.Cost_model} (receive handling +
       copy + send setup), then queues on a bounded per-segment output

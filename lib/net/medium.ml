@@ -194,12 +194,12 @@ let deliver_to t frame (port : port) =
       t.flt.Fault.collision_bug
       && Vsim.Rng.bernoulli t.rng t.flt.Fault.bug_prob
     in
-    if bug || Vsim.Rng.bernoulli t.rng t.flt.Fault.corrupt_prob then begin
-      frame.Frame.corrupted <- true;
-      t.s_corrupted <- t.s_corrupted + 1
-    end;
     t.s_delivered <- t.s_delivered + 1;
-    port.prx frame
+    if bug || Vsim.Rng.bernoulli t.rng t.flt.Fault.corrupt_prob then begin
+      t.s_corrupted <- t.s_corrupted + 1;
+      port.prx (Frame.corrupt frame)
+    end
+    else port.prx frame
   end
 
 (* The stations a completed transmission is aimed at.  An unattached
@@ -241,7 +241,12 @@ let rec without addr = function
 let targets t frame =
   refresh t;
   let src = frame.Frame.src in
-  if Frame.is_broadcast frame then without src t.everyone
+  if Frame.is_broadcast frame then
+    (* A broadcast bridged in from another segment has its source in
+       neither table, so nothing is dropped: skip the walk. *)
+    if Vsim.Itbl.mem t.ports src || Vsim.Itbl.mem t.taps src then
+      without src t.everyone
+    else t.everyone
   else
     let taps = without src t.tap_list in
     match Vsim.Itbl.find t.ports frame.Frame.dst with
@@ -261,22 +266,17 @@ let target_count t frame tgts =
 (* Batched delivery: one event per arrival instant covers every target
    port, iterated in target order — the same relative delivery order the
    old one-event-per-port scheme produced, at a fraction of the heap
-   traffic for broadcasts.  Each receiver (and each scripted duplicate)
-   still gets an aliased view of the frame so one receiver's corruption
-   flag does not leak into another's. *)
+   traffic for broadcasts.  Frames are immutable, so every receiver (and
+   every scripted duplicate) gets the transmitted frame itself, at no
+   allocation; only a delivery [deliver_to] corrupts gets a private
+   copy, so the mark never reaches another receiver. *)
 let schedule_rx t frame ports ~at =
   match ports with
   | [] -> ()
   | ports ->
       ignore
         (Vsim.Engine.at t.eng ~kind:k_deliver at (fun () ->
-             List.iter
-               (fun port ->
-                 let f =
-                   { frame with Frame.corrupted = frame.Frame.corrupted }
-                 in
-                 deliver_to t f port)
-               ports))
+             List.iter (fun port -> deliver_to t frame port) ports))
 
 (* Scripted loss is accounted per receiver at what would have been the
    arrival instant, exactly like probabilistic loss, so that

@@ -48,8 +48,10 @@ type port
 val attach : t -> addr:Addr.t -> rx:(Frame.t -> unit) -> port
 (** Connect a station. [rx] is invoked (in event context) when a frame
     addressed to [addr] — or broadcast — arrives, including corrupted
-    frames (the NIC's CRC check is the receiver's job). Each address may be
-    attached once, as a port or as a tap. *)
+    frames (the NIC's CRC check is the receiver's job). [rx] gets the
+    transmitted frame itself, shared with every other receiver, or a
+    private copy ({!Frame.corrupt}) when fault injection corrupts its
+    delivery. Each address may be attached once, as a port or as a tap. *)
 
 val attach_tap : t -> addr:Addr.t -> rx:(Frame.t -> unit) -> port
 (** Connect a promiscuous station (a bridge port): [rx] is invoked for

@@ -85,6 +85,15 @@ let status_header = 8
 let range_bytes = 4
 let max_ranges = (Vnet.Medium.max_payload - status_header) / range_bytes
 
+(* Byte [j] of page [idx] is [(idx * 31 + j * 7) land 0xff], which is
+   [page_pattern.[j + off]] for [off = (idx * 31 * 183) land 255], 183
+   being the inverse of 7 mod 256: one blit per page, of any size that
+   fits a frame. *)
+let page_pattern =
+  Bytes.init
+    (256 + Vnet.Medium.max_payload - page_header)
+    (fun k -> Char.chr ((7 * k) land 0xff))
+
 let model = Vhw.Cost_model.sun_10mhz
 let k_timer = Vsim.Eventq.Kind.intern "boot.timer"
 
@@ -243,9 +252,9 @@ let run ?seed ?(config = default_config) ?(max_events = default_max_events)
     Bytes.set_uint8 p 1 (round land 0xff);
     Bytes.set_uint16_be p 2 idx;
     Bytes.set_uint16_be p 4 config.pages;
-    for j = 0 to config.page_bytes - 1 do
-      Bytes.set_uint8 p (page_header + j) (((idx * 31) + (j * 7)) land 0xff)
-    done;
+    Bytes.blit page_pattern
+      ((idx * 31 * 183) land 255)
+      p page_header config.page_bytes;
     p
   in
   let end_payload round =
@@ -346,18 +355,23 @@ let run ?seed ?(config = default_config) ?(max_events = default_max_events)
                       (payload ())))
   in
   let status_payload c round () =
-    let k = missing_ranges c.c_have (fun _ _ _ -> ()) in
+    (* A DONE has no ranges to find. *)
+    let k =
+      if c.c_got = config.pages then 0
+      else missing_ranges c.c_have (fun _ _ _ -> ())
+    in
     let p = Bytes.create (status_header + (range_bytes * k)) in
     Bytes.set_uint8 p 0 op_status;
     Bytes.set_uint8 p 1 round;
     Bytes.set_uint16_be p 2 c.c_addr;
     Bytes.set_uint16_be p 4 (config.pages - c.c_got);
     Bytes.set_uint16_be p 6 k;
-    ignore
-      (missing_ranges c.c_have (fun j first count ->
-           let at = status_header + (range_bytes * j) in
-           Bytes.set_uint16_be p at first;
-           Bytes.set_uint16_be p (at + 2) count));
+    if k > 0 then
+      ignore
+        (missing_ranges c.c_have (fun j first count ->
+             let at = status_header + (range_bytes * j) in
+             Bytes.set_uint16_be p at first;
+             Bytes.set_uint16_be p (at + 2) count));
     p
   in
   let client_rx c fr =

@@ -89,6 +89,27 @@ let test_stall_quiesces () =
   Alcotest.(check bool) "the far client is missing pages" true
     (Array.exists (fun got -> got < 128) r.Boot.per_client_pages)
 
+(* Corruption on both segments: private corrupted copies reach the boot
+   protocol (clients and server ignore them) and the gateway (which
+   refuses them at the CRC), and the NACK rounds still boot everyone. *)
+let test_storm_under_corruption () =
+  let corrupt = Vnet.Fault.corrupt 0.02 in
+  let r =
+    Boot.run ~config:small_config ~faults:[ corrupt; corrupt ]
+      ~segments:(Boot.default_segments ~clients:16) ()
+  in
+  Alcotest.(check bool) "completed" true r.Boot.completed;
+  Alcotest.(check int) "every DONE acknowledged" 16 r.Boot.acked;
+  Array.iteri
+    (fun i got ->
+      Alcotest.(check int) (Printf.sprintf "client %d holds the image" i) 32
+        got)
+    r.Boot.per_client_pages;
+  Alcotest.(check bool) "the gateway refused corrupted frames" true
+    (r.Boot.gateway.Vnet.Gateway.crc_drops > 0);
+  Alcotest.(check bool) "corrupted pages were repaired" true
+    (r.Boot.resent_pages > 0)
+
 (* [Boot.run] rejects a bad size before it creates an engine, with the
    message [Boot.validate] gives. *)
 let rejects ~pages ~page_bytes msg () =
@@ -182,6 +203,8 @@ let suite =
     Alcotest.test_case "cost_per_1000_clients cells" `Quick test_cost_per_1000;
     Alcotest.test_case "stalled storm quiesces incomplete" `Quick
       test_stall_quiesces;
+    Alcotest.test_case "storm under corruption on both segments" `Quick
+      test_storm_under_corruption;
     Alcotest.test_case "zero pages rejected" `Quick
       (rejects ~pages:0 ~page_bytes:512 "need 1..65535 pages, not 0");
     Alcotest.test_case "empty page rejected" `Quick

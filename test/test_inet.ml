@@ -73,6 +73,60 @@ let test_cross_segment_getpid () =
   Alcotest.(check bool) "duplicate suppression engaged" true
     (gs.Gateway.suppressed >= 1)
 
+(* Duplicate suppression, counted exactly, on two raw segments.  A
+   broadcast crosses once and the gateway suppresses its own echo on the
+   far segment; a byte-identical resend from the same source inside the
+   window is suppressed; the same bytes from another source, or a resend
+   that differs in one payload byte, are new broadcasts; a corrupted
+   copy is refused at the CRC and leaves the window untouched, so its
+   clean resend crosses. *)
+let test_dedup_exact () =
+  let eng = Vsim.Engine.create () in
+  let m0 = Vnet.Medium.create eng Vnet.Medium.config_10mb in
+  let m1 = Vnet.Medium.create eng Vnet.Medium.config_3mb in
+  let gw = Gateway.create eng ~addr:Topology.gateway_addr [ m0; m1 ] in
+  ignore (Vnet.Medium.attach m0 ~addr:1 ~rx:ignore);
+  ignore (Vnet.Medium.attach m0 ~addr:3 ~rx:ignore);
+  let far = ref 0 and last = ref None in
+  ignore
+    (Vnet.Medium.attach m1 ~addr:2 ~rx:(fun f ->
+         incr far;
+         last := Some f));
+  let payload = Bytes.init 64 Char.chr in
+  let changed = Bytes.copy payload in
+  Bytes.set changed 40 'x';
+  let step what ?(src = 1) p ~rebroadcast ~suppressed ~crc_drops =
+    let before = !far in
+    let sent =
+      Vnet.Frame.make ~src ~dst:Vnet.Addr.broadcast
+        ~ethertype:Vnet.Frame.ethertype_raw p
+    in
+    Vnet.Medium.transmit m0 sent;
+    Vsim.Engine.run eng;
+    let gs = Gateway.stats gw in
+    let check name = Alcotest.(check int) (what ^ ": " ^ name) in
+    check "rebroadcast" rebroadcast gs.Gateway.rebroadcast;
+    check "suppressed" suppressed gs.Gateway.suppressed;
+    check "crc_drops" crc_drops gs.Gateway.crc_drops;
+    check "heard on the far segment" rebroadcast !far;
+    (* The gateway forwards the frame it heard, not a rebuilt one. *)
+    if !far > before then
+      Alcotest.(check bool) (what ^ ": the sent frame crossed") true
+        (match !last with Some f -> f == sent | None -> false)
+  in
+  step "first broadcast" payload ~rebroadcast:1 ~suppressed:1 ~crc_drops:0;
+  step "identical resend" payload ~rebroadcast:1 ~suppressed:2 ~crc_drops:0;
+  step "same bytes, other source" ~src:3 payload ~rebroadcast:2 ~suppressed:3
+    ~crc_drops:0;
+  step "one byte differs" changed ~rebroadcast:3 ~suppressed:4 ~crc_drops:0;
+  Vnet.Medium.set_fault m0 (Vnet.Fault.corrupt 1.0);
+  let fresh = Bytes.make 64 'f' in
+  step "corrupted copy" fresh ~rebroadcast:3 ~suppressed:4 ~crc_drops:1;
+  Vnet.Medium.set_fault m0 Vnet.Fault.none;
+  step "its clean resend" fresh ~rebroadcast:4 ~suppressed:5 ~crc_drops:1;
+  Alcotest.(check int) "nothing forwarded as unicast" 0
+    (Gateway.stats gw).Gateway.forwarded
+
 let test_queue_bound () =
   let gateway_config =
     { Gateway.queue_capacity = 1; fixed_ns = Vsim.Time.ms 10; per_byte_ns = 0 }
@@ -190,6 +244,7 @@ let suite =
       test_cross_segment_srr;
     Alcotest.test_case "GetPid crosses the gateway (scoped broadcast)" `Quick
       test_cross_segment_getpid;
+    Alcotest.test_case "duplicate suppression counts" `Quick test_dedup_exact;
     Alcotest.test_case "bounded forwarding queue drops and accounts" `Quick
       test_queue_bound;
     Alcotest.test_case "gateway crash/restart" `Quick

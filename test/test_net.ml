@@ -108,6 +108,60 @@ let test_fault_corrupt_and_crc () =
   Alcotest.(check bool) "CPU still paid for the packet" true
     (Vhw.Cpu.busy_ns cpu > 0)
 
+(* Corruption is per receiver: a broadcast under a partial corruption
+   rate reaches some stations corrupted and the rest clean, each
+   receiver's flag is its own (as many corrupted copies as the medium
+   counted, none leaking to the stations after it), the transmitted
+   frame is never marked, and clean receivers share it. *)
+let test_fault_corrupt_isolated () =
+  let eng = Vsim.Engine.create ~seed:7L () in
+  let medium = Vnet.Medium.create eng cfg3 in
+  Vnet.Medium.set_fault medium (Vnet.Fault.corrupt 0.4);
+  let heard = ref [] in
+  for a = 1 to 6 do
+    ignore
+      (Vnet.Medium.attach medium ~addr:a ~rx:(fun f -> heard := f :: !heard))
+  done;
+  let corrupt_then_clean = ref 0 in
+  for i = 1 to 20 do
+    heard := [];
+    let before = (Vnet.Medium.stats medium).Vnet.Medium.corrupted in
+    let sent =
+      Vnet.Frame.make ~src:1 ~dst:Vnet.Addr.broadcast ~ethertype:0
+        (Bytes.make 10 (Char.chr i))
+    in
+    Vnet.Medium.transmit medium sent;
+    Vsim.Engine.run eng;
+    let got = List.rev !heard in
+    let bad = List.filter (fun f -> f.Vnet.Frame.corrupted) got in
+    let label = Printf.sprintf "broadcast %d" i in
+    Alcotest.(check int) (label ^ ": five receivers") 5 (List.length got);
+    Alcotest.(check int) (label ^ ": corrupted copies as counted")
+      ((Vnet.Medium.stats medium).Vnet.Medium.corrupted - before)
+      (List.length bad);
+    Alcotest.(check bool) (label ^ ": sent frame unmarked") false
+      sent.Vnet.Frame.corrupted;
+    List.iter
+      (fun f ->
+        Alcotest.(check bool) (label ^ ": same payload") true
+          (f.Vnet.Frame.payload == sent.Vnet.Frame.payload);
+        (* Frames are immutable: a clean delivery is the sent frame
+           itself, a corrupted one a private copy. *)
+        Alcotest.(check bool) (label ^ ": the sent frame iff clean")
+          (not f.Vnet.Frame.corrupted) (f == sent))
+      got;
+    let rec after_bad = function
+      | a :: (b :: _ as rest) ->
+          if a.Vnet.Frame.corrupted && not b.Vnet.Frame.corrupted then
+            incr corrupt_then_clean;
+          after_bad rest
+      | _ -> ()
+    in
+    after_bad got
+  done;
+  Alcotest.(check bool) "a clean copy followed a corrupted one" true
+    (!corrupt_then_clean > 0)
+
 let test_scripted_duplicate () =
   (* A duplicated frame reaches its receiver twice; the stats account the
      extra copy so delivery conservation still balances. *)
@@ -333,6 +387,8 @@ let suite =
     Alcotest.test_case "collision backoff" `Quick test_collision_backoff;
     Alcotest.test_case "fault drop" `Quick test_fault_drop;
     Alcotest.test_case "fault corrupt + CRC" `Quick test_fault_corrupt_and_crc;
+    Alcotest.test_case "partial corruption is per receiver" `Quick
+      test_fault_corrupt_isolated;
     Alcotest.test_case "scripted duplicate" `Quick test_scripted_duplicate;
     Alcotest.test_case "scripted reorder" `Quick test_scripted_reorder;
     Alcotest.test_case "broadcast drop per receiver" `Quick

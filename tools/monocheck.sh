@@ -4,13 +4,16 @@
 #   tools/monocheck.sh
 #
 # Lists the relocations to polymorphic compare and hash (caml_equal,
-# caml_notequal, caml_compare, caml_hash and the ordering primitives)
-# and to the polymorphic Stdlib.max and Stdlib.min in the native objects
-# of the modules every simulated event runs through: Eventq, Engine,
-# Proc, Cpu, Nic, Medium, Rto and Kernel.  Each one is a C call (or a
-# call into one) made where an int comparison would do: `=` on a variant
-# with a non-constant constructor, `max` on ints, a polymorphic Hashtbl
-# (use Vsim.Itbl for int keys).
+# caml_notequal, caml_compare, caml_hash and the ordering primitives),
+# to the polymorphic Stdlib.max and Stdlib.min, and to the Stdlib.List
+# lookups that compare keys polymorphically inside Stdlib (assoc,
+# assoc_opt, mem, mem_assoc, remove_assoc) in the native objects of the
+# modules every simulated event or frame runs through: Eventq, Engine,
+# Proc, Cpu, Nic, Medium, Fault, Gateway, Rto and Kernel.  Each one is
+# a C call (or a call into one) made where an int comparison would do:
+# `=` on a variant with a non-constant constructor, `max` on ints, a
+# polymorphic Hashtbl (use Vsim.Itbl for int keys), `List.assoc_opt` on
+# an int key.
 #
 # Prints one line per offending symbol and object with its site count.
 # Exit status is 0 when there is none, 1 when there is any, 2 when an
@@ -23,10 +26,12 @@ lib/sim/.vsim.objs/native/vsim__Proc.o
 lib/hw/.vhw.objs/native/vhw__Cpu.o
 lib/net/.vnet.objs/native/vnet__Nic.o
 lib/net/.vnet.objs/native/vnet__Medium.o
+lib/net/.vnet.objs/native/vnet__Fault.o
+lib/net/.vnet.objs/native/vnet__Gateway.o
 lib/core/.vkernel.objs/native/vkernel__Rto.o
 lib/core/.vkernel.objs/native/vkernel__Kernel.o"
 
-poly='^(caml_(equal|notequal|compare|lessthan|lessequal|greaterthan|greaterequal|hash)|camlStdlib\.(max|min)_[0-9]+)$'
+poly='^(caml_(equal|notequal|compare|lessthan|lessequal|greaterthan|greaterequal|hash)|camlStdlib\.(max|min)_[0-9]+|camlStdlib__List\.(assoc|assoc_opt|mem|mem_assoc|remove_assoc)_[0-9]+)$'
 
 found=0
 for o in $objs; do
@@ -47,6 +52,6 @@ for o in $objs; do
 done
 
 if [ "$found" -eq 0 ]; then
-  echo "monocheck: no polymorphic compare, hash, max or min on the per-event path"
+  echo "monocheck: no polymorphic compare, hash, max, min or List lookup on the per-event path"
 fi
 exit "$found"
