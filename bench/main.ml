@@ -46,52 +46,20 @@ let experiments =
     ("profile", Experiments.profile);
   ]
 
-(* Run one experiment with a fresh metrics registry attached to every
-   engine it creates on the main domain, then stamp a digest onto the
-   catalog cells it recorded.  Engines created inside grid jobs are
-   captured by per-job registries whichever domain the job runs on
-   (Experiments.grid replaces the create hook for the job's duration)
-   and reduced to per-job digests returned in grid order — so the
-   stamped digest is a pure function of the experiment and seed,
-   byte-identical for any --domains value.  Two runs of the same
-   experiment at the same seed produce the same digest; a digest change
-   flags that the run's full metric set shifted even where the headline
-   numbers did not. *)
-let domains = ref Vsim.Pool.default_domains
-
-let run_experiment f =
-  let before = Experiments.cell_count () in
-  ignore (Experiments.take_job_digests ());
-  let reg = Vobs.Metrics.create () in
-  let prev = Vsim.Engine.get_create_hook () in
-  Vsim.Engine.set_create_hook
-    (Some
-       (fun eng ->
-         Vobs.Metrics.attach reg eng;
-         match prev with Some h -> h eng | None -> ()));
-  Fun.protect ~finally:(fun () -> Vsim.Engine.set_create_hook prev) f;
-  let digest =
-    Vobs.Catalog.digest_string
-      (String.concat "|"
-         (Vobs.Json.to_string (Vobs.Metrics.to_json reg)
-         :: Experiments.take_job_digests ()))
-  in
-  Experiments.stamp_digest ~since:before digest
-
 let run_all () =
   Format.printf
     "Reproduction of: Cheriton & Zwaenepoel, \"The Distributed V Kernel \
      and its Performance for Diskless Workstations\" (SOSP 1983)@.";
   Format.printf
     "All times are simulated; every table prints sim (paper) pairs.@.";
-  List.iter (fun (_, f) -> run_experiment f) experiments
+  List.iter (fun (name, f) -> Report.run name f) experiments
 
-let current_catalog () = Vobs.Catalog.of_cells (Experiments.cells ())
+let current_catalog () = Vobs.Catalog.of_cells (Report.cells ())
 
 let save_catalog file =
   Vobs.Catalog.save file (current_catalog ());
   Format.eprintf "wrote %d catalog cells to %s@."
-    (Experiments.cell_count ()) file
+    (Report.cell_count ()) file
 
 let compare_cmd ~baseline ~json_out =
   run_all ();
@@ -123,9 +91,7 @@ let () =
     | "--baseline" :: f :: rest -> parse names { o with baseline = Some f } rest
     | "--domains" :: v :: rest ->
         (match int_of_string_opt v with
-        | Some n when n >= 1 ->
-            domains := n;
-            Experiments.set_domains n
+        | Some n when n >= 1 -> Experiments.set_domains n
         | Some _ | None ->
             Format.eprintf "--domains: expected a positive integer, got %S@." v;
             exit 2);
@@ -153,7 +119,7 @@ let () =
       List.iter
         (fun name ->
           match List.assoc_opt name experiments with
-          | Some f -> run_experiment f
+          | Some f -> Report.run name f
           | None ->
               Format.eprintf
                 "unknown experiment %S (use --list to see them)@." name;

@@ -22,6 +22,11 @@ let create_hook : (t -> unit) option ref Domain.DLS.key =
 let set_create_hook h = Domain.DLS.get create_hook := h
 let get_create_hook () = !(Domain.DLS.get create_hook)
 
+let with_create_hook h f =
+  let prev = get_create_hook () in
+  set_create_hook h;
+  Fun.protect ~finally:(fun () -> set_create_hook prev) f
+
 let create ?(seed = default_seed) () =
   let t =
     { clock = 0; queue = Eventq.create (); rand = Rng.create seed;

@@ -93,6 +93,12 @@ val get_create_hook : unit -> (t -> unit) option
 (** The currently installed hook, so callers that need a second hook can
     chain rather than clobber it (restore the saved value afterwards). *)
 
+val with_create_hook : (t -> unit) option -> (unit -> 'a) -> 'a
+(** [with_create_hook h f] runs [f] with [h] installed and then restores
+    the previous hook, whether [f] returns or raises.  It replaces the
+    previous hook rather than chaining it; a caller that wants both gets
+    it with {!get_create_hook} and calls it from [h]. *)
+
 (** {1 Profiling}
 
     Opt-in per engine.  When enabled, {!step} accounts every fired event

@@ -277,6 +277,18 @@ let maybe_read_ahead t (f : open_file) ~block =
     | Ok _ | Error _ -> ()
   end
 
+(* Success replies for ops bound to a file carry (inum, version) so
+   version-aware clients can keep their block caches consistent.
+   [grant] additionally piggybacks a lease when the request carried a
+   callback pid [cb]. *)
+let reply_ext t msg src ~cb ?(grant = false) value ~inum =
+  Msg.clear_segment msg;
+  Protocol.encode_reply_ext msg ~status:Protocol.Sok ~value ~inum
+    ~version:(file_version t ~inum);
+  let term_us = if grant then grant_lease t ~inum ~cb else 0 in
+  Protocol.set_reply_lease msg ~term_us;
+  ignore (K.reply t.kernel msg src)
+
 let handle_request t ~mem ~msg ~src ~seg_count =
   t.n_requests <- t.n_requests + 1;
   let client_seg = Msg.segment msg in
@@ -288,19 +300,12 @@ let handle_request t ~mem ~msg ~src ~seg_count =
     Protocol.encode_reply msg ~status:st ~value;
     ignore (K.reply t.kernel msg src)
   in
-  (* Success replies for ops bound to a file carry (inum, version) so
-     version-aware clients can keep their block caches consistent.
-     [grant] additionally piggybacks a lease on open/read replies when
-     the request carried a callback pid. *)
-  let reply_ext ?(grant = false) st value ~inum =
-    Msg.clear_segment msg;
-    Protocol.encode_reply_ext msg ~status:st ~value ~inum
-      ~version:(file_version t ~inum);
-    let term_us =
-      if grant && st = Protocol.Sok then grant_lease t ~inum ~cb else 0
-    in
-    Protocol.set_reply_lease msg ~term_us;
-    ignore (K.reply t.kernel msg src)
+  (* A write is acknowledged only once the file has its new version and
+     every other holder's lease on it is broken. *)
+  let ack_write (f : open_file) n =
+    bump_version t ~inum:f.of_inum;
+    break_leases t ~inum:f.of_inum ~except:cb;
+    reply_ext t msg src ~cb n ~inum:f.of_inum
   in
   match Protocol.decode_request msg with
   | None -> reply Protocol.Sbad_request 0
@@ -347,7 +352,7 @@ let handle_request t ~mem ~msg ~src ~seg_count =
           | Ok inum -> (
               match alloc_handle t ~owner:src inum with
               | None -> reply Protocol.Sno_space 0
-              | Some h -> reply_ext ~grant:true Protocol.Sok h ~inum))
+              | Some h -> reply_ext t msg src ~cb ~grant:true h ~inum))
       | Protocol.Close -> (
           match lookup_handle t handle with
           | None -> reply Protocol.Sbad_handle 0
@@ -375,7 +380,9 @@ let handle_request t ~mem ~msg ~src ~seg_count =
               match Fs.size t.fs ~inum:f.of_inum with
               | Ok sz -> reply Protocol.Sok sz
               | Error e -> reply (fs_error_status e) 0))
-      | Protocol.Read_page -> (
+      | Protocol.Read_page | Protocol.Read_basic -> (
+          (* Both page reads check the handle and the client's writable
+             segment, then read up to a block into the scratch area. *)
           match lookup_handle t handle, client_seg with
           | None, _ -> reply Protocol.Sbad_handle 0
           | Some _, (None | Some ((Msg.Read_only, _, _))) ->
@@ -389,6 +396,16 @@ let handle_request t ~mem ~msg ~src ~seg_count =
                   ~len:count mem ~at:scratch_ptr
               with
               | Error e -> reply (fs_error_status e) 0
+              | Ok n when op = Protocol.Read_basic -> (
+                  (* The Thoth-style Send-Receive-MoveTo-Reply page read. *)
+                  match
+                    K.move_to t.kernel ~dst_pid:src ~dst:dptr
+                      ~src:scratch_ptr ~count:n
+                  with
+                  | K.Ok -> reply Protocol.Sok n
+                  | K.Nonexistent | K.Bad_address | K.No_permission
+                  | K.Too_big | K.Retryable | K.Dead ->
+                      reply Protocol.Sio_error 0)
               | Ok n ->
                   Msg.clear_segment msg;
                   Protocol.encode_reply_ext msg ~status:Protocol.Sok ~value:n
@@ -416,12 +433,9 @@ let handle_request t ~mem ~msg ~src ~seg_count =
                   data
               in
               if t.cfg.write_behind then begin
-                (* The write is accepted at reply time, so the version is
-                   bumped — and other holders' leases broken — before
-                   replying even though the store is asynchronous. *)
-                bump_version t ~inum:f.of_inum;
-                break_leases t ~inum:f.of_inum ~except:cb;
-                reply_ext Protocol.Sok n ~inum:f.of_inum;
+                (* The write is accepted at reply time, so it is
+                   acknowledged before the asynchronous store. *)
+                ack_write f n;
                 (* Asynchronous store of the modified page. *)
                 ignore
                   (K.spawn t.kernel ~name:"fs-flush" ~mem_size:4096
@@ -429,36 +443,9 @@ let handle_request t ~mem ~msg ~src ~seg_count =
               end
               else begin
                 match do_write () with
-                | Ok () ->
-                    bump_version t ~inum:f.of_inum;
-                    break_leases t ~inum:f.of_inum ~except:cb;
-                    reply_ext Protocol.Sok n ~inum:f.of_inum
+                | Ok () -> ack_write f n
                 | Error e -> reply (fs_error_status e) 0
               end)
-      | Protocol.Read_basic -> (
-          (* The Thoth-style Send-Receive-MoveTo-Reply page read. *)
-          match lookup_handle t handle, client_seg with
-          | None, _ -> reply Protocol.Sbad_handle 0
-          | Some _, (None | Some ((Msg.Read_only, _, _))) ->
-              reply Protocol.Sbad_request 0
-          | Some f, Some ((Msg.Write_only | Msg.Read_write), dptr, dlen) -> (
-              t.n_reads <- t.n_reads + 1;
-              let count = min (min count Fs.block_size) dlen in
-              fs_work t;
-              match
-                Fs.read_into t.fs ~inum:f.of_inum ~pos:(block * Fs.block_size)
-                  ~len:count mem ~at:scratch_ptr
-              with
-              | Error e -> reply (fs_error_status e) 0
-              | Ok n ->
-                  (match
-                     K.move_to t.kernel ~dst_pid:src ~dst:dptr
-                       ~src:scratch_ptr ~count:n
-                   with
-                  | K.Ok -> reply Protocol.Sok n
-                  | K.Nonexistent | K.Bad_address | K.No_permission
-                  | K.Too_big | K.Retryable | K.Dead ->
-                      reply Protocol.Sio_error 0)))
       | Protocol.Write_basic -> (
           match lookup_handle t handle, client_seg with
           | None, _ -> reply Protocol.Sbad_handle 0
@@ -478,10 +465,7 @@ let handle_request t ~mem ~msg ~src ~seg_count =
                     Fs.write t.fs ~inum:f.of_inum
                       ~pos:(block * Fs.block_size) data
                   with
-                  | Ok () ->
-                      bump_version t ~inum:f.of_inum;
-                      break_leases t ~inum:f.of_inum ~except:cb;
-                      reply_ext Protocol.Sok n ~inum:f.of_inum
+                  | Ok () -> ack_write f n
                   | Error e -> reply (fs_error_status e) 0)
               | K.Nonexistent | K.Bad_address | K.No_permission | K.Too_big
               | K.Retryable | K.Dead ->
@@ -550,37 +534,30 @@ let handle_request t ~mem ~msg ~src ~seg_count =
                       if push 0 true then reply Protocol.Sok n
                       else reply Protocol.Sio_error 0))))
 
-(* Single-worker mode: the seed's one-process Receive loop, preserved
-   byte-for-byte (no dispatcher, no extra IPC, no new events). *)
-let server_body t mem pid () =
+(* The server's pid: the one clients Send to, registered under the
+   configured logical id. *)
+let register t pid =
   t.spid <- pid;
-  (match t.cfg.register_id with
+  match t.cfg.register_id with
   | Some lid -> K.set_pid t.kernel ~logical_id:lid pid K.Any
-  | None -> ());
-  let msg = Msg.create () in
-  let rec loop () =
-    let src, seg_count =
-      K.receive_with_segment t.kernel msg ~segptr:scratch_ptr
-        ~segsize:Fs.block_size
-    in
-    handle_request t ~mem ~msg ~src ~seg_count;
-    loop ()
-  in
-  loop ()
+  | None -> ()
 
-(* Worker-team mode (the paper's Section 6 note that the V server is "a
-   team of processes" so disk latency overlaps request handling).  Each
-   worker announces itself idle with a Send to the dispatcher; the
-   dispatcher Forwards a queued client request to it (retargeting the
-   client's reply path and any piggybacked segment, Thoth-style) and
-   then Replies to the idle Send to wake it.  The worker Receives the
-   forwarded request, serves it against the shared [Fs.t]/handle table,
-   and replies directly to the client. *)
-let worker_body t mem _pid () =
-  let idle = Msg.create () in
+(* The Receive loop of a process that serves requests.  In single-worker
+   mode it is the server itself: no dispatcher, no extra IPC.  In
+   worker-team mode (the paper's Section 6 note that the V server is "a
+   team of processes" so disk latency overlaps request handling) a
+   worker first announces itself idle with a Send of [idle] to the
+   dispatcher; the dispatcher Forwards a queued client request to it
+   (retargeting the client's reply path and any piggybacked segment,
+   Thoth-style) and then Replies to the idle Send to wake it.  The
+   worker Receives the forwarded request, serves it against the shared
+   [Fs.t]/handle table, and replies directly to the client. *)
+let serve ?idle t mem =
   let msg = Msg.create () in
   let rec loop () =
-    ignore (K.send t.kernel idle t.spid);
+    (match idle with
+    | Some idle -> ignore (K.send t.kernel idle t.spid)
+    | None -> ());
     let src, seg_count =
       K.receive_with_segment t.kernel msg ~segptr:scratch_ptr
         ~segsize:Fs.block_size
@@ -591,10 +568,7 @@ let worker_body t mem _pid () =
   loop ()
 
 let dispatcher_body t pid () =
-  t.spid <- pid;
-  (match t.cfg.register_id with
-  | Some lid -> K.set_pid t.kernel ~logical_id:lid pid K.Any
-  | None -> ());
+  register t pid;
   let msg = Msg.create () in
   let wake = Msg.create () in
   let idle : Vkernel.Pid.t Queue.t = Queue.create () in
@@ -645,8 +619,8 @@ let spawn_team t =
   if t.cfg.workers = 1 then begin
     let pid =
       K.spawn kernel ~name:"file-server" ~mem_size:(256 * 1024) (fun pid ->
-          let mem = K.memory kernel pid in
-          server_body t mem pid ())
+          register t pid;
+          serve t (K.memory kernel pid))
     in
     t.spid <- pid
   end
@@ -662,8 +636,7 @@ let spawn_team t =
             ~name:(Printf.sprintf "fs-worker-%d" i)
             ~mem_size:(256 * 1024)
             (fun pid ->
-              let mem = K.memory kernel pid in
-              worker_body t mem pid ()))
+              serve ~idle:(Msg.create ()) t (K.memory kernel pid)))
   end
 
 let start kernel fs ?(config = default_config) ?(restartable = false) () =

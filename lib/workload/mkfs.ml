@@ -24,11 +24,7 @@ let memo : (shape * image) list ref Domain.DLS.key =
    image leaves no record in the caller's traces, profiles or
    registries. *)
 let private_engine () =
-  let hook = Vsim.Engine.get_create_hook () in
-  Vsim.Engine.set_create_hook None;
-  Fun.protect
-    ~finally:(fun () -> Vsim.Engine.set_create_hook hook)
-    (fun () -> Vsim.Engine.create ())
+  Vsim.Engine.with_create_hook None (fun () -> Vsim.Engine.create ())
 
 let build s =
   let eng = private_engine () in

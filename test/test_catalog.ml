@@ -153,13 +153,11 @@ let test_digest_string () =
 let profiled_srr () =
   let prof = Vsim.Profile.create () in
   let prev = Vsim.Engine.get_create_hook () in
-  Vsim.Engine.set_create_hook
+  Vsim.Engine.with_create_hook
     (Some
        (fun eng ->
          ignore (Vsim.Engine.enable_profiling ~profile:prof eng);
-         match prev with Some h -> h eng | None -> ()));
-  Fun.protect
-    ~finally:(fun () -> Vsim.Engine.set_create_hook prev)
+         match prev with Some h -> h eng | None -> ()))
     (fun () ->
       ignore
         (Vworkload.Rigs.srr ~trials:10 ~cpu_model:Vhw.Cost_model.sun_10mhz

@@ -171,11 +171,8 @@ let on_fresh_domain f = Domain.join (Domain.spawn f)
 
 let traced_workload () =
   let buf = Buffer.create 65536 in
-  let saved = Vsim.Engine.get_create_hook () in
-  Vsim.Engine.set_create_hook
-    (Some (fun eng -> Vobs.Jsonl.attach eng (Buffer.add_string buf)));
-  Fun.protect
-    ~finally:(fun () -> Vsim.Engine.set_create_hook saved)
+  Vsim.Engine.with_create_hook
+    (Some (fun eng -> Vobs.Jsonl.attach eng (Buffer.add_string buf)))
     (fun () -> ignore (Vcheck.Workload.run Vcheck.Workload.net ()));
   Buffer.contents buf
 

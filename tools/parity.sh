@@ -8,6 +8,8 @@
 # compares them:
 #
 #   bench.txt              bench/main.exe all (stdout)
+#   bench.json             the catalog of that run (--json-out): every
+#                          cell's params, metrics and metrics digest
 #   check-SCENARIO.json    vsim check --scenario SCENARIO --depth 2 --json,
 #                          every depth-2 schedule (--limit 100000)
 #   fault-MODE.txt/.jsonl  vsim fault --drop 0.2 --rto-mode MODE --trace-out
@@ -77,7 +79,8 @@ collect() {
   dst=$2
   build_tree "$src"
   bin=$src/_build/default
-  (cd "$src" && "$bin/bench/main.exe" all 2>/dev/null) > "$dst/bench.txt"
+  (cd "$src" && "$bin/bench/main.exe" all --json-out "$dst/bench.json" \
+    2>/dev/null) > "$dst/bench.txt"
   for s in $scenarios; do
     "$bin/bin/vsim.exe" check --scenario "$s" --depth 2 --limit 100000 \
       --json > "$dst/check-$s.json" || true
