@@ -161,7 +161,9 @@ type alien = {
   mutable al_reply : Packet.t option;
   mutable al_fwd : Pid.t;  (** where the message went when forwarded *)
   al_msg : Msg.t;
-  al_data : Bytes.t;  (** piggybacked segment prefix *)
+  al_pkt : Packet.t;
+      (** the Send packet that made the alien; its data is the
+          piggybacked segment prefix *)
   mutable al_replied_at : Vsim.Time.t;
       (** when the cached reply was last (re)sent; the reclaim grace
           period counts from here *)
@@ -468,7 +470,7 @@ let deliver_segment t ~(entry : queued) ~seg ~(recv : desc) =
       else
         match Itbl.find_opt t.aliens (Pid.to_int entry.q_src) with
         | Some al when al.al_seq = entry.q_seq ->
-            let count = Int.min (Bytes.length al.al_data) segsize in
+            let count = Int.min al.al_pkt.Packet.data_len segsize in
             let count =
               if Mem.valid recv.d_mem ~pos:segptr ~len:count then count else 0
             in
@@ -476,8 +478,7 @@ let deliver_segment t ~(entry : queued) ~seg ~(recv : desc) =
               (* The NIC already paid the per-byte copy; placing the data in
                  its final location costs only the segment bookkeeping. *)
               charge_async t m.Vhw.Cost_model.segment_handling_ns;
-              Mem.blit_in recv.d_mem ~pos:segptr al.al_data ~src_off:0
-                ~len:count
+              Packet.blit_data al.al_pkt recv.d_mem ~pos:segptr ~len:count
             end;
             count
         | Some _ | None -> 0)
@@ -490,40 +491,43 @@ let entry_valid t (d : desc) (entry : queued) =
     | Some sender -> awaiting_reply sender.d_state d.d_pid
     | None -> false
   else
-    match Itbl.find_opt t.aliens (Pid.to_int entry.q_src) with
-    | Some al -> al.al_seq = entry.q_seq && al.al_state = A_queued
-    | None -> false
+    match Itbl.find t.aliens (Pid.to_int entry.q_src) with
+    | al -> al.al_seq = entry.q_seq && al.al_state = A_queued
+    | exception Not_found -> false
 
 (* Pop the first valid entry, optionally only from a specific sender
    (ReceiveSpecific); dead entries are discarded, others retained in
    order. *)
 let pop_valid ?from t (d : desc) =
-  let keep = Queue.create () in
-  let rec scan found =
-    match Queue.take_opt d.d_queue with
-    | None -> found
-    | Some entry ->
-        if not (entry_valid t d entry) then scan found
-        else if
-          found = None
-          && (match from with
-             | None -> true
-             | Some pid -> Pid.equal pid entry.q_src)
-        then scan (Some entry)
-        else begin
-          Queue.add entry keep;
-          scan found
-        end
-  in
-  let found = scan None in
-  Queue.transfer keep d.d_queue;
-  found
+  if Queue.is_empty d.d_queue then None
+  else begin
+    let keep = Queue.create () in
+    let rec scan found =
+      match Queue.take_opt d.d_queue with
+      | None -> found
+      | Some entry ->
+          if not (entry_valid t d entry) then scan found
+          else if
+            found = None
+            && (match from with
+               | None -> true
+               | Some pid -> Pid.equal pid entry.q_src)
+          then scan (Some entry)
+          else begin
+            Queue.add entry keep;
+            scan found
+          end
+    in
+    let found = scan None in
+    Queue.transfer keep d.d_queue;
+    found
+  end
 
 let mark_received t (entry : queued) =
   if not entry.q_local then
-    match Itbl.find_opt t.aliens (Pid.to_int entry.q_src) with
-    | Some al -> al.al_state <- A_received
-    | None -> ()
+    match Itbl.find t.aliens (Pid.to_int entry.q_src) with
+    | al -> al.al_state <- A_received
+    | exception Not_found -> ()
 
 (* All message enqueues onto a receiver's queue go through here so the
    queue depth is observable. *)
@@ -652,6 +656,17 @@ let settle t rx st ~since =
   | Nonexistent | Bad_address | No_permission | Too_big ->
       Rto.note_success t.rto ~dst:rx.rx_dst ~sample_ns:None
 
+let send_done t (d : desc) ~seq st =
+  if Vsim.Trace.tracing t.eng then
+    Vsim.Trace.event t.eng
+      (Vsim.Event.Send_done
+         {
+           host = t.khost;
+           pid = Pid.to_int d.d_pid;
+           seq;
+           status = status_to_string st;
+         })
+
 let finish_send t (rs : rsend) st =
   let d = rs.rs_desc in
   stop t rs.rs_retx;
@@ -678,23 +693,12 @@ let finish_send t (rs : rsend) st =
   (* Send_done marks the instant the blocked sender resumes; spans use it
      as the close timestamp, so it must fire inside the context-switch
      continuation, at the same engine time [k st] runs. *)
-  let note () =
-    if Vsim.Trace.tracing t.eng then
-      Vsim.Trace.event t.eng
-        (Vsim.Event.Send_done
-           {
-             host = t.khost;
-             pid = Pid.to_int d.d_pid;
-             seq;
-             status = status_to_string st;
-           })
-  in
   match k with
   | Some k ->
       charge_k t (model t).Vhw.Cost_model.context_switch_ns (fun () ->
-          note ();
+          send_done t d ~seq st;
           k st)
-  | None -> note ()
+  | None -> send_done t d ~seq st
 
 (* Lookups in [move_outs] run per fragment, so they match
    [exception Not_found] rather than allocate an option. *)
@@ -857,14 +861,13 @@ let launch_send t (d : desc) msg ~dst ~seq ~since =
     with
     | Some (ptr, len) ->
         let n = Int.min len max_seg_append in
-        if Mem.valid d.d_mem ~pos:ptr ~len:n then
-          Mem.read d.d_mem ~pos:ptr ~len:n
-        else Bytes.empty
-    | None -> Bytes.empty
+        if Mem.valid d.d_mem ~pos:ptr ~len:n then Some (d.d_mem, ptr, n)
+        else None
+    | None -> None
   in
   let pkt =
     Packet.make ~op:Packet.Send ~src_pid:d.d_pid ~dst_pid:dst ~seq ~msg
-      ~data ()
+      ?data ()
   in
   let rs =
     {
@@ -899,10 +902,9 @@ let stream t ~op ~src_pid ~dst_pid ~seq ~mem ~ptr ~total ~aux ~live ~at_end
     else if cursor >= Int.max total 1 then at_end ()
     else begin
       let len = Int.min max_packet_data (total - cursor) in
-      let data = Mem.read mem ~pos:(ptr + cursor) ~len in
       let pkt =
         Packet.make ~op ~src_pid ~dst_pid ~seq ~offset:cursor ~total ~aux
-          ~data ()
+          ~data:(mem, ptr + cursor, len) ()
       in
       send_pkt_k t ~pre_cost:(model t).Vhw.Cost_model.data_pkt_op_ns
         ~dst_host:(Pid.host dst_pid) pkt (fun () ->
@@ -954,9 +956,8 @@ let arrive t (pkt : Packet.t) ~expected ~mem ~ptr =
     Duplicate
   end
   else begin
-    let len = Bytes.length pkt.Packet.data in
-    if len > 0 then
-      Mem.blit_in mem ~pos:(ptr + off) pkt.Packet.data ~src_off:0 ~len;
+    let len = pkt.Packet.data_len in
+    if len > 0 then Packet.blit_data pkt mem ~pos:(ptr + off) ~len;
     Placed
   end
 
@@ -1025,8 +1026,8 @@ let handle_send_pkt t (pkt : Packet.t) =
                 al_state = A_queued;
                 al_reply = None;
                 al_fwd = Pid.nil;
-                al_msg = Msg.copy pkt.Packet.msg;
-                al_data = pkt.Packet.data;
+                al_msg = Packet.msg pkt;
+                al_pkt = pkt;
                 al_replied_at = 0;
               }
             in
@@ -1051,13 +1052,12 @@ let handle_reply_pkt t (pkt : Packet.t) =
       match d.d_rsend with
       | Some rs when rs.rs_pkt.Packet.seq = pkt.Packet.seq ->
           (match d.d_reply_buf with
-          | Some buf -> Msg.blit ~src:pkt.Packet.msg ~dst:buf
+          | Some buf -> Packet.blit_msg pkt buf
           | None -> ());
           (* ReplyWithSegment: deposit the appended segment at the dest
              pointer, provided this process granted write access there. *)
-          if Bytes.length pkt.Packet.data > 0 then begin
-            let ptr = pkt.Packet.offset
-            and len = Bytes.length pkt.Packet.data in
+          if pkt.Packet.data_len > 0 then begin
+            let ptr = pkt.Packet.offset and len = pkt.Packet.data_len in
             let allowed =
               match d.d_grant with
               | Some g ->
@@ -1067,7 +1067,7 @@ let handle_reply_pkt t (pkt : Packet.t) =
               | None -> false
             in
             if allowed then
-              Mem.blit_in d.d_mem ~pos:ptr pkt.Packet.data ~src_off:0 ~len
+              Packet.blit_data pkt d.d_mem ~pos:ptr ~len
           end;
           d.d_grant <- None;
           finish_send t rs Ok
@@ -1184,7 +1184,7 @@ let handle_data_mt t (pkt : Packet.t) =
          | Duplicate -> ()
          | Placed ->
              mti.mti_expected <-
-               mti.mti_expected + Bytes.length pkt.Packet.data;
+               mti.mti_expected + pkt.Packet.data_len;
              mti.mti_complete <- mti.mti_expected >= mti.mti_total);
       (* The fragment that completes the train is acked, and so is each
          one (or probe) that arrives after. *)
@@ -1215,7 +1215,7 @@ let handle_data_mf t (pkt : Packet.t) =
              provided no timeout retransmitted the request (Karn). *)
           if pkt.Packet.offset = 0 && mo.mo_retx.rx_tries = 0 then
             settle t mo.mo_retx Ok ~since:mo.mo_since;
-          mo.mo_expected <- mo.mo_expected + Bytes.length pkt.Packet.data;
+          mo.mo_expected <- mo.mo_expected + pkt.Packet.data_len;
           mo.mo_nak_at <- -1;
           (* Fresh data: the source is alive, push the timeout out and
              restart the retry budget — retries count consecutive silent
@@ -1268,7 +1268,7 @@ let handle_fwd_notice t (pkt : Packet.t) =
       match d.d_rsend with
       | Some rs when rs.rs_pkt.Packet.seq = pkt.Packet.seq ->
           let new_pid = Pid.of_int pkt.Packet.aux in
-          rs.rs_pkt <- { rs.rs_pkt with Packet.dst_pid = new_pid };
+          rs.rs_pkt <- Packet.retarget rs.rs_pkt ~dst_pid:new_pid;
           rs.rs_retx.rx_dst <- Pid.host new_pid;
           restart_send t rs;
           d.d_state <- Awaiting_reply new_pid;
@@ -1313,18 +1313,16 @@ let handle_frame t (frame : Vnet.Frame.t) =
        power went out fall on the floor *)
   else begin
     let payload = frame.Vnet.Frame.payload in
-    let payload, extra =
-      if t.cfg.ip_header_mode then
-        ( Bytes.sub payload ip_pad (Bytes.length payload - ip_pad),
-          (model t).Vhw.Cost_model.ip_header_extra_ns )
-      else (payload, 0)
-    in
+    let ip = t.cfg.ip_header_mode in
+    let len = Bytes.length payload - if ip then ip_pad else 0 in
     let extra =
-      extra
-      + (if t.cfg.process_server_mode then relay_cost t (Bytes.length payload)
-         else 0)
+      (if ip then (model t).Vhw.Cost_model.ip_header_extra_ns else 0)
+      + if t.cfg.process_server_mode then relay_cost t len else 0
     in
-    match Packet.of_bytes payload with
+    match
+      if ip then Packet.of_bytes ~off:ip_pad payload
+      else Packet.of_bytes payload
+    with
     | Error e ->
         if Vsim.Trace.tracing t.eng then
           Vsim.Trace.event t.eng
@@ -1332,7 +1330,7 @@ let handle_frame t (frame : Vnet.Frame.t) =
                {
                  host = t.khost;
                  reason = "decode: " ^ e;
-                 bytes = Bytes.length payload;
+                 bytes = len;
                })
     | Ok pkt ->
         t.s_rx <- t.s_rx + 1;
@@ -1363,7 +1361,7 @@ let handle_frame t (frame : Vnet.Frame.t) =
                      src = Pid.to_int pkt.Packet.src_pid;
                      dst = Pid.to_int pkt.Packet.dst_pid;
                      seq = pkt.Packet.seq;
-                     bytes = Bytes.length payload;
+                     bytes = len;
                    });
             match pkt.Packet.op with
             | Packet.Send -> handle_send_pkt t pkt
@@ -1705,6 +1703,29 @@ let receive_specific t msg from =
     if Pid.is_nil src then Nonexistent else Ok
   end
 
+(* Send [pkt], process [d]'s reply to alien [al]: it acknowledges the
+   remote Send, so the alien caches it for retransmitted Sends. *)
+let reply_remote t (d : desc) (al : alien) pkt =
+  if Vsim.Trace.tracing t.eng then
+    Vsim.Trace.event t.eng
+      (Vsim.Event.Reply
+         {
+           host = t.khost;
+           src = Pid.to_int d.d_pid;
+           dst = Pid.to_int pkt.Packet.dst_pid;
+           seq = al.al_seq;
+           remote = true;
+         });
+  al.al_state <- A_replied;
+  al.al_reply <- Some pkt;
+  (* The alien/timer upkeep of the reply side is accounted by the
+     asynchronous server bookkeeping charge below. *)
+  Vsim.Proc.suspend ~reason:"reply-tx" (fun resume ->
+      send_pkt_k t ~dst_host:(Pid.host pkt.Packet.dst_pid) pkt (fun () ->
+          charge_async t (model t).Vhw.Cost_model.server_bookkeep_ns;
+          resume ()));
+  Ok
+
 let reply_gen t msg dst ~seg =
   let d = current t in
   let m = model t in
@@ -1768,45 +1789,25 @@ let reply_gen t msg dst ~seg =
   end
   else begin
     (* Reply to an alien: the reply packet is the acknowledgement. *)
-    match Itbl.find_opt t.aliens (Pid.to_int dst) with
-    | Some al
+    match Itbl.find t.aliens (Pid.to_int dst) with
+    | al
       when Pid.equal al.al_dst d.d_pid
            && (al.al_state = A_received || al.al_state = A_queued) -> (
-        let build_and_send data destptr =
-          let pkt =
-            Packet.make ~op:Packet.Reply ~src_pid:d.d_pid ~dst_pid:dst
-              ~seq:al.al_seq ~offset:destptr ~msg ~data ()
-          in
-          if Vsim.Trace.tracing t.eng then
-            Vsim.Trace.event t.eng
-              (Vsim.Event.Reply
-                 {
-                   host = t.khost;
-                   src = Pid.to_int d.d_pid;
-                   dst = Pid.to_int dst;
-                   seq = al.al_seq;
-                   remote = true;
-                 });
-          al.al_state <- A_replied;
-          al.al_reply <- Some pkt;
-          (* The alien/timer upkeep of the reply side is accounted by the
-             asynchronous server bookkeeping charge below. *)
-          Vsim.Proc.suspend ~reason:"reply-tx" (fun resume ->
-              send_pkt_k t ~dst_host:(Pid.host dst) pkt (fun () ->
-                  charge_async t m.Vhw.Cost_model.server_bookkeep_ns;
-                  resume ()));
-          Ok
-        in
         match seg with
-        | None -> build_and_send Bytes.empty 0
+        | Some (_, _, segsize) when segsize > max_packet_data -> Too_big
+        | Some (_, segptr, segsize)
+          when not (Mem.valid d.d_mem ~pos:segptr ~len:segsize) ->
+            Bad_address
+        | None ->
+            reply_remote t d al
+              (Packet.make ~op:Packet.Reply ~src_pid:d.d_pid ~dst_pid:dst
+                 ~seq:al.al_seq ~msg ())
         | Some (destptr, segptr, segsize) ->
-            if segsize > max_packet_data then Too_big
-            else if not (Mem.valid d.d_mem ~pos:segptr ~len:segsize) then
-              Bad_address
-            else
-              build_and_send (Mem.read d.d_mem ~pos:segptr ~len:segsize)
-                destptr)
-    | Some _ | None -> No_permission
+            reply_remote t d al
+              (Packet.make ~op:Packet.Reply ~src_pid:d.d_pid ~dst_pid:dst
+                 ~seq:al.al_seq ~offset:destptr ~msg
+                 ~data:(d.d_mem, segptr, segsize) ()))
+    | _ | (exception Not_found) -> No_permission
   end
 
 let reply t msg dst = reply_gen t msg dst ~seg:None
@@ -1915,11 +1916,8 @@ let forward t msg ~from_pid ~to_pid =
           charge t m.Vhw.Cost_model.remote_op_extra_ns;
           al.al_state <- A_forwarded;
           al.al_fwd <- to_pid;
-          let pkt =
-            Packet.make ~op:Packet.Send ~src_pid:from_pid ~dst_pid:to_pid
-              ~seq:al.al_seq ~msg ~data:al.al_data ()
-          in
-          send_pkt t ~dst_host:(Pid.host to_pid) pkt;
+          send_pkt t ~dst_host:(Pid.host to_pid)
+            (Packet.retarget al.al_pkt ~msg ~dst_pid:to_pid);
           let notice =
             Packet.make ~op:Packet.Fwd_notice ~src_pid:d.d_pid
               ~dst_pid:from_pid ~seq:al.al_seq

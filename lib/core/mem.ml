@@ -41,7 +41,7 @@ let iter_pages ~pos ~len f =
   let rec go pos k len =
     if len > 0 then begin
       let off = pos land (page_size - 1) in
-      let n = min len (page_size - off) in
+      let n = Int.min len (page_size - off) in
       f (pos lsr page_bits) off k n;
       go (pos + n) (k + n) (len - n)
     end

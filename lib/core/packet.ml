@@ -12,6 +12,11 @@ type op =
   | Getpid_reply
   | Fwd_notice
 
+(* The decoded header rides beside the wire image it was read from or
+   written to: [wire] from [base] on holds the 64-byte header and then
+   [data_len] bytes of data.  A made packet's image starts at 0; a
+   parsed one's is the frame payload itself, at the offset past any
+   link-level padding.  The image is never written after [make]. *)
 type t = {
   op : op;
   src_pid : Pid.t;
@@ -20,8 +25,9 @@ type t = {
   offset : int;
   total : int;
   aux : int;
-  msg : Msg.t;
-  data : Bytes.t;
+  data_len : int;
+  wire : Bytes.t;
+  base : int;
 }
 
 let header_bytes = 64
@@ -69,62 +75,91 @@ let op_to_string = function
   | Getpid_reply -> "getpid-reply"
   | Fwd_notice -> "fwd-notice"
 
-let make ~op ~src_pid ~dst_pid ~seq ?(offset = 0) ?(total = 0) ?(aux = 0)
-    ?msg ?(data = Bytes.empty) () =
-  let msg = match msg with Some m -> Msg.copy m | None -> Msg.create () in
-  if not (Msg.is_msg msg) then invalid_arg "Packet.make: bad message size";
-  { op; src_pid; dst_pid; seq; offset; total; aux; msg; data }
-
-let wire_length t = header_bytes + Bytes.length t.data
+let msg_off = 32
 
 let set32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
 let get32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFF_FFFF
 
-let to_bytes t =
-  let b = Bytes.make (wire_length t) '\000' in
-  Bytes.set b 0 (Char.chr (op_to_byte t.op));
-  set32 b 4 (Pid.to_int t.src_pid);
-  set32 b 8 (Pid.to_int t.dst_pid);
-  set32 b 12 t.seq;
-  set32 b 16 t.offset;
-  set32 b 20 t.total;
-  set32 b 24 (Bytes.length t.data);
-  set32 b 28 t.aux;
-  Bytes.blit t.msg 0 b 32 Msg.length;
-  Bytes.blit t.data 0 b header_bytes (Bytes.length t.data);
-  b
+let check_msg what = function
+  | Some m when not (Msg.is_msg m) ->
+      invalid_arg ("Packet." ^ what ^ ": bad message size")
+  | Some _ | None -> ()
 
-let of_bytes b =
-  let len = Bytes.length b in
+let make ~op ~src_pid ~dst_pid ~seq ?(offset = 0) ?(total = 0) ?(aux = 0)
+    ?msg ?data () =
+  check_msg "make" msg;
+  let data_len = match data with Some (_, _, len) -> len | None -> 0 in
+  let b = Bytes.create (header_bytes + data_len) in
+  (* The op's word also zeroes the flags and reserved bytes. *)
+  set32 b 0 (op_to_byte op);
+  set32 b 4 (Pid.to_int src_pid);
+  set32 b 8 (Pid.to_int dst_pid);
+  set32 b 12 seq;
+  set32 b 16 offset;
+  set32 b 20 total;
+  set32 b 24 data_len;
+  set32 b 28 aux;
+  (match msg with
+  | Some m -> Bytes.blit m 0 b msg_off Msg.length
+  | None -> Bytes.fill b msg_off Msg.length '\000');
+  (match data with
+  | Some (mem, pos, len) -> Mem.blit_out mem ~pos b ~dst_off:header_bytes ~len
+  | None -> ());
+  { op; src_pid; dst_pid; seq; offset; total; aux; data_len; wire = b;
+    base = 0 }
+
+let wire_length t = header_bytes + t.data_len
+
+let to_bytes t =
+  if t.base = 0 then t.wire else Bytes.sub t.wire t.base (wire_length t)
+
+let of_bytes ?(off = 0) b =
+  let len = Bytes.length b - off in
   if len < header_bytes then
     Error (Printf.sprintf "packet too short: %d bytes" len)
   else
-    match op_of_byte (Char.code (Bytes.get b 0)) with
-    | None -> Error (Printf.sprintf "bad op byte %d" (Char.code (Bytes.get b 0)))
+    match op_of_byte (Char.code (Bytes.get b off)) with
+    | None ->
+        Error (Printf.sprintf "bad op byte %d" (Char.code (Bytes.get b off)))
     | Some op ->
-        let data_len = get32 b 24 in
+        let data_len = get32 b (off + 24) in
         if header_bytes + data_len <> len then
           Error
             (Printf.sprintf "length mismatch: header says %d, frame has %d"
                data_len (len - header_bytes))
-        else begin
-          let msg = Bytes.sub b 32 Msg.length in
-          let data = Bytes.sub b header_bytes data_len in
+        else
           Ok
             {
               op;
-              src_pid = Pid.of_int (get32 b 4);
-              dst_pid = Pid.of_int (get32 b 8);
-              seq = get32 b 12;
-              offset = get32 b 16;
-              total = get32 b 20;
-              aux = get32 b 28;
-              msg;
-              data;
+              src_pid = Pid.of_int (get32 b (off + 4));
+              dst_pid = Pid.of_int (get32 b (off + 8));
+              seq = get32 b (off + 12);
+              offset = get32 b (off + 16);
+              total = get32 b (off + 20);
+              aux = get32 b (off + 28);
+              data_len;
+              wire = b;
+              base = off;
             }
-        end
+
+let msg t = Bytes.sub t.wire (t.base + msg_off) Msg.length
+let blit_msg t dst = Bytes.blit t.wire (t.base + msg_off) dst 0 Msg.length
+let data t = Bytes.sub t.wire (t.base + header_bytes) t.data_len
+
+let blit_data t mem ~pos ~len =
+  if len > t.data_len then invalid_arg "Packet.blit_data: past the data";
+  Mem.blit_in mem ~pos t.wire ~src_off:(t.base + header_bytes) ~len
+
+let retarget ?msg t ~dst_pid =
+  check_msg "retarget" msg;
+  let b = Bytes.sub t.wire t.base (wire_length t) in
+  set32 b 8 (Pid.to_int dst_pid);
+  (match msg with
+  | Some m -> Bytes.blit m 0 b msg_off Msg.length
+  | None -> ());
+  { t with dst_pid; wire = b; base = 0 }
 
 let pp fmt t =
   Format.fprintf fmt "pkt[%s %a->%a seq=%d off=%d tot=%d data=%d]"
     (op_to_string t.op) Pid.pp t.src_pid Pid.pp t.dst_pid t.seq t.offset
-    t.total (Bytes.length t.data)
+    t.total t.data_len

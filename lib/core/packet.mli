@@ -49,7 +49,7 @@ type op =
           retransmissions and grant checks retarget to the new recipient
           ([aux] carries the new pid) *)
 
-type t = {
+type t = private {
   op : op;
   src_pid : Pid.t;
   dst_pid : Pid.t;
@@ -57,9 +57,15 @@ type t = {
   offset : int;
   total : int;
   aux : int;
-  msg : Msg.t;
-  data : Bytes.t;  (** appended data; may be empty *)
+  data_len : int;  (** bytes of appended data; may be 0 *)
+  wire : Bytes.t;
+  base : int;  (** where the packet's image starts in [wire] *)
 }
+(** A packet is its own wire image: the header fields above are decoded
+    once, and the message and data stay in [wire] from [base] on.  The
+    image is never written after {!make}, so retransmitting a packet,
+    re-serving a cached reply and handing a frame to every receiver of a
+    broadcast all share the same bytes. *)
 
 val make :
   op:op ->
@@ -70,9 +76,14 @@ val make :
   ?total:int ->
   ?aux:int ->
   ?msg:Msg.t ->
-  ?data:Bytes.t ->
+  ?data:Mem.t * int * int ->
   unit ->
   t
+(** Writes the header, the message (zeros by default) and the data into
+    one fresh buffer.  [data] is [(mem, pos, len)]: the [len] bytes at
+    [pos] in [mem], copied straight into the image.  Raises
+    [Invalid_argument] for a message that is not {!Msg.length} bytes or
+    a range outside [mem]. *)
 
 val header_bytes : int
 (** 64: the fixed header block, user message included. *)
@@ -81,7 +92,35 @@ val wire_length : t -> int
 (** Bytes this packet occupies as a frame payload. *)
 
 val to_bytes : t -> Bytes.t
-val of_bytes : Bytes.t -> (t, string) result
+(** The wire image: a made packet's own buffer, not a copy.  Send it;
+    never write it. *)
+
+val of_bytes : ?off:int -> Bytes.t -> (t, string) result
+(** Parse the image that starts [off] (default 0) bytes into a frame
+    payload, rejecting one shorter than the header, with an unknown op
+    or whose header's data length disagrees with the bytes that follow.
+    Parsing copies nothing: the packet reads its message and data in
+    place from the payload, which must not change afterwards. *)
+
+(** {1 The message and data, read in place} *)
+
+val msg : t -> Msg.t
+(** A fresh copy of the 32-byte message. *)
+
+val blit_msg : t -> Msg.t -> unit
+(** Copy the message into a caller's buffer. *)
+
+val data : t -> Bytes.t
+(** A fresh copy of the appended data. *)
+
+val blit_data : t -> Mem.t -> pos:int -> len:int -> unit
+(** Copy the first [len] bytes of the data to [pos] in a space.  Raises
+    [Invalid_argument] if [len] exceeds {!data_len} or the range lies
+    outside the space. *)
+
+val retarget : ?msg:Msg.t -> t -> dst_pid:Pid.t -> t
+(** A copy of the packet addressed to [dst_pid], and carrying [msg] if
+    given; the original's image is unchanged. *)
 
 val op_to_string : op -> string
 val pp : Format.formatter -> t -> unit

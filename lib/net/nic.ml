@@ -57,20 +57,21 @@ let release_tx_buf t () =
   if Queue.is_empty t.tx_waiters then t.tx_buf_busy <- false
   else (Queue.pop t.tx_waiters) ()
 
+(* Copy [payload] into the transmit buffer, then put it on the wire. *)
+let transmit t cost ~dst ~ethertype payload k =
+  Vhw.Cpu.charge_k t.ncpu cost (fun () ->
+      Medium.transmit t.nmedium ~on_sent:(release_tx_buf t)
+        (Frame.make ~src:t.naddr ~dst ~ethertype payload);
+      k ())
+
 let send_k t ?(pre_cost = 0) ~dst ~ethertype payload k =
   let model = Vhw.Cpu.model t.ncpu in
   let cost =
     pre_cost + model.Vhw.Cost_model.pkt_send_setup_ns
     + (Bytes.length payload * model.Vhw.Cost_model.nic_copy_ns_per_byte)
   in
-  let go () =
-    Vhw.Cpu.charge_k t.ncpu cost (fun () ->
-        Medium.transmit t.nmedium ~on_sent:(release_tx_buf t)
-          (Frame.make ~src:t.naddr ~dst ~ethertype payload);
-        k ())
-  in
   if t.tx_buf_busy then begin
-    Queue.add go t.tx_waiters;
+    Queue.add (fun () -> transmit t cost ~dst ~ethertype payload k) t.tx_waiters;
     if Vsim.Trace.tracing t.eng then
       Vsim.Trace.event t.eng
         (Vsim.Event.Nic_busy
@@ -78,7 +79,7 @@ let send_k t ?(pre_cost = 0) ~dst ~ethertype payload k =
   end
   else begin
     t.tx_buf_busy <- true;
-    go ()
+    transmit t cost ~dst ~ethertype payload k
   end
 
 let send t ?pre_cost ~dst ~ethertype payload =

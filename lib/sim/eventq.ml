@@ -56,9 +56,19 @@ type kind = Kind.t
    A handle packs [seq lsl slot_bits lor slot].  [seq] is unique per
    queue, so comparing handles compares insertion order, and the heap key
    (time, handle) is exactly the (time, seq) order.  A handle is pending
-   iff the heap entry at its slot's position carries it: once its event
-   has fired or been cancelled no entry does, whatever the slot holds
-   now, which is how a stale [cancel] is detected. *)
+   iff it is the front slot's handle or the heap entry at its slot's
+   position carries it: once its event has fired or been cancelled
+   neither does, whatever the slot holds now, which is how a stale
+   [cancel] is detected.
+
+   The earliest pending event may sit outside the heap, in a front slot
+   of two ints [front_time] and [front] (its handle, [none] when the
+   slot is empty).  Invariant: a full front slot's entry precedes every
+   heap entry in (time, handle) order; an empty one leaves the earliest
+   event at the heap's root.  An event added before both takes the slot
+   (pushing the old front into the heap) and is taken again without a
+   sift, which is the common case of a simulation step that schedules
+   its own successor.  A front event's slab slot has position -1. *)
 
 type handle = int
 
@@ -79,11 +89,13 @@ type t = {
   mutable fns : (unit -> unit) array;
   mutable free : int;  (* first free slot, -1 when every slot is in use *)
   mutable next_seq : int;
+  mutable front_time : int;
+  mutable front : int;  (* the front slot's handle, [none] when empty *)
 }
 
 let create () =
   { size = 0; times = [||]; handles = [||]; kinds = [||]; pos = [||];
-    fns = [||]; free = -1; next_seq = 0 }
+    fns = [||]; free = -1; next_seq = 0; front_time = 0; front = none }
 
 let grow t =
   let cap = Array.length t.fns in
@@ -154,6 +166,11 @@ let rec sift_down t i time h =
     end
     else place t i time h
 
+(* Insert [(time, h)] into the heap. *)
+let push t time h =
+  t.size <- t.size + 1;
+  sift_up t (t.size - 1) time h
+
 let add t ~time ~kind fn =
   if t.next_seq > max_seq then
     invalid_arg "Eventq.add: event sequence numbers exhausted";
@@ -164,8 +181,17 @@ let add t ~time ~kind fn =
   t.free <- t.pos.(s);
   t.kinds.(s) <- kind;
   t.fns.(s) <- fn;
-  t.size <- t.size + 1;
-  sift_up t (t.size - 1) time h;
+  let first =
+    if t.front <> none then before time h t.front_time t.front
+    else t.size = 0 || before time h (get t.times 0) (get t.handles 0)
+  in
+  if first then begin
+    if t.front <> none then push t t.front_time t.front;
+    t.pos.(s) <- -1;
+    t.front_time <- time;
+    t.front <- h
+  end
+  else push t time h;
   h
 
 (* Return slot [s] to the free list and drop its closure. *)
@@ -188,7 +214,11 @@ let remove_at t i =
 
 let cancel t h =
   let s = h land slot_mask in
-  if s < Array.length t.fns then begin
+  if h = t.front && h <> none then begin
+    t.front <- none;
+    release t s
+  end
+  else if s < Array.length t.fns then begin
     let i = t.pos.(s) in
     if i >= 0 && i < t.size && t.handles.(i) = h then begin
       remove_at t i;
@@ -196,28 +226,34 @@ let cancel t h =
     end
   end
 
-let is_empty t = t.size = 0
-let live_count t = t.size
+let is_empty t = t.front = none && t.size = 0
+let live_count t = if t.front = none then t.size else t.size + 1
 
 let top_slot t =
-  if t.size = 0 then invalid_arg "Eventq: the queue is empty";
-  t.handles.(0) land slot_mask
+  if t.front <> none then t.front land slot_mask
+  else begin
+    if t.size = 0 then invalid_arg "Eventq: the queue is empty";
+    t.handles.(0) land slot_mask
+  end
 
 let top_time t =
-  if t.size = 0 then invalid_arg "Eventq: the queue is empty";
-  t.times.(0)
+  if t.front <> none then t.front_time
+  else begin
+    if t.size = 0 then invalid_arg "Eventq: the queue is empty";
+    t.times.(0)
+  end
 
 let top_kind t = t.kinds.(top_slot t)
 
 let take t =
   let s = top_slot t in
   let fn = t.fns.(s) in
-  remove_at t 0;
+  if t.front <> none then t.front <- none else remove_at t 0;
   release t s;
   fn
 
 let pop t =
-  if t.size = 0 then None
+  if is_empty t then None
   else
-    let time = t.times.(0) in
+    let time = top_time t in
     Some (time, take t)

@@ -11,6 +11,17 @@
     the event from the heap at once, in O(log n), and releases its
     closure; the queue holds exactly {!live_count} entries.
 
+    The earliest event may wait outside the heap in a front slot of two
+    ints (its time and handle).  Invariant: when the slot is full, its
+    entry precedes every heap entry in [(time, seq)] order.  {!add}
+    gives the slot to an event that precedes both the front and the
+    heap's root, sifting the event it displaces into the heap; every
+    other event goes into the heap.  {!take}, the [top_*] readers,
+    {!cancel}, {!is_empty} and {!live_count} read the slot first.  So a
+    step that schedules the next earliest event, the common case, adds
+    and takes it in O(1).  The slot changes no order: events fire
+    exactly as they would from the heap alone.
+
     A {!handle} is an immediate int naming one scheduled event of the
     queue that issued it.  Once that event has fired or been cancelled
     the handle is stale, and cancelling it is a no-op, even after its

@@ -280,14 +280,15 @@ let maybe_read_ahead t (f : open_file) ~block =
 (* Success replies for ops bound to a file carry (inum, version) so
    version-aware clients can keep their block caches consistent.
    [grant] additionally piggybacks a lease when the request carried a
-   callback pid [cb]. *)
-let reply_ext t msg src ~cb ?(grant = false) value ~inum =
+   callback pid [cb].  [reply] is the kernel primitive that sends it:
+   [K.reply], or [K.reply_with_segment] applied to a page's segment. *)
+let reply_ext t ~reply msg src ~cb ?(grant = false) value ~inum =
   Msg.clear_segment msg;
   Protocol.encode_reply_ext msg ~status:Protocol.Sok ~value ~inum
     ~version:(file_version t ~inum);
   let term_us = if grant then grant_lease t ~inum ~cb else 0 in
   Protocol.set_reply_lease msg ~term_us;
-  ignore (K.reply t.kernel msg src)
+  ignore (reply t.kernel msg src)
 
 let handle_request t ~mem ~msg ~src ~seg_count =
   t.n_requests <- t.n_requests + 1;
@@ -305,7 +306,7 @@ let handle_request t ~mem ~msg ~src ~seg_count =
   let ack_write (f : open_file) n =
     bump_version t ~inum:f.of_inum;
     break_leases t ~inum:f.of_inum ~except:cb;
-    reply_ext t msg src ~cb n ~inum:f.of_inum
+    reply_ext t ~reply:K.reply msg src ~cb n ~inum:f.of_inum
   in
   match Protocol.decode_request msg with
   | None -> reply Protocol.Sbad_request 0
@@ -352,7 +353,8 @@ let handle_request t ~mem ~msg ~src ~seg_count =
           | Ok inum -> (
               match alloc_handle t ~owner:src inum with
               | None -> reply Protocol.Sno_space 0
-              | Some h -> reply_ext t msg src ~cb ~grant:true h ~inum))
+              | Some h ->
+                  reply_ext t ~reply:K.reply msg src ~cb ~grant:true h ~inum))
       | Protocol.Close -> (
           match lookup_handle t handle with
           | None -> reply Protocol.Sbad_handle 0
@@ -407,14 +409,11 @@ let handle_request t ~mem ~msg ~src ~seg_count =
                   | K.Too_big | K.Retryable | K.Dead ->
                       reply Protocol.Sio_error 0)
               | Ok n ->
-                  Msg.clear_segment msg;
-                  Protocol.encode_reply_ext msg ~status:Protocol.Sok ~value:n
-                    ~inum:f.of_inum ~version:(file_version t ~inum:f.of_inum);
-                  Protocol.set_reply_lease msg
-                    ~term_us:(grant_lease t ~inum:f.of_inum ~cb);
-                  ignore
-                    (K.reply_with_segment t.kernel msg src ~destptr:dptr
-                       ~segptr:scratch_ptr ~segsize:n);
+                  reply_ext t
+                    ~reply:
+                      (K.reply_with_segment ~destptr:dptr ~segptr:scratch_ptr
+                         ~segsize:n)
+                    msg src ~cb ~grant:true n ~inum:f.of_inum;
                   (* A fresh handle ([of_last_block = -1]) starting at
                      block 0 counts as sequential. *)
                   let sequential = block = f.of_last_block + 1 in

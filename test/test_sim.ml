@@ -39,23 +39,114 @@ let test_eventq_cancel () =
   Alcotest.(check int) "one fired" 1 !fired;
   Alcotest.(check bool) "now empty" true (Vsim.Eventq.is_empty q)
 
-(* Model-based check: the heap pops in the same order as a sorted list. *)
+(* The front slot's transitions, one by one: an earlier event displaces
+   the front into the heap, an event at the front's time goes behind it,
+   cancelling the front leaves the heap's root earliest, and a stale
+   handle whose slot the front now reuses cancels nothing. *)
+let test_eventq_front_slot () =
+  let q = Vsim.Eventq.create () in
+  let fired = ref [] in
+  let add time tag = add q ~time (fun () -> fired := tag :: !fired) in
+  let take () = Vsim.Eventq.take q () in
+  let a = add 10 "a" in
+  let (_ : Vsim.Eventq.handle) = add 20 "b" in
+  let (_ : Vsim.Eventq.handle) = add 5 "c" in
+  Alcotest.(check int) "earlier event is first" 5 (Vsim.Eventq.top_time q);
+  let (_ : Vsim.Eventq.handle) = add 5 "c2" in
+  Alcotest.(check int) "four live" 4 (Vsim.Eventq.live_count q);
+  take ();
+  take ();
+  Alcotest.(check (list string)) "a tie goes behind the front" [ "c"; "c2" ]
+    (List.rev !fired);
+  let d = add 1 "d" in
+  Vsim.Eventq.cancel q d;
+  Alcotest.(check int) "cancelled front: the heap's root is next" 10
+    (Vsim.Eventq.top_time q);
+  take ();
+  (* [a] fired; [e] reuses its slot and, earliest, takes the front. *)
+  let e = add 15 "e" in
+  Vsim.Eventq.cancel q a;
+  Alcotest.(check int) "stale handle cancels nothing" 2
+    (Vsim.Eventq.live_count q);
+  Alcotest.(check int) "e is the front" 15 (Vsim.Eventq.top_time q);
+  Vsim.Eventq.cancel q d;
+  Vsim.Eventq.cancel q Vsim.Eventq.none;
+  Alcotest.(check int) "still two" 2 (Vsim.Eventq.live_count q);
+  take ();
+  Vsim.Eventq.cancel q e;
+  take ();
+  Alcotest.(check (list string)) "fired in order" [ "c"; "c2"; "a"; "e"; "b" ]
+    (List.rev !fired);
+  Alcotest.(check bool) "drained" true (Vsim.Eventq.is_empty q)
+
+(* Model-based check: random [add], [cancel] and [take] on a bare queue
+   against a reference list sorted by (time, seq), checking every
+   observer after each step.  Times are drawn from a small range, so a
+   new event often precedes the front, ties it, or lands behind the
+   heap's root; [Cancel] names any handle ever issued, so fired,
+   cancelled and slot-reused handles are common, and cancelling the
+   front is too. *)
+type eventq_op = Q_add of int | Q_cancel of int | Q_take
+
+let eventq_ops =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (5, map (fun t -> Q_add t) (int_bound 6));
+        (2, map (fun i -> Q_cancel i) (int_bound 60));
+        (4, return Q_take);
+      ]
+  in
+  let print = function
+    | Q_add t -> Printf.sprintf "Add %d" t
+    | Q_cancel i -> Printf.sprintf "Cancel %d" i
+    | Q_take -> "Take"
+  in
+  QCheck.make ~print:QCheck.Print.(list print) (list_size (int_bound 150) op)
+
 let test_eventq_model =
-  Util.qtest "eventq matches sorted-list model"
-    QCheck.(list (int_bound 1000))
-    (fun times ->
+  let kinds =
+    [| Vsim.Eventq.Kind.intern "test.even"; Vsim.Eventq.Kind.intern "test.odd" |]
+  in
+  Util.qtest ~count:500 "eventq matches sorted-list model"
+    eventq_ops (fun ops ->
       let q = Vsim.Eventq.create () in
-      List.iter (fun t -> ignore (add q ~time:t ignore)) times;
-      let popped = ref [] in
-      let rec drain () =
-        match Vsim.Eventq.pop q with
-        | Some (t, _) ->
-            popped := t :: !popped;
-            drain ()
-        | None -> ()
+      let handles = ref [||] and model = ref [] and fired = ref (-1) in
+      let observers_agree () =
+        match !model with
+        | [] -> Vsim.Eventq.is_empty q && Vsim.Eventq.live_count q = 0
+        | (time, id) :: _ ->
+            (not (Vsim.Eventq.is_empty q))
+            && Vsim.Eventq.live_count q = List.length !model
+            && Vsim.Eventq.top_time q = time
+            && Vsim.Eventq.top_kind q = kinds.(id land 1)
       in
-      drain ();
-      List.rev !popped = List.sort compare times)
+      let step = function
+        | Q_add time ->
+            let id = Array.length !handles in
+            let h =
+              Vsim.Eventq.add q ~time ~kind:kinds.(id land 1) (fun () ->
+                  fired := id)
+            in
+            handles := Array.append !handles [| h |];
+            model := List.merge compare !model [ (time, id) ];
+            true
+        | Q_cancel i when Array.length !handles > 0 ->
+            let id = i mod Array.length !handles in
+            Vsim.Eventq.cancel q !handles.(id);
+            model := List.filter (fun (_, j) -> j <> id) !model;
+            true
+        | Q_cancel _ -> true
+        | Q_take -> (
+            match !model with
+            | [] -> true
+            | (_, id) :: rest ->
+                Vsim.Eventq.take q ();
+                model := rest;
+                !fired = id)
+      in
+      List.for_all (fun op -> step op && observers_agree ()) ops)
 
 (* Random interleavings of add, cancel and pop on an engine, against a
    reference list of pending events kept in (time, id) order.  Ids are
@@ -311,6 +402,7 @@ let suite =
     Alcotest.test_case "eventq order" `Quick test_eventq_order;
     Alcotest.test_case "eventq cancel" `Quick test_eventq_cancel;
     test_eventq_model;
+    Alcotest.test_case "eventq front slot" `Quick test_eventq_front_slot;
     test_engine_queue_model;
     Alcotest.test_case "engine run until" `Quick test_engine_run_until;
     Alcotest.test_case "engine rejects past" `Quick test_engine_no_past;

@@ -55,14 +55,12 @@ let test_team_serves_clients () =
    event) captured into a buffer; returns the trace and the stats. *)
 let traced_contention ~workers ~clients =
   let buf = Buffer.create (1 lsl 16) in
-  Vsim.Engine.set_create_hook
+  Vsim.Engine.with_create_hook
     (Some
        (fun eng ->
          Vsim.Trace.attach eng (fun ts ev ->
              Buffer.add_string buf
-               (Format.asprintf "%d %a@." ts Vsim.Event.pp ev))));
-  Fun.protect
-    ~finally:(fun () -> Vsim.Engine.set_create_hook None)
+               (Format.asprintf "%d %a@." ts Vsim.Event.pp ev))))
     (fun () ->
       let c = R.contention ~workers ~reads_per_client:10 ~clients () in
       (Buffer.contents buf, c))

@@ -9,7 +9,8 @@
 # lookups that compare keys polymorphically inside Stdlib (assoc,
 # assoc_opt, mem, mem_assoc, remove_assoc) in the native objects of the
 # modules every simulated event or frame runs through: Eventq, Engine,
-# Proc, Cpu, Nic, Medium, Fault, Gateway, Rto and Kernel.  Each one is
+# Proc, Cpu, Nic, Frame, Medium, Fault, Gateway, Rto, Kernel, and the
+# Packet, Msg and Mem code every kernel packet passes through.  Each one is
 # a C call (or a call into one) made where an int comparison would do:
 # `=` on a variant with a non-constant constructor, `max` on ints, a
 # polymorphic Hashtbl (use Vsim.Itbl for int keys), `List.assoc_opt` on
@@ -25,11 +26,15 @@ lib/sim/.vsim.objs/native/vsim__Engine.o
 lib/sim/.vsim.objs/native/vsim__Proc.o
 lib/hw/.vhw.objs/native/vhw__Cpu.o
 lib/net/.vnet.objs/native/vnet__Nic.o
+lib/net/.vnet.objs/native/vnet__Frame.o
 lib/net/.vnet.objs/native/vnet__Medium.o
 lib/net/.vnet.objs/native/vnet__Fault.o
 lib/net/.vnet.objs/native/vnet__Gateway.o
 lib/core/.vkernel.objs/native/vkernel__Rto.o
-lib/core/.vkernel.objs/native/vkernel__Kernel.o"
+lib/core/.vkernel.objs/native/vkernel__Kernel.o
+lib/core/.vkernel.objs/native/vkernel__Packet.o
+lib/core/.vkernel.objs/native/vkernel__Msg.o
+lib/core/.vkernel.objs/native/vkernel__Mem.o"
 
 poly='^(caml_(equal|notequal|compare|lessthan|lessequal|greaterthan|greaterequal|hash)|camlStdlib\.(max|min)_[0-9]+|camlStdlib__List\.(assoc|assoc_opt|mem|mem_assoc|remove_assoc)_[0-9]+)$'
 
