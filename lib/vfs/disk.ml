@@ -111,12 +111,12 @@ let access_time t b =
   match t.lat with
   | Fixed ns -> ns
   | Seek { base_ns; full_seek_ns; rotation_ns; cylinders } ->
-      let blocks_per_cyl = max 1 (t.nblocks / cylinders) in
+      let blocks_per_cyl = Int.max 1 (t.nblocks / cylinders) in
       let cyl = b / blocks_per_cyl in
       let travel = abs (cyl - t.head_cyl) in
       t.head_cyl <- cyl;
-      let seek = full_seek_ns * travel / max 1 cylinders in
-      let rot = Vsim.Rng.int t.rng (max 1 rotation_ns) in
+      let seek = full_seek_ns * travel / Int.max 1 cylinders in
+      let rot = Vsim.Rng.int t.rng (Int.max 1 rotation_ns) in
       base_ns + seek + rot
 
 (* The device is an FCFS queued resource: one access in service at a
@@ -142,7 +142,7 @@ let rec begin_service t cost action =
 let schedule t ~rw b k =
   let cost = access_time t b in
   let now = Vsim.Engine.now t.eng in
-  let start = max now t.free_at in
+  let start = Int.max now t.free_at in
   t.free_at <- start + cost;
   t.busy <- t.busy + cost;
   if Vsim.Trace.tracing t.eng then

@@ -49,15 +49,15 @@ type geometry = {
    leaves no trace and a committed one reaches the disk only through the
    journal's commit protocol. *)
 type txn = {
-  tbuf : (int, Bytes.t) Hashtbl.t;
-  tmeta : (int, bool) Hashtbl.t;  (** cache policy of the last write *)
+  tbuf : Bytes.t Vsim.Itbl.t;
+  tmeta : bool Vsim.Itbl.t;  (** cache policy of the last write *)
   mutable torder : int list;  (** reverse order of first write per block *)
 }
 
 type t = {
   dsk : Disk.t;
   geo : geometry;
-  cache : (int, Bytes.t) Hashtbl.t;
+  cache : Bytes.t Vsim.Itbl.t;  (** never walked: its order is no output *)
   mutable cache_on : bool;
   mutable hits : int;
   mutable misses : int;
@@ -98,21 +98,21 @@ let get32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFF_FFFF
    [read_block]. *)
 let view ?(meta = false) t b =
   match
-    match t.txn with Some tx -> Hashtbl.find_opt tx.tbuf b | None -> None
+    match t.txn with Some tx -> Vsim.Itbl.find_opt tx.tbuf b | None -> None
   with
   | Some data ->
       t.hits <- t.hits + 1;
       data
   | None -> (
       let cached = meta || t.cache_on in
-      match if cached then Hashtbl.find_opt t.cache b else None with
+      match if cached then Vsim.Itbl.find_opt t.cache b else None with
       | Some data ->
           t.hits <- t.hits + 1;
           data
       | None ->
           t.misses <- t.misses + 1;
           let data = Disk.read t.dsk b in
-          if cached then Hashtbl.replace t.cache b data;
+          if cached then Vsim.Itbl.replace t.cache b data;
           data)
 
 let read_block ?meta t b = Bytes.copy (view ?meta t b)
@@ -123,21 +123,21 @@ let read_block ?meta t b = Bytes.copy (view ?meta t b)
 let write_block ?(meta = false) t b data =
   match t.txn with
   | Some tx ->
-      if not (Hashtbl.mem tx.tbuf b) then tx.torder <- b :: tx.torder;
-      Hashtbl.replace tx.tbuf b (Bytes.copy data);
-      Hashtbl.replace tx.tmeta b meta
+      if not (Vsim.Itbl.mem tx.tbuf b) then tx.torder <- b :: tx.torder;
+      Vsim.Itbl.replace tx.tbuf b (Bytes.copy data);
+      Vsim.Itbl.replace tx.tmeta b meta
   | None ->
       (* One copy serves as both the cache entry and the disk block:
          neither is ever changed in place. *)
       let data = Bytes.copy data in
-      if meta || t.cache_on then Hashtbl.replace t.cache b data;
+      if meta || t.cache_on then Vsim.Itbl.replace t.cache b data;
       Disk.write_shared t.dsk b data
 
 let set_cache_enabled t on =
   t.cache_on <- on;
-  if not on then Hashtbl.reset t.cache
+  if not on then Vsim.Itbl.reset t.cache
 
-let evict_cache t = Hashtbl.reset t.cache
+let evict_cache t = Vsim.Itbl.reset t.cache
 let cache_hits t = t.hits
 let cache_misses t = t.misses
 
@@ -195,7 +195,8 @@ let with_lock t f =
 
 let begin_txn t =
   t.txn <-
-    Some { tbuf = Hashtbl.create 32; tmeta = Hashtbl.create 16; torder = [] }
+    Some
+      { tbuf = Vsim.Itbl.create 32; tmeta = Vsim.Itbl.create 16; torder = [] }
 
 let abort_txn t = t.txn <- None
 
@@ -221,7 +222,7 @@ let commit_txn t =
           let rec emit = function
             | [] -> ()
             | rest ->
-                let k = min jtags_per_desc (List.length rest) in
+                let k = Int.min jtags_per_desc (List.length rest) in
                 let hdr = Bytes.make block_size '\000' in
                 set32 hdr 0 jmagic;
                 set32 hdr 4 seq;
@@ -236,7 +237,7 @@ let commit_txn t =
                 let tail = fill 0 rest in
                 put hdr;
                 List.iteri
-                  (fun i b -> if i < k then put (Hashtbl.find tx.tbuf b))
+                  (fun i b -> if i < k then put (Vsim.Itbl.find tx.tbuf b))
                   rest;
                 emit tail
           in
@@ -252,11 +253,11 @@ let commit_txn t =
           List.iter
             (fun b ->
               let meta =
-                match Hashtbl.find_opt tx.tmeta b with
+                match Vsim.Itbl.find_opt tx.tmeta b with
                 | Some m -> m
                 | None -> false
               in
-              write_block ~meta t b (Hashtbl.find tx.tbuf b))
+              write_block ~meta t b (Vsim.Itbl.find tx.tbuf b))
             blocks;
           Disk.write t.dsk t.geo.journal_start (Bytes.make block_size '\000');
           Ok ()
@@ -310,7 +311,7 @@ let journal_replay t =
       in
       (match scan t.geo.journal_start [] with
       | Some writes ->
-          t.jseq <- max t.jseq seq;
+          t.jseq <- Int.max t.jseq seq;
           List.iter
             (fun (b, img) ->
               if b >= 0 && b < t.geo.journal_start then Disk.write t.dsk b img)
@@ -324,7 +325,7 @@ let journal_replay t =
    (cache, open transaction, lock) is gone with the host; the journal
    decides what the disk means. *)
 let recover t =
-  Hashtbl.reset t.cache;
+  Vsim.Itbl.reset t.cache;
   t.txn <- None;
   t.lock_busy <- false;
   Queue.clear t.lock_waiters;
@@ -501,14 +502,14 @@ let iter_range t ~inum ~pos ~len start piece =
     | Error e -> Error e
     | Ok ino when not ino.i_used -> Error Not_found
     | Ok ino ->
-        let len = max 0 (min len (ino.i_size - pos)) in
+        let len = Int.max 0 (Int.min len (ino.i_size - pos)) in
         let dst = start len in
         let rec go off =
           if off >= len then Ok dst
           else begin
             let abs = pos + off in
             let idx = abs / block_size and boff = abs mod block_size in
-            let n = min (block_size - boff) (len - off) in
+            let n = Int.min (block_size - boff) (len - off) in
             match bmap t ino ~inum ~idx ~alloc:false () with
             | Error e -> Error e
             | Ok blk ->
@@ -553,7 +554,8 @@ let write_range t ~inum ~pos data =
                  entries that point at blocks we just freed. *)
               let table = read_block ~meta:true t orig.i_indirect in
               for i = 0 to ptrs_per_block - 1 do
-                if List.mem (get32 table (4 * i)) !fresh then
+                let ptr = get32 table (4 * i) in
+                if List.exists (Int.equal ptr) !fresh then
                   set32 table (4 * i) 0
               done;
               write_block ~meta:true t orig.i_indirect table
@@ -572,7 +574,7 @@ let write_range t ~inum ~pos data =
           else begin
             let abs = pos + off in
             let idx = abs / block_size and boff = abs mod block_size in
-            let n = min (block_size - boff) (len - off) in
+            let n = Int.min (block_size - boff) (len - off) in
             match bmap t ino ~inum ~idx ~alloc:true ~on_alloc () with
             | Error e ->
                 unwind ();
@@ -638,7 +640,7 @@ let make_t dsk geo =
   {
     dsk;
     geo;
-    cache = Hashtbl.create 512;
+    cache = Vsim.Itbl.create 16;
     cache_on = true;
     hits = 0;
     misses = 0;
@@ -734,7 +736,7 @@ let clone t dsk =
     invalid_arg "Fs.clone: filesystem is in the middle of an operation";
   if Disk.block_size dsk <> block_size || Disk.blocks dsk <> Disk.blocks t.dsk
   then invalid_arg "Fs.clone: disk geometry differs";
-  { t with dsk; cache = Hashtbl.copy t.cache; lock_waiters = Queue.create () }
+  { t with dsk; cache = Vsim.Itbl.copy t.cache; lock_waiters = Queue.create () }
 
 let create_op t name =
   if String.length name = 0 then Error Bad_argument
@@ -844,24 +846,18 @@ let check t =
       let geo = t.geo in
       let issues = ref [] in
       let problem fmt = Printf.ksprintf (fun s -> issues := s :: !issues) fmt in
-      (* The bitmap as read, a byte at a time: bit [b mod 8] of byte
-         [b / 8].  Bytes past its end read as free. *)
+      (* The bitmap as read, viewed first (a cold cache reads it from disk
+         before the inode table).  Blocks past its end read as free. *)
       let bitmap =
         Array.init geo.bitmap_blocks (fun bi ->
             view ~meta:true t (geo.bitmap_start + bi))
-      in
-      let bitmap_byte i =
-        let bi = i / block_size in
-        if bi < Array.length bitmap then
-          Char.code (Bytes.get bitmap.(bi) (i mod block_size))
-        else 0
       in
       (* The system owns the metadata area and the journal; inodes own
          the blocks they claim. *)
       let reserved b =
         b < geo.data_start || (geo.journal_blocks > 0 && b >= geo.journal_start)
       in
-      let owner = Hashtbl.create 64 in
+      let owner = Vsim.Itbl.create 64 in
       let claim inum what blk =
         if blk < 0 || blk >= geo.nblocks then
           problem "inode %d: %s points outside the disk (block %d)" inum what
@@ -869,71 +865,87 @@ let check t =
         else if reserved blk then
           problem "inode %d: %s claims reserved block %d" inum what blk
         else
-          match Hashtbl.find_opt owner blk with
+          match Vsim.Itbl.find_opt owner blk with
           | Some first ->
               problem "block %d claimed by both inode %d and inode %d" blk
                 first inum
-          | None -> Hashtbl.replace owner blk inum
+          | None -> Vsim.Itbl.replace owner blk inum
       in
-      for inum = 0 to geo.ninodes - 1 do
-        let ib = view ~meta:true t (inode_block t inum) in
-        let off = inode_offset inum in
-        if Bytes.get ib off <> '\000' then begin
-          let size = get32 ib (off + 4) in
-          if size > max_file_size then
-            problem "inode %d: impossible size %d" inum size;
-          for i = 0 to n_direct - 1 do
-            let blk = get32 ib (off + 8 + (4 * i)) in
-            if blk <> 0 then claim inum "direct pointer" blk
-          done;
-          let iblk = get32 ib (off + 8 + (4 * n_direct)) in
-          if iblk <> 0 then begin
-            claim inum "indirect table" iblk;
-            if iblk < geo.nblocks then begin
-              let table = view ~meta:true t iblk in
-              for i = 0 to ptrs_per_block - 1 do
-                let ptr = get32 table (4 * i) in
-                if ptr <> 0 then claim inum "indirect pointer" ptr
-              done
+      (* Each inode block is viewed once, for all of its inodes. *)
+      for ib = 0 to ((geo.ninodes + inodes_per_block - 1) / inodes_per_block) - 1
+      do
+        let bytes = view ~meta:true t (geo.inode_start + ib) in
+        let first = ib * inodes_per_block in
+        for inum = first to Int.min geo.ninodes (first + inodes_per_block) - 1 do
+          let off = inode_offset inum in
+          if Bytes.get bytes off <> '\000' then begin
+            let size = get32 bytes (off + 4) in
+            if size > max_file_size then
+              problem "inode %d: impossible size %d" inum size;
+            for i = 0 to n_direct - 1 do
+              let blk = get32 bytes (off + 8 + (4 * i)) in
+              if blk <> 0 then claim inum "direct pointer" blk
+            done;
+            let iblk = get32 bytes (off + 8 + (4 * n_direct)) in
+            if iblk <> 0 then begin
+              claim inum "indirect table" iblk;
+              if iblk < geo.nblocks then begin
+                let table = view ~meta:true t iblk in
+                for i = 0 to ptrs_per_block - 1 do
+                  let ptr = get32 table (4 * i) in
+                  if ptr <> 0 then claim inum "indirect pointer" ptr
+                done
+              end
             end
           end
-        end
+        done
       done;
-      (* Bitmap vs ownership: the bitmap ownership implies, built as
-         bytes, against the one read; only differing bytes are examined
-         bit by bit. *)
-      let nbytes = (geo.nblocks + 7) / 8 in
-      let implied = Bytes.make nbytes '\000' in
+      (* Bitmap vs ownership: the bitmap ownership implies, built a block
+         at a time, against the one read; only the bytes of differing
+         blocks are examined bit by bit. *)
+      let bits_per_block = block_size * 8 in
+      let nbb = (geo.nblocks + bits_per_block - 1) / bits_per_block in
+      let implied = Array.init nbb (fun _ -> Bytes.make block_size '\000') in
       let mark b =
-        let i = b / 8 in
-        Bytes.set implied i
-          (Char.chr (Char.code (Bytes.get implied i) lor (1 lsl (b mod 8))))
+        let blk = implied.(b / bits_per_block) and i = b / 8 mod block_size in
+        Bytes.set blk i
+          (Char.chr (Char.code (Bytes.get blk i) lor (1 lsl (b mod 8))))
       in
-      for b = 0 to min geo.data_start geo.nblocks - 1 do
+      for b = 0 to Int.min geo.data_start geo.nblocks - 1 do
         mark b
       done;
       if geo.journal_blocks > 0 then
         for b = geo.journal_start to geo.nblocks - 1 do
           mark b
         done;
-      Hashtbl.iter (fun b _ -> mark b) owner;
-      for i = 0 to nbytes - 1 do
-        let diff = Char.code (Bytes.get implied i) lxor bitmap_byte i in
-        if diff <> 0 then
-          for bit = 0 to 7 do
-            let b = (i * 8) + bit in
-            if diff land (1 lsl bit) <> 0 && b < geo.nblocks then
-              if reserved b then
-                problem "reserved block %d marked free in the bitmap" b
-              else
-                match Hashtbl.find_opt owner b with
-                | Some inum ->
-                    problem "block %d in use by inode %d but marked free" b inum
-                | None ->
-                    problem
-                      "block %d marked used but referenced by no inode (leak)" b
-          done
-      done;
+      Vsim.Itbl.iter (fun b _ -> mark b) owner;
+      Array.iteri
+        (fun bi want ->
+          let got = if bi < Array.length bitmap then bitmap.(bi) else hole in
+          if not (Bytes.equal want got) then
+            for i = 0 to block_size - 1 do
+              let diff =
+                Char.code (Bytes.get want i) lxor Char.code (Bytes.get got i)
+              in
+              if diff <> 0 then
+                for bit = 0 to 7 do
+                  let b = (((bi * block_size) + i) * 8) + bit in
+                  if diff land (1 lsl bit) <> 0 && b < geo.nblocks then
+                    if reserved b then
+                      problem "reserved block %d marked free in the bitmap" b
+                    else
+                      match Vsim.Itbl.find_opt owner b with
+                      | Some inum ->
+                          problem "block %d in use by inode %d but marked free"
+                            b inum
+                      | None ->
+                          problem
+                            "block %d marked used but referenced by no inode \
+                             (leak)"
+                            b
+                done
+            done)
+        implied;
       (* Directory entries must point at live inodes. *)
       List.iter
         (fun (name, inum) ->

@@ -49,10 +49,10 @@ type t = {
   mutable spid : Vkernel.Pid.t;
   mutable worker_pids : Vkernel.Pid.t list;
   handles : open_file option array;
-  versions : (int, int) Hashtbl.t;
+  versions : int Vsim.Itbl.t;
       (* per-inode version number, bumped on every accepted mutation;
          piggybacked on extended replies for client-cache consistency *)
-  leases : (int, holder list) Hashtbl.t;
+  leases : holder list Vsim.Itbl.t;
       (* per-inode lease holders, insertion-ordered so callback order is
          deterministic; volatile, dropped wholesale across a crash *)
   mutable open_seq : int;
@@ -73,10 +73,10 @@ let pid t = t.spid
 let workers t = t.cfg.workers
 
 let file_version t ~inum =
-  match Hashtbl.find_opt t.versions inum with Some v -> v | None -> 1
+  match Vsim.Itbl.find_opt t.versions inum with Some v -> v | None -> 1
 
 let bump_version t ~inum =
-  Hashtbl.replace t.versions inum (file_version t ~inum + 1)
+  Vsim.Itbl.replace t.versions inum (file_version t ~inum + 1)
 let requests_served t = t.n_requests
 let leases_granted t = t.n_lease_grants
 let leases_broken t = t.n_lease_breaks
@@ -160,7 +160,7 @@ let holder_expired t h =
   h.l_expiry <= now t || K.host_suspected t.kernel ~host:h.l_host
 
 let live_holders t ~inum =
-  match Hashtbl.find_opt t.leases inum with
+  match Vsim.Itbl.find_opt t.leases inum with
   | None -> []
   | Some hs -> List.filter (fun h -> not (holder_expired t h)) hs
 
@@ -174,7 +174,7 @@ let grant_lease t ~inum ~cb =
   else begin
     let expiry = now t + t.cfg.lease_term_ns in
     let holders =
-      match Hashtbl.find_opt t.leases inum with Some hs -> hs | None -> []
+      match Vsim.Itbl.find_opt t.leases inum with Some hs -> hs | None -> []
     in
     (match
        List.find_opt (fun h -> Vkernel.Pid.equal h.l_pid cb) holders
@@ -184,7 +184,7 @@ let grant_lease t ~inum ~cb =
         let h =
           { l_pid = cb; l_host = Vkernel.Pid.host cb; l_expiry = expiry }
         in
-        Hashtbl.replace t.leases inum (holders @ [ h ]);
+        Vsim.Itbl.replace t.leases inum (holders @ [ h ]);
         t.n_lease_grants <- t.n_lease_grants + 1);
     t.cfg.lease_term_ns / 1_000
   end
@@ -210,7 +210,7 @@ let break_leases t ~inum ~except =
     t.n_grace_waits <- t.n_grace_waits + 1;
     Vsim.Proc.sleep grace
   end;
-  match Hashtbl.find_opt t.leases inum with
+  match Vsim.Itbl.find_opt t.leases inum with
   | None -> ()
   | Some holders ->
       let keep =
@@ -241,8 +241,8 @@ let break_leases t ~inum ~except =
             end)
           holders
       in
-      if keep = [] then Hashtbl.remove t.leases inum
-      else Hashtbl.replace t.leases inum keep
+      if keep = [] then Vsim.Itbl.remove t.leases inum
+      else Vsim.Itbl.replace t.leases inum keep
 
 let fs_error_status : Fs.error -> Protocol.rstatus = function
   | Fs.Not_found -> Protocol.Snot_found
@@ -650,8 +650,8 @@ let start kernel fs ?(config = default_config) ?(restartable = false) () =
       spid = Vkernel.Pid.nil;
       worker_pids = [];
       handles = Array.make (max 2 config.max_open) None;
-      versions = Hashtbl.create 16;
-      leases = Hashtbl.create 16;
+      versions = Vsim.Itbl.create 16;
+      leases = Vsim.Itbl.create 16;
       open_seq = 0;
       grace_until = 0;
       n_lease_grants = 0;
@@ -676,8 +676,8 @@ let start kernel fs ?(config = default_config) ?(restartable = false) () =
            re-grants from scratch; clients void their own leases when
            they detect the failover. *)
         Array.fill t.handles 0 (Array.length t.handles) None;
-        Hashtbl.reset t.versions;
-        Hashtbl.reset t.leases;
+        Vsim.Itbl.reset t.versions;
+        Vsim.Itbl.reset t.leases;
         (* If the dead incarnation ever granted a lease, some may still
            be live on client clocks; withhold conflicting acks until the
            longest possible one has expired (see break_leases). *)

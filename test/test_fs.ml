@@ -399,6 +399,46 @@ let fsck_cases =
       ];
   ]
 
+(* A 9,000-block disk has a three-block bitmap (blocks 1-3; inode table
+   4-5): fsck compares it a block at a time, so problems in every block,
+   and bits past the disk's end in the last, must come out in block
+   order. *)
+let test_fsck_bitmap_blocks () =
+  let eng = Vsim.Engine.create () in
+  let disk =
+    Vfs.Disk.create eng ~latency:(Vfs.Disk.Fixed 0) ~blocks:9000
+      ~block_size:Vfs.Fs.block_size ()
+  in
+  let bits_per_block = Vfs.Fs.block_size * 8 in
+  let set_bit blk on =
+    let i = blk mod bits_per_block / 8 and m = 1 lsl (blk mod 8) in
+    patch disk (1 + (blk / bits_per_block)) (fun b ->
+        let v = Char.code (Bytes.get b i) in
+        Bytes.set b i (Char.chr (if on then v lor m else v land lnot m)))
+  in
+  let out = ref None in
+  let (_ : Vsim.Proc.t) =
+    Vsim.Proc.spawn eng (fun () ->
+        Vfs.Fs.format disk ~ninodes:16 ();
+        Alcotest.(check (list string)) "clean before corruption" []
+          (Vfs.Fs.check (get (Vfs.Fs.mount disk)));
+        set_bit 8999 true;
+        set_bit 9001 true;
+        set_bit 5000 true;
+        set_bit 4 false;
+        set_bit 4100 true;
+        out := Some (Vfs.Fs.check (get (Vfs.Fs.mount disk))))
+  in
+  Vsim.Engine.run eng;
+  Alcotest.(check (list string)) "problems, in order"
+    [
+      "reserved block 4 marked free in the bitmap";
+      "block 4100 marked used but referenced by no inode (leak)";
+      "block 5000 marked used but referenced by no inode (leak)";
+      "block 8999 marked used but referenced by no inode (leak)";
+    ]
+    (Option.get !out)
+
 let suite =
   [
     Alcotest.test_case "create/lookup/unlink" `Quick test_create_lookup_unlink;
@@ -414,5 +454,7 @@ let suite =
     Alcotest.test_case "cache behaviour" `Quick test_cache_behaviour;
     test_model_based;
     Alcotest.test_case "read aliasing" `Quick test_read_aliasing;
+    Alcotest.test_case "fsck across bitmap blocks" `Quick
+      test_fsck_bitmap_blocks;
   ]
   @ fsck_cases

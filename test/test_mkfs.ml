@@ -166,6 +166,46 @@ let test_topology () =
       (reference ()) (tp.Topo.eng, fs)
   done
 
+(* A clone is the image's to copy, not to change: writing through one
+   clone, to its block cache and its disk, must leave every later clone
+   of the same image equal to the reference mkfs. *)
+let test_clone_isolation () =
+  let files = [ ("mkfs-iso", 4 * 512); ("mkfs-iso2", 1500) ] in
+  List.iter
+    (fun journal_blocks ->
+      let label what = Printf.sprintf "journal %d: %s" journal_blocks what in
+      let clone () =
+        let tb = busy_testbed () in
+        (tb.TB.eng, TB.make_test_fs tb ~host:2 ~journal_blocks ~files ())
+      in
+      let eng, fs = clone () in
+      let before = all_blocks fs in
+      let ok what = function
+        | Ok x -> x
+        | Error e -> Alcotest.failf "%s: %a" (label what) Vfs.Fs.pp_error e
+      in
+      let (_ : Vsim.Proc.t) =
+        Vsim.Proc.spawn eng ~name:"scribble" (fun () ->
+            let inum = Option.get (Vfs.Fs.lookup fs "mkfs-iso") in
+            ok "overwrite" (Vfs.Fs.write fs ~inum ~pos:100 (Bytes.make 900 'x'));
+            let fresh = ok "create" (Vfs.Fs.create fs "mkfs-scribble") in
+            ok "append" (Vfs.Fs.write fs ~inum:fresh ~pos:0 (Bytes.make 700 'y'));
+            ok "unlink" (Vfs.Fs.unlink fs "mkfs-iso2");
+            (* Every block just written is read back from the cache. *)
+            ignore (ok "read" (Vfs.Fs.read fs ~inum ~pos:0 ~len:(4 * 512))))
+      in
+      Vsim.Engine.run eng;
+      Alcotest.(check bool) (label "the scribbled clone changed") false
+        (List.equal Bytes.equal before (all_blocks fs));
+      let reference () =
+        let tb = busy_testbed () in
+        ( tb.TB.eng,
+          reference_mkfs tb.TB.eng ~host:2 ~latency:(Vfs.Disk.Fixed 0)
+            ~blocks:16384 ~journal_blocks ~files )
+      in
+      same_as_reference (label "later clone") ~files (reference ()) (clone ()))
+    [ 0; 64 ]
+
 (* Run [f] on a domain of its own, whose image memo starts cold. *)
 let on_fresh_domain f = Domain.join (Domain.spawn f)
 
@@ -230,6 +270,8 @@ let suite =
     Alcotest.test_case "journaled clone = reference" `Quick
       test_testbed_journaled;
     Alcotest.test_case "topology clone = reference" `Quick test_topology;
+    Alcotest.test_case "a written clone leaves the image alone" `Quick
+      test_clone_isolation;
     Alcotest.test_case "trace cold = warm" `Quick test_trace_cold_warm;
     Alcotest.test_case "create hook sees the testbed only" `Quick
       test_create_hook;
