@@ -50,7 +50,7 @@ let grid ~label f xs =
     Vsim.Pool.run_list ~domains:!domains
       (List.mapi
          (fun i x ->
-           Vsim.Job.v ~label:(Printf.sprintf "%s:%d" label i) (fun () ->
+           Vsim.Job.v ~label:(lazy (Printf.sprintf "%s:%d" label i)) (fun () ->
                let reg = Vobs.Metrics.create () in
                Vsim.Engine.with_create_hook
                  (Some (fun eng -> Vobs.Metrics.attach reg eng))

@@ -352,7 +352,8 @@ let sweep_seq ~limit ~domains ~progress ~run seq0 =
     | batch ->
         let jobs =
           List.map
-            (fun s -> Vsim.Job.v ~label:(Schedule.to_string s) (fun () -> run s))
+            (fun s ->
+              Vsim.Job.v ~label:(lazy (Schedule.to_string s)) (fun () -> run s))
             batch
         in
         let results = Vsim.Pool.run_list ~domains jobs in

@@ -369,28 +369,38 @@ let run (Spec s) ?(fault = Vnet.Fault.none) ?(max_events = s.max_events) ?seed
   in
   let media = List.map (fun (label, m) -> (label, Vnet.Medium.stats m)) media in
   let first = snd (List.hd media) in
-  {
-    completed;
-    unfinished;
-    events;
-    frames = first.Vnet.Medium.attempted - first.Vnet.Medium.excessive;
-    crashes = !crashes;
-    restarts = !restarts;
-    ops = List.rev log.ops;
-    (* A crash-stopped host's tables are not required to drain. *)
-    kernels =
-      List.filter_map
-        (fun (h : Vworkload.Testbed.host) ->
-          let k = h.kernel in
-          match s.target with
-          | Server_stop _ when K.is_down k -> None
-          | _ ->
-              Some
-                { host = h.addr; tables = K.table_counts k; kstats = K.stats k })
-        (Array.to_list world.hosts);
-    media;
-    extra;
-  }
+  let report =
+    {
+      completed;
+      unfinished;
+      events;
+      frames = first.Vnet.Medium.attempted - first.Vnet.Medium.excessive;
+      crashes = !crashes;
+      restarts = !restarts;
+      ops = List.rev log.ops;
+      (* A crash-stopped host's tables are not required to drain. *)
+      kernels =
+        List.filter_map
+          (fun (h : Vworkload.Testbed.host) ->
+            let k = h.kernel in
+            match s.target with
+            | Server_stop _ when K.is_down k -> None
+            | _ ->
+                Some
+                  {
+                    host = h.addr;
+                    tables = K.table_counts k;
+                    kstats = K.stats k;
+                  })
+          (Array.to_list world.hosts);
+      media;
+      extra;
+    }
+  in
+  (* Judged: every fiber still parked (servers in Receive, processes a
+     crash killed) can go. *)
+  Vsim.Proc.reap world.eng;
+  report
 
 (* Crash recovery: a pre-populated file whose blocks are overwritten.
    Old images come from the testbed pattern and new ones from a distinct

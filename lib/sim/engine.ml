@@ -1,9 +1,13 @@
+type fiber = ..
+
 type t = {
   mutable clock : Time.t;
   queue : Eventq.t;
   rand : Rng.t;
   mutable tracers : (Time.t -> Event.t -> unit) list;
   mutable profile : Profile.t option;
+  mutable fibers : fiber list;
+  mutable running : bool;
 }
 
 type handle = Eventq.handle
@@ -30,7 +34,7 @@ let with_create_hook h f =
 let create ?(seed = default_seed) () =
   let t =
     { clock = 0; queue = Eventq.create (); rand = Rng.create seed;
-      tracers = []; profile = None }
+      tracers = []; profile = None; fibers = []; running = false }
   in
   (match get_create_hook () with Some hook -> hook t | None -> ());
   t
@@ -51,6 +55,15 @@ let enable_profiling ?profile t =
       p
 
 let profile t = t.profile
+
+let add_fiber t f = t.fibers <- f :: t.fibers
+
+let take_fibers t =
+  let fs = t.fibers in
+  t.fibers <- [];
+  fs
+
+let running t = t.running
 
 let now t = t.clock
 let rng t = t.rand
@@ -81,13 +94,6 @@ let fire t =
       let kind = Eventq.top_kind q in
       Profile.time p ~kind (Eventq.take q)
 
-let step t =
-  if Eventq.is_empty t.queue then false
-  else begin
-    fire t;
-    true
-  end
-
 (* True iff the earliest event is due by [limit]. *)
 let due t limit =
   (not (Eventq.is_empty t.queue)) && Eventq.top_time t.queue <= limit
@@ -101,9 +107,35 @@ let rec drain t ~limit ~budget n =
   end
   else n
 
+(* Callbacks run only inside [step] and [run_bounded]; both set
+   [running] for their extent and restore it however they end (a
+   callback may run its own engine). *)
+let step t =
+  if Eventq.is_empty t.queue then false
+  else begin
+    let was = t.running in
+    t.running <- true;
+    (match fire t with
+    | () -> t.running <- was
+    | exception e ->
+        t.running <- was;
+        raise e);
+    true
+  end
+
 let run_bounded ?until ~max_events t =
   let limit = match until with Some l -> l | None -> max_int in
-  let n = drain t ~limit ~budget:max_events 0 in
+  let was = t.running in
+  t.running <- true;
+  let n =
+    match drain t ~limit ~budget:max_events 0 with
+    | n ->
+        t.running <- was;
+        n
+    | exception e ->
+        t.running <- was;
+        raise e
+  in
   if due t limit then `Exhausted n
   else begin
     (match until with

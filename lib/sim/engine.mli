@@ -64,6 +64,31 @@ val run_bounded :
 val pending : t -> int
 (** Number of live scheduled events. *)
 
+(** {1 Processes and the end of an engine's life}
+
+    An engine owns the {!Proc} fibers spawned on it.  A fiber parked
+    when its engine is dropped would keep its stack for good, so the
+    owner of a finished engine ends it with {!Proc.reap}: every process
+    is killed, every parked continuation is discontinued (its
+    [Fun.protect] finalisers run, its stack goes back to the runtime)
+    and no event fires.  Nothing should read the world afterwards except
+    what was taken from it before.  These accessors are the mechanism
+    {!Proc} uses. *)
+
+type fiber = ..
+(** A process the engine owns; {!Proc} adds its constructor. *)
+
+val add_fiber : t -> fiber -> unit
+(** Register a process at spawn. *)
+
+val take_fibers : t -> fiber list
+(** Every process registered since the last call, newest first; the
+    engine forgets them. *)
+
+val running : t -> bool
+(** [true] while {!step} or {!run_bounded} (and so {!run}) is executing
+    a callback of this engine. *)
+
 (** {1 Tracing}
 
     Each engine carries its own list of tracers, so two engines in one

@@ -15,11 +15,14 @@
 
 type 'a t
 
-val v : ?label:string -> (unit -> 'a) -> 'a t
+val v : ?label:string Lazy.t -> (unit -> 'a) -> 'a t
 (** [v ~label run] describes one cell.  [run] is executed at most once
-    per {!Pool} run, on an arbitrary domain. *)
+    per {!Pool} run, on an arbitrary domain.  [label] is forced only
+    when a job fails, so a sweep of thousands of cells formats none of
+    them when every cell succeeds. *)
 
 val label : 'a t -> string
+(** The label, forced; call it from the domain that runs the {!Pool}. *)
 
 val run : 'a t -> 'a
 (** Execute the job in the calling domain. *)

@@ -1,13 +1,30 @@
 type state = Runnable | Running | Blocked of string | Terminated
 
+(* What a process's continuation slot holds: nothing, the continuation
+   of its current park, or the mark of a teardown under way. *)
+type 'a cell =
+  | Idle
+  | Reaping
+  | Parked of ('a, unit) Effect.Deep.continuation
+
+(* Unboxed, so storing a cell in the slot allocates nothing. *)
+type slot = Slot : 'a cell -> slot [@@unboxed]
+
 type t = {
   pid : int;
   pname : string;
   eng : Engine.t;
   mutable pstate : state;
   mutable killed : bool;
+  mutable slot : slot;
   mutable waiters : (unit -> unit) list;
 }
+
+type Engine.fiber += Fiber of t
+
+(* Raised into every parked fiber by [reap]; private, so no body can
+   name it to catch it. *)
+exception Reaped
 
 type _ Effect.t +=
   | Suspend : string * (('a -> unit) -> unit) -> 'a Effect.t
@@ -33,11 +50,11 @@ let finish proc =
   proc.waiters <- [];
   List.iter (fun w -> w ()) ws
 
-(* A killed fiber never runs again: its parked continuation is abandoned
-   (resume functions already handed out become no-ops), modeling a
-   process that vanishes in a host crash.  The continuation itself is
-   dropped, not discontinued — unwinding it would run [Fun.protect]
-   finalizers of code that is supposed to have lost power mid-flight. *)
+(* A killed fiber never runs again: resume functions already handed out
+   become no-ops, modeling a process that vanishes in a host crash.  Its
+   parked continuation stays in the slot, not discontinued, until
+   [reap]: unwinding it now would run [Fun.protect] finalizers of code
+   that is supposed to have lost power mid-flight. *)
 let kill proc = if proc.pstate <> Terminated then begin
     proc.killed <- true;
     finish proc
@@ -59,20 +76,25 @@ let run_fiber proc fn =
           | Suspend (reason, register) ->
               Some
                 (fun (k : (a, _) continuation) ->
+                  if proc.slot == Slot Reaping then
+                    Fmt.invalid_arg
+                      "Proc.reap: %s parked again after its teardown"
+                      proc.pname;
                   proc.pstate <- Blocked reason;
-                  let resumed = ref false in
+                  let cell = Parked k in
+                  proc.slot <- Slot cell;
+                  (* Valid only while the slot holds this park's cell;
+                     a wake-up that outlived a killed process (a disk
+                     completion, a CPU grant...) is dropped. *)
                   let resume v =
-                    if proc.killed then ()
-                      (* killed while blocked: the wake-up (a disk
-                         completion, a CPU grant...) outlived the
-                         process; drop it on the floor *)
-                    else begin
-                      if !resumed then
-                        Fmt.invalid_arg "Proc: double resume of %s" proc.pname;
-                      resumed := true;
-                      proc.pstate <- Running;
-                      continue k v
-                    end
+                    if not proc.killed then
+                      match cell with
+                      | Parked k when proc.slot == Slot cell ->
+                          proc.slot <- Slot Idle;
+                          proc.pstate <- Running;
+                          continue k v
+                      | Parked _ | Idle | Reaping ->
+                          Fmt.invalid_arg "Proc: double resume of %s" proc.pname
                   in
                   register resume)
           | Self -> Some (fun (k : (a, _) continuation) -> continue k proc)
@@ -82,8 +104,17 @@ let run_fiber proc fn =
 let spawn eng ?(name = "proc") fn =
   let pid = 1 + Atomic.fetch_and_add counter 1 in
   let proc =
-    { pid; pname = name; eng; pstate = Runnable; killed = false; waiters = [] }
+    {
+      pid;
+      pname = name;
+      eng;
+      pstate = Runnable;
+      killed = false;
+      slot = Slot Idle;
+      waiters = [];
+    }
   in
+  Engine.add_fiber eng (Fiber proc);
   ignore
     (Engine.after eng ~kind:k_start 0 (fun () ->
          if not proc.killed then run_fiber proc fn));
@@ -101,3 +132,24 @@ let join other =
   if not (terminated other) then
     suspend ~reason:"join" (fun resume ->
         other.waiters <- resume :: other.waiters)
+
+(* Kill every process first, so that no finaliser below can wake one,
+   then unwind each parked continuation, killed ones included, which
+   gives its stack back to the runtime. *)
+let reap eng =
+  if Engine.running eng then
+    invalid_arg "Proc.reap: called inside a running callback";
+  let fibers = Engine.take_fibers eng in
+  List.iter (function Fiber p -> p.killed <- true | _ -> ()) fibers;
+  List.iter
+    (function
+      | Fiber p ->
+          (match p.slot with
+          | Slot (Parked k) -> (
+              p.slot <- Slot Reaping;
+              match Effect.Deep.discontinue k Reaped with
+              | () | (exception Reaped) -> p.slot <- Slot Idle)
+          | Slot (Idle | Reaping) -> ());
+          if not (terminated p) then finish p
+      | _ -> ())
+    fibers

@@ -12,8 +12,10 @@
 
     Rules:
     - [suspend]'s resume function must be called at most once; calling it
-      twice raises.  A never-resumed fiber stays blocked forever (it leaks,
-      which is harmless in a finite simulation).
+      twice raises.  A parked fiber holds its stack until it is resumed or
+      its engine is ended with {!reap}; the owner of a finished engine
+      reaps it, or every process still parked there (a server waiting in
+      Receive, a fiber {!kill}ed in a crash) keeps its stack for good.
     - Exceptions raised in a fiber propagate out of the engine's [run]. *)
 
 type t
@@ -50,12 +52,27 @@ val join : t -> unit
 
 val kill : t -> unit
 (** Terminate the fiber without running it further: a not-yet-started
-    body never starts, a parked continuation is abandoned, and any
-    resume function already registered with another subsystem becomes a
-    silent no-op.  Used to model processes lost in a host crash.  Join
-    waiters are woken.  Idempotent; killing a terminated fiber is a
-    no-op. *)
+    body never starts, and any resume function already registered with
+    another subsystem becomes a silent no-op.  Used to model processes
+    lost in a host crash, so a parked body is not unwound: its
+    [Fun.protect] finalisers run only when {!reap} ends the engine, after
+    the run has been judged, and until then the continuation keeps its
+    stack.  Join waiters are woken.  Idempotent; killing a terminated
+    fiber is a no-op. *)
 
 val terminated : t -> bool
+
+val reap : Engine.t -> unit
+(** End the life of every process spawned on the engine since the last
+    [reap].  First each is marked killed, so every resume function
+    already handed out becomes a no-op; then every parked continuation,
+    killed ones included, is discontinued with a private exception,
+    which runs its [Fun.protect] finalisers and returns its stack to the
+    runtime.  It fires no event and leaves the clock alone (a finaliser
+    may still schedule one).  Call it once nothing will read the world
+    again; a second call is a no-op.
+    @raise Invalid_argument when called inside one of the engine's
+    running callbacks, or when a body catches the teardown and parks
+    again (the message names the process). *)
 
 val pp : Format.formatter -> t -> unit

@@ -491,7 +491,7 @@ let srr_gateway ?(trials = 50) ~cpu_model ?seed () =
 let sweep ~domains ~label cell points =
   Vsim.Pool.run_list ~domains
     (List.map
-       (fun p -> Vsim.Job.v ~label:(label p) (fun () -> (p, cell p)))
+       (fun p -> Vsim.Job.v ~label:(lazy (label p)) (fun () -> (p, cell p)))
        points)
 
 let capacity_sweep ?cpu_model ?duration ?think_mean ?servers ?workers ?seed

@@ -8,7 +8,7 @@ module Eventq = Vsim.Eventq
 module Checker = Vcheck.Checker
 
 let test_job_basics () =
-  let j = Job.v ~label:"double" (fun () -> 21) in
+  let j = Job.v ~label:(lazy "double") (fun () -> 21) in
   Alcotest.(check string) "label" "double" (Job.label j);
   Alcotest.(check int) "run" 21 (Job.run j);
   let j2 = Job.map (fun n -> n * 2) j in
@@ -39,7 +39,7 @@ exception Boom of int
 let test_pool_failure_deterministic () =
   let jobs =
     List.init 20 (fun i ->
-        Job.v ~label:(Printf.sprintf "j%d" i) (fun () ->
+        Job.v ~label:(lazy (Printf.sprintf "j%d" i)) (fun () ->
             if i mod 7 = 3 then raise (Boom i) else i))
   in
   List.iter

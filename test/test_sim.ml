@@ -290,6 +290,115 @@ let test_proc_exn_propagates () =
      Alcotest.fail "expected exception"
    with Failure m -> Alcotest.(check string) "message" "boom" m)
 
+(* A fiber that parks forever inside [Fun.protect]; [fin] counts its
+   finaliser's runs and [after] is set if it ever runs past the park. *)
+let parked_in_protect eng ~fin ~after ?(box = ref None) name =
+  Vsim.Proc.spawn eng ~name (fun () ->
+      Fun.protect
+        ~finally:(fun () -> incr fin)
+        (fun () ->
+          Vsim.Proc.suspend ~reason:"forever" (fun resume ->
+              box := Some resume);
+          after := true))
+
+(* The teardown unwinds a parked fiber, killed or not, running its
+   finaliser once; it fires no event, moves neither the clock nor the
+   queue, and a second call finds nothing to do. *)
+let test_proc_reap () =
+  let eng = Vsim.Engine.create () in
+  let fin = ref 0 and after = ref false and box = ref None in
+  let p = parked_in_protect eng ~fin ~after ~box "server" in
+  let fin_k = ref 0 and after_k = ref false in
+  let killed = parked_in_protect eng ~fin:fin_k ~after:after_k "victim" in
+  let fired = ref 0 in
+  ignore (Vsim.Engine.after eng 500 (fun () -> incr fired));
+  Vsim.Engine.run ~until:100 eng;
+  Vsim.Proc.kill killed;
+  Alcotest.(check (pair int int)) "no finaliser before the teardown" (0, 0)
+    (!fin, !fin_k);
+  Vsim.Proc.reap eng;
+  Alcotest.(check int) "parked fiber's finaliser ran" 1 !fin;
+  Alcotest.(check int) "killed fiber's finaliser ran" 1 !fin_k;
+  Alcotest.(check bool) "terminated" true (Vsim.Proc.terminated p);
+  Alcotest.(check int) "no event fired" 0 !fired;
+  Alcotest.(check int) "clock unchanged" 100 (Vsim.Engine.now eng);
+  Alcotest.(check int) "queue unchanged" 1 (Vsim.Engine.pending eng);
+  (Option.get !box) ();
+  Alcotest.(check bool) "an earlier resume is a no-op" false !after;
+  Vsim.Proc.reap eng;
+  Alcotest.(check (pair int int)) "a second teardown is a no-op" (1, 1)
+    (!fin, !fin_k);
+  Vsim.Engine.run eng;
+  Alcotest.(check int) "the engine still runs its queue" 1 !fired;
+  Alcotest.(check bool) "neither fiber ran past its park" false
+    (!after || !after_k)
+
+(* A body that swallows the teardown and parks again is named; the
+   teardown is refused from inside a callback, a fiber's included. *)
+let test_proc_reap_misuse () =
+  let eng = Vsim.Engine.create () in
+  let (_ : Vsim.Proc.t) =
+    Vsim.Proc.spawn eng ~name:"stubborn" (fun () ->
+        try Vsim.Proc.suspend ~reason:"first" ignore
+        with _ -> Vsim.Proc.suspend ~reason:"again" ignore)
+  in
+  Vsim.Engine.run eng;
+  Alcotest.check_raises "parking again is reported"
+    (Invalid_argument "Proc.reap: stubborn parked again after its teardown")
+    (fun () -> Vsim.Proc.reap eng);
+  let refused =
+    Invalid_argument "Proc.reap: called inside a running callback"
+  in
+  let eng = Vsim.Engine.create () in
+  ignore (Vsim.Engine.after eng 0 (fun () -> Vsim.Proc.reap eng));
+  Alcotest.check_raises "refused in a callback" refused (fun () ->
+      Vsim.Engine.run eng);
+  let eng = Vsim.Engine.create () in
+  let (_ : Vsim.Proc.t) = Vsim.Proc.spawn eng (fun () -> Vsim.Proc.reap eng) in
+  Alcotest.check_raises "refused in a fiber" refused (fun () ->
+      ignore (Vsim.Engine.step eng));
+  Vsim.Proc.reap eng
+
+let vm_rss_kb () =
+  In_channel.with_open_text "/proc/self/status" (fun ic ->
+      let rec go () =
+        match In_channel.input_line ic with
+        | None -> failwith "no VmRSS line"
+        | Some l -> (
+            match String.split_on_char ':' l with
+            | [ "VmRSS"; v ] -> Scanf.sscanf v " %d kB" Fun.id
+            | _ -> go ())
+      in
+      go ())
+
+(* 20,000 engines, each left with a fiber parked 40 frames deep, then
+   reaped: the stacks go back to the runtime, so the resident set stays
+   flat.  Without the teardown the same loop grew it by about 25 MB. *)
+let test_proc_reap_memory () =
+  if not (Sys.file_exists "/proc/self/status") then Alcotest.skip ();
+  let rec deep n =
+    if n = 0 then Vsim.Proc.suspend ~reason:"deep" (fun (_ : int -> _) -> ())
+    else 1 + deep (n - 1)
+  in
+  let engines n =
+    for _ = 1 to n do
+      let eng = Vsim.Engine.create () in
+      let (_ : Vsim.Proc.t) =
+        Vsim.Proc.spawn eng (fun () -> ignore (deep 40))
+      in
+      Vsim.Engine.run eng;
+      Vsim.Proc.reap eng
+    done
+  in
+  engines 1_000;
+  Gc.full_major ();
+  let before = vm_rss_kb () in
+  engines 20_000;
+  Gc.full_major ();
+  let grown = vm_rss_kb () - before in
+  if grown >= 8 * 1024 then
+    Alcotest.failf "VmRSS grew by %d KB over 20,000 reaped engines" grown
+
 let test_determinism () =
   let trace seed =
     let eng = Vsim.Engine.create ~seed () in
@@ -409,6 +518,9 @@ let suite =
     Alcotest.test_case "proc sleep and join" `Quick test_proc_sleep_join;
     Alcotest.test_case "proc double resume" `Quick test_proc_double_resume;
     Alcotest.test_case "proc exn propagates" `Quick test_proc_exn_propagates;
+    Alcotest.test_case "proc reap" `Quick test_proc_reap;
+    Alcotest.test_case "proc reap misuse" `Quick test_proc_reap_misuse;
+    Alcotest.test_case "proc reap memory" `Quick test_proc_reap_memory;
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "stat acc" `Quick test_stat_acc;
     Alcotest.test_case "stat series" `Quick test_stat_series;
