@@ -1183,13 +1183,18 @@ let lease_coherence () =
   let bs = Vfs.Fs.block_size in
   let file_blocks = 4 in
   let cycles = 8 in
+  (* Long enough past the server's term that every reopen finds its
+     lease lapsed. *)
+  let lapse_ns = Vfs.Server.default_config.lease_term_ns + Vsim.Time.ms 50 in
   (* One client re-running open / read-everything / close against a warm
      write-through cache.  Without leases every cycle pays the open
      (revalidation point) and close RPCs even though the data hasn't
      moved; with leases the close parks the handle under the live lease
-     and the reopen touches the server zero times.  The server's own
-     request counter is the witness. *)
-  let run_mode ~lease =
+     and the reopen touches the server zero times; with [lapse] each
+     cycle first waits out the term, so the reopen revalidates the
+     parked handle with one Stat.  The server's own request counter is
+     the witness. *)
+  let run_mode ~lease ~lapse =
     let tb = TB.create ~hosts:2 () in
     let eng = tb.TB.eng in
     let fs =
@@ -1197,6 +1202,7 @@ let lease_coherence () =
     in
     let server = Vfs.Server.start (TB.kernel tb 2) fs () in
     let warm = ref 0 and reopen_min = ref max_int and reopen_max = ref 0 in
+    let hits = ref 0 in
     let lease_valid_on_reopen = ref true in
     let k1 = TB.kernel tb 1 in
     let (_ : Vkernel.Pid.t) =
@@ -1206,6 +1212,7 @@ let lease_coherence () =
               { Vfs.Cache.capacity_blocks = file_blocks * 2;
                 policy = Vfs.Cache.Write_through }
           in
+          let cache_hits () = (Vfs.Cache.stats cache).Vfs.Cache.hits in
           let conn = Result.get_ok (Vfs.Client.connect k1 ()) in
           let io = Vfs.Client.Io.make ~cache ~lease conn in
           let ok = function
@@ -1228,7 +1235,9 @@ let lease_coherence () =
               !lease_valid_on_reopen && Vfs.Client.Io.file_lease_valid f;
           ok (Vfs.Client.Io.close f);
           let before = Vfs.Server.requests_served server in
+          let hits0 = cache_hits () in
           for _ = 1 to cycles do
+            if lapse then Vsim.Proc.sleep lapse_ns;
             let from = Vfs.Server.requests_served server in
             let f = cycle () in
             let cost = Vfs.Server.requests_served server - from in
@@ -1239,35 +1248,52 @@ let lease_coherence () =
                 !lease_valid_on_reopen && Vfs.Client.Io.file_lease_valid f;
             ok (Vfs.Client.Io.close f)
           done;
-          warm := Vfs.Server.requests_served server - before)
+          warm := Vfs.Server.requests_served server - before;
+          hits := cache_hits () - hits0)
     in
     Vsim.Engine.run eng;
-    (!warm, !reopen_min, !reopen_max, !lease_valid_on_reopen)
+    (!warm, !reopen_min, !reopen_max, !lease_valid_on_reopen, !hits)
   in
-  let off_total, _, _, _ = run_mode ~lease:false in
-  let on_total, on_min, on_max, on_lease_held = run_mode ~lease:true in
+  let off_total, _, _, _, _ = run_mode ~lease:false ~lapse:false in
+  let on_total, on_min, on_max, on_lease_held, _ =
+    run_mode ~lease:true ~lapse:false
+  in
+  let lapsed_total, lapsed_min, lapsed_max, lapsed_lease_held, lapsed_hits =
+    run_mode ~lease:true ~lapse:true
+  in
   let per_cycle total = float_of_int total /. float_of_int cycles in
   Report.table
-    ~params:(fun (_, mode, _) ->
+    ~params:(fun (_, mode, _, _) ->
       [ ps "mode" mode; pi "cycles" cycles; pi "file_blocks" file_blocks ])
     [
-      Report.text "mode" (fun (name, _, _) -> name);
+      Report.text "mode" (fun (name, _, _, _) -> name);
       Report.col "server requests" ~metric:"server_requests" Report.count
-        (fun (_, _, total) -> total);
+        (fun (_, _, total, _) -> total);
       Report.col "requests/open-close cycle" ~metric:"requests_per_open"
         (Report.kind f1 (Cat.metric ~units:"count"))
-        (fun (_, _, total) -> per_cycle total);
+        (fun (_, _, total, _) -> per_cycle total);
+      Report.col_opt "cache hits/cycle" ~metric:"hits_per_open"
+        (Report.kind f1 (Cat.metric ~units:"count" ~better:Cat.Higher))
+        (fun (_, _, _, hits) -> Option.map per_cycle hits);
     ]
-    [ ("leases off", "lease_off", off_total);
-      ("leases on", "lease_on", on_total) ];
+    [ ("leases off", "lease_off", off_total, None);
+      ("leases on", "lease_on", on_total, None);
+      ("lease lapsed", "lease_lapsed", lapsed_total, Some lapsed_hits) ];
   Report.note
     "With a live lease the close parks the server handle and the reopen \
-     revalidates nothing: the whole warm cycle is local.";
+     revalidates nothing: the whole warm cycle is local.  Once the lease \
+     has lapsed, one Stat on the parked handle brings back the file's \
+     version, which still vouches for every cached block, and a new \
+     lease.";
   (* The acceptance bar: every reopen under a valid lease costs zero
-     server requests, and the lease actually stood for all cycles. *)
+     server requests, and the lease actually stood for all cycles; a
+     reopen after a lapse costs one request and keeps the cache. *)
   assert on_lease_held;
   assert (on_min = 0 && on_max = 0);
-  assert (on_total = 0 && off_total > on_total)
+  assert (on_total = 0 && off_total > on_total);
+  assert lapsed_lease_held;
+  assert (lapsed_min = 1 && lapsed_max = 1 && lapsed_total = cycles);
+  assert (lapsed_hits = cycles * file_blocks)
 
 (* ------------------------------------------------------------------ *)
 (* Internetwork: the gateway hop penalty                               *)

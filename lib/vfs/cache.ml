@@ -2,10 +2,11 @@
    for the open-close consistency model.  See cache.mli for the design
    notes.
 
-   Determinism: victim selection scans the table for the minimum touch
-   tick.  Ticks are assigned from a per-cache monotonic counter, so the
-   minimum is unique and the scan result is independent of hash-table
-   iteration order. *)
+   Determinism: victim selection scans every entry for the minimum
+   touch tick.  Ticks are assigned from a per-cache monotonic counter,
+   so the minimum is unique and the scan result is independent of
+   hash-table iteration order.  Per-file walks that emit events sort
+   by block first. *)
 
 type policy = Write_through | Write_back
 
@@ -34,7 +35,10 @@ type t = {
   eng : Vsim.Engine.t;
   host : int;
   cfg : config;
-  tbl : ((int * int), entry) Hashtbl.t;
+  files : entry Vsim.Itbl.t Vsim.Itbl.t;
+      (* inum -> block -> entry, so per-file calls touch one file's
+         blocks; a file's table stays once made, possibly empty *)
+  mutable resident : int;
   mutable next_tick : int;
   mutable hits : int;
   mutable misses : int;
@@ -48,7 +52,8 @@ let create eng ~host cfg =
     eng;
     host;
     cfg;
-    tbl = Hashtbl.create (max 16 cfg.capacity_blocks);
+    files = Vsim.Itbl.create 8;
+    resident = 0;
     next_tick = 0;
     hits = 0;
     misses = 0;
@@ -68,7 +73,7 @@ let stats t =
     invalidations = t.invalidations;
   }
 
-let resident t = Hashtbl.length t.tbl
+let resident t = t.resident
 
 let emit t op ~inum ~block =
   if Vsim.Trace.tracing t.eng then
@@ -79,14 +84,27 @@ let touch t e =
   e.tick <- t.next_tick;
   t.next_tick <- t.next_tick + 1
 
-let invalidate t key =
-  Hashtbl.remove t.tbl key;
+let blocks_of t inum = Vsim.Itbl.find_opt t.files inum
+
+let lookup t ~inum ~block =
+  match blocks_of t inum with
+  | Some blocks -> Vsim.Itbl.find_opt blocks block
+  | None -> None
+
+let remove t ~inum ~block =
+  match blocks_of t inum with
+  | Some blocks when Vsim.Itbl.mem blocks block ->
+      Vsim.Itbl.remove blocks block;
+      t.resident <- t.resident - 1
+  | Some _ | None -> ()
+
+let invalidate t ~inum ~block =
+  remove t ~inum ~block;
   t.invalidations <- t.invalidations + 1;
-  let inum, block = key in
   emit t "invalidate" ~inum ~block
 
 let find t ~inum ~block ~version =
-  match Hashtbl.find_opt t.tbl (inum, block) with
+  match lookup t ~inum ~block with
   | Some e when e.dirty || e.version >= version ->
       (* A dirty block holds local modifications and wins until flushed,
          whatever the server-side version says. *)
@@ -96,7 +114,7 @@ let find t ~inum ~block ~version =
       Some e.data
   | Some _ ->
       (* Clean but stale: a remote writer moved the file on. *)
-      invalidate t (inum, block);
+      invalidate t ~inum ~block;
       t.misses <- t.misses + 1;
       emit t "miss" ~inum ~block;
       None
@@ -105,20 +123,27 @@ let find t ~inum ~block ~version =
       emit t "miss" ~inum ~block;
       None
 
-(* Evict the least-recently-used entry; return it if it was dirty. *)
+(* Evict the least-recently-used entry, the one with the smallest tick;
+   return it if it was dirty. *)
 let evict_one t =
-  let victim =
-    Hashtbl.fold
-      (fun key e acc ->
-        match acc with
-        | Some (_, best) when best.tick <= e.tick -> acc
-        | _ -> Some (key, e))
-      t.tbl None
-  in
-  match victim with
+  let inum = ref (-1) and block = ref (-1) and best = ref None in
+  Vsim.Itbl.iter
+    (fun i blocks ->
+      Vsim.Itbl.iter
+        (fun b e ->
+          match !best with
+          | Some lru when lru.tick <= e.tick -> ()
+          | _ ->
+              inum := i;
+              block := b;
+              best := Some e)
+        blocks)
+    t.files;
+  match !best with
   | None -> None
-  | Some (((inum, block) as key), e) ->
-      Hashtbl.remove t.tbl key;
+  | Some e ->
+      let inum = !inum and block = !block in
+      remove t ~inum ~block;
       t.evictions <- t.evictions + 1;
       emit t "evict" ~inum ~block;
       if e.dirty then begin
@@ -131,14 +156,20 @@ let evict_one t =
 let insert t ~inum ~block ~version ~dirty data =
   if t.cfg.capacity_blocks <= 0 then []
   else begin
-    (match Hashtbl.find_opt t.tbl (inum, block) with
-    | Some _ -> Hashtbl.remove t.tbl (inum, block)
-    | None -> ());
+    let blocks =
+      match blocks_of t inum with
+      | Some blocks -> blocks
+      | None ->
+          let blocks = Vsim.Itbl.create 8 in
+          Vsim.Itbl.replace t.files inum blocks;
+          blocks
+    in
+    if not (Vsim.Itbl.mem blocks block) then t.resident <- t.resident + 1;
     let e = { data; version; dirty; tick = 0 } in
     touch t e;
-    Hashtbl.replace t.tbl (inum, block) e;
+    Vsim.Itbl.replace blocks block e;
     let rec shrink acc =
-      if Hashtbl.length t.tbl <= t.cfg.capacity_blocks then List.rev acc
+      if t.resident <= t.cfg.capacity_blocks then List.rev acc
       else
         match evict_one t with
         | Some victim -> shrink (victim :: acc)
@@ -148,7 +179,7 @@ let insert t ~inum ~block ~version ~dirty data =
   end
 
 let update t ~inum ~block ~off src ~dirty =
-  match Hashtbl.find_opt t.tbl (inum, block) with
+  match lookup t ~inum ~block with
   | None -> ()
   | Some e ->
       Bytes.blit src 0 e.data off (Bytes.length src);
@@ -160,27 +191,30 @@ let retag_file t ~inum ~version =
      its write are known-current; older tags mean unknown validity (a
      remote writer may have changed those blocks after we cached them),
      so they keep their tags and fall to lazy invalidation. *)
-  Hashtbl.iter
-    (fun (i, _) e ->
-      if i = inum && e.version = version - 1 then e.version <- version)
-    t.tbl
+  match blocks_of t inum with
+  | None -> ()
+  | Some blocks ->
+      Vsim.Itbl.iter
+        (fun _ e -> if e.version = version - 1 then e.version <- version)
+        blocks
 
 let retag_block t ~inum ~block ~version =
-  match Hashtbl.find_opt t.tbl (inum, block) with
+  match lookup t ~inum ~block with
   | Some e -> if e.version < version then e.version <- version
   | None -> ()
 
 let dirty_blocks t ~inum =
-  let dirty =
-    Hashtbl.fold
-      (fun (i, block) e acc ->
-        if i = inum && e.dirty then (block, e.data) :: acc else acc)
-      t.tbl []
-  in
-  List.sort (fun (a, _) (b, _) -> compare a b) dirty
+  match blocks_of t inum with
+  | None -> []
+  | Some blocks ->
+      List.sort
+        (fun (a, _) (b, _) -> Int.compare a b)
+        (Vsim.Itbl.fold
+           (fun b e acc -> if e.dirty then (b, e.data) :: acc else acc)
+           blocks [])
 
 let mark_clean t ~inum ~block =
-  match Hashtbl.find_opt t.tbl (inum, block) with
+  match lookup t ~inum ~block with
   | None -> ()
   | Some e -> e.dirty <- false
 
@@ -189,19 +223,22 @@ let note_writeback t ~inum ~block =
   emit t "writeback" ~inum ~block
 
 let revalidate t ~inum ~version =
-  let stale =
-    Hashtbl.fold
-      (fun ((i, _) as key) e acc ->
-        if i = inum && (not e.dirty) && e.version < version then key :: acc
-        else acc)
-      t.tbl []
-  in
-  List.iter (invalidate t) (List.sort compare stale)
+  match blocks_of t inum with
+  | None -> ()
+  | Some blocks ->
+      let stale =
+        Vsim.Itbl.fold
+          (fun b e acc ->
+            if (not e.dirty) && e.version < version then b :: acc else acc)
+          blocks []
+      in
+      List.iter
+        (fun block -> invalidate t ~inum ~block)
+        (List.sort Int.compare stale)
 
 let drop_file t ~inum =
-  let keys =
-    Hashtbl.fold
-      (fun ((i, _) as key) _ acc -> if i = inum then key :: acc else acc)
-      t.tbl []
-  in
-  List.iter (Hashtbl.remove t.tbl) (List.sort compare keys)
+  match blocks_of t inum with
+  | None -> ()
+  | Some blocks ->
+      t.resident <- t.resident - Vsim.Itbl.length blocks;
+      Vsim.Itbl.remove t.files inum

@@ -5,9 +5,11 @@
     the wire protocol so that re-reads of a warm working set cost only
     local kernel + copy time instead of a remote page read.
 
-    Blocks are keyed by [(inum, block)] and tagged with the file version
-    number the server piggybacked on the reply that produced them
-    ({!Protocol.encode_reply_ext}).  Consistency is the open-close model
+    Blocks are kept in one table per inode, keyed by block number, and
+    tagged with the file version the server piggybacked on the reply
+    that produced them ({!Protocol.encode_reply_ext}), so the per-file
+    calls ({!revalidate}, {!dirty_blocks}, {!retag_file}, {!drop_file})
+    touch only that file's blocks.  Consistency is the open-close model
     of early distributed file systems: a client detects remote writes
     when it reopens a file (the open reply carries the current version;
     {!revalidate} drops stale clean blocks) or when any extended reply
@@ -108,9 +110,10 @@ val note_writeback : t -> inum:int -> block:int -> unit
 (** Count (and trace) one dirty block pushed to the server. *)
 
 val revalidate : t -> inum:int -> version:int -> unit
-(** Open-time consistency check: drop (invalidate) all {e clean} blocks
-    of [inum] whose tag is older than [version].  Dirty blocks survive —
-    they hold local modifications that still need flushing. *)
+(** Open-time (or lapsed-lease) consistency check: drop (invalidate), in
+    block order, all {e clean} blocks of [inum] whose tag is older than
+    [version].  Dirty blocks survive — they hold local modifications
+    that still need flushing. *)
 
 val drop_file : t -> inum:int -> unit
 (** Forget every block of a file, dirty or not, without counting

@@ -170,7 +170,8 @@ module Io = struct
     mutable cb_pid : Vkernel.Pid.t;
         (* the callback fiber stamped on our requests; nil = no leases *)
     leases : (int, int ref) Hashtbl.t;
-        (* per-inum lease expiry (engine time); absent or past = none *)
+        (* per-inum lease expiry (engine time); absent = none, past =
+           lapsed, to be revalidated at the inode's next use *)
     cached_opens : (string, handle * int) Hashtbl.t;
         (* deferred closes: name -> (server handle, inum), parked under a
            live lease so a reopen costs zero RPCs *)
@@ -206,24 +207,24 @@ module Io = struct
         Hashtbl.replace io.versions inum r;
         r
 
-  (* Valid-lease test with lazy demotion: a lease that lapses without a
-     Break_lease means the server may have acknowledged conflicting
-     writes we never heard about (most concretely: it restarted, and its
-     volatile lease table — with our entry in it — died with the old
-     incarnation).  On first detection of the lapse, forget the lease
-     and discard the inode's clean cached blocks, falling back to
-     honest open-close revalidation. *)
+  (* A lease that lapses without a Break_lease means the server may have
+     acknowledged conflicting writes we never heard about (most
+     concretely: it restarted, and its volatile lease table — with our
+     entry in it — died with the old incarnation).  Such writes raised
+     the file's version, across restarts too (the version carries the
+     server's epoch), so the lapsed entry stays as a mark and the
+     inode's next use asks the server for the version ([renew]). *)
+  let lease_expiry io ~inum =
+    if io.lease_on then Hashtbl.find_opt io.leases inum else None
+
   let lease_valid io ~inum =
-    io.lease_on
-    &&
-    match Hashtbl.find_opt io.leases inum with
-    | Some expiry when local_now io < !expiry -> true
-    | Some _ ->
-        Hashtbl.remove io.leases inum;
-        (match io.cache with
-        | Some c -> Cache.revalidate c ~inum ~version:max_int
-        | None -> ());
-        false
+    match lease_expiry io ~inum with
+    | Some expiry -> local_now io < !expiry
+    | None -> false
+
+  let lease_lapsed io ~inum =
+    match lease_expiry io ~inum with
+    | Some expiry -> local_now io >= !expiry
     | None -> false
 
   let void_lease io ~inum = Hashtbl.remove io.leases inum
@@ -237,6 +238,16 @@ module Io = struct
   let install_lease io ~inum ~t0 ~term_us ~breaks0 =
     if io.lease_on && term_us > 0 && io.breaks_seen = breaks0 then
       Hashtbl.replace io.leases inum (ref (t0 + (term_us * 1_000)))
+
+  (* Fold a reply's version into our knowledge: clean blocks tagged
+     below it predate a write we never saw.  Versions strictly increase,
+     across server restarts too, so the observation only rises. *)
+  let observe io ~inum ~version =
+    (match io.cache with
+    | Some c -> Cache.revalidate c ~inum ~version
+    | None -> ());
+    let vr = obs_ref io inum in
+    if version > !vr then vr := version
 
   (* The callback fiber: Receives Break_lease messages from the server,
      voids the lease and discards every clean cached block of the named
@@ -366,43 +377,77 @@ module Io = struct
      server is gone so is the handle. *)
   let drop_handle io h = ignore (close_file io.conn h)
 
+  (* Revalidate [f] after its lease lapsed: one Stat on its handle,
+     whose extended reply carries the file's version and a fresh lease.
+     The version vouches for every clean block tagged at or above it.
+     The lapsed mark goes with the reply, so a lapse costs at most one
+     Stat even when no lease comes back.  A reply for another inode
+     means the handle now names another file (the server restarted and
+     reissued it): that counts as refused, and the mark stays. *)
+  let renew f =
+    let io = f.io in
+    let t0 = local_now io and breaks0 = io.breaks_seen in
+    let attempt () =
+      let msg = Msg.create () in
+      Protocol.encode_request msg ~op:Protocol.Stat ~handle:f.fh ~block:0
+        ~count:0;
+      Protocol.set_request_callback msg io.cb_pid;
+      exchange_ext io.conn msg
+    in
+    match with_retry attempt with
+    | Error e -> Error e
+    | Ok (_, inum, version, lease_us) ->
+        if inum <> f.inum then Error (Server Protocol.Sbad_handle)
+        else begin
+          void_lease io ~inum;
+          observe io ~inum ~version;
+          install_lease io ~inum ~t0 ~term_us:lease_us ~breaks0;
+          Ok ()
+        end
+
+  let bind f =
+    Hashtbl.add f.io.files f.inum f;
+    Ok f
+
+  (* A real open, whose reply version drives {!Cache.revalidate}: it
+     exposes remote writes since we last had the file. *)
+  let open_fresh io name ~op =
+    let t0 = local_now io and breaks0 = io.breaks_seen in
+    match
+      with_retry (fun () -> with_name_ext io.conn ~cb:io.cb_pid name ~op)
+    with
+    | Error e -> Error e
+    | Ok (h, inum, version, lease_us) ->
+        observe io ~inum ~version;
+        install_lease io ~inum ~t0 ~term_us:lease_us ~breaks0;
+        bind { io; fh = h; inum; name; closed = false }
+
   let open_gen io name ~op =
-    (* Zero-RPC reopen: a deferred [close] parked the server handle, and
-       the lease certifies that no conflicting write has been
-       acknowledged since — the cached blocks and observed version are
-       valid as they stand, so no revalidation round trip is needed. *)
     match Hashtbl.find_opt io.cached_opens name with
-    | Some (h, inum) when lease_valid io ~inum ->
+    | None -> open_fresh io name ~op
+    | Some (h, inum) -> (
+        (* A deferred [close] parked the server handle. *)
         Hashtbl.remove io.cached_opens name;
-        charge_local io.conn.k ~bytes:0;
         let f = { io; fh = h; inum; name; closed = false } in
-        Hashtbl.add io.files inum f;
-        Ok f
-    | stale -> (
-        (* Demoted to PR-2 open-close consistency: release any stale
-           parked handle, then a real open whose reply version drives
-           {!Cache.revalidate}. *)
-        (match stale with
-        | Some (h, _) ->
-            Hashtbl.remove io.cached_opens name;
-            drop_handle io h
-        | None -> ());
-        let t0 = local_now io and breaks0 = io.breaks_seen in
-        match
-          with_retry (fun () -> with_name_ext io.conn ~cb:io.cb_pid name ~op)
-        with
-        | Error e -> Error e
-        | Ok (h, inum, version, lease_us) ->
-            (* Open-time consistency: the reply's version exposes remote
-               writes since we last had the file; stale clean blocks go. *)
-            (match io.cache with
-            | Some c -> Cache.revalidate c ~inum ~version
-            | None -> ());
-            (obs_ref io inum) := version;
-            install_lease io ~inum ~t0 ~term_us:lease_us ~breaks0;
-            let f = { io; fh = h; inum; name; closed = false } in
-            Hashtbl.add io.files inum f;
-            Ok f)
+        if lease_valid io ~inum then begin
+          (* Zero-RPC reopen: the lease certifies that no conflicting
+             write has been acknowledged since — the cached blocks and
+             observed version are valid as they stand. *)
+          charge_local io.conn.k ~bytes:0;
+          bind f
+        end
+        else if lease_lapsed io ~inum then
+          match renew f with
+          | Ok () -> bind f
+          | Error (Server Protocol.Sbad_handle) -> open_fresh io name ~op
+          | Error _ ->
+              drop_handle io h;
+              open_fresh io name ~op
+        else begin
+          (* The lease was broken while parked. *)
+          drop_handle io h;
+          open_fresh io name ~op
+        end)
 
   let open_file io name = open_gen io name ~op:Protocol.Open
   let create io name = open_gen io name ~op:Protocol.Create
@@ -489,9 +534,9 @@ module Io = struct
      acknowledged, so a second failure mid-re-push loses nothing: the
      next recovery round collects the still-dirty remainder, and if the
      budget runs out the error surfaces to the caller with the blocks
-     still held.  Only clean blocks are dropped up front (the restarted
-     server's version counters restarted with it, so their tags prove
-     nothing). *)
+     still held.  Clean blocks are dropped up front, so a lost session
+     starts its file cold, though the reply's version alone would now
+     vouch for them (versions carry the server's epoch). *)
   let reopen f =
     let io = f.io in
     void_lease io ~inum:f.inum;
@@ -519,11 +564,7 @@ module Io = struct
           f.inum <- inum;
           Hashtbl.add io.files inum f
         end;
-        (* Force (not max) the observed version down to the reply's: the
-           restarted server restarted its version counters too, and our
-           higher pre-crash observation would otherwise make every fresh
-           reply look stale. *)
-        (obs_ref io inum) := version;
+        observe io ~inum ~version;
         install_lease io ~inum ~t0 ~term_us:lease_us ~breaks0;
         let rec repush = function
           | [] -> Ok ()
@@ -621,21 +662,30 @@ module Io = struct
     with_recovery f (fun () -> fetch_block_raw f ~block)
 
   (* The block through the cache: a hit costs local trap-plus-copy for
-     the [want] bytes the caller will consume; a miss goes remote. *)
+     the [want] bytes the caller will consume; a miss goes remote.  A
+     lapsed lease is renewed first, so the cache serves only what the
+     file's current version vouches for.  The renewal goes through
+     session recovery, and a reopen there renews the lease itself. *)
   let get_block f ~block ~want =
-    (* Detect a lapsed (expired-unbroken) lease before consulting the
-       cache: [lease_valid] purges the inode's clean blocks on the
-       lapse, so the read below misses and refetches rather than
-       serving data whose coherence nobody vouches for any more. *)
-    if f.io.lease_on then ignore (lease_valid f.io ~inum:f.inum);
     match f.io.cache with
-    | Some cch -> (
-        match Cache.find cch ~inum:f.inum ~block ~version:(file_version f) with
-        | Some data ->
-            charge_local f.io.conn.k ~bytes:want;
-            Ok data
-        | None -> fetch_block f ~block)
     | None -> fetch_block f ~block
+    | Some cch -> (
+        let renewed =
+          if lease_lapsed f.io ~inum:f.inum then
+            with_recovery f (fun () ->
+                if lease_lapsed f.io ~inum:f.inum then renew f else Ok ())
+          else Ok ()
+        in
+        match renewed with
+        | Error e -> Error e
+        | Ok () -> (
+            match
+              Cache.find cch ~inum:f.inum ~block ~version:(file_version f)
+            with
+            | Some data ->
+                charge_local f.io.conn.k ~bytes:want;
+                Ok data
+            | None -> fetch_block f ~block))
 
   let read f ~off ~len =
     if f.closed then Error (Server Protocol.Sbad_handle)

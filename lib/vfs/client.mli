@@ -146,16 +146,20 @@ module Io : sig
 
       With [lease] (default false) the client takes part in the lease
       protocol of doc/LEASES.md: a callback fiber is spawned and its pid
-      stamped on every request, open/read replies carrying a grant make
-      cached blocks and the observed version authoritative until the
-      term expires or the server breaks the lease, and {!close} under a
-      live lease parks the server handle so the matching {!open_file}
-      costs {e zero} RPCs.  When the lease is broken (a conflicting
-      write was acknowledged) or expires, the client demotes itself to
-      the plain open-close revalidation above.  Lease clients that can
-      face a server restart should also pass [~recover:true]: session
-      recovery voids every lease and parked handle, which is what keeps
-      a post-failover cache honest. *)
+      stamped on every request, open/read/stat replies carrying a grant
+      make cached blocks and the observed version authoritative until
+      the term expires or the server breaks the lease, and {!close}
+      under a live lease parks the server handle so the matching
+      {!open_file} costs {e zero} RPCs.  When the lease is broken (a
+      conflicting write was acknowledged) the client drops the file's
+      clean blocks and demotes itself to the plain open-close
+      revalidation above.  When it expires, the file's next use (a
+      reopen of the parked handle or a read) sends one Stat, keeps the
+      cached blocks the reply's version vouches for and takes the new
+      lease it grants.  Lease clients that can face a server restart
+      should also pass [~recover:true]: session recovery voids every
+      lease and parked handle, which is what keeps a post-failover cache
+      honest. *)
 
   val conn : t -> conn
   val cache_stats : t -> Cache.stats option

@@ -62,6 +62,7 @@ type t = {
   mutable hits : int;
   mutable misses : int;
   mutable jseq : int;  (** last committed journal sequence number *)
+  mutable epoch : int;  (** incarnation count, kept in the journal's head *)
   mutable txn : txn option;
   mutable lock_busy : bool;
   lock_waiters : (unit -> unit) Queue.t;
@@ -156,12 +157,31 @@ let cache_misses t = t.misses
    commit, stale sequence) is discarded, which is exactly the
    crash-before-commit case.  Applying is idempotent: every record is a
    whole-block after-image, so replaying twice equals replaying once.
-   The journal is retired after checkpoint by zeroing its first block. *)
+   The journal is retired after checkpoint by zeroing its first block.
+
+   The journal's first block also holds the file system's epoch at byte
+   16, in a descriptor and in a retired block alike.  A recovery sets
+   the epoch to one more than the block's, and every commit's
+   descriptor and retire write and every replay rewrite that block
+   anyway, so keeping the epoch there costs no disk operation.  A
+   recovery that commits nothing before the next crash leaves the old
+   value on disk, so the next recovery hands out the same epoch again;
+   that is harmless, since nothing was acknowledged in between. *)
 
 let jmagic = 0x564A4C31 (* "VJL1" *)
 let j_desc = 1
 let j_commit = 2
-let jtags_per_desc = (block_size - 16) / 4
+let epoch_off = 16
+let jtags_off = 20
+let jtags_per_desc = (block_size - jtags_off) / 4
+
+let epoch t = t.epoch
+
+(* A retired journal head: no transaction, only the epoch. *)
+let retired t =
+  let b = Bytes.make block_size '\000' in
+  set32 b epoch_off t.epoch;
+  b
 
 let journaled t = t.geo.journal_blocks > 0
 
@@ -228,9 +248,10 @@ let commit_txn t =
                 set32 hdr 4 seq;
                 set32 hdr 8 j_desc;
                 set32 hdr 12 k;
+                set32 hdr epoch_off t.epoch;
                 let rec fill i = function
                   | b :: tl when i < k ->
-                      set32 hdr (16 + (4 * i)) b;
+                      set32 hdr (jtags_off + (4 * i)) b;
                       fill (i + 1) tl
                   | tl -> tl
                 in
@@ -259,7 +280,7 @@ let commit_txn t =
               in
               write_block ~meta t b (Vsim.Itbl.find tx.tbuf b))
             blocks;
-          Disk.write t.dsk t.geo.journal_start (Bytes.make block_size '\000');
+          Disk.write t.dsk t.geo.journal_start (retired t);
           Ok ()
         end
       end
@@ -278,11 +299,13 @@ let with_txn t f =
   end
 
 (* Replay straight against the disk: the caller guarantees the block
-   cache is empty (fresh mount or just-reset after a crash). *)
-let journal_replay t =
+   cache is empty (fresh mount or just-reset after a crash).  The epoch
+   becomes the head block's plus [bump]. *)
+let journal_replay t ~bump =
   if journaled t then begin
     let jend = t.geo.journal_start + t.geo.journal_blocks in
     let hdr0 = Disk.read t.dsk t.geo.journal_start in
+    t.epoch <- get32 hdr0 epoch_off + bump;
     if get32 hdr0 0 = jmagic then begin
       let seq = get32 hdr0 4 in
       let rec scan pos acc =
@@ -299,7 +322,7 @@ let journal_replay t =
             else begin
               let acc = ref acc in
               for i = 0 to k - 1 do
-                let b = get32 hdr (16 + (4 * i)) in
+                let b = get32 hdr (jtags_off + (4 * i)) in
                 let img = Disk.read t.dsk (pos + 1 + i) in
                 acc := (b, img) :: !acc
               done;
@@ -317,19 +340,20 @@ let journal_replay t =
               if b >= 0 && b < t.geo.journal_start then Disk.write t.dsk b img)
             writes
       | None -> ());
-      Disk.write t.dsk t.geo.journal_start (Bytes.make block_size '\000')
+      Disk.write t.dsk t.geo.journal_start (retired t)
     end
   end
 
 (* After a host crash killed every fiber mid-operation: volatile state
    (cache, open transaction, lock) is gone with the host; the journal
-   decides what the disk means. *)
+   decides what the disk means, and the file system enters a new
+   epoch. *)
 let recover t =
   Vsim.Itbl.reset t.cache;
   t.txn <- None;
   t.lock_busy <- false;
   Queue.clear t.lock_waiters;
-  journal_replay t
+  journal_replay t ~bump:1
 
 (* ---------------- bitmap ---------------- *)
 
@@ -645,6 +669,7 @@ let make_t dsk geo =
     hits = 0;
     misses = 0;
     jseq = 0;
+    epoch = 0;
     txn = None;
     lock_busy = false;
     lock_waiters = Queue.create ();
@@ -724,7 +749,7 @@ let mount dsk =
         }
       in
       let t = { t0 with geo } in
-      journal_replay t;
+      journal_replay t ~bump:0;
       Ok t
     end
   end

@@ -59,18 +59,30 @@ val disk : t -> Disk.t
 
 val clone : t -> Disk.t -> t
 (** [clone t disk] is [t] on [disk]: the same geometry, block cache
-    (a new table sharing [t]'s read-only entries), cache counters and
-    journal sequence, with no transaction open and the lock free.  [disk] must hold the same media as [t]'s disk (e.g.
-    seeded from its {!Disk.snapshot}) and have its geometry.  Raises
+    (a new table sharing [t]'s read-only entries), cache counters,
+    journal sequence and epoch, with no transaction open and the lock
+    free.  [disk] must hold the same media as [t]'s disk (e.g. seeded
+    from its {!Disk.snapshot}) and have its geometry.  Raises
     [Invalid_argument] while [t] is in the middle of an operation. *)
 
 val journaled : t -> bool
 
+val epoch : t -> int
+(** The file system's epoch: 0 after {!format}, and one more than the
+    disk's after each {!recover}.  It lives in the journal's head block,
+    which every commit and replay rewrites anyway, so it survives
+    {!mount} and {!clone} at no extra disk write; two recoveries with no
+    commit between them read the same value.  A server makes its file
+    versions (epoch, counter) pairs with it, so a version handed out
+    after a recovery exceeds every version acknowledged before.  Always
+    0 without a journal. *)
+
 val recover : t -> unit
 (** Crash recovery on a filesystem handle whose host just restarted:
-    drops all volatile state (block cache, open transaction, lock) and
+    drops all volatile state (block cache, open transaction, lock),
     replays the journal — a committed-but-not-checkpointed transaction
-    is applied (idempotently), an uncommitted one is discarded.  Must be
+    is applied (idempotently), an uncommitted one is discarded — and
+    sets the {!epoch} to one more than the journal head's.  Must be
     called from a fiber; blocks for the disk I/O it incurs. *)
 
 val check : t -> string list

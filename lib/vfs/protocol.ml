@@ -124,17 +124,23 @@ let decode_reply msg =
 
 (* Extended replies piggyback the file's version number (and its inode
    number, so clients can key caches) on otherwise-unused reply bytes.
-   [decode_reply] ignores these bytes, so servers can always send the
-   extended form without disturbing version-unaware clients. *)
+   A version is an (epoch, counter) pair held as one int: the counter
+   travels at bytes 8-11 and the epoch at bytes 20-23.  [decode_reply]
+   ignores these bytes, so servers can always send the extended form
+   without disturbing version-unaware clients. *)
 
 let encode_reply_ext msg ~status ~value ~inum ~version =
   encode_reply msg ~status ~value;
-  Vkernel.Msg.set_u32 msg 8 version;
-  Vkernel.Msg.set_u32 msg 12 inum
+  Vkernel.Msg.set_u32 msg 8 (version land 0xFFFF_FFFF);
+  Vkernel.Msg.set_u32 msg 12 inum;
+  Vkernel.Msg.set_u32 msg 20 (version lsr 32)
 
 let decode_reply_ext msg =
   let status, value = decode_reply msg in
-  (status, value, Vkernel.Msg.get_u32 msg 12, Vkernel.Msg.get_u32 msg 8)
+  ( status,
+    value,
+    Vkernel.Msg.get_u32 msg 12,
+    (Vkernel.Msg.get_u32 msg 20 lsl 32) lor Vkernel.Msg.get_u32 msg 8 )
 
 (* Lease grants ride on extended replies at bytes 16-19: the lease term
    in microseconds (u32), 0 meaning "no lease granted".  Like the other

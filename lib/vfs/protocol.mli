@@ -81,13 +81,16 @@ val decode_reply : Vkernel.Msg.t -> rstatus * int
 val encode_reply_ext :
   Vkernel.Msg.t -> status:rstatus -> value:int -> inum:int -> version:int -> unit
 (** Like {!encode_reply}, but additionally piggybacks consistency
-    metadata on otherwise-unused reply bytes: bytes 8-11 carry the
-    file's server-side version number, bytes 12-15 its inode number.
-    {!decode_reply} ignores these bytes, so version-unaware clients can
-    parse extended replies unchanged. *)
+    metadata on otherwise-unused reply bytes.  [version] is the file's
+    server-side version, an (epoch, counter) pair held as
+    [epoch lsl 32 lor counter] so that an int comparison orders it:
+    bytes 8-11 carry the counter, bytes 20-23 the epoch, and bytes 12-15
+    the inode number.  {!decode_reply} ignores these bytes, so
+    version-unaware clients can parse extended replies unchanged. *)
 
 val decode_reply_ext : Vkernel.Msg.t -> rstatus * int * int * int
-(** [(status, value, inum, version)]. *)
+(** [(status, value, inum, version)], the version rebuilt from its two
+    words. *)
 
 val set_reply_lease : Vkernel.Msg.t -> term_us:int -> unit
 (** Piggyback a lease grant on an extended reply: bytes 16-19 carry the

@@ -69,6 +69,11 @@ let rec monitor t () =
 
 let standby kernel fs ~logical_id ?(server_config = Server.default_config)
     ?(heartbeat_ns = Vsim.Time.ms 25) ?(miss_threshold = 2) () =
+  (* Takeover runs [Fs.recover] to enter a new epoch; without a journal
+     there is none, and the standby's versions could repeat the
+     primary's. *)
+  if not (Fs.journaled fs) then
+    invalid_arg "Replica.standby: the shared file system needs a journal";
   let t =
     {
       kernel;

@@ -25,7 +25,9 @@ val standby :
     (default {!Server.default_config}) configures the server started at
     takeover; its [register_id] is overridden with [logical_id].
     Defaults: 25 ms heartbeat, takeover after 2 consecutive misses (a
-    detector verdict of [Dead] takes over immediately). *)
+    detector verdict of [Dead] takes over immediately).  Raises
+    [Invalid_argument] if [fs] has no journal: takeover's recovery must
+    raise its {!Fs.epoch}. *)
 
 val stop : t -> unit
 (** Ask the monitor to exit at its next wakeup (so an experiment can

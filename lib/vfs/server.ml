@@ -50,8 +50,9 @@ type t = {
   mutable worker_pids : Vkernel.Pid.t list;
   handles : open_file option array;
   versions : int Vsim.Itbl.t;
-      (* per-inode version number, bumped on every accepted mutation;
-         piggybacked on extended replies for client-cache consistency *)
+      (* per-inode version counter, bumped on every accepted mutation;
+         with the file system's epoch it makes the version piggybacked
+         on extended replies for client-cache consistency *)
   leases : holder list Vsim.Itbl.t;
       (* per-inode lease holders, insertion-ordered so callback order is
          deterministic; volatile, dropped wholesale across a crash *)
@@ -72,11 +73,15 @@ type t = {
 let pid t = t.spid
 let workers t = t.cfg.workers
 
-let file_version t ~inum =
+let counter t ~inum =
   match Vsim.Itbl.find_opt t.versions inum with Some v -> v | None -> 1
 
+(* The counter restarts with each incarnation; the epoch, which each
+   recovery raises, keeps the pair strictly increasing across restarts. *)
+let file_version t ~inum = (Fs.epoch t.fs lsl 32) lor counter t ~inum
+
 let bump_version t ~inum =
-  Vsim.Itbl.replace t.versions inum (file_version t ~inum + 1)
+  Vsim.Itbl.replace t.versions inum (counter t ~inum + 1)
 let requests_served t = t.n_requests
 let leases_granted t = t.n_lease_grants
 let leases_broken t = t.n_lease_breaks
@@ -223,7 +228,7 @@ let break_leases t ~inum ~except =
               else begin
                 let m = Msg.create () in
                 Protocol.encode_break_lease m ~inum
-                  ~version:(file_version t ~inum);
+                  ~version:(counter t ~inum);
                 (match K.send t.kernel m h.l_pid with
                 | K.Ok -> ()
                 | K.Nonexistent | K.Bad_address | K.No_permission
@@ -376,11 +381,15 @@ let handle_request t ~mem ~msg ~src ~seg_count =
               reply Protocol.Sok 0
           | Error e -> reply (fs_error_status e) 0)
       | Protocol.Stat -> (
+          (* The extended reply lets a client whose lease lapsed
+             revalidate its cache and renew the lease in one exchange. *)
           match lookup_handle t handle with
           | None -> reply Protocol.Sbad_handle 0
           | Some f -> (
               match Fs.size t.fs ~inum:f.of_inum with
-              | Ok sz -> reply Protocol.Sok sz
+              | Ok sz ->
+                  reply_ext t ~reply:K.reply msg src ~cb ~grant:true sz
+                    ~inum:f.of_inum
               | Error e -> reply (fs_error_status e) 0))
       | Protocol.Read_page | Protocol.Read_basic -> (
           (* Both page reads check the handle and the client's writable
@@ -642,6 +651,10 @@ let start kernel fs ?(config = default_config) ?(restartable = false) () =
   if config.workers < 1 then invalid_arg "Server.start: workers must be >= 1";
   if config.transfer_unit < 1 then
     invalid_arg "Server.start: transfer_unit must be >= 1";
+  (* Without a journal a recovery has no epoch to raise, so versions
+     after a restart could repeat the old incarnation's. *)
+  if restartable && not (Fs.journaled fs) then
+    invalid_arg "Server.start: a restartable server needs a journal";
   let t =
     {
       kernel;
@@ -668,13 +681,14 @@ let start kernel fs ?(config = default_config) ?(restartable = false) () =
   in
   if restartable then
     K.on_restart kernel (fun () ->
-        (* The handle table, version map, lease table and process team
-           were volatile state of the crashed host; the disk is what
-           survived.  Run filesystem recovery first, then bring the team
-           back up — the server answers no requests until the journal
-           has been replayed.  Dropping the lease table means recovery
-           re-grants from scratch; clients void their own leases when
-           they detect the failover. *)
+        (* The handle table, version counters, lease table and process
+           team were volatile state of the crashed host; the disk is
+           what survived.  Run filesystem recovery first, which raises
+           the epoch, then bring the team back up — the server answers
+           no requests until the journal has been replayed.  Dropping
+           the lease table means recovery re-grants from scratch;
+           clients void their own leases when they detect the
+           failover. *)
         Array.fill t.handles 0 (Array.length t.handles) None;
         Vsim.Itbl.reset t.versions;
         Vsim.Itbl.reset t.leases;

@@ -41,8 +41,8 @@ type config = {
       (** logical id to register (network scope); default the well-known
           file-server id, [None] to skip registration *)
   lease_term_ns : int;
-      (** term of the leases granted on open/read replies to clients
-          that stamp a callback pid on their requests
+      (** term of the leases granted on open, read and stat replies to
+          clients that stamp a callback pid on their requests
           ({!Protocol.set_request_callback}); [0] disables granting.
           Clients without a callback pid are never granted leases, so
           the default (200 ms) is invisible to lease-unaware clients.
@@ -63,9 +63,11 @@ val start :
     (default false) the server registers a {!Vkernel.Kernel.on_restart}
     hook: after a host crash + restart it runs {!Fs.recover} and then
     re-spawns its process team with a fresh handle table — open handles
-    and version state die with the host, disk contents survive.  Raises
-    [Invalid_argument] if [config.workers < 1] or
-    [config.transfer_unit < 1]. *)
+    and version counters die with the host, disk contents and the
+    file system's {!Fs.epoch} survive.  Raises [Invalid_argument] if
+    [config.workers < 1], [config.transfer_unit < 1], or [restartable]
+    is set on a file system without a journal (its recovery could not
+    raise the epoch). *)
 
 val pid : t -> Vkernel.Pid.t
 (** The pid clients Send to: the server process itself in single-worker
@@ -75,11 +77,14 @@ val workers : t -> int
 (** Configured team size. *)
 
 val file_version : t -> inum:int -> int
-(** Current version number of the inode, starting at 1 and bumped on
-    every accepted mutation (page write — including write-behind accepts
-    — basic write, or create reusing the inode).  Piggybacked on
-    extended replies ({!Protocol.encode_reply_ext}) so clients can
-    detect stale cached blocks. *)
+(** Current version of the inode: [epoch lsl 32 lor counter], with
+    {!Fs.epoch} of the served file system and a counter that starts at
+    1 in each incarnation and is bumped on every accepted mutation (page
+    write — including write-behind accepts — basic write, or create
+    reusing the inode).  Since each recovery raises the epoch, versions
+    strictly increase across restarts.  Piggybacked on extended replies
+    ({!Protocol.encode_reply_ext}) so clients can detect stale cached
+    blocks. *)
 
 val lease_holders : t -> inum:int -> Vkernel.Pid.t list
 (** Callback pids currently holding a live (unexpired, unsuspected)

@@ -1,6 +1,6 @@
 (* The write-ahead journal: crash-at-every-record-boundary recovery,
-   replay idempotence, and allocation unwind when an operation fails
-   midway. *)
+   replay idempotence, the epoch kept in the journal's head, and
+   allocation unwind when an operation fails midway. *)
 
 let bs = Vfs.Fs.block_size
 
@@ -23,8 +23,9 @@ let new_image =
    disk write.  Snapshot [k] is exactly what a host crash between disk
    writes [k] and [k+1] leaves on the platter — every journal-record
    boundary (descriptor, after-image, commit, checkpoint, retire) shows
-   up as one snapshot. *)
-let boundary_snapshots () =
+   up as one snapshot.  [recoveries] runs {!Vfs.Fs.recover} that often
+   between the first write and the overwrite. *)
+let boundary_snapshots ?(recoveries = 0) () =
   let eng = Vsim.Engine.create () in
   let disk =
     Vfs.Disk.create eng ~latency:(Vfs.Disk.Fixed 0) ~blocks ~block_size:bs ()
@@ -36,6 +37,9 @@ let boundary_snapshots () =
         let fs = get (Vfs.Fs.mount disk) in
         let inum = get (Vfs.Fs.create fs "data") in
         get (Vfs.Fs.write fs ~inum ~pos:0 old_image);
+        for _ = 1 to recoveries do
+          Vfs.Fs.recover fs
+        done;
         (* Separate the op's disk writes in time so the monitor below
            can snapshot at every single completion. *)
         Vfs.Disk.set_latency disk (Vfs.Disk.Fixed 1000);
@@ -135,6 +139,67 @@ let test_replay_idempotent () =
             (Vfs.Fs.check fs)))
     snaps
 
+(* The epoch: 0 after a format, one more after each recovery, and kept
+   by a later commit, a mount and a clone, none of which raises it.  A
+   recovery writes nothing itself: the next commit stores the epoch, so
+   two recoveries with no commit between them read the same one. *)
+let test_epoch () =
+  let eng = Vsim.Engine.create () in
+  let mk () =
+    Vfs.Disk.create eng ~latency:(Vfs.Disk.Fixed 0) ~blocks ~block_size:bs ()
+  in
+  let disk = mk () in
+  let ran = ref false in
+  let epoch what want fs = Alcotest.(check int) what want (Vfs.Fs.epoch fs) in
+  let (_ : Vsim.Proc.t) =
+    Vsim.Proc.spawn eng (fun () ->
+        Vfs.Fs.format disk ~journal_blocks:jblocks ~ninodes:16 ();
+        let fs = get (Vfs.Fs.mount disk) in
+        epoch "fresh format" 0 fs;
+        Vfs.Fs.recover fs;
+        epoch "first recovery" 1 fs;
+        let inum = get (Vfs.Fs.create fs "data") in
+        epoch "after a commit" 1 fs;
+        Vfs.Fs.recover fs;
+        epoch "second recovery" 2 fs;
+        get (Vfs.Fs.write fs ~inum ~pos:0 old_image);
+        epoch "after another commit" 2 fs;
+        epoch "fresh mount" 2 (get (Vfs.Fs.mount disk));
+        let copy = mk () in
+        Vfs.Disk.restore copy (Vfs.Disk.snapshot disk);
+        let clone = Vfs.Fs.clone fs copy in
+        epoch "clone" 2 clone;
+        Vfs.Fs.recover clone;
+        epoch "the clone's recovery" 3 clone;
+        epoch "leaves the original alone" 2 fs;
+        Vfs.Fs.recover clone;
+        epoch "no commit since the last recovery" 3 clone;
+        ran := true)
+  in
+  Vsim.Engine.run eng;
+  Alcotest.(check bool) "epoch check ran" true !ran
+
+(* The epoch is readable at every journal-record boundary: a descriptor
+   in the head block carries it as a retired head does.  Until the
+   overwrite's descriptor lands nothing has been committed since the
+   recovery, so the disk still holds the old epoch.  The monitor counts
+   a disk write when it is issued, so the descriptor lands after
+   snapshot 1. *)
+let test_epoch_every_boundary () =
+  let snaps = boundary_snapshots ~recoveries:1 () in
+  List.iteri
+    (fun k snap ->
+      let want = if k <= 1 then 0 else 1 in
+      with_recovered snap (fun fs _ ->
+          Alcotest.(check int)
+            (Printf.sprintf "epoch at boundary %d" k)
+            want (Vfs.Fs.epoch fs);
+          Vfs.Fs.recover fs;
+          Alcotest.(check int)
+            (Printf.sprintf "recovered at boundary %d" k)
+            (want + 1) (Vfs.Fs.epoch fs)))
+    snaps
+
 (* Regression: a write that fails midway (No_space after some blocks
    were already allocated) must unwind its allocations — bitmap, inode
    and indirect table — instead of leaking them.  Covers both the
@@ -220,6 +285,9 @@ let suite =
     Alcotest.test_case "crash at every journal boundary" `Quick
       test_crash_every_boundary;
     Alcotest.test_case "replay idempotent" `Quick test_replay_idempotent;
+    Alcotest.test_case "epoch" `Quick test_epoch;
+    Alcotest.test_case "epoch at every journal boundary" `Quick
+      test_epoch_every_boundary;
     Alcotest.test_case "no-space unwind (unjournaled)" `Quick
       (no_space_unwind 0);
     Alcotest.test_case "no-space unwind (journaled)" `Quick

@@ -1,7 +1,8 @@
 (* Server-granted leases with callback invalidation (doc/LEASES.md):
    grant/refresh, break-before-ack, expiry without callback, the
    Gray-Cheriton wait-out for unreachable holders, the zero-RPC reopen
-   fast path, the post-restart grace period, and the two-client
+   fast path, the one-Stat revalidation after a lapse, the post-restart
+   grace period, versions that outlive a restart, and the two-client
    coherence workload the sweep drives. *)
 
 module K = Vkernel.Kernel
@@ -19,15 +20,12 @@ let get = function
 (* Server on host 1 (journaled, restartable, configurable term); client
    hosts 2 and 3.  The fast kernel config keeps retransmission timing in
    the same range the vcheck workloads use. *)
-let rig ?(lease_term_ns = Vsim.Time.ms 200) () =
+let rig ?(lease_term_ns = Vsim.Time.ms 200) ?(files = [ ("data", 8 * 512) ])
+    () =
   let tb =
     Util.testbed ~hosts:3 ~kernel_config:Vcheck.Workload.fast_config ()
   in
-  let fs =
-    Vworkload.Testbed.make_test_fs tb ~journal_blocks:64
-      ~files:[ ("data", 8 * 512) ]
-      ()
-  in
+  let fs = Vworkload.Testbed.make_test_fs tb ~journal_blocks:64 ~files () in
   let server =
     Vfs.Server.start (TB.kernel tb 1) fs
       ~config:{ Vfs.Server.default_config with lease_term_ns }
@@ -124,12 +122,13 @@ let test_break () =
       get (Io.close f))
 
 (* Expiry: past its term the lease dies by clock on both sides — the
-   server drops the holder without a callback, and the client purges its
-   cached blocks on first touch so a post-expiry read refetches. *)
+   server drops the holder without a callback, and the client's first
+   touch afterwards asks for the file's version, which exposes the write
+   it missed, so a post-expiry read refetches. *)
 let test_expiry () =
   let tb, _, server = rig ~lease_term_ns:(Vsim.Time.ms 5) () in
   Util.run_as_process tb ~host:2 (fun _ ->
-      let io, _ = make_io tb ~host:2 in
+      let io, cache = make_io tb ~host:2 in
       let f = get (Io.open_file io "data") in
       Alcotest.(check bytes) "cached under lease" (expect_block 0)
         (get (Io.read f ~off:0 ~len:512));
@@ -148,9 +147,14 @@ let test_expiry () =
         (Io.breaks_received io);
       Alcotest.(check bool) "server dropped it as expired" true
         (Vfs.Server.leases_expired server >= 1);
+      let before = Vfs.Server.requests_served server in
       Alcotest.(check bytes) "post-expiry read refetches fresh bytes"
         (Bytes.make 512 'R')
         (get (Io.read f ~off:0 ~len:512));
+      Alcotest.(check int) "the stale copy was invalidated, not served" 1
+        (Vfs.Cache.stats cache).Vfs.Cache.invalidations;
+      Alcotest.(check int) "one Stat, then the page read" 2
+        (Vfs.Server.requests_served server - before);
       get (Io.close f))
 
 (* An unreachable, unexpired holder cannot acknowledge a break; the
@@ -277,6 +281,141 @@ let test_restart_grace () =
             (Bytes.make 512 'R')
             (get (Io.read f ~off:0 ~len:512)))
 
+(* Read blocks [0, n) of [f] and check them against the file's initial
+   pattern. *)
+let read_initial f n =
+  for b = 0 to n - 1 do
+    Alcotest.(check bytes)
+      (Printf.sprintf "block %d" b)
+      (expect_block b)
+      (get (Io.read f ~off:(b * 512) ~len:512))
+  done
+
+let hits cache = (Vfs.Cache.stats cache).Vfs.Cache.hits
+
+(* A lapsed lease costs one Stat, not the cache: the reopen of a parked
+   handle past the term asks for the file's version once, the reply
+   vouches for every cached block and renews the lease, and the reads
+   that follow are all hits. *)
+let test_lapse_keeps_cache () =
+  let tb, _, server = rig () in
+  Util.run_as_process tb ~host:2 (fun _ ->
+      let io, cache = make_io tb ~host:2 in
+      let f = get (Io.open_file io "data") in
+      read_initial f 4;
+      get (Io.close f);
+      Vsim.Proc.sleep (Vsim.Time.ms 250);
+      let before = Vfs.Server.requests_served server in
+      let hits0 = hits cache in
+      let f2 = get (Io.open_file io "data") in
+      Alcotest.(check int) "reopen after the term: one Stat" 1
+        (Vfs.Server.requests_served server - before);
+      read_initial f2 4;
+      Alcotest.(check int) "every block a hit" (hits0 + 4) (hits cache);
+      Alcotest.(check int) "no further request" 1
+        (Vfs.Server.requests_served server - before);
+      Alcotest.(check bool) "lease renewed" true (Io.file_lease_valid f2);
+      get (Io.close f2))
+
+(* A remote write while the lease was lapsed: the Stat's version is
+   newer than the cached blocks' tags, so the written block is fetched
+   again and carries the new bytes. *)
+let test_lapse_remote_write () =
+  let tb, _, server = rig () in
+  Util.run_as_process tb ~host:2 (fun _ ->
+      let io, cache = make_io tb ~host:2 in
+      let f = get (Io.open_file io "data") in
+      read_initial f 4;
+      get (Io.close f);
+      Vsim.Proc.sleep (Vsim.Time.ms 250);
+      let writer_done = ref false in
+      let (_ : Vkernel.Pid.t) =
+        K.spawn (TB.kernel tb 3) ~name:"writer" (fun _ ->
+            stub_write tb ~host:3 ~block:0 'R';
+            writer_done := true)
+      in
+      Vsim.Proc.sleep (Vsim.Time.ms 50);
+      Alcotest.(check bool) "writer acked" true !writer_done;
+      Alcotest.(check int) "no callback for the lapsed lease" 0
+        (Io.breaks_received io);
+      let before = Vfs.Server.requests_served server in
+      let f2 = get (Io.open_file io "data") in
+      Alcotest.(check int) "reopen: one Stat" 1
+        (Vfs.Server.requests_served server - before);
+      Alcotest.(check bytes) "the written block is fetched again"
+        (Bytes.make 512 'R')
+        (get (Io.read f2 ~off:0 ~len:512));
+      Alcotest.(check bool) "fetched from the server" true
+        (Vfs.Server.requests_served server - before >= 2);
+      Alcotest.(check bool) "stale copies invalidated" true
+        ((Vfs.Cache.stats cache).Vfs.Cache.invalidations >= 1);
+      get (Io.close f2))
+
+(* A lease that lapses while the file is open: the next read costs one
+   Stat and is served from the cache. *)
+let test_lapse_mid_session () =
+  let tb, _, server = rig () in
+  Util.run_as_process tb ~host:2 (fun _ ->
+      let io, cache = make_io tb ~host:2 in
+      let f = get (Io.open_file io "data") in
+      read_initial f 1;
+      Vsim.Proc.sleep (Vsim.Time.ms 250);
+      Alcotest.(check bool) "lapsed" false (Io.file_lease_valid f);
+      let before = Vfs.Server.requests_served server in
+      let hits0 = hits cache in
+      read_initial f 1;
+      Alcotest.(check int) "one Stat" 1
+        (Vfs.Server.requests_served server - before);
+      Alcotest.(check int) "and a hit" (hits0 + 1) (hits cache);
+      Alcotest.(check bool) "lease renewed" true (Io.file_lease_valid f);
+      get (Io.close f))
+
+(* Versions outlive a restart.  A's write-through cache holds block 0 of
+   "data" at version 4 when the server restarts; session recovery on
+   another file keeps those clean blocks.  B's write after the grace
+   period is the new incarnation's version 2 of the counter, but the
+   raised epoch makes it newer than A's tag, so A's reopen drops the
+   stale block and reads B's bytes.  With versions that restarted at 1
+   the reopen kept A's own bytes. *)
+let test_restart_stale_read () =
+  let tb, _, server =
+    rig ~files:[ ("data", 8 * 512); ("other", 8 * 512) ] ()
+  in
+  let k1 = TB.kernel tb 1 in
+  let a = ref None in
+  Util.run_as_process tb ~host:2 (fun _ ->
+      let io, _ = make_io ~recover:true tb ~host:2 in
+      let f = get (Io.open_file io "data") in
+      List.iter
+        (fun c ->
+          let (_ : int) = get (Io.write f ~off:0 (Bytes.make 512 c)) in
+          ())
+        [ 'a'; 'b'; 'A' ];
+      Alcotest.(check int) "three writes: version 4" 4 (Io.file_version f);
+      get (Io.close f);
+      let other = get (Io.open_file io "other") in
+      let (_ : Bytes.t) = get (Io.read other ~off:0 ~len:512) in
+      a := Some (io, other));
+  let io, other = Option.get !a in
+  Util.run_as_process tb ~host:3 (fun _ ->
+      K.crash k1;
+      Vsim.Proc.sleep (Vsim.Time.ms 30);
+      K.restart k1);
+  Util.run_as_process tb ~host:2 (fun _ ->
+      (* An uncached block: the fetch finds the server gone and runs
+         session recovery, which resets the leases. *)
+      let (_ : Bytes.t) = get (Io.read other ~off:512 ~len:512) in
+      ());
+  Util.run_as_process tb ~host:3 (fun _ -> stub_write tb ~host:3 ~block:0 'R');
+  Alcotest.(check int) "B's write waited out the grace period" 1
+    (Vfs.Server.grace_waits server);
+  Util.run_as_process tb ~host:2 (fun _ ->
+      let f = get (Io.open_file io "data") in
+      Alcotest.(check bytes) "A reads B's write, not its own stale bytes"
+        (Bytes.make 512 'R')
+        (get (Io.read f ~off:0 ~len:512));
+      get (Io.close f))
+
 let violation_strings vs =
   List.map
     (fun (v : Checker.violation) ->
@@ -319,7 +458,14 @@ let suite =
     Alcotest.test_case "expiry" `Quick test_expiry;
     Alcotest.test_case "wait-out for unreachable holder" `Quick test_waitout;
     Alcotest.test_case "zero-RPC reopen" `Quick test_zero_rpc_reopen;
+    Alcotest.test_case "lapsed lease keeps the cache" `Quick
+      test_lapse_keeps_cache;
+    Alcotest.test_case "lapse, then a remote write" `Quick
+      test_lapse_remote_write;
+    Alcotest.test_case "lapse in mid-session" `Quick test_lapse_mid_session;
     Alcotest.test_case "restart grace period" `Quick test_restart_grace;
+    Alcotest.test_case "no stale read across a restart" `Quick
+      test_restart_stale_read;
     Alcotest.test_case "shared coherence workload" `Quick
       test_shared_workload;
   ]

@@ -10,8 +10,9 @@
 # assoc_opt, mem, mem_assoc, remove_assoc) in the native objects of the
 # modules every simulated event or frame runs through: Eventq, Engine,
 # Proc, Cpu, Nic, Frame, Medium, Fault, Gateway, Rto, Kernel, the
-# Packet, Msg and Mem code every kernel packet passes through, and the
-# Fs and Disk code every file-server request and checker schedule runs.
+# Packet, Msg and Mem code every kernel packet passes through, the Fs
+# and Disk code every file-server request and checker schedule runs, and
+# the client Cache every cached read and write goes through.
 # Each one is a C call (or a call into one) made where an int comparison
 # would do: `=` on a variant with a non-constant constructor, `max` on
 # ints, `List.assoc_opt` on an int key.
@@ -43,7 +44,8 @@ lib/core/.vkernel.objs/native/vkernel__Packet.o
 lib/core/.vkernel.objs/native/vkernel__Msg.o
 lib/core/.vkernel.objs/native/vkernel__Mem.o
 lib/vfs/.vfs.objs/native/vfs__Fs.o
-lib/vfs/.vfs.objs/native/vfs__Disk.o"
+lib/vfs/.vfs.objs/native/vfs__Disk.o
+lib/vfs/.vfs.objs/native/vfs__Cache.o"
 
 poly='^(caml_(equal|notequal|compare|lessthan|lessequal|greaterthan|greaterequal|hash)|camlStdlib\.(max|min)_[0-9]+|camlStdlib__List\.(assoc|assoc_opt|mem|mem_assoc|remove_assoc)_[0-9]+)$'
 
