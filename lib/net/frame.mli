@@ -30,9 +30,10 @@ val corrupt : t -> t
     unchanged. *)
 
 val payload_hash : t -> int
-(** FNV-1a over the payload, folded to 30 bits: a pure function of the
-    payload bytes, computed on the first call for a frame and remembered,
-    so every holder of the frame shares one computation. *)
+(** A 30-bit hash of the payload, mixed eight bytes at a time: a pure
+    function of the payload bytes, computed on the first call for a
+    frame and remembered, so every holder of the frame shares one
+    computation.  Equal hashes do not mean equal payloads. *)
 
 val length : t -> int
 (** Payload length in bytes. *)

@@ -41,18 +41,25 @@ type stats = {
 
 type out = { q : Frame.t Queue.t; mutable busy : bool }
 
-(* A broadcast's identity: source, ethertype, length and payload hash.
-   Nothing walks the window, so its bucket order is free. *)
-type key = { k_src : int; k_type : int; k_len : int; k_hash : int }
-
+(* A broadcast's identity is the frame's source, ethertype and payload
+   bytes, so the window holds the frames themselves.  The memoised
+   payload hash only picks the bucket and rules out most unequal
+   frames; a match is confirmed byte for byte, so two broadcasts whose
+   hashes collide are still told apart.  Nothing walks the window, so
+   its bucket order is free. *)
 module Seen = Hashtbl.Make (struct
-  type t = key
+  type t = Frame.t
 
-  let equal a b =
-    Int.equal a.k_hash b.k_hash && Int.equal a.k_src b.k_src
-    && Int.equal a.k_type b.k_type && Int.equal a.k_len b.k_len
+  let equal (a : Frame.t) (b : Frame.t) =
+    a == b
+    || Int.equal (Frame.payload_hash a) (Frame.payload_hash b)
+       && Int.equal a.Frame.src b.Frame.src
+       && Int.equal a.Frame.ethertype b.Frame.ethertype
+       && Bytes.equal a.Frame.payload b.Frame.payload
 
-  let hash k = k.k_hash lxor (k.k_src lsl 8) lxor (k.k_type lsl 16)
+  let hash (f : Frame.t) =
+    Frame.payload_hash f lxor (f.Frame.src lsl 8)
+    lxor (f.Frame.ethertype lsl 16)
 end)
 
 type t = {
@@ -62,8 +69,8 @@ type t = {
   segments : Medium.t array;
   outs : out array;
   routes : int Vsim.Itbl.t;  (** host address -> segment index *)
-  seen : unit Seen.t;  (** recent broadcast identities *)
-  seen_fifo : key Queue.t;  (** the same, oldest first *)
+  seen : unit Seen.t;  (** recent broadcasts *)
+  seen_fifo : Frame.t Queue.t;  (** the same, oldest first *)
   mutable down : bool;
   mutable s_received : int;
   mutable s_forwarded : int;
@@ -80,21 +87,13 @@ let k_forward = Vsim.Eventq.Kind.intern "net.gw_forward"
 (* Broadcast identity must be a pure function of frame contents so every
    gateway that hears a copy computes the same key.  The payload hash is
    memoised on the frame, and a gateway forwards the frame it heard, so
-   hearing its own re-broadcast on the far segment costs a lookup, not a
-   second pass over the payload. *)
-let dedup_key (f : Frame.t) =
-  {
-    k_src = f.Frame.src;
-    k_type = f.Frame.ethertype;
-    k_len = Frame.length f;
-    k_hash = Frame.payload_hash f;
-  }
+   hearing its own re-broadcast on the far segment costs a lookup that
+   ends at [==], not a second pass over the payload. *)
+let seen t frame = Seen.mem t.seen frame
 
-let seen t key = Seen.mem t.seen key
-
-let remember t key =
-  Seen.add t.seen key ();
-  Queue.add key t.seen_fifo;
+let remember t frame =
+  Seen.add t.seen frame ();
+  Queue.add frame t.seen_fifo;
   if Queue.length t.seen_fifo > dedup_window then
     Seen.remove t.seen (Queue.pop t.seen_fifo)
 
@@ -139,10 +138,9 @@ let on_frame t seg (frame : Frame.t) =
     (* A real bridge checks the CRC before forwarding. *)
     t.s_crc_drops <- t.s_crc_drops + 1
   else if Frame.is_broadcast frame then begin
-    let key = dedup_key frame in
-    if seen t key then t.s_suppressed <- t.s_suppressed + 1
+    if seen t frame then t.s_suppressed <- t.s_suppressed + 1
     else begin
-      remember t key;
+      remember t frame;
       Array.iteri (fun j _ -> if j <> seg then enqueue t j frame) t.segments
     end
   end

@@ -13,13 +13,15 @@
       are dropped and counted.
     - {b Broadcast} frames (GetPid, boot multicast) are re-broadcast
       onto every other segment with duplicate suppression: a bounded
-      window of recently seen frame identities (source, ethertype,
-      length, payload hash) ensures each distinct broadcast crosses each
+      window of recently seen frame identities (source, ethertype and
+      payload bytes) ensures each distinct broadcast crosses each
       segment at most once even with multiple gateways — and keeps the
-      gateway from forwarding its own re-broadcasts in a loop.  The hash
-      is computed once per frame ({!Frame.payload_hash}) and the gateway
-      forwards the frame it heard, so its own re-broadcast's echo costs
-      a table lookup.
+      gateway from forwarding its own re-broadcasts in a loop.  The
+      window is hashed by {!Frame.payload_hash}, computed once per frame,
+      and a hash match is confirmed byte for byte, so a hash collision
+      never suppresses a different broadcast.  The gateway forwards the
+      frame it heard, so its own re-broadcast's echo costs a table
+      lookup.
     - {b Store-and-forward}: each forwarded frame first pays a per-frame
       CPU cost derived from the {!Vhw.Cost_model} (receive handling +
       copy + send setup), then queues on a bounded per-segment output

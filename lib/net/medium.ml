@@ -26,7 +26,13 @@ let config_10mb =
 
 let byte_time_ns cfg = 8_000_000_000 / cfg.bit_rate_bps
 
-type port = { paddr : Addr.t; prx : Frame.t -> unit }
+type port = {
+  paddr : Addr.t;
+  prx : Frame.t -> unit;
+  mutable others : port list option;
+      (** the medium's [everyone] without this port, built by this
+          port's first broadcast after a [refresh] *)
+}
 
 type pending = {
   frame : Frame.t;
@@ -136,7 +142,7 @@ let attach t ~addr ~rx =
     invalid_arg "Medium.attach: bad address";
   if Vsim.Itbl.mem t.ports addr || Vsim.Itbl.mem t.taps addr then
     Fmt.invalid_arg "Medium.attach: address %d already attached" addr;
-  let port = { paddr = addr; prx = rx } in
+  let port = { paddr = addr; prx = rx; others = None } in
   Vsim.Itbl.replace t.ports addr port;
   t.fanout_stale <- true;
   port
@@ -146,7 +152,7 @@ let attach_tap t ~addr ~rx =
     invalid_arg "Medium.attach_tap: bad address";
   if Vsim.Itbl.mem t.ports addr || Vsim.Itbl.mem t.taps addr then
     Fmt.invalid_arg "Medium.attach_tap: address %d already attached" addr;
-  let port = { paddr = addr; prx = rx } in
+  let port = { paddr = addr; prx = rx; others = None } in
   Vsim.Itbl.replace t.taps addr port;
   t.fanout_stale <- true;
   port
@@ -217,14 +223,18 @@ let deliver_to t frame (port : port) =
    frame only drops its source from them.  No address is both a port and
    a tap, so dropping the source from the joined list drops it from the
    half it is in.  [Vsim.Itbl] walks a table in the order a polymorphic
-   [Hashtbl] would, so the order is the one the per-frame folds gave. *)
+   [Hashtbl] would, so the order is the one the per-frame folds gave.
+   An attached station's broadcasts all reach [everyone] without it, so
+   that list is kept on its port ([others]) from its first broadcast
+   until the next rebuild, which forgets every port's. *)
 let refresh t =
   if t.fanout_stale then begin
     t.fanout_stale <- false;
     t.tap_list <-
       List.rev (Vsim.Itbl.fold (fun _ port acc -> port :: acc) t.taps []);
     t.everyone <-
-      Vsim.Itbl.fold (fun _ port acc -> port :: acc) t.ports t.tap_list
+      Vsim.Itbl.fold (fun _ port acc -> port :: acc) t.ports t.tap_list;
+    List.iter (fun port -> port.others <- None) t.everyone
   end
 
 (* [ports] without the one at [addr], sharing the tail after it, or
@@ -238,15 +248,25 @@ let rec without addr = function
         let rest' = without addr rest in
         if rest' == rest then ports else port :: rest'
 
+let others t port =
+  match port.others with
+  | Some ports -> ports
+  | None ->
+      let ports = without port.paddr t.everyone in
+      port.others <- Some ports;
+      ports
+
 let targets t frame =
   refresh t;
   let src = frame.Frame.src in
   if Frame.is_broadcast frame then
-    (* A broadcast bridged in from another segment has its source in
-       neither table, so nothing is dropped: skip the walk. *)
-    if Vsim.Itbl.mem t.ports src || Vsim.Itbl.mem t.taps src then
-      without src t.everyone
-    else t.everyone
+    match Vsim.Itbl.find t.ports src with
+    | port -> others t port
+    | exception Not_found ->
+        (* A broadcast bridged in from another segment has its source in
+           neither table, so nothing is dropped: skip the walk. *)
+        if Vsim.Itbl.mem t.taps src then without src t.everyone
+        else t.everyone
   else
     let taps = without src t.tap_list in
     match Vsim.Itbl.find t.ports frame.Frame.dst with
@@ -269,14 +289,32 @@ let target_count t frame tgts =
    traffic for broadcasts.  Frames are immutable, so every receiver (and
    every scripted duplicate) gets the transmitted frame itself, at no
    allocation; only a delivery [deliver_to] corrupts gets a private
-   copy, so the mark never reaches another receiver. *)
+   copy, so the mark never reaches another receiver.  A fault with no
+   drop or corrupt probability and no collision bug makes [deliver_to]
+   draw nothing and deliver every frame intact, so such a delivery
+   takes [deliver_clean], which allocates nothing; the fault is read
+   once per delivery event, as [deliver_to] would find it. *)
+let rec deliver_clean t frame = function
+  | [] -> ()
+  | port :: rest ->
+      t.s_delivered <- t.s_delivered + 1;
+      port.prx frame;
+      deliver_clean t frame rest
+
+let deliver_all t frame ports =
+  let f = t.flt in
+  if f.Fault.drop_prob <= 0.0 && f.Fault.corrupt_prob <= 0.0
+     && not f.Fault.collision_bug
+  then deliver_clean t frame ports
+  else List.iter (fun port -> deliver_to t frame port) ports
+
 let schedule_rx t frame ports ~at =
   match ports with
   | [] -> ()
   | ports ->
       ignore
         (Vsim.Engine.at t.eng ~kind:k_deliver at (fun () ->
-             List.iter (fun port -> deliver_to t frame port) ports))
+             deliver_all t frame ports))
 
 (* Scripted loss is accounted per receiver at what would have been the
    arrival instant, exactly like probabilistic loss, so that

@@ -704,7 +704,7 @@ module Io = struct
            exchanges than per-page requests. *)
         match load_program f.io.conn f.fh ~buf:0 ~max:len with
         | Error e -> Error e
-        | Ok n -> Ok (Vkernel.Mem.read mem ~pos:0 ~len:(min n len))
+        | Ok n -> Ok (Vkernel.Mem.read mem ~pos:0 ~len:(Int.min n len))
       end
       else begin
         let out = Bytes.create len in
@@ -713,11 +713,11 @@ module Io = struct
           else begin
             let abs = off + got in
             let block = abs / bs and boff = abs mod bs in
-            let want = min (bs - boff) (len - got) in
+            let want = Int.min (bs - boff) (len - got) in
             match get_block f ~block ~want with
             | Error e -> Error e
             | Ok data ->
-                let m = min want (max (Bytes.length data - boff) 0) in
+                let m = Int.min want (Int.max (Bytes.length data - boff) 0) in
                 if m > 0 then Bytes.blit data boff out got m;
                 if m < want then Ok (got + m) (* short block: EOF *)
                 else go (got + m)
@@ -741,7 +741,7 @@ module Io = struct
         | Ok base ->
             (* Holes and beyond-EOF reads come back short; pad with
                zeros, as the file system itself would. *)
-            let newlen = max (boff + m) (Bytes.length base) in
+            let newlen = Int.max (boff + m) (Bytes.length base) in
             let buf = Bytes.make newlen '\000' in
             Bytes.blit base 0 buf 0 (Bytes.length base);
             Bytes.blit chunk 0 buf boff m;
@@ -783,7 +783,7 @@ module Io = struct
         else begin
           let abs = off + written in
           let block = abs / bs and boff = abs mod bs in
-          let m = min (bs - boff) (total - written) in
+          let m = Int.min (bs - boff) (total - written) in
           match write_block f ~block ~boff (Bytes.sub data written m) with
           | Error e -> Error e
           | Ok () -> go (written + m)

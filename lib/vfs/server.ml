@@ -184,7 +184,7 @@ let grant_lease t ~inum ~cb =
     (match
        List.find_opt (fun h -> Vkernel.Pid.equal h.l_pid cb) holders
      with
-    | Some h -> h.l_expiry <- max h.l_expiry expiry
+    | Some h -> h.l_expiry <- Int.max h.l_expiry expiry
     | None ->
         let h =
           { l_pid = cb; l_host = Vkernel.Pid.host cb; l_expiry = expiry }
@@ -400,7 +400,7 @@ let handle_request t ~mem ~msg ~src ~seg_count =
               reply Protocol.Sbad_request 0
           | Some f, Some ((Msg.Write_only | Msg.Read_write), dptr, dlen) -> (
               t.n_reads <- t.n_reads + 1;
-              let count = min (min count Fs.block_size) dlen in
+              let count = Int.min (Int.min count Fs.block_size) dlen in
               fs_work t;
               match
                 Fs.read_into t.fs ~inum:f.of_inum ~pos:(block * Fs.block_size)
@@ -433,7 +433,7 @@ let handle_request t ~mem ~msg ~src ~seg_count =
           | None -> reply Protocol.Sbad_handle 0
           | Some f ->
               t.n_writes <- t.n_writes + 1;
-              let n = min seg_count Fs.block_size in
+              let n = Int.min seg_count Fs.block_size in
               let data = Vkernel.Mem.read mem ~pos:scratch_ptr ~len:n in
               fs_work t;
               let do_write () =
@@ -461,7 +461,7 @@ let handle_request t ~mem ~msg ~src ~seg_count =
               reply Protocol.Sbad_request 0
           | Some f, Some ((Msg.Read_only | Msg.Read_write), sptr, slen) -> (
               t.n_writes <- t.n_writes + 1;
-              let n = min (min count Fs.block_size) slen in
+              let n = Int.min (Int.min count Fs.block_size) slen in
               match
                 K.move_from t.kernel ~src_pid:src ~dst:scratch_ptr ~src:sptr
                   ~count:n
@@ -518,7 +518,7 @@ let handle_request t ~mem ~msg ~src ~seg_count =
               match Fs.size t.fs ~inum:f.of_inum with
               | Error e -> reply (fs_error_status e) 0
               | Ok sz -> (
-                  let n = min (min sz dlen) count in
+                  let n = Int.min (Int.min sz dlen) count in
                   match
                     Fs.read_into t.fs ~inum:f.of_inum ~pos:0 ~len:n mem
                       ~at:load_ptr
@@ -528,7 +528,7 @@ let handle_request t ~mem ~msg ~src ~seg_count =
                       let rec push off ok =
                         if (not ok) || off >= n then ok
                         else begin
-                          let chunk = min t.cfg.transfer_unit (n - off) in
+                          let chunk = Int.min t.cfg.transfer_unit (n - off) in
                           match
                             K.move_to t.kernel ~dst_pid:src ~dst:(dptr + off)
                               ~src:(load_ptr + off) ~count:chunk
@@ -662,7 +662,7 @@ let start kernel fs ?(config = default_config) ?(restartable = false) () =
       cfg = config;
       spid = Vkernel.Pid.nil;
       worker_pids = [];
-      handles = Array.make (max 2 config.max_open) None;
+      handles = Array.make (Int.max 2 config.max_open) None;
       versions = Vsim.Itbl.create 16;
       leases = Vsim.Itbl.create 16;
       open_seq = 0;

@@ -101,7 +101,7 @@ type client = {
   c_addr : Vnet.Addr.t;
   c_cpu : Vhw.Cpu.t;
   c_medium : Vnet.Medium.t;
-  c_have : bool array;
+  c_have : Bytes.t;  (** one byte per page, ['\001'] once received *)
   mutable c_got : int;
   mutable c_round : int;  (** the last round it answered *)
 }
@@ -122,16 +122,18 @@ let validate (config : config) ~segments =
         config.page_bytes frame Vnet.Medium.max_payload
   | _ -> Ok ()
 
+let has have idx = Bytes.get have idx <> '\000'
+
 (* Calls [f first count] for each run of pages [have] lacks, at most
    [max_ranges] of them, in page order; returns how many it called. *)
 let missing_ranges have f =
-  let pages = Array.length have in
+  let pages = Bytes.length have in
   let k = ref 0 and i = ref 0 in
   while !i < pages && !k < max_ranges do
-    if have.(!i) then incr i
+    if has have !i then incr i
     else begin
       let first = !i in
-      while !i < pages && not have.(!i) do
+      while !i < pages && not (has have !i) do
         incr i
       done;
       f !k first (!i - first);
@@ -232,9 +234,9 @@ let run ?seed ?(config = default_config) ?(max_events = default_max_events)
         c_addr = addr;
         c_cpu =
           Vhw.Cpu.create eng ~host:addr ~model
-            ~name:(Printf.sprintf "boot-rom%d" addr);
+            ~name:("boot-rom" ^ string_of_int addr);
         c_medium = media.(seg);
-        c_have = Array.make config.pages false;
+        c_have = Bytes.make config.pages '\000';
         c_got = 0;
         c_round = -1;
       }
@@ -381,8 +383,8 @@ let run ?seed ?(config = default_config) ?(max_events = default_max_events)
       let op = Bytes.get_uint8 p 0 in
       if op = op_page && len >= page_header then begin
         let idx = Bytes.get_uint16_be p 2 in
-        if idx < config.pages && not c.c_have.(idx) then begin
-          c.c_have.(idx) <- true;
+        if idx < config.pages && not (has c.c_have idx) then begin
+          Bytes.set c.c_have idx '\001';
           c.c_got <- c.c_got + 1;
           Vhw.Cpu.reserve c.c_cpu (rx_cost len)
         end

@@ -127,6 +127,74 @@ let test_dedup_exact () =
   Alcotest.(check int) "nothing forwarded as unicast" 0
     (Gateway.stats gw).Gateway.forwarded
 
+(* Two same-length payloads whose [Frame.payload_hash]es collide, found
+   by a birthday search over pseudo-random 16-byte payloads (a 30-bit
+   hash meets its first collision after about 2^15 of them).  Payload
+   [i] is drawn from a generator seeded with [i], so it can be rebuilt
+   from its index. *)
+let colliding_payloads () =
+  let payload i =
+    let rng = Vsim.Rng.create (Int64.of_int i) in
+    let p = Bytes.create 16 in
+    Bytes.set_int64_le p 0 (Vsim.Rng.int64 rng);
+    Bytes.set_int64_le p 8 (Vsim.Rng.int64 rng);
+    p
+  in
+  let hash p =
+    Vnet.Frame.payload_hash
+      (Vnet.Frame.make ~src:1 ~dst:Vnet.Addr.broadcast
+         ~ethertype:Vnet.Frame.ethertype_raw p)
+  in
+  let by_hash = Hashtbl.create 65536 in
+  let rec search i =
+    if i >= 1 lsl 18 then Alcotest.fail "no hash collision found"
+    else
+      let p = payload i in
+      let h = hash p in
+      match Hashtbl.find_opt by_hash h with
+      | Some j -> (payload j, p)
+      | None ->
+          Hashtbl.add by_hash h i;
+          search (i + 1)
+  in
+  search 0
+
+(* Suppression must not depend on the hash: a different broadcast whose
+   hash equals one the gateway has seen still crosses. *)
+let test_dedup_collision () =
+  let a, b = colliding_payloads () in
+  Alcotest.(check bool) "payloads differ" false (Bytes.equal a b);
+  let eng = Vsim.Engine.create () in
+  let m0 = Vnet.Medium.create eng Vnet.Medium.config_10mb in
+  let m1 = Vnet.Medium.create eng Vnet.Medium.config_3mb in
+  let gw = Gateway.create eng ~addr:Topology.gateway_addr [ m0; m1 ] in
+  ignore (Vnet.Medium.attach m0 ~addr:1 ~rx:ignore);
+  let far = ref [] in
+  ignore
+    (Vnet.Medium.attach m1 ~addr:2 ~rx:(fun f ->
+         far := f.Vnet.Frame.payload :: !far));
+  let frames =
+    List.map
+      (Vnet.Frame.make ~src:1 ~dst:Vnet.Addr.broadcast
+         ~ethertype:Vnet.Frame.ethertype_raw)
+      [ a; b ]
+  in
+  (match frames with
+  | [ fa; fb ] ->
+      Alcotest.(check int) "hashes collide" (Vnet.Frame.payload_hash fa)
+        (Vnet.Frame.payload_hash fb)
+  | _ -> assert false);
+  List.iter
+    (fun f ->
+      Vnet.Medium.transmit m0 f;
+      Vsim.Engine.run eng)
+    frames;
+  let gs = Gateway.stats gw in
+  Alcotest.(check int) "both rebroadcast" 2 gs.Gateway.rebroadcast;
+  Alcotest.(check int) "only the echoes suppressed" 2 gs.Gateway.suppressed;
+  Alcotest.(check (list bytes)) "both heard on the far segment, in order"
+    [ a; b ] (List.rev !far)
+
 let test_queue_bound () =
   let gateway_config =
     { Gateway.queue_capacity = 1; fixed_ns = Vsim.Time.ms 10; per_byte_ns = 0 }
@@ -245,6 +313,8 @@ let suite =
     Alcotest.test_case "GetPid crosses the gateway (scoped broadcast)" `Quick
       test_cross_segment_getpid;
     Alcotest.test_case "duplicate suppression counts" `Quick test_dedup_exact;
+    Alcotest.test_case "hash collision does not suppress" `Quick
+      test_dedup_collision;
     Alcotest.test_case "bounded forwarding queue drops and accounts" `Quick
       test_queue_bound;
     Alcotest.test_case "gateway crash/restart" `Quick

@@ -21,10 +21,19 @@ let new_image =
    then overwrite the whole file in a single (journaled, hence single-
    transaction) write, capturing a media snapshot after every completed
    disk write.  Snapshot [k] is exactly what a host crash between disk
-   writes [k] and [k+1] leaves on the platter — every journal-record
+   writes [k] and [k+1] of the overwrite leaves on the platter: snapshot
+   0 is the media before the overwrite, and every journal-record
    boundary (descriptor, after-image, commit, checkpoint, retire) shows
-   up as one snapshot.  [recoveries] runs {!Vfs.Fs.recover} that often
-   between the first write and the overwrite. *)
+   up as one snapshot, the last one after the retire lands.
+   [recoveries] runs {!Vfs.Fs.recover} that often between the first
+   write and the overwrite.
+
+   [Vfs.Disk.writes] counts a write when it is issued, and the disk
+   stores the block when the write completes.  The file system writes
+   from one fiber, one block at a time, and issues each write at or
+   after the instant the previous one lands; so when the monitor first
+   sees write [k] issued, writes [1..k-1] have landed and no other has,
+   and once the overwrite returns every write has landed. *)
 let boundary_snapshots ?(recoveries = 0) () =
   let eng = Vsim.Engine.create () in
   let disk =
@@ -57,12 +66,19 @@ let boundary_snapshots ?(recoveries = 0) () =
                      slip past unobserved. *)
                   Alcotest.(check int) "one boundary per poll" (!seen + 1) w;
                   seen := w;
-                  snaps := Vfs.Disk.snapshot disk :: !snaps
+                  (* Write [w] was issued, so write [w - 1] has landed;
+                     the first issue follows snapshot 0 unchanged. *)
+                  if w > 1 then snaps := Vfs.Disk.snapshot disk :: !snaps
                 end
               done)
         in
         get (Vfs.Fs.write fs ~inum ~pos:0 new_image);
-        op_done := true)
+        op_done := true;
+        (* The final write, the retire, has landed. *)
+        snaps := Vfs.Disk.snapshot disk :: !snaps;
+        Alcotest.(check int) "a snapshot before and after every write"
+          (Vfs.Disk.writes disk - base + 1)
+          (List.length !snaps))
   in
   Vsim.Engine.run eng;
   List.rev !snaps
@@ -182,14 +198,13 @@ let test_epoch () =
 (* The epoch is readable at every journal-record boundary: a descriptor
    in the head block carries it as a retired head does.  Until the
    overwrite's descriptor lands nothing has been committed since the
-   recovery, so the disk still holds the old epoch.  The monitor counts
-   a disk write when it is issued, so the descriptor lands after
-   snapshot 1. *)
+   recovery, so the disk still holds the old epoch: only snapshot 0 is
+   taken before the descriptor lands. *)
 let test_epoch_every_boundary () =
   let snaps = boundary_snapshots ~recoveries:1 () in
   List.iteri
     (fun k snap ->
-      let want = if k <= 1 then 0 else 1 in
+      let want = if k = 0 then 0 else 1 in
       with_recovered snap (fun fs _ ->
           Alcotest.(check int)
             (Printf.sprintf "epoch at boundary %d" k)

@@ -350,6 +350,30 @@ let boot_storm_cost () =
   let r = storm () in
   (r.Vworkload.Boot.events, int_of_float (Gc.minor_words () -. w0))
 
+(* Minor words of ten fault-free broadcasts from one of [ports]
+   stations on one medium, after a first broadcast has built the
+   medium's fan-out lists. *)
+let broadcast_minor_words ports =
+  let eng = Vsim.Engine.create () in
+  let m = Vnet.Medium.create eng Vnet.Medium.config_10mb in
+  for addr = 1 to ports do
+    ignore (Vnet.Medium.attach m ~addr ~rx:ignore)
+  done;
+  let frame =
+    Vnet.Frame.make ~src:1 ~dst:Vnet.Addr.broadcast
+      ~ethertype:Vnet.Frame.ethertype_raw (Bytes.make 64 'b')
+  in
+  let send () =
+    Vnet.Medium.transmit m frame;
+    Vsim.Engine.run eng
+  in
+  send ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10 do
+    send ()
+  done;
+  int_of_float (Gc.minor_words () -. w0)
+
 (* Pins the host allocation of the event path exactly, so a change that
    adds a word per event or per packet shows.  The lazily purged
    record-per-event heap before the indexed one took 13 words per engine
@@ -404,23 +428,38 @@ let boot_storm_cost () =
    schedule now also pays for its teardown.  While the client's block
    cache was one polymorphic table keyed by (inum, block) pairs, which
    it folded whole on every revalidation, flush and drop, the net and
-   crash schedules took 15,618 and 18,793. *)
+   crash schedules took 15,618 and 18,793.  While the generator boxed
+   its state on every draw, each delivery event built a closure to walk
+   its receivers, a broadcast rebuilt the fan-out list up to its source,
+   the gateway built a key record per broadcast heard and boot clients
+   kept a [bool array] page map, 100 exchanges took 57,500 words, 20
+   page-train pairs 59,158, the net and crash schedules 15,599 and
+   18,760, and the boot storm 36,536; ten broadcasts to 64 and to 128
+   ports took 590 and 2,210 words, where the last pin now reads 300
+   for both. *)
 let test_host_allocation_gate () =
   Alcotest.(check int) "minor words for 1000 engine steps" 0
     (marginal_minor_words engine_steps 1000);
-  Alcotest.(check int) "minor words for 100 remote S-R-R exchanges" 57_500
+  Alcotest.(check int) "minor words for 100 remote S-R-R exchanges" 56_500
     (marginal_minor_words remote_exchanges 100);
   Alcotest.(check int) "events fired for 100 remote S-R-R exchanges" 1_600
     (marginal_events 100);
   Alcotest.(check int) "minor words for 20 remote 4 KB MoveTo+MoveFrom pairs"
-    59_158 (marginal_minor_words remote_moves 20);
-  Alcotest.(check int) "minor words for a fault-free net schedule" 15_599
+    58_158 (marginal_minor_words remote_moves 20);
+  Alcotest.(check int) "minor words for a fault-free net schedule" 15_451
     (schedule_minor_words Vcheck.Checker.Scenario.net);
-  Alcotest.(check int) "minor words for a fault-free crash schedule" 18_760
+  Alcotest.(check int) "minor words for a fault-free crash schedule" 18_691
     (schedule_minor_words Vcheck.Checker.Scenario.crash);
   let events, words = boot_storm_cost () in
   Alcotest.(check int) "events fired for a 16-client boot storm" 1_092 events;
-  Alcotest.(check int) "minor words for a 16-client boot storm" 36_536 words
+  Alcotest.(check int) "minor words for a 16-client boot storm" 28_824 words;
+  let words_n = broadcast_minor_words 64 in
+  let words_2n = broadcast_minor_words 128 in
+  if words_2n > words_n then
+    Alcotest.failf
+      "broadcast to 128 ports took %d minor words, to 64 ports %d: the \
+       fan-out allocates per receiver"
+      words_2n words_n
 
 let suite =
   [

@@ -463,6 +463,53 @@ let test_rng_bernoulli () =
   if Float.abs (p -. 0.3) > 0.01 then
     Alcotest.failf "bernoulli(0.3) frequency %.4f" p
 
+(* The generator's stream is part of every simulated result: pin its
+   first outputs for two seeds (the values the boxed-state generator
+   gave), and check that a draw allocates nothing. *)
+let test_rng_stream () =
+  let draws seed =
+    let r = Vsim.Rng.create seed in
+    let a = List.init 3 (fun _ -> Vsim.Rng.int64 r) in
+    let b = List.init 4 (fun _ -> Vsim.Rng.int r 1_000_000) in
+    let c = List.init 2 (fun _ -> Vsim.Rng.float r 1.0) in
+    let d = Vsim.Rng.int64 (Vsim.Rng.split r) in
+    (a, b, c, d)
+  in
+  let check seed (a, b, c, d) =
+    let a', b', c', d' = draws seed in
+    let name what = Printf.sprintf "seed %Ld: %s" seed what in
+    Alcotest.(check (list int64)) (name "int64") a a';
+    Alcotest.(check (list int)) (name "int") b b';
+    Alcotest.(check (list (float 0.0))) (name "float") c c';
+    Alcotest.(check int64) (name "split") d d'
+  in
+  check 1L
+    ( [ 0x910a2dec89025cc1L; 0xbeeb8da1658eec67L; 0xf893a2eefb32555eL ],
+      [ 445058; 742190; 132512; 966761 ],
+      [ 0x1.0bcf761e244fp-1; 0x1.245c6378d5f8ep-2 ],
+      3159128151887096807L );
+  check 42L
+    ( [ 0xbdd732262feb6e95L; 0x28efe333b266f103L; 0x47526757130f9f52L ],
+      [ 563941; 490812; 747265; 406231 ],
+      [ 0x1.99ec6bdd3d3c5p-1; 0x1.5c16e1dc2cf5ep-2 ],
+      3299762934642087680L );
+  let r = Vsim.Rng.create 7L in
+  let n = ref 0 and x = ref 0.0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    n := !n + Vsim.Rng.int r 10
+  done;
+  let w1 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    x := !x +. Vsim.Rng.float r 1.0
+  done;
+  let w2 = Gc.minor_words () in
+  Alcotest.(check int) "minor words for 1000 int draws" 0
+    (int_of_float (w1 -. w0));
+  Alcotest.(check int) "minor words for 1000 float draws" 0
+    (int_of_float (w2 -. w1));
+  Alcotest.(check bool) "draws used" true (!n >= 0 && !x >= 0.0)
+
 let test_time_pp () =
   Alcotest.(check string) "ms" "3.18" (Format.asprintf "%a" Vsim.Time.pp_ms 3_180_000);
   Alcotest.(check string) "adaptive us" "2.50us" (Format.asprintf "%a" Vsim.Time.pp 2_500);
@@ -526,6 +573,7 @@ let suite =
     Alcotest.test_case "stat series" `Quick test_stat_series;
     test_rng_bounds;
     Alcotest.test_case "rng bernoulli" `Quick test_rng_bernoulli;
+    Alcotest.test_case "rng stream and allocation" `Quick test_rng_stream;
     Alcotest.test_case "time pretty-printing" `Quick test_time_pp;
     Alcotest.test_case "itbl hash" `Quick test_itbl_hash;
     test_itbl_hash_random;

@@ -9,10 +9,12 @@
 # lookups that compare keys polymorphically inside Stdlib (assoc,
 # assoc_opt, mem, mem_assoc, remove_assoc) in the native objects of the
 # modules every simulated event or frame runs through: Eventq, Engine,
-# Proc, Cpu, Nic, Frame, Medium, Fault, Gateway, Rto, Kernel, the
-# Packet, Msg and Mem code every kernel packet passes through, the Fs
-# and Disk code every file-server request and checker schedule runs, and
-# the client Cache every cached read and write goes through.
+# Proc, the Rng every backoff, jitter and think time draws from, Cpu,
+# Nic, Frame, Medium, Fault, Gateway, Rto, Kernel, the Packet, Msg and
+# Mem code every kernel packet passes through, the Fs and Disk code
+# every file-server request and checker schedule runs, the file Server
+# that answers those requests, the Client and its Cache every file
+# read and write goes through, and the Boot rig's per-frame handlers.
 # Each one is a C call (or a call into one) made where an int comparison
 # would do: `=` on a variant with a non-constant constructor, `max` on
 # ints, `List.assoc_opt` on an int key.
@@ -32,6 +34,7 @@ set -eu
 objs="lib/sim/.vsim.objs/native/vsim__Eventq.o
 lib/sim/.vsim.objs/native/vsim__Engine.o
 lib/sim/.vsim.objs/native/vsim__Proc.o
+lib/sim/.vsim.objs/native/vsim__Rng.o
 lib/hw/.vhw.objs/native/vhw__Cpu.o
 lib/net/.vnet.objs/native/vnet__Nic.o
 lib/net/.vnet.objs/native/vnet__Frame.o
@@ -45,7 +48,10 @@ lib/core/.vkernel.objs/native/vkernel__Msg.o
 lib/core/.vkernel.objs/native/vkernel__Mem.o
 lib/vfs/.vfs.objs/native/vfs__Fs.o
 lib/vfs/.vfs.objs/native/vfs__Disk.o
-lib/vfs/.vfs.objs/native/vfs__Cache.o"
+lib/vfs/.vfs.objs/native/vfs__Cache.o
+lib/vfs/.vfs.objs/native/vfs__Client.o
+lib/vfs/.vfs.objs/native/vfs__Server.o
+lib/workload/.vworkload.objs/native/vworkload__Boot.o"
 
 poly='^(caml_(equal|notequal|compare|lessthan|lessequal|greaterthan|greaterequal|hash)|camlStdlib\.(max|min)_[0-9]+|camlStdlib__List\.(assoc|assoc_opt|mem|mem_assoc|remove_assoc)_[0-9]+)$'
 
