@@ -9,7 +9,7 @@
 open Cmdliner
 
 type t = {
-  seed : int64 option;  (* engine seed override; None = Engine.default_seed *)
+  seed : int64 option;  (* engine seed override; None = the engine's default *)
   domains : int;  (* Pool worker count for sweep-shaped commands *)
   trace_out : string option;
   topics : string list;

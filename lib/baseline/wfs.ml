@@ -65,13 +65,10 @@ type server = {
   s_process_ns : int;
   s_queue : request Queue.t;
   mutable s_wakeup : (unit -> unit) option;
-  mutable s_count : int;
 }
 
-let server_requests s = s.s_count
 
 let serve_one s (r : request) =
-  s.s_count <- s.s_count + 1;
   Vhw.Cpu.compute (Vnet.Nic.cpu s.s_nic) s.s_process_ns;
   let respond ~op ~data =
     Vnet.Nic.send s.s_nic ~dst:r.r_from ~ethertype:Vnet.Frame.ethertype_wfs
@@ -113,7 +110,6 @@ let start_server eng ~nic ~fs ?(process_ns = Vsim.Time.us 150) () =
       s_process_ns = process_ns;
       s_queue = Queue.create ();
       s_wakeup = None;
-      s_count = 0;
     }
   in
   Vnet.Nic.set_receiver nic ~ethertype:Vnet.Frame.ethertype_wfs (fun frame ->

@@ -21,8 +21,6 @@ val start_server :
 (** Attach a WFS server to the NIC. [process_ns] is charged per request on
     the server CPU (default 150 us — a well-tuned handler). *)
 
-val server_requests : server -> int
-
 type client
 
 val create_client :

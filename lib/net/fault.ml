@@ -42,7 +42,6 @@ let rec find_int n = function
 
 let action_for t n = find_int n t.actions
 let host_event_for t n = find_int n t.host_events
-let scripted t = t.actions <> [] || t.host_events <> []
 
 let action_to_string = function
   | Drop -> "drop"

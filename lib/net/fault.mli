@@ -65,7 +65,4 @@ val action_for : t -> int -> action option
 val host_event_for : t -> int -> host_event option
 (** The scripted host event for completed transmission [n], if any. *)
 
-val scripted : t -> bool
-(** True when any scripted entries are present. *)
-
 val pp : Format.formatter -> t -> unit

@@ -134,7 +134,6 @@ let create eng cfg =
 let config t = t.cfg
 let engine t = t.eng
 let set_fault t f = t.flt <- f
-let fault t = t.flt
 let set_host_handler t ~crash ~restart = t.host_handler <- Some (crash, restart)
 
 let attach t ~addr ~rx =

@@ -72,7 +72,6 @@ val transmit : ?on_sent:(unit -> unit) -> ?bridged:bool -> t -> Frame.t -> unit
     the source address names a station on {e another} segment. *)
 
 val set_fault : t -> Fault.t -> unit
-val fault : t -> Fault.t
 
 val set_host_handler : t -> crash:(unit -> unit) -> restart:(unit -> unit) -> unit
 (** Wire the callbacks that scripted {!Fault.host_event}s invoke.  When

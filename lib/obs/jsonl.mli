@@ -8,9 +8,6 @@
 val wanted : string list -> Vsim.Event.t -> bool
 (** Topic filter shared by the sinks: empty list accepts everything. *)
 
-val line : ?run:int -> Vsim.Time.t -> Vsim.Event.t -> string
-(** One event as a compact JSON object (no trailing newline). *)
-
 val attach :
   ?topics:string list -> ?run:int -> Vsim.Engine.t -> (string -> unit) -> unit
 (** Attach a sink writing one line (plus ["\n"]) per event through the

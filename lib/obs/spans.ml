@@ -40,7 +40,6 @@ type t = {
   eng : Vsim.Engine.t;
   live : (int * int, building) Hashtbl.t;
   mutable completed : span list; (* reverse completion order *)
-  mutable n_opened : int;
   mutable n_closed : int;
   on_span : span -> unit;
 }
@@ -94,7 +93,6 @@ let handle t time (ev : Vsim.Event.t) =
       if not (Hashtbl.mem t.live (src, seq)) then begin
         Hashtbl.replace t.live (src, seq)
           { b_host = host; b_open = time; marks = [] };
-        t.n_opened <- t.n_opened + 1;
         Vsim.Trace.event t.eng
           (Vsim.Event.Span_open { host; kind = "ipc"; pid = src; seq })
       end
@@ -123,7 +121,6 @@ let attach ?(on_span = fun _ -> ()) eng =
       eng;
       live = Hashtbl.create 64;
       completed = [];
-      n_opened = 0;
       n_closed = 0;
       on_span;
     }
@@ -132,7 +129,6 @@ let attach ?(on_span = fun _ -> ()) eng =
   t
 
 let spans t = List.rev t.completed
-let opened t = t.n_opened
 let closed t = t.n_closed
 let open_count t = Hashtbl.length t.live
 let total_ns span = span.t_close - span.t_open

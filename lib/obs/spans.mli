@@ -42,8 +42,6 @@ val attach : ?on_span:(span -> unit) -> Vsim.Engine.t -> t
 val spans : t -> span list
 (** Completed spans in completion order (deterministic). *)
 
-val opened : t -> int
-(** Total spans opened. *)
 
 val closed : t -> int
 (** Total spans closed. *)

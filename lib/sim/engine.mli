@@ -24,9 +24,6 @@ val create : ?seed:int64 -> unit -> t
 (** Fresh engine with clock at 0. Default seed is a fixed constant, so all
     simulations are reproducible unless a seed is supplied. *)
 
-val default_seed : int64
-(** The seed {!create} uses when none is supplied. *)
-
 val now : t -> Time.t
 (** Current simulated time. *)
 

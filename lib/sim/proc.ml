@@ -39,7 +39,6 @@ let k_sleep = Eventq.Kind.intern "proc.sleep"
 
 let id t = t.pid
 let name t = t.pname
-let state t = t.pstate
 let engine t = t.eng
 let terminated t = t.pstate = Terminated
 let pp fmt t = Format.fprintf fmt "proc#%d(%s)" t.pid t.pname

@@ -20,19 +20,12 @@
 
 type t
 
-type state =
-  | Runnable  (** spawned, not yet started *)
-  | Running
-  | Blocked of string  (** suspended; the string names the reason *)
-  | Terminated
-
 val spawn : Engine.t -> ?name:string -> (unit -> unit) -> t
 (** Create a fiber; its body starts at the current simulation instant (via a
     zero-delay event), not synchronously. *)
 
 val id : t -> int
 val name : t -> string
-val state : t -> state
 val engine : t -> Engine.t
 
 val self : unit -> t

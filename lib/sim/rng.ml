@@ -42,4 +42,3 @@ let bool t = Int64.logand (int64 t) 1L = 1L
 let bernoulli t p =
   if p <= 0.0 then false else if p >= 1.0 then true else float t 1.0 < p
 let exponential t ~mean = -.mean *. log (1.0 -. float t 1.0)
-let uniform t ~lo ~hi = lo +. float t (hi -. lo)

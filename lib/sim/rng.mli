@@ -33,6 +33,3 @@ val bernoulli : t -> float -> bool
 
 val exponential : t -> mean:float -> float
 (** Exponentially distributed value with the given mean. *)
-
-val uniform : t -> lo:float -> hi:float -> float
-(** Uniform in [\[lo, hi)]. *)

@@ -1,6 +1,5 @@
 type t = int
 
-let ns n = n
 let us n = n * 1_000
 let ms n = n * 1_000_000
 let sec n = n * 1_000_000_000

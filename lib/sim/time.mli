@@ -7,9 +7,6 @@
 type t = int
 (** Nanoseconds of simulated time. *)
 
-val ns : int -> t
-(** [ns n] is [n] nanoseconds. *)
-
 val us : int -> t
 (** [us n] is [n] microseconds. *)
 

@@ -25,10 +25,6 @@ type config = {
 
 val default_config : config
 
-val install : Vkernel.Kernel.t -> Image.t -> unit
-(** Copy an image's code and data to their load addresses in the calling
-    process's space and zero the bss. *)
-
 val run :
   Vkernel.Kernel.t ->
   ?config:config ->
@@ -38,7 +34,7 @@ val run :
   unit ->
   outcome
 (** Interpret code already present at {!Image.load_base} (installed by
-    {!install} or by the {!Loader}).  The stack pointer starts at the top
+    {!exec} or by the {!Loader}).  The stack pointer starts at the top
     of the address space. *)
 
 val exec :
@@ -47,4 +43,5 @@ val exec :
   ?console:(char -> unit) ->
   Image.t ->
   outcome
-(** [install] + [run]. *)
+(** Copy the image's code and data to their load addresses in the
+    calling process's space, zero the bss, then {!run} it. *)

@@ -73,7 +73,6 @@ let stats t =
     invalidations = t.invalidations;
   }
 
-let resident t = t.resident
 
 let emit t op ~inum ~block =
   if Vsim.Trace.tracing t.eng then
@@ -177,14 +176,6 @@ let insert t ~inum ~block ~version ~dirty data =
     in
     shrink []
   end
-
-let update t ~inum ~block ~off src ~dirty =
-  match lookup t ~inum ~block with
-  | None -> ()
-  | Some e ->
-      Bytes.blit src 0 e.data off (Bytes.length src);
-      if dirty then e.dirty <- true;
-      touch t e
 
 let retag_file t ~inum ~version =
   (* Only blocks tagged with the version the caller observed just before

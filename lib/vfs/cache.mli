@@ -50,8 +50,6 @@ val create : Vsim.Engine.t -> host:int -> config -> t
 
 val config : t -> config
 val stats : t -> stats
-val resident : t -> int
-(** Number of blocks currently cached. *)
 
 val find : t -> inum:int -> block:int -> version:int -> Bytes.t option
 (** Look up a block, counting a hit or miss.  [version] is the caller's
@@ -59,7 +57,7 @@ val find : t -> inum:int -> block:int -> version:int -> Bytes.t option
     tagged with an older version is invalidated and reported as a miss;
     a {e dirty} block is returned regardless (local modifications win
     until flushed).  The returned bytes are the cache's own copy — do
-    not mutate; use {!update}. *)
+    not mutate. *)
 
 val insert :
   t ->
@@ -74,11 +72,6 @@ val insert :
     first — the caller must write them to the server (clean victims are
     dropped silently).  With [capacity_blocks = 0] every insert is a
     no-op returning [[]]. *)
-
-val update :
-  t -> inum:int -> block:int -> off:int -> Bytes.t -> dirty:bool -> unit
-(** Overwrite part of an already-cached block in place (no-op if the
-    block is not resident).  [dirty] marks the block for write-back. *)
 
 val retag_file : t -> inum:int -> version:int -> unit
 (** Raise to [version] the tag of every cached block of [inum] whose

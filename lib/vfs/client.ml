@@ -45,133 +45,136 @@ type handle = int
    by convention they own the top of the address space. *)
 let name_scratch_size = 256
 
-let exchange c msg =
-  match K.send c.k msg c.server with
-  | K.Ok -> (
-      match Protocol.decode_reply msg with
-      | Protocol.Sok, value -> Ok value
-      | st, _ -> Error (Server st))
-  | ( K.Nonexistent | K.Bad_address | K.No_permission | K.Too_big
-    | K.Retryable | K.Dead ) as st ->
-      Error (Ipc st)
+(* What a request lets the server do with [count] bytes of the caller's
+   space at a given offset. *)
+type segment =
+  | No_segment
+  | Give of int  (* read them: they ride the request packet *)
+  | Lend of int
+      (* read them by MoveFrom only: granted but not piggybacked, as in
+         the original Thoth protocol *)
+  | Fill of int  (* write into them, by ReplyWithSegment or MoveTo *)
 
-(* Like [exchange] but also decoding the (inum, version) consistency
-   metadata — and any piggybacked lease term — the server attaches to
-   extended replies. *)
-let exchange_ext c msg =
+(* A successful reply.  Replies to requests bound to a file also carry
+   the file's inode number, its version and any lease term granted
+   (doc/PROTOCOL.md); other replies leave whatever bytes the server's
+   message held there, and nothing reads them. *)
+type reply = { value : int; inum : int; version : int; lease_us : int }
+
+(* The one request path under the stubs and {!Io}.  [cb] is the lease
+   callback pid stamped on the request; the stubs pass [Pid.nil], which
+   writes the zeros a fresh message already holds. *)
+let request c ~cb ~op ~handle ~block ~count segment =
+  let msg = Msg.create () in
+  Protocol.encode_request msg ~op ~handle ~block ~count;
+  Protocol.set_request_callback msg cb;
+  (match segment with
+  | No_segment -> ()
+  | Give ptr -> Msg.set_segment msg Msg.Read_only ~ptr ~len:count
+  | Lend ptr ->
+      Msg.set_segment msg Msg.Read_only ~ptr ~len:count;
+      Msg.set_no_piggyback msg
+  | Fill ptr -> Msg.set_segment msg Msg.Write_only ~ptr ~len:count);
   match K.send c.k msg c.server with
   | K.Ok -> (
       match Protocol.decode_reply_ext msg with
       | Protocol.Sok, value, inum, version ->
-          Ok (value, inum, version, Protocol.reply_lease_us msg)
+          Ok { value; inum; version; lease_us = Protocol.reply_lease_us msg }
       | st, _, _, _ -> Error (Server st))
   | ( K.Nonexistent | K.Bad_address | K.No_permission | K.Too_big
     | K.Retryable | K.Dead ) as st ->
       Error (Ipc st)
 
-let with_name c name ~op =
+(* Write [name] into the name scratch area; the offset to grant. *)
+let put_name c name =
   let mem = K.my_memory c.k in
-  let scratch = Vkernel.Mem.size mem - name_scratch_size in
-  let len = String.length name in
-  if len > name_scratch_size then Error (Server Protocol.Sbad_request)
+  if String.length name > name_scratch_size then
+    Error (Server Protocol.Sbad_request)
   else begin
-    Vkernel.Mem.write mem ~pos:scratch (Bytes.of_string name);
-    let msg = Msg.create () in
-    Protocol.encode_request msg ~op ~handle:0 ~block:0 ~count:len;
-    Msg.set_segment msg Msg.Read_only ~ptr:scratch ~len;
-    exchange c msg
+    let ptr = Vkernel.Mem.size mem - name_scratch_size in
+    Vkernel.Mem.write mem ~pos:ptr (Bytes.of_string name);
+    Ok ptr
   end
 
-let open_file c name = with_name c name ~op:Protocol.Open
-let create_file c name = with_name c name ~op:Protocol.Create
+let call c ~op ~handle ~block ~count segment =
+  match request c ~cb:Vkernel.Pid.nil ~op ~handle ~block ~count segment with
+  | Ok r -> Ok r.value
+  | Error e -> Error e
+
+let named c name ~op =
+  match put_name c name with
+  | Error e -> Error e
+  | Ok ptr ->
+      call c ~op ~handle:0 ~block:0 ~count:(String.length name) (Give ptr)
+
+let open_file c name = named c name ~op:Protocol.Open
+let create_file c name = named c name ~op:Protocol.Create
 
 let delete_file c name =
-  match with_name c name ~op:Protocol.Delete with
+  match named c name ~op:Protocol.Delete with
   | Ok _ -> Ok ()
   | Error e -> Error e
-
-let simple c ~op ~handle ~block ~count =
-  let msg = Msg.create () in
-  Protocol.encode_request msg ~op ~handle ~block ~count;
-  exchange c msg
 
 let close_file c handle =
-  match simple c ~op:Protocol.Close ~handle ~block:0 ~count:0 with
+  match call c ~op:Protocol.Close ~handle ~block:0 ~count:0 No_segment with
   | Ok _ -> Ok ()
   | Error e -> Error e
 
-let file_size c handle = simple c ~op:Protocol.Stat ~handle ~block:0 ~count:0
-
-let read_gen c ~op handle ~block ~buf ~count =
-  let msg = Msg.create () in
-  Protocol.encode_request msg ~op ~handle ~block ~count;
-  Msg.set_segment msg Msg.Write_only ~ptr:buf ~len:count;
-  exchange c msg
+let file_size c handle =
+  call c ~op:Protocol.Stat ~handle ~block:0 ~count:0 No_segment
 
 let read_page c handle ~block ~buf ?(count = Fs.block_size) () =
-  read_gen c ~op:Protocol.Read_page handle ~block ~buf ~count
+  call c ~op:Protocol.Read_page ~handle ~block ~count (Fill buf)
 
 let read_page_basic c handle ~block ~buf ?(count = Fs.block_size) () =
-  read_gen c ~op:Protocol.Read_basic handle ~block ~buf ~count
+  call c ~op:Protocol.Read_basic ~handle ~block ~count (Fill buf)
 
 let write_page c handle ~block ~buf ~count =
-  let msg = Msg.create () in
-  Protocol.encode_request msg ~op:Protocol.Write_page ~handle ~block ~count;
-  (* The page itself rides the request packet as the read segment. *)
-  Msg.set_segment msg Msg.Read_only ~ptr:buf ~len:count;
-  exchange c msg
+  call c ~op:Protocol.Write_page ~handle ~block ~count (Give buf)
 
 let write_page_basic c handle ~block ~buf ~count =
-  let msg = Msg.create () in
-  Protocol.encode_request msg ~op:Protocol.Write_basic ~handle ~block ~count;
-  (* Grant read access but do not piggyback: the data moves only by the
-     server's explicit MoveFrom, as in the original Thoth protocol. *)
-  Msg.set_segment msg Msg.Read_only ~ptr:buf ~len:count;
-  Msg.set_no_piggyback msg;
-  exchange c msg
+  call c ~op:Protocol.Write_basic ~handle ~block ~count (Lend buf)
 
 let load_program c handle ~buf ~max =
-  let msg = Msg.create () in
-  Protocol.encode_request msg ~op:Protocol.Load_program ~handle ~block:0
-    ~count:max;
-  Msg.set_segment msg Msg.Write_only ~ptr:buf ~len:max;
-  exchange c msg
+  call c ~op:Protocol.Load_program ~handle ~block:0 ~count:max (Fill buf)
 
 let exec_scan c handle ~block ~count =
-  simple c ~op:Protocol.Exec ~handle ~block ~count
+  call c ~op:Protocol.Exec ~handle ~block ~count No_segment
 
 (* ------------------------------------------------------------------ *)
 (* The redesigned file-access API: byte-granular reads and writes over
    an open-file record, with an optional workstation-side block cache
-   between the calls and the wire protocol.  The per-protocol stubs
-   above remain as the thin baseline entry points; everything below
-   routes through Read_page/Write_page plus the extended replies that
-   piggyback (inum, version) for consistency. *)
+   between the calls and the wire protocol.  Every request it makes goes
+   through [request] above, as the stubs' do; Open, Stat, Read_page and
+   Write_page replies piggyback (inum, version) for consistency. *)
 
 module Io = struct
-  type io = {
+  (* What this client knows of one inode. *)
+  type inode = {
+    mutable seen : int;
+        (* the latest file version observed, shared by every handle on
+           the file — independent per-handle copies would make one
+           handle's write look like a version gap to its sibling *)
+    mutable expiry : int;
+        (* lease expiry (engine time): [no_lease] = none, past = lapsed,
+           to be revalidated at the inode's next use *)
+    mutable files : file list;
+        (* the open files on it, most recently opened first — write-back
+           needs a live handle to push a dirty block evicted on behalf
+           of any file, not just the one being read *)
+  }
+
+  and io = {
     mutable conn : conn;
         (* mutable so session recovery can swap in a reconnection to a
            restarted server *)
     cache : Cache.t option;
-    files : (int, file) Hashtbl.t;
-        (* open files by inum — write-back needs a live handle to push a
-           dirty block evicted on behalf of any file, not just the one
-           being read.  A doubly-opened file has multiple bindings
-           (Hashtbl.add); push resolves to any still-open one.  Never
-           iterated, so hash order cannot leak. *)
-    versions : (int, int ref) Hashtbl.t;
-        (* latest file version observed per inum, shared by every handle
-           on the file — independent per-handle copies would make one
-           handle's write look like a version gap to its sibling *)
+    inodes : inode Vsim.Itbl.t;
     recover_on : bool;
     logical_id : int;  (* how to find the server again *)
-    lease_on : bool;
     mutable cb_pid : Vkernel.Pid.t;
-        (* the callback fiber stamped on our requests; nil = no leases *)
-    leases : (int, int ref) Hashtbl.t;
-        (* per-inum lease expiry (engine time); absent = none, past =
-           lapsed, to be revalidated at the inode's next use *)
+        (* the callback fiber stamped on our requests; nil = no leases,
+           and a server grants none to a nil callback *)
     cached_opens : (string, handle * int) Hashtbl.t;
         (* deferred closes: name -> (server handle, inum), parked under a
            live lease so a reopen costs zero RPCs *)
@@ -195,49 +198,34 @@ module Io = struct
 
   type t = io
 
+  let no_lease = min_int
+
+  let inode io inum =
+    match Vsim.Itbl.find_opt io.inodes inum with
+    | Some n -> n
+    | None ->
+        let n = { seen = 1; expiry = no_lease; files = [] } in
+        Vsim.Itbl.replace io.inodes inum n;
+        n
+
   (* Simulated time on the client's own host: lease validity must come
      from the local clock, never from a server round trip. *)
   let local_now io = Vsim.Engine.now (K.engine io.conn.k)
-
-  let obs_ref io inum =
-    match Hashtbl.find_opt io.versions inum with
-    | Some r -> r
-    | None ->
-        let r = ref 1 in
-        Hashtbl.replace io.versions inum r;
-        r
 
   (* A lease that lapses without a Break_lease means the server may have
      acknowledged conflicting writes we never heard about (most
      concretely: it restarted, and its volatile lease table — with our
      entry in it — died with the old incarnation).  Such writes raised
      the file's version, across restarts too (the version carries the
-     server's epoch), so the lapsed entry stays as a mark and the
+     server's epoch), so the lapsed expiry stays as a mark and the
      inode's next use asks the server for the version ([renew]). *)
-  let lease_expiry io ~inum =
-    if io.lease_on then Hashtbl.find_opt io.leases inum else None
-
-  let lease_valid io ~inum =
-    match lease_expiry io ~inum with
-    | Some expiry -> local_now io < !expiry
-    | None -> false
+  let lease_valid io ~inum = local_now io < (inode io inum).expiry
 
   let lease_lapsed io ~inum =
-    match lease_expiry io ~inum with
-    | Some expiry -> local_now io >= !expiry
-    | None -> false
+    let expiry = (inode io inum).expiry in
+    expiry <> no_lease && local_now io >= expiry
 
-  let void_lease io ~inum = Hashtbl.remove io.leases inum
-
-  (* Install a lease granted at term [term_us], anchored at [t0] (the
-     time we {e sent} the request — necessarily no later than the
-     server's grant time, so our expiry is conservative under any clock
-     skew).  [breaks0] is the Break_lease count snapshotted before the
-     send: if any break arrived while the request was in flight, the
-     grant may already be stale and is discarded. *)
-  let install_lease io ~inum ~t0 ~term_us ~breaks0 =
-    if io.lease_on && term_us > 0 && io.breaks_seen = breaks0 then
-      Hashtbl.replace io.leases inum (ref (t0 + (term_us * 1_000)))
+  let void_lease io ~inum = (inode io inum).expiry <- no_lease
 
   (* Fold a reply's version into our knowledge: clean blocks tagged
      below it predate a write we never saw.  Versions strictly increase,
@@ -246,8 +234,8 @@ module Io = struct
     (match io.cache with
     | Some c -> Cache.revalidate c ~inum ~version
     | None -> ());
-    let vr = obs_ref io inum in
-    if version > !vr then vr := version
+    let n = inode io inum in
+    if version > n.seen then n.seen <- version
 
   (* The callback fiber: Receives Break_lease messages from the server,
      voids the lease and discards every clean cached block of the named
@@ -261,7 +249,7 @@ module Io = struct
     let rec loop () =
       let src = K.receive k msg in
       (match Protocol.decode_break_lease msg with
-      | Some (inum, _version) ->
+      | Some inum ->
           io.breaks_seen <- io.breaks_seen + 1;
           void_lease io ~inum;
           (match io.cache with
@@ -279,13 +267,10 @@ module Io = struct
       {
         conn;
         cache;
-        files = Hashtbl.create 8;
-        versions = Hashtbl.create 8;
+        inodes = Vsim.Itbl.create 8;
         recover_on = recover;
         logical_id;
-        lease_on = lease;
         cb_pid = Vkernel.Pid.nil;
-        leases = Hashtbl.create 8;
         cached_opens = Hashtbl.create 8;
         breaks_seen = 0;
       }
@@ -297,11 +282,10 @@ module Io = struct
     io
 
   let conn io = io.conn
-  let cache_stats io = Option.map Cache.stats io.cache
   let callback_pid io = io.cb_pid
   let breaks_received io = io.breaks_seen
   let file_handle f = f.fh
-  let file_version f = !(obs_ref f.io f.inum)
+  let file_version f = (inode f.io f.inum).seen
   let file_lease_valid f = lease_valid f.io ~inum:f.inum
 
   let bs = Fs.block_size
@@ -318,14 +302,40 @@ module Io = struct
      so a retry after an ambiguous timeout is safe. *)
   let max_op_retries = 2
 
-  let with_retry op =
-    let rec go attempt =
-      match op () with
-      | Error e when error_is_retryable e && attempt < max_op_retries ->
-          go (attempt + 1)
-      | r -> r
-    in
-    go 0
+  let rec retried io ~tries ~op ~handle ~block ~count segment =
+    match request io.conn ~cb:io.cb_pid ~op ~handle ~block ~count segment with
+    | Error e when error_is_retryable e && tries < max_op_retries ->
+        retried io ~tries:(tries + 1) ~op ~handle ~block ~count segment
+    | r -> r
+
+  (* A name lookup is about whichever inode its reply names. *)
+  let by_name = -1
+
+  (* Every request {!Io} makes to the server: stamped with our callback
+     pid, retried, and any lease its reply grants installed on [inum] —
+     unless the reply names another inode, which means the handle now
+     names another file.  The lease is anchored at [t0], the time we
+     {e sent} the request — necessarily no later than the server's grant
+     time, so our expiry is conservative under any clock skew — and is
+     discarded if a Break_lease arrived while the request was in flight:
+     the grant may already be stale. *)
+  let leased io ~inum ~op ~handle ~block ~count segment =
+    let t0 = local_now io and breaks0 = io.breaks_seen in
+    match retried io ~tries:0 ~op ~handle ~block ~count segment with
+    | Ok r as ok ->
+        if
+          r.lease_us > 0 && io.breaks_seen = breaks0
+          && (inum = by_name || r.inum = inum)
+        then (inode io r.inum).expiry <- t0 + (r.lease_us * 1_000);
+        ok
+    | Error _ as err -> err
+
+  let open_named io name =
+    match put_name io.conn name with
+    | Error e -> Error e
+    | Ok ptr ->
+        leased io ~inum:by_name ~op:Protocol.Open ~handle:0 ~block:0
+          ~count:(String.length name) (Give ptr)
 
   (* Address-space layout: names at the very top ([name_scratch_size]),
      a block-sized staging buffer just below, and everything under that
@@ -351,27 +361,13 @@ module Io = struct
      (leaving it behind would make a read-after-write refetch its own
      data). *)
   let note_write_reply f ~block ~version =
-    let vr = obs_ref f.io f.inum in
+    let n = inode f.io f.inum in
     (match f.io.cache with
     | Some c ->
-        if version = !vr + 1 then Cache.retag_file c ~inum:f.inum ~version;
+        if version = n.seen + 1 then Cache.retag_file c ~inum:f.inum ~version;
         Cache.retag_block c ~inum:f.inum ~block ~version
     | None -> ());
-    if version > !vr then vr := version
-
-  let with_name_ext c ~cb name ~op =
-    let mem = K.my_memory c.k in
-    let scratch = Vkernel.Mem.size mem - name_scratch_size in
-    let len = String.length name in
-    if len > name_scratch_size then Error (Server Protocol.Sbad_request)
-    else begin
-      Vkernel.Mem.write mem ~pos:scratch (Bytes.of_string name);
-      let msg = Msg.create () in
-      Protocol.encode_request msg ~op ~handle:0 ~block:0 ~count:len;
-      Protocol.set_request_callback msg cb;
-      Msg.set_segment msg Msg.Read_only ~ptr:scratch ~len;
-      exchange_ext c msg
-    end
+    if version > n.seen then n.seen <- version
 
   (* Release a server handle we no longer want, best-effort: if the
      server is gone so is the handle. *)
@@ -386,45 +382,43 @@ module Io = struct
      reissued it): that counts as refused, and the mark stays. *)
   let renew f =
     let io = f.io in
-    let t0 = local_now io and breaks0 = io.breaks_seen in
-    let attempt () =
-      let msg = Msg.create () in
-      Protocol.encode_request msg ~op:Protocol.Stat ~handle:f.fh ~block:0
-        ~count:0;
-      Protocol.set_request_callback msg io.cb_pid;
-      exchange_ext io.conn msg
-    in
-    match with_retry attempt with
+    let n = inode io f.inum in
+    let lapsed_at = n.expiry in
+    match
+      leased io ~inum:f.inum ~op:Protocol.Stat ~handle:f.fh ~block:0 ~count:0
+        No_segment
+    with
     | Error e -> Error e
-    | Ok (_, inum, version, lease_us) ->
-        if inum <> f.inum then Error (Server Protocol.Sbad_handle)
-        else begin
-          void_lease io ~inum;
-          observe io ~inum ~version;
-          install_lease io ~inum ~t0 ~term_us:lease_us ~breaks0;
-          Ok ()
-        end
+    | Ok r when r.inum <> f.inum -> Error (Server Protocol.Sbad_handle)
+    | Ok r ->
+        (* Still the lapsed expiry: neither a grant nor a break since. *)
+        if n.expiry = lapsed_at then n.expiry <- no_lease;
+        observe io ~inum:r.inum ~version:r.version;
+        Ok ()
 
   let bind f =
-    Hashtbl.add f.io.files f.inum f;
+    let n = inode f.io f.inum in
+    n.files <- f :: n.files;
     Ok f
+
+  (* Drop exactly [f] from its inode's open files, keeping any other
+     still-open handles on it (legal double-open). *)
+  let forget_file f =
+    let n = inode f.io f.inum in
+    n.files <- List.filter (fun g -> g != f) n.files
 
   (* A real open, whose reply version drives {!Cache.revalidate}: it
      exposes remote writes since we last had the file. *)
-  let open_fresh io name ~op =
-    let t0 = local_now io and breaks0 = io.breaks_seen in
-    match
-      with_retry (fun () -> with_name_ext io.conn ~cb:io.cb_pid name ~op)
-    with
+  let open_fresh io name =
+    match open_named io name with
     | Error e -> Error e
-    | Ok (h, inum, version, lease_us) ->
-        observe io ~inum ~version;
-        install_lease io ~inum ~t0 ~term_us:lease_us ~breaks0;
-        bind { io; fh = h; inum; name; closed = false }
+    | Ok r ->
+        observe io ~inum:r.inum ~version:r.version;
+        bind { io; fh = r.value; inum = r.inum; name; closed = false }
 
-  let open_gen io name ~op =
+  let open_file io name =
     match Hashtbl.find_opt io.cached_opens name with
-    | None -> open_fresh io name ~op
+    | None -> open_fresh io name
     | Some (h, inum) -> (
         (* A deferred [close] parked the server handle. *)
         Hashtbl.remove io.cached_opens name;
@@ -439,52 +433,31 @@ module Io = struct
         else if lease_lapsed io ~inum then
           match renew f with
           | Ok () -> bind f
-          | Error (Server Protocol.Sbad_handle) -> open_fresh io name ~op
+          | Error (Server Protocol.Sbad_handle) -> open_fresh io name
           | Error _ ->
               drop_handle io h;
-              open_fresh io name ~op
+              open_fresh io name
         else begin
           (* The lease was broken while parked. *)
           drop_handle io h;
-          open_fresh io name ~op
+          open_fresh io name
         end)
-
-  let open_file io name = open_gen io name ~op:Protocol.Open
-  let create io name = open_gen io name ~op:Protocol.Create
 
   (* Write one whole-block image for [f] at [block] and fold the reply's
      version into our knowledge. *)
   let push_content_raw f ~block content =
-    let c = f.io.conn in
-    let mem = K.my_memory c.k in
+    let io = f.io in
+    let mem = K.my_memory io.conn.k in
     let ptr = block_scratch mem in
-    let len = Bytes.length content in
     Vkernel.Mem.write mem ~pos:ptr content;
-    let attempt () =
-      let msg = Msg.create () in
-      Protocol.encode_request msg ~op:Protocol.Write_page ~handle:f.fh ~block
-        ~count:len;
-      Protocol.set_request_callback msg f.io.cb_pid;
-      Msg.set_segment msg Msg.Read_only ~ptr ~len;
-      exchange_ext c msg
-    in
-    match with_retry attempt with
-    | Ok (_, _, version, _) ->
-        note_write_reply f ~block ~version;
+    match
+      leased io ~inum:f.inum ~op:Protocol.Write_page ~handle:f.fh ~block
+        ~count:(Bytes.length content) (Give ptr)
+    with
+    | Ok r ->
+        note_write_reply f ~block ~version:r.version;
         Ok ()
     | Error e -> Error e
-
-  (* Drop exactly [f]'s binding from the open-file table, keeping any
-     other still-open handles on the same inum (legal double-open). *)
-  let forget_file f =
-    let tbl = f.io.files in
-    let all = Hashtbl.find_all tbl f.inum in
-    List.iter (fun _ -> Hashtbl.remove tbl f.inum) all;
-    (* find_all lists bindings most-recent-first; re-add in reverse to
-       preserve the original order. *)
-    List.iter
-      (fun g -> Hashtbl.add tbl f.inum g)
-      (List.rev (List.filter (fun g -> g != f) all))
 
   (* ---- session recovery (opt-in via [make ~recover:true]) ----------
 
@@ -504,7 +477,8 @@ module Io = struct
            server pid, or retransmissions ran dry *)
         true
     | Server Protocol.Sbad_handle ->
-        (* a restarted server begins with an empty handle table *)
+        (* a restarted server begins with an empty handle table, and a
+           deletion kills every handle on the file *)
         true
     | No_server -> true
     | Server _ | Ipc _ -> false
@@ -520,7 +494,7 @@ module Io = struct
   let recover_session io =
     let k = io.conn.k in
     K.forget_pid k ~logical_id:io.logical_id;
-    Hashtbl.reset io.leases;
+    Vsim.Itbl.iter (fun _ n -> n.expiry <- no_lease) io.inodes;
     Hashtbl.reset io.cached_opens;
     match connect k ~logical_id:io.logical_id () with
     | Ok c ->
@@ -548,13 +522,9 @@ module Io = struct
     (match io.cache with
     | Some cch -> Cache.revalidate cch ~inum:f.inum ~version:max_int
     | None -> ());
-    let t0 = local_now io and breaks0 = io.breaks_seen in
-    match
-      with_retry (fun () ->
-          with_name_ext io.conn ~cb:io.cb_pid f.name ~op:Protocol.Open)
-    with
+    match open_named io f.name with
     | Error e -> Error e
-    | Ok (h, inum, version, lease_us) ->
+    | Ok { value = h; inum; version; _ } ->
         f.fh <- h;
         let old_inum = f.inum in
         if inum <> f.inum then begin
@@ -562,10 +532,9 @@ module Io = struct
              follow the name, not the inode. *)
           forget_file f;
           f.inum <- inum;
-          Hashtbl.add io.files inum f
+          ignore (bind f)
         end;
         observe io ~inum ~version;
-        install_lease io ~inum ~t0 ~term_us:lease_us ~breaks0;
         let rec repush = function
           | [] -> Ok ()
           | (block, data) :: rest -> (
@@ -604,16 +573,10 @@ module Io = struct
   let push_content f ~block content =
     with_recovery f (fun () -> push_content_raw f ~block content)
 
-  let size f =
-    if f.closed then Error (Server Protocol.Sbad_handle)
-    else with_recovery f (fun () -> file_size f.io.conn f.fh)
-
   (* Push a dirty block the cache gave back (eviction or flush) to the
      server, on behalf of whichever open file owns it. *)
   let push_block io ~inum ~block data =
-    match
-      List.find_opt (fun f -> not f.closed) (Hashtbl.find_all io.files inum)
-    with
+    match List.find_opt (fun f -> not f.closed) (inode io inum).files with
     | None -> Error (Server Protocol.Sbad_handle)
     | Some owner -> push_content owner ~block data
 
@@ -628,30 +591,22 @@ module Io = struct
      the cache, writing back any dirty victims that fall out.  Read
      replies also refresh the lease. *)
   let fetch_block_raw f ~block =
-    let c = f.io.conn in
-    let mem = K.my_memory c.k in
+    let mem = K.my_memory f.io.conn.k in
     let ptr = block_scratch mem in
-    let t0 = local_now f.io and breaks0 = f.io.breaks_seen in
-    let attempt () =
-      let msg = Msg.create () in
-      Protocol.encode_request msg ~op:Protocol.Read_page ~handle:f.fh ~block
-        ~count:bs;
-      Protocol.set_request_callback msg f.io.cb_pid;
-      Msg.set_segment msg Msg.Write_only ~ptr ~len:bs;
-      exchange_ext c msg
-    in
-    match with_retry attempt with
+    match
+      leased f.io ~inum:f.inum ~op:Protocol.Read_page ~handle:f.fh ~block
+        ~count:bs (Fill ptr)
+    with
     | Error e -> Error e
-    | Ok (n, _, version, lease_us) ->
-        let vr = obs_ref f.io f.inum in
-        if version > !vr then vr := version;
-        install_lease f.io ~inum:f.inum ~t0 ~term_us:lease_us ~breaks0;
-        let data = Vkernel.Mem.read mem ~pos:ptr ~len:n in
+    | Ok r ->
+        let n = inode f.io f.inum in
+        if r.version > n.seen then n.seen <- r.version;
+        let data = Vkernel.Mem.read mem ~pos:ptr ~len:r.value in
         (match f.io.cache with
         | None -> Ok data
         | Some cch -> (
             let evicted =
-              Cache.insert cch ~inum:f.inum ~block ~version:!vr ~dirty:false
+              Cache.insert cch ~inum:f.inum ~block ~version:n.seen ~dirty:false
                 data
             in
             match push_all f.io evicted with
@@ -876,8 +831,6 @@ module Sharded = struct
       kernel names =
     { kernel; names; mk_cache; recover; lease; ios = Hashtbl.create 8 }
 
-  let names t = t.names
-
   (* Connections are made lazily, one per shard logical id, so a client
      never pays GetPid for shards it does not touch.  Each shard gets
      its own cache: inode numbers are per-shard namespaces, so sharing
@@ -902,9 +855,4 @@ module Sharded = struct
     match io_for t name with
     | Error e -> Error e
     | Ok io -> Io.open_file io name
-
-  let create t name =
-    match io_for t name with
-    | Error e -> Error e
-    | Ok io -> Io.create io name
 end

@@ -2,9 +2,7 @@
 
     "Applications commonly access system services through stub routines
     that provide a procedural interface to the message primitives" — these
-    are those stubs.  Each call builds the 32-byte request, grants the
-    right segment of the calling process's address space, Sends, and
-    decodes the reply.
+    are those stubs.
 
     Two layers:
 
@@ -17,7 +15,14 @@
       {!read_page_basic}, ...) map one-to-one onto wire requests with no
       caching or strategy choice.  They remain the measurement baseline
       — the rigs that reproduce the paper's per-operation tables call
-      them directly — and the building blocks {!Io} is made of.
+      them directly.
+
+    Both layers make every request the same way: build the 32-byte
+    request, stamp it with a lease-callback pid (nil from the stubs,
+    which writes the zeros a fresh message holds), grant the right
+    segment of the calling process's address space, Send, and decode
+    the extended reply.  A stub and the matching {!Io} request put the
+    same bytes on the wire apart from that pid.
 
     Buffer arguments ([buf]) are byte offsets in the calling process's
     address space.  The stub library reserves the top 256 bytes of the
@@ -136,33 +141,34 @@ module Io : sig
       crash + restart: when an operation fails with a session-level
       error — the failure detector declared the server dead, a
       restarted host NACKed our stale pid, retransmissions ran dry, or
-      a fresh server rejected our dead handle — it re-resolves the
-      server by [logical_id] (default the well-known file-server id),
-      re-opens the file by name, re-pushes any unacknowledged dirty
-      cached blocks, and retries the operation.  Only idempotent
-      operations (page reads, whole-block-image writes, stat) flow
-      through the retry, so replaying one that may or may not have
-      executed before the crash is safe.
+      the server rejected our handle (a fresh server, or a deletion of
+      the file) — it re-resolves the server by [logical_id] (default
+      the well-known file-server id), re-opens the file by name (which
+      follows the name to a recreated file), re-pushes any
+      unacknowledged dirty cached blocks, and retries the operation.
+      Only idempotent operations (page reads, whole-block-image writes,
+      the Stat of a lease renewal) flow through the retry, so replaying
+      one that may or may not have executed before the crash is safe.
 
       With [lease] (default false) the client takes part in the lease
       protocol of doc/LEASES.md: a callback fiber is spawned and its pid
-      stamped on every request, open/read/stat replies carrying a grant
-      make cached blocks and the observed version authoritative until
-      the term expires or the server breaks the lease, and {!close}
-      under a live lease parks the server handle so the matching
-      {!open_file} costs {e zero} RPCs.  When the lease is broken (a
-      conflicting write was acknowledged) the client drops the file's
-      clean blocks and demotes itself to the plain open-close
-      revalidation above.  When it expires, the file's next use (a
-      reopen of the parked handle or a read) sends one Stat, keeps the
-      cached blocks the reply's version vouches for and takes the new
-      lease it grants.  Lease clients that can face a server restart
-      should also pass [~recover:true]: session recovery voids every
-      lease and parked handle, which is what keeps a post-failover cache
-      honest. *)
+      stamped on every open, read, write and stat request (a close or a
+      streamed read goes out unstamped, as the stubs' requests do);
+      open, read and stat replies carrying a grant make cached blocks
+      and the observed version authoritative until the term expires or
+      the server breaks the lease, and {!close} under a live lease parks
+      the server handle so the matching {!open_file} costs {e zero}
+      RPCs.  When the lease is broken (a conflicting write was
+      acknowledged) the client drops the file's clean blocks and demotes
+      itself to the plain open-close revalidation above.  When it
+      expires, the file's next use (a reopen of the parked handle or a
+      read) sends one Stat, keeps the cached blocks the reply's version
+      vouches for and takes the new lease it grants.  Lease clients that
+      can face a server restart should also pass [~recover:true]:
+      session recovery voids every lease and parked handle, which is
+      what keeps a post-failover cache honest. *)
 
   val conn : t -> conn
-  val cache_stats : t -> Cache.stats option
 
   val callback_pid : t -> Vkernel.Pid.t
   (** The lease-callback fiber's pid ([Pid.nil] unless [~lease:true]). *)
@@ -176,9 +182,6 @@ module Io : sig
       since our last use are dropped here — the open-close consistency
       point. *)
 
-  val create : t -> string -> (file, error) result
-  (** Create (or open, if racing an existing file) by name. *)
-
   val file_handle : file -> handle
 
   val file_version : file -> int
@@ -189,8 +192,6 @@ module Io : sig
   val file_lease_valid : file -> bool
   (** Whether this client currently holds an unexpired, unbroken lease
       on the file's inode (always [false] without [~lease:true]). *)
-
-  val size : file -> (int, error) result
 
   val read : file -> off:int -> len:int -> (Bytes.t, error) result
   (** Read up to [len] bytes at byte offset [off]; the result is shorter
@@ -236,12 +237,8 @@ module Sharded : sig
   (** [mk_cache] is invoked once per shard the client actually touches
       (default: no cache). *)
 
-  val names : t -> Names.t
-
   val open_file : t -> string -> (Io.file, error) result
   (** Route by shard map, connect if this shard is new, then
       {!Io.open_file}.  The returned file is used with the plain {!Io}
       operations ([Io.read], [Io.write], [Io.close], ...). *)
-
-  val create : t -> string -> (Io.file, error) result
 end

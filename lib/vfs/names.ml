@@ -27,8 +27,6 @@ let make ?(default = Protocol.fileserver_logical_id) entries =
   in
   { entries; default }
 
-let default t = t.default
-
 let is_prefix ~prefix s =
   String.length prefix <= String.length s
   && String.sub s 0 (String.length prefix) = prefix

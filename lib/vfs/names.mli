@@ -20,7 +20,5 @@ val make : ?default:int -> entry list -> t
 (** [default] (the id for names no prefix matches) defaults to the
     well-known file-server id. *)
 
-val default : t -> int
-
 val shard_of : t -> string -> int
 (** The logical id serving [name]: longest matching prefix wins. *)

@@ -157,12 +157,11 @@ let reply_lease_us msg = Vkernel.Msg.get_u32 msg 16
 
 let break_lease_byte = 12
 
-let encode_break_lease msg ~inum ~version =
+let encode_break_lease msg ~inum =
   Vkernel.Msg.set_u8 msg 1 break_lease_byte;
-  Vkernel.Msg.set_u32 msg 4 inum;
-  Vkernel.Msg.set_u32 msg 8 version
+  Vkernel.Msg.set_u32 msg 4 inum
 
 let decode_break_lease msg =
   if Vkernel.Msg.get_u8 msg 1 = break_lease_byte then
-    Some (Vkernel.Msg.get_u32 msg 4, Vkernel.Msg.get_u32 msg 8)
+    Some (Vkernel.Msg.get_u32 msg 4)
   else None

@@ -76,7 +76,6 @@ val request_callback : Vkernel.Msg.t -> Vkernel.Pid.t
 (** {1 Replies} *)
 
 val encode_reply : Vkernel.Msg.t -> status:rstatus -> value:int -> unit
-val decode_reply : Vkernel.Msg.t -> rstatus * int
 
 val encode_reply_ext :
   Vkernel.Msg.t -> status:rstatus -> value:int -> inum:int -> version:int -> unit
@@ -85,7 +84,7 @@ val encode_reply_ext :
     server-side version, an (epoch, counter) pair held as
     [epoch lsl 32 lor counter] so that an int comparison orders it:
     bytes 8-11 carry the counter, bytes 20-23 the epoch, and bytes 12-15
-    the inode number.  {!decode_reply} ignores these bytes, so
+    the inode number.  A plain reply leaves these bytes unused, so
     version-unaware clients can parse extended replies unchanged. *)
 
 val decode_reply_ext : Vkernel.Msg.t -> rstatus * int * int * int
@@ -108,9 +107,11 @@ val reply_lease_us : Vkernel.Msg.t -> int
     write's acknowledgement until then, so no client can read stale data
     under a lease it believes valid (doc/LEASES.md). *)
 
-val encode_break_lease : Vkernel.Msg.t -> inum:int -> version:int -> unit
-(** Fill a message with a Break_lease callback for [inum]; [version] is
-    the server's version after the conflicting write, for diagnostics. *)
+val encode_break_lease : Vkernel.Msg.t -> inum:int -> unit
+(** Fill a message with a Break_lease callback for [inum].  It names the
+    inode only: the client drops the lease and the clean blocks whatever
+    the new version is, and learns that version from its next extended
+    reply. *)
 
-val decode_break_lease : Vkernel.Msg.t -> (int * int) option
-(** [(inum, version)] if the message is a Break_lease callback. *)
+val decode_break_lease : Vkernel.Msg.t -> int option
+(** The inode number if the message is a Break_lease callback. *)

@@ -49,6 +49,7 @@ type t = {
   mutable spid : Vkernel.Pid.t;
   mutable worker_pids : Vkernel.Pid.t list;
   handles : open_file option array;
+  mutable last_handle : int;  (* the slot handed out last *)
   versions : int Vsim.Itbl.t;
       (* per-inode version counter, bumped on every accepted mutation;
          with the file system's epoch it makes the version piggybacked
@@ -127,19 +128,28 @@ let reclaim_dead_handle t =
       true
   | None -> false
 
+(* Slots are handed out round the table from the one handed out last
+   (slot 0 is never used), so a freed handle is reissued only after every
+   other slot has been: until then a request through it gets
+   [Sbad_handle] rather than reaching another file.  [i] counts the
+   slots tried. *)
+let rec free_slot t i =
+  let slots = Array.length t.handles - 1 in
+  if i >= slots then None
+  else
+    let h = 1 + ((t.last_handle + i) mod slots) in
+    match t.handles.(h) with None -> Some h | Some _ -> free_slot t (i + 1)
+
 let alloc_handle t ~owner inum =
-  let rec free h =
-    if h >= Array.length t.handles then None
-    else match t.handles.(h) with None -> Some h | Some _ -> free (h + 1)
-  in
   let slot =
-    match free 1 with
+    match free_slot t 0 with
     | Some h -> Some h
-    | None -> if reclaim_dead_handle t then free 1 else None
+    | None -> if reclaim_dead_handle t then free_slot t 0 else None
   in
   match slot with
   | None -> None
   | Some h ->
+      t.last_handle <- h;
       t.open_seq <- t.open_seq + 1;
       t.handles.(h) <-
         Some
@@ -227,8 +237,7 @@ let break_leases t ~inum ~except =
                 t.n_lease_expired <- t.n_lease_expired + 1
               else begin
                 let m = Msg.create () in
-                Protocol.encode_break_lease m ~inum
-                  ~version:(counter t ~inum);
+                Protocol.encode_break_lease m ~inum;
                 (match K.send t.kernel m h.l_pid with
                 | K.Ok -> ()
                 | K.Nonexistent | K.Bad_address | K.No_permission
@@ -372,11 +381,21 @@ let handle_request t ~mem ~msg ~src ~seg_count =
           let victim = Fs.lookup t.fs name in
           match Fs.unlink t.fs name with
           | Ok () ->
-              (* Every lease on the dead inode is void, including the
-                 deleter's own — its cached blocks describe a file that
-                 no longer exists. *)
               (match victim with
-              | Some inum -> break_leases t ~inum ~except:Vkernel.Pid.nil
+              | Some inum ->
+                  (* Every handle on the dead inode dies with it: a later
+                     create may reuse the inode, and a write through an
+                     old handle would land in the new file. *)
+                  Array.iteri
+                    (fun h slot ->
+                      match slot with
+                      | Some f when f.of_inum = inum -> t.handles.(h) <- None
+                      | Some _ | None -> ())
+                    t.handles;
+                  (* Every lease on the dead inode is void, including the
+                     deleter's own — its cached blocks describe a file
+                     that no longer exists. *)
+                  break_leases t ~inum ~except:Vkernel.Pid.nil
               | None -> ());
               reply Protocol.Sok 0
           | Error e -> reply (fs_error_status e) 0)
@@ -663,6 +682,7 @@ let start kernel fs ?(config = default_config) ?(restartable = false) () =
       spid = Vkernel.Pid.nil;
       worker_pids = [];
       handles = Array.make (Int.max 2 config.max_open) None;
+      last_handle = 0;
       versions = Vsim.Itbl.create 16;
       leases = Vsim.Itbl.create 16;
       open_seq = 0;
@@ -690,6 +710,7 @@ let start kernel fs ?(config = default_config) ?(restartable = false) () =
            clients void their own leases when they detect the
            failover. *)
         Array.fill t.handles 0 (Array.length t.handles) None;
+        t.last_handle <- 0;
         Vsim.Itbl.reset t.versions;
         Vsim.Itbl.reset t.leases;
         (* If the dead incarnation ever granted a lease, some may still

@@ -76,16 +76,6 @@ val pid : t -> Vkernel.Pid.t
 val workers : t -> int
 (** Configured team size. *)
 
-val file_version : t -> inum:int -> int
-(** Current version of the inode: [epoch lsl 32 lor counter], with
-    {!Fs.epoch} of the served file system and a counter that starts at
-    1 in each incarnation and is bumped on every accepted mutation (page
-    write — including write-behind accepts — basic write, or create
-    reusing the inode).  Since each recovery raises the epoch, versions
-    strictly increase across restarts.  Piggybacked on extended replies
-    ({!Protocol.encode_reply_ext}) so clients can detect stale cached
-    blocks. *)
-
 val lease_holders : t -> inum:int -> Vkernel.Pid.t list
 (** Callback pids currently holding a live (unexpired, unsuspected)
     lease on [inum], in grant order. *)

@@ -36,4 +36,3 @@ let throughput_per_sec t =
   if n < 2 || t.last <= t.first then 0.0
   else float_of_int (n - 1) /. Vsim.Time.to_float_s (t.last - t.first)
 
-let series t = t.samples

@@ -19,5 +19,3 @@ val p95_ms : t -> float
 val throughput_per_sec : t -> float
 (** Completed operations per simulated second of recording (first to last
     sample). *)
-
-val series : t -> Vsim.Stat.Series.t

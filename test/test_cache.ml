@@ -246,6 +246,59 @@ let test_double_open () =
           (fs_get (Vfs.Fs.read fs ~inum ~pos:(b * 512) ~len:512))
       done)
 
+(* Session recovery follows the name, not the inode.  While a
+   write-back client holds a dirty block of "data", another workstation
+   deletes the file, creates "other" (which takes the freed inode) and
+   recreates "data".  The client's close finds its handle dead, reopens
+   "data" by name and lands the block there; "other" stays empty and
+   the old inode's blocks leave the cache. *)
+let test_recovery_follows_name () =
+  let tb, fs = rig () in
+  let lookup name =
+    match Vfs.Fs.lookup fs name with
+    | Some i -> i
+    | None -> Alcotest.failf "%s missing" name
+  in
+  let old_inum = lookup "data" in
+  Util.run_as_process tb ~host:2 (fun _ ->
+      let conn = get (Vfs.Client.connect (TB.kernel tb 2) ()) in
+      let cache =
+        Vfs.Cache.create tb.Vworkload.Testbed.eng ~host:2
+          { Vfs.Cache.capacity_blocks = 8; policy = Vfs.Cache.Write_back }
+      in
+      let io = Io.make ~cache ~recover:true conn in
+      let f = get (Io.open_file io "data") in
+      let mine = Bytes.make 512 'A' in
+      let (_ : int) = get (Io.write f ~off:512 mine) in
+      let k3 = TB.kernel tb 3 in
+      let done_ = ref false in
+      let (_ : Vkernel.Pid.t) =
+        K.spawn k3 ~name:"replacer" (fun _ ->
+            let conn = get (Vfs.Client.connect k3 ()) in
+            get (Vfs.Client.delete_file conn "data");
+            get (Vfs.Client.close_file conn
+                   (get (Vfs.Client.create_file conn "other")));
+            get (Vfs.Client.close_file conn
+                   (get (Vfs.Client.create_file conn "data")));
+            done_ := true)
+      in
+      Vsim.Proc.sleep (Vsim.Time.ms 100);
+      Alcotest.(check bool) "replacer ran" true !done_;
+      Alcotest.(check int) "other took the freed inode" old_inum
+        (lookup "other");
+      get (Io.close f);
+      let new_inum = lookup "data" in
+      Alcotest.(check bool) "data was recreated under a new inode" true
+        (new_inum <> old_inum);
+      Alcotest.(check bytes)
+        "the dirty block landed in the new data" mine
+        (fs_get (Vfs.Fs.read fs ~inum:new_inum ~pos:512 ~len:512));
+      Alcotest.(check int) "other is untouched" 0
+        (fs_get (Vfs.Fs.size fs ~inum:old_inum));
+      Alcotest.(check bool) "the old inode's block left the cache" true
+        (Option.is_none
+           (Vfs.Cache.find cache ~inum:old_inum ~block:1 ~version:0)))
+
 (* Regression: a write-back flush whose reply version jumps by more than
    one (a remote writer got in between) must still retag the block just
    pushed — the server stored exactly these bytes, so they are current
@@ -418,6 +471,8 @@ let suite =
     Alcotest.test_case "flush failure keeps dirty" `Quick
       test_flush_failure_keeps_dirty;
     Alcotest.test_case "double open" `Quick test_double_open;
+    Alcotest.test_case "recovery follows the name" `Quick
+      test_recovery_follows_name;
     Alcotest.test_case "writeback retag across version gap" `Quick
       test_writeback_retag_gap;
     Alcotest.test_case "shared version across handles" `Quick

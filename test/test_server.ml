@@ -99,15 +99,34 @@ let test_errors () =
       | Error e -> Alcotest.failf "wrong error: %s" (Vfs.Client.error_to_string e)
       | Ok _ -> Alcotest.fail "read with a bad handle")
 
+(* A handle held across the delete dies with the file: a file created
+   next takes the freed inode, and a write through the old handle must
+   not land in it. *)
 let test_delete () =
-  let tb, _, _ = rig () in
+  let tb, fs, _ = rig () in
   let k2 = TB.kernel tb 2 in
   Util.run_as_process tb ~host:2 (fun _ ->
       let conn = connect k2 in
+      let old = get (Vfs.Client.open_file conn "notes") in
+      let inum = Vfs.Fs.lookup fs "notes" in
       get (Vfs.Client.delete_file conn "notes");
-      match Vfs.Client.open_file conn "notes" with
+      (match Vfs.Client.open_file conn "notes" with
       | Error (Vfs.Client.Server Vfs.Protocol.Snot_found) -> ()
-      | _ -> Alcotest.fail "deleted file still opens")
+      | _ -> Alcotest.fail "deleted file still opens");
+      let (_ : Vfs.Client.handle) = get (Vfs.Client.create_file conn "fresh") in
+      Alcotest.(check (option int))
+        "the new file reuses the inode" inum (Vfs.Fs.lookup fs "fresh");
+      (match Vfs.Client.write_page conn old ~block:0 ~buf:0 ~count:512 with
+      | Error (Vfs.Client.Server Vfs.Protocol.Sbad_handle) -> ()
+      | Error e ->
+          Alcotest.failf "wrong error: %s" (Vfs.Client.error_to_string e)
+      | Ok _ -> Alcotest.fail "a write through the deleted file's handle");
+      match Vfs.Fs.lookup fs "fresh" with
+      | None -> Alcotest.fail "fresh file missing"
+      | Some inum -> (
+          match Vfs.Fs.size fs ~inum with
+          | Ok n -> Alcotest.(check int) "the new file is still empty" 0 n
+          | Error e -> Alcotest.failf "fs: %a" Vfs.Fs.pp_error e))
 
 let test_sequential_read_with_latency () =
   (* Table 6-2 structure: server read-ahead; per-page elapsed ~ disk

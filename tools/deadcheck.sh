@@ -3,16 +3,24 @@
 #
 #   tools/deadcheck.sh
 #
-# Lists every `val` declared in a lib/**/*.mli whose name never occurs
-# as a whole word in any .ml under lib/, bin/, bench/, benchmark/,
-# examples/ or test/ other than the module's own implementation (the .ml
-# beside the .mli).  Such a value is exported but has no caller and no
-# test; delete it from the interface, and from the implementation if the
-# module does not use it either.
+# Lists every `val` declared in a lib/**/*.mli that no .ml under lib/,
+# bin/, bench/, benchmark/, examples/ or test/ uses, other than the
+# module's own implementation (the .ml beside the .mli).  Such a value
+# is exported but has no caller and no test; delete it from the
+# interface, and from the implementation if the module does not use it
+# either.
 #
-# The match is word-level, so a name shared with any other identifier
-# anywhere counts as used: the check can miss a dead export, never
-# invent one.  There is no allowlist.
+# Comments are stripped before matching.  A use is then either a
+# qualified reference (`.name`, as in `Mod.name` or `Alias.name`) in
+# any of those files, or the bare word in a file that opens the module
+# (`open`, `let open` or `Mod.(...)` naming it anywhere in the path, as
+# `let open Isa.Syscall in` does for the values of isa.mli).
+#
+# What it can miss: a dead value whose name is also a record field, or
+# a value of any module reached by its path (`.size` is also
+# `Mem.size`), counts as used, as does one a file that opens its module
+# names in a string or as a local variable.  It never reports a value
+# that is used.  There is no allowlist.
 #
 # Prints one line per dead export as MODULE.NAME (file), and exits 0
 # when there is none, 1 when there is any.  Run from the repository
@@ -27,19 +35,51 @@ fi
 dirs="lib bin bench benchmark examples test"
 mls=$(find $dirs -name '*.ml' -not -path '*/_build/*' | sort)
 
+stripped=$(mktemp -d)
+trap 'rm -rf "$stripped"' EXIT
+
+# Blank out OCaml comments, which nest, keeping newlines.  String and
+# character literals are copied whole (in comments too, as the lexer
+# reads them), so a "(*" inside one opens nothing.
+cat >"$stripped/strip.pl" <<'PERL'
+local $/;
+my $s = <>;
+my ($o, $d) = ("", 0);
+while ((pos($s) // 0) < length $s) {
+  if ($s =~ /\G("(?:[^"\\]|\\.)*"|\{([a-z_]*)\|.*?\|\2\}|'(?:[^\\']|\\[^']+)')/gcs
+      || $s =~ /\G([A-Za-z0-9_][A-Za-z0-9_']*)/gc) {
+    my $t = $1;
+    $t =~ s/[^\n]//g if $d;
+    $o .= $t;
+  }
+  elsif ($s =~ /\G\(\*/gc) { $d++ }
+  elsif ($d && $s =~ /\G\*\)/gc) { $d--; $o .= " " unless $d }
+  elsif ($s =~ /\G(.)/gcs) { $o .= $1 if !$d || $1 eq "\n" }
+}
+print $o;
+PERL
+for ml in $mls; do
+  mkdir -p "$stripped/$(dirname "$ml")"
+  perl "$stripped/strip.pl" "$ml" >"$stripped/$ml"
+done
+
 found=0
 for mli in $(find lib -name '*.mli' -not -path '*/_build/*' | sort); do
   own=${mli%.mli}.ml
-  others=$(printf '%s\n' $mls | grep -vxF "$own")
-  mod=$(basename "$mli" .mli)
+  others=$(printf '%s\n' $mls | grep -vxF "$own" | sed "s|^|$stripped/|")
+  mod=$(basename "$mli" .mli \
+    | awk '{ print toupper(substr($0, 1, 1)) substr($0, 2) }')
+  # shellcheck disable=SC2086
+  openers=$(grep -lE "(^|[^A-Za-z0-9_'.])open!?[[:space:]]+([A-Z][A-Za-z0-9_']*\.)*$mod([^A-Za-z0-9_']|\$)|(^|[^A-Za-z0-9_'])$mod\.\(" $others || true)
   names=$(sed -n 's/^[[:space:]]*val[[:space:]]\{1,\}\([a-z_][A-Za-z0-9_'"'"']*\).*/\1/p' "$mli" \
     | sort -u)
   for n in $names; do
     # shellcheck disable=SC2086
-    if ! grep -qw -- "$n" $others; then
-      found=1
-      echo "$mod.$n ($mli)" | awk '{ print toupper(substr($0, 1, 1)) substr($0, 2) }'
-    fi
+    if grep -qE -- "\.$n([^A-Za-z0-9_']|\$)" $others; then continue; fi
+    # shellcheck disable=SC2086
+    if [ -n "$openers" ] && grep -qw -- "$n" $openers; then continue; fi
+    found=1
+    echo "$mod.$n ($mli)"
   done
 done
 
