@@ -51,12 +51,12 @@ let wait_event s ~timeout =
   (* Returns false on timeout, true when woken by an ack or request.
      [timeout = None] waits indefinitely — and schedules nothing, letting
      an idle simulation quiesce. *)
-  Vsim.Proc.suspend ~reason:"stream-wait" (fun resume ->
+  Vsim.Proc.suspend (fun resume ->
       match timeout with
       | None -> s.s_wake <- Some (fun () -> resume true)
       | Some timeout ->
           let timer =
-            Vsim.Engine.after s.s_eng ~kind:k_timeout timeout (fun () ->
+            Vsim.Engine.after_kind s.s_eng ~kind:k_timeout timeout (fun () ->
                 if s.s_wake <> None then begin
                   s.s_wake <- None;
                   resume false
@@ -225,9 +225,10 @@ let stream_file eng ~nic ~server ~inum ?(client_think_ns = 0)
           if Vsim.Engine.now eng > deadline then Error "stream timeout"
           else begin
             let ok =
-              Vsim.Proc.suspend ~reason:"stream-page" (fun resume ->
+              Vsim.Proc.suspend (fun resume ->
                   let timer =
-                    Vsim.Engine.after eng ~kind:k_timeout (Vsim.Time.sec 1) (fun () ->
+                    Vsim.Engine.after_kind eng ~kind:k_timeout (Vsim.Time.sec 1)
+                      (fun () ->
                         if st.wake <> None then begin
                           st.wake <- None;
                           resume false

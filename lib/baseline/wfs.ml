@@ -97,7 +97,7 @@ let rec server_loop s () =
       serve_one s r;
       server_loop s ()
   | None ->
-      Vsim.Proc.suspend ~reason:"wfs-wait" (fun resume ->
+      Vsim.Proc.suspend (fun resume ->
           s.s_wakeup <- Some resume);
       server_loop s ()
 
@@ -136,7 +136,7 @@ type client = {
   c_process_ns : int;
   c_timeout : Vsim.Time.t;
   c_retries : int;
-  c_pending : (int, pending) Hashtbl.t;
+  c_pending : pending Vsim.Itbl.t;
   mutable c_next_id : int;
   mutable c_retrans : int;
 }
@@ -153,7 +153,7 @@ let create_client eng ~nic ~server ?(process_ns = Vsim.Time.us 150)
       c_process_ns = process_ns;
       c_timeout = timeout;
       c_retries = retries;
-      c_pending = Hashtbl.create 8;
+      c_pending = Vsim.Itbl.create 8;
       c_next_id = 0;
       c_retrans = 0;
     }
@@ -161,9 +161,9 @@ let create_client eng ~nic ~server ?(process_ns = Vsim.Time.us 150)
   Vnet.Nic.set_receiver nic ~ethertype:Vnet.Frame.ethertype_wfs (fun frame ->
       match decode ~from:frame.Vnet.Frame.src frame.Vnet.Frame.payload with
       | Some r -> (
-          match Hashtbl.find_opt c.c_pending r.r_id with
+          match Vsim.Itbl.find_opt c.c_pending r.r_id with
           | Some p ->
-              Hashtbl.remove c.c_pending r.r_id;
+              Vsim.Itbl.remove c.c_pending r.r_id;
               (match p.p_timer with
               | Some h -> Vsim.Engine.cancel c.c_eng h
               | None -> ());
@@ -177,16 +177,17 @@ let rpc c ~op ~inum ~block ~count ~data =
   c.c_next_id <- c.c_next_id + 1;
   let id = c.c_next_id in
   let payload () = encode ~op ~id ~inum ~block ~count ~data in
-  Vsim.Proc.suspend ~reason:"wfs-rpc" (fun resume ->
+  Vsim.Proc.suspend (fun resume ->
       let p = { p_resume = resume; p_timer = None } in
-      Hashtbl.replace c.c_pending id p;
+      Vsim.Itbl.replace c.c_pending id p;
       let rec arm tries =
         p.p_timer <-
           Some
-            (Vsim.Engine.after c.c_eng ~kind:k_timeout c.c_timeout (fun () ->
-                 if Hashtbl.mem c.c_pending id then begin
+            (Vsim.Engine.after_kind c.c_eng ~kind:k_timeout c.c_timeout
+               (fun () ->
+                 if Vsim.Itbl.mem c.c_pending id then begin
                    if tries >= c.c_retries then begin
-                     Hashtbl.remove c.c_pending id;
+                     Vsim.Itbl.remove c.c_pending id;
                      resume None
                    end
                    else begin

@@ -318,9 +318,11 @@ let find_proc t pid =
     | Some { d_state = Dead; _ } | None -> None
     | Some _ as found -> found
 
+(* The engine names the fiber it is running (0 in a plain event
+   callback, which no table holds); a fiber of another kernel is not in
+   this one's table either. *)
 let current t =
-  let fiber = Vsim.Proc.self () in
-  match Itbl.find t.fibers (Vsim.Proc.id fiber) with
+  match Itbl.find t.fibers (Vsim.Engine.current t.eng) with
   | d -> d
   | exception Not_found ->
       Fmt.failwith "V kernel operation outside a process of host %d" t.khost
@@ -777,7 +779,8 @@ let rec arm t x =
     | Getpid _ -> k_rto_getpid
   in
   let rto = Rto.timeout_ns t.rto ~dst:rx.rx_dst ~bytes in
-  rx.rx_timer <- Vsim.Engine.after t.eng ~kind rto (fun () -> expire t x ~rto)
+  rx.rx_timer <-
+    Vsim.Engine.after_kind t.eng ~kind rto (fun () -> expire t x ~rto)
 
 (* Every timer expiry: count it, back off and trace the interval that
    fired; then fail the exchange once its retries are spent, or
@@ -1480,12 +1483,12 @@ let spawn t ?(name = "process") ?mem_size body =
   Itbl.replace t.procs (Pid.local pid) d;
   let p =
     Vsim.Proc.spawn t.eng ~name (fun () ->
-        let self = Vsim.Proc.self () in
-        Itbl.replace t.fibers (Vsim.Proc.id self) d;
+        let self = Vsim.Engine.current t.eng in
+        Itbl.replace t.fibers self d;
         Fun.protect
           ~finally:(fun () ->
-            Itbl.remove t.fibers (Vsim.Proc.id self);
-            Itbl.remove t.kfibers (Vsim.Proc.id self))
+            Itbl.remove t.fibers self;
+            Itbl.remove t.kfibers self)
           (fun () -> body pid))
   in
   Itbl.replace t.kfibers (Vsim.Proc.id p) p;
@@ -1645,7 +1648,7 @@ let send t msg dst =
         enqueue_msg t dd
           { q_src = d.d_pid; q_seq = 0; q_msg = Msg.copy msg; q_local = true };
         d.d_state <- Awaiting_reply dst;
-        Vsim.Proc.suspend ~reason:"send" (fun resume ->
+        Vsim.Proc.suspend (fun resume ->
             d.d_on_reply <- Some resume;
             d.d_reply_buf <- Some msg;
             try_deliver t dd)
@@ -1653,7 +1656,7 @@ let send t msg dst =
   else begin
     t.s_send_remote <- t.s_send_remote + 1;
     charge t m.Vhw.Cost_model.remote_op_extra_ns;
-    Vsim.Proc.suspend ~reason:"send-remote" (fun resume ->
+    Vsim.Proc.suspend (fun resume ->
         d.d_on_reply <- Some resume;
         d.d_reply_buf <- Some msg;
         launch_send t d msg ~dst ~seq ~since:(Vsim.Engine.now t.eng))
@@ -1682,7 +1685,7 @@ let receive_gen ?from t msg ~seg =
       (entry.q_src, count)
   | None ->
       d.d_state <- Receive_blocked;
-      Vsim.Proc.suspend ~reason:"receive" (fun resume ->
+      Vsim.Proc.suspend (fun resume ->
           d.d_recv <-
             Some { rw_msg = msg; rw_seg = seg; rw_from = from; rw_k = resume })
 
@@ -1720,7 +1723,7 @@ let reply_remote t (d : desc) (al : alien) pkt =
   al.al_reply <- Some pkt;
   (* The alien/timer upkeep of the reply side is accounted by the
      asynchronous server bookkeeping charge below. *)
-  Vsim.Proc.suspend ~reason:"reply-tx" (fun resume ->
+  Vsim.Proc.suspend (fun resume ->
       send_pkt_k t ~dst_host:(Pid.host pkt.Packet.dst_pid) pkt (fun () ->
           charge_async t (model t).Vhw.Cost_model.server_bookkeep_ns;
           resume ()));
@@ -1984,8 +1987,7 @@ let move t dir ~peer ~dst ~src ~count =
             Ok
         | None ->
             charge t m.Vhw.Cost_model.remote_op_extra_ns;
-            let reason = match dir with To -> "moveto" | From -> "movefrom" in
-            Vsim.Proc.suspend ~reason (fun resume ->
+            Vsim.Proc.suspend (fun resume ->
                 let mo =
                   {
                     mo_dir = dir;
@@ -2046,7 +2048,7 @@ let get_pid t ~logical_id scope =
           match Itbl.find_opt t.getpid_cache logical_id with
           | Some pid -> Some pid
           | None ->
-              Vsim.Proc.suspend ~reason:"getpid" (fun resume ->
+              Vsim.Proc.suspend (fun resume ->
                   match Itbl.find_opt t.getpid_waits logical_id with
                   | Some gw -> gw.gw_waiters <- resume :: gw.gw_waiters
                   | None ->

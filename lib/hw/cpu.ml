@@ -34,12 +34,12 @@ let book t ns =
   finish
 
 let charge_k t ns k =
-  ignore (Vsim.Engine.at t.eng ~kind:k_grant (book t (Int.max ns 0)) k)
+  ignore (Vsim.Engine.at_kind t.eng ~kind:k_grant (book t (Int.max ns 0)) k)
 
 let reserve t ns = if ns > 0 then ignore (book t ns)
 
 let charge t ns =
-  Vsim.Proc.suspend ~reason:"cpu" (fun resume -> charge_k t ns resume)
+  Vsim.Proc.suspend (fun resume -> charge_k t ns resume)
 
 let compute = charge
 

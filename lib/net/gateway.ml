@@ -104,7 +104,7 @@ let rec pump t j =
     let frame = Queue.pop out.q in
     let cost = t.cfg.fixed_ns + (t.cfg.per_byte_ns * Frame.length frame) in
     ignore
-      (Vsim.Engine.after t.eng ~kind:k_forward cost (fun () ->
+      (Vsim.Engine.after_kind t.eng ~kind:k_forward cost (fun () ->
            if t.down then begin
              (* Crashed while the frame sat in the forwarding engine. *)
              t.s_down_drops <- t.s_down_drops + 1;

@@ -312,7 +312,7 @@ let schedule_rx t frame ports ~at =
   | [] -> ()
   | ports ->
       ignore
-        (Vsim.Engine.at t.eng ~kind:k_deliver at (fun () ->
+        (Vsim.Engine.at_kind t.eng ~kind:k_deliver at (fun () ->
              deliver_all t frame ports))
 
 (* Scripted loss is accounted per receiver at what would have been the
@@ -324,7 +324,7 @@ let drop_scripted t frame ports ~at =
   | [] -> ()
   | ports ->
       ignore
-        (Vsim.Engine.at t.eng ~kind:k_drop at (fun () ->
+        (Vsim.Engine.at_kind t.eng ~kind:k_drop at (fun () ->
              List.iter
                (fun port ->
                  t.s_dropped <- t.s_dropped + 1;
@@ -366,7 +366,7 @@ let deliver t frame =
       | Fault.Crash -> ()
       | Fault.Restart d ->
           ignore
-            (Vsim.Engine.at t.eng ~kind:k_host_restart
+            (Vsim.Engine.at_kind t.eng ~kind:k_host_restart
                (Vsim.Engine.now t.eng + d)
                restart))
   | _ -> ());
@@ -395,7 +395,7 @@ let deliver t frame =
       t.held <- Some frame;
       t.held_flush <-
         Some
-          (Vsim.Engine.at t.eng ~kind:k_reorder_flush
+          (Vsim.Engine.at_kind t.eng ~kind:k_reorder_flush
              (Vsim.Engine.now t.eng + reorder_flush_ns t)
              (fun () ->
                t.held_flush <- None;
@@ -419,7 +419,9 @@ let rec attempt t (p : pending) =
           (Vsim.Event.Collision
              { a = cur.who.frame.Frame.src; b = p.frame.Frame.src });
       t.busy_until <- now + jam_ns;
-      ignore (Vsim.Engine.at t.eng ~kind:k_drain t.busy_until (fun () -> drain t));
+      ignore
+        (Vsim.Engine.at_kind t.eng ~kind:k_drain t.busy_until (fun () ->
+             drain t));
       backoff t cur.who;
       backoff t p
   | Some _ ->
@@ -431,7 +433,7 @@ let rec attempt t (p : pending) =
         let tx = Frame.length p.frame * byte_time_ns t.cfg in
         let finish_at = now + tx in
         let finish =
-          Vsim.Engine.at t.eng ~kind:k_tx_done finish_at (fun () ->
+          Vsim.Engine.at_kind t.eng ~kind:k_tx_done finish_at (fun () ->
               complete t p tx)
         in
         t.busy_until <- finish_at;
@@ -465,7 +467,7 @@ and backoff t (p : pending) =
     let slots = Vsim.Rng.int t.rng (1 lsl k) in
     let delay = jam_ns + (slots * slot_ns) in
     ignore
-      (Vsim.Engine.after t.eng ~kind:k_backoff delay (fun () ->
+      (Vsim.Engine.after_kind t.eng ~kind:k_backoff delay (fun () ->
            attempt t p))
   end
 

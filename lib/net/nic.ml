@@ -83,7 +83,7 @@ let send_k t ?(pre_cost = 0) ~dst ~ethertype payload k =
   end
 
 let send t ?pre_cost ~dst ~ethertype payload =
-  Vsim.Proc.suspend ~reason:"nic-tx" (fun resume ->
+  Vsim.Proc.suspend (fun resume ->
       send_k t ?pre_cost ~dst ~ethertype payload resume)
 
 let crc_drops t = t.crc_count

@@ -8,11 +8,14 @@ type t = {
   mutable profile : Profile.t option;
   mutable fibers : fiber list;
   mutable running : bool;
+  mutable current : int;
+      (* id of the fiber running now, [no_fiber] in a plain callback *)
 }
 
 type handle = Eventq.handle
 
 let default_seed = 0x5EED_CAFE_F00DL
+let no_fiber = 0
 
 (* Invoked on every freshly created engine.  This is how a CLI flag can
    attach trace sinks to engines constructed deep inside experiment rigs
@@ -34,7 +37,8 @@ let with_create_hook h f =
 let create ?(seed = default_seed) () =
   let t =
     { clock = 0; queue = Eventq.create (); rand = Rng.create seed;
-      tracers = []; profile = None; fibers = []; running = false }
+      tracers = []; profile = None; fibers = []; running = false;
+      current = no_fiber }
   in
   (match get_create_hook () with Some hook -> hook t | None -> ());
   t
@@ -64,35 +68,37 @@ let take_fibers t =
   fs
 
 let running t = t.running
+let current t = t.current
+let set_current t id = t.current <- id
 
 let now t = t.clock
 let rng t = t.rand
 
-let kind_or_other = function Some k -> k | None -> Eventq.Kind.other
+let[@inline never] in_the_past t time =
+  invalid_arg
+    (Printf.sprintf "Engine.at: time %d is before now %d" time t.clock)
 
-let at t ?kind time fn =
-  if time < t.clock then
-    invalid_arg
-      (Printf.sprintf "Engine.at: time %d is before now %d" time t.clock);
-  Eventq.add t.queue ~time ~kind:(kind_or_other kind) fn
+(* Inlined into each per-event scheduler, so scheduling is one call, to
+   [Eventq.add]. *)
+let[@inline] at_kind t ~kind time fn =
+  if time < t.clock then in_the_past t time;
+  Eventq.add t.queue ~time ~kind fn
 
-let after t ?kind delay fn =
+let[@inline] after_kind t ~kind delay fn =
   if delay < 0 then invalid_arg "Engine.after: negative delay";
-  Eventq.add t.queue ~time:(t.clock + delay) ~kind:(kind_or_other kind) fn
+  Eventq.add t.queue ~time:(t.clock + delay) ~kind fn
 
+let at t ?(kind = Eventq.Kind.other) time fn = at_kind t ~kind time fn
+let after t ?(kind = Eventq.Kind.other) delay fn = after_kind t ~kind delay fn
 let cancel t h = Eventq.cancel t.queue h
 
-(* Fire the earliest event; the queue must not be empty. *)
-let fire t =
+(* Run [fn], the callback [Eventq.take_due] just removed. *)
+let[@inline] fire t fn =
   let q = t.queue in
-  t.clock <- Eventq.top_time q;
+  t.clock <- Eventq.taken_time q;
   match t.profile with
-  | None -> Eventq.take q ()
-  | Some p ->
-      (* Arguments evaluate right to left: read the kind before [take]
-         removes the event. *)
-      let kind = Eventq.top_kind q in
-      Profile.time p ~kind (Eventq.take q)
+  | None -> fn ()
+  | Some p -> Profile.time p ~kind:(Eventq.taken_kind q) fn
 
 (* True iff the earliest event is due by [limit]. *)
 let due t limit =
@@ -101,21 +107,25 @@ let due t limit =
 (* The one run loop: fire due events while fewer than [budget] have fired;
    returns the count. *)
 let rec drain t ~limit ~budget n =
-  if n < budget && due t limit then begin
-    fire t;
-    drain t ~limit ~budget (n + 1)
-  end
-  else n
+  if n >= budget then n
+  else
+    let fn = Eventq.take_due t.queue ~limit in
+    if fn == Eventq.idle then n
+    else begin
+      fire t fn;
+      drain t ~limit ~budget (n + 1)
+    end
 
 (* Callbacks run only inside [step] and [run_bounded]; both set
    [running] for their extent and restore it however they end (a
    callback may run its own engine). *)
 let step t =
-  if Eventq.is_empty t.queue then false
+  let fn = Eventq.take_due t.queue ~limit:max_int in
+  if fn == Eventq.idle then false
   else begin
     let was = t.running in
     t.running <- true;
-    (match fire t with
+    (match fire t fn with
     | () -> t.running <- was
     | exception e ->
         t.running <- was;

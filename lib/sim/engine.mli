@@ -39,6 +39,12 @@ val at : t -> ?kind:Eventq.kind -> Time.t -> (unit -> unit) -> handle
 val after : t -> ?kind:Eventq.kind -> Time.t -> (unit -> unit) -> handle
 (** [after t delay fn] schedules [fn] at [now t + delay]. *)
 
+val at_kind : t -> kind:Eventq.kind -> Time.t -> (unit -> unit) -> handle
+val after_kind : t -> kind:Eventq.kind -> Time.t -> (unit -> unit) -> handle
+(** {!at} and {!after} with the kind required, for the per-event
+    schedulers: passing it allocates nothing, where an optional [?kind]
+    boxes a [Some] per call. *)
+
 val cancel : t -> handle -> unit
 (** Cancel a scheduled event of this engine: it leaves the queue at once
     (O(log n)) and its closure is released.  A no-op once the event has
@@ -85,6 +91,17 @@ val take_fibers : t -> fiber list
 val running : t -> bool
 (** [true] while {!step} or {!run_bounded} (and so {!run}) is executing
     a callback of this engine. *)
+
+val current : t -> int
+(** The {!Proc.id} of the process this engine is running now, or [0]
+    (no process has it) while it runs a plain event callback or none.
+    An int read, where [Proc.self] performs an effect: it is how the
+    kernel finds its caller on every call. *)
+
+val set_current : t -> int -> unit
+(** {!Proc} keeps {!current}: it sets it to a process's id when it
+    starts or resumes the process, and puts back the id it replaced
+    when the process parks, returns or raises. *)
 
 (** {1 Tracing}
 

@@ -77,7 +77,9 @@ let slot_mask = (1 lsl slot_bits) - 1
 let max_seq = (1 lsl (62 - slot_bits)) - 1  (* handles stay non-negative *)
 let none = -1
 
-let nop () = ()
+(* What a free slot holds, so it keeps no closure alive, and what
+   [take_due] returns when nothing is due. *)
+let idle () = ()
 
 type t = {
   mutable size : int;
@@ -91,11 +93,14 @@ type t = {
   mutable next_seq : int;
   mutable front_time : int;
   mutable front : int;  (* the front slot's handle, [none] when empty *)
+  mutable taken_time : int;  (* of the event [take_due] last removed *)
+  mutable taken_kind : int;
 }
 
 let create () =
   { size = 0; times = [||]; handles = [||]; kinds = [||]; pos = [||];
-    fns = [||]; free = -1; next_seq = 0; front_time = 0; front = none }
+    fns = [||]; free = -1; next_seq = 0; front_time = 0; front = none;
+    taken_time = 0; taken_kind = Kind.other }
 
 let grow t =
   let cap = Array.length t.fns in
@@ -111,16 +116,17 @@ let grow t =
   t.handles <- extend t.handles 0;
   t.kinds <- extend t.kinds 0;
   t.pos <- extend t.pos (-1);
-  t.fns <- extend t.fns nop;
+  t.fns <- extend t.fns idle;
   for s = cap to cap' - 2 do
     t.pos.(s) <- s + 1
   done;
   t.free <- cap
 
-(* The sift loops index the heap below [size] and [pos] at slots of
-   pending events, all inside the arrays [grow] sized, so they skip the
-   bounds checks.  The int annotations keep the stores free of the write
-   barrier and the comparisons off the polymorphic compare. *)
+(* The sift loops and [take_due] index the heap below [size] and the
+   slab at slots of pending events, all inside the arrays [grow] sized,
+   so they skip the bounds checks.  The int annotations keep the stores
+   free of the write barrier and the comparisons off the polymorphic
+   compare. *)
 let get (a : int array) i = Array.unsafe_get a i
 let set (a : int array) i (x : int) = Array.unsafe_set a i x
 
@@ -174,6 +180,7 @@ let push t time h =
 let add t ~time ~kind fn =
   if t.next_seq > max_seq then
     invalid_arg "Eventq.add: event sequence numbers exhausted";
+  if fn == idle then invalid_arg "Eventq.add: Eventq.idle cannot be scheduled";
   if t.free < 0 then grow t;
   let s = t.free in
   let h = (t.next_seq lsl slot_bits) lor s in
@@ -197,7 +204,7 @@ let add t ~time ~kind fn =
 (* Return slot [s] to the free list and drop its closure. *)
 let release t s =
   t.pos.(s) <- t.free;
-  t.fns.(s) <- nop;
+  t.fns.(s) <- idle;
   t.free <- s
 
 (* Remove heap entry [i], refilling the hole with the last entry. *)
@@ -229,13 +236,6 @@ let cancel t h =
 let is_empty t = t.front = none && t.size = 0
 let live_count t = if t.front = none then t.size else t.size + 1
 
-let top_slot t =
-  if t.front <> none then t.front land slot_mask
-  else begin
-    if t.size = 0 then invalid_arg "Eventq: the queue is empty";
-    t.handles.(0) land slot_mask
-  end
-
 let top_time t =
   if t.front <> none then t.front_time
   else begin
@@ -243,17 +243,28 @@ let top_time t =
     t.times.(0)
   end
 
-let top_kind t = t.kinds.(top_slot t)
+let take_due t ~limit =
+  if t.front <> none then
+    if t.front_time > limit then idle
+    else begin
+      let s = t.front land slot_mask in
+      t.front <- none;
+      t.taken_time <- t.front_time;
+      t.taken_kind <- get t.kinds s;
+      let fn = Array.unsafe_get t.fns s in
+      release t s;
+      fn
+    end
+  else if t.size = 0 || get t.times 0 > limit then idle
+  else begin
+    let s = get t.handles 0 land slot_mask in
+    t.taken_time <- get t.times 0;
+    t.taken_kind <- get t.kinds s;
+    let fn = Array.unsafe_get t.fns s in
+    remove_at t 0;
+    release t s;
+    fn
+  end
 
-let take t =
-  let s = top_slot t in
-  let fn = t.fns.(s) in
-  if t.front <> none then t.front <- none else remove_at t 0;
-  release t s;
-  fn
-
-let pop t =
-  if is_empty t then None
-  else
-    let time = top_time t in
-    Some (time, take t)
+let taken_time t = t.taken_time
+let taken_kind t = t.taken_kind

@@ -16,7 +16,7 @@
     entry precedes every heap entry in [(time, seq)] order.  {!add}
     gives the slot to an event that precedes both the front and the
     heap's root, sifting the event it displaces into the heap; every
-    other event goes into the heap.  {!take}, the [top_*] readers,
+    other event goes into the heap.  {!take_due}, {!top_time},
     {!cancel}, {!is_empty} and {!live_count} read the slot first.  So a
     step that schedules the next earliest event, the common case, adds
     and takes it in O(1).  The slot changes no order: events fire
@@ -69,9 +69,9 @@ val create : unit -> t
 
 val add : t -> time:Time.t -> kind:kind -> (unit -> unit) -> handle
 (** Schedule a callback at an absolute time.  [kind] labels the event for
-    the profiler.  Raises [Invalid_argument], rather than let a handle
-    wrap, once the queue has issued 2{^40} handles or already holds
-    2{^22} pending events. *)
+    the profiler.  Raises [Invalid_argument] when [fn] is {!idle}, and,
+    rather than let a handle wrap, once the queue has issued 2{^40}
+    handles or already holds 2{^22} pending events. *)
 
 val cancel : t -> handle -> unit
 (** Remove a pending event so it never fires, and drop its closure.  A
@@ -85,16 +85,25 @@ val live_count : t -> int
 
 (** {1 The earliest event}
 
-    The engine's allocation-free pop: read what it needs of the earliest
-    event, then {!take} it.  Each raises [Invalid_argument] on an empty
-    queue. *)
+    The engine's allocation-free pop is one {!take_due} call per fired
+    event, which leaves the event's time and kind in the queue for
+    {!taken_time} and {!taken_kind} to read. *)
 
 val top_time : t -> Time.t
-val top_kind : t -> kind
+(** Time of the earliest event.  Raises [Invalid_argument] on an empty
+    queue. *)
 
-val take : t -> (unit -> unit)
-(** Remove the earliest event and return its callback, without calling
-    it. *)
+val idle : unit -> unit
+(** The callback {!take_due} returns when no event is due; compare with
+    [==].  {!add} refuses to schedule it. *)
 
-val pop : t -> (Time.t * (unit -> unit)) option
-(** Remove and return the earliest event with its time. *)
+val take_due : t -> limit:Time.t -> (unit -> unit)
+(** If the earliest event's time is at most [limit], remove it, release
+    its slot and return its callback, without calling it; otherwise
+    return {!idle} and leave the queue as it is. *)
+
+val taken_time : t -> Time.t
+(** Time of the event {!take_due} last removed. *)
+
+val taken_kind : t -> kind
+(** Kind of the event {!take_due} last removed. *)

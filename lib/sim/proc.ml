@@ -1,5 +1,3 @@
-type state = Runnable | Running | Blocked of string | Terminated
-
 (* What a process's continuation slot holds: nothing, the continuation
    of its current park, or the mark of a teardown under way. *)
 type 'a cell =
@@ -14,8 +12,11 @@ type t = {
   pid : int;
   pname : string;
   eng : Engine.t;
-  mutable pstate : state;
+  mutable terminated : bool;
   mutable killed : bool;
+  mutable resumer : int;
+      (* the engine's current fiber when this one last started or
+         resumed, put back when it parks, returns or raises *)
   mutable slot : slot;
   mutable waiters : (unit -> unit) list;
 }
@@ -27,7 +28,7 @@ type Engine.fiber += Fiber of t
 exception Reaped
 
 type _ Effect.t +=
-  | Suspend : string * (('a -> unit) -> unit) -> 'a Effect.t
+  | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
   | Self : t Effect.t
 
 (* Atomic so concurrent Pool domains can spawn processes without racing;
@@ -40,11 +41,11 @@ let k_sleep = Eventq.Kind.intern "proc.sleep"
 let id t = t.pid
 let name t = t.pname
 let engine t = t.eng
-let terminated t = t.pstate = Terminated
+let terminated t = t.terminated
 let pp fmt t = Format.fprintf fmt "proc#%d(%s)" t.pid t.pname
 
 let finish proc =
-  proc.pstate <- Terminated;
+  proc.terminated <- true;
   let ws = proc.waiters in
   proc.waiters <- [];
   List.iter (fun w -> w ()) ws
@@ -54,32 +55,46 @@ let finish proc =
    parked continuation stays in the slot, not discontinued, until
    [reap]: unwinding it now would run [Fun.protect] finalizers of code
    that is supposed to have lost power mid-flight. *)
-let kill proc = if proc.pstate <> Terminated then begin
+let kill proc = if not proc.terminated then begin
     proc.killed <- true;
     finish proc
   end
 
+(* Make [proc] the engine's running fiber, remembering the one it
+   displaces. *)
+let enter proc =
+  proc.resumer <- Engine.current proc.eng;
+  Engine.set_current proc.eng proc.pid
+
+let leave proc = Engine.set_current proc.eng proc.resumer
+
 let run_fiber proc fn =
   let open Effect.Deep in
-  proc.pstate <- Running;
+  (* Built once per fiber, so answering [Self] allocates nothing. *)
+  let self = Some (fun (k : (t, unit) continuation) -> continue k proc) in
+  enter proc;
   match_with fn ()
     {
-      retc = (fun () -> finish proc);
+      retc =
+        (fun () ->
+          leave proc;
+          finish proc);
       exnc =
         (fun e ->
+          leave proc;
           finish proc;
           raise e);
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Suspend (reason, register) ->
+          | Suspend register ->
               Some
                 (fun (k : (a, _) continuation) ->
+                  leave proc;
                   if proc.slot == Slot Reaping then
                     Fmt.invalid_arg
                       "Proc.reap: %s parked again after its teardown"
                       proc.pname;
-                  proc.pstate <- Blocked reason;
                   let cell = Parked k in
                   proc.slot <- Slot cell;
                   (* Valid only while the slot holds this park's cell;
@@ -90,13 +105,13 @@ let run_fiber proc fn =
                       match cell with
                       | Parked k when proc.slot == Slot cell ->
                           proc.slot <- Slot Idle;
-                          proc.pstate <- Running;
+                          enter proc;
                           continue k v
                       | Parked _ | Idle | Reaping ->
                           Fmt.invalid_arg "Proc: double resume of %s" proc.pname
                   in
                   register resume)
-          | Self -> Some (fun (k : (a, _) continuation) -> continue k proc)
+          | Self -> self
           | _ -> None);
     }
 
@@ -107,29 +122,31 @@ let spawn eng ?(name = "proc") fn =
       pid;
       pname = name;
       eng;
-      pstate = Runnable;
+      terminated = false;
       killed = false;
+      resumer = 0;
       slot = Slot Idle;
       waiters = [];
     }
   in
   Engine.add_fiber eng (Fiber proc);
   ignore
-    (Engine.after eng ~kind:k_start 0 (fun () ->
+    (Engine.after_kind eng ~kind:k_start 0 (fun () ->
          if not proc.killed then run_fiber proc fn));
   proc
 
 let self () = Effect.perform Self
-let suspend ~reason register = Effect.perform (Suspend (reason, register))
+let suspend register = Effect.perform (Suspend register)
 
 let sleep delay =
   let p = self () in
-  suspend ~reason:"sleep" (fun resume ->
-      ignore (Engine.after p.eng ~kind:k_sleep delay (fun () -> resume ())))
+  suspend (fun resume ->
+      ignore
+        (Engine.after_kind p.eng ~kind:k_sleep delay (fun () -> resume ())))
 
 let join other =
   if not (terminated other) then
-    suspend ~reason:"join" (fun resume ->
+    suspend (fun resume ->
         other.waiters <- resume :: other.waiters)
 
 (* Kill every process first, so that no finaliser below can wake one,
@@ -146,6 +163,7 @@ let reap eng =
           (match p.slot with
           | Slot (Parked k) -> (
               p.slot <- Slot Reaping;
+              enter p;
               match Effect.Deep.discontinue k Reaped with
               | () | (exception Reaped) -> p.slot <- Slot Idle)
           | Slot (Idle | Reaping) -> ());

@@ -29,12 +29,19 @@ val name : t -> string
 val engine : t -> Engine.t
 
 val self : unit -> t
-(** The currently executing fiber. Must be called from within a fiber. *)
+(** The currently executing fiber, by an effect its handler answers
+    without allocating.  Must be called from within a fiber.  Code that
+    holds the engine reads the running fiber's id with
+    {!Engine.current} instead, which {!Proc} keeps: it sets it when it
+    starts or resumes a fiber and restores the resumer's when the fiber
+    parks, returns or raises. *)
 
-val suspend : reason:string -> (('a -> unit) -> unit) -> 'a
-(** [suspend ~reason register] parks the current fiber.  [register] is
-    called immediately with the resume function; when some event later calls
-    that function with a value, the fiber continues with that value. *)
+val suspend : (('a -> unit) -> unit) -> 'a
+(** [suspend register] parks the current fiber.  [register] is called
+    immediately, outside the fiber, with the resume function; when some
+    event later calls that function with a value, the fiber continues
+    with that value.  A park records nothing about the fiber but the
+    continuation it waits in. *)
 
 val sleep : Time.t -> unit
 (** Block the current fiber for a simulated duration. *)

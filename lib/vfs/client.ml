@@ -824,12 +824,12 @@ module Sharded = struct
     mk_cache : unit -> Cache.t option;
     recover : bool;
     lease : bool;
-    ios : (int, Io.t) Hashtbl.t;
+    ios : Io.t Vsim.Itbl.t;
   }
 
   let make ?(mk_cache = fun () -> None) ?(recover = false) ?(lease = false)
       kernel names =
-    { kernel; names; mk_cache; recover; lease; ios = Hashtbl.create 8 }
+    { kernel; names; mk_cache; recover; lease; ios = Vsim.Itbl.create 8 }
 
   (* Connections are made lazily, one per shard logical id, so a client
      never pays GetPid for shards it does not touch.  Each shard gets
@@ -837,7 +837,7 @@ module Sharded = struct
      one cache across shards would alias unrelated blocks. *)
   let io_for t name =
     let lid = Names.shard_of t.names name in
-    match Hashtbl.find_opt t.ios lid with
+    match Vsim.Itbl.find_opt t.ios lid with
     | Some io -> Ok io
     | None -> (
         match connect t.kernel ~logical_id:lid () with
@@ -848,7 +848,7 @@ module Sharded = struct
                 ?cache:(t.mk_cache ())
                 ~recover:t.recover ~lease:t.lease ~logical_id:lid conn
             in
-            Hashtbl.replace t.ios lid io;
+            Vsim.Itbl.replace t.ios lid io;
             Ok io)
 
   let open_file t name =

@@ -131,7 +131,7 @@ let rec begin_service t cost action =
   t.in_service <- true;
   let finish = Vsim.Engine.now t.eng + cost in
   ignore
-    (Vsim.Engine.at t.eng ~kind:k_complete finish (fun () ->
+    (Vsim.Engine.at_kind t.eng ~kind:k_complete finish (fun () ->
          action ();
          (* [action] may resume a fiber that immediately submits another
             request; it is queued behind us and picked up here. *)
@@ -225,12 +225,12 @@ let peek t b =
   Bytes.copy (block t b)
 
 let read t b =
-  Vsim.Proc.suspend ~reason:"disk-read" (fun resume -> read_k t b resume)
+  Vsim.Proc.suspend (fun resume -> read_k t b resume)
 
 let write t b data =
-  Vsim.Proc.suspend ~reason:"disk-write" (fun resume ->
+  Vsim.Proc.suspend (fun resume ->
       write_k t b data resume)
 
 let write_shared t b data =
-  Vsim.Proc.suspend ~reason:"disk-write" (fun resume ->
+  Vsim.Proc.suspend (fun resume ->
       write_shared_k t b data resume)

@@ -195,7 +195,7 @@ let k_lock = Vsim.Eventq.Kind.intern "fs.lock"
 let lock t =
   if journaled t then begin
     if t.lock_busy then
-      Vsim.Proc.suspend ~reason:"fs-lock" (fun resume ->
+      Vsim.Proc.suspend (fun resume ->
           Queue.add resume t.lock_waiters)
     else t.lock_busy <- true
   end
@@ -206,7 +206,7 @@ let unlock t =
     | Some k ->
         (* Hand the lock over, but resume from an event, not from inside
            the releasing fiber. *)
-        ignore (Vsim.Engine.after (Disk.engine t.dsk) ~kind:k_lock 0 k)
+        ignore (Vsim.Engine.after_kind (Disk.engine t.dsk) ~kind:k_lock 0 k)
     | None -> t.lock_busy <- false
 
 let with_lock t f =

@@ -288,12 +288,12 @@ let run ?seed ?(config = default_config) ?(max_events = default_max_events)
     | idx :: rest ->
         broadcast (page_payload round idx);
         ignore
-          (Vsim.Engine.after eng ~kind:k_timer pace (fun () ->
+          (Vsim.Engine.after_kind eng ~kind:k_timer pace (fun () ->
                send_pages round rest))
     | [] ->
         broadcast (end_payload round);
         ignore
-          (Vsim.Engine.after eng ~kind:k_timer ((2 * pace) + window)
+          (Vsim.Engine.after_kind eng ~kind:k_timer ((2 * pace) + window)
              (fun () -> close_round round))
   and close_round round =
     if not !completed then begin
@@ -352,7 +352,7 @@ let run ?seed ?(config = default_config) ?(max_events = default_max_events)
      within [window], its contents decided when it goes. *)
   let answer c payload =
     ignore
-      (Vsim.Engine.after eng ~kind:k_timer (Vsim.Rng.int rng window)
+      (Vsim.Engine.after_kind eng ~kind:k_timer (Vsim.Rng.int rng window)
          (fun () -> send c.c_cpu c.c_medium ~src:c.c_addr ~dst:server_addr
                       (payload ())))
   in
@@ -416,7 +416,7 @@ let run ?seed ?(config = default_config) ?(max_events = default_max_events)
     clients;
   (* Round 1 begins once every JOIN has had time to cross. *)
   ignore
-    (Vsim.Engine.after eng ~kind:k_timer (window + pace) (fun () ->
+    (Vsim.Engine.after_kind eng ~kind:k_timer (window + pace) (fun () ->
          start_round 1 (List.init config.pages Fun.id)));
   let events =
     match Vsim.Engine.run_bounded ~max_events eng with

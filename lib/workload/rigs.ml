@@ -129,7 +129,7 @@ let measure_penalty ?(trials = 100) ?seed ~cpu_model ~medium_config n =
         for _ = 1 to trials do
           let t0 = Vsim.Engine.now eng in
           let arrival =
-            Vsim.Proc.suspend ~reason:"penalty" (fun resume ->
+            Vsim.Proc.suspend (fun resume ->
                 pending := Some resume;
                 Vnet.Nic.send_k nic1 ~dst:2
                   ~ethertype:Vnet.Frame.ethertype_raw (Bytes.make n 'p')

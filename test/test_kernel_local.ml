@@ -208,6 +208,32 @@ let test_spawn_metadata () =
   Alcotest.(check int) "host field" 1 (Vkernel.Pid.host pid);
   Vworkload.Testbed.run tb
 
+(* A kernel operation must come from one of that kernel's processes.
+   From a plain event callback, or from a process of another host's
+   kernel, it fails with the kernel's own message. *)
+let test_outside_a_process () =
+  let tb = Util.testbed ~hosts:2 () in
+  let k1 = TB.kernel tb 1 in
+  let server = Vworkload.Rigs.start_echo k1 in
+  let outside = Failure "V kernel operation outside a process of host 1" in
+  let send_from_k1 () =
+    match K.send k1 (Msg.create ()) server with
+    | (_ : K.status) -> Alcotest.fail "send outside a process succeeded"
+    | exception e -> e
+  in
+  let from_callback = ref Not_found in
+  ignore
+    (Vsim.Engine.at (K.engine k1) (Vsim.Time.ms 1) (fun () ->
+         from_callback := send_from_k1 ()));
+  let from_host_2 = ref Not_found in
+  Util.run_as_process tb ~host:2 (fun _ -> from_host_2 := send_from_k1 ());
+  Alcotest.(check string) "from an event callback"
+    (Printexc.to_string outside)
+    (Printexc.to_string !from_callback);
+  Alcotest.(check string) "from another host's process"
+    (Printexc.to_string outside)
+    (Printexc.to_string !from_host_2)
+
 let suite =
   [
     Alcotest.test_case "send-receive-reply" `Quick test_send_receive_reply;
@@ -222,4 +248,6 @@ let suite =
     Alcotest.test_case "grant cleared by reply" `Quick test_grant_cleared_after_reply;
     Alcotest.test_case "destroy fails senders" `Quick test_destroy_fails_senders;
     Alcotest.test_case "spawn metadata" `Quick test_spawn_metadata;
+    Alcotest.test_case "kernel call outside a process" `Quick
+      test_outside_a_process;
   ]

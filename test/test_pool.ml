@@ -102,9 +102,8 @@ let test_kind_interning () =
 let add q ~time fn = Eventq.add q ~time ~kind:Eventq.Kind.other fn
 
 let rec drain_times q acc =
-  match Eventq.pop q with
-  | None -> List.rev acc
-  | Some (time, _) -> drain_times q (time :: acc)
+  if Eventq.take_due q ~limit:max_int == Eventq.idle then List.rev acc
+  else drain_times q (Eventq.taken_time q :: acc)
 
 (* Cancel removes an event at once: after cancelling most of the heap the
    live count is exact, and the survivors still pop in time order. *)
@@ -137,9 +136,9 @@ let test_eventq_cancel_after_fire () =
   let e2 = add q ~time:2 ignore in
   Eventq.cancel q e1;
   Alcotest.(check int) "one live" 1 (Eventq.live_count q);
-  (match Eventq.pop q with
-  | Some (time, _) -> Alcotest.(check int) "the live event" 2 time
-  | None -> Alcotest.fail "queue drained early");
+  if Eventq.take_due q ~limit:max_int == Eventq.idle then
+    Alcotest.fail "queue drained early";
+  Alcotest.(check int) "the live event" 2 (Eventq.taken_time q);
   Eventq.cancel q e2;
   Alcotest.(check bool) "cancel after fire is a no-op" true (Eventq.is_empty q);
   let e3 = add q ~time:3 ignore and e4 = add q ~time:4 ignore in
@@ -159,9 +158,9 @@ let[@inline never] add_holding q w =
   add q ~time:5 (fun () -> ignore (Sys.opaque_identity payload))
 
 let[@inline never] fire_next q =
-  match Eventq.pop q with
-  | Some (_, fn) -> fn ()
-  | None -> Alcotest.fail "nothing to fire"
+  let fn = Eventq.take_due q ~limit:max_int in
+  if fn == Eventq.idle then Alcotest.fail "nothing to fire";
+  fn ()
 
 (* A cancelled event must not keep what its callback captured alive: a
    retransmission timer captures its packet and continuation. *)
@@ -175,7 +174,8 @@ let test_eventq_cancel_drops_closure () =
   Gc.full_major ();
   Alcotest.(check bool) "released on cancel" false (Weak.check w 0);
   Alcotest.(check int) "nothing pending" 0 (Eventq.live_count q);
-  Alcotest.(check bool) "never fires" true (Eventq.pop q = None)
+  Alcotest.(check bool) "never fires" true
+    (Eventq.take_due q ~limit:max_int == Eventq.idle)
 
 (* Nor may a fired one, though its slot is not reused yet and its
    handle is still held. *)

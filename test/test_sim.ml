@@ -11,11 +11,11 @@ let test_eventq_order () =
   add 20 "b";
   add 10 "a2";
   let rec drain () =
-    match Vsim.Eventq.pop q with
-    | Some (_, fn) ->
-        fn ();
-        drain ()
-    | None -> ()
+    let fn = Vsim.Eventq.take_due q ~limit:max_int in
+    if fn != Vsim.Eventq.idle then begin
+      fn ();
+      drain ()
+    end
   in
   drain ();
   Alcotest.(check (list string))
@@ -32,10 +32,15 @@ let test_eventq_cancel () =
   Vsim.Eventq.cancel q Vsim.Eventq.none;
   Alcotest.(check int) "live count" 1 (Vsim.Eventq.live_count q);
   Alcotest.(check int) "next is 20" 20 (Vsim.Eventq.top_time q);
-  (match Vsim.Eventq.pop q with
-  | Some (20, fn) -> fn ()
-  | Some (t, _) -> Alcotest.failf "popped time %d" t
-  | None -> Alcotest.fail "empty");
+  Alcotest.(check bool) "not due by 19" true
+    (Vsim.Eventq.take_due q ~limit:19 == Vsim.Eventq.idle);
+  Alcotest.(check int) "still live" 1 (Vsim.Eventq.live_count q);
+  (Vsim.Eventq.take_due q ~limit:20) ();
+  Alcotest.(check int) "taken at 20" 20 (Vsim.Eventq.taken_time q);
+  (match Vsim.Eventq.add q ~time:30 ~kind:Vsim.Eventq.Kind.other
+           Vsim.Eventq.idle with
+  | (_ : Vsim.Eventq.handle) -> Alcotest.fail "scheduled Eventq.idle"
+  | exception Invalid_argument _ -> ());
   Alcotest.(check int) "one fired" 1 !fired;
   Alcotest.(check bool) "now empty" true (Vsim.Eventq.is_empty q)
 
@@ -47,7 +52,7 @@ let test_eventq_front_slot () =
   let q = Vsim.Eventq.create () in
   let fired = ref [] in
   let add time tag = add q ~time (fun () -> fired := tag :: !fired) in
-  let take () = Vsim.Eventq.take q () in
+  let take () = (Vsim.Eventq.take_due q ~limit:max_int) () in
   let a = add 10 "a" in
   let (_ : Vsim.Eventq.handle) = add 20 "b" in
   let (_ : Vsim.Eventq.handle) = add 5 "c" in
@@ -79,14 +84,16 @@ let test_eventq_front_slot () =
     (List.rev !fired);
   Alcotest.(check bool) "drained" true (Vsim.Eventq.is_empty q)
 
-(* Model-based check: random [add], [cancel] and [take] on a bare queue
-   against a reference list sorted by (time, seq), checking every
-   observer after each step.  Times are drawn from a small range, so a
+(* Model-based check: random [add], [cancel] and [take_due] on a bare
+   queue against a reference list sorted by (time, seq), checking every
+   observer after each step and the time and kind of each taken event.
+   A take's limit is drawn from the times' range, so it often finds
+   nothing due.  Times are drawn from a small range, so a
    new event often precedes the front, ties it, or lands behind the
    heap's root; [Cancel] names any handle ever issued, so fired,
    cancelled and slot-reused handles are common, and cancelling the
    front is too. *)
-type eventq_op = Q_add of int | Q_cancel of int | Q_take
+type eventq_op = Q_add of int | Q_cancel of int | Q_take of int
 
 let eventq_ops =
   let open QCheck.Gen in
@@ -95,13 +102,13 @@ let eventq_ops =
       [
         (5, map (fun t -> Q_add t) (int_bound 6));
         (2, map (fun i -> Q_cancel i) (int_bound 60));
-        (4, return Q_take);
+        (4, map (fun l -> Q_take l) (int_bound 7));
       ]
   in
   let print = function
     | Q_add t -> Printf.sprintf "Add %d" t
     | Q_cancel i -> Printf.sprintf "Cancel %d" i
-    | Q_take -> "Take"
+    | Q_take l -> Printf.sprintf "Take %d" l
   in
   QCheck.make ~print:QCheck.Print.(list print) (list_size (int_bound 150) op)
 
@@ -116,11 +123,10 @@ let test_eventq_model =
       let observers_agree () =
         match !model with
         | [] -> Vsim.Eventq.is_empty q && Vsim.Eventq.live_count q = 0
-        | (time, id) :: _ ->
+        | (time, _) :: _ ->
             (not (Vsim.Eventq.is_empty q))
             && Vsim.Eventq.live_count q = List.length !model
             && Vsim.Eventq.top_time q = time
-            && Vsim.Eventq.top_kind q = kinds.(id land 1)
       in
       let step = function
         | Q_add time ->
@@ -138,13 +144,16 @@ let test_eventq_model =
             model := List.filter (fun (_, j) -> j <> id) !model;
             true
         | Q_cancel _ -> true
-        | Q_take -> (
+        | Q_take limit -> (
+            let fn = Vsim.Eventq.take_due q ~limit in
             match !model with
-            | [] -> true
-            | (_, id) :: rest ->
-                Vsim.Eventq.take q ();
+            | (time, id) :: rest when time <= limit ->
+                fn ();
                 model := rest;
-                !fired = id)
+                !fired = id
+                && Vsim.Eventq.taken_time q = time
+                && Vsim.Eventq.taken_kind q = kinds.(id land 1)
+            | [] | _ :: _ -> fn == Vsim.Eventq.idle)
       in
       List.for_all (fun op -> step op && observers_agree ()) ops)
 
@@ -271,7 +280,7 @@ let test_proc_double_resume () =
   let resume_box = ref None in
   let (_ : Vsim.Proc.t) =
     Vsim.Proc.spawn eng (fun () ->
-        Vsim.Proc.suspend ~reason:"test" (fun resume ->
+        Vsim.Proc.suspend (fun resume ->
             resume_box := Some resume))
   in
   Vsim.Engine.run eng;
@@ -297,7 +306,7 @@ let parked_in_protect eng ~fin ~after ?(box = ref None) name =
       Fun.protect
         ~finally:(fun () -> incr fin)
         (fun () ->
-          Vsim.Proc.suspend ~reason:"forever" (fun resume ->
+          Vsim.Proc.suspend (fun resume ->
               box := Some resume);
           after := true))
 
@@ -339,8 +348,8 @@ let test_proc_reap_misuse () =
   let eng = Vsim.Engine.create () in
   let (_ : Vsim.Proc.t) =
     Vsim.Proc.spawn eng ~name:"stubborn" (fun () ->
-        try Vsim.Proc.suspend ~reason:"first" ignore
-        with _ -> Vsim.Proc.suspend ~reason:"again" ignore)
+        try Vsim.Proc.suspend ignore
+        with _ -> Vsim.Proc.suspend ignore)
   in
   Vsim.Engine.run eng;
   Alcotest.check_raises "parking again is reported"
@@ -377,7 +386,7 @@ let vm_rss_kb () =
 let test_proc_reap_memory () =
   if not (Sys.file_exists "/proc/self/status") then Alcotest.skip ();
   let rec deep n =
-    if n = 0 then Vsim.Proc.suspend ~reason:"deep" (fun (_ : int -> _) -> ())
+    if n = 0 then Vsim.Proc.suspend (fun (_ : int -> _) -> ())
     else 1 + deep (n - 1)
   in
   let engines n =
@@ -534,24 +543,145 @@ let test_itbl_hash_random =
   Util.qtest "itbl hash equals Hashtbl.hash" QCheck.int (fun i ->
       Vsim.Itbl.hash i = Hashtbl.hash i)
 
-(* The same replaces and removes leave an Itbl and a polymorphic Hashtbl
-   walking their bindings in one order, through resizes and collisions. *)
+(* The same operations on an Itbl and on a polymorphic Hashtbl give
+   the same answers, through resizes and collisions: every probe, the
+   length, the [iter] and [fold] orders after each step, what a walk
+   sees when its own callback replaces and removes (a resize from inside
+   a traversal must copy cells exactly where the Stdlib's does, or the
+   walk visits other bindings), and a copy whose updates diverge from
+   the original's.  [Reset] is followed by reuse. *)
+module type Int_table = sig
+  type 'a t
+
+  val create : int -> 'a t
+  val reset : 'a t -> unit
+  val copy : 'a t -> 'a t
+  val replace : 'a t -> int -> 'a -> unit
+  val remove : 'a t -> int -> unit
+  val find : 'a t -> int -> 'a
+  val find_opt : 'a t -> int -> 'a option
+  val mem : 'a t -> int -> bool
+  val length : 'a t -> int
+  val iter : (int -> 'a -> unit) -> 'a t -> unit
+  val fold : (int -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
+  val filter_map_inplace : (int -> 'a -> 'a option) -> 'a t -> unit
+end
+
+module Poly_table : Int_table = struct
+  type 'a t = (int, 'a) Hashtbl.t
+
+  let create n = Hashtbl.create n
+  let reset = Hashtbl.reset
+  let copy = Hashtbl.copy
+  let replace = Hashtbl.replace
+  let remove = Hashtbl.remove
+  let find = Hashtbl.find
+  let find_opt = Hashtbl.find_opt
+  let mem = Hashtbl.mem
+  let length = Hashtbl.length
+  let iter = Hashtbl.iter
+  let fold = Hashtbl.fold
+  let filter_map_inplace = Hashtbl.filter_map_inplace
+end
+
+type itbl_op =
+  | T_replace of int * int
+  | T_remove of int
+  | T_reset
+  | T_filter of int  (* drop the keys this divides *)
+  | T_walk_update of int  (* replaces and removes from inside an [iter] *)
+
+let itbl_ops =
+  let open QCheck.Gen in
+  let key = int_range (-3000) 300_000 in
+  let op =
+    frequency
+      [
+        (8, map2 (fun k v -> T_replace (k, v)) key small_nat);
+        (3, map (fun k -> T_remove k) key);
+        (1, return T_reset);
+        (1, map (fun n -> T_filter n) (int_range 2 9));
+        (1, map (fun c -> T_walk_update c) (int_range 1 1000));
+      ]
+  in
+  let print = function
+    | T_replace (k, v) -> Printf.sprintf "Replace (%d, %d)" k v
+    | T_remove k -> Printf.sprintf "Remove %d" k
+    | T_reset -> "Reset"
+    | T_filter n -> Printf.sprintf "Filter %d" n
+    | T_walk_update c -> Printf.sprintf "Walk_update %d" c
+  in
+  QCheck.make ~print:QCheck.Print.(list print) (list_size (int_bound 300) op)
+
+(* Everything [ops] lets an observer see of a table, as int lists. *)
+module Observe (T : Int_table) = struct
+  let walk t =
+    let seen = ref [] in
+    T.iter (fun k v -> seen := v :: k :: !seen) t;
+    List.rev !seen
+
+  let fold_walk t = T.fold (fun k v acc -> k :: v :: acc) t []
+
+  let probe t k =
+    let found =
+      match T.find t k with v -> [ 1; v ] | exception Not_found -> [ 0 ]
+    in
+    let found_opt =
+      match T.find_opt t k with Some v -> [ 1; v ] | None -> [ 0 ]
+    in
+    found @ found_opt @ [ Bool.to_int (T.mem t k); T.length t ]
+
+  (* Visited bindings, while the callback rebinds a key derived from each
+     of the first 40 and removes another, so the walk's own inserts can
+     resize the table under it. *)
+  let walk_update t c =
+    let seen = ref [] and n = ref 0 in
+    T.iter
+      (fun k v ->
+        seen := v :: k :: !seen;
+        incr n;
+        if !n <= 40 then begin
+          T.replace t ((k * 31) + c) (v + c);
+          T.remove t (k + c)
+        end)
+      t;
+    List.rev !seen
+
+  let step t = function
+    | T_replace (k, v) ->
+        T.replace t k v;
+        probe t k @ probe t (k + 1)
+    | T_remove k ->
+        T.remove t k;
+        probe t k
+    | T_reset ->
+        T.reset t;
+        [ T.length t ]
+    | T_filter n ->
+        T.filter_map_inplace
+          (fun k v -> if k mod n = 0 then None else Some (v + 1))
+          t;
+        [ T.length t ]
+    | T_walk_update c -> walk_update t c
+
+  let run ops =
+    let t = T.create 4 in
+    let trace = List.map (fun op -> step t op @ walk t @ fold_walk t) ops in
+    let c = T.copy t in
+    List.iteri
+      (fun i k ->
+        if i mod 2 = 0 then (T.replace c k i; T.remove t k)
+        else (T.remove c k; T.replace t (k + 7) i))
+      (List.filteri (fun i _ -> i mod 2 = 0) (walk t));
+    trace @ [ walk t; fold_walk t; walk c; fold_walk c; [ T.length c ] ]
+end
+
+module Observe_itbl = Observe (Vsim.Itbl)
+module Observe_poly = Observe (Poly_table)
+
 let test_itbl_walk_order =
-  Util.qtest "itbl walks in Hashtbl order"
-    QCheck.(list (pair bool (int_range (-3000) 300_000)))
-    (fun ops ->
-      let it = Vsim.Itbl.create 4 and ht = Hashtbl.create 4 in
-      List.iteri
-        (fun n (add, k) ->
-          if add then (Vsim.Itbl.replace it k n; Hashtbl.replace ht k n)
-          else (Vsim.Itbl.remove it k; Hashtbl.remove ht k))
-        ops;
-      Vsim.Itbl.filter_map_inplace
-        (fun k v -> if k mod 7 = 0 then None else Some v) it;
-      Hashtbl.filter_map_inplace
-        (fun k v -> if k mod 7 = 0 then None else Some v) ht;
-      let walk fold t = fold (fun k v acc -> (k, v) :: acc) t [] in
-      walk Vsim.Itbl.fold it = walk Hashtbl.fold ht)
+  Util.qtest "itbl walks in Hashtbl order" itbl_ops (fun ops ->
+      Observe_itbl.run ops = Observe_poly.run ops)
 
 let suite =
   [
