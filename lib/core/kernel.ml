@@ -366,10 +366,16 @@ let relay_cost t len =
   + m.Vhw.Cost_model.send_op_ns
   + (len * m.Vhw.Cost_model.mem_copy_ns_per_byte)
 
-let send_pkt_gen t ?(pre_cost = 0) ~dst_addr pkt k =
-  if t.down then ()
+(* Transmit [pkt], then run [k]: from an event callback, or with
+   [~in_fiber:true] from the sending process, which waits for the copy
+   into the interface ({!Vnet.Nic.send_then}). *)
+let send_pkt_gen t ?(pre_cost = 0) ~in_fiber ~dst_addr pkt k =
+  if t.down then begin
     (* a crashed host transmits nothing; the continuation belongs to
-       protocol machinery that died with it *)
+       protocol machinery that died with it, and a sending process
+       waits for good *)
+    if in_fiber then Vsim.Proc.suspend ignore
+  end
   else begin
   let payload = Packet.to_bytes pkt in
   let payload =
@@ -396,12 +402,15 @@ let send_pkt_gen t ?(pre_cost = 0) ~dst_addr pkt k =
            seq = pkt.Packet.seq;
            bytes = Bytes.length payload;
          });
-  Vnet.Nic.send_k t.nic ~pre_cost ~dst:dst_addr
-    ~ethertype:Vnet.Frame.ethertype_kernel payload k
+  let ethertype = Vnet.Frame.ethertype_kernel in
+  if in_fiber then
+    Vnet.Nic.send_then t.nic ~pre_cost ~dst:dst_addr ~ethertype payload k
+  else Vnet.Nic.send_k t.nic ~pre_cost ~dst:dst_addr ~ethertype payload k
   end
 
 let send_pkt_k t ?pre_cost ~dst_host pkt k =
-  send_pkt_gen t ?pre_cost ~dst_addr:(addr_for t ~dst_host) pkt k
+  send_pkt_gen t ?pre_cost ~in_fiber:false ~dst_addr:(addr_for t ~dst_host)
+    pkt k
 
 let send_pkt t ?pre_cost ~dst_host pkt =
   send_pkt_k t ?pre_cost ~dst_host pkt ignore
@@ -839,7 +848,7 @@ and transmit t x =
           charge_async t (model t).Vhw.Cost_model.send_bookkeep_ns;
           if move_alive t mo then arm t x)
   | Getpid gw ->
-      send_pkt_gen t ~dst_addr:Vnet.Addr.broadcast
+      send_pkt_gen t ~in_fiber:false ~dst_addr:Vnet.Addr.broadcast
         (Packet.make ~op:Packet.Getpid_req ~src_pid:gw.gw_me
            ~dst_pid:Pid.nil ~seq:gw.gw_seq ~aux:gw.gw_lid ())
         ignore;
@@ -1648,7 +1657,7 @@ let send t msg dst =
         enqueue_msg t dd
           { q_src = d.d_pid; q_seq = 0; q_msg = Msg.copy msg; q_local = true };
         d.d_state <- Awaiting_reply dst;
-        Vsim.Proc.suspend (fun resume ->
+        Vsim.Proc.suspend_tail (fun resume ->
             d.d_on_reply <- Some resume;
             d.d_reply_buf <- Some msg;
             try_deliver t dd)
@@ -1656,7 +1665,7 @@ let send t msg dst =
   else begin
     t.s_send_remote <- t.s_send_remote + 1;
     charge t m.Vhw.Cost_model.remote_op_extra_ns;
-    Vsim.Proc.suspend (fun resume ->
+    Vsim.Proc.suspend_tail (fun resume ->
         d.d_on_reply <- Some resume;
         d.d_reply_buf <- Some msg;
         launch_send t d msg ~dst ~seq ~since:(Vsim.Engine.now t.eng))
@@ -1685,7 +1694,7 @@ let receive_gen ?from t msg ~seg =
       (entry.q_src, count)
   | None ->
       d.d_state <- Receive_blocked;
-      Vsim.Proc.suspend (fun resume ->
+      Vsim.Proc.suspend_tail (fun resume ->
           d.d_recv <-
             Some { rw_msg = msg; rw_seg = seg; rw_from = from; rw_k = resume })
 
@@ -1723,10 +1732,9 @@ let reply_remote t (d : desc) (al : alien) pkt =
   al.al_reply <- Some pkt;
   (* The alien/timer upkeep of the reply side is accounted by the
      asynchronous server bookkeeping charge below. *)
-  Vsim.Proc.suspend (fun resume ->
-      send_pkt_k t ~dst_host:(Pid.host pkt.Packet.dst_pid) pkt (fun () ->
-          charge_async t (model t).Vhw.Cost_model.server_bookkeep_ns;
-          resume ()));
+  send_pkt_gen t ~in_fiber:true
+    ~dst_addr:(addr_for t ~dst_host:(Pid.host pkt.Packet.dst_pid))
+    pkt (fun () -> charge_async t (model t).Vhw.Cost_model.server_bookkeep_ns);
   Ok
 
 let reply_gen t msg dst ~seg =
@@ -1987,7 +1995,7 @@ let move t dir ~peer ~dst ~src ~count =
             Ok
         | None ->
             charge t m.Vhw.Cost_model.remote_op_extra_ns;
-            Vsim.Proc.suspend (fun resume ->
+            Vsim.Proc.suspend_tail (fun resume ->
                 let mo =
                   {
                     mo_dir = dir;

@@ -19,7 +19,6 @@ let of_int i =
 let to_int t = t
 let equal = Int.equal
 let compare = Int.compare
-let hash = Hashtbl.hash
 
 let pp fmt t =
   if is_nil t then Format.pp_print_string fmt "<nil>"

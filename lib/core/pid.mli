@@ -27,5 +27,4 @@ val to_int : t -> int
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 val pp : Format.formatter -> t -> unit

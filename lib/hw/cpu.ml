@@ -38,8 +38,19 @@ let charge_k t ns k =
 
 let reserve t ns = if ns > 0 then ignore (book t ns)
 
+let charge_in_place t ns =
+  let ns = Int.max ns 0 in
+  let eng = t.eng in
+  Vsim.Engine.next_is eng (Int.max (Vsim.Engine.now eng) t.free + ns)
+  && begin
+    Vsim.Engine.advance eng ~kind:k_grant (book t ns);
+    true
+  end
+
+(* The grant's callback is the resume itself, so it is a tail resume. *)
 let charge t ns =
-  Vsim.Proc.suspend (fun resume -> charge_k t ns resume)
+  if not (charge_in_place t ns) then
+    Vsim.Proc.suspend_tail (fun resume -> charge_k t ns resume)
 
 let compute = charge
 

@@ -8,7 +8,8 @@
     Section 7 — a server CPU that is busy delays the next request.
 
     Three charging forms exist because kernel work comes in three kinds:
-    - {!charge} blocks the calling fiber (process context);
+    - {!charge} blocks the calling fiber (process context), or runs in
+      place when its grant is provably the next event;
     - {!charge_k} schedules a continuation (interrupt context, e.g. packet
       reception, where there is no fiber to block);
     - {!reserve} books time that nothing waits for (bookkeeping that
@@ -32,7 +33,23 @@ val charge : t -> int -> unit
     [ns] of work for it.  A charge of [ns <= 0] still waits: it returns
     once the work already queued on the CPU has finished (behind a
     1,000 ns {!charge_k} issued at t = 0 it returns at t = 1,000), and on
-    an idle CPU it still yields to the events due now. *)
+    an idle CPU it still yields to the events due now.
+
+    The wait runs in place ({!charge_in_place}) when it can, and parks
+    otherwise, with a tail resume ({!Vsim.Proc.suspend_tail}): the
+    grant's callback is the resume, so the fiber it wakes holds the tail
+    and its next charge may run in place. *)
+
+val charge_in_place : t -> int -> bool
+(** [charge_in_place cpu ns] runs {!charge}'s wait without parking if
+    its grant is provably the next event ({!Vsim.Engine.next_is}): the
+    fiber holds the tail of the event firing, the engine is draining
+    (not stepping), the grant's finish is within the drain's [until] and
+    [max_events], and every pending event is strictly later.  It then
+    books the work as {!charge_k} does (the same [Cpu_grant] trace
+    event), sets the clock to the finish, counts a fired [cpu.grant]
+    ({!Vsim.Engine.advance}) and returns [true].  Otherwise it changes
+    nothing and returns [false]. *)
 
 val charge_k : t -> int -> (unit -> unit) -> unit
 (** [charge_k cpu ns k] reserves [ns] of CPU and calls [k] when that work

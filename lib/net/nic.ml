@@ -57,19 +57,24 @@ let release_tx_buf t () =
   if Queue.is_empty t.tx_waiters then t.tx_buf_busy <- false
   else (Queue.pop t.tx_waiters) ()
 
+(* CPU time to copy [payload] into the interface, after [pre_cost]. *)
+let tx_cost t pre_cost payload =
+  let model = Vhw.Cpu.model t.ncpu in
+  pre_cost + model.Vhw.Cost_model.pkt_send_setup_ns
+  + (Bytes.length payload * model.Vhw.Cost_model.nic_copy_ns_per_byte)
+
+(* Put [payload], copied into the transmit buffer, on the wire. *)
+let put t ~dst ~ethertype payload =
+  Medium.transmit t.nmedium ~on_sent:(release_tx_buf t)
+    (Frame.make ~src:t.naddr ~dst ~ethertype payload)
+
 (* Copy [payload] into the transmit buffer, then put it on the wire. *)
 let transmit t cost ~dst ~ethertype payload k =
   Vhw.Cpu.charge_k t.ncpu cost (fun () ->
-      Medium.transmit t.nmedium ~on_sent:(release_tx_buf t)
-        (Frame.make ~src:t.naddr ~dst ~ethertype payload);
+      put t ~dst ~ethertype payload;
       k ())
 
-let send_k t ?(pre_cost = 0) ~dst ~ethertype payload k =
-  let model = Vhw.Cpu.model t.ncpu in
-  let cost =
-    pre_cost + model.Vhw.Cost_model.pkt_send_setup_ns
-    + (Bytes.length payload * model.Vhw.Cost_model.nic_copy_ns_per_byte)
-  in
+let send_cost_k t cost ~dst ~ethertype payload k =
   if t.tx_buf_busy then begin
     Queue.add (fun () -> transmit t cost ~dst ~ethertype payload k) t.tx_waiters;
     if Vsim.Trace.tracing t.eng then
@@ -82,8 +87,26 @@ let send_k t ?(pre_cost = 0) ~dst ~ethertype payload k =
     transmit t cost ~dst ~ethertype payload k
   end
 
+let send_k t ?(pre_cost = 0) ~dst ~ethertype payload k =
+  send_cost_k t (tx_cost t pre_cost payload) ~dst ~ethertype payload k
+
+(* With the buffer free, the copy-out may run in place; otherwise the
+   process parks and [k] runs in the copy's completion callback, before
+   the resume, as it would for [send_k]. *)
+let send_then t ?(pre_cost = 0) ~dst ~ethertype payload k =
+  let cost = tx_cost t pre_cost payload in
+  if (not t.tx_buf_busy) && Vhw.Cpu.charge_in_place t.ncpu cost then begin
+    t.tx_buf_busy <- true;
+    put t ~dst ~ethertype payload;
+    k ()
+  end
+  else
+    Vsim.Proc.suspend_tail (fun resume ->
+        send_cost_k t cost ~dst ~ethertype payload (fun () ->
+            k ();
+            resume ()))
+
 let send t ?pre_cost ~dst ~ethertype payload =
-  Vsim.Proc.suspend (fun resume ->
-      send_k t ?pre_cost ~dst ~ethertype payload resume)
+  send_then t ?pre_cost ~dst ~ethertype payload ignore
 
 let crc_drops t = t.crc_count

@@ -45,6 +45,22 @@ val send_k :
 val send :
   t -> ?pre_cost:int -> dst:Addr.t -> ethertype:int -> Bytes.t -> unit
 (** Blocking form of {!send_k} for fiber context: returns when the frame
-    has been handed to the medium (not when delivered). *)
+    has been handed to the medium (not when delivered).  With the
+    transmit buffer free, the copy into the interface runs in place when
+    its CPU grant is provably the next event ({!Vhw.Cpu.charge_in_place});
+    otherwise the fiber parks, with a tail resume. *)
+
+val send_then :
+  t ->
+  ?pre_cost:int ->
+  dst:Addr.t ->
+  ethertype:int ->
+  Bytes.t ->
+  (unit -> unit) ->
+  unit
+(** [send_then nic ... payload k] is {!send} that calls [k] once the
+    frame is on the medium, before it returns.  If the fiber parked,
+    [k] runs in the copy's completion callback, as {!send_k}'s would,
+    so it runs even when the process is killed while it waits. *)
 
 val crc_drops : t -> int

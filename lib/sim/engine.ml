@@ -10,12 +10,20 @@ type t = {
   mutable running : bool;
   mutable current : int;
       (* id of the fiber running now, [no_fiber] in a plain callback *)
+  mutable tail : int;
+      (* id of the fiber that holds the tail of the event now firing,
+         [no_tail] when none does *)
+  mutable limit : Time.t;  (* the time the running drain stops at *)
+  mutable left : int;
+      (* events the running drain may fire after the one now firing;
+         0 outside a drain, so [step] never advances in place *)
 }
 
 type handle = Eventq.handle
 
 let default_seed = 0x5EED_CAFE_F00DL
 let no_fiber = 0
+let no_tail = -1
 
 (* Invoked on every freshly created engine.  This is how a CLI flag can
    attach trace sinks to engines constructed deep inside experiment rigs
@@ -38,7 +46,7 @@ let create ?(seed = default_seed) () =
   let t =
     { clock = 0; queue = Eventq.create (); rand = Rng.create seed;
       tracers = []; profile = None; fibers = []; running = false;
-      current = no_fiber }
+      current = no_fiber; tail = no_tail; limit = max_int; left = 0 }
   in
   (match get_create_hook () with Some hook -> hook t | None -> ());
   t
@@ -71,6 +79,9 @@ let running t = t.running
 let current t = t.current
 let set_current t id = t.current <- id
 
+let mark_tail t id = if t.current = no_fiber then t.tail <- id
+let unmark_tail t id = if t.tail = id then t.tail <- no_tail
+
 let now t = t.clock
 let rng t = t.rand
 
@@ -92,33 +103,51 @@ let at t ?(kind = Eventq.Kind.other) time fn = at_kind t ~kind time fn
 let after t ?(kind = Eventq.Kind.other) delay fn = after_kind t ~kind delay fn
 let cancel t h = Eventq.cancel t.queue h
 
-(* Run [fn], the callback [Eventq.take_due] just removed. *)
+(* Run [fn], the callback [Eventq.take_due] just removed.  No fiber
+   holds the tail of an event until a tail resume marks it. *)
 let[@inline] fire t fn =
   let q = t.queue in
   t.clock <- Eventq.taken_time q;
+  t.tail <- no_tail;
   match t.profile with
   | None -> fn ()
   | Some p -> Profile.time p ~kind:(Eventq.taken_kind q) fn
+
+(* An event at [time] scheduled now would be the next to fire: the
+   running fiber holds the tail of the event now firing, [time] is
+   within the drain's limit and budget, and every pending event is
+   strictly later (an equal-time one was added first, so fires first). *)
+let next_is t time =
+  t.tail = t.current && t.left > 0 && time <= t.limit
+  && (Eventq.is_empty t.queue || time < Eventq.top_time t.queue)
+
+let advance t ~kind time =
+  t.clock <- time;
+  t.left <- t.left - 1;
+  match t.profile with
+  | None -> ()
+  | Some p -> Profile.in_place p ~kind
 
 (* True iff the earliest event is due by [limit]. *)
 let due t limit =
   (not (Eventq.is_empty t.queue)) && Eventq.top_time t.queue <= limit
 
-(* The one run loop: fire due events while fewer than [budget] have fired;
-   returns the count. *)
-let rec drain t ~limit ~budget n =
-  if n >= budget then n
-  else
-    let fn = Eventq.take_due t.queue ~limit in
-    if fn == Eventq.idle then n
-    else begin
+(* The one run loop: fire due events while [left] allows. *)
+let rec drain t =
+  if t.left > 0 then begin
+    let fn = Eventq.take_due t.queue ~limit:t.limit in
+    if fn != Eventq.idle then begin
+      t.left <- t.left - 1;
       fire t fn;
-      drain t ~limit ~budget (n + 1)
+      drain t
     end
+  end
 
 (* Callbacks run only inside [step] and [run_bounded]; both set
-   [running] for their extent and restore it however they end (a
-   callback may run its own engine). *)
+   [running] for their extent, [run_bounded] sets [limit] and [left]
+   too, and both restore what they set however they end (a callback
+   may run its own engine).  A step leaves [left] at 0, so nothing it
+   fires advances in place. *)
 let step t =
   let fn = Eventq.take_due t.queue ~limit:max_int in
   if fn == Eventq.idle then false
@@ -135,17 +164,21 @@ let step t =
 
 let run_bounded ?until ~max_events t =
   let limit = match until with Some l -> l | None -> max_int in
-  let was = t.running in
+  let was = t.running and was_limit = t.limit and was_left = t.left in
   t.running <- true;
-  let n =
-    match drain t ~limit ~budget:max_events 0 with
-    | n ->
-        t.running <- was;
-        n
-    | exception e ->
-        t.running <- was;
-        raise e
-  in
+  t.limit <- limit;
+  t.left <- max_events;
+  (match drain t with
+  | () -> ()
+  | exception e ->
+      t.running <- was;
+      t.limit <- was_limit;
+      t.left <- was_left;
+      raise e);
+  let n = max_events - t.left in
+  t.running <- was;
+  t.limit <- was_limit;
+  t.left <- was_left;
   if due t limit then `Exhausted n
   else begin
     (match until with

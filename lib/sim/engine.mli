@@ -55,7 +55,8 @@ val run : ?until:Time.t -> t -> unit
     would pass [until] (the clock is then set to [until]). *)
 
 val step : t -> bool
-(** Execute the single earliest event. [false] if the queue was empty. *)
+(** Execute the single earliest event. [false] if the queue was empty.
+    No event fires in place inside a step: a CPU wait parks. *)
 
 val run_bounded :
   ?until:Time.t -> max_events:int -> t -> [ `Quiescent of int | `Exhausted of int ]
@@ -103,6 +104,43 @@ val set_current : t -> int -> unit
     starts or resumes the process, and puts back the id it replaced
     when the process parks, returns or raises. *)
 
+(** {1 Running a process's next event in place}
+
+    A process {e holds the tail} of the event now firing when a tail
+    resume ({!Proc.suspend_tail}) woke it from a plain callback: the
+    contract of such a resume is that it is the callback's last call,
+    so once the process parks again nothing runs until the engine takes
+    its next event.  If that process is about to park for an event
+    that is provably the next to fire (its CPU grant), it may instead
+    fire the event in place with {!advance} and carry on, with no park,
+    no effect and no queue entry: the run is the same event for event. *)
+
+val mark_tail : t -> int -> unit
+(** [mark_tail t id]: process [id], resumed now by a tail resume, holds
+    the tail of the event now firing, if that event is a plain callback
+    ({!current} is [0]).  A process resumed from inside another holds
+    nothing: the other runs on once it parks.  Every fired event starts
+    with no holder.  {!Proc} calls this. *)
+
+val unmark_tail : t -> int -> unit
+(** [unmark_tail t id]: process [id] no longer holds the tail (it was
+    killed, so its wake-ups are no-ops and it must not run on). *)
+
+val next_is : t -> Time.t -> bool
+(** [next_is t time] is [true] iff an event scheduled now at [time]
+    would be the next to fire and fire in this drain, with the running
+    process holding the tail: {!run_bounded} (not {!step}) is draining,
+    [time] is within its [until] and it may fire one more event within
+    [max_events], and every pending event is strictly later than
+    [time]. *)
+
+val advance : t -> kind:Eventq.kind -> Time.t -> unit
+(** [advance t ~kind time] fires, in place, the event {!next_is} [t time]
+    just vouched for: it sets the clock to [time] and counts one fired
+    event of [kind], in {!run_bounded}'s count and in the profile, where
+    {!Profile.in_place} also counts it.  The caller then carries on as
+    that event's callback would have. *)
+
 (** {1 Tracing}
 
     Each engine carries its own list of tracers, so two engines in one
@@ -140,8 +178,9 @@ val with_create_hook : (t -> unit) option -> (unit -> 'a) -> 'a
 
 (** {1 Profiling}
 
-    Opt-in per engine.  When enabled, {!step} accounts every fired event
-    into a {!Profile.t}: per-kind fire counts and wall-clock buckets. *)
+    Opt-in per engine.  When enabled, the engine accounts every fired
+    event into a {!Profile.t}: per-kind fire counts and wall-clock
+    buckets, and a count of the events fired in place ({!advance}). *)
 
 val enable_profiling : ?profile:Profile.t -> t -> Profile.t
 (** Enable profiling on this engine, creating a fresh {!Profile.t} unless

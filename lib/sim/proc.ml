@@ -29,6 +29,7 @@ exception Reaped
 
 type _ Effect.t +=
   | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
+  | Suspend_tail : (('a -> unit) -> unit) -> 'a Effect.t
   | Self : t Effect.t
 
 (* Atomic so concurrent Pool domains can spawn processes without racing;
@@ -57,6 +58,7 @@ let finish proc =
    that is supposed to have lost power mid-flight. *)
 let kill proc = if not proc.terminated then begin
     proc.killed <- true;
+    Engine.unmark_tail proc.eng proc.pid;
     finish proc
   end
 
@@ -67,6 +69,31 @@ let enter proc =
   Engine.set_current proc.eng proc.pid
 
 let leave proc = Engine.set_current proc.eng proc.resumer
+
+(* Park [proc] in [k] and call [register] with its resume, a tail resume
+   when [tail]. *)
+let park proc tail register k =
+  leave proc;
+  if proc.slot == Slot Reaping then
+    Fmt.invalid_arg "Proc.reap: %s parked again after its teardown"
+      proc.pname;
+  let cell = Parked k in
+  proc.slot <- Slot cell;
+  (* Valid only while the slot holds this park's cell; a wake-up that
+     outlived a killed process (a disk completion, a CPU grant...) is
+     dropped. *)
+  let resume v =
+    if not proc.killed then
+      match cell with
+      | Parked k when proc.slot == Slot cell ->
+          proc.slot <- Slot Idle;
+          if tail then Engine.mark_tail proc.eng proc.pid;
+          enter proc;
+          Effect.Deep.continue k v
+      | Parked _ | Idle | Reaping ->
+          Fmt.invalid_arg "Proc: double resume of %s" proc.pname
+  in
+  register resume
 
 let run_fiber proc fn =
   let open Effect.Deep in
@@ -87,30 +114,8 @@ let run_fiber proc fn =
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Suspend register ->
-              Some
-                (fun (k : (a, _) continuation) ->
-                  leave proc;
-                  if proc.slot == Slot Reaping then
-                    Fmt.invalid_arg
-                      "Proc.reap: %s parked again after its teardown"
-                      proc.pname;
-                  let cell = Parked k in
-                  proc.slot <- Slot cell;
-                  (* Valid only while the slot holds this park's cell;
-                     a wake-up that outlived a killed process (a disk
-                     completion, a CPU grant...) is dropped. *)
-                  let resume v =
-                    if not proc.killed then
-                      match cell with
-                      | Parked k when proc.slot == Slot cell ->
-                          proc.slot <- Slot Idle;
-                          enter proc;
-                          continue k v
-                      | Parked _ | Idle | Reaping ->
-                          Fmt.invalid_arg "Proc: double resume of %s" proc.pname
-                  in
-                  register resume)
+          | Suspend register -> Some (fun k -> park proc false register k)
+          | Suspend_tail register -> Some (fun k -> park proc true register k)
           | Self -> self
           | _ -> None);
     }
@@ -137,6 +142,7 @@ let spawn eng ?(name = "proc") fn =
 
 let self () = Effect.perform Self
 let suspend register = Effect.perform (Suspend register)
+let suspend_tail register = Effect.perform (Suspend_tail register)
 
 let sleep delay =
   let p = self () in

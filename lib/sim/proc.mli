@@ -43,6 +43,17 @@ val suspend : (('a -> unit) -> unit) -> 'a
     with that value.  A park records nothing about the fiber but the
     continuation it waits in. *)
 
+val suspend_tail : (('a -> unit) -> unit) -> 'a
+(** [suspend_tail register] parks like {!suspend}, with a {e tail
+    resume}: one called from a plain event callback must be that
+    callback's last call (the callback is the resume itself, as a CPU
+    grant's is, or ends with it).  Called from inside
+    another process it is an ordinary resume.  A process woken by a
+    tail resume from a plain callback holds the tail of the event
+    firing ({!Engine.mark_tail}), so its next CPU wait may run in place
+    ({!Engine.next_is}).  A resume that breaks the contract lets events
+    fire out of order; when in doubt use {!suspend}. *)
+
 val sleep : Time.t -> unit
 (** Block the current fiber for a simulated duration. *)
 
@@ -57,8 +68,9 @@ val kill : t -> unit
     lost in a host crash, so a parked body is not unwound: its
     [Fun.protect] finalisers run only when {!reap} ends the engine, after
     the run has been judged, and until then the continuation keeps its
-    stack.  Join waiters are woken.  Idempotent; killing a terminated
-    fiber is a no-op. *)
+    stack.  Join waiters are woken, and a killed process that holds the
+    tail of the event firing no longer does.  Idempotent; killing a
+    terminated fiber is a no-op. *)
 
 val terminated : t -> bool
 

@@ -18,6 +18,7 @@
 
 type entry = {
   mutable fires : int;
+  mutable in_place : int;
   mutable wall_s : float;
 }
 
@@ -52,7 +53,7 @@ let entry t (kind : Eventq.kind) =
   match t.kinds.(id) with
   | Some e -> e
   | None ->
-      let e = { fires = 0; wall_s = 0.0 } in
+      let e = { fires = 0; in_place = 0; wall_s = 0.0 } in
       t.kinds.(id) <- Some e;
       e
 
@@ -67,6 +68,14 @@ let time t ~kind fn =
   | exception exn ->
       e.wall_s <- e.wall_s +. (!clock () -. t0);
       raise exn
+
+(* Count one event of [kind] fired in place, inside the callback now
+   running, whose wall-clock bucket holds its host time. *)
+let in_place t ~kind =
+  let e = entry t kind in
+  e.fires <- e.fires + 1;
+  e.in_place <- e.in_place + 1;
+  t.events <- t.events + 1
 
 let events t = t.events
 
@@ -89,6 +98,7 @@ let fires t kind =
   else 0
 
 let wall_total_s t = fold (fun _ e acc -> acc +. e.wall_s) t 0.0
+let in_place_total t = fold (fun _ e acc -> acc + e.in_place) t 0
 
 let elapsed_wall_s t = !clock () -. t.start_wall
 
@@ -105,6 +115,7 @@ let merge_into ~dst src =
       | Some e ->
           let d = entry dst (Eventq.Kind.of_int id) in
           d.fires <- d.fires + e.fires;
+          d.in_place <- d.in_place + e.in_place;
           d.wall_s <- d.wall_s +. e.wall_s)
     src.kinds;
   dst.events <- dst.events + src.events
@@ -129,13 +140,17 @@ let pp fmt t =
   Format.fprintf fmt "@]"
 
 (* Host-process diagnostics: wall-clock seconds inside callbacks per kind
-   and the resulting events/s.  Nondeterministic by nature — callers keep
+   (with the count of its events fired in place, which a change of host
+   code moves without moving the simulation) and the resulting events/s.  Nondeterministic by nature — callers keep
    this off any byte-compared stream (vsim prints it to stderr). *)
 let pp_wall fmt t =
   Format.fprintf fmt "@[<v>-- engine profile (wall clock) --@,";
   List.iter
     (fun (kind, e) ->
-      Format.fprintf fmt "%-22s %10.4f s@," kind e.wall_s)
+      Format.fprintf fmt "%-22s %10.4f s" kind e.wall_s;
+      if e.in_place > 0 then
+        Format.fprintf fmt "  (%d fired in place)" e.in_place;
+      Format.fprintf fmt "@,")
     (entries t);
   let elapsed = elapsed_wall_s t in
   Format.fprintf fmt "%-22s %10.4f s in callbacks, %.4f s elapsed@,"

@@ -11,6 +11,10 @@ type t
 
 type entry = {
   mutable fires : int;  (** events of this kind that fired *)
+  mutable in_place : int;
+      (** of those, the ones a process fired in place
+          ({!Engine.advance}): host work, not simulation, so only
+          {!pp_wall} prints it *)
   mutable wall_s : float;  (** wall clock spent inside the callbacks *)
 }
 
@@ -22,8 +26,16 @@ val time : t -> kind:Eventq.kind -> (unit -> unit) -> unit
     {!Engine.step}; exposed for tests.  Accounting is an array index on
     the interned kind id — no string hashing on the hot path. *)
 
+val in_place : t -> kind:Eventq.kind -> unit
+(** Account one event of [kind] fired in place: a fire and an in-place
+    fire, with no wall-clock bucket of its own.  Called by
+    {!Engine.advance}. *)
+
 val events : t -> int
-(** Total events fired. *)
+(** Total events fired, in place or not. *)
+
+val in_place_total : t -> int
+(** Events fired in place, over all kinds. *)
 
 val entries : t -> (string * entry) list
 (** Per-kind entries sorted by kind name (names resolved through
@@ -49,5 +61,6 @@ val pp : Format.formatter -> t -> unit
 (** Deterministic table: fires per kind, plus the total. *)
 
 val pp_wall : Format.formatter -> t -> unit
-(** Wall-clock buckets, events/s, and GC allocation / heap high-water —
-    nondeterministic; keep off byte-compared streams. *)
+(** Wall-clock buckets with each kind's in-place count, events/s, and GC
+    allocation / heap high-water — nondeterministic (the in-place count
+    moves with host code); keep off byte-compared streams. *)

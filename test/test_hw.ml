@@ -208,6 +208,176 @@ let test_scale () =
     (Invalid_argument "Cost_model.scale: mhz must be positive") (fun () ->
       ignore (Vhw.Cost_model.scale Vhw.Cost_model.sun_8mhz ~mhz:0))
 
+(* A CPU wait that runs in place changes host work only.  Random scripts
+   of processes on 1-3 CPUs charge time, log, schedule plain events,
+   sleep, wait to be woken, wake each other from inside a process and
+   kill themselves, beside plain events (some at equal times, some
+   waking a process as their last call), under [run ~until] and
+   [run_bounded ~max_events].
+   Each script runs once with [Cpu.charge] and once with an explicit
+   park that never runs in place; the logs, run results, clocks and
+   profile fire counts must match.  Driven by [Engine.step] instead, no
+   grant may run in place. *)
+type op =
+  | Charge of int * int  (* cpu, ns *)
+  | Log
+  | After of int  (* a plain event that logs, this far ahead *)
+  | Sleep of int
+  | Wait  (* park, with a tail resume, until woken *)
+  | Wake of int  (* wake that process now, if it waits *)
+  | Die  (* kill this process, which runs on until it next parks *)
+
+type script = {
+  cpus : int;
+  procs : op list array;
+  events : (int * int option) list;  (* time, the process it wakes *)
+  runs : (int option * int) list;  (* until, max_events *)
+}
+
+let gen_script st =
+  let int n = Random.State.int st n in
+  let cpus = 1 + int 3 and nprocs = 1 + int 4 in
+  let op () =
+    match int 31 with
+    | 30 -> Die
+    | n -> (
+        match n mod 10 with
+        | 0 | 1 | 2 | 3 -> Charge (int cpus, 50 * int 5)
+        | 4 -> Log
+        | 5 -> After (50 * int 6)
+        | 6 -> Sleep (50 * int 4)
+        | 7 -> Wait
+        | 8 -> Wake (int nprocs)
+        | _ -> Charge (int cpus, 0))
+  in
+  {
+    cpus;
+    procs = Array.init nprocs (fun _ -> List.init (int 12) (fun _ -> op ()));
+    events =
+      List.init (int 8) (fun _ ->
+          (50 * int 20, if int 3 = 0 then Some (int nprocs) else None));
+    runs =
+      List.init (int 4) (fun _ ->
+          ( (if int 2 = 0 then Some (50 * int 30) else None),
+            if int 2 = 0 then 1 + int 12 else max_int ));
+  }
+
+(* The log, the run results, the final clock, the fires per kind and the
+   grants run in place of [sc], stepped one event at a time or run. *)
+let exec_script ~in_place ~stepping sc =
+  let eng = Vsim.Engine.create () in
+  let prof = Vsim.Engine.enable_profiling eng in
+  let cpus =
+    Array.init sc.cpus (fun i ->
+        Vhw.Cpu.create eng ~model:Vhw.Cost_model.sun_8mhz
+          ~name:(string_of_int i))
+  in
+  let log = ref [] in
+  let note label = log := (Vsim.Engine.now eng, label) :: !log in
+  let waiting = Array.make (Array.length sc.procs) None in
+  let wake i =
+    match waiting.(i) with
+    | Some resume ->
+        waiting.(i) <- None;
+        resume ()
+    | None -> ()
+  in
+  let charge cpu ns =
+    if in_place then Vhw.Cpu.charge cpu ns
+    else Vsim.Proc.suspend (fun resume -> Vhw.Cpu.charge_k cpu ns resume)
+  in
+  Array.iteri
+    (fun i ops ->
+      let body () =
+        List.iteri
+          (fun j op ->
+            let label = Printf.sprintf "p%d.%d" i j in
+            match op with
+            | Charge (c, ns) ->
+                charge cpus.(c) ns;
+                note label
+            | Log -> note label
+            | After d ->
+                ignore (Vsim.Engine.after eng d (fun () -> note (label ^ "+")))
+            | Sleep d ->
+                Vsim.Proc.sleep d;
+                note label
+            | Wait ->
+                Vsim.Proc.suspend_tail (fun resume ->
+                    waiting.(i) <- Some resume);
+                note label
+            | Wake k ->
+                wake k;
+                note label
+            | Die ->
+                Vsim.Proc.kill (Vsim.Proc.self ());
+                note label)
+          ops;
+        note (Printf.sprintf "p%d.end" i)
+      in
+      ignore (Vsim.Proc.spawn eng body))
+    sc.procs;
+  List.iteri
+    (fun j (time, woken) ->
+      ignore
+        (Vsim.Engine.at eng time (fun () ->
+             note (Printf.sprintf "ev%d" j);
+             match woken with Some k -> wake k | None -> ())))
+    sc.events;
+  let show = function
+    | `Quiescent n -> Printf.sprintf "quiescent %d" n
+    | `Exhausted n -> Printf.sprintf "exhausted %d" n
+  in
+  let results =
+    if stepping then begin
+      let n = ref 0 in
+      while Vsim.Engine.step eng do
+        incr n
+      done;
+      [ string_of_int !n ]
+    end
+    else
+      List.map
+        (fun (until, max_events) ->
+          show (Vsim.Engine.run_bounded ?until ~max_events eng))
+        (sc.runs @ [ (None, max_int) ])
+  in
+  let fires =
+    List.map (fun (kind, e) -> (kind, e.Vsim.Profile.fires))
+      (Vsim.Profile.entries prof)
+  in
+  let clock = Vsim.Engine.now eng in
+  Vsim.Proc.reap eng;
+  ( (List.rev !log, results, clock, fires),
+    Vsim.Profile.in_place_total prof )
+
+let test_cpu_in_place_equivalence () =
+  let st = Random.State.make [| 35 |] in
+  let in_place_runs = ref 0 in
+  let outcome =
+    Alcotest.(
+      pair
+        (pair (list (pair int string)) (list string))
+        (pair int (list (pair string int))))
+  in
+  let as_pairs (log, results, clock, fires) = ((log, results), (clock, fires)) in
+  for i = 1 to 300 do
+    let sc = gen_script st in
+    let fast, n = exec_script ~in_place:true ~stepping:false sc in
+    let parked, none = exec_script ~in_place:false ~stepping:false sc in
+    let name = Printf.sprintf "script %d" i in
+    Alcotest.check outcome name (as_pairs parked) (as_pairs fast);
+    Alcotest.(check int) (name ^ ": an explicit park never runs in place") 0
+      none;
+    in_place_runs := !in_place_runs + n;
+    let stepped, n = exec_script ~in_place:true ~stepping:true sc in
+    let stepped_parked, _ = exec_script ~in_place:false ~stepping:true sc in
+    Alcotest.check outcome (name ^ " stepped") (as_pairs stepped_parked)
+      (as_pairs stepped);
+    Alcotest.(check int) (name ^ ": Engine.step runs nothing in place") 0 n
+  done;
+  Alcotest.(check bool) "some grants ran in place" true (!in_place_runs > 0)
+
 let suite =
   [
     Alcotest.test_case "cpu FCFS" `Quick test_cpu_fcfs;
@@ -220,4 +390,6 @@ let suite =
     Alcotest.test_case "cpu zero charge waits" `Quick
       test_cpu_zero_charge_waits;
     Alcotest.test_case "cpu reserve" `Quick test_cpu_reserve;
+    Alcotest.test_case "cpu in-place equivalence" `Quick
+      test_cpu_in_place_equivalence;
   ]

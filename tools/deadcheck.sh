@@ -18,7 +18,8 @@
 #
 # What it can miss: a dead value whose name is also a record field, or
 # a value of any module reached by its path (`.size` is also
-# `Mem.size`), counts as used, as does one a file that opens its module
+# `Mem.size`, and a dead `Pid.hash` read as used because `Itbl.hash`
+# is called), counts as used, as does one a file that opens its module
 # names in a string or as a local variable.  It never reports a value
 # that is used.  There is no allowlist.
 #

@@ -11,7 +11,8 @@
 # modules every simulated event or frame runs through: Eventq, Engine,
 # Proc, the Rng every backoff, jitter and think time draws from, Cpu,
 # Nic, Frame, Medium, Fault, Gateway, Rto, Kernel, the Packet, Msg and
-# Mem code every kernel packet passes through, the Fs and Disk code
+# Mem code every kernel packet passes through, the Pid every packet and
+# process lookup takes apart, the Fs and Disk code
 # every file-server request and checker schedule runs, the file Server
 # that answers those requests, the Client and its Cache every file
 # read and write goes through, and the Boot rig's per-frame handlers.
@@ -48,6 +49,7 @@ lib/net/.vnet.objs/native/vnet__Gateway.o
 lib/core/.vkernel.objs/native/vkernel__Rto.o
 lib/core/.vkernel.objs/native/vkernel__Kernel.o
 lib/core/.vkernel.objs/native/vkernel__Packet.o
+lib/core/.vkernel.objs/native/vkernel__Pid.o
 lib/core/.vkernel.objs/native/vkernel__Msg.o
 lib/core/.vkernel.objs/native/vkernel__Mem.o
 lib/vfs/.vfs.objs/native/vfs__Fs.o
