@@ -270,6 +270,9 @@ type t = {
   kfibers : Vsim.Proc.t Itbl.t;
       (** fiber id -> fiber, so a crash can kill every process *)
   mutable down : bool;  (** crashed and not yet restarted *)
+  mutable reply_sent : unit -> unit;
+      (** books a remote Reply's server bookkeeping once it is on the
+          wire; built once per kernel *)
   mutable restart_hooks : (unit -> unit) list;
   mutable next_local_id : int;
   mutable next_seq : int;
@@ -366,15 +369,22 @@ let relay_cost t len =
   + m.Vhw.Cost_model.send_op_ns
   + (len * m.Vhw.Cost_model.mem_copy_ns_per_byte)
 
-(* Transmit [pkt], then run [k]: from an event callback, or with
-   [~in_fiber:true] from the sending process, which waits for the copy
-   into the interface ({!Vnet.Nic.send_then}). *)
-let send_pkt_gen t ?(pre_cost = 0) ~in_fiber ~dst_addr pkt k =
+(* Who waits for a packet's copy into the interface: the sending
+   process ({!Vnet.Nic.send_then}); nobody, the copy being a queued
+   CPU grant ({!Vnet.Nic.send_k}); or nobody, from code that makes the
+   send its last call while it holds the tail of the event firing, so
+   the copy may run in place ({!Vnet.Nic.send_tail_k}). *)
+type sender = In_fiber | Queued | At_tail
+
+(* Transmit [pkt] from [from], then run [k]. *)
+let send_pkt_gen t ?(pre_cost = 0) ~from ~dst_addr pkt k =
   if t.down then begin
     (* a crashed host transmits nothing; the continuation belongs to
        protocol machinery that died with it, and a sending process
        waits for good *)
-    if in_fiber then Vsim.Proc.suspend ignore
+    match from with
+    | In_fiber -> Vsim.Proc.suspend ignore
+    | Queued | At_tail -> ()
   end
   else begin
   let payload = Packet.to_bytes pkt in
@@ -403,17 +413,24 @@ let send_pkt_gen t ?(pre_cost = 0) ~in_fiber ~dst_addr pkt k =
            bytes = Bytes.length payload;
          });
   let ethertype = Vnet.Frame.ethertype_kernel in
-  if in_fiber then
-    Vnet.Nic.send_then t.nic ~pre_cost ~dst:dst_addr ~ethertype payload k
-  else Vnet.Nic.send_k t.nic ~pre_cost ~dst:dst_addr ~ethertype payload k
+  match from with
+  | In_fiber ->
+      Vnet.Nic.send_then t.nic ~pre_cost ~dst:dst_addr ~ethertype payload k
+  | Queued ->
+      Vnet.Nic.send_k t.nic ~pre_cost ~dst:dst_addr ~ethertype payload k
+  | At_tail ->
+      Vnet.Nic.send_tail_k t.nic ~pre_cost ~dst:dst_addr ~ethertype payload k
   end
 
-let send_pkt_k t ?pre_cost ~dst_host pkt k =
-  send_pkt_gen t ?pre_cost ~in_fiber:false ~dst_addr:(addr_for t ~dst_host)
-    pkt k
+(* From an event callback, or with [~tail:true] as the last call of
+   code that holds the tail. *)
+let send_pkt_k t ?pre_cost ~tail ~dst_host pkt k =
+  send_pkt_gen t ?pre_cost
+    ~from:(if tail then At_tail else Queued)
+    ~dst_addr:(addr_for t ~dst_host) pkt k
 
 let send_pkt t ?pre_cost ~dst_host pkt =
-  send_pkt_k t ?pre_cost ~dst_host pkt ignore
+  send_pkt_k t ?pre_cost ~tail:false ~dst_host pkt ignore
 
 (* ------------------------------------------------------------------ *)
 (* Grants                                                              *)
@@ -555,8 +572,10 @@ let enqueue_msg t (d : desc) entry =
 
 (* If [d] is blocked in Receive and a message is available, complete the
    Receive: copy the message, deliver any segment, charge the context
-   switch and resume the fiber. *)
-let try_deliver t (d : desc) =
+   switch and resume the fiber.  With [~tail:true] the caller makes this
+   its last call while it holds the tail of the event firing, so the
+   context switch may run in place ({!Vhw.Cpu.charge_tail}). *)
+let try_deliver t ~tail (d : desc) =
   match d.d_recv with
   | None -> ()
   | Some rw -> (
@@ -568,7 +587,8 @@ let try_deliver t (d : desc) =
           Msg.blit ~src:entry.q_msg ~dst:rw.rw_msg;
           let count = deliver_segment t ~entry ~seg:rw.rw_seg ~recv:d in
           mark_received t entry;
-          charge_k t (model t).Vhw.Cost_model.context_switch_ns (fun () ->
+          (if tail then Vhw.Cpu.charge_tail else Vhw.Cpu.charge_k)
+            t.kcpu (model t).Vhw.Cost_model.context_switch_ns (fun () ->
               if Vsim.Trace.tracing t.eng then
                 Vsim.Trace.event t.eng
                   (Vsim.Event.Receive
@@ -678,7 +698,9 @@ let send_done t (d : desc) ~seq st =
            status = status_to_string st;
          })
 
-let finish_send t (rs : rsend) st =
+(* End remote Send [rs] with [st] and wake its sender after a context
+   switch, in place when [tail] holds as for [try_deliver]. *)
+let finish_send t ~tail (rs : rsend) st =
   let d = rs.rs_desc in
   stop t rs.rs_retx;
   settle t rs.rs_retx st ~since:rs.rs_since;
@@ -706,7 +728,8 @@ let finish_send t (rs : rsend) st =
      continuation, at the same engine time [k st] runs. *)
   match k with
   | Some k ->
-      charge_k t (model t).Vhw.Cost_model.context_switch_ns (fun () ->
+      (if tail then Vhw.Cpu.charge_tail else Vhw.Cpu.charge_k)
+        t.kcpu (model t).Vhw.Cost_model.context_switch_ns (fun () ->
           send_done t d ~seq st;
           k st)
   | None -> send_done t d ~seq st
@@ -746,7 +769,7 @@ let getpid_finish t (gw : getpid_wait) found =
 
 let finish t x st =
   match x with
-  | Send rs -> finish_send t rs st
+  | Send rs -> finish_send t ~tail:false rs st
   | Move mo -> move_finish t mo st
   | Getpid gw -> getpid_finish t gw None
 
@@ -844,11 +867,11 @@ and transmit t x =
           ~dst_pid:mo.mo_peer ~seq:mo.mo_seq ~offset:mo.mo_expected
           ~total:mo.mo_total ~aux:mo.mo_peer_ptr ()
       in
-      send_pkt_k t ~dst_host:mo.mo_retx.rx_dst req (fun () ->
+      send_pkt_k t ~tail:false ~dst_host:mo.mo_retx.rx_dst req (fun () ->
           charge_async t (model t).Vhw.Cost_model.send_bookkeep_ns;
           if move_alive t mo then arm t x)
   | Getpid gw ->
-      send_pkt_gen t ~in_fiber:false ~dst_addr:Vnet.Addr.broadcast
+      send_pkt_gen t ~from:Queued ~dst_addr:Vnet.Addr.broadcast
         (Packet.make ~op:Packet.Getpid_req ~src_pid:gw.gw_me
            ~dst_pid:Pid.nil ~seq:gw.gw_seq ~aux:gw.gw_lid ())
         ignore;
@@ -865,8 +888,9 @@ let restart_send t rs =
 (* Launch a remote Send for local process [d], piggybacking the head of a
    read-accessible segment (Section 3.4); the timer arms once the packet
    is on the wire.  [since] starts the round-trip clock, or is [-1] for
-   an exchange that can never be a clean sample. *)
-let launch_send t (d : desc) msg ~dst ~seq ~since =
+   an exchange that can never be a clean sample.  [tail] as for
+   [send_pkt_k]. *)
+let launch_send t ~tail (d : desc) msg ~dst ~seq ~since =
   let data =
     match
       if Msg.piggyback_allowed msg then Msg.readable_segment msg else None
@@ -891,7 +915,7 @@ let launch_send t (d : desc) msg ~dst ~seq ~since =
   in
   d.d_rsend <- Some rs;
   d.d_state <- Awaiting_reply dst;
-  send_pkt_k t ~dst_host:(Pid.host dst) pkt (fun () ->
+  send_pkt_k t ~tail ~dst_host:(Pid.host dst) pkt (fun () ->
       charge_async t (model t).Vhw.Cost_model.send_bookkeep_ns;
       match d.d_rsend with
       | Some rs' when rs' == rs -> arm t (Send rs)
@@ -905,7 +929,11 @@ let launch_send t (d : desc) msg ~dst ~seq ~since =
    per-packet acknowledgement.  A train is at least one packet, so a
    0-byte move sends one empty fragment at offset 0.  Each fragment goes
    out only while [live ()] holds, and [at_end] runs once the last one is
-   on the wire. *)
+   on the wire.  Every caller makes the stream its last call while it
+   holds the tail of the event firing, and so does each fragment's
+   copy-out completion for the next, so a fragment that finds the
+   transmit buffer free (the first, unless an earlier train still
+   holds it) may copy out in place. *)
 let stream t ~op ~src_pid ~dst_pid ~seq ~mem ~ptr ~total ~aux ~live ~at_end
     ~from =
   (* An empty train's one fragment steps the cursor past its end. *)
@@ -919,7 +947,7 @@ let stream t ~op ~src_pid ~dst_pid ~seq ~mem ~ptr ~total ~aux ~live ~at_end
           ~data:(mem, ptr + cursor, len) ()
       in
       send_pkt_k t ~pre_cost:(model t).Vhw.Cost_model.data_pkt_op_ns
-        ~dst_host:(Pid.host dst_pid) pkt (fun () ->
+        ~tail:true ~dst_host:(Pid.host dst_pid) pkt (fun () ->
           go (cursor + Int.max len 1))
     end
   in
@@ -1053,7 +1081,7 @@ let handle_send_pkt t (pkt : Packet.t) =
                 q_msg = al.al_msg;
                 q_local = false;
               };
-            try_deliver t dd
+            try_deliver t ~tail:true dd
           end)
 
 (* A Reply packet for one of our blocked senders. *)
@@ -1082,7 +1110,7 @@ let handle_reply_pkt t (pkt : Packet.t) =
               Packet.blit_data pkt d.d_mem ~pos:ptr ~len
           end;
           d.d_grant <- None;
-          finish_send t rs Ok
+          finish_send t ~tail:true rs Ok
       | Some _ | None -> ())
 
 let handle_reply_pending t (pkt : Packet.t) =
@@ -1107,7 +1135,7 @@ let handle_nack t (pkt : Packet.t) =
       match d.d_rsend with
       | Some rs when rs.rs_pkt.Packet.seq = pkt.Packet.seq ->
           d.d_grant <- None;
-          finish_send t rs st
+          finish_send t ~tail:true rs st
       | Some _ | None -> ())
 
 (* An inbound MoveTo is named by its mover's host and sequence number,
@@ -1392,13 +1420,18 @@ let handle_frame t (frame : Vnet.Frame.t) =
           in
           (* Data fragments are handled at interrupt level with no extra
              kernel-op charge (the NIC copy already placed the bytes);
-             control packets pay the remote-operation processing cost. *)
+             control packets pay the remote-operation processing cost.
+             The NIC calls this handler as its last call, so the charge
+             runs in place when it is provably the next event. *)
           match pkt.Packet.op with
-          | Packet.Data_mt | Packet.Data_mf -> charge_k t extra dispatch
+          | Packet.Data_mt | Packet.Data_mf ->
+              Vhw.Cpu.charge_tail t.kcpu extra dispatch
           | Packet.Send | Packet.Reply | Packet.Reply_pending | Packet.Nack
           | Packet.Data_ack | Packet.Data_nak | Packet.Move_from_req
           | Packet.Getpid_req | Packet.Getpid_reply | Packet.Fwd_notice ->
-              charge_k t (extra + m.Vhw.Cost_model.remote_op_extra_ns) dispatch
+              Vhw.Cpu.charge_tail t.kcpu
+                (extra + m.Vhw.Cost_model.remote_op_extra_ns)
+                dispatch
         end
   end
 
@@ -1436,6 +1469,7 @@ let make_kernel eng ~cpu ~nic ~host ~config ~addressing =
           ~fixed_ns:config.retransmit_timeout_ns;
       kfibers = Itbl.create 64;
       down = false;
+      reply_sent = ignore;
       restart_hooks = [];
       next_local_id = 0;
       next_seq = 0;
@@ -1455,6 +1489,8 @@ let make_kernel eng ~cpu ~nic ~host ~config ~addressing =
       s_move_remote = 0;
     }
   in
+  t.reply_sent <-
+    (fun () -> charge_async t (model t).Vhw.Cost_model.server_bookkeep_ns);
   Vnet.Nic.set_receiver nic ~ethertype:Vnet.Frame.ethertype_kernel
     (handle_frame t);
   t
@@ -1660,7 +1696,7 @@ let send t msg dst =
         Vsim.Proc.suspend_tail (fun resume ->
             d.d_on_reply <- Some resume;
             d.d_reply_buf <- Some msg;
-            try_deliver t dd)
+            try_deliver t ~tail:true dd)
   end
   else begin
     t.s_send_remote <- t.s_send_remote + 1;
@@ -1668,7 +1704,8 @@ let send t msg dst =
     Vsim.Proc.suspend_tail (fun resume ->
         d.d_on_reply <- Some resume;
         d.d_reply_buf <- Some msg;
-        launch_send t d msg ~dst ~seq ~since:(Vsim.Engine.now t.eng))
+        launch_send t ~tail:true d msg ~dst ~seq
+          ~since:(Vsim.Engine.now t.eng))
   end
 
 let receive_gen ?from t msg ~seg =
@@ -1732,9 +1769,9 @@ let reply_remote t (d : desc) (al : alien) pkt =
   al.al_reply <- Some pkt;
   (* The alien/timer upkeep of the reply side is accounted by the
      asynchronous server bookkeeping charge below. *)
-  send_pkt_gen t ~in_fiber:true
+  send_pkt_gen t ~from:In_fiber
     ~dst_addr:(addr_for t ~dst_host:(Pid.host pkt.Packet.dst_pid))
-    pkt (fun () -> charge_async t (model t).Vhw.Cost_model.server_bookkeep_ns);
+    pkt t.reply_sent;
   Ok
 
 let reply_gen t msg dst ~seg =
@@ -1873,7 +1910,7 @@ let forward t msg ~from_pid ~to_pid =
                 { q_src = from_pid; q_seq = 0; q_msg = Msg.copy msg;
                   q_local = true };
               fd.d_state <- Awaiting_reply to_pid;
-              try_deliver t td;
+              try_deliver t ~tail:false td;
               Ok
         end
         else begin
@@ -1881,7 +1918,8 @@ let forward t msg ~from_pid ~to_pid =
              behalf; the sender now waits on the network path. *)
           charge t m.Vhw.Cost_model.remote_op_extra_ns;
           (* The exchange already spans a forward: never sample it. *)
-          launch_send t fd msg ~dst:to_pid ~seq:(next_seq t) ~since:(-1);
+          launch_send t ~tail:false fd msg ~dst:to_pid
+            ~seq:(next_seq t) ~since:(-1);
           Ok
         end
     | Some _ | None -> No_permission
@@ -1916,7 +1954,7 @@ let forward t msg ~from_pid ~to_pid =
                   ~aux:(Pid.to_int to_pid) ()
               in
               send_pkt t ~dst_host:(Pid.host from_pid) notice;
-              try_deliver t td;
+              try_deliver t ~tail:false td;
               Ok
         end
         else begin

@@ -47,6 +47,8 @@ let charge_in_place t ns =
     true
   end
 
+let charge_tail t ns k = if charge_in_place t ns then k () else charge_k t ns k
+
 (* The grant's callback is the resume itself, so it is a tail resume. *)
 let charge t ns =
   if not (charge_in_place t ns) then

@@ -11,7 +11,8 @@
     - {!charge} blocks the calling fiber (process context), or runs in
       place when its grant is provably the next event;
     - {!charge_k} schedules a continuation (interrupt context, e.g. packet
-      reception, where there is no fiber to block);
+      reception, where there is no fiber to block), and {!charge_tail}
+      runs it in place when that is provably the next event;
     - {!reserve} books time that nothing waits for (bookkeeping that
       overlaps other work); it schedules no event, but later charges on
       the CPU still queue behind it. *)
@@ -55,6 +56,15 @@ val charge_k : t -> int -> (unit -> unit) -> unit
 (** [charge_k cpu ns k] reserves [ns] of CPU and calls [k] when that work
     completes. Never calls [k] synchronously (even for [ns <= 0]), keeping
     callback re-entrancy out of kernel code. *)
+
+val charge_tail : t -> int -> (unit -> unit) -> unit
+(** [charge_tail cpu ns k] is {!charge_k} made as the last call of code
+    that holds the tail of the event firing ({!Vsim.Engine.holds_tail}):
+    a plain callback, or a park's registration function.  When the
+    grant is provably the next event ({!charge_in_place}) it books the
+    work, moves the clock and calls [k] at once; otherwise it schedules
+    [k] as {!charge_k} does.  Either way [k] runs at the same simulated
+    instant, after the same events. *)
 
 val reserve : t -> int -> unit
 (** [reserve cpu ns] books [ns] of CPU exactly as [charge_k cpu ns ignore]

@@ -292,20 +292,44 @@ let target_count t frame tgts =
    drop or corrupt probability and no collision bug makes [deliver_to]
    draw nothing and deliver every frame intact, so such a delivery
    takes [deliver_clean], which allocates nothing; the fault is read
-   once per delivery event, as [deliver_to] would find it. *)
-let rec deliver_clean t frame = function
+   once per delivery event, as [deliver_to] would find it.
+   Only the last receiver's call is the delivery's last, so the tail of
+   the event is hidden from the others, once per delivery, and given
+   back for the last ([held]). *)
+let rec deliver_clean t frame held = function
   | [] -> ()
+  | [ port ] ->
+      if held then Vsim.Engine.retake_tail t.eng;
+      t.s_delivered <- t.s_delivered + 1;
+      port.prx frame
   | port :: rest ->
       t.s_delivered <- t.s_delivered + 1;
       port.prx frame;
-      deliver_clean t frame rest
+      deliver_clean t frame held rest
+
+let rec deliver_each t frame held = function
+  | [] -> ()
+  | [ port ] ->
+      if held then Vsim.Engine.retake_tail t.eng;
+      deliver_to t frame port
+  | port :: rest ->
+      deliver_to t frame port;
+      deliver_each t frame held rest
 
 let deliver_all t frame ports =
+  let held =
+    match ports with
+    | [] | [ _ ] -> false
+    | _ :: _ :: _ ->
+        let held = Vsim.Engine.holds_tail t.eng in
+        Vsim.Engine.drop_tail t.eng;
+        held
+  in
   let f = t.flt in
   if f.Fault.drop_prob <= 0.0 && f.Fault.corrupt_prob <= 0.0
      && not f.Fault.collision_bug
-  then deliver_clean t frame ports
-  else List.iter (fun port -> deliver_to t frame port) ports
+  then deliver_clean t frame held ports
+  else deliver_each t frame held ports
 
 let schedule_rx t frame ports ~at =
   match ports with

@@ -9,28 +9,30 @@ type t = {
   tx_waiters : (unit -> unit) Queue.t;
 }
 
+(* The receive interrupt, once the CPU has read [frame] in. *)
+let received t frame =
+  if frame.Frame.corrupted then begin
+    t.crc_count <- t.crc_count + 1;
+    if Vsim.Trace.tracing t.eng then
+      Vsim.Trace.event t.eng
+        (Vsim.Event.Packet_drop
+           { host = t.naddr; reason = "crc"; bytes = Frame.length frame })
+  end
+  else
+    match Vsim.Itbl.find t.receivers frame.Frame.ethertype with
+    | handler -> handler frame
+    | exception Not_found -> ()
+
+(* The medium calls this as its delivery's last call, or with the tail
+   hidden, so the read-in may run in place. *)
 let on_frame t frame =
   let model = Vhw.Cpu.model t.ncpu in
   let cost =
     model.Vhw.Cost_model.pkt_recv_handling_ns
     + (Frame.length frame * model.Vhw.Cost_model.nic_copy_ns_per_byte)
   in
-  Vhw.Cpu.charge_k t.ncpu cost (fun () ->
-      if frame.Frame.corrupted then begin
-        t.crc_count <- t.crc_count + 1;
-        if Vsim.Trace.tracing t.eng then
-          Vsim.Trace.event t.eng
-            (Vsim.Event.Packet_drop
-               {
-                 host = t.naddr;
-                 reason = "crc";
-                 bytes = Frame.length frame;
-               })
-      end
-      else
-        match Vsim.Itbl.find t.receivers frame.Frame.ethertype with
-        | handler -> handler frame
-        | exception Not_found -> ())
+  if Vhw.Cpu.charge_in_place t.ncpu cost then received t frame
+  else Vhw.Cpu.charge_k t.ncpu cost (fun () -> received t frame)
 
 let create eng ~cpu ~medium ~addr =
   let t =
@@ -90,16 +92,28 @@ let send_cost_k t cost ~dst ~ethertype payload k =
 let send_k t ?(pre_cost = 0) ~dst ~ethertype payload k =
   send_cost_k t (tx_cost t pre_cost payload) ~dst ~ethertype payload k
 
+(* With the buffer free, copy [payload] out in place if its grant is
+   provably the next event: [true] once the frame is on the medium. *)
+let put_in_place t cost ~dst ~ethertype payload =
+  (not t.tx_buf_busy)
+  && Vhw.Cpu.charge_in_place t.ncpu cost
+  && begin
+    t.tx_buf_busy <- true;
+    put t ~dst ~ethertype payload;
+    true
+  end
+
+let send_tail_k t ?(pre_cost = 0) ~dst ~ethertype payload k =
+  let cost = tx_cost t pre_cost payload in
+  if put_in_place t cost ~dst ~ethertype payload then k ()
+  else send_cost_k t cost ~dst ~ethertype payload k
+
 (* With the buffer free, the copy-out may run in place; otherwise the
    process parks and [k] runs in the copy's completion callback, before
    the resume, as it would for [send_k]. *)
 let send_then t ?(pre_cost = 0) ~dst ~ethertype payload k =
   let cost = tx_cost t pre_cost payload in
-  if (not t.tx_buf_busy) && Vhw.Cpu.charge_in_place t.ncpu cost then begin
-    t.tx_buf_busy <- true;
-    put t ~dst ~ethertype payload;
-    k ()
-  end
+  if put_in_place t cost ~dst ~ethertype payload then k ()
   else
     Vsim.Proc.suspend_tail (fun resume ->
         send_cost_k t cost ~dst ~ethertype payload (fun () ->

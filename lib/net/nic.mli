@@ -23,7 +23,11 @@ val medium : t -> Medium.t
 val set_receiver : t -> ethertype:int -> (Frame.t -> unit) -> unit
 (** Install the "interrupt handler" invoked (in event context, after the
     receive CPU charge) for each good frame of the given ethertype.
-    One handler per ethertype; installing again replaces it. *)
+    One handler per ethertype; installing again replaces it.  The
+    receive charge runs in place when the medium gave the interface the
+    tail of its delivery and the grant is provably the next event, and
+    is a queued grant otherwise; either way the handler is the last
+    call of that grant, so it holds the tail of the event firing. *)
 
 val send_k :
   t ->
@@ -41,6 +45,20 @@ val send_k :
     into the interface cannot begin until packet [k] has left the wire, so
     a burst's period is copy time + wire time — which is what limits the
     paper's program loading to ~192 KB/s. *)
+
+val send_tail_k :
+  t ->
+  ?pre_cost:int ->
+  dst:Addr.t ->
+  ethertype:int ->
+  Bytes.t ->
+  (unit -> unit) ->
+  unit
+(** {!send_k} made as the last call of code that holds the tail of the
+    event firing ({!Vsim.Engine.holds_tail}).  With the transmit buffer
+    free, the copy into the interface runs in place when its CPU grant
+    is provably the next event ({!Vhw.Cpu.charge_in_place}), and the
+    continuation follows at once; otherwise it is {!send_k}. *)
 
 val send :
   t -> ?pre_cost:int -> dst:Addr.t -> ethertype:int -> Bytes.t -> unit

@@ -11,8 +11,8 @@ type t = {
   mutable current : int;
       (* id of the fiber running now, [no_fiber] in a plain callback *)
   mutable tail : int;
-      (* id of the fiber that holds the tail of the event now firing,
-         [no_tail] when none does *)
+      (* who holds the tail of the event now firing: a fiber's id,
+         [no_fiber] for the plain callback itself, [no_tail] for none *)
   mutable limit : Time.t;  (* the time the running drain stops at *)
   mutable left : int;
       (* events the running drain may fire after the one now firing;
@@ -79,8 +79,14 @@ let running t = t.running
 let current t = t.current
 let set_current t id = t.current <- id
 
-let mark_tail t id = if t.current = no_fiber then t.tail <- id
+let mark_tail t id =
+  t.tail <- (if t.current = no_fiber && t.tail = no_fiber then id else no_tail)
+
+let hand_back t id ~resumer = if t.tail = id then t.tail <- resumer
 let unmark_tail t id = if t.tail = id then t.tail <- no_tail
+let drop_tail t = t.tail <- no_tail
+let holds_tail t = t.tail = t.current
+let retake_tail t = t.tail <- t.current
 
 let now t = t.clock
 let rng t = t.rand
@@ -103,20 +109,21 @@ let at t ?(kind = Eventq.Kind.other) time fn = at_kind t ~kind time fn
 let after t ?(kind = Eventq.Kind.other) delay fn = after_kind t ~kind delay fn
 let cancel t h = Eventq.cancel t.queue h
 
-(* Run [fn], the callback [Eventq.take_due] just removed.  No fiber
-   holds the tail of an event until a tail resume marks it. *)
+(* Run [fn], the callback [Eventq.take_due] just removed, which holds
+   the tail of its event until it resumes a fiber. *)
 let[@inline] fire t fn =
   let q = t.queue in
   t.clock <- Eventq.taken_time q;
-  t.tail <- no_tail;
+  t.tail <- no_fiber;
   match t.profile with
   | None -> fn ()
   | Some p -> Profile.time p ~kind:(Eventq.taken_kind q) fn
 
 (* An event at [time] scheduled now would be the next to fire: the
-   running fiber holds the tail of the event now firing, [time] is
-   within the drain's limit and budget, and every pending event is
-   strictly later (an equal-time one was added first, so fires first). *)
+   running fiber or plain callback holds the tail of the event now
+   firing, [time] is within the drain's limit and budget, and every
+   pending event is strictly later (an equal-time one was added first,
+   so fires first). *)
 let next_is t time =
   t.tail = t.current && t.left > 0 && time <= t.limit
   && (Eventq.is_empty t.queue || time < Eventq.top_time t.queue)

@@ -104,32 +104,60 @@ val set_current : t -> int -> unit
     starts or resumes the process, and puts back the id it replaced
     when the process parks, returns or raises. *)
 
-(** {1 Running a process's next event in place}
+(** {1 Running the next event in place}
 
-    A process {e holds the tail} of the event now firing when a tail
-    resume ({!Proc.suspend_tail}) woke it from a plain callback: the
-    contract of such a resume is that it is the callback's last call,
-    so once the process parks again nothing runs until the engine takes
-    its next event.  If that process is about to park for an event
-    that is provably the next to fire (its CPU grant), it may instead
-    fire the event in place with {!advance} and carry on, with no park,
-    no effect and no queue entry: the run is the same event for event. *)
+    Whoever {e holds the tail} of the event now firing knows that
+    nothing else of that event runs after its next step.  A plain
+    callback holds the tail of its event from the start.  It keeps it
+    until it resumes a fiber: a plain resume ({!Proc.suspend}) drops it,
+    since the callback runs on once the fiber parks, and a tail resume
+    ({!Proc.suspend_tail}), which by its contract is the callback's
+    last call, hands it to the fiber.  The fiber's next park (or its
+    return) hands it back, so the park's registration function, run
+    then, holds it too.  A process's start event hands it to the
+    process.  A resume from inside another process drops it, since the
+    other runs on once the resumed one parks.  A callback that calls
+    something that is not its last call, and may reach code that runs
+    in place, hides the tail from it ({!drop_tail}, then
+    {!retake_tail} before its last call), as [Vnet.Medium] does for
+    every receiver of a delivery but the last.
+
+    The holder may then fire, in place, an event it was about to
+    schedule as the very next step, when that event is provably the
+    next to fire (its CPU grant): it calls {!advance} and carries on as
+    that event's callback would have, with no park, no effect and no
+    queue entry.  The run is the same event for event. *)
 
 val mark_tail : t -> int -> unit
-(** [mark_tail t id]: process [id], resumed now by a tail resume, holds
-    the tail of the event now firing, if that event is a plain callback
-    ({!current} is [0]).  A process resumed from inside another holds
-    nothing: the other runs on once it parks.  Every fired event starts
-    with no holder.  {!Proc} calls this. *)
+(** [mark_tail t id]: a tail resume of process [id] from the code
+    running now.  If that is a plain callback that holds the tail
+    ({!current} is [0]), [id] takes it; otherwise nobody holds it from
+    here on.  {!Proc} calls this, and also when a process starts. *)
+
+val hand_back : t -> int -> resumer:int -> unit
+(** [hand_back t id ~resumer]: process [id] parks, returns or raises,
+    back to [resumer]; if [id] holds the tail, [resumer] takes it. *)
 
 val unmark_tail : t -> int -> unit
 (** [unmark_tail t id]: process [id] no longer holds the tail (it was
     killed, so its wake-ups are no-ops and it must not run on). *)
 
+val drop_tail : t -> unit
+(** Nobody holds the tail from here on: a plain resume, or code about
+    to call what is not its last call. *)
+
+val holds_tail : t -> bool
+(** [true] iff the code running now (the process {!current} names, or
+    the plain callback when it is [0]) holds the tail. *)
+
+val retake_tail : t -> unit
+(** The code running now holds the tail again: for a caller that held
+    it, hid it with {!drop_tail} and is about to make its last call. *)
+
 val next_is : t -> Time.t -> bool
 (** [next_is t time] is [true] iff an event scheduled now at [time]
-    would be the next to fire and fire in this drain, with the running
-    process holding the tail: {!run_bounded} (not {!step}) is draining,
+    would be the next to fire and fire in this drain, with the code
+    running now holding the tail: {!run_bounded} (not {!step}) is draining,
     [time] is within its [until] and it may fire one more event within
     [max_events], and every pending event is strictly later than
     [time]. *)

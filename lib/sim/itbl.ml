@@ -27,7 +27,15 @@ let[@inline] hash i =
    the traversal flag are all kept as they are there, so every walk
    visits bindings in the order a [Hashtbl.t] would.  Keys are
    immutable ints: a probe compares them with [=] on ints, and
-   [replace] rewrites only the value. *)
+   [replace] rewrites only the value.
+
+   A probe first looks in a memo of the cells last found, one for even
+   keys and one for odd, so a table hit again and again by the same
+   key or two pays a compare, not a hash and a bucket walk.  A memo
+   cell is one linked in the table, so [replace] of its key updates
+   what the memo sees.  Whatever unlinks or copies cells forgets the
+   memo: [remove] of the memo's key, [reset], [filter_map_inplace], a
+   resize that copies cells (one from inside a traversal) and [copy]. *)
 
 type 'a bucket =
   | Empty
@@ -37,6 +45,8 @@ type 'a t = {
   mutable size : int;
   mutable data : 'a bucket array;  (* a power of two long *)
   mutable initial_size : int;  (* negative while a traversal is under way *)
+  mutable even : 'a bucket;  (* the cell of an even key last found, or [Empty] *)
+  mutable odd : 'a bucket;  (* the same for odd keys *)
 }
 
 let ongoing_traversal h = h.initial_size < 0
@@ -49,9 +59,20 @@ let rec power_2_above x n =
 
 let create n =
   let s = power_2_above 16 n in
-  { size = 0; data = Array.make s Empty; initial_size = s }
+  { size = 0; data = Array.make s Empty; initial_size = s; even = Empty;
+    odd = Empty }
+
+let forget h =
+  h.even <- Empty;
+  h.odd <- Empty
+
+let[@inline] memo h key = if key land 1 = 0 then h.even else h.odd
+
+let[@inline] remember h key cell =
+  if key land 1 = 0 then h.even <- cell else h.odd <- cell
 
 let reset h =
+  forget h;
   let len = Array.length h.data in
   if len = abs h.initial_size then begin
     if h.size > 0 then begin
@@ -80,13 +101,19 @@ let copy_bucketlist = function
       loop r next;
       r
 
-let copy h = { h with data = Array.map copy_bucketlist h.data }
+let copy h =
+  { h with data = Array.map copy_bucketlist h.data; even = Empty; odd = Empty }
+
 let length h = h.size
 
 (* The array's length is a power of two, so the masked hash is in
-   bounds. *)
-let[@inline] index data key = hash key land (Array.length data - 1)
-let[@inline] bucket data key = Array.unsafe_get data (index data key)
+   bounds.  [data]'s type is written out so the read is specialised to
+   an array of pointers, with no float-array test. *)
+let[@inline] index (data : _ bucket array) key =
+  hash key land (Array.length data - 1)
+
+let[@inline] bucket (data : _ bucket array) key =
+  Array.unsafe_get data (index data key)
 
 let insert_all_buckets inplace odata ndata =
   let nsize = Array.length ndata in
@@ -115,28 +142,35 @@ let resize h =
   let nsize = Array.length odata * 2 in
   if nsize < Sys.max_array_length then begin
     let ndata = Array.make nsize Empty in
+    let inplace = not (ongoing_traversal h) in
     h.data <- ndata;
-    insert_all_buckets (not (ongoing_traversal h)) odata ndata
+    if not inplace then forget h;
+    insert_all_buckets inplace odata ndata
   end
 
-let rec find_rec (key : int) = function
-  | Empty -> raise Not_found
-  | Cons { key = k; data; next } -> if k = key then data else find_rec key next
+(* The cell bound to [key] in the bucket, remembered, or [Empty]. *)
+let rec find_cell h (key : int) = function
+  | Empty -> Empty
+  | Cons { key = k; next; _ } as cell ->
+      if k = key then begin
+        remember h key cell;
+        cell
+      end
+      else find_cell h key next
 
-let find h key = find_rec key (bucket h.data key)
+(* The cell bound to [key], from the memo when it holds it. *)
+let[@inline] cell h key =
+  match memo h key with
+  | Cons { key = k; _ } as cell when k = key -> cell
+  | Empty | Cons _ -> find_cell h key (bucket h.data key)
 
-let rec find_rec_opt (key : int) = function
-  | Empty -> None
-  | Cons { key = k; data; next } ->
-      if k = key then Some data else find_rec_opt key next
+let find h key =
+  match cell h key with Cons { data; _ } -> data | Empty -> raise Not_found
 
-let find_opt h key = find_rec_opt key (bucket h.data key)
+let find_opt h key =
+  match cell h key with Cons { data; _ } -> Some data | Empty -> None
 
-let rec mem_in_bucket (key : int) = function
-  | Empty -> false
-  | Cons { key = k; next; _ } -> k = key || mem_in_bucket key next
-
-let mem h key = mem_in_bucket key (bucket h.data key)
+let mem h key = cell h key != Empty
 
 (* [true] when [key] has no binding in the bucket; otherwise rebinds
    it. *)
@@ -150,13 +184,16 @@ let rec replace_bucket (key : int) data = function
       else replace_bucket key data next
 
 let replace h key data =
-  let i = index h.data key in
-  let l = Array.unsafe_get h.data i in
-  if replace_bucket key data l then begin
-    Array.unsafe_set h.data i (Cons { key; data; next = l });
-    h.size <- h.size + 1;
-    if h.size > Array.length h.data lsl 1 then resize h
-  end
+  match memo h key with
+  | Cons ({ key = k; _ } as slot) when k = key -> slot.data <- data
+  | Empty | Cons _ ->
+      let i = index h.data key in
+      let l = Array.unsafe_get h.data i in
+      if replace_bucket key data l then begin
+        Array.unsafe_set h.data i (Cons { key; data; next = l });
+        h.size <- h.size + 1;
+        if h.size > Array.length h.data lsl 1 then resize h
+      end
 
 let rec remove_bucket h i (key : int) prec = function
   | Empty -> ()
@@ -170,6 +207,9 @@ let rec remove_bucket h i (key : int) prec = function
       else remove_bucket h i key c next
 
 let remove h key =
+  (match memo h key with
+  | Cons { key = k; _ } when k = key -> remember h key Empty
+  | Empty | Cons _ -> ());
   let i = index h.data key in
   remove_bucket h i key Empty (Array.unsafe_get h.data i)
 
@@ -232,6 +272,7 @@ let rec filter_map_inplace_bucket f h i prec = function
           filter_map_inplace_bucket f h i slot next)
 
 let filter_map_inplace f h =
+  forget h;
   let d = h.data in
   let old_trav = ongoing_traversal h in
   if not old_trav then flip_ongoing_traversal h;

@@ -12,7 +12,17 @@
     [iter], [fold] and [filter_map_inplace] visit the bindings of an
     [Itbl.t] in exactly the order they would visit a [Hashtbl.t] given
     the same operations.  Switching a table to [Itbl] therefore changes
-    no walk order.  Each function behaves as its [Hashtbl] namesake. *)
+    no walk order.  Each function behaves as its [Hashtbl] namesake.
+
+    A table remembers the binding it last found for an even key and the
+    one for an odd key, so {!find}, {!find_opt}, {!mem} and {!replace}
+    of a key found just before cost a compare, with no hash and no
+    bucket walk.  The memo holds cells linked in the table, never
+    copies, so a rebinding shows through it; whatever unlinks or copies
+    cells forgets it ({!remove} of the remembered key, {!reset},
+    {!filter_map_inplace}, a resize from inside a traversal, and
+    {!copy}, whose result starts with none).  It changes no bucket, so
+    no walk order. *)
 
 type 'a t
 

@@ -68,7 +68,11 @@ let enter proc =
   proc.resumer <- Engine.current proc.eng;
   Engine.set_current proc.eng proc.pid
 
-let leave proc = Engine.set_current proc.eng proc.resumer
+(* A fiber that holds the tail hands it back to its resumer, the plain
+   callback that gave it, whose last call the resume was. *)
+let leave proc =
+  Engine.hand_back proc.eng proc.pid ~resumer:proc.resumer;
+  Engine.set_current proc.eng proc.resumer
 
 (* Park [proc] in [k] and call [register] with its resume, a tail resume
    when [tail]. *)
@@ -87,7 +91,8 @@ let park proc tail register k =
       match cell with
       | Parked k when proc.slot == Slot cell ->
           proc.slot <- Slot Idle;
-          if tail then Engine.mark_tail proc.eng proc.pid;
+          if tail then Engine.mark_tail proc.eng proc.pid
+          else Engine.drop_tail proc.eng;
           enter proc;
           Effect.Deep.continue k v
       | Parked _ | Idle | Reaping ->
@@ -99,6 +104,8 @@ let run_fiber proc fn =
   let open Effect.Deep in
   (* Built once per fiber, so answering [Self] allocates nothing. *)
   let self = Some (fun (k : (t, unit) continuation) -> continue k proc) in
+  (* Started as its start event's last call. *)
+  Engine.mark_tail proc.eng proc.pid;
   enter proc;
   match_with fn ()
     {
@@ -162,6 +169,7 @@ let reap eng =
   if Engine.running eng then
     invalid_arg "Proc.reap: called inside a running callback";
   let fibers = Engine.take_fibers eng in
+  Engine.drop_tail eng;
   List.iter (function Fiber p -> p.killed <- true | _ -> ()) fibers;
   List.iter
     (function

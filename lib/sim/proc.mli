@@ -41,7 +41,9 @@ val suspend : (('a -> unit) -> unit) -> 'a
     immediately, outside the fiber, with the resume function; when some
     event later calls that function with a value, the fiber continues
     with that value.  A park records nothing about the fiber but the
-    continuation it waits in. *)
+    continuation it waits in.  Its resume is a plain one: the callback
+    that calls it loses the tail of its event ({!Engine.drop_tail}),
+    since it runs on once the fiber parks again. *)
 
 val suspend_tail : (('a -> unit) -> unit) -> 'a
 (** [suspend_tail register] parks like {!suspend}, with a {e tail
@@ -49,9 +51,12 @@ val suspend_tail : (('a -> unit) -> unit) -> 'a
     callback's last call (the callback is the resume itself, as a CPU
     grant's is, or ends with it).  Called from inside
     another process it is an ordinary resume.  A process woken by a
-    tail resume from a plain callback holds the tail of the event
-    firing ({!Engine.mark_tail}), so its next CPU wait may run in place
-    ({!Engine.next_is}).  A resume that breaks the contract lets events
+    tail resume from a plain callback that holds the tail of the event
+    firing takes it ({!Engine.mark_tail}), so its next CPU wait may run
+    in place ({!Engine.next_is}); its next park hands the tail back, so
+    that park's [register] holds it and may itself run its last call's
+    CPU wait in place.  A started process holds the tail of its start
+    event the same way.  A resume that breaks the contract lets events
     fire out of order; when in doubt use {!suspend}. *)
 
 val sleep : Time.t -> unit

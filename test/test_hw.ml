@@ -210,27 +210,38 @@ let test_scale () =
 
 (* A CPU wait that runs in place changes host work only.  Random scripts
    of processes on 1-3 CPUs charge time, log, schedule plain events,
-   sleep, wait to be woken, wake each other from inside a process and
-   kill themselves, beside plain events (some at equal times, some
-   waking a process as their last call), under [run ~until] and
-   [run_bounded ~max_events].
-   Each script runs once with [Cpu.charge] and once with an explicit
-   park that never runs in place; the logs, run results, clocks and
-   profile fire counts must match.  Driven by [Engine.step] instead, no
-   grant may run in place. *)
+   sleep, wait to be woken (by a tail resume, or by a plain one that
+   the waker runs on after), wake each other from inside a process, park
+   with a registration that charges a CPU as its last call, and kill
+   themselves, beside plain events (some at equal times, some charging
+   a chain of callback-tail charges, some waking a process as their
+   last call), under [run ~until] and [run_bounded ~max_events].
+   Each script runs once with [Cpu.charge] and [Cpu.charge_tail] and
+   once with an explicit park and [Cpu.charge_k], which never run in
+   place; the logs, run results, clocks and profile fire counts must
+   match.  Driven by [Engine.step] instead, no grant may run in
+   place. *)
 type op =
   | Charge of int * int  (* cpu, ns *)
   | Log
   | After of int  (* a plain event that logs, this far ahead *)
   | Sleep of int
   | Wait  (* park, with a tail resume, until woken *)
+  | Wait_plain
+      (* park, with a plain resume, until woken; an event that wakes it
+         logs again after the resume *)
   | Wake of int  (* wake that process now, if it waits *)
   | Die  (* kill this process, which runs on until it next parks *)
+  | Park_charge of int * int
+      (* park, with a tail resume, whose registration charges that cpu
+         that long as its last call, then resumes *)
 
 type script = {
   cpus : int;
   procs : op list array;
-  events : (int * int option) list;  (* time, the process it wakes *)
+  events : (int * (int * int) list * int option) list;
+      (* time, a chain of (cpu, ns) callback-tail charges, then the
+         process it wakes *)
   runs : (int option * int) list;  (* until, max_events *)
 }
 
@@ -238,8 +249,10 @@ let gen_script st =
   let int n = Random.State.int st n in
   let cpus = 1 + int 3 and nprocs = 1 + int 4 in
   let op () =
-    match int 31 with
+    match int 36 with
     | 30 -> Die
+    | 31 | 32 | 33 -> Park_charge (int cpus, 50 * int 5)
+    | 34 | 35 -> Wait_plain
     | n -> (
         match n mod 10 with
         | 0 | 1 | 2 | 3 -> Charge (int cpus, 50 * int 5)
@@ -255,7 +268,9 @@ let gen_script st =
     procs = Array.init nprocs (fun _ -> List.init (int 12) (fun _ -> op ()));
     events =
       List.init (int 8) (fun _ ->
-          (50 * int 20, if int 3 = 0 then Some (int nprocs) else None));
+          let time = 50 * int 20 in
+          let chain = List.init (int 3) (fun _ -> (int cpus, 50 * int 5)) in
+          (time, chain, if int 3 = 0 then Some (int nprocs) else None));
     runs =
       List.init (int 4) (fun _ ->
           ( (if int 2 = 0 then Some (50 * int 30) else None),
@@ -275,16 +290,29 @@ let exec_script ~in_place ~stepping sc =
   let log = ref [] in
   let note label = log := (Vsim.Engine.now eng, label) :: !log in
   let waiting = Array.make (Array.length sc.procs) None in
+  (* Wake process [i], if it waits; [true] if that was a plain resume,
+     after which the waker may run on. *)
   let wake i =
     match waiting.(i) with
-    | Some resume ->
+    | Some (resume, tail) ->
         waiting.(i) <- None;
-        resume ()
-    | None -> ()
+        resume ();
+        not tail
+    | None -> false
   in
   let charge cpu ns =
     if in_place then Vhw.Cpu.charge cpu ns
     else Vsim.Proc.suspend (fun resume -> Vhw.Cpu.charge_k cpu ns resume)
+  in
+  let charge_tail = if in_place then Vhw.Cpu.charge_tail else Vhw.Cpu.charge_k in
+  (* Charge each of [chain] in turn, logging after each, then [k]. *)
+  let rec charge_chain label chain k =
+    match chain with
+    | [] -> k ()
+    | (c, ns) :: rest ->
+        charge_tail cpus.(c) ns (fun () ->
+            note label;
+            charge_chain (label ^ "'") rest k)
   in
   Array.iteri
     (fun i ops ->
@@ -304,13 +332,21 @@ let exec_script ~in_place ~stepping sc =
                 note label
             | Wait ->
                 Vsim.Proc.suspend_tail (fun resume ->
-                    waiting.(i) <- Some resume);
+                    waiting.(i) <- Some (resume, true));
+                note label
+            | Wait_plain ->
+                Vsim.Proc.suspend (fun resume ->
+                    waiting.(i) <- Some (resume, false));
                 note label
             | Wake k ->
-                wake k;
+                ignore (wake k);
                 note label
             | Die ->
                 Vsim.Proc.kill (Vsim.Proc.self ());
+                note label
+            | Park_charge (c, ns) ->
+                Vsim.Proc.suspend_tail (fun resume ->
+                    charge_chain (label ^ "~") [ (c, ns) ] resume);
                 note label)
           ops;
         note (Printf.sprintf "p%d.end" i)
@@ -318,11 +354,15 @@ let exec_script ~in_place ~stepping sc =
       ignore (Vsim.Proc.spawn eng body))
     sc.procs;
   List.iteri
-    (fun j (time, woken) ->
+    (fun j (time, chain, woken) ->
+      let label = Printf.sprintf "ev%d" j in
       ignore
         (Vsim.Engine.at eng time (fun () ->
-             note (Printf.sprintf "ev%d" j);
-             match woken with Some k -> wake k | None -> ())))
+             note label;
+             charge_chain (label ^ "'") chain (fun () ->
+                 match woken with
+                 | Some k -> if wake k then note (label ^ " after")
+                 | None -> ()))))
     sc.events;
   let show = function
     | `Quiescent n -> Printf.sprintf "quiescent %d" n
@@ -378,6 +418,103 @@ let test_cpu_in_place_equivalence () =
   done;
   Alcotest.(check bool) "some grants ran in place" true (!in_place_runs > 0)
 
+(* A medium hides the tail of a delivery from every receiver but the
+   last, so only the last receiver's read-in may run in place.  Random
+   scripts of 2-6 stations on one Ethernet send broadcasts and unicasts
+   from plain events, half of them with the callback-tail send; each
+   receiver logs the frame, charges a chain of callback-tail charges and
+   may answer the sender; some scripts lose or corrupt frames.  Each
+   runs drained, where charges, read-ins and copy-outs run in place,
+   and stepped, where every one is a queued event: the logs, clocks,
+   fire counts and medium and CRC counts must match. *)
+let exec_delivery ~stepping seed =
+  let st = Random.State.make [| seed |] in
+  let int n = Random.State.int st n in
+  let eng = Vsim.Engine.create () in
+  let prof = Vsim.Engine.enable_profiling eng in
+  let medium = Vnet.Medium.create eng Vnet.Medium.config_3mb in
+  (match int 3 with
+  | 0 -> Vnet.Medium.set_fault medium (Vnet.Fault.drop 0.2)
+  | 1 -> Vnet.Medium.set_fault medium (Vnet.Fault.corrupt 0.2)
+  | _ -> ());
+  let n = 2 + int 5 in
+  let log = ref [] in
+  let note label = log := (Vsim.Engine.now eng, label) :: !log in
+  let model = Vhw.Cost_model.sun_8mhz in
+  let cpus =
+    Array.init n (fun i -> Vhw.Cpu.create eng ~model ~name:(string_of_int i))
+  in
+  let nics =
+    Array.init n (fun i ->
+        Vnet.Nic.create eng ~cpu:cpus.(i) ~medium ~addr:(i + 1))
+  in
+  let ethertype = 7 in
+  let send i ~tail ~dst tag =
+    let payload = Bytes.make (16 + int 200) (Char.chr tag) in
+    (if tail then Vnet.Nic.send_tail_k else Vnet.Nic.send_k)
+      nics.(i) ~dst ~ethertype payload (fun () ->
+        note (Printf.sprintf "h%d sent %d" i tag))
+  in
+  Array.iteri
+    (fun i nic ->
+      let chain = List.init (int 3) (fun _ -> 100 * int 20) in
+      let answers = int 2 = 0 in
+      Vnet.Nic.set_receiver nic ~ethertype (fun frame ->
+          let tag = Char.code (Bytes.get frame.Vnet.Frame.payload 0) in
+          note (Printf.sprintf "h%d got %d from %d" i tag frame.Vnet.Frame.src);
+          let rec go = function
+            | [] ->
+                if answers && tag < 100 then
+                  send i ~tail:true ~dst:frame.Vnet.Frame.src (tag + 100)
+            | ns :: rest ->
+                Vhw.Cpu.charge_tail cpus.(i) ns (fun () ->
+                    note (Printf.sprintf "h%d charged %d" i ns);
+                    go rest)
+          in
+          go chain))
+    nics;
+  for tag = 0 to int 12 do
+    let i = int n and tail = int 2 = 0 in
+    let dst = if int 2 = 0 then Vnet.Addr.broadcast else 1 + int n in
+    ignore
+      (Vsim.Engine.at eng (100_000 * int 30) (fun () ->
+           if dst <> i + 1 then send i ~tail ~dst tag))
+  done;
+  if stepping then
+    while Vsim.Engine.step eng do
+      ()
+    done
+  else Vsim.Engine.run eng;
+  let s = Vnet.Medium.stats medium in
+  let fires =
+    List.map (fun (kind, e) -> (kind, e.Vsim.Profile.fires))
+      (Vsim.Profile.entries prof)
+  in
+  ( ( List.rev !log,
+      ( Vsim.Engine.now eng,
+        fires,
+        [ s.Vnet.Medium.delivered; s.Vnet.Medium.dropped;
+          s.Vnet.Medium.corrupted; s.Vnet.Medium.collisions ]
+        @ Array.to_list (Array.map Vnet.Nic.crc_drops nics) ) ),
+    Vsim.Profile.in_place_total prof )
+
+let test_delivery_in_place_equivalence () =
+  let outcome =
+    Alcotest.(
+      pair (list (pair int string))
+        (triple int (list (pair string int)) (list int)))
+  in
+  let in_place_runs = ref 0 in
+  for seed = 1 to 200 do
+    let drained, n = exec_delivery ~stepping:false seed in
+    let stepped, none = exec_delivery ~stepping:true seed in
+    let name = Printf.sprintf "delivery %d" seed in
+    Alcotest.check outcome name stepped drained;
+    Alcotest.(check int) (name ^ ": Engine.step runs nothing in place") 0 none;
+    in_place_runs := !in_place_runs + n
+  done;
+  Alcotest.(check bool) "some charges ran in place" true (!in_place_runs > 0)
+
 let suite =
   [
     Alcotest.test_case "cpu FCFS" `Quick test_cpu_fcfs;
@@ -392,4 +529,6 @@ let suite =
     Alcotest.test_case "cpu reserve" `Quick test_cpu_reserve;
     Alcotest.test_case "cpu in-place equivalence" `Quick
       test_cpu_in_place_equivalence;
+    Alcotest.test_case "delivery in-place equivalence" `Quick
+      test_delivery_in_place_equivalence;
   ]

@@ -683,6 +683,117 @@ let test_itbl_walk_order =
   Util.qtest "itbl walks in Hashtbl order" itbl_ops (fun ops ->
       Observe_itbl.run ops = Observe_poly.run ops)
 
+(* Itbl's lookup memo against a Stdlib [Hashtbl]: seeded random
+   sequences over a small key pool, so the memo hits and goes stale
+   often.  Steps replace, remove, probe ([find], [find_opt], [mem]),
+   reset, filter in place, copy the table into a second slot, swap the
+   two slots (so the copy and the original are both used on), and walk
+   the table while the walk's first visit inserts enough keys to
+   resize it by copying cells.  After every step every key of the pool
+   is probed in both slots and both are walked, and all of it must
+   equal the Hashtbl's. *)
+type memo_op =
+  | M_replace of int * int
+  | M_remove of int
+  | M_probe of int
+  | M_reset
+  | M_filter of int
+  | M_copy
+  | M_swap
+  | M_walk_resize
+
+let show_memo_op = function
+  | M_replace (k, v) -> Printf.sprintf "replace %d %d" k v
+  | M_remove k -> Printf.sprintf "remove %d" k
+  | M_probe k -> Printf.sprintf "probe %d" k
+  | M_reset -> "reset"
+  | M_filter n -> Printf.sprintf "filter %d" n
+  | M_copy -> "copy"
+  | M_swap -> "swap"
+  | M_walk_resize -> "walk-resize"
+
+let memo_pool = Array.init 24 (fun i -> if i < 20 then i else (i * 65_537) + 3)
+
+let gen_memo_op st =
+  let key () = memo_pool.(Random.State.int st (Array.length memo_pool)) in
+  match Random.State.int st 40 with
+  | n when n < 14 -> M_replace (key (), Random.State.int st 1000)
+  | n when n < 22 -> M_remove (key ())
+  | n when n < 32 -> M_probe (key ())
+  | 32 -> M_reset
+  | 33 | 34 -> M_filter (2 + Random.State.int st 4)
+  | 35 | 36 -> M_copy
+  | 37 | 38 -> M_swap
+  | _ -> M_walk_resize
+
+module Memo_model (T : Int_table) = struct
+  let walk t =
+    let seen = ref [] in
+    T.iter (fun k v -> seen := (k, v) :: !seen) t;
+    List.rev !seen
+
+  let probe t k =
+    ( (match T.find t k with v -> Some v | exception Not_found -> None),
+      T.find_opt t k,
+      T.mem t k )
+
+  (* The two slots' probes and walks after each step of [ops]. *)
+  let run ops =
+    let a = ref (T.create 4) and b = ref (T.create 4) in
+    let fresh = ref 1_000_000 in
+    let step = function
+      | M_replace (k, v) -> T.replace !a k v
+      | M_remove k -> T.remove !a k
+      | M_probe k -> ignore (probe !a k)
+      | M_reset -> T.reset !a
+      | M_filter n ->
+          T.filter_map_inplace
+            (fun k v -> if k mod n = 0 then None else Some (v + 1))
+            !a
+      | M_copy -> b := T.copy !a
+      | M_swap ->
+          let t = !a in
+          a := !b;
+          b := t
+      | M_walk_resize ->
+          let first = ref true in
+          T.iter
+            (fun _ _ ->
+              if !first then begin
+                first := false;
+                (* Past the resize threshold of twice the bucket count,
+                   whatever the table's size now. *)
+                for _ = 1 to 2 * (T.length !a + 16) do
+                  incr fresh;
+                  T.replace !a !fresh 0
+                done
+              end)
+            !a
+    in
+    List.map
+      (fun op ->
+        step op;
+        let probes t = Array.to_list (Array.map (probe t) memo_pool) in
+        (probes !a, probes !b, walk !a, walk !b))
+      ops
+end
+
+module Memo_itbl = Memo_model (Vsim.Itbl)
+module Memo_poly = Memo_model (Poly_table)
+
+let test_itbl_memo_model () =
+  let st = Random.State.make [| 36 |] in
+  for i = 1 to 300 do
+    let ops = List.init (Random.State.int st 120) (fun _ -> gen_memo_op st) in
+    let got = Memo_itbl.run ops and want = Memo_poly.run ops in
+    List.iteri
+      (fun j ((g, w), op) ->
+        if g <> w then
+          Alcotest.failf "sequence %d differs from Hashtbl after step %d (%s)"
+            i j (show_memo_op op))
+      (List.combine (List.combine got want) ops)
+  done
+
 let suite =
   [
     Alcotest.test_case "eventq order" `Quick test_eventq_order;
@@ -708,4 +819,5 @@ let suite =
     Alcotest.test_case "itbl hash" `Quick test_itbl_hash;
     test_itbl_hash_random;
     test_itbl_walk_order;
+    Alcotest.test_case "itbl memo model" `Quick test_itbl_memo_model;
   ]
