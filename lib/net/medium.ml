@@ -29,9 +29,8 @@ let byte_time_ns cfg = 8_000_000_000 / cfg.bit_rate_bps
 type port = {
   paddr : Addr.t;
   prx : Frame.t -> unit;
-  mutable others : port list option;
-      (** the medium's [everyone] without this port, built by this
-          port's first broadcast after a [refresh] *)
+  mutable slot : int;
+      (** this port's index in the medium's [fan], set by [refresh] *)
 }
 
 type pending = {
@@ -59,17 +58,28 @@ type current = {
   finish : Vsim.Engine.handle;
 }
 
-type t = {
+(* The broadcast order, as arrays: every port in the reverse of the port
+   table's walk order, then every tap in walk order ([fports]), and their
+   [prx] callbacks at the same indices ([frx]).  [fmedium] is the medium
+   they belong to, so that a delivery event's closure holds the fan, the
+   frame and the slot to skip, and nothing else. *)
+type fan = {
+  fmedium : t;
+  fports : port array;
+  frx : (Frame.t -> unit) array;
+  ftaps : port list;  (** the taps, the tail of [fports], as a list *)
+}
+
+and t = {
   cfg : config;
   eng : Vsim.Engine.t;
   rng : Vsim.Rng.t;
   ports : port Vsim.Itbl.t;
   taps : port Vsim.Itbl.t;
       (** promiscuous stations (bridges): targeted by every frame *)
-  mutable everyone : port list;
-      (** every port, in broadcast order, then [tap_list] *)
-  mutable tap_list : port list;  (** every tap, in delivery order *)
-  mutable fanout_stale : bool;  (** a station attached since they were built *)
+  mutable fan : fan option;
+      (** the broadcast order, or [None] if a station attached since it
+          was built *)
   waiters : pending Queue.t;
   mutable busy_until : Vsim.Time.t;
   mutable current : current option;
@@ -108,9 +118,7 @@ let create eng cfg =
     rng = Vsim.Rng.split (Vsim.Engine.rng eng);
     ports = Vsim.Itbl.create 16;
     taps = Vsim.Itbl.create 4;
-    everyone = [];
-    tap_list = [];
-    fanout_stale = false;
+    fan = None;
     waiters = Queue.create ();
     busy_until = 0;
     current = None;
@@ -141,9 +149,9 @@ let attach t ~addr ~rx =
     invalid_arg "Medium.attach: bad address";
   if Vsim.Itbl.mem t.ports addr || Vsim.Itbl.mem t.taps addr then
     Fmt.invalid_arg "Medium.attach: address %d already attached" addr;
-  let port = { paddr = addr; prx = rx; others = None } in
+  let port = { paddr = addr; prx = rx; slot = -1 } in
   Vsim.Itbl.replace t.ports addr port;
-  t.fanout_stale <- true;
+  t.fan <- None;
   port
 
 let attach_tap t ~addr ~rx =
@@ -151,9 +159,9 @@ let attach_tap t ~addr ~rx =
     invalid_arg "Medium.attach_tap: bad address";
   if Vsim.Itbl.mem t.ports addr || Vsim.Itbl.mem t.taps addr then
     Fmt.invalid_arg "Medium.attach_tap: address %d already attached" addr;
-  let port = { paddr = addr; prx = rx; others = None } in
+  let port = { paddr = addr; prx = rx; slot = -1 } in
   Vsim.Itbl.replace t.taps addr port;
-  t.fanout_stale <- true;
+  t.fan <- None;
   port
 
 let stats t =
@@ -216,86 +224,113 @@ let deliver_to t frame (port : port) =
 
    A broadcast reaches the ports in the reverse of the port table's walk
    order, and taps follow in walk order; that is the order in which
-   folding each table into a list once put them.  [everyone] and
-   [tap_list] hold those orders, rebuilt by the first frame after an
-   attach (so attaching n stations costs one rebuild, not n), and a
-   frame only drops its source from them.  No address is both a port and
-   a tap, so dropping the source from the joined list drops it from the
-   half it is in.  [Vsim.Itbl] walks a table in the order a polymorphic
-   [Hashtbl] would, so the order is the one the per-frame folds gave.
-   An attached station's broadcasts all reach [everyone] without it, so
-   that list is kept on its port ([others]) from its first broadcast
-   until the next rebuild, which forgets every port's. *)
-let refresh t =
-  if t.fanout_stale then begin
-    t.fanout_stale <- false;
-    t.tap_list <-
-      List.rev (Vsim.Itbl.fold (fun _ port acc -> port :: acc) t.taps []);
-    t.everyone <-
-      Vsim.Itbl.fold (fun _ port acc -> port :: acc) t.ports t.tap_list;
-    List.iter (fun port -> port.others <- None) t.everyone
-  end
+   folding each table into a list once put them.  [Vsim.Itbl] walks a
+   table in the order a polymorphic [Hashtbl] would, so the order is the
+   one the per-frame folds gave.  The first frame after an attach builds
+   that order as a [fan] (so attaching n stations costs one rebuild, not
+   n) and gives every station its [slot] in it; a broadcast walks the
+   whole fan and skips its source's slot, or none for a frame bridged in
+   from another segment, whose source is in neither table.  A rebuild
+   makes new arrays and never writes old ones, so a delivery scheduled
+   before it walks the order it was given. *)
+let no_port = { paddr = Addr.broadcast; prx = ignore; slot = -1 }
 
-(* [ports] without the one at [addr], sharing the tail after it, or
-   [ports] itself if none is there (a frame bridged in from another
-   segment). *)
-let rec without addr = function
-  | [] -> []
-  | port :: rest as ports ->
-      if Addr.equal port.paddr addr then rest
-      else
-        let rest' = without addr rest in
-        if rest' == rest then ports else port :: rest'
+(* [Vsim.Itbl.fold] steps: number a port, number a tap, put a station in
+   its slot.  None captures anything, so building a fan allocates only
+   its arrays, its record and its tap list. *)
+let number_port _ port i =
+  port.slot <- i;
+  i - 1
 
-let others t port =
-  match port.others with
-  | Some ports -> ports
-  | None ->
-      let ports = without port.paddr t.everyone in
-      port.others <- Some ports;
-      ports
+let number_tap _ port i =
+  port.slot <- i;
+  i + 1
 
-let targets t frame =
-  refresh t;
+let place _ port fports =
+  fports.(port.slot) <- port;
+  fports
+
+let build t =
+  let nports = Vsim.Itbl.length t.ports in
+  let n = nports + Vsim.Itbl.length t.taps in
+  ignore (Vsim.Itbl.fold number_port t.ports (nports - 1));
+  ignore (Vsim.Itbl.fold number_tap t.taps nports);
+  let fports =
+    Vsim.Itbl.fold place t.taps
+      (Vsim.Itbl.fold place t.ports (Array.make n no_port))
+  in
+  let ftaps = ref [] in
+  for i = n - 1 downto nports do
+    ftaps := fports.(i) :: !ftaps
+  done;
+  let fan =
+    {
+      fmedium = t;
+      fports;
+      frx = Array.map (fun port -> port.prx) fports;
+      ftaps = !ftaps;
+    }
+  in
+  t.fan <- Some fan;
+  fan
+
+let[@inline] refresh t = match t.fan with Some fan -> fan | None -> build t
+
+(* The slot of a frame's source in the current fan, or -1 if it is
+   attached here as neither a port nor a tap. *)
+let source_slot t src =
+  match Vsim.Itbl.find t.ports src with
+  | port -> port.slot
+  | exception Not_found -> (
+      match Vsim.Itbl.find t.taps src with
+      | tap -> tap.slot
+      | exception Not_found -> -1)
+
+(* How many stations a broadcast that skips [skip] reaches. *)
+let receivers fan skip = Array.length fan.fports - if skip < 0 then 0 else 1
+
+let rec has_addr addr = function
+  | [] -> false
+  | port :: rest -> Addr.equal port.paddr addr || has_addr addr rest
+
+(* A unicast reaches its destination, if attached, then every tap but
+   its source.  Only a frame a tap sends itself has its source among the
+   taps, and a bridge forwards frames under their own sources, so the
+   filter is left to that case. *)
+let unicast_targets t fan frame =
   let src = frame.Frame.src in
-  if Frame.is_broadcast frame then
-    match Vsim.Itbl.find t.ports src with
-    | port -> others t port
-    | exception Not_found ->
-        (* A broadcast bridged in from another segment has its source in
-           neither table, so nothing is dropped: skip the walk. *)
-        if Vsim.Itbl.mem t.taps src then without src t.everyone
-        else t.everyone
-  else
-    let taps = without src t.tap_list in
-    match Vsim.Itbl.find t.ports frame.Frame.dst with
-    | port -> port :: taps
-    | exception Not_found -> taps
+  let taps =
+    if has_addr src fan.ftaps then
+      List.filter (fun port -> not (Addr.equal port.paddr src)) fan.ftaps
+    else fan.ftaps
+  in
+  match Vsim.Itbl.find t.ports frame.Frame.dst with
+  | port -> port :: taps
+  | exception Not_found -> taps
 
-(* The length of [tgts = targets t frame], without walking a broadcast's
-   list: [without] gives back [everyone] itself exactly when the source
-   is not in it.  A unicast reaches at most its destination and the
-   taps. *)
-let target_count t frame tgts =
-  if Frame.is_broadcast frame then
-    Vsim.Itbl.length t.ports + Vsim.Itbl.length t.taps
-    - if tgts == t.everyone then 0 else 1
-  else List.length tgts
-
-(* Batched delivery: one event per arrival instant covers every target
-   port, iterated in target order — the same relative delivery order the
-   old one-event-per-port scheme produced, at a fraction of the heap
-   traffic for broadcasts.  Frames are immutable, so every receiver (and
-   every scripted duplicate) gets the transmitted frame itself, at no
+(* Batched delivery: one event per arrival instant covers every target,
+   iterated in target order — the same relative delivery order the old
+   one-event-per-port scheme produced, at a fraction of the heap traffic
+   for broadcasts.  Frames are immutable, so every receiver (and every
+   scripted duplicate) gets the transmitted frame itself, at no
    allocation; only a delivery [deliver_to] corrupts gets a private
    copy, so the mark never reaches another receiver.  A fault with no
    drop or corrupt probability and no collision bug makes [deliver_to]
-   draw nothing and deliver every frame intact, so such a delivery
-   takes [deliver_clean], which allocates nothing; the fault is read
-   once per delivery event, as [deliver_to] would find it.
-   Only the last receiver's call is the delivery's last, so the tail of
-   the event is hidden from the others, once per delivery, and given
-   back for the last ([held]). *)
+   draw nothing and deliver every frame intact, so such a delivery calls
+   the receivers directly and allocates nothing; the fault is read once
+   per delivery event, as [deliver_to] would find it.  Only the last
+   receiver's call is the delivery's last, so a delivery to more than
+   one hides the tail of its event from the others ([hide_tail]) and
+   gives it back for the last ([held]). *)
+let[@inline] clean (f : Fault.t) =
+  f.Fault.drop_prob <= 0.0 && f.Fault.corrupt_prob <= 0.0
+  && not f.Fault.collision_bug
+
+let hide_tail t =
+  let held = Vsim.Engine.holds_tail t.eng in
+  Vsim.Engine.drop_tail t.eng;
+  held
+
 let rec deliver_clean t frame held = function
   | [] -> ()
   | [ port ] ->
@@ -318,18 +353,36 @@ let rec deliver_each t frame held = function
 
 let deliver_all t frame ports =
   let held =
-    match ports with
-    | [] | [ _ ] -> false
-    | _ :: _ :: _ ->
-        let held = Vsim.Engine.holds_tail t.eng in
-        Vsim.Engine.drop_tail t.eng;
-        held
+    match ports with [] | [ _ ] -> false | _ :: _ :: _ -> hide_tail t
   in
-  let f = t.flt in
-  if f.Fault.drop_prob <= 0.0 && f.Fault.corrupt_prob <= 0.0
-     && not f.Fault.collision_bug
-  then deliver_clean t frame held ports
+  if clean t.flt then deliver_clean t frame held ports
   else deliver_each t frame held ports
+
+(* A broadcast's delivery: every slot of [fan] but [skip], in order, at
+   one array slot and one call per receiver on a clean medium, which
+   counts its deliveries before it makes them. *)
+let deliver_fan fan frame skip =
+  let t = fan.fmedium and frx = fan.frx in
+  let n = Array.length frx in
+  let last = if skip = n - 1 then n - 2 else n - 1 in
+  let receivers = receivers fan skip in
+  let held = receivers >= 2 && hide_tail t in
+  if clean t.flt then begin
+    t.s_delivered <- t.s_delivered + receivers;
+    for i = 0 to last - 1 do
+      if i <> skip then frx.(i) frame
+    done;
+    if held then Vsim.Engine.retake_tail t.eng;
+    frx.(last) frame
+  end
+  else begin
+    let fports = fan.fports in
+    for i = 0 to last - 1 do
+      if i <> skip then deliver_to t frame fports.(i)
+    done;
+    if held then Vsim.Engine.retake_tail t.eng;
+    deliver_to t frame fports.(last)
+  end
 
 let schedule_rx t frame ports ~at =
   match ports with
@@ -339,28 +392,43 @@ let schedule_rx t frame ports ~at =
         (Vsim.Engine.at_kind t.eng ~kind:k_deliver at (fun () ->
              deliver_all t frame ports))
 
+let schedule_fan fan frame skip ~at =
+  if receivers fan skip > 0 then
+    ignore
+      (Vsim.Engine.at_kind fan.fmedium.eng ~kind:k_deliver at (fun () ->
+           deliver_fan fan frame skip))
+
 (* Scripted loss is accounted per receiver at what would have been the
    arrival instant, exactly like probabilistic loss, so that
    [targeted + duplicated = delivered + dropped] holds either way and
    Packet_drop events always name the receiver that missed the frame. *)
+let lose t frame port =
+  t.s_dropped <- t.s_dropped + 1;
+  if Vsim.Trace.tracing t.eng then
+    Vsim.Trace.event t.eng
+      (Vsim.Event.Packet_drop
+         {
+           host = port.paddr;
+           reason = "fault-scripted";
+           bytes = Frame.length frame;
+         })
+
 let drop_scripted t frame ports ~at =
   match ports with
   | [] -> ()
   | ports ->
       ignore
         (Vsim.Engine.at_kind t.eng ~kind:k_drop at (fun () ->
-             List.iter
-               (fun port ->
-                 t.s_dropped <- t.s_dropped + 1;
-                 if Vsim.Trace.tracing t.eng then
-                   Vsim.Trace.event t.eng
-                     (Vsim.Event.Packet_drop
-                        {
-                          host = port.paddr;
-                          reason = "fault-scripted";
-                          bytes = Frame.length frame;
-                        }))
-               ports))
+             List.iter (lose t frame) ports))
+
+let drop_fan fan frame skip ~at =
+  let t = fan.fmedium in
+  if receivers fan skip > 0 then
+    ignore
+      (Vsim.Engine.at_kind t.eng ~kind:k_drop at (fun () ->
+           Array.iteri
+             (fun i port -> if i <> skip then lose t frame port)
+             fan.fports))
 
 (* How long a Reorder-held frame waits for a successor before a timer
    flushes it anyway; keeps a reorder at end-of-run from acting as a drop. *)
@@ -376,7 +444,16 @@ let release_held t ~at =
           Vsim.Engine.cancel t.eng h;
           t.held_flush <- None
       | None -> ());
-      schedule_rx t frame (targets t frame) ~at
+      let fan = refresh t in
+      if Frame.is_broadcast frame then
+        schedule_fan fan frame (source_slot t frame.Frame.src) ~at
+      else schedule_rx t frame (unicast_targets t fan frame) ~at
+
+(* The deliveries of [frame], at [at]: a broadcast's to [fan] but the
+   slot [skip], a unicast's to [tgts]. *)
+let schedule t fan frame skip tgts ~at =
+  if Frame.is_broadcast frame then schedule_fan fan frame skip ~at
+  else schedule_rx t frame tgts ~at
 
 let deliver t frame =
   t.frame_no <- t.frame_no + 1;
@@ -395,25 +472,26 @@ let deliver t frame =
                restart))
   | _ -> ());
   let arrival = Vsim.Engine.now t.eng + t.cfg.latency_ns in
-  let tgts = targets t frame in
-  let n = target_count t frame tgts in
+  let fan = refresh t in
+  let bcast = Frame.is_broadcast frame in
+  let skip = if bcast then source_slot t frame.Frame.src else -1 in
+  let tgts = if bcast then [] else unicast_targets t fan frame in
+  let n = if bcast then receivers fan skip else List.length tgts in
+  t.s_targeted <- t.s_targeted + n;
   match Fault.action_for t.flt t.frame_no with
   | Some Fault.Drop ->
-      t.s_targeted <- t.s_targeted + n;
-      drop_scripted t frame tgts ~at:arrival;
+      if bcast then drop_fan fan frame skip ~at:arrival
+      else drop_scripted t frame tgts ~at:arrival;
       release_held t ~at:(arrival + 1)
   | Some Fault.Duplicate ->
-      t.s_targeted <- t.s_targeted + n;
       t.s_duplicated <- t.s_duplicated + n;
-      schedule_rx t frame tgts ~at:arrival;
-      schedule_rx t frame tgts ~at:(arrival + slot_ns);
+      schedule t fan frame skip tgts ~at:arrival;
+      schedule t fan frame skip tgts ~at:(arrival + slot_ns);
       release_held t ~at:(arrival + 1)
   | Some (Fault.Delay extra) ->
-      t.s_targeted <- t.s_targeted + n;
-      schedule_rx t frame tgts ~at:(arrival + extra);
+      schedule t fan frame skip tgts ~at:(arrival + extra);
       release_held t ~at:(arrival + 1)
   | Some Fault.Reorder ->
-      t.s_targeted <- t.s_targeted + n;
       (* At most one frame is parked: a second Reorder flushes the first. *)
       release_held t ~at:arrival;
       t.held <- Some frame;
@@ -425,8 +503,7 @@ let deliver t frame =
                t.held_flush <- None;
                release_held t ~at:(Vsim.Engine.now t.eng)))
   | None ->
-      t.s_targeted <- t.s_targeted + n;
-      schedule_rx t frame tgts ~at:arrival;
+      schedule t fan frame skip tgts ~at:arrival;
       release_held t ~at:(arrival + 1)
 
 let rec attempt t (p : pending) =

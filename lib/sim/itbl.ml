@@ -217,38 +217,38 @@ let remove h key =
    [replace] from inside it resizes by copying cells rather than
    relinking the ones being walked. *)
 
+let rec iter_bucket f = function
+  | Empty -> ()
+  | Cons { key; data; next } ->
+      f key data;
+      iter_bucket f next
+
 let iter f h =
-  let rec do_bucket = function
-    | Empty -> ()
-    | Cons { key; data; next } ->
-        f key data;
-        do_bucket next
-  in
   let old_trav = ongoing_traversal h in
   if not old_trav then flip_ongoing_traversal h;
   try
     let d = h.data in
     for i = 0 to Array.length d - 1 do
-      do_bucket d.(i)
+      iter_bucket f d.(i)
     done;
     if not old_trav then flip_ongoing_traversal h
   with exn when not old_trav ->
     flip_ongoing_traversal h;
     raise exn
 
+let rec fold_bucket f b accu =
+  match b with
+  | Empty -> accu
+  | Cons { key; data; next } -> fold_bucket f next (f key data accu)
+
 let fold f h init =
-  let rec do_bucket b accu =
-    match b with
-    | Empty -> accu
-    | Cons { key; data; next } -> do_bucket next (f key data accu)
-  in
   let old_trav = ongoing_traversal h in
   if not old_trav then flip_ongoing_traversal h;
   try
     let d = h.data in
     let accu = ref init in
     for i = 0 to Array.length d - 1 do
-      accu := do_bucket d.(i) !accu
+      accu := fold_bucket f d.(i) !accu
     done;
     if not old_trav then flip_ongoing_traversal h;
     !accu

@@ -101,7 +101,6 @@ type client = {
   c_addr : Vnet.Addr.t;
   c_cpu : Vhw.Cpu.t;
   c_medium : Vnet.Medium.t;
-  c_have : Bytes.t;  (** one byte per page, ['\001'] once received *)
   mutable c_got : int;
   mutable c_round : int;  (** the last round it answered *)
 }
@@ -122,21 +121,40 @@ let validate (config : config) ~segments =
         config.page_bytes frame Vnet.Medium.max_payload
   | _ -> Ok ()
 
-let has have idx = Bytes.get have idx <> '\000'
+(* Which client holds which page: a page-major map, one row of [n]
+   bytes per page, where client [addr] owns column [addr - 1] and a byte
+   is ['\001'] once that client has the page.  The receivers of one PAGE
+   all read the same row, a cache line or two, where a map per client
+   would put each one's byte on a line of its own.  Rows are small
+   enough to be allocated in the minor heap, which one block for the
+   whole map would not be.  [has] and [set] skip the bounds checks:
+   [client_rx] calls them only after its [idx < config.pages] check
+   (the map has [config.pages] rows, and a 16-bit index is never
+   negative), [missing_ranges] only below [Array.length have], and a
+   column is a client's [c_addr - 1], below [n], the row length. *)
+let has have idx col =
+  Bytes.unsafe_get (Array.unsafe_get have idx) col <> '\000'
 
-(* Calls [f first count] for each run of pages [have] lacks, at most
-   [max_ranges] of them, in page order; returns how many it called. *)
-let missing_ranges have f =
-  let pages = Bytes.length have in
+let set have idx col = Bytes.unsafe_set (Array.unsafe_get have idx) col '\001'
+
+(* Counts the runs of pages column [col] of [have] lacks, at most
+   [max_ranges] of them, in page order, and writes each one that fits
+   into the STATUS payload [p] as its (first, count) range. *)
+let missing_ranges have col p =
+  let pages = Array.length have in
   let k = ref 0 and i = ref 0 in
   while !i < pages && !k < max_ranges do
-    if has have !i then incr i
+    if has have !i col then incr i
     else begin
       let first = !i in
-      while !i < pages && not (has have !i) do
+      while !i < pages && not (has have !i col) do
         incr i
       done;
-      f !k first (!i - first);
+      let at = status_header + (range_bytes * !k) in
+      if at + range_bytes <= Bytes.length p then begin
+        Bytes.set_uint16_be p at first;
+        Bytes.set_uint16_be p (at + 2) (!i - first)
+      end;
       incr k
     end
   done;
@@ -221,6 +239,7 @@ let run ?seed ?(config = default_config) ?(max_events = default_max_events)
   let progress = ref false in
   let idle_rounds = ref 0 in
   let missing_union = Array.make config.pages false in
+  let have = Array.init config.pages (fun _ -> Bytes.make n '\000') in
   (* The clients: a boot ROM is a CPU and a raw station, nothing more.
      Station addresses 1..n, assigned segment by segment in order, with
      gateway routes so unicast STATUS crosses segments. *)
@@ -236,7 +255,6 @@ let run ?seed ?(config = default_config) ?(max_events = default_max_events)
           Vhw.Cpu.create eng ~host:addr ~model
             ~name:("boot-rom" ^ string_of_int addr);
         c_medium = media.(seg);
-        c_have = Bytes.make config.pages '\000';
         c_got = 0;
         c_round = -1;
       }
@@ -360,7 +378,7 @@ let run ?seed ?(config = default_config) ?(max_events = default_max_events)
     (* A DONE has no ranges to find. *)
     let k =
       if c.c_got = config.pages then 0
-      else missing_ranges c.c_have (fun _ _ _ -> ())
+      else missing_ranges have (c.c_addr - 1) Bytes.empty
     in
     let p = Bytes.create (status_header + (range_bytes * k)) in
     Bytes.set_uint8 p 0 op_status;
@@ -368,12 +386,7 @@ let run ?seed ?(config = default_config) ?(max_events = default_max_events)
     Bytes.set_uint16_be p 2 c.c_addr;
     Bytes.set_uint16_be p 4 (config.pages - c.c_got);
     Bytes.set_uint16_be p 6 k;
-    if k > 0 then
-      ignore
-        (missing_ranges c.c_have (fun j first count ->
-             let at = status_header + (range_bytes * j) in
-             Bytes.set_uint16_be p at first;
-             Bytes.set_uint16_be p (at + 2) count));
+    if k > 0 then ignore (missing_ranges have (c.c_addr - 1) p);
     p
   in
   let client_rx c fr =
@@ -383,8 +396,8 @@ let run ?seed ?(config = default_config) ?(max_events = default_max_events)
       let op = Bytes.get_uint8 p 0 in
       if op = op_page && len >= page_header then begin
         let idx = Bytes.get_uint16_be p 2 in
-        if idx < config.pages && not (has c.c_have idx) then begin
-          Bytes.set c.c_have idx '\001';
+        if idx < config.pages && not (has have idx (c.c_addr - 1)) then begin
+          set have idx (c.c_addr - 1);
           c.c_got <- c.c_got + 1;
           Vhw.Cpu.reserve c.c_cpu (rx_cost len)
         end

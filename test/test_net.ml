@@ -245,6 +245,108 @@ let test_broadcast_order () =
     (Invalid_argument "Medium.attach: address 60 already attached")
     (fun () -> station Vnet.Medium.attach 60)
 
+(* The same order over random stations, attached in random order between
+   frames, against a model: the reverse of a [Hashtbl]'s walk of the
+   ports (an [Itbl] walks in [Hashtbl] order), then its walk of the taps,
+   without the source; a unicast reaches its destination (always an
+   attached port here), then the taps but its source.  A receiver a fault drops still has its place in the
+   order, through its Packet_drop event, and a scripted duplicate
+   delivers the whole order twice. *)
+type order_mode = Clean | Lossy | Scripted
+
+let broadcast_matches_model (seed, mode) =
+  let st = Random.State.make [| seed |] in
+  let int n = Random.State.int st n in
+  let eng, medium = setup () in
+  let heard = ref [] in
+  Vsim.Engine.add_tracer eng (fun _ ev ->
+      match ev with
+      | Vsim.Event.Packet_drop { host; _ } -> heard := host :: !heard
+      | _ -> ());
+  (* Distinct station addresses, the rest of 0..254 left unattached. *)
+  let pool = Array.init 255 Fun.id in
+  for i = 254 downto 1 do
+    let j = int (i + 1) in
+    let a = pool.(i) in
+    pool.(i) <- pool.(j);
+    pool.(j) <- a
+  done;
+  let nports = 1 + int 40 and ntaps = int 5 in
+  let ports = Hashtbl.create 16 and taps = Hashtbl.create 4 in
+  let attached tbl = Hashtbl.fold (fun a () acc -> a :: acc) tbl [] in
+  let attach i =
+    let a = pool.(i) in
+    let rx _ = heard := a :: !heard in
+    if i < nports then begin
+      ignore (Vnet.Medium.attach medium ~addr:a ~rx);
+      Hashtbl.replace ports a ()
+    end
+    else begin
+      ignore (Vnet.Medium.attach_tap medium ~addr:a ~rx);
+      Hashtbl.replace taps a ()
+    end
+  in
+  let pick l = List.nth l (int (List.length l)) in
+  let sends = 12 in
+  (match mode with
+  | Clean -> ()
+  | Lossy ->
+      Vnet.Medium.set_fault medium
+        { Vnet.Fault.none with drop_prob = 0.2; corrupt_prob = 0.2 }
+  | Scripted ->
+      Vnet.Medium.set_fault medium
+        (Vnet.Fault.script
+           (List.init sends (fun k ->
+                (k + 1, if k mod 2 = 0 then Vnet.Fault.Drop else Vnet.Fault.Duplicate)))));
+  let expected_targets = ref 0 in
+  let next = ref 0 and frames = ref 0 in
+  while !frames < sends do
+    if !next < nports + ntaps && (!next = 0 || int 3 = 0) then begin
+      attach !next;
+      incr next
+    end
+    else begin
+      let ports_now = attached ports and taps_now = List.rev (attached taps) in
+      let bc = Vnet.Addr.broadcast in
+      let src, dst, bridged =
+        match int 5 with
+        | 0 when taps_now <> [] -> (pick taps_now, bc, true)
+        | 1 -> (pool.(254 - int 100), bc, true)
+        | 2 when taps_now <> [] -> (pick taps_now, pick ports_now, true)
+        | 3 -> (pick ports_now, pick ports_now, false)
+        | _ -> (pick ports_now, bc, false)
+      in
+      let but_src = List.filter (fun a -> a <> src) in
+      let model =
+        if Vnet.Addr.is_broadcast dst then but_src (ports_now @ taps_now)
+        else dst :: but_src taps_now
+      in
+      heard := [];
+      Vnet.Medium.transmit ~bridged medium
+        (Vnet.Frame.make ~src ~dst ~ethertype:0 (Bytes.make 10 'b'));
+      Vsim.Engine.run eng;
+      incr frames;
+      expected_targets := !expected_targets + List.length model;
+      let expect =
+        if mode = Scripted && !frames mod 2 = 0 then model @ model else model
+      in
+      if List.rev !heard <> expect then
+        QCheck.Test.fail_reportf "frame %d from %d to %d: heard [%s], expected [%s]"
+          !frames src dst
+          (String.concat "; " (List.map string_of_int (List.rev !heard)))
+          (String.concat "; " (List.map string_of_int expect))
+    end
+  done;
+  let s = Vnet.Medium.stats medium in
+  s.Vnet.Medium.targeted = !expected_targets
+  && s.Vnet.Medium.delivered + s.Vnet.Medium.dropped
+     = s.Vnet.Medium.targeted + s.Vnet.Medium.duplicated
+
+let test_broadcast_order_model =
+  Util.qtest ~count:300 "broadcast order matches a model"
+    QCheck.(pair int (make Gen.(oneofl [ Clean; Lossy; Scripted ])))
+    broadcast_matches_model
+
 let test_broadcast_drop_per_receiver () =
   (* A scripted drop of a broadcast frame loses one copy per receiver:
      with three stations attached, two intended deliveries are lost and
@@ -383,6 +485,7 @@ let suite =
     Alcotest.test_case "delivery timing" `Quick test_delivery_timing;
     Alcotest.test_case "broadcast" `Quick test_broadcast;
     Alcotest.test_case "broadcast order" `Quick test_broadcast_order;
+    test_broadcast_order_model;
     Alcotest.test_case "carrier sense" `Quick test_carrier_sense;
     Alcotest.test_case "collision backoff" `Quick test_collision_backoff;
     Alcotest.test_case "fault drop" `Quick test_fault_drop;

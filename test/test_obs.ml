@@ -355,7 +355,7 @@ let boot_storm_cost () =
 
 (* Minor words of ten fault-free broadcasts from one of [ports]
    stations on one medium, after a first broadcast has built the
-   medium's fan-out lists. *)
+   medium's fan-out arrays. *)
 let broadcast_minor_words ports =
   let eng = Vsim.Engine.create () in
   let m = Vnet.Medium.create eng Vnet.Medium.config_10mb in
@@ -465,7 +465,21 @@ let broadcast_minor_words ports =
    in-place pin counts the grants that run without a queued event: 10
    of an exchange's 16 events (the NIC read-in, the dispatch charge and
    the context switch at each end, the Send's copy-out, and the three
-   that ran in place before), the 16 unchanged. *)
+   that ran in place before), the 16 unchanged.  While a medium kept
+   its broadcast order as lists and gave each broadcasting port a list
+   of the others, boot clients kept a page map each, and every
+   [Vsim.Itbl] walk built a closure for its bucket loop, 20 page-train
+   pairs took 51,552 words (one walk per pair built one), the net
+   and crash schedules 13,399 and 17,100, and the boot storm 26,647.
+   The storm rose by 297 words: 128 page rows of 4 words, their 129-word
+   array and the 4-word closure that builds them replace sixteen 18-word
+   client maps and the clients' 16 map fields (+341); the two client
+   handlers capture the map and the client builder no longer captures
+   the configuration (+1); the two media's arrays (22 and 20 words),
+   fan records (5 each), options (2 each) and tap lists (3 each) replace
+   their port and tap lists (63) and the boot server's list of the
+   others (24) (-25); and the four table walks that built those lists
+   no longer build a 5-word closure each (-20). *)
 let test_host_allocation_gate () =
   Alcotest.(check int) "minor words for 1000 engine steps" 0
     (marginal_minor_words engine_steps 1000);
@@ -477,14 +491,14 @@ let test_host_allocation_gate () =
   Alcotest.(check int) "grants run in place for 100 remote S-R-R exchanges"
     1_000 in_place;
   Alcotest.(check int) "minor words for 20 remote 4 KB MoveTo+MoveFrom pairs"
-    51_552 (marginal_minor_words remote_moves 20);
-  Alcotest.(check int) "minor words for a fault-free net schedule" 13_399
+    51_452 (marginal_minor_words remote_moves 20);
+  Alcotest.(check int) "minor words for a fault-free net schedule" 13_329
     (schedule_minor_words Vcheck.Checker.Scenario.net);
-  Alcotest.(check int) "minor words for a fault-free crash schedule" 17_100
+  Alcotest.(check int) "minor words for a fault-free crash schedule" 17_040
     (schedule_minor_words Vcheck.Checker.Scenario.crash);
   let events, words = boot_storm_cost () in
   Alcotest.(check int) "events fired for a 16-client boot storm" 1_092 events;
-  Alcotest.(check int) "minor words for a 16-client boot storm" 26_647 words;
+  Alcotest.(check int) "minor words for a 16-client boot storm" 26_944 words;
   let words_n = broadcast_minor_words 64 in
   let words_2n = broadcast_minor_words 128 in
   if words_2n > words_n then

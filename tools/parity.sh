@@ -20,15 +20,18 @@
 #   vsim-RUN.txt/.jsonl    the measurement rigs' commands with --trace-out:
 #                          ipc, move, move --from, page and load, each
 #                          remote and (RUN-local) with --local, plus seq,
-#                          penalty and a 0-byte remote move each way;
-#                          see rig_runs below
+#                          penalty, a 0-byte remote move each way and two
+#                          boot storms (the default 32 clients, and 80
+#                          clients loading 64 pages); see rig_runs below
 #
 # The sweeps print only summaries, so each scenario also replays one
 # committed fault schedule, whose digest (ops, ledger, frames, kernel
 # stats and tables, medium counters) and JSONL trace (every packet,
 # MoveTo/MoveFrom page train and GetPid broadcast) show a change inside
 # a single run.  The failing reproducers cover the error paths a clean
-# run never takes.  Both trees replay the working tree's repro files.
+# run never takes.  Every boot client books each page it receives as a
+# traced Cpu_grant, so the boot traces check a broadcast's receiver
+# order event by event.  Both trees replay the working tree's repro files.
 #
 # Prints IDENTICAL, or the name and the head of a diff of every output that
 # differs.  Outputs land in OUTDIR (default _parity/) as base/ and head/,
@@ -66,6 +69,8 @@ load load
 load-local load --local
 seq seq
 penalty penalty
+boot boot
+boot-80 boot --topology 10mb:40,3mb:40 --pages 64
 EOF
 }
 

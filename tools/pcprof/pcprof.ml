@@ -1,6 +1,8 @@
-(* pcprof WORKLOAD SECONDS SEED SYMS MODIFY: run a vbench workload's
-   measured reps for SECONDS under a machine-code PC sampler and print
-   where the host time went, by symbol and by OCaml module.
+(* pcprof WORKLOAD SECONDS SEED SYMS MODIFY [PREFIX DISASM]: run a
+   vbench workload's measured reps for SECONDS under a machine-code PC
+   sampler and print where the host time went, by symbol and by OCaml
+   module, and with PREFIX, by instruction inside the symbols whose
+   names start with it.
 
    SYMS is [nm -n] of this executable and MODIFY its disassembly of
    [caml_modify] ([objdump -d --disassemble=caml_modify]); tools/pcprof.sh
@@ -8,7 +10,9 @@
    whose return address sits at the depth the function's prologue has
    pushed, so a write barrier books to the code that stored.  A sample
    outside this executable books to the file mapped there (libc, the
-   vDSO). *)
+   vDSO).  DISASM is [objdump -d] of the symbols PREFIX matches, which
+   gives each hot address its instruction; a sample lands on the
+   instruction after the one that stalled it. *)
 
 module V = Vbench_lib
 
@@ -114,15 +118,64 @@ let print_table title total counts =
       if i < 25 then Printf.printf "%7d %5.1f%%  %s\n" n (100. *. float n /. float total) k)
     rows
 
+(* [address -> instruction] from an [objdump -d --no-show-raw-insn]
+   listing. *)
+let read_disasm file =
+  let insns = Hashtbl.create 1024 in
+  List.iter
+    (fun l ->
+      match String.index_opt l ':' with
+      | Some i -> (
+          match int_of_string_opt ("0x" ^ String.trim (String.sub l 0 i)) with
+          | Some a ->
+              Hashtbl.replace insns a
+                (String.trim (String.sub l (i + 1) (String.length l - i - 1)))
+          | None -> ())
+      | None -> ())
+    (lines file);
+  insns
+
+(* The hottest instructions of the symbols [prefix] starts. *)
+let print_insns syms prefix insns total pcs =
+  let counts = Hashtbl.create 64 in
+  List.iter
+    (fun pc ->
+      match symbol syms pc with
+      | Some s when String.starts_with ~prefix s ->
+          Hashtbl.replace counts pc
+            (1 + Option.value ~default:0 (Hashtbl.find_opt counts pc))
+      | Some _ | None -> ())
+    pcs;
+  let rows =
+    List.sort compare (Hashtbl.fold (fun pc n acc -> (-n, pc) :: acc) counts [])
+  in
+  Printf.printf "\n%-7s %6s  %-8s %s\n" "samples" "share" "address"
+    ("instruction in " ^ prefix ^ "*");
+  List.iteri
+    (fun i (n, pc) ->
+      if i < 15 then
+        Printf.printf "%7d %5.1f%%  %8x %s\n" (-n)
+          (100. *. float (-n) /. float total)
+          pc
+          (Option.value ~default:"?" (Hashtbl.find_opt insns pc)))
+    rows
+
 let () =
-  match Sys.argv with
-  | [| _; name; seconds; seed; syms; modify |] ->
+  let usage = "usage: pcprof WORKLOAD SECONDS SEED SYMS MODIFY [PREFIX DISASM]" in
+  match Array.to_list Sys.argv with
+  | _ :: name :: seconds :: seed :: syms :: modify :: by_insn ->
       let w =
         match V.Workloads.find name with
         | Some w -> w
         | None -> fail "pcprof: no workload %s" name
       in
       let seconds = float_of_string seconds and seed = int_of_string seed in
+      let by_insn =
+        match by_insn with
+        | [] -> None
+        | [ prefix; disasm ] -> Some (prefix, read_disasm disasm)
+        | _ -> fail "%s" usage
+      in
       let syms = read_syms syms and depths = modify_depths modify in
       let modify_nm =
         match depths with (a, _) :: _ -> a | [] -> fail "pcprof: no caml_modify code"
@@ -142,8 +195,9 @@ let () =
       let modify_at = Nativeint.to_int modify_at in
       (* Zero when linked without PIE; the load base otherwise. *)
       let base = modify_at - modify_nm in
+      let mapped pc = List.find_opt (fun (lo, hi, _) -> pc >= lo && pc < hi) maps in
       let where pc =
-        match List.find_opt (fun (lo, hi, _) -> pc >= lo && pc < hi) maps with
+        match mapped pc with
         | Some (_, _, path) when path = exe ->
             Option.value ~default:"[unknown]" (symbol syms (pc - base))
         | Some (_, _, path) -> "[C] " ^ Filename.basename path
@@ -174,6 +228,21 @@ let () =
         (float n /. wall);
       if n > 0 then begin
         print_table "symbol (caml_modify booked to its caller)" n by_sym;
-        print_table "module (a write barrier booked to its caller's)" n by_mod
+        print_table "module (a write barrier booked to its caller's)" n by_mod;
+        match by_insn with
+        | Some (prefix, insns) ->
+            (* Addresses in this executable, as [nm] and [objdump] print
+               them. *)
+            let pcs =
+              Array.fold_left
+                (fun acc (pc, _) ->
+                  let pc = Nativeint.to_int pc in
+                  match mapped pc with
+                  | Some (_, _, path) when path = exe -> (pc - base) :: acc
+                  | Some _ | None -> acc)
+                [] samples
+            in
+            print_insns syms prefix insns n pcs
+        | None -> ()
       end
-  | _ -> fail "usage: pcprof WORKLOAD SECONDS SEED SYMS MODIFY"
+  | _ -> fail "%s" usage
