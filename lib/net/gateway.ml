@@ -178,7 +178,7 @@ let create ?(config = default_config) eng ~addr segments =
   in
   Array.iteri
     (fun i medium ->
-      ignore (Medium.attach_tap medium ~addr ~rx:(fun f -> on_frame t i f)))
+      Medium.attach_tap medium ~addr ~rx:(fun f -> on_frame t i f))
     segments;
   t
 

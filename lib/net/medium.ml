@@ -58,16 +58,17 @@ type current = {
   finish : Vsim.Engine.handle;
 }
 
-(* The broadcast order, as arrays: every port in the reverse of the port
-   table's walk order, then every tap in walk order ([fports]), and their
-   [prx] callbacks at the same indices ([frx]).  [fmedium] is the medium
-   they belong to, so that a delivery event's closure holds the fan, the
-   frame and the slot to skip, and nothing else. *)
+(* The delivery order, as arrays: every port in the reverse of the port
+   table's walk order, then every tap in walk order from [ftap0] on
+   ([fports]), and their [prx] callbacks at the same indices ([frx]).
+   [fmedium] is the medium they belong to, so that a delivery event's
+   closure holds the fan, the frame and its two slots, and nothing
+   else. *)
 type fan = {
   fmedium : t;
   fports : port array;
   frx : (Frame.t -> unit) array;
-  ftaps : port list;  (** the taps, the tail of [fports], as a list *)
+  ftap0 : int;  (** the first tap's slot: the number of ports *)
 }
 
 and t = {
@@ -78,7 +79,7 @@ and t = {
   taps : port Vsim.Itbl.t;
       (** promiscuous stations (bridges): targeted by every frame *)
   mutable fan : fan option;
-      (** the broadcast order, or [None] if a station attached since it
+      (** the delivery order, or [None] if a station attached since it
           was built *)
   waiters : pending Queue.t;
   mutable busy_until : Vsim.Time.t;
@@ -144,25 +145,16 @@ let engine t = t.eng
 let set_fault t f = t.flt <- f
 let set_host_handler t ~crash ~restart = t.host_handler <- Some (crash, restart)
 
-let attach t ~addr ~rx =
+let add t tbl ~who addr rx =
   if not (Addr.is_valid addr) || Addr.is_broadcast addr then
-    invalid_arg "Medium.attach: bad address";
+    invalid_arg (who ^ ": bad address");
   if Vsim.Itbl.mem t.ports addr || Vsim.Itbl.mem t.taps addr then
-    Fmt.invalid_arg "Medium.attach: address %d already attached" addr;
-  let port = { paddr = addr; prx = rx; slot = -1 } in
-  Vsim.Itbl.replace t.ports addr port;
-  t.fan <- None;
-  port
+    Fmt.invalid_arg "%s: address %d already attached" who addr;
+  Vsim.Itbl.replace tbl addr { paddr = addr; prx = rx; slot = -1 };
+  t.fan <- None
 
-let attach_tap t ~addr ~rx =
-  if not (Addr.is_valid addr) || Addr.is_broadcast addr then
-    invalid_arg "Medium.attach_tap: bad address";
-  if Vsim.Itbl.mem t.ports addr || Vsim.Itbl.mem t.taps addr then
-    Fmt.invalid_arg "Medium.attach_tap: address %d already attached" addr;
-  let port = { paddr = addr; prx = rx; slot = -1 } in
-  Vsim.Itbl.replace t.taps addr port;
-  t.fan <- None;
-  port
+let attach t ~addr ~rx = add t t.ports ~who:"Medium.attach" addr rx
+let attach_tap t ~addr ~rx = add t t.taps ~who:"Medium.attach_tap" addr rx
 
 let stats t =
   {
@@ -215,29 +207,38 @@ let deliver_to t frame (port : port) =
     else port.prx frame
   end
 
-(* The stations a completed transmission is aimed at.  An unattached
-   unicast destination with no tap listening yields the empty list: those
-   bits fall on the floor and are not counted as targeted.  Taps
-   (promiscuous bridge ports) hear every frame they did not source
-   themselves, appended after the regular ports so that a tapless medium
-   keeps the exact delivery order it had before taps existed.
+(* Scripted loss is accounted per receiver at what would have been the
+   arrival instant, exactly like probabilistic loss, so that
+   [targeted + duplicated = delivered + dropped] holds either way and
+   Packet_drop events always name the receiver that missed the frame. *)
+let lose t frame port =
+  t.s_dropped <- t.s_dropped + 1;
+  if Vsim.Trace.tracing t.eng then
+    Vsim.Trace.event t.eng
+      (Vsim.Event.Packet_drop
+         {
+           host = port.paddr;
+           reason = "fault-scripted";
+           bytes = Frame.length frame;
+         })
 
-   A broadcast reaches the ports in the reverse of the port table's walk
-   order, and taps follow in walk order; that is the order in which
-   folding each table into a list once put them.  [Vsim.Itbl] walks a
-   table in the order a polymorphic [Hashtbl] would, so the order is the
-   one the per-frame folds gave.  The first frame after an attach builds
-   that order as a [fan] (so attaching n stations costs one rebuild, not
-   n) and gives every station its [slot] in it; a broadcast walks the
-   whole fan and skips its source's slot, or none for a frame bridged in
-   from another segment, whose source is in neither table.  A rebuild
-   makes new arrays and never writes old ones, so a delivery scheduled
-   before it walks the order it was given. *)
+(* Every interface on the segment sees every frame; the destination
+   address only decides which of them accept it.  Ports hear a frame in
+   the reverse of the port table's walk order, and taps (promiscuous
+   bridge ports) follow in walk order; that is the order in which
+   folding each table into a list once put them, so a tapless medium
+   keeps the exact delivery order it had before taps existed.
+   [Vsim.Itbl] walks a table in the order a polymorphic [Hashtbl] would,
+   so the order is the one the per-frame folds gave.  The first frame
+   after an attach builds that order as a [fan] (so attaching n stations
+   costs one rebuild, not n) and gives every station its [slot] in it.
+   A rebuild makes new arrays and never writes old ones, so a delivery
+   scheduled before it walks the order it was given. *)
 let no_port = { paddr = Addr.broadcast; prx = ignore; slot = -1 }
 
 (* [Vsim.Itbl.fold] steps: number a port, number a tap, put a station in
    its slot.  None captures anything, so building a fan allocates only
-   its arrays, its record and its tap list. *)
+   its arrays and its record. *)
 let number_port _ port i =
   port.slot <- i;
   i - 1
@@ -259,16 +260,12 @@ let build t =
     Vsim.Itbl.fold place t.taps
       (Vsim.Itbl.fold place t.ports (Array.make n no_port))
   in
-  let ftaps = ref [] in
-  for i = n - 1 downto nports do
-    ftaps := fports.(i) :: !ftaps
-  done;
   let fan =
     {
       fmedium = t;
       fports;
       frx = Array.map (fun port -> port.prx) fports;
-      ftaps = !ftaps;
+      ftap0 = nports;
     }
   in
   t.fan <- Some fan;
@@ -276,8 +273,22 @@ let build t =
 
 let[@inline] refresh t = match t.fan with Some fan -> fan | None -> build t
 
-(* The slot of a frame's source in the current fan, or -1 if it is
-   attached here as neither a port nor a tap. *)
+(* The receivers of a frame are its destination's slot [dst], then every
+   slot from [first] to the end of the fan but its source's slot [skip].
+   A broadcast has no destination and starts at 0.  A unicast has its
+   destination's slot, or -1 when that address is not attached as a
+   port (its bits fall on the floor unless a tap hears them), and starts
+   at the first tap; the destination is never skipped, so a station that
+   unicasts to itself hears its frame.  [skip] is -1 for a station
+   attached here as neither port nor tap (the source of a frame bridged
+   in from another segment). *)
+let dst_slot t frame =
+  if Frame.is_broadcast frame then -1
+  else
+    match Vsim.Itbl.find t.ports frame.Frame.dst with
+    | port -> port.slot
+    | exception Not_found -> -1
+
 let source_slot t src =
   match Vsim.Itbl.find t.ports src with
   | port -> port.slot
@@ -286,42 +297,18 @@ let source_slot t src =
       | tap -> tap.slot
       | exception Not_found -> -1)
 
-(* How many stations a broadcast that skips [skip] reaches. *)
-let receivers fan skip = Array.length fan.fports - if skip < 0 then 0 else 1
+let[@inline] first fan frame =
+  if Frame.is_broadcast frame then 0 else fan.ftap0
 
-let rec has_addr addr = function
-  | [] -> false
-  | port :: rest -> Addr.equal port.paddr addr || has_addr addr rest
+let[@inline] receivers fan frame dst skip =
+  let first = first fan frame in
+  Array.length fan.fports - first
+  + (if dst >= 0 then 1 else 0)
+  - if skip >= first then 1 else 0
 
-(* A unicast reaches its destination, if attached, then every tap but
-   its source.  Only a frame a tap sends itself has its source among the
-   taps, and a bridge forwards frames under their own sources, so the
-   filter is left to that case. *)
-let unicast_targets t fan frame =
-  let src = frame.Frame.src in
-  let taps =
-    if has_addr src fan.ftaps then
-      List.filter (fun port -> not (Addr.equal port.paddr src)) fan.ftaps
-    else fan.ftaps
-  in
-  match Vsim.Itbl.find t.ports frame.Frame.dst with
-  | port -> port :: taps
-  | exception Not_found -> taps
-
-(* Batched delivery: one event per arrival instant covers every target,
-   iterated in target order — the same relative delivery order the old
-   one-event-per-port scheme produced, at a fraction of the heap traffic
-   for broadcasts.  Frames are immutable, so every receiver (and every
-   scripted duplicate) gets the transmitted frame itself, at no
-   allocation; only a delivery [deliver_to] corrupts gets a private
-   copy, so the mark never reaches another receiver.  A fault with no
-   drop or corrupt probability and no collision bug makes [deliver_to]
-   draw nothing and deliver every frame intact, so such a delivery calls
-   the receivers directly and allocates nothing; the fault is read once
-   per delivery event, as [deliver_to] would find it.  Only the last
-   receiver's call is the delivery's last, so a delivery to more than
-   one hides the tail of its event from the others ([hide_tail]) and
-   gives it back for the last ([held]). *)
+(* A fault with no drop or corrupt probability and no collision bug
+   makes [deliver_to] draw nothing and deliver every frame intact, so
+   such a delivery calls the receivers directly. *)
 let[@inline] clean (f : Fault.t) =
   f.Fault.drop_prob <= 0.0 && f.Fault.corrupt_prob <= 0.0
   && not f.Fault.collision_bug
@@ -331,109 +318,75 @@ let hide_tail t =
   Vsim.Engine.drop_tail t.eng;
   held
 
-let rec deliver_clean t frame held = function
-  | [] -> ()
-  | [ port ] ->
-      if held then Vsim.Engine.retake_tail t.eng;
-      t.s_delivered <- t.s_delivered + 1;
-      port.prx frame
-  | port :: rest ->
-      t.s_delivered <- t.s_delivered + 1;
-      port.prx frame;
-      deliver_clean t frame held rest
+(* What a walk does at each receiver's slot: call its receive callback
+   on a clean medium, deliver through [deliver_to] on a faulty one, or
+   lose the frame to a scripted drop. *)
+type visit = Call | Deliver | Lose
 
-let rec deliver_each t frame held = function
-  | [] -> ()
-  | [ port ] ->
-      if held then Vsim.Engine.retake_tail t.eng;
-      deliver_to t frame port
-  | port :: rest ->
-      deliver_to t frame port;
-      deliver_each t frame held rest
+let[@inline] visit how fan frx frame i =
+  match how with
+  | Call -> frx.(i) frame
+  | Deliver -> deliver_to fan.fmedium frame fan.fports.(i)
+  | Lose -> lose fan.fmedium frame fan.fports.(i)
 
-let deliver_all t frame ports =
-  let held =
-    match ports with [] | [ _ ] -> false | _ :: _ :: _ -> hide_tail t
-  in
-  if clean t.flt then deliver_clean t frame held ports
-  else deliver_each t frame held ports
-
-(* A broadcast's delivery: every slot of [fan] but [skip], in order, at
-   one array slot and one call per receiver on a clean medium, which
-   counts its deliveries before it makes them. *)
-let deliver_fan fan frame skip =
-  let t = fan.fmedium and frx = fan.frx in
-  let n = Array.length frx in
+(* Visit every receiver of [frame], in order.  Only the last receiver's
+   call is its event's last, so a frame with more than one receiver
+   hides the tail of the event from the others ([hide_tail]) and gives
+   it back for the last ([held]).  That call is a tail call in both
+   branches, so the receiver does not return through the walk. *)
+let[@inline] walk fan frame dst skip how =
+  let n = Array.length fan.fports in
+  let first = first fan frame in
   let last = if skip = n - 1 then n - 2 else n - 1 in
-  let receivers = receivers fan skip in
-  let held = receivers >= 2 && hide_tail t in
-  if clean t.flt then begin
-    t.s_delivered <- t.s_delivered + receivers;
-    for i = 0 to last - 1 do
-      if i <> skip then frx.(i) frame
-    done;
-    if held then Vsim.Engine.retake_tail t.eng;
-    frx.(last) frame
-  end
+  let held = receivers fan frame dst skip >= 2 && hide_tail fan.fmedium in
+  let frx = fan.frx in
+  if last < first then (if dst >= 0 then visit how fan frx frame dst)
   else begin
-    let fports = fan.fports in
-    for i = 0 to last - 1 do
-      if i <> skip then deliver_to t frame fports.(i)
+    if dst >= 0 then visit how fan frx frame dst;
+    for i = first to last - 1 do
+      if i <> skip then visit how fan frx frame i
     done;
-    if held then Vsim.Engine.retake_tail t.eng;
-    deliver_to t frame fports.(last)
+    if held then Vsim.Engine.retake_tail fan.fmedium.eng;
+    visit how fan frx frame last
   end
 
-let schedule_rx t frame ports ~at =
-  match ports with
-  | [] -> ()
-  | ports ->
-      ignore
-        (Vsim.Engine.at_kind t.eng ~kind:k_deliver at (fun () ->
-             deliver_all t frame ports))
-
-let schedule_fan fan frame skip ~at =
-  if receivers fan skip > 0 then
-    ignore
-      (Vsim.Engine.at_kind fan.fmedium.eng ~kind:k_deliver at (fun () ->
-           deliver_fan fan frame skip))
-
-(* Scripted loss is accounted per receiver at what would have been the
-   arrival instant, exactly like probabilistic loss, so that
-   [targeted + duplicated = delivered + dropped] holds either way and
-   Packet_drop events always name the receiver that missed the frame. *)
-let lose t frame port =
-  t.s_dropped <- t.s_dropped + 1;
-  if Vsim.Trace.tracing t.eng then
-    Vsim.Trace.event t.eng
-      (Vsim.Event.Packet_drop
-         {
-           host = port.paddr;
-           reason = "fault-scripted";
-           bytes = Frame.length frame;
-         })
-
-let drop_scripted t frame ports ~at =
-  match ports with
-  | [] -> ()
-  | ports ->
-      ignore
-        (Vsim.Engine.at_kind t.eng ~kind:k_drop at (fun () ->
-             List.iter (lose t frame) ports))
-
-let drop_fan fan frame skip ~at =
+(* One event per arrival instant covers every receiver.  Frames are
+   immutable, so every receiver (and every scripted duplicate) gets the
+   transmitted frame itself, at no allocation; only a delivery
+   [deliver_to] corrupts gets a private copy, so the mark never reaches
+   another receiver.  A clean medium counts its deliveries before it
+   makes them, at one array slot and one call per receiver; the fault is
+   read once per delivery event, as [deliver_to] would find it. *)
+let deliver_fan fan frame dst skip =
   let t = fan.fmedium in
-  if receivers fan skip > 0 then
+  if clean t.flt then begin
+    t.s_delivered <- t.s_delivered + receivers fan frame dst skip;
+    walk fan frame dst skip Call
+  end
+  else walk fan frame dst skip Deliver
+
+(* A frame without a destination slot, every broadcast among them, gets
+   a closure that holds one value fewer, so its event costs no more than
+   it did before unicasts walked the fan. *)
+let schedule fan frame dst skip ~at =
+  if receivers fan frame dst skip > 0 then
     ignore
-      (Vsim.Engine.at_kind t.eng ~kind:k_drop at (fun () ->
-           Array.iteri
-             (fun i port -> if i <> skip then lose t frame port)
-             fan.fports))
+      (Vsim.Engine.at_kind fan.fmedium.eng ~kind:k_deliver at
+         (if dst < 0 then fun () -> deliver_fan fan frame (-1) skip
+          else fun () -> deliver_fan fan frame dst skip))
+
+let drop fan frame dst skip ~at =
+  if receivers fan frame dst skip > 0 then
+    ignore
+      (Vsim.Engine.at_kind fan.fmedium.eng ~kind:k_drop at (fun () ->
+           walk fan frame dst skip Lose))
 
 (* How long a Reorder-held frame waits for a successor before a timer
    flushes it anyway; keeps a reorder at end-of-run from acting as a drop. *)
 let reorder_flush_ns t = 10 * t.cfg.latency_ns
 
+(* A held frame goes to the receivers of the order current at its
+   release. *)
 let release_held t ~at =
   match t.held with
   | None -> ()
@@ -445,15 +398,7 @@ let release_held t ~at =
           t.held_flush <- None
       | None -> ());
       let fan = refresh t in
-      if Frame.is_broadcast frame then
-        schedule_fan fan frame (source_slot t frame.Frame.src) ~at
-      else schedule_rx t frame (unicast_targets t fan frame) ~at
-
-(* The deliveries of [frame], at [at]: a broadcast's to [fan] but the
-   slot [skip], a unicast's to [tgts]. *)
-let schedule t fan frame skip tgts ~at =
-  if Frame.is_broadcast frame then schedule_fan fan frame skip ~at
-  else schedule_rx t frame tgts ~at
+      schedule fan frame (dst_slot t frame) (source_slot t frame.Frame.src) ~at
 
 let deliver t frame =
   t.frame_no <- t.frame_no + 1;
@@ -473,23 +418,21 @@ let deliver t frame =
   | _ -> ());
   let arrival = Vsim.Engine.now t.eng + t.cfg.latency_ns in
   let fan = refresh t in
-  let bcast = Frame.is_broadcast frame in
-  let skip = if bcast then source_slot t frame.Frame.src else -1 in
-  let tgts = if bcast then [] else unicast_targets t fan frame in
-  let n = if bcast then receivers fan skip else List.length tgts in
+  let skip = source_slot t frame.Frame.src in
+  let dst = dst_slot t frame in
+  let n = receivers fan frame dst skip in
   t.s_targeted <- t.s_targeted + n;
   match Fault.action_for t.flt t.frame_no with
   | Some Fault.Drop ->
-      if bcast then drop_fan fan frame skip ~at:arrival
-      else drop_scripted t frame tgts ~at:arrival;
+      drop fan frame dst skip ~at:arrival;
       release_held t ~at:(arrival + 1)
   | Some Fault.Duplicate ->
       t.s_duplicated <- t.s_duplicated + n;
-      schedule t fan frame skip tgts ~at:arrival;
-      schedule t fan frame skip tgts ~at:(arrival + slot_ns);
+      schedule fan frame dst skip ~at:arrival;
+      schedule fan frame dst skip ~at:(arrival + slot_ns);
       release_held t ~at:(arrival + 1)
   | Some (Fault.Delay extra) ->
-      schedule t fan frame skip tgts ~at:(arrival + extra);
+      schedule fan frame dst skip ~at:(arrival + extra);
       release_held t ~at:(arrival + 1)
   | Some Fault.Reorder ->
       (* At most one frame is parked: a second Reorder flushes the first. *)
@@ -503,7 +446,7 @@ let deliver t frame =
                t.held_flush <- None;
                release_held t ~at:(Vsim.Engine.now t.eng)))
   | None ->
-      schedule t fan frame skip tgts ~at:arrival;
+      schedule fan frame dst skip ~at:arrival;
       release_held t ~at:(arrival + 1)
 
 let rec attempt t (p : pending) =

@@ -43,9 +43,7 @@ val create : Vsim.Engine.t -> config -> t
 val config : t -> config
 val engine : t -> Vsim.Engine.t
 
-type port
-
-val attach : t -> addr:Addr.t -> rx:(Frame.t -> unit) -> port
+val attach : t -> addr:Addr.t -> rx:(Frame.t -> unit) -> unit
 (** Connect a station. [rx] is invoked (in event context) when a frame
     addressed to [addr] — or broadcast — arrives, including corrupted
     frames (the NIC's CRC check is the receiver's job). [rx] gets the
@@ -53,7 +51,7 @@ val attach : t -> addr:Addr.t -> rx:(Frame.t -> unit) -> port
     private copy ({!Frame.corrupt}) when fault injection corrupts its
     delivery. Each address may be attached once, as a port or as a tap. *)
 
-val attach_tap : t -> addr:Addr.t -> rx:(Frame.t -> unit) -> port
+val attach_tap : t -> addr:Addr.t -> rx:(Frame.t -> unit) -> unit
 (** Connect a promiscuous station (a bridge port): [rx] is invoked for
     {e every} frame on the segment — unicast, broadcast, attached or
     unattached destination — except frames the tap itself sourced.  Taps
@@ -84,9 +82,11 @@ val set_host_handler : t -> crash:(unit -> unit) -> restart:(unit -> unit) -> un
 type stats = {
   attempted : int;  (** transmit calls *)
   targeted : int;
-      (** per-receiver intended deliveries across completed transmissions:
-          1 per attached unicast destination, [stations - 1] per broadcast.
-          At quiescence [targeted + duplicated = delivered + dropped]. *)
+      (** per-receiver intended deliveries across completed transmissions.
+          A frame's receivers are its destination, if attached as a port,
+          plus every station its kind reaches (every port and tap for a
+          broadcast, every tap for a unicast) except its source.  At
+          quiescence [targeted + duplicated = delivered + dropped]. *)
   delivered : int;  (** frame-to-station deliveries *)
   dropped : int;  (** lost to fault injection, counted per receiver *)
   duplicated : int;  (** extra per-receiver copies injected by Duplicate *)

@@ -47,7 +47,7 @@ let create eng ~cpu ~medium ~addr =
       tx_waiters = Queue.create ();
     }
   in
-  let (_ : Medium.port) = Medium.attach medium ~addr ~rx:(on_frame t) in
+  Medium.attach medium ~addr ~rx:(on_frame t);
   t
 
 let addr t = t.naddr

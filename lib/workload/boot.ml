@@ -363,9 +363,7 @@ let run ?seed ?(config = default_config) ?(max_events = default_max_events)
           end
       end
   in
-  let (_ : Vnet.Medium.port) =
-    Vnet.Medium.attach media.(0) ~addr:server_addr ~rx:server_rx
-  in
+  Vnet.Medium.attach media.(0) ~addr:server_addr ~rx:server_rx;
   (* Client-side protocol: every answer goes out at a random offset
      within [window], its contents decided when it goes. *)
   let answer c payload =
@@ -416,9 +414,7 @@ let run ?seed ?(config = default_config) ?(max_events = default_max_events)
   in
   Array.iter
     (fun c ->
-      let (_ : Vnet.Medium.port) =
-        Vnet.Medium.attach c.c_medium ~addr:c.c_addr ~rx:(client_rx c)
-      in
+      Vnet.Medium.attach c.c_medium ~addr:c.c_addr ~rx:(client_rx c);
       (* The boot request, at a random instant of the join window. *)
       answer c (fun () ->
           let p = Bytes.create 4 in

@@ -85,13 +85,12 @@ let test_dedup_exact () =
   let m0 = Vnet.Medium.create eng Vnet.Medium.config_10mb in
   let m1 = Vnet.Medium.create eng Vnet.Medium.config_3mb in
   let gw = Gateway.create eng ~addr:Topology.gateway_addr [ m0; m1 ] in
-  ignore (Vnet.Medium.attach m0 ~addr:1 ~rx:ignore);
-  ignore (Vnet.Medium.attach m0 ~addr:3 ~rx:ignore);
+  Vnet.Medium.attach m0 ~addr:1 ~rx:ignore;
+  Vnet.Medium.attach m0 ~addr:3 ~rx:ignore;
   let far = ref 0 and last = ref None in
-  ignore
-    (Vnet.Medium.attach m1 ~addr:2 ~rx:(fun f ->
-         incr far;
-         last := Some f));
+  Vnet.Medium.attach m1 ~addr:2 ~rx:(fun f ->
+      incr far;
+      last := Some f);
   let payload = Bytes.init 64 Char.chr in
   let changed = Bytes.copy payload in
   Bytes.set changed 40 'x';
@@ -168,11 +167,10 @@ let test_dedup_collision () =
   let m0 = Vnet.Medium.create eng Vnet.Medium.config_10mb in
   let m1 = Vnet.Medium.create eng Vnet.Medium.config_3mb in
   let gw = Gateway.create eng ~addr:Topology.gateway_addr [ m0; m1 ] in
-  ignore (Vnet.Medium.attach m0 ~addr:1 ~rx:ignore);
+  Vnet.Medium.attach m0 ~addr:1 ~rx:ignore;
   let far = ref [] in
-  ignore
-    (Vnet.Medium.attach m1 ~addr:2 ~rx:(fun f ->
-         far := f.Vnet.Frame.payload :: !far));
+  Vnet.Medium.attach m1 ~addr:2 ~rx:(fun f ->
+      far := f.Vnet.Frame.payload :: !far);
   let frames =
     List.map
       (Vnet.Frame.make ~src:1 ~dst:Vnet.Addr.broadcast
@@ -229,8 +227,7 @@ let test_gateway_crash_restart () =
   let m1 = Topology.medium tp 1 in
   (* A raw listener on segment 1 counting what gets through.  Address 9
      is routed to segment 1 so the gateway forwards to it. *)
-  ignore
-    (Vnet.Medium.attach m1 ~addr:9 ~rx:(fun _ -> incr received));
+  Vnet.Medium.attach m1 ~addr:9 ~rx:(fun _ -> incr received);
   Gateway.add_route gw ~host:9 ~segment:1;
   let k_test = Vsim.Eventq.Kind.intern "test.inet" in
   let send_at t_ns i =

@@ -68,10 +68,8 @@ let test_mapped_learns_addresses () =
   let stats0 = ref 0 in
   (* Count broadcast frames via a third station. *)
   let bcast_seen = ref 0 in
-  let (_ : Vnet.Medium.port) =
-    Vnet.Medium.attach medium ~addr:33 ~rx:(fun f ->
-        if Vnet.Frame.is_broadcast f then incr bcast_seen)
-  in
+  Vnet.Medium.attach medium ~addr:33 ~rx:(fun f ->
+      if Vnet.Frame.is_broadcast f then incr bcast_seen);
   ignore stats0;
   let (_ : Vkernel.Pid.t) =
     K.spawn k1 ~name:"client" (fun _ ->

@@ -10,11 +10,9 @@ let setup ?(medium_config = cfg3) () =
 let test_delivery_timing () =
   let eng, medium = setup () in
   let arrival = ref (-1) in
-  let (_ : Vnet.Medium.port) =
-    Vnet.Medium.attach medium ~addr:2 ~rx:(fun _ ->
-        arrival := Vsim.Engine.now eng)
-  in
-  let (_ : Vnet.Medium.port) = Vnet.Medium.attach medium ~addr:1 ~rx:ignore in
+  Vnet.Medium.attach medium ~addr:2 ~rx:(fun _ ->
+      arrival := Vsim.Engine.now eng);
+  Vnet.Medium.attach medium ~addr:1 ~rx:ignore;
   Vnet.Medium.transmit medium
     (Vnet.Frame.make ~src:1 ~dst:2 ~ethertype:0 (Bytes.make 64 'x'));
   Vsim.Engine.run eng;
@@ -26,7 +24,7 @@ let test_broadcast () =
   let eng, medium = setup () in
   let got = ref [] in
   for a = 1 to 3 do
-    ignore (Vnet.Medium.attach medium ~addr:a ~rx:(fun _ -> got := a :: !got))
+    Vnet.Medium.attach medium ~addr:a ~rx:(fun _ -> got := a :: !got)
   done;
   Vnet.Medium.transmit medium
     (Vnet.Frame.make ~src:1 ~dst:Vnet.Addr.broadcast ~ethertype:0
@@ -40,11 +38,10 @@ let test_carrier_sense () =
      collision window) defers and goes out after the first completes. *)
   let eng, medium = setup () in
   let arrivals = ref [] in
-  ignore
-    (Vnet.Medium.attach medium ~addr:3 ~rx:(fun f ->
-         arrivals := (f.Vnet.Frame.src, Vsim.Engine.now eng) :: !arrivals));
-  ignore (Vnet.Medium.attach medium ~addr:1 ~rx:ignore);
-  ignore (Vnet.Medium.attach medium ~addr:2 ~rx:ignore);
+  Vnet.Medium.attach medium ~addr:3 ~rx:(fun f ->
+      arrivals := (f.Vnet.Frame.src, Vsim.Engine.now eng) :: !arrivals);
+  Vnet.Medium.attach medium ~addr:1 ~rx:ignore;
+  Vnet.Medium.attach medium ~addr:2 ~rx:ignore;
   let tx src payload =
     Vnet.Medium.transmit medium
       (Vnet.Frame.make ~src ~dst:3 ~ethertype:0 (Bytes.make payload 'x'))
@@ -67,9 +64,9 @@ let test_collision_backoff () =
      frames eventually get through via backoff. *)
   let eng, medium = setup () in
   let got = ref 0 in
-  ignore (Vnet.Medium.attach medium ~addr:3 ~rx:(fun _ -> incr got));
-  ignore (Vnet.Medium.attach medium ~addr:1 ~rx:ignore);
-  ignore (Vnet.Medium.attach medium ~addr:2 ~rx:ignore);
+  Vnet.Medium.attach medium ~addr:3 ~rx:(fun _ -> incr got);
+  Vnet.Medium.attach medium ~addr:1 ~rx:ignore;
+  Vnet.Medium.attach medium ~addr:2 ~rx:ignore;
   Vnet.Medium.transmit medium
     (Vnet.Frame.make ~src:1 ~dst:3 ~ethertype:0 (Bytes.make 100 'a'));
   Vnet.Medium.transmit medium
@@ -84,8 +81,8 @@ let test_fault_drop () =
   let eng, medium = setup () in
   Vnet.Medium.set_fault medium (Vnet.Fault.drop 1.0);
   let got = ref 0 in
-  ignore (Vnet.Medium.attach medium ~addr:2 ~rx:(fun _ -> incr got));
-  ignore (Vnet.Medium.attach medium ~addr:1 ~rx:ignore);
+  Vnet.Medium.attach medium ~addr:2 ~rx:(fun _ -> incr got);
+  Vnet.Medium.attach medium ~addr:1 ~rx:ignore;
   Vnet.Medium.transmit medium
     (Vnet.Frame.make ~src:1 ~dst:2 ~ethertype:0 (Bytes.make 10 'x'));
   Vsim.Engine.run eng;
@@ -99,7 +96,7 @@ let test_fault_corrupt_and_crc () =
   let nic2 = Vnet.Nic.create eng ~cpu ~medium ~addr:2 in
   let got = ref 0 in
   Vnet.Nic.set_receiver nic2 ~ethertype:7 (fun _ -> incr got);
-  ignore (Vnet.Medium.attach medium ~addr:1 ~rx:ignore);
+  Vnet.Medium.attach medium ~addr:1 ~rx:ignore;
   Vnet.Medium.transmit medium
     (Vnet.Frame.make ~src:1 ~dst:2 ~ethertype:7 (Bytes.make 10 'x'));
   Vsim.Engine.run eng;
@@ -119,8 +116,7 @@ let test_fault_corrupt_isolated () =
   Vnet.Medium.set_fault medium (Vnet.Fault.corrupt 0.4);
   let heard = ref [] in
   for a = 1 to 6 do
-    ignore
-      (Vnet.Medium.attach medium ~addr:a ~rx:(fun f -> heard := f :: !heard))
+    Vnet.Medium.attach medium ~addr:a ~rx:(fun f -> heard := f :: !heard)
   done;
   let corrupt_then_clean = ref 0 in
   for i = 1 to 20 do
@@ -169,8 +165,8 @@ let test_scripted_duplicate () =
   Vnet.Medium.set_fault medium
     (Vnet.Fault.script [ (1, Vnet.Fault.Duplicate) ]);
   let got = ref 0 in
-  ignore (Vnet.Medium.attach medium ~addr:2 ~rx:(fun _ -> incr got));
-  ignore (Vnet.Medium.attach medium ~addr:1 ~rx:ignore);
+  Vnet.Medium.attach medium ~addr:2 ~rx:(fun _ -> incr got);
+  Vnet.Medium.attach medium ~addr:1 ~rx:ignore;
   Vnet.Medium.transmit medium
     (Vnet.Frame.make ~src:1 ~dst:2 ~ethertype:0 (Bytes.make 10 'x'));
   Vsim.Engine.run eng;
@@ -187,10 +183,9 @@ let test_scripted_reorder () =
   let eng, medium = setup () in
   Vnet.Medium.set_fault medium (Vnet.Fault.script [ (1, Vnet.Fault.Reorder) ]);
   let order = ref [] in
-  ignore
-    (Vnet.Medium.attach medium ~addr:2 ~rx:(fun f ->
-         order := Bytes.get f.Vnet.Frame.payload 0 :: !order));
-  ignore (Vnet.Medium.attach medium ~addr:1 ~rx:ignore);
+  Vnet.Medium.attach medium ~addr:2 ~rx:(fun f ->
+      order := Bytes.get f.Vnet.Frame.payload 0 :: !order);
+  Vnet.Medium.attach medium ~addr:1 ~rx:ignore;
   Vnet.Medium.transmit medium
     (Vnet.Frame.make ~src:1 ~dst:2 ~ethertype:0 (Bytes.make 10 'a'));
   (* Past the first frame's wire time, so the two never collide. *)
@@ -215,7 +210,7 @@ let test_broadcast_order () =
   let eng, medium = setup () in
   let heard = ref [] in
   let station attach a =
-    ignore (attach medium ~addr:a ~rx:(fun _ -> heard := a :: !heard))
+    attach medium ~addr:a ~rx:(fun _ -> heard := a :: !heard)
   in
   List.iter (station Vnet.Medium.attach) [ 7; 2; 30; 1; 19; 4; 12 ];
   List.iter (station Vnet.Medium.attach_tap) [ 200; 60; 90 ];
@@ -238,7 +233,7 @@ let test_broadcast_order () =
   check "from a tap" [ 19; 1; 25; 4; 12; 7; 30; 2; 200; 90 ]
     (order ~bridged:true ~src:60 ~dst:bc ());
   check "unicast" [ 30; 60; 200; 90 ] (order ~src:7 ~dst:30 ());
-  (* The medium counts each frame's targets without walking the list. *)
+  (* The medium counts each frame's receivers without walking them. *)
   Alcotest.(check int) "targeted" (9 + 10 + 11 + 10 + 4)
     (Vnet.Medium.stats medium).Vnet.Medium.targeted;
   Alcotest.check_raises "a tap's address is taken"
@@ -248,13 +243,16 @@ let test_broadcast_order () =
 (* The same order over random stations, attached in random order between
    frames, against a model: the reverse of a [Hashtbl]'s walk of the
    ports (an [Itbl] walks in [Hashtbl] order), then its walk of the taps,
-   without the source; a unicast reaches its destination (always an
-   attached port here), then the taps but its source.  A receiver a fault drops still has its place in the
-   order, through its Packet_drop event, and a scripted duplicate
-   delivers the whole order twice. *)
+   without the source; a unicast reaches its destination if that is an
+   attached port (a port sending to itself included), then the taps but
+   its source, so a unicast to an unattached address reaches only the
+   taps and one to a tap's address reaches that tap among them.  A
+   receiver a fault drops still has its place in the order, through its
+   Packet_drop event, a scripted duplicate delivers the whole order
+   twice, and a scripted delay or reorder delivers it once, later. *)
 type order_mode = Clean | Lossy | Scripted
 
-let broadcast_matches_model (seed, mode) =
+let delivery_matches_model (seed, mode) =
   let st = Random.State.make [| seed |] in
   let int n = Random.State.int st n in
   let eng, medium = setup () in
@@ -278,11 +276,11 @@ let broadcast_matches_model (seed, mode) =
     let a = pool.(i) in
     let rx _ = heard := a :: !heard in
     if i < nports then begin
-      ignore (Vnet.Medium.attach medium ~addr:a ~rx);
+      Vnet.Medium.attach medium ~addr:a ~rx;
       Hashtbl.replace ports a ()
     end
     else begin
-      ignore (Vnet.Medium.attach_tap medium ~addr:a ~rx);
+      Vnet.Medium.attach_tap medium ~addr:a ~rx;
       Hashtbl.replace taps a ()
     end
   in
@@ -297,7 +295,12 @@ let broadcast_matches_model (seed, mode) =
       Vnet.Medium.set_fault medium
         (Vnet.Fault.script
            (List.init sends (fun k ->
-                (k + 1, if k mod 2 = 0 then Vnet.Fault.Drop else Vnet.Fault.Duplicate)))));
+                ( k + 1,
+                  match k mod 4 with
+                  | 0 -> Vnet.Fault.Drop
+                  | 1 -> Vnet.Fault.Duplicate
+                  | 2 -> Vnet.Fault.Delay 50_000
+                  | _ -> Vnet.Fault.Reorder )))));
   let expected_targets = ref 0 in
   let next = ref 0 and frames = ref 0 in
   while !frames < sends do
@@ -309,17 +312,23 @@ let broadcast_matches_model (seed, mode) =
       let ports_now = attached ports and taps_now = List.rev (attached taps) in
       let bc = Vnet.Addr.broadcast in
       let src, dst, bridged =
-        match int 5 with
+        match int 8 with
         | 0 when taps_now <> [] -> (pick taps_now, bc, true)
         | 1 -> (pool.(254 - int 100), bc, true)
         | 2 when taps_now <> [] -> (pick taps_now, pick ports_now, true)
         | 3 -> (pick ports_now, pick ports_now, false)
+        | 4 -> (pick ports_now, pool.(254 - int 100), false)
+        | 5 when taps_now <> [] -> (pick ports_now, pick taps_now, false)
+        | 6 ->
+            let a = pick ports_now in
+            (a, a, false)
         | _ -> (pick ports_now, bc, false)
       in
       let but_src = List.filter (fun a -> a <> src) in
       let model =
         if Vnet.Addr.is_broadcast dst then but_src (ports_now @ taps_now)
-        else dst :: but_src taps_now
+        else if Hashtbl.mem ports dst then dst :: but_src taps_now
+        else but_src taps_now
       in
       heard := [];
       Vnet.Medium.transmit ~bridged medium
@@ -328,7 +337,7 @@ let broadcast_matches_model (seed, mode) =
       incr frames;
       expected_targets := !expected_targets + List.length model;
       let expect =
-        if mode = Scripted && !frames mod 2 = 0 then model @ model else model
+        if mode = Scripted && !frames mod 4 = 2 then model @ model else model
       in
       if List.rev !heard <> expect then
         QCheck.Test.fail_reportf "frame %d from %d to %d: heard [%s], expected [%s]"
@@ -345,7 +354,7 @@ let broadcast_matches_model (seed, mode) =
 let test_broadcast_order_model =
   Util.qtest ~count:300 "broadcast order matches a model"
     QCheck.(pair int (make Gen.(oneofl [ Clean; Lossy; Scripted ])))
-    broadcast_matches_model
+    delivery_matches_model
 
 let test_broadcast_drop_per_receiver () =
   (* A scripted drop of a broadcast frame loses one copy per receiver:
@@ -355,7 +364,7 @@ let test_broadcast_drop_per_receiver () =
   Vnet.Medium.set_fault medium (Vnet.Fault.script [ (1, Vnet.Fault.Drop) ]);
   let got = ref 0 in
   for a = 1 to 3 do
-    ignore (Vnet.Medium.attach medium ~addr:a ~rx:(fun _ -> incr got))
+    Vnet.Medium.attach medium ~addr:a ~rx:(fun _ -> incr got)
   done;
   Vnet.Medium.transmit medium
     (Vnet.Frame.make ~src:1 ~dst:Vnet.Addr.broadcast ~ethertype:0
@@ -381,8 +390,8 @@ let test_drop_events_name_receiver () =
         | Vsim.Event.Packet_drop { host; reason; _ } ->
             drops := (host, reason) :: !drops
         | _ -> ());
-    ignore (Vnet.Medium.attach medium ~addr:2 ~rx:ignore);
-    ignore (Vnet.Medium.attach medium ~addr:1 ~rx:ignore);
+    Vnet.Medium.attach medium ~addr:2 ~rx:ignore;
+    Vnet.Medium.attach medium ~addr:1 ~rx:ignore;
     (eng, medium, drops)
   in
   let eng, medium, drops = collect () in
@@ -410,7 +419,7 @@ let test_nic_costs () =
   let m = Vhw.Cost_model.sun_8mhz in
   let cpu1 = Vhw.Cpu.create eng ~model:m ~name:"c1" in
   let nic1 = Vnet.Nic.create eng ~cpu:cpu1 ~medium ~addr:1 in
-  ignore (Vnet.Medium.attach medium ~addr:2 ~rx:ignore);
+  Vnet.Medium.attach medium ~addr:2 ~rx:ignore;
   let (_ : Vsim.Proc.t) =
     Vsim.Proc.spawn eng (fun () ->
         Vnet.Nic.send nic1 ~dst:2 ~ethertype:0 (Bytes.make 100 'x'))
@@ -429,9 +438,8 @@ let test_nic_tx_buffer_serializes () =
   let cpu1 = Vhw.Cpu.create eng ~model:m ~name:"c1" in
   let nic1 = Vnet.Nic.create eng ~cpu:cpu1 ~medium ~addr:1 in
   let arrivals = ref [] in
-  ignore
-    (Vnet.Medium.attach medium ~addr:2 ~rx:(fun _ ->
-         arrivals := Vsim.Engine.now eng :: !arrivals));
+  Vnet.Medium.attach medium ~addr:2 ~rx:(fun _ ->
+      arrivals := Vsim.Engine.now eng :: !arrivals);
   let (_ : Vsim.Proc.t) =
     Vsim.Proc.spawn eng (fun () ->
         for _ = 1 to 3 do
@@ -452,8 +460,8 @@ let test_nic_tx_buffer_serializes () =
 
 let test_utilization_metering () =
   let eng, medium = setup () in
-  ignore (Vnet.Medium.attach medium ~addr:1 ~rx:ignore);
-  ignore (Vnet.Medium.attach medium ~addr:2 ~rx:ignore);
+  Vnet.Medium.attach medium ~addr:1 ~rx:ignore;
+  Vnet.Medium.attach medium ~addr:2 ~rx:ignore;
   let mark = Vnet.Medium.mark medium in
   Vnet.Medium.transmit medium
     (Vnet.Frame.make ~src:1 ~dst:2 ~ethertype:0 (Bytes.make 500 'x'));
@@ -468,7 +476,7 @@ let test_utilization_metering () =
 
 let test_oversize_rejected () =
   let _, medium = setup () in
-  ignore (Vnet.Medium.attach medium ~addr:1 ~rx:ignore);
+  Vnet.Medium.attach medium ~addr:1 ~rx:ignore;
   try
     Vnet.Medium.transmit medium
       (Vnet.Frame.make ~src:1 ~dst:2 ~ethertype:0 (Bytes.make 4096 'x'));

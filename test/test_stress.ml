@@ -143,7 +143,7 @@ let test_medium_conservation () =
   let received = ref 0 in
   let stations = 12 in
   for a = 1 to stations do
-    ignore (Vnet.Medium.attach medium ~addr:a ~rx:(fun _ -> incr received))
+    Vnet.Medium.attach medium ~addr:a ~rx:(fun _ -> incr received)
   done;
   let rng = Vsim.Rng.create 7L in
   let sent = ref 0 in
