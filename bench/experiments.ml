@@ -540,7 +540,7 @@ let section_7_exec () =
               for b = 0 to 63 do
                 ignore (R.get (Vfs.Client.read_page conn h ~block:b ~buf:0 ()));
                 (* The same per-page computation, on the workstation. *)
-                Vhw.Cpu.compute (TB.cpu tb 2) compute_per_page
+                Vhw.Cpu.charge (TB.cpu tb 2) compute_per_page
               done)
         in
         [ exec; fetch ])

@@ -79,7 +79,7 @@ let serve_stream s (r : sreq) =
       let continue = ref true in
       while s.s_acked < npages && !continue do
         if !next < min (s.s_acked + s.s_window) npages then begin
-          Vhw.Cpu.compute (Vnet.Nic.cpu s.s_nic) s.s_process_ns;
+          Vhw.Cpu.charge (Vnet.Nic.cpu s.s_nic) s.s_process_ns;
           match
             Vfs.Fs.read s.s_fs ~inum:r.sr_inum ~pos:(!next * Vfs.Fs.block_size)
               ~len:Vfs.Fs.block_size
@@ -213,10 +213,10 @@ let stream_file eng ~nic ~server ~inum ?(client_think_ns = 0)
           (* The copy out of the protocol buffer that streaming implies,
              plus application think time. *)
           if buffer_copy then
-            Vhw.Cpu.compute (Vnet.Nic.cpu nic)
+            Vhw.Cpu.charge (Vnet.Nic.cpu nic)
               (n * model.Vhw.Cost_model.mem_copy_ns_per_byte);
           if client_think_ns > 0 then
-            Vhw.Cpu.compute (Vnet.Nic.cpu nic) client_think_ns;
+            Vhw.Cpu.charge (Vnet.Nic.cpu nic) client_think_ns;
           Vnet.Nic.send nic ~dst:server
             ~ethertype:Vnet.Frame.ethertype_stream
             (encode ~op:op_ack ~id ~a:st.next_expected ~b:0 ~data:Bytes.empty);

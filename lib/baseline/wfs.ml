@@ -69,7 +69,7 @@ type server = {
 
 
 let serve_one s (r : request) =
-  Vhw.Cpu.compute (Vnet.Nic.cpu s.s_nic) s.s_process_ns;
+  Vhw.Cpu.charge (Vnet.Nic.cpu s.s_nic) s.s_process_ns;
   let respond ~op ~data =
     Vnet.Nic.send s.s_nic ~dst:r.r_from ~ethertype:Vnet.Frame.ethertype_wfs
       (encode ~op ~id:r.r_id ~inum:r.r_inum ~block:r.r_block
@@ -173,7 +173,7 @@ let create_client eng ~nic ~server ?(process_ns = Vsim.Time.us 150)
   c
 
 let rpc c ~op ~inum ~block ~count ~data =
-  Vhw.Cpu.compute (Vnet.Nic.cpu c.c_nic) c.c_process_ns;
+  Vhw.Cpu.charge (Vnet.Nic.cpu c.c_nic) c.c_process_ns;
   c.c_next_id <- c.c_next_id + 1;
   let id = c.c_next_id in
   let payload () = encode ~op ~id ~inum ~block ~count ~data in

@@ -76,34 +76,13 @@ let max_seg_append = 512
 (* Address-space size for new processes. *)
 let default_mem_size = 256 * 1024
 
-type grant = {
-  granted_to : Pid.t;
-  g_access : Msg.access;
-  g_ptr : int;
-  g_len : int;
-}
-
-type pstate = Ready | Receive_blocked | Awaiting_reply of Pid.t | Dead
-
-(* Tests on [pstate] match rather than use [=], which on a type with a
-   non-constant constructor is a C call to polymorphic compare. *)
-let awaiting_reply state who =
-  match state with
-  | Awaiting_reply p -> Pid.equal p who
-  | Ready | Receive_blocked | Dead -> false
+type grant = { g_access : Msg.access; g_ptr : int; g_len : int }
 
 type queued = {
   q_src : Pid.t;
   q_seq : int;  (** alien seq for remote entries; 0 for local *)
   q_msg : Msg.t;
   q_local : bool;
-}
-
-type receive_wait = {
-  rw_msg : Msg.t;
-  rw_seg : (int * int) option;
-  rw_from : Pid.t option;  (** ReceiveSpecific filter *)
-  rw_k : Pid.t * int -> unit;
 }
 
 (* The retransmission timer of one remote exchange (Section 3.2): every
@@ -120,8 +99,27 @@ type retx = {
   mutable rx_timer : Vsim.Engine.handle;
 }
 
+(* A process is ready, blocked in Receive or awaiting a reply; each wait
+   carries what ends it. *)
+type pstate =
+  | Ready
+  | Receiving of {
+      msg : Msg.t;
+      seg : (int * int) option;
+      from : Pid.t option;  (** ReceiveSpecific filter *)
+      k : Pid.t * int -> unit;
+    }
+  | Awaiting_reply of {
+      mutable peer : Pid.t;  (** the process that will reply *)
+      mutable grant : grant option;  (** the segment [peer] may move *)
+      buf : Msg.t;  (** where the reply message lands *)
+      k : status -> unit;
+      mutable rsend : rsend option;  (** the Send, if [peer] is remote *)
+    }
+  | Dead
+
 (* Remote-send state of a locally blocked sender. *)
-type rsend = {
+and rsend = {
   rs_desc : desc;
   mutable rs_pkt : Packet.t;
   mutable rs_since : Vsim.Time.t;
@@ -137,11 +135,6 @@ and desc = {
   d_mem : Mem.t;
   d_queue : queued Queue.t;
   mutable d_state : pstate;
-  mutable d_grant : grant option;
-  mutable d_on_reply : (status -> unit) option;
-  mutable d_reply_buf : Msg.t option;
-  mutable d_recv : receive_wait option;
-  mutable d_rsend : rsend option;
   mutable d_train_gen : int;
       (** invalidates superseded MoveFrom streams sourced from this
           process — a retransmitted request or a NAK starts a fresh
@@ -149,25 +142,42 @@ and desc = {
           flood the requester with out-of-order fragments *)
 }
 
+(* Tests on [pstate] match rather than use [=], which on a type with a
+   non-constant constructor is a C call to polymorphic compare. *)
+let awaiting_reply state who =
+  match state with
+  | Awaiting_reply w -> Pid.equal w.peer who
+  | Ready | Receiving _ | Dead -> false
+
 (* Alien process descriptors: surrogates for remote senders (Section 3.2).
    They hold the message, filter retransmissions and cache the reply. *)
-type alien_state = A_queued | A_received | A_replied | A_forwarded
+type alien_state =
+  | A_queued
+  | A_received
+  | A_replied of {
+      reply : Packet.t;
+      mutable at : Vsim.Time.t;
+          (** when the cached reply was last (re)sent; the reclaim grace
+              period counts from here *)
+    }
+  | A_forwarded of Pid.t  (** where the message went *)
 
 type alien = {
   al_src : Pid.t;
   al_dst : Pid.t;
   al_seq : int;
   mutable al_state : alien_state;
-  mutable al_reply : Packet.t option;
-  mutable al_fwd : Pid.t;  (** where the message went when forwarded *)
   al_msg : Msg.t;
   al_pkt : Packet.t;
       (** the Send packet that made the alien; its data is the
           piggybacked segment prefix *)
-  mutable al_replied_at : Vsim.Time.t;
-      (** when the cached reply was last (re)sent; the reclaim grace
-          period counts from here *)
 }
+
+(* An alien whose exchange still awaits its answer. *)
+let unanswered al =
+  match al.al_state with
+  | A_queued | A_received -> true
+  | A_replied _ | A_forwarded _ -> false
 
 (* The direction of a bulk transfer: MoveTo or MoveFrom. *)
 type dir = Vsim.Event.dir = To | From
@@ -207,8 +217,9 @@ type mt_in = {
   mti_total : int;
   mti_born : Vsim.Time.t;
   mutable mti_expected : int;
-  mutable mti_complete : bool;
 }
+
+let mti_complete mti = mti.mti_expected >= mti.mti_total
 
 type registry_entry = { re_pid : Pid.t; re_scope : scope }
 
@@ -435,29 +446,32 @@ let send_pkt t ?pre_cost ~dst_host pkt =
 (* ------------------------------------------------------------------ *)
 (* Grants                                                              *)
 
-let grant_covers (g : grant) ~who ~ptr ~len ~need_write =
-  Pid.equal g.granted_to who
-  && (match g.g_access, need_write with
-     | (Msg.Write_only | Msg.Read_write), true -> true
-     | (Msg.Read_only | Msg.Read_write), false -> true
-     | Msg.Read_only, true | Msg.Write_only, false -> false)
+let grant_covers (g : grant) ~ptr ~len ~need_write =
+  (match g.g_access, need_write with
+  | (Msg.Write_only | Msg.Read_write), true -> true
+  | (Msg.Read_only | Msg.Read_write), false -> true
+  | Msg.Read_only, true | Msg.Write_only, false -> false)
   && ptr >= g.g_ptr
   && ptr + len <= g.g_ptr + g.g_len
 
 (* May [who] move [len] bytes at [ptr] of [d]'s space: [d] awaits [who]'s
    reply, granted it that access, and the range lies in its space. *)
 let granted (d : desc) ~who ~ptr ~len ~need_write =
-  awaiting_reply d.d_state who
-  && (match d.d_grant with
-     | Some g -> grant_covers g ~who ~ptr ~len ~need_write
-     | None -> false)
-  && Mem.valid d.d_mem ~pos:ptr ~len
+  match d.d_state with
+  | Awaiting_reply { peer; grant = Some g; _ } ->
+      Pid.equal peer who
+      && grant_covers g ~ptr ~len ~need_write
+      && Mem.valid d.d_mem ~pos:ptr ~len
+  | Awaiting_reply { grant = None; _ } | Ready | Receiving _ | Dead -> false
 
-let grant_of_msg msg ~granted_to =
+let grant_of_msg msg =
   match Msg.segment msg with
   | None -> None
-  | Some (g_access, g_ptr, g_len) ->
-      Some { granted_to; g_access; g_ptr; g_len }
+  | Some (g_access, g_ptr, g_len) -> Some { g_access; g_ptr; g_len }
+
+(* The wait of a process that sent [msg] to [peer] and resumes with [k]. *)
+let await ~peer msg k rsend =
+  Awaiting_reply { peer; grant = grant_of_msg msg; buf = msg; k; rsend }
 
 (* ------------------------------------------------------------------ *)
 (* Message delivery to receivers                                       *)
@@ -520,7 +534,8 @@ let entry_valid t (d : desc) (entry : queued) =
     | None -> false
   else
     match Itbl.find t.aliens (Pid.to_int entry.q_src) with
-    | al -> al.al_seq = entry.q_seq && al.al_state = A_queued
+    | { al_state = A_queued; al_seq; _ } -> al_seq = entry.q_seq
+    | { al_state = A_received | A_replied _ | A_forwarded _; _ } -> false
     | exception Not_found -> false
 
 (* Pop the first valid entry, optionally only from a specific sender
@@ -576,17 +591,17 @@ let enqueue_msg t (d : desc) entry =
    its last call while it holds the tail of the event firing, so the
    context switch may run in place ({!Vhw.Cpu.charge_tail}). *)
 let try_deliver t ~tail (d : desc) =
-  match d.d_recv with
-  | None -> ()
-  | Some rw -> (
-      match pop_valid ?from:rw.rw_from t d with
+  match d.d_state with
+  | Ready | Awaiting_reply _ | Dead -> ()
+  | Receiving r -> (
+      match pop_valid ?from:r.from t d with
       | None -> ()
       | Some entry ->
-          d.d_recv <- None;
           d.d_state <- Ready;
-          Msg.blit ~src:entry.q_msg ~dst:rw.rw_msg;
-          let count = deliver_segment t ~entry ~seg:rw.rw_seg ~recv:d in
+          Msg.blit ~src:entry.q_msg ~dst:r.msg;
+          let count = deliver_segment t ~entry ~seg:r.seg ~recv:d in
           mark_received t entry;
+          let k = r.k in
           (if tail then Vhw.Cpu.charge_tail else Vhw.Cpu.charge_k)
             t.kcpu (model t).Vhw.Cost_model.context_switch_ns (fun () ->
               if Vsim.Trace.tracing t.eng then
@@ -599,7 +614,7 @@ let try_deliver t ~tail (d : desc) =
                        seq = entry.q_seq;
                        bytes = count;
                      });
-              rw.rw_k (entry.q_src, count)))
+              k (entry.q_src, count)))
 
 (* ------------------------------------------------------------------ *)
 (* Alien management                                                    *)
@@ -623,16 +638,22 @@ let reclaim_one_alien t =
   let grace al =
     2 * Rto.base_ns t.rto ~dst:(Pid.host al.al_src) ~bytes:0
   in
+  (* When a replied alien's reply was last (re)sent; any other alien
+     reads as never, so it is never old enough to reclaim. *)
+  let replied_at al =
+    match al.al_state with
+    | A_replied r -> r.at
+    | A_queued | A_received | A_forwarded _ -> max_int
+  in
   let older a b =
-    a.al_replied_at < b.al_replied_at
-    || (a.al_replied_at = b.al_replied_at
+    replied_at a < replied_at b
+    || (replied_at a = replied_at b
        && Pid.to_int a.al_src < Pid.to_int b.al_src)
   in
   let victim =
     Itbl.fold
       (fun _ al acc ->
-        if al.al_state <> A_replied || now - al.al_replied_at < grace al
-        then acc
+        if now - replied_at al < grace al then acc
         else
           match acc with
           | Some best when older best al -> acc
@@ -654,6 +675,19 @@ let send_nack t ~dst_host ~src_pid ~dst_pid ~seq st =
   send_pkt t ~dst_host
     (Packet.make ~op:Packet.Nack ~src_pid ~dst_pid ~seq
        ~aux:(status_to_code st) ())
+
+(* Answer [pkt] with a NACK of [st] to its sender. *)
+let refuse t (pkt : Packet.t) st =
+  send_nack t ~dst_host:(Pid.host pkt.Packet.src_pid)
+    ~src_pid:pkt.Packet.dst_pid ~dst_pid:pkt.Packet.src_pid ~seq:pkt.Packet.seq
+    st
+
+(* Tell [sender]'s kernel that its Send [seq], which [by] received, went
+   on to [to_pid]: its retransmissions and grant must follow. *)
+let send_fwd_notice t ~by ~sender ~seq ~to_pid =
+  send_pkt t ~dst_host:(Pid.host sender)
+    (Packet.make ~op:Packet.Fwd_notice ~src_pid:by ~dst_pid:sender ~seq
+       ~aux:(Pid.to_int to_pid) ())
 
 let send_reply_pending t ~dst_host ~src_pid ~dst_pid ~seq =
   t.s_rpend <- t.s_rpend + 1;
@@ -698,11 +732,31 @@ let send_done t (d : desc) ~seq st =
            status = status_to_string st;
          })
 
+(* End [d]'s reply wait with [st]: make it ready and resume it after a
+   CPU charge of [ns], in place when [tail] holds as for [try_deliver].
+   A remote Send's timer stops, and its Send_done marks the instant the
+   sender resumes; spans use it as the close timestamp, so it fires
+   inside the charge's continuation, at the same engine time as the
+   resume. *)
+let wake_sender t ~tail ~ns (d : desc) st =
+  match d.d_state with
+  | Ready | Receiving _ | Dead -> ()
+  | Awaiting_reply w -> (
+      d.d_state <- Ready;
+      let k = w.k in
+      let wait = if tail then Vhw.Cpu.charge_tail else Vhw.Cpu.charge_k in
+      match w.rsend with
+      | None -> wait t.kcpu ns (fun () -> k st)
+      | Some rs ->
+          stop t rs.rs_retx;
+          let seq = rs.rs_pkt.Packet.seq in
+          wait t.kcpu ns (fun () ->
+              send_done t d ~seq st;
+              k st))
+
 (* End remote Send [rs] with [st] and wake its sender after a context
-   switch, in place when [tail] holds as for [try_deliver]. *)
+   switch. *)
 let finish_send t ~tail (rs : rsend) st =
-  let d = rs.rs_desc in
-  stop t rs.rs_retx;
   settle t rs.rs_retx st ~since:rs.rs_since;
   if st = Nonexistent then begin
     (* Proof-positive the pid itself is gone — e.g. its host crashed and
@@ -717,22 +771,8 @@ let finish_send t ~tail (rs : rsend) st =
     in
     List.iter (Itbl.remove t.getpid_cache) stale
   end;
-  d.d_rsend <- None;
-  d.d_state <- Ready;
-  let k = d.d_on_reply in
-  d.d_on_reply <- None;
-  d.d_reply_buf <- None;
-  let seq = rs.rs_pkt.Packet.seq in
-  (* Send_done marks the instant the blocked sender resumes; spans use it
-     as the close timestamp, so it must fire inside the context-switch
-     continuation, at the same engine time [k st] runs. *)
-  match k with
-  | Some k ->
-      (if tail then Vhw.Cpu.charge_tail else Vhw.Cpu.charge_k)
-        t.kcpu (model t).Vhw.Cost_model.context_switch_ns (fun () ->
-          send_done t d ~seq st;
-          k st)
-  | None -> send_done t d ~seq st
+  wake_sender t ~tail ~ns:(model t).Vhw.Cost_model.context_switch_ns
+    rs.rs_desc st
 
 (* Lookups in [move_outs] run per fragment, so they match
    [exception Not_found] rather than allocate an option. *)
@@ -885,12 +925,10 @@ let restart_send t rs =
   rs.rs_since <- -1;
   arm t (Send rs)
 
-(* Launch a remote Send for local process [d], piggybacking the head of a
-   read-accessible segment (Section 3.4); the timer arms once the packet
-   is on the wire.  [since] starts the round-trip clock, or is [-1] for
-   an exchange that can never be a clean sample.  [tail] as for
-   [send_pkt_k]. *)
-let launch_send t ~tail (d : desc) msg ~dst ~seq ~since =
+(* A remote Send for local process [d], piggybacking the head of a
+   read-accessible segment (Section 3.4).  [since] starts the round-trip
+   clock, or is [-1] for an exchange that can never be a clean sample. *)
+let new_rsend (d : desc) msg ~dst ~seq ~since =
   let data =
     match
       if Msg.piggyback_allowed msg then Msg.readable_segment msg else None
@@ -905,21 +943,22 @@ let launch_send t ~tail (d : desc) msg ~dst ~seq ~since =
     Packet.make ~op:Packet.Send ~src_pid:d.d_pid ~dst_pid:dst ~seq ~msg
       ?data ()
   in
-  let rs =
-    {
-      rs_desc = d;
-      rs_pkt = pkt;
-      rs_since = since;
-      rs_retx = new_retx ~dst:(Pid.host dst);
-    }
-  in
-  d.d_rsend <- Some rs;
-  d.d_state <- Awaiting_reply dst;
-  send_pkt_k t ~tail ~dst_host:(Pid.host dst) pkt (fun () ->
+  {
+    rs_desc = d;
+    rs_pkt = pkt;
+    rs_since = since;
+    rs_retx = new_retx ~dst:(Pid.host dst);
+  }
+
+(* Put [rs], which its sender now awaits, on the wire; its timer arms
+   once the packet is, if the sender still awaits it.  [tail] as for
+   [send_pkt_k]. *)
+let launch_send t ~tail (rs : rsend) =
+  send_pkt_k t ~tail ~dst_host:rs.rs_retx.rx_dst rs.rs_pkt (fun () ->
       charge_async t (model t).Vhw.Cost_model.send_bookkeep_ns;
-      match d.d_rsend with
-      | Some rs' when rs' == rs -> arm t (Send rs)
-      | Some _ | None -> ())
+      match rs.rs_desc.d_state with
+      | Awaiting_reply { rsend = Some rs'; _ } when rs' == rs -> arm t (Send rs)
+      | Awaiting_reply _ | Ready | Receiving _ | Dead -> ())
 
 (* ------------------------------------------------------------------ *)
 (* MoveTo / MoveFrom streaming                                         *)
@@ -1017,27 +1056,23 @@ let handle_send_pkt t (pkt : Packet.t) =
   let src = pkt.Packet.src_pid and dst = pkt.Packet.dst_pid in
   let reply_host = Pid.host src in
   match find_proc t dst with
-  | None ->
-      send_nack t ~dst_host:reply_host ~src_pid:dst ~dst_pid:src
-        ~seq:pkt.Packet.seq Nonexistent
+  | None -> refuse t pkt Nonexistent
   | Some dd -> (
       match Itbl.find_opt t.aliens (Pid.to_int src) with
       | Some al when al.al_seq = pkt.Packet.seq -> (
           (* Retransmission of a message we already hold. *)
           t.s_dups <- t.s_dups + 1;
-          match al.al_state, al.al_reply with
-          | A_replied, Some reply ->
+          match al.al_state with
+          | A_replied r ->
               (* Re-serving the cached reply proves the sender is still
                  retransmitting: restart its reclaim grace period. *)
-              al.al_replied_at <- Vsim.Engine.now t.eng;
-              send_pkt t ~dst_host:reply_host reply
-          | A_forwarded, _ ->
+              r.at <- Vsim.Engine.now t.eng;
+              send_pkt t ~dst_host:reply_host r.reply
+          | A_forwarded to_pid ->
               (* The exchange moved on: remind the sender where, so its
                  retransmissions reach the kernel that can answer. *)
-              send_pkt t ~dst_host:reply_host
-                (Packet.make ~op:Packet.Fwd_notice ~src_pid:dst ~dst_pid:src
-                   ~seq:pkt.Packet.seq ~aux:(Pid.to_int al.al_fwd) ())
-          | A_replied, None | A_queued, _ | A_received, _ ->
+              send_fwd_notice t ~by:dst ~sender:src ~seq:pkt.Packet.seq ~to_pid
+          | A_queued | A_received ->
               send_reply_pending t ~dst_host:reply_host ~src_pid:dst
                 ~dst_pid:src ~seq:pkt.Packet.seq)
       | Some al when pkt.Packet.seq < al.al_seq ->
@@ -1064,11 +1099,8 @@ let handle_send_pkt t (pkt : Packet.t) =
                 al_dst = dst;
                 al_seq = pkt.Packet.seq;
                 al_state = A_queued;
-                al_reply = None;
-                al_fwd = Pid.nil;
                 al_msg = Packet.msg pkt;
                 al_pkt = pkt;
-                al_replied_at = 0;
               }
             in
             Itbl.replace t.aliens (Pid.to_int src) al;
@@ -1087,41 +1119,26 @@ let handle_send_pkt t (pkt : Packet.t) =
 (* A Reply packet for one of our blocked senders. *)
 let handle_reply_pkt t (pkt : Packet.t) =
   match find_proc t pkt.Packet.dst_pid with
-  | None -> ()
-  | Some d -> (
-      match d.d_rsend with
-      | Some rs when rs.rs_pkt.Packet.seq = pkt.Packet.seq ->
-          (match d.d_reply_buf with
-          | Some buf -> Packet.blit_msg pkt buf
-          | None -> ());
-          (* ReplyWithSegment: deposit the appended segment at the dest
-             pointer, provided this process granted write access there. *)
-          if pkt.Packet.data_len > 0 then begin
-            let ptr = pkt.Packet.offset and len = pkt.Packet.data_len in
-            let allowed =
-              match d.d_grant with
-              | Some g ->
-                  grant_covers g ~who:pkt.Packet.src_pid ~ptr ~len
-                    ~need_write:true
-                  && Mem.valid d.d_mem ~pos:ptr ~len
-              | None -> false
-            in
-            if allowed then
-              Packet.blit_data pkt d.d_mem ~pos:ptr ~len
-          end;
-          d.d_grant <- None;
-          finish_send t ~tail:true rs Ok
-      | Some _ | None -> ())
+  | Some ({ d_state = Awaiting_reply { rsend = Some rs; buf; _ }; _ } as d)
+    when rs.rs_pkt.Packet.seq = pkt.Packet.seq ->
+      Packet.blit_msg pkt buf;
+      (* ReplyWithSegment: deposit the appended segment at the dest
+         pointer, provided this process granted write access there. *)
+      let ptr = pkt.Packet.offset and len = pkt.Packet.data_len in
+      if
+        len > 0
+        && granted d ~who:pkt.Packet.src_pid ~ptr ~len ~need_write:true
+      then Packet.blit_data pkt d.d_mem ~pos:ptr ~len;
+      finish_send t ~tail:true rs Ok
+  | Some _ | None -> ()
 
 let handle_reply_pending t (pkt : Packet.t) =
   match find_proc t pkt.Packet.dst_pid with
-  | None -> ()
-  | Some d -> (
-      match d.d_rsend with
-      | Some rs when rs.rs_pkt.Packet.seq = pkt.Packet.seq ->
-          (* The receiver lives; be patient indefinitely. *)
-          restart_send t rs
-      | Some _ | None -> ())
+  | Some { d_state = Awaiting_reply { rsend = Some rs; _ }; _ }
+    when rs.rs_pkt.Packet.seq = pkt.Packet.seq ->
+      (* The receiver lives; be patient indefinitely. *)
+      restart_send t rs
+  | Some _ | None -> ()
 
 let handle_nack t (pkt : Packet.t) =
   let st = status_of_code pkt.Packet.aux in
@@ -1130,13 +1147,10 @@ let handle_nack t (pkt : Packet.t) =
   | mo -> move_finish t mo st
   | exception Not_found -> ());
   match find_proc t pkt.Packet.dst_pid with
-  | None -> ()
-  | Some d -> (
-      match d.d_rsend with
-      | Some rs when rs.rs_pkt.Packet.seq = pkt.Packet.seq ->
-          d.d_grant <- None;
-          finish_send t ~tail:true rs st
-      | Some _ | None -> ())
+  | Some { d_state = Awaiting_reply { rsend = Some rs; _ }; _ }
+    when rs.rs_pkt.Packet.seq = pkt.Packet.seq ->
+      finish_send t ~tail:true rs st
+  | Some _ | None -> ()
 
 (* An inbound MoveTo is named by its mover's host and sequence number,
    which arrives in a 32-bit wire field: both fit in one int key. *)
@@ -1151,8 +1165,8 @@ let handle_data_mt t (pkt : Packet.t) =
      life: a long MoveTo into our space must not trip our own Send
      retransmission (the transfer can far outlast T). *)
   (match find_proc t pkt.Packet.dst_pid with
-  | Some ({ d_rsend = Some rs; _ } as dd) when awaiting_reply dd.d_state mover
-    ->
+  | Some { d_state = Awaiting_reply { peer; rsend = Some rs; _ }; _ }
+    when Pid.equal peer mover ->
       restart_send t rs
   | Some _ | None -> ());
   let mti =
@@ -1162,15 +1176,12 @@ let handle_data_mt t (pkt : Packet.t) =
         (* First fragment of a new transfer: validate the grant. *)
         match find_proc t pkt.Packet.dst_pid with
         | None ->
-            send_nack t ~dst_host:(Pid.host mover) ~src_pid:pkt.Packet.dst_pid
-              ~dst_pid:mover ~seq:pkt.Packet.seq Nonexistent;
+            refuse t pkt Nonexistent;
             None
         | Some dd ->
             let ptr = pkt.Packet.aux and len = pkt.Packet.total in
             if not (granted dd ~who:mover ~ptr ~len ~need_write:true) then begin
-              send_nack t ~dst_host:(Pid.host mover)
-                ~src_pid:pkt.Packet.dst_pid ~dst_pid:mover
-                ~seq:pkt.Packet.seq No_permission;
+              refuse t pkt No_permission;
               None
             end
             else begin
@@ -1203,7 +1214,6 @@ let handle_data_mt t (pkt : Packet.t) =
                   mti_total = len;
                   mti_born = now;
                   mti_expected = 0;
-                  mti_complete = false;
                 }
               in
               Itbl.replace t.mt_ins key mti;
@@ -1213,7 +1223,7 @@ let handle_data_mt t (pkt : Packet.t) =
   match mti with
   | None -> ()
   | Some mti ->
-      (if not mti.mti_complete then
+      (if not (mti_complete mti) then
          match
            arrive t pkt ~expected:mti.mti_expected ~mem:mti.mti_mem
              ~ptr:mti.mti_dst_ptr
@@ -1223,12 +1233,10 @@ let handle_data_mt t (pkt : Packet.t) =
                ~seq:pkt.Packet.seq ~offset:mti.mti_expected ~total:0 ~aux:0
          | Duplicate -> ()
          | Placed ->
-             mti.mti_expected <-
-               mti.mti_expected + pkt.Packet.data_len;
-             mti.mti_complete <- mti.mti_expected >= mti.mti_total);
+             mti.mti_expected <- mti.mti_expected + pkt.Packet.data_len);
       (* The fragment that completes the train is acked, and so is each
          one (or probe) that arrives after. *)
-      if mti.mti_complete then
+      if mti_complete mti then
         send_pkt t ~dst_host:(Pid.host mover)
           (Packet.make ~op:Packet.Data_ack ~src_pid:pkt.Packet.dst_pid
              ~dst_pid:mover ~seq:pkt.Packet.seq ())
@@ -1287,14 +1295,11 @@ let handle_data_nak t (pkt : Packet.t) =
 let handle_move_from_req t (pkt : Packet.t) =
   let requester = pkt.Packet.src_pid in
   match find_proc t pkt.Packet.dst_pid with
-  | None ->
-      send_nack t ~dst_host:(Pid.host requester) ~src_pid:pkt.Packet.dst_pid
-        ~dst_pid:requester ~seq:pkt.Packet.seq Nonexistent
+  | None -> refuse t pkt Nonexistent
   | Some sd ->
       let ptr = pkt.Packet.aux and len = pkt.Packet.total in
       if not (granted sd ~who:requester ~ptr ~len ~need_write:false) then
-        send_nack t ~dst_host:(Pid.host requester) ~src_pid:pkt.Packet.dst_pid
-          ~dst_pid:requester ~seq:pkt.Packet.seq No_permission
+        refuse t pkt No_permission
       else
         stream_from t sd ~requester ~seq:pkt.Packet.seq ~ptr ~total:len
           ~from:pkt.Packet.offset
@@ -1303,19 +1308,14 @@ let handle_move_from_req t (pkt : Packet.t) =
    retarget retransmissions and the segment grant (Thoth's Forward). *)
 let handle_fwd_notice t (pkt : Packet.t) =
   match find_proc t pkt.Packet.dst_pid with
-  | None -> ()
-  | Some d -> (
-      match d.d_rsend with
-      | Some rs when rs.rs_pkt.Packet.seq = pkt.Packet.seq ->
-          let new_pid = Pid.of_int pkt.Packet.aux in
-          rs.rs_pkt <- Packet.retarget rs.rs_pkt ~dst_pid:new_pid;
-          rs.rs_retx.rx_dst <- Pid.host new_pid;
-          restart_send t rs;
-          d.d_state <- Awaiting_reply new_pid;
-          (match d.d_grant with
-          | Some g -> d.d_grant <- Some { g with granted_to = new_pid }
-          | None -> ())
-      | Some _ | None -> ())
+  | Some { d_state = Awaiting_reply ({ rsend = Some rs; _ } as w); _ }
+    when rs.rs_pkt.Packet.seq = pkt.Packet.seq ->
+      let new_pid = Pid.of_int pkt.Packet.aux in
+      rs.rs_pkt <- Packet.retarget rs.rs_pkt ~dst_pid:new_pid;
+      rs.rs_retx.rx_dst <- Pid.host new_pid;
+      restart_send t rs;
+      w.peer <- new_pid
+  | Some _ | None -> ()
 
 (* Registry packets. *)
 let handle_getpid_req t (pkt : Packet.t) =
@@ -1517,11 +1517,6 @@ let spawn t ?(name = "process") ?mem_size body =
       d_mem = Mem.create ~size:mem_size;
       d_queue = Queue.create ();
       d_state = Ready;
-      d_grant = None;
-      d_on_reply = None;
-      d_reply_buf = None;
-      d_recv = None;
-      d_rsend = None;
       d_train_gen = 0;
     }
   in
@@ -1543,16 +1538,14 @@ let destroy t pid =
   match find_proc t pid with
   | None -> ()
   | Some d ->
-      d.d_state <- Dead;
-      Itbl.remove t.procs (Pid.local pid);
       (* Its own remote exchanges die with it, unresumed: nothing would
          deliver their answers, and their retries would only wear down
          the failure detector's view of live peers. *)
-      (match d.d_rsend with
-      | Some rs ->
-          stop t rs.rs_retx;
-          d.d_rsend <- None
-      | None -> ());
+      (match d.d_state with
+      | Awaiting_reply { rsend = Some rs; _ } -> stop t rs.rs_retx
+      | Awaiting_reply _ | Ready | Receiving _ | Dead -> ());
+      d.d_state <- Dead;
+      Itbl.remove t.procs (Pid.local pid);
       Itbl.filter_map_inplace
         (fun _ mo ->
           if Pid.equal mo.mo_me pid then (stop t mo.mo_retx; None)
@@ -1566,13 +1559,7 @@ let destroy t pid =
               Itbl.find_opt t.procs (Pid.local entry.q_src)
             with
             | Some sender when awaiting_reply sender.d_state pid ->
-                sender.d_state <- Ready;
-                let k = sender.d_on_reply in
-                sender.d_on_reply <- None;
-                sender.d_reply_buf <- None;
-                (match k with
-                | Some k -> charge_k t 0 (fun () -> k Nonexistent)
-                | None -> ())
+                wake_sender t ~tail:false ~ns:0 sender Nonexistent
             | Some _ | None -> ())
           else
             match Itbl.find_opt t.aliens (Pid.to_int entry.q_src) with
@@ -1588,12 +1575,11 @@ let destroy t pid =
          to a polymorphic [Hashtbl]'s. *)
       Itbl.iter
         (fun _ (w : desc) ->
-          match w.d_recv with
-          | Some ({ rw_from = Some from; _ } as rw) when Pid.equal from pid ->
-              w.d_recv <- None;
+          match w.d_state with
+          | Receiving { from = Some from; k; _ } when Pid.equal from pid ->
               w.d_state <- Ready;
-              charge_k t 0 (fun () -> rw.rw_k (Pid.nil, 0))
-          | Some _ | None -> ())
+              charge_k t 0 (fun () -> k (Pid.nil, 0))
+          | Receiving _ | Ready | Awaiting_reply _ | Dead -> ())
         t.procs
 
 let memory t pid =
@@ -1627,8 +1613,10 @@ let crash t =
     Itbl.reset t.kfibers;
     Itbl.iter
       (fun _ d ->
-        d.d_state <- Dead;
-        match d.d_rsend with Some rs -> stop t rs.rs_retx | None -> ())
+        (match d.d_state with
+        | Awaiting_reply { rsend = Some rs; _ } -> stop t rs.rs_retx
+        | Awaiting_reply _ | Ready | Receiving _ | Dead -> ());
+        d.d_state <- Dead)
       t.procs;
     Itbl.iter (fun _ mo -> stop t mo.mo_retx) t.move_outs;
     Itbl.iter (fun _ gw -> stop t gw.gw_retx) t.getpid_waits;
@@ -1682,30 +1670,24 @@ let send t msg dst =
     if Msg.has_segment msg then m.Vhw.Cost_model.segment_handling_ns else 0
   in
   charge t (m.Vhw.Cost_model.send_op_ns + seg_cost);
-  d.d_grant <- grant_of_msg msg ~granted_to:dst;
   if not remote then begin
     t.s_send_local <- t.s_send_local + 1;
     match find_proc t dst with
-    | None ->
-        d.d_grant <- None;
-        Nonexistent
+    | None -> Nonexistent
     | Some dd ->
         enqueue_msg t dd
           { q_src = d.d_pid; q_seq = 0; q_msg = Msg.copy msg; q_local = true };
-        d.d_state <- Awaiting_reply dst;
-        Vsim.Proc.suspend_tail (fun resume ->
-            d.d_on_reply <- Some resume;
-            d.d_reply_buf <- Some msg;
+        Vsim.Proc.suspend_tail (fun k ->
+            d.d_state <- await ~peer:dst msg k None;
             try_deliver t ~tail:true dd)
   end
   else begin
     t.s_send_remote <- t.s_send_remote + 1;
     charge t m.Vhw.Cost_model.remote_op_extra_ns;
-    Vsim.Proc.suspend_tail (fun resume ->
-        d.d_on_reply <- Some resume;
-        d.d_reply_buf <- Some msg;
-        launch_send t ~tail:true d msg ~dst ~seq
-          ~since:(Vsim.Engine.now t.eng))
+    Vsim.Proc.suspend_tail (fun k ->
+        let rs = new_rsend d msg ~dst ~seq ~since:(Vsim.Engine.now t.eng) in
+        d.d_state <- await ~peer:dst msg k (Some rs);
+        launch_send t ~tail:true rs)
   end
 
 let receive_gen ?from t msg ~seg =
@@ -1730,10 +1712,8 @@ let receive_gen ?from t msg ~seg =
              });
       (entry.q_src, count)
   | None ->
-      d.d_state <- Receive_blocked;
-      Vsim.Proc.suspend_tail (fun resume ->
-          d.d_recv <-
-            Some { rw_msg = msg; rw_seg = seg; rw_from = from; rw_k = resume })
+      Vsim.Proc.suspend_tail (fun k ->
+          d.d_state <- Receiving { msg; seg; from; k })
 
 let receive t msg = fst (receive_gen t msg ~seg:None)
 
@@ -1765,8 +1745,7 @@ let reply_remote t (d : desc) (al : alien) pkt =
            seq = al.al_seq;
            remote = true;
          });
-  al.al_state <- A_replied;
-  al.al_reply <- Some pkt;
+  al.al_state <- A_replied { reply = pkt; at = Vsim.Engine.now t.eng };
   (* The alien/timer upkeep of the reply side is accounted by the
      asynchronous server bookkeeping charge below. *)
   send_pkt_gen t ~from:In_fiber
@@ -1783,7 +1762,8 @@ let reply_gen t msg dst ~seg =
   charge t (m.Vhw.Cost_model.reply_op_ns + seg_cost);
   if Pid.host dst = t.khost then begin
     match find_proc t dst with
-    | Some dd when awaiting_reply dd.d_state d.d_pid -> (
+    | Some ({ d_state = Awaiting_reply { peer; buf; _ }; _ } as dd)
+      when Pid.equal peer d.d_pid -> (
         let seg_status =
           match seg with
           | None -> Ok
@@ -1816,19 +1796,9 @@ let reply_gen t msg dst ~seg =
                      seq = 0;
                      remote = false;
                    });
-            (match dd.d_reply_buf with
-            | Some buf -> Msg.blit ~src:msg ~dst:buf
-            | None -> ());
-            dd.d_state <- Ready;
-            dd.d_grant <- None;
-            let k = dd.d_on_reply in
-            dd.d_on_reply <- None;
-            dd.d_reply_buf <- None;
-            (match k with
-            | Some k ->
-                charge_k t m.Vhw.Cost_model.context_switch_ns (fun () ->
-                    k Ok)
-            | None -> ());
+            Msg.blit ~src:msg ~dst:buf;
+            wake_sender t ~tail:false ~ns:m.Vhw.Cost_model.context_switch_ns dd
+              Ok;
             Ok
         | (Nonexistent | Bad_address | No_permission | Too_big | Retryable
           | Dead) as err ->
@@ -1838,9 +1808,7 @@ let reply_gen t msg dst ~seg =
   else begin
     (* Reply to an alien: the reply packet is the acknowledgement. *)
     match Itbl.find t.aliens (Pid.to_int dst) with
-    | al
-      when Pid.equal al.al_dst d.d_pid
-           && (al.al_state = A_received || al.al_state = A_queued) -> (
+    | al when Pid.equal al.al_dst d.d_pid && unanswered al -> (
         match seg with
         | Some (_, _, segsize) when segsize > max_packet_data -> Too_big
         | Some (_, segptr, segsize)
@@ -1880,36 +1848,22 @@ let forward t msg ~from_pid ~to_pid =
            dst = Pid.to_int to_pid;
          });
   charge t m.Vhw.Cost_model.send_op_ns;
-  let fail_sender_local (fd : desc) st =
-    fd.d_state <- Ready;
-    fd.d_grant <- None;
-    (match fd.d_rsend with
-    | Some rs ->
-        stop t rs.rs_retx;
-        fd.d_rsend <- None
-    | None -> ());
-    let k = fd.d_on_reply in
-    fd.d_on_reply <- None;
-    fd.d_reply_buf <- None;
-    match k with
-    | Some k -> charge_k t 0 (fun () -> k st)
-    | None -> ()
-  in
   if Pid.host from_pid = t.khost then begin
     (* The sender is local to this kernel. *)
     match find_proc t from_pid with
-    | Some fd when awaiting_reply fd.d_state d.d_pid ->
-        fd.d_grant <- grant_of_msg msg ~granted_to:to_pid;
+    | Some ({ d_state = Awaiting_reply w; _ } as fd)
+      when Pid.equal w.peer d.d_pid ->
+        w.peer <- to_pid;
+        w.grant <- grant_of_msg msg;
         if Pid.host to_pid = t.khost then begin
           match find_proc t to_pid with
           | None ->
-              fail_sender_local fd Nonexistent;
+              wake_sender t ~tail:false ~ns:0 fd Nonexistent;
               Nonexistent
           | Some td ->
               enqueue_msg t td
                 { q_src = from_pid; q_seq = 0; q_msg = Msg.copy msg;
                   q_local = true };
-              fd.d_state <- Awaiting_reply to_pid;
               try_deliver t ~tail:false td;
               Ok
         end
@@ -1918,8 +1872,11 @@ let forward t msg ~from_pid ~to_pid =
              behalf; the sender now waits on the network path. *)
           charge t m.Vhw.Cost_model.remote_op_extra_ns;
           (* The exchange already spans a forward: never sample it. *)
-          launch_send t ~tail:false fd msg ~dst:to_pid
-            ~seq:(next_seq t) ~since:(-1);
+          let rs =
+            new_rsend fd msg ~dst:to_pid ~seq:(next_seq t) ~since:(-1)
+          in
+          w.rsend <- Some rs;
+          launch_send t ~tail:false rs;
           Ok
         end
     | Some _ | None -> No_permission
@@ -1927,9 +1884,7 @@ let forward t msg ~from_pid ~to_pid =
   else begin
     (* The sender is an alien: it sent from another workstation. *)
     match Itbl.find_opt t.aliens (Pid.to_int from_pid) with
-    | Some al
-      when Pid.equal al.al_dst d.d_pid
-           && (al.al_state = A_received || al.al_state = A_queued) ->
+    | Some al when Pid.equal al.al_dst d.d_pid && unanswered al ->
         if Pid.host to_pid = t.khost then begin
           (* New server is local: retarget the alien and requeue. *)
           match find_proc t to_pid with
@@ -1948,12 +1903,8 @@ let forward t msg ~from_pid ~to_pid =
               (* The reply will come from [to_pid]: the sender's kernel
                  must retarget its retransmissions and segment grant or
                  it will drop the new server's reply segment. *)
-              let notice =
-                Packet.make ~op:Packet.Fwd_notice ~src_pid:d.d_pid
-                  ~dst_pid:from_pid ~seq:al.al_seq
-                  ~aux:(Pid.to_int to_pid) ()
-              in
-              send_pkt t ~dst_host:(Pid.host from_pid) notice;
+              send_fwd_notice t ~by:d.d_pid ~sender:from_pid ~seq:al.al_seq
+                ~to_pid;
               try_deliver t ~tail:false td;
               Ok
         end
@@ -1963,16 +1914,11 @@ let forward t msg ~from_pid ~to_pid =
              the sender's outstanding rsend, and notify the sender's
              kernel so its retransmissions and grants retarget. *)
           charge t m.Vhw.Cost_model.remote_op_extra_ns;
-          al.al_state <- A_forwarded;
-          al.al_fwd <- to_pid;
+          al.al_state <- A_forwarded to_pid;
           send_pkt t ~dst_host:(Pid.host to_pid)
             (Packet.retarget al.al_pkt ~msg ~dst_pid:to_pid);
-          let notice =
-            Packet.make ~op:Packet.Fwd_notice ~src_pid:d.d_pid
-              ~dst_pid:from_pid ~seq:al.al_seq
-              ~aux:(Pid.to_int to_pid) ()
-          in
-          send_pkt t ~dst_host:(Pid.host from_pid) notice;
+          send_fwd_notice t ~by:d.d_pid ~sender:from_pid ~seq:al.al_seq
+            ~to_pid;
           charge_async t m.Vhw.Cost_model.send_bookkeep_ns;
           Ok
         end
@@ -2166,12 +2112,12 @@ let table_counts t =
     (fun _ al ->
       match al.al_state with
       | A_queued | A_received -> incr aliens_live
-      | A_replied -> incr aliens_replied
-      | A_forwarded -> incr aliens_forwarded)
+      | A_replied _ -> incr aliens_replied
+      | A_forwarded _ -> incr aliens_forwarded)
     t.aliens;
   let mt_ins_incomplete = ref 0 in
   Itbl.iter
-    (fun _ mti -> if not mti.mti_complete then incr mt_ins_incomplete)
+    (fun _ mti -> if not (mti_complete mti) then incr mt_ins_incomplete)
     t.mt_ins;
   let mt_outs_pending = ref 0 and mf_outs_pending = ref 0 in
   Itbl.iter
@@ -2182,7 +2128,10 @@ let table_counts t =
     t.move_outs;
   let sends_blocked = ref 0 in
   Itbl.iter
-    (fun _ d -> if d.d_rsend <> None then incr sends_blocked)
+    (fun _ d ->
+      match d.d_state with
+      | Awaiting_reply { rsend = Some _; _ } -> incr sends_blocked
+      | Awaiting_reply _ | Ready | Receiving _ | Dead -> ())
     t.procs;
   {
     aliens_live = !aliens_live;

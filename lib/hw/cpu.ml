@@ -54,8 +54,6 @@ let charge t ns =
   if not (charge_in_place t ns) then
     Vsim.Proc.suspend_tail (fun resume -> charge_k t ns resume)
 
-let compute = charge
-
 let mark t = { at = Vsim.Engine.now t.eng; busy_then = t.busy }
 let busy_since t m = t.busy - m.busy_then
 

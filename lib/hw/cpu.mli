@@ -72,9 +72,6 @@ val reserve : t -> int -> unit
     behind it, and a traced CPU emits the same [Cpu_grant] event at once.
     It schedules no engine event.  [ns <= 0] reserves nothing. *)
 
-val compute : t -> int -> unit
-(** Application-level computation; same semantics as {!charge}. *)
-
 val busy_ns : t -> int
 (** Total busy time accumulated since creation. *)
 

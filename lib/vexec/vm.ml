@@ -34,7 +34,7 @@ let run k ?(config = default_config) ?(console = ignore) ~entry ~code_len ()
   let pending_ns = ref 0 in
   let flush_cpu () =
     if !pending_ns > 0 then begin
-      Vhw.Cpu.compute cpu !pending_ns;
+      Vhw.Cpu.charge cpu !pending_ns;
       pending_ns := 0
     end
   in
@@ -111,7 +111,7 @@ let run k ?(config = default_config) ?(console = ignore) ~entry ~code_len ()
       None
     end
     else if n = compute then begin
-      Vhw.Cpu.compute cpu (Vsim.Time.us (max 0 regs.(1)));
+      Vhw.Cpu.charge cpu (Vsim.Time.us (max 0 regs.(1)));
       None
     end
     else fault (Printf.sprintf "bad syscall %d" n)

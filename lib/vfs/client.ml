@@ -348,7 +348,7 @@ module Io = struct
      bytes actually delivered — no network, no server. *)
   let charge_local k ~bytes =
     let cm = Vhw.Cpu.model (K.cpu k) in
-    Vhw.Cpu.compute (K.cpu k)
+    Vhw.Cpu.charge (K.cpu k)
       (cm.Vhw.Cost_model.syscall_ns
       + (bytes * cm.Vhw.Cost_model.mem_copy_ns_per_byte))
 

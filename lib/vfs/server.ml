@@ -267,7 +267,7 @@ let fs_error_status : Fs.error -> Protocol.rstatus = function
 
 (* Charge the configured per-request file-system processing time. *)
 let fs_work t = if t.cfg.fs_process_ns > 0 then
-    Vhw.Cpu.compute (K.cpu t.kernel) t.cfg.fs_process_ns
+    Vhw.Cpu.charge (K.cpu t.kernel) t.cfg.fs_process_ns
 
 let string_of_segment mem ~count =
   let bytes = Vkernel.Mem.read mem ~pos:scratch_ptr ~len:count in
@@ -515,7 +515,7 @@ let handle_request t ~mem ~msg ~src ~seg_count =
                   with
                   | Error e -> Error e
                   | Ok data ->
-                      Vhw.Cpu.compute (K.cpu t.kernel) exec_compute_ns_per_page;
+                      Vhw.Cpu.charge (K.cpu t.kernel) exec_compute_ns_per_page;
                       let s = ref sum in
                       Bytes.iter
                         (fun c -> s := (!s + Char.code c) land 0xFFFF_FFFF)

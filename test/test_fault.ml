@@ -442,13 +442,9 @@ let test_movefrom_nak_storm_suppressed () =
   Alcotest.(check int) "one requester timeout" 1 s2.K.timeouts_fired;
   Alcotest.(check int) "one retransmitted request" 1 s2.K.retransmissions
 
-let test_alien_reclaim_safety () =
-  (* One alien descriptor, two clients.  Client A's reply is dropped, so
-     A keeps retransmitting a request whose cached reply lives in the only
-     alien.  Client B's arrival must NOT evict that alien while A's
-     retransmission window is plausibly open — otherwise A's retransmit
-     would be re-executed.  Once the grace period passes, B's retransmit
-     reclaims the descriptor and both complete. *)
+let alien_reclaim_safety start_ms =
+  let start = Vsim.Time.ms start_ms in
+  let at what = Printf.sprintf "%s (start %d ms)" what start_ms in
   let cfg = { fast_config with K.max_aliens = 1 } in
   let tb = Util.testbed ~kernel_config:cfg ~hosts:3 () in
   let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 and k3 = TB.kernel tb 3 in
@@ -469,27 +465,51 @@ let test_alien_reclaim_safety () =
   let a_done = ref false and b_done = ref false in
   let (_ : Vkernel.Pid.t) =
     K.spawn k2 ~name:"client-a" (fun _ ->
+        Vsim.Proc.sleep start;
         let msg = Msg.create () in
-        Alcotest.check Util.status "client A completes" K.Ok
+        Alcotest.check Util.status (at "client A completes") K.Ok
           (K.send k2 msg server);
         a_done := true)
   in
   let (_ : Vkernel.Pid.t) =
     K.spawn k3 ~name:"client-b" (fun _ ->
-        Vsim.Proc.sleep (Vsim.Time.ms 2);
+        Vsim.Proc.sleep (start + Vsim.Time.ms 2);
         let msg = Msg.create () in
-        Alcotest.check Util.status "client B completes" K.Ok
+        Alcotest.check Util.status (at "client B completes") K.Ok
           (K.send k3 msg server);
         b_done := true)
   in
   Vworkload.Testbed.run tb;
-  Alcotest.(check bool) "both clients finished" true (!a_done && !b_done);
-  Alcotest.(check int) "server executed each request exactly once" 2 !served;
+  Alcotest.(check bool)
+    (at "both clients finished")
+    true
+    (!a_done && !b_done);
+  Alcotest.(check int)
+    (at "server executed each request exactly once")
+    2 !served;
   let s1 = K.stats k1 in
-  Alcotest.(check int) "exactly one alien reclaimed" 1 s1.K.aliens_reclaimed;
-  Alcotest.(check bool) "A's retransmit served from the reply cache" true
+  Alcotest.(check int)
+    (at "exactly one alien reclaimed")
+    1 s1.K.aliens_reclaimed;
+  Alcotest.(check bool)
+    (at "A's retransmit served from the reply cache")
+    true
     (s1.K.duplicates_filtered >= 1);
-  Alcotest.(check bool) "B waited out the pool" true (s1.K.alien_pool_full >= 1)
+  Alcotest.(check bool)
+    (at "B waited out the pool")
+    true
+    (s1.K.alien_pool_full >= 1)
+
+let test_alien_reclaim_safety () =
+  (* One alien descriptor, two clients.  Client A's reply is dropped, so
+     A keeps retransmitting a request whose cached reply lives in the only
+     alien.  Client B's arrival must NOT evict that alien while A's
+     retransmission window is plausibly open — otherwise A's retransmit
+     would be re-executed.  Once the grace period passes, B's retransmit
+     reclaims the descriptor and both complete.  The grace counts from
+     the reply, so it holds whenever the exchange starts: at 0 ms and
+     long after two retransmission intervals (200 ms). *)
+  List.iter alien_reclaim_safety [ 0; 200 ]
 
 let test_mt_in_reclaim_follows_adaptive_rto () =
   (* The inbound-MoveTo table reclaims entries its mover has plausibly
