@@ -624,7 +624,7 @@ let baseline_comparison () =
     let tb = TB.create ~cpu_model:m10 ~hosts:2 () in
     let fs = TB.make_test_fs tb ~files:[ ("f", 16 * 512) ] () in
     let (_ : Vbaseline.Wfs.server) =
-      Vbaseline.Wfs.start_server tb.TB.eng ~nic:(TB.nic tb 1) ~fs ()
+      Vbaseline.Wfs.start_server tb.TB.eng ~nic:(TB.nic tb 1) ~fs
     in
     let client =
       Vbaseline.Wfs.create_client tb.TB.eng ~nic:(TB.nic tb 2) ~server:1 ()
@@ -680,14 +680,14 @@ let baseline_comparison () =
     let inum = Option.get (Vfs.Fs.lookup fs "s") in
     Vfs.Fs.evict_cache fs;
     let (_ : Vbaseline.Streaming.server) =
-      Vbaseline.Streaming.start_server tb.TB.eng ~nic:(TB.nic tb 1) ~fs ()
+      Vbaseline.Streaming.start_server tb.TB.eng ~nic:(TB.nic tb 1) ~fs
     in
     let out = ref 0 in
     let (_ : Vsim.Proc.t) =
       Vsim.Proc.spawn tb.TB.eng (fun () ->
           match
             Vbaseline.Streaming.stream_file tb.TB.eng ~nic:(TB.nic tb 2)
-              ~server:1 ~inum ()
+              ~server:1 ~inum
           with
           | Ok s -> out := s.Vbaseline.Streaming.per_page_ns
           | Error e -> failwith ("stream: " ^ e))

@@ -11,8 +11,8 @@
    Usage:
      dune exec bench/main.exe                 # all experiments
      dune exec bench/main.exe -- table_6_3    # a single experiment
-     dune exec bench/main.exe -- all --json-out BENCH_2026-10-19.json
-     dune exec bench/main.exe -- compare --baseline BENCH_2026-10-19.json \
+     dune exec bench/main.exe -- all --json-out BENCH_2026-10-20.json
+     dune exec bench/main.exe -- compare --baseline BENCH_2026-10-20.json \
          [--json-out fresh.json]
      dune exec bench/main.exe -- --list
      dune exec bench/main.exe -- all --domains 4   # fan grids across domains *)

@@ -12,6 +12,10 @@ let op_req = 1
 let op_data = 2
 let op_ack = 3
 
+(* Pages the server keeps unacknowledged, and its processing per page. *)
+let window = 4
+let process_ns = Vsim.Time.us 150
+
 let set32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
 let get32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFF_FFFF
 
@@ -32,8 +36,6 @@ type server = {
   s_eng : Vsim.Engine.t;
   s_nic : Vnet.Nic.t;
   s_fs : Vfs.Fs.t;
-  s_window : int;
-  s_process_ns : int;
   s_reqs : sreq Queue.t;
   mutable s_acked : int;
   mutable s_active : int;  (** id of the stream being served, or -1 *)
@@ -78,8 +80,8 @@ let serve_stream s (r : sreq) =
       let next = ref 0 in
       let continue = ref true in
       while s.s_acked < npages && !continue do
-        if !next < min (s.s_acked + s.s_window) npages then begin
-          Vhw.Cpu.charge (Vnet.Nic.cpu s.s_nic) s.s_process_ns;
+        if !next < min (s.s_acked + window) npages then begin
+          Vhw.Cpu.charge (Vnet.Nic.cpu s.s_nic) process_ns;
           match
             Vfs.Fs.read s.s_fs ~inum:r.sr_inum ~pos:(!next * Vfs.Fs.block_size)
               ~len:Vfs.Fs.block_size
@@ -106,15 +108,12 @@ let rec server_loop s () =
       let (_ : bool) = wait_event s ~timeout:None in
       server_loop s ()
 
-let start_server eng ~nic ~fs ?(window = 4) ?(process_ns = Vsim.Time.us 150)
-    () =
+let start_server eng ~nic ~fs =
   let s =
     {
       s_eng = eng;
       s_nic = nic;
       s_fs = fs;
-      s_window = window;
-      s_process_ns = process_ns;
       s_reqs = Queue.create ();
       s_acked = 0;
       s_active = -1;
@@ -160,8 +159,7 @@ type cstate = {
   mutable wake : (unit -> unit) option;
 }
 
-let stream_file eng ~nic ~server ~inum ?(client_think_ns = 0)
-    ?(buffer_copy = true) () =
+let stream_file eng ~nic ~server ~inum =
   let st =
     { next_expected = 0; total = -1; got = 0; inbox = Queue.create ();
       wake = None }
@@ -210,13 +208,9 @@ let stream_file eng ~nic ~server ~inum ?(client_think_ns = 0)
     else
       match Queue.take_opt st.inbox with
       | Some n ->
-          (* The copy out of the protocol buffer that streaming implies,
-             plus application think time. *)
-          if buffer_copy then
-            Vhw.Cpu.charge (Vnet.Nic.cpu nic)
-              (n * model.Vhw.Cost_model.mem_copy_ns_per_byte);
-          if client_think_ns > 0 then
-            Vhw.Cpu.charge (Vnet.Nic.cpu nic) client_think_ns;
+          (* The copy out of the protocol buffer that streaming implies. *)
+          Vhw.Cpu.charge (Vnet.Nic.cpu nic)
+            (n * model.Vhw.Cost_model.mem_copy_ns_per_byte);
           Vnet.Nic.send nic ~dst:server
             ~ethertype:Vnet.Frame.ethertype_stream
             (encode ~op:op_ack ~id ~a:st.next_expected ~b:0 ~data:Bytes.empty);

@@ -6,18 +6,17 @@
     space, copies and code.  To measure that claim we implement what the
     paper declined to: a sliding-window streaming reader over raw frames.
 
-    The server pushes data pages for a whole file, keeping up to [window]
-    pages unacknowledged; the client acks cumulatively and hands each page
-    to the application (paying a configurable per-page copy from its
-    protocol buffer — the extra copy streaming needs).  Lost pages are
-    recovered go-back-N style from the cumulative ack. *)
+    The server pushes data pages for a whole file, keeping up to 4 pages
+    unacknowledged; the client acks cumulatively and hands each page to
+    the application (paying a per-page copy from its protocol buffer —
+    the extra copy streaming needs).  Lost pages are recovered go-back-N
+    style from the cumulative ack. *)
 
 type server
 
 val start_server :
-  Vsim.Engine.t -> nic:Vnet.Nic.t -> fs:Vfs.Fs.t -> ?window:int ->
-  ?process_ns:int -> unit -> server
-(** [window] defaults to 4 pages. *)
+  Vsim.Engine.t -> nic:Vnet.Nic.t -> fs:Vfs.Fs.t -> server
+(** The server charges 150 us of processing per page it sends. *)
 
 type stats = {
   bytes : int;
@@ -28,9 +27,6 @@ type stats = {
 
 val stream_file :
   Vsim.Engine.t -> nic:Vnet.Nic.t -> server:Vnet.Addr.t -> inum:int ->
-  ?client_think_ns:int -> ?buffer_copy:bool -> unit ->
   (stats, string) result
-(** Read the whole file sequentially (fiber-blocking).
-    [client_think_ns] models application compute between pages;
-    [buffer_copy] (default true) charges the page copy out of the protocol
-    buffer that streaming implies. *)
+(** Read the whole file sequentially (fiber-blocking), charging the page
+    copy out of the protocol buffer that streaming implies. *)

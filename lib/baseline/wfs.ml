@@ -19,6 +19,10 @@ let op_read_resp = 3
 let op_write_ack = 4
 let op_error = 5
 
+(* Each end's handling per request, and the client's retransmissions. *)
+let process_ns = Vsim.Time.us 150
+let retries = 5
+
 let set32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
 let get32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFF_FFFF
 
@@ -62,14 +66,13 @@ type server = {
   s_eng : Vsim.Engine.t;
   s_nic : Vnet.Nic.t;
   s_fs : Vfs.Fs.t;
-  s_process_ns : int;
   s_queue : request Queue.t;
   mutable s_wakeup : (unit -> unit) option;
 }
 
 
 let serve_one s (r : request) =
-  Vhw.Cpu.charge (Vnet.Nic.cpu s.s_nic) s.s_process_ns;
+  Vhw.Cpu.charge (Vnet.Nic.cpu s.s_nic) process_ns;
   let respond ~op ~data =
     Vnet.Nic.send s.s_nic ~dst:r.r_from ~ethertype:Vnet.Frame.ethertype_wfs
       (encode ~op ~id:r.r_id ~inum:r.r_inum ~block:r.r_block
@@ -101,13 +104,12 @@ let rec server_loop s () =
           s.s_wakeup <- Some resume);
       server_loop s ()
 
-let start_server eng ~nic ~fs ?(process_ns = Vsim.Time.us 150) () =
+let start_server eng ~nic ~fs =
   let s =
     {
       s_eng = eng;
       s_nic = nic;
       s_fs = fs;
-      s_process_ns = process_ns;
       s_queue = Queue.create ();
       s_wakeup = None;
     }
@@ -133,9 +135,7 @@ type client = {
   c_eng : Vsim.Engine.t;
   c_nic : Vnet.Nic.t;
   c_server : Vnet.Addr.t;
-  c_process_ns : int;
   c_timeout : Vsim.Time.t;
-  c_retries : int;
   c_pending : pending Vsim.Itbl.t;
   mutable c_next_id : int;
   mutable c_retrans : int;
@@ -143,16 +143,13 @@ type client = {
 
 let retransmissions c = c.c_retrans
 
-let create_client eng ~nic ~server ?(process_ns = Vsim.Time.us 150)
-    ?(timeout = Vsim.Time.ms 200) ?(retries = 5) () =
+let create_client eng ~nic ~server ?(timeout = Vsim.Time.ms 200) () =
   let c =
     {
       c_eng = eng;
       c_nic = nic;
       c_server = server;
-      c_process_ns = process_ns;
       c_timeout = timeout;
-      c_retries = retries;
       c_pending = Vsim.Itbl.create 8;
       c_next_id = 0;
       c_retrans = 0;
@@ -173,7 +170,7 @@ let create_client eng ~nic ~server ?(process_ns = Vsim.Time.us 150)
   c
 
 let rpc c ~op ~inum ~block ~count ~data =
-  Vhw.Cpu.charge (Vnet.Nic.cpu c.c_nic) c.c_process_ns;
+  Vhw.Cpu.charge (Vnet.Nic.cpu c.c_nic) process_ns;
   c.c_next_id <- c.c_next_id + 1;
   let id = c.c_next_id in
   let payload () = encode ~op ~id ~inum ~block ~count ~data in
@@ -186,7 +183,7 @@ let rpc c ~op ~inum ~block ~count ~data =
             (Vsim.Engine.after_kind c.c_eng ~kind:k_timeout c.c_timeout
                (fun () ->
                  if Vsim.Itbl.mem c.c_pending id then begin
-                   if tries >= c.c_retries then begin
+                   if tries >= retries then begin
                      Vsim.Itbl.remove c.c_pending id;
                      resume None
                    end

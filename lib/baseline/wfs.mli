@@ -7,8 +7,8 @@
     straight on the data-link layer, two packets per page — request out,
     data back — with none of the kernel's process, alien or grant
     machinery.  Per-packet interface costs still apply (they are hardware);
-    the only software cost is a small configurable per-request handling
-    time at each end.
+    the only software cost is a per-request handling time of 150 us (a
+    well-tuned handler) at each end.
 
     This is the floor a specialized protocol could reach; the bench
     compares it against V page access and the raw network penalty. *)
@@ -16,16 +16,16 @@
 type server
 
 val start_server :
-  Vsim.Engine.t -> nic:Vnet.Nic.t -> fs:Vfs.Fs.t -> ?process_ns:int -> unit ->
-  server
-(** Attach a WFS server to the NIC. [process_ns] is charged per request on
-    the server CPU (default 150 us — a well-tuned handler). *)
+  Vsim.Engine.t -> nic:Vnet.Nic.t -> fs:Vfs.Fs.t -> server
+(** Attach a WFS server to the NIC. *)
 
 type client
 
 val create_client :
-  Vsim.Engine.t -> nic:Vnet.Nic.t -> server:Vnet.Addr.t -> ?process_ns:int ->
-  ?timeout:Vsim.Time.t -> ?retries:int -> unit -> client
+  Vsim.Engine.t -> nic:Vnet.Nic.t -> server:Vnet.Addr.t ->
+  ?timeout:Vsim.Time.t -> unit -> client
+(** [timeout] (default 200 ms) is the wait before each of at most 5
+    retransmissions. *)
 
 val read_page :
   client -> inum:int -> block:int -> ?count:int -> unit ->

@@ -323,7 +323,7 @@ type sweep_report = {
    Chunks past the first violation are speculative work that is simply
    discarded.  Shrinking stays sequential — it is a chain of dependent
    runs. *)
-let sweep_seq ~limit ~domains ~progress ~run seq0 =
+let sweep_seq ~limit ~domains ~run seq0 =
   let seq = ref seq0 in
   let taken = ref 0 in
   let next_chunk k =
@@ -362,7 +362,6 @@ let sweep_seq ~limit ~domains ~progress ~run seq0 =
           | [], [] -> None
           | s :: ss', vs :: rs' -> (
               incr ran;
-              progress !ran;
               match vs with [] -> scan ss' rs' | _ :: _ -> Some s)
           | _ -> assert false
         in
@@ -380,7 +379,7 @@ let sweep_seq ~limit ~domains ~progress ~run seq0 =
    scenario's enumeration. *)
 let explore (sc : Scenario.t) ?(depth = 2) ?(limit = 600)
     ?(actions = Schedule.default_actions) ?max_events ?seed
-    ?(domains = Vsim.Pool.default_domains) ?(progress = fun _ -> ()) () =
+    ?(domains = Vsim.Pool.default_domains) () =
   let baseline = sc.run ?max_events ?seed [] in
   match baseline.violations with
   | _ :: _ as vs -> Error vs
@@ -388,7 +387,7 @@ let explore (sc : Scenario.t) ?(depth = 2) ?(limit = 600)
       let frames = baseline.frames in
       let run s = (sc.run ?max_events ?seed s).violations in
       let ran, failure =
-        sweep_seq ~limit ~domains ~progress ~run
+        sweep_seq ~limit ~domains ~run
           (sc.enumerate ~depth ~frames ~actions)
       in
       Ok

@@ -93,7 +93,6 @@ val explore :
   ?max_events:int ->
   ?seed:int64 ->
   ?domains:int ->
-  ?progress:(int -> unit) ->
   unit ->
   (sweep_report, violation list) result
 (** Systematic exploration of the scenario's schedules up to [depth]
@@ -101,9 +100,7 @@ val explore :
     schedules.  [Error vs] when the unfaulted baseline itself violates
     (nothing useful can be explored then).  [domains > 1] fans schedule
     runs out across OCaml 5 domains via {!Vsim.Pool} in deterministic
-    chunks; the returned report is byte-identical for any domain count.
-    [progress] is called with the running schedule count (main domain
-    only). *)
+    chunks; the returned report is byte-identical for any domain count. *)
 
 val sweep :
   ?depth:int ->
@@ -112,7 +109,6 @@ val sweep :
   ?max_events:int ->
   ?seed:int64 ->
   ?domains:int ->
-  ?progress:(int -> unit) ->
   unit ->
   (sweep_report, violation list) result
 (** {!explore} over {!Scenario.net}, depth 2 by default. *)
@@ -124,7 +120,6 @@ val sweep_crash :
   ?max_events:int ->
   ?seed:int64 ->
   ?domains:int ->
-  ?progress:(int -> unit) ->
   unit ->
   (sweep_report, violation list) result
 (** {!explore} over {!Scenario.crash}, depth 1 by default. *)

@@ -182,44 +182,48 @@ let unanswered al =
 (* The direction of a bulk transfer: MoveTo or MoveFrom. *)
 type dir = Vsim.Event.dir = To | From
 
-(* Our end of an in-flight remote MoveTo or MoveFrom (Section 3.3), keyed
-   by its sequence number: the mover that streams a MoveTo's page train,
-   or the requester that receives a MoveFrom's. *)
+(* One end of a page train (Section 3.3): the [total] bytes at [ptr] in
+   [mem].  The sending end is a MoveTo's mover; the receiving end is a
+   MoveTo's receiver or a MoveFrom's requester. *)
+type train =
+  | Out of {
+      mem : Mem.t;
+      ptr : int;
+      total : int;
+      mutable gen : int;
+          (** invalidates the streaming chains a NAK superseded *)
+      mutable since : Vsim.Time.t;
+          (** when the full train was last on the wire and we began
+              waiting for the Data_ack, [-1] until then *)
+    }
+  | In of {
+      mem : Mem.t;
+      ptr : int;
+      total : int;
+      born : Vsim.Time.t;
+      mutable expected : int;  (** the next offset to place *)
+      mutable nak_at : int;
+          (** the offset the last NAK reported, [-1] if none is
+              outstanding: stale in-flight fragments keep arriving after
+              a gap is detected, and NAKing each of them spawns one
+              redundant restream per NAK *)
+    }
+
+(* Our end of an in-flight remote MoveTo or MoveFrom, keyed by its
+   sequence number: the mover's [Out] train, or the requester's [In]. *)
 type move_out = {
-  mo_dir : dir;
   mo_seq : int;
   mo_me : Pid.t;  (** the moving process *)
   mo_peer : Pid.t;  (** the remote process whose segment we move *)
-  mo_ptr : int;  (** where the bytes are in [mo_me]'s space *)
-  mo_peer_ptr : int;  (** and in [mo_peer]'s *)
-  mo_total : int;
-  mo_mem : Mem.t;  (** [mo_me]'s space *)
-  mutable mo_gen : int;
-      (** MoveTo: invalidates the streaming chains a NAK superseded *)
-  mutable mo_expected : int;  (** MoveFrom: the next offset to place *)
-  mutable mo_nak_at : int;
-      (** MoveFrom: expected offset the last NAK reported, [-1] if none
-          is outstanding — stale in-flight fragments keep arriving after
-          a gap is detected, and NAKing each of them spawns one redundant
-          restream per NAK *)
+  mo_peer_ptr : int;  (** where the bytes are in [mo_peer]'s space *)
+  mo_train : train;  (** in [mo_me]'s space *)
   mo_retx : retx;
-  mutable mo_since : Vsim.Time.t;
-      (** MoveTo: when the full train was last on the wire and we began
-          waiting for the Data_ack, [-1] until then; MoveFrom: when the
-          last request went out *)
   mo_done : status -> unit;
 }
 
-(* Receiver side of an in-flight MoveTo, keyed by (src host, seq). *)
-type mt_in = {
-  mti_mem : Mem.t;  (** the receiving process's space *)
-  mti_dst_ptr : int;
-  mti_total : int;
-  mti_born : Vsim.Time.t;
-  mutable mti_expected : int;
-}
-
-let mti_complete mti = mti.mti_expected >= mti.mti_total
+(* A receiving end that expects the [total] bytes at [ptr] in [mem]. *)
+let train_in ~mem ~ptr ~total ~born =
+  In { mem; ptr; total; born; expected = 0; nak_at = -1 }
 
 type registry_entry = { re_pid : Pid.t; re_scope : scope }
 
@@ -273,7 +277,8 @@ type t = {
   aliens : alien Itbl.t;  (** keyed by [Pid.to_int] of the sender *)
   mutable alien_count : int;
   move_outs : move_out Itbl.t;  (** keyed by [mo_seq] *)
-  mt_ins : mt_in Itbl.t;  (** keyed by {!mt_in_key} *)
+  mt_ins : train Itbl.t;
+      (** a MoveTo receiver's [In] trains, keyed by {!mt_in_key} *)
   registry : registry_entry Itbl.t;
   getpid_cache : Pid.t Itbl.t;
   getpid_waits : getpid_wait Itbl.t;
@@ -789,7 +794,7 @@ let move_finish t (mo : move_out) st =
        round trip; a MoveFrom samples at its first fragment
        (handle_data_mf), so here it only records liveness. *)
     settle t mo.mo_retx st
-      ~since:(match mo.mo_dir with To -> mo.mo_since | From -> -1);
+      ~since:(match mo.mo_train with Out o -> o.since | In _ -> -1);
     charge_k t (model t).Vhw.Cost_model.context_switch_ns (fun () ->
         if Vsim.Trace.tracing t.eng then
           Vsim.Trace.event t.eng
@@ -828,8 +833,8 @@ let retx_seq = function
 
 let retx_label = function
   | Send _ -> "send"
-  | Move { mo_dir = To; _ } -> "move-to"
-  | Move { mo_dir = From; _ } -> "move-from"
+  | Move { mo_train = Out _; _ } -> "move-to"
+  | Move { mo_train = In _; _ } -> "move-from"
   | Getpid _ -> "getpid"
 
 let rec arm t x =
@@ -841,13 +846,14 @@ let rec arm t x =
   let bytes =
     match x with
     | Send _ | Getpid _ -> 0
-    | Move mo -> Int.min mo.mo_total max_packet_data
+    | Move { mo_train = Out { total; _ } | In { total; _ }; _ } ->
+        Int.min total max_packet_data
   in
   let kind =
     match x with
     | Send _ -> k_rto_send
-    | Move { mo_dir = To; _ } -> k_rto_moveto
-    | Move { mo_dir = From; _ } -> k_rto_movefrom
+    | Move { mo_train = Out _; _ } -> k_rto_moveto
+    | Move { mo_train = In _; _ } -> k_rto_movefrom
     | Getpid _ -> k_rto_getpid
   in
   let rto = Rto.timeout_ns t.rto ~dst:rx.rx_dst ~bytes in
@@ -890,22 +896,20 @@ and transmit t x =
   | Send rs ->
       send_pkt t ~dst_host:rs.rs_retx.rx_dst rs.rs_pkt;
       arm t x
-  | Move ({ mo_dir = To; _ } as mo) ->
+  | Move ({ mo_train = Out { total; _ }; _ } as mo) ->
       (* Probe with an empty fragment at [total]: a receiver that is done
          re-acks; one mid-transfer NAKs with the offset it needs, giving
          retransmission from the last correctly received packet. *)
       send_pkt t ~dst_host:mo.mo_retx.rx_dst
         (Packet.make ~op:Packet.Data_mt ~src_pid:mo.mo_me ~dst_pid:mo.mo_peer
-           ~seq:mo.mo_seq ~offset:mo.mo_total ~total:mo.mo_total
-           ~aux:mo.mo_peer_ptr ());
+           ~seq:mo.mo_seq ~offset:total ~total ~aux:mo.mo_peer_ptr ());
       arm t x
-  | Move ({ mo_dir = From; _ } as mo) ->
-      mo.mo_nak_at <- -1;
-      mo.mo_since <- Vsim.Engine.now t.eng;
+  | Move ({ mo_train = In r; _ } as mo) ->
+      r.nak_at <- -1;
       let req =
         Packet.make ~op:Packet.Move_from_req ~src_pid:mo.mo_me
-          ~dst_pid:mo.mo_peer ~seq:mo.mo_seq ~offset:mo.mo_expected
-          ~total:mo.mo_total ~aux:mo.mo_peer_ptr ()
+          ~dst_pid:mo.mo_peer ~seq:mo.mo_seq ~offset:r.expected ~total:r.total
+          ~aux:mo.mo_peer_ptr ()
       in
       send_pkt_k t ~tail:false ~dst_host:mo.mo_retx.rx_dst req (fun () ->
           charge_async t (model t).Vhw.Cost_model.send_bookkeep_ns;
@@ -993,19 +997,27 @@ let stream t ~op ~src_pid ~dst_pid ~seq ~mem ~ptr ~total ~aux ~live ~at_end
   go from
 
 (* (Re)stream our MoveTo from [from], superseding any chain still
-   running, then wait for the Data_ack. *)
+   running, then wait for the Data_ack.  The closures reach the train
+   through [mo], which they hold anyway, rather than capture it too. *)
 let stream_to t (mo : move_out) ~from =
-  mo.mo_gen <- mo.mo_gen + 1;
-  stop t mo.mo_retx;
-  let gen = mo.mo_gen in
-  stream t ~op:Packet.Data_mt ~src_pid:mo.mo_me ~dst_pid:mo.mo_peer
-    ~seq:mo.mo_seq ~mem:mo.mo_mem ~ptr:mo.mo_ptr ~total:mo.mo_total
-    ~aux:mo.mo_peer_ptr ~from
-    ~live:(fun () -> move_alive t mo && mo.mo_gen = gen)
-    ~at_end:(fun () ->
-      charge_async t (model t).Vhw.Cost_model.send_bookkeep_ns;
-      mo.mo_since <- Vsim.Engine.now t.eng;
-      arm t (Move mo))
+  match mo.mo_train with
+  | In _ -> ()
+  | Out o ->
+      o.gen <- o.gen + 1;
+      stop t mo.mo_retx;
+      let gen = o.gen in
+      stream t ~op:Packet.Data_mt ~src_pid:mo.mo_me ~dst_pid:mo.mo_peer
+        ~seq:mo.mo_seq ~mem:o.mem ~ptr:o.ptr ~total:o.total
+        ~aux:mo.mo_peer_ptr ~from
+        ~live:(fun () ->
+          move_alive t mo
+          && match mo.mo_train with Out o -> o.gen = gen | In _ -> false)
+        ~at_end:(fun () ->
+          charge_async t (model t).Vhw.Cost_model.send_bookkeep_ns;
+          (match mo.mo_train with
+          | Out o -> o.since <- Vsim.Engine.now t.eng
+          | In _ -> ());
+          arm t (Move mo))
 
 (* (Re)stream a MoveFrom's data from local reply-blocked process [sd]'s
    granted segment back to the remote [requester], superseding any
@@ -1021,31 +1033,44 @@ let stream_from t (sd : desc) ~requester ~seq ~ptr ~total ~from =
     ~at_end:(fun () ->
       charge_async t (model t).Vhw.Cost_model.server_bookkeep_ns)
 
-(* The in-order step of a train's receiving end, shared by the MoveTo
-   receiver and the MoveFrom requester: a fragment past [expected] shows
-   a gap, one before it is a duplicate, and the one at it is placed at
-   [ptr] plus its offset in [mem]. *)
-type arrival = Gap | Duplicate | Placed
+(* The receiving end of a page train, for the MoveTo receiver and the
+   MoveFrom requester alike: the fragment at [expected] is placed, an
+   earlier one is a duplicate, and a later one shows a gap, which is NAKed
+   once per gap with the NAK's [total] and [aux].  A mover's probe, an
+   empty fragment at the train's end, is always answered, so a lost NAK
+   is repaired by the mover's timer as a MoveFrom's is by its request
+   retransmission.  Returns whether the fragment was placed. *)
+let take t train (pkt : Packet.t) ~total ~aux =
+  match train with
+  | Out _ -> false
+  | In r ->
+      let off = pkt.Packet.offset and len = pkt.Packet.data_len in
+      if off = r.expected then begin
+        if len > 0 then Packet.blit_data pkt r.mem ~pos:(r.ptr + off) ~len;
+        r.expected <- off + len;
+        r.nak_at <- -1;
+        true
+      end
+      else if off < r.expected then begin
+        t.s_dups <- t.s_dups + 1;
+        false
+      end
+      else begin
+        if r.nak_at <> r.expected || (off = r.total && len = 0) then begin
+          r.nak_at <- r.expected;
+          t.s_naks <- t.s_naks + 1;
+          send_pkt t ~dst_host:(Pid.host pkt.Packet.src_pid)
+            (Packet.make ~op:Packet.Data_nak ~src_pid:pkt.Packet.dst_pid
+               ~dst_pid:pkt.Packet.src_pid ~seq:pkt.Packet.seq
+               ~offset:r.expected ~total ~aux ())
+        end;
+        false
+      end
 
-let arrive t (pkt : Packet.t) ~expected ~mem ~ptr =
-  let off = pkt.Packet.offset in
-  if off > expected then Gap
-  else if off < expected then begin
-    t.s_dups <- t.s_dups + 1;
-    Duplicate
-  end
-  else begin
-    let len = pkt.Packet.data_len in
-    if len > 0 then Packet.blit_data pkt mem ~pos:(ptr + off) ~len;
-    Placed
-  end
-
-(* Ask [dst_pid], the sender of train [seq], to restream from [offset]. *)
-let send_gap_nak t ~src_pid ~dst_pid ~seq ~offset ~total ~aux =
-  t.s_naks <- t.s_naks + 1;
-  send_pkt t ~dst_host:(Pid.host dst_pid)
-    (Packet.make ~op:Packet.Data_nak ~src_pid ~dst_pid ~seq ~offset ~total ~aux
-       ())
+(* Whether a receiving end holds its whole train. *)
+let complete = function
+  | In { expected; total; _ } -> expected >= total
+  | Out _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Receive path: packet handlers                                       *)
@@ -1169,7 +1194,7 @@ let handle_data_mt t (pkt : Packet.t) =
     when Pid.equal peer mover ->
       restart_send t rs
   | Some _ | None -> ());
-  let mti =
+  let train =
     match Itbl.find_opt t.mt_ins key with
     | Some _ as found -> found
     | None -> (
@@ -1197,46 +1222,32 @@ let handle_data_mt t (pkt : Packet.t) =
               let now = Vsim.Engine.now t.eng in
               let stale =
                 Itbl.fold
-                  (fun k mti acc ->
-                    let horizon =
-                      20
-                      * Rto.current_ns t.rto ~dst:(mt_in_host k)
-                          ~bytes:(Int.min mti.mti_total max_packet_data)
-                    in
-                    if now - mti.mti_born > horizon then k :: acc else acc)
+                  (fun k train acc ->
+                    match train with
+                    | In { total; born; _ } ->
+                        let horizon =
+                          20
+                          * Rto.current_ns t.rto ~dst:(mt_in_host k)
+                              ~bytes:(Int.min total max_packet_data)
+                        in
+                        if now - born > horizon then k :: acc else acc
+                    | Out _ -> acc)
                   t.mt_ins []
               in
               List.iter (Itbl.remove t.mt_ins) stale;
-              let mti =
-                {
-                  mti_mem = dd.d_mem;
-                  mti_dst_ptr = ptr;
-                  mti_total = len;
-                  mti_born = now;
-                  mti_expected = 0;
-                }
-              in
-              Itbl.replace t.mt_ins key mti;
-              Some mti
+              let train = train_in ~mem:dd.d_mem ~ptr ~total:len ~born:now in
+              Itbl.replace t.mt_ins key train;
+              Some train
             end)
   in
-  match mti with
+  match train with
   | None -> ()
-  | Some mti ->
-      (if not (mti_complete mti) then
-         match
-           arrive t pkt ~expected:mti.mti_expected ~mem:mti.mti_mem
-             ~ptr:mti.mti_dst_ptr
-         with
-         | Gap ->
-             send_gap_nak t ~src_pid:pkt.Packet.dst_pid ~dst_pid:mover
-               ~seq:pkt.Packet.seq ~offset:mti.mti_expected ~total:0 ~aux:0
-         | Duplicate -> ()
-         | Placed ->
-             mti.mti_expected <- mti.mti_expected + pkt.Packet.data_len);
+  | Some train ->
+      if not (complete train) then
+        ignore (take t train pkt ~total:0 ~aux:0 : bool);
       (* The fragment that completes the train is acked, and so is each
          one (or probe) that arrives after. *)
-      if mti_complete mti then
+      if complete train then
         send_pkt t ~dst_host:(Pid.host mover)
           (Packet.make ~op:Packet.Data_ack ~src_pid:pkt.Packet.dst_pid
              ~dst_pid:mover ~seq:pkt.Packet.seq ())
@@ -1244,46 +1255,32 @@ let handle_data_mt t (pkt : Packet.t) =
 (* Incoming MoveFrom data fragment at the requester. *)
 let handle_data_mf t (pkt : Packet.t) =
   match Itbl.find t.move_outs pkt.Packet.seq with
-  | { mo_dir = From; _ } as mo -> (
-      match
-        arrive t pkt ~expected:mo.mo_expected ~mem:mo.mo_mem ~ptr:mo.mo_ptr
-      with
-      | Gap ->
-          (* NAK each gap once; a lost NAK is recovered by the request
-             timeout, which re-enables NAKing. *)
-          if mo.mo_nak_at <> mo.mo_expected then begin
-            mo.mo_nak_at <- mo.mo_expected;
-            send_gap_nak t ~src_pid:mo.mo_me ~dst_pid:mo.mo_peer
-              ~seq:mo.mo_seq ~offset:mo.mo_expected ~total:mo.mo_total
-              ~aux:mo.mo_peer_ptr
-          end
-      | Duplicate -> ()
-      | Placed ->
-          (* The request-to-first-data gap is a clean round-trip sample,
-             provided no timeout retransmitted the request (Karn). *)
-          if pkt.Packet.offset = 0 && mo.mo_retx.rx_tries = 0 then
-            settle t mo.mo_retx Ok ~since:mo.mo_since;
-          mo.mo_expected <- mo.mo_expected + pkt.Packet.data_len;
-          mo.mo_nak_at <- -1;
-          (* Fresh data: the source is alive, push the timeout out and
-             restart the retry budget — retries count consecutive silent
-             periods, not total loss over a long transfer. *)
-          mo.mo_retx.rx_tries <- 0;
-          if mo.mo_expected >= mo.mo_total then move_finish t mo Ok
-          else arm t (Move mo))
-  | { mo_dir = To; _ } | (exception Not_found) -> ()
+  | { mo_train = In r; _ } as mo ->
+      if take t mo.mo_train pkt ~total:r.total ~aux:mo.mo_peer_ptr then begin
+        (* The request-to-first-data gap is a clean round-trip sample,
+           provided no timeout retransmitted the request (Karn): the one
+           request then went out at the train's birth. *)
+        if pkt.Packet.offset = 0 && mo.mo_retx.rx_tries = 0 then
+          settle t mo.mo_retx Ok ~since:r.born;
+        (* Fresh data: the source is alive, push the timeout out and
+           restart the retry budget — retries count consecutive silent
+           periods, not total loss over a long transfer. *)
+        mo.mo_retx.rx_tries <- 0;
+        if r.expected >= r.total then move_finish t mo Ok else arm t (Move mo)
+      end
+  | { mo_train = Out _; _ } | (exception Not_found) -> ()
 
 let handle_data_ack t (pkt : Packet.t) =
   match Itbl.find t.move_outs pkt.Packet.seq with
-  | { mo_dir = To; _ } as mo -> move_finish t mo Ok
-  | { mo_dir = From; _ } | (exception Not_found) -> ()
+  | { mo_train = Out _; _ } as mo -> move_finish t mo Ok
+  | { mo_train = In _; _ } | (exception Not_found) -> ()
 
 (* A NAK against one of our outgoing streams: rewind to the offset the
    receiver reports and restart the stream from there. *)
 let handle_data_nak t (pkt : Packet.t) =
   match Itbl.find t.move_outs pkt.Packet.seq with
-  | { mo_dir = To; _ } as mo -> stream_to t mo ~from:pkt.Packet.offset
-  | { mo_dir = From; _ } | (exception Not_found) -> (
+  | { mo_train = Out _; _ } as mo -> stream_to t mo ~from:pkt.Packet.offset
+  | { mo_train = In _; _ } | (exception Not_found) -> (
       (* NAK of a MoveFrom stream we source: the NAK carries the transfer
          shape (base/total) so no source-side transfer state is needed. *)
       match find_proc t pkt.Packet.dst_pid with
@@ -1982,19 +1979,18 @@ let move t dir ~peer ~dst ~src ~count =
             Vsim.Proc.suspend_tail (fun resume ->
                 let mo =
                   {
-                    mo_dir = dir;
                     mo_seq = seq;
                     mo_me = d.d_pid;
                     mo_peer = peer;
-                    mo_ptr = ptr;
                     mo_peer_ptr = peer_ptr;
-                    mo_total = count;
-                    mo_mem = d.d_mem;
-                    mo_gen = 0;
-                    mo_expected = 0;
-                    mo_nak_at = -1;
+                    mo_train =
+                      (let mem = d.d_mem and total = count in
+                       match dir with
+                       | To -> Out { mem; ptr; total; gen = 0; since = -1 }
+                       | From ->
+                           train_in ~mem ~ptr ~total
+                             ~born:(Vsim.Engine.now t.eng));
                     mo_retx = new_retx ~dst:(Pid.host peer);
-                    mo_since = -1;
                     mo_done = resume;
                   }
                 in
@@ -2117,14 +2113,14 @@ let table_counts t =
     t.aliens;
   let mt_ins_incomplete = ref 0 in
   Itbl.iter
-    (fun _ mti -> if not (mti_complete mti) then incr mt_ins_incomplete)
+    (fun _ train -> if not (complete train) then incr mt_ins_incomplete)
     t.mt_ins;
   let mt_outs_pending = ref 0 and mf_outs_pending = ref 0 in
   Itbl.iter
     (fun _ mo ->
-      match mo.mo_dir with
-      | To -> incr mt_outs_pending
-      | From -> incr mf_outs_pending)
+      match mo.mo_train with
+      | Out _ -> incr mt_outs_pending
+      | In _ -> incr mf_outs_pending)
     t.move_outs;
   let sends_blocked = ref 0 in
   Itbl.iter

@@ -18,12 +18,14 @@ type t = {
   logical_id : int;
   server_config : Server.config;
   heartbeat_ns : int;
-  miss_threshold : int;
   mutable stopped : bool;
   mutable server : Server.t option;
   mutable probes : int;
   mutable misses : int;
 }
+
+(* Consecutive failed probes that trigger a takeover. *)
+let miss_threshold = 2
 
 let probe t =
   let k = t.kernel in
@@ -60,7 +62,7 @@ let rec monitor t () =
         take_over t
     | Error `Miss ->
         t.misses <- t.misses + 1;
-        if t.misses >= t.miss_threshold then take_over t
+        if t.misses >= miss_threshold then take_over t
         else begin
           Vsim.Proc.sleep t.heartbeat_ns;
           monitor t ()
@@ -68,7 +70,7 @@ let rec monitor t () =
   end
 
 let standby kernel fs ~logical_id ?(server_config = Server.default_config)
-    ?(heartbeat_ns = Vsim.Time.ms 25) ?(miss_threshold = 2) () =
+    ?(heartbeat_ns = Vsim.Time.ms 25) () =
   (* Takeover runs [Fs.recover] to enter a new epoch; without a journal
      there is none, and the standby's versions could repeat the
      primary's. *)
@@ -81,7 +83,6 @@ let standby kernel fs ~logical_id ?(server_config = Server.default_config)
       logical_id;
       server_config;
       heartbeat_ns;
-      miss_threshold;
       stopped = false;
       server = None;
       probes = 0;

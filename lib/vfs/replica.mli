@@ -2,8 +2,8 @@
 
     A standby holds the same (dual-ported) filesystem as the primary and
     heartbeats it over IPC.  When the kernel's failure detector declares
-    the primary's host dead ({!Vkernel.Kernel.status} [Dead]), or
-    [miss_threshold] consecutive probes fail, the standby recovers the
+    the primary's host dead ({!Vkernel.Kernel.status} [Dead]), or 2
+    consecutive probes fail, the standby recovers the
     journaled filesystem ({!Fs.recover}) and starts a {!Server}
     registered under the primary's logical id — so clients running
     session recovery ({!Client.Io.make} with [~recover:true]) re-resolve
@@ -18,7 +18,6 @@ val standby :
   logical_id:int ->
   ?server_config:Server.config ->
   ?heartbeat_ns:int ->
-  ?miss_threshold:int ->
   unit ->
   t
 (** Spawn the monitor process on the standby host.  [server_config]

@@ -4,7 +4,6 @@ module Msg = Vkernel.Msg
 type config = {
   transfer_unit : int;
   read_ahead : bool;
-  write_behind : bool;
   fs_process_ns : int;
   max_open : int;
   workers : int;
@@ -16,7 +15,6 @@ let default_config =
   {
     transfer_unit = 4096;
     read_ahead = false;
-    write_behind = false;
     fs_process_ns = 0;
     max_open = 32;
     workers = 1;
@@ -455,24 +453,12 @@ let handle_request t ~mem ~msg ~src ~seg_count =
               let n = Int.min seg_count Fs.block_size in
               let data = Vkernel.Mem.read mem ~pos:scratch_ptr ~len:n in
               fs_work t;
-              let do_write () =
+              match
                 Fs.write t.fs ~inum:f.of_inum ~pos:(block * Fs.block_size)
                   data
-              in
-              if t.cfg.write_behind then begin
-                (* The write is accepted at reply time, so it is
-                   acknowledged before the asynchronous store. *)
-                ack_write f n;
-                (* Asynchronous store of the modified page. *)
-                ignore
-                  (K.spawn t.kernel ~name:"fs-flush" ~mem_size:4096
-                     (fun _ -> ignore (do_write ())))
-              end
-              else begin
-                match do_write () with
-                | Ok () -> ack_write f n
-                | Error e -> reply (fs_error_status e) 0
-              end)
+              with
+              | Ok () -> ack_write f n
+              | Error e -> reply (fs_error_status e) 0)
       | Protocol.Write_basic -> (
           match lookup_handle t handle, client_seg with
           | None, _ -> reply Protocol.Sbad_handle 0

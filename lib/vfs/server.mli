@@ -18,8 +18,7 @@
       authors' VAX server, larger here when asked;
     - optional read-ahead: after replying to a sequential read, the server
       fetches the next block from disk before its next Receive — the exact
-      delay structure of the Table 6-2 experiment — and write-behind, which
-      replies before the disk write completes.
+      delay structure of the Table 6-2 experiment.
 
     [fs_process_ns] charges extra per-request CPU to model file-system
     processing beyond the kernel cost (the paper estimates ~2.5-3.5 ms from
@@ -29,7 +28,6 @@
 type config = {
   transfer_unit : int;  (** MoveTo chunk for program loading, >= 1 *)
   read_ahead : bool;
-  write_behind : bool;
   fs_process_ns : int;  (** per-request file-system processing time *)
   max_open : int;  (** open-file table size *)
   workers : int;

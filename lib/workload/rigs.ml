@@ -238,7 +238,7 @@ let make_cache tb ~host ~cache_blocks ~policy =
          { Vfs.Cache.capacity_blocks = cache_blocks; policy })
   else None
 
-let cached_read ?(passes = 4) ?(cpu_model = Vhw.Cost_model.sun_10mhz)
+let cached_read ?(cpu_model = Vhw.Cost_model.sun_10mhz)
     ?(medium_config = Vnet.Medium.config_3mb) ?(file_blocks = 64)
     ?(working_set = 16) ?seed ~cache_blocks ~policy () =
   let bs = Vfs.Fs.block_size in
@@ -262,11 +262,12 @@ let cached_read ?(passes = 4) ?(cpu_model = Vhw.Cost_model.sun_10mhz)
       let t0 = Vsim.Engine.now eng in
       pass ();
       let t1 = Vsim.Engine.now eng in
-      for _ = 2 to passes do
+      let warm_passes = 3 in
+      for _ = 1 to warm_passes do
         pass ()
       done;
       let t2 = Vsim.Engine.now eng in
-      let warm_reads = max 1 ((passes - 1) * working_set) in
+      let warm_reads = warm_passes * working_set in
       {
         cold_ns = (t1 - t0) / working_set;
         warm_ns = (t2 - t1) / warm_reads;

@@ -148,7 +148,6 @@ type cache_cols = {
 }
 
 val cached_read :
-  ?passes:int ->
   ?cpu_model:Vhw.Cost_model.t ->
   ?medium_config:Vnet.Medium.config ->
   ?file_blocks:int ->
@@ -160,7 +159,7 @@ val cached_read :
   cache_cols
 (** Cyclic re-read of a [working_set]-block span through the {!Vfs.Client.Io}
     API with a [cache_blocks]-block client cache ([0] disables caching).
-    One cold pass then [passes - 1] warm passes; with
+    One cold pass then 3 warm passes; with
     [working_set <= cache_blocks] every warm read is a hit, with
     [working_set > cache_blocks] LRU evicts each block just before its
     cyclic reuse and every read misses — the cache-capacity crossover. *)

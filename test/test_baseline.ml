@@ -10,7 +10,7 @@ let test_wfs_read_write () =
   let h1 = Vworkload.Testbed.host tb 1 and h2 = Vworkload.Testbed.host tb 2 in
   let (_ : Vbaseline.Wfs.server) =
     Vbaseline.Wfs.start_server tb.Vworkload.Testbed.eng
-      ~nic:h1.Vworkload.Testbed.nic ~fs ()
+      ~nic:h1.Vworkload.Testbed.nic ~fs
   in
   let client =
     Vbaseline.Wfs.create_client tb.Vworkload.Testbed.eng
@@ -45,7 +45,7 @@ let test_wfs_two_packets () =
   let h1 = Vworkload.Testbed.host tb 1 and h2 = Vworkload.Testbed.host tb 2 in
   let (_ : Vbaseline.Wfs.server) =
     Vbaseline.Wfs.start_server tb.Vworkload.Testbed.eng
-      ~nic:h1.Vworkload.Testbed.nic ~fs ()
+      ~nic:h1.Vworkload.Testbed.nic ~fs
   in
   let client =
     Vbaseline.Wfs.create_client tb.Vworkload.Testbed.eng
@@ -67,7 +67,7 @@ let test_wfs_retransmission () =
   let h1 = Vworkload.Testbed.host tb 1 and h2 = Vworkload.Testbed.host tb 2 in
   let (_ : Vbaseline.Wfs.server) =
     Vbaseline.Wfs.start_server tb.Vworkload.Testbed.eng
-      ~nic:h1.Vworkload.Testbed.nic ~fs ()
+      ~nic:h1.Vworkload.Testbed.nic ~fs
   in
   let client =
     Vbaseline.Wfs.create_client tb.Vworkload.Testbed.eng
@@ -93,7 +93,7 @@ let test_streaming_integrity () =
   let h1 = Vworkload.Testbed.host tb 1 and h2 = Vworkload.Testbed.host tb 2 in
   let (_ : Vbaseline.Streaming.server) =
     Vbaseline.Streaming.start_server tb.Vworkload.Testbed.eng
-      ~nic:h1.Vworkload.Testbed.nic ~fs ()
+      ~nic:h1.Vworkload.Testbed.nic ~fs
   in
   let inum = Option.get (Vfs.Fs.lookup fs "s") in
   let stats = ref None in
@@ -101,7 +101,7 @@ let test_streaming_integrity () =
     Vsim.Proc.spawn tb.Vworkload.Testbed.eng (fun () ->
         match
           Vbaseline.Streaming.stream_file tb.Vworkload.Testbed.eng
-            ~nic:h2.Vworkload.Testbed.nic ~server:1 ~inum ()
+            ~nic:h2.Vworkload.Testbed.nic ~server:1 ~inum
         with
         | Ok s -> stats := Some s
         | Error e -> Alcotest.failf "stream: %s" e)
@@ -125,14 +125,14 @@ let test_streaming_vs_disk_latency () =
   let h1 = Vworkload.Testbed.host tb 1 and h2 = Vworkload.Testbed.host tb 2 in
   let (_ : Vbaseline.Streaming.server) =
     Vbaseline.Streaming.start_server tb.Vworkload.Testbed.eng
-      ~nic:h1.Vworkload.Testbed.nic ~fs ()
+      ~nic:h1.Vworkload.Testbed.nic ~fs
   in
   let per_page = ref 0 in
   let (_ : Vsim.Proc.t) =
     Vsim.Proc.spawn tb.Vworkload.Testbed.eng (fun () ->
         match
           Vbaseline.Streaming.stream_file tb.Vworkload.Testbed.eng
-            ~nic:h2.Vworkload.Testbed.nic ~server:1 ~inum ()
+            ~nic:h2.Vworkload.Testbed.nic ~server:1 ~inum
         with
         | Ok s -> per_page := s.Vbaseline.Streaming.per_page_ns
         | Error e -> Alcotest.failf "stream: %s" e)

@@ -271,14 +271,34 @@ let scripted_moveto tb ~fault =
       Alcotest.check Util.status "grant send" K.Ok (K.send k1 msg mover);
       Util.check_pattern mem ~pos:0 ~len:count ~name:"moveto data")
 
-let test_scripted_moveto_fragment_loss () =
+(* One scripted MoveTo losing the frames [drop]: the receiver's gap NAKs,
+   the duplicates it filters and the mover's timeouts. *)
+let moveto_fragment_loss (drop, naks, dups, timeouts) =
   let tb = Util.testbed ~kernel_config:move_config ~hosts:2 () in
-  scripted_moveto tb ~fault:(Vnet.Fault.drop_nth [ 3 ]);
-  (* Losing a mid-train fragment is repaired by the receiver's gap NAK,
-     well before the mover's end-of-train timer can fire. *)
+  scripted_moveto tb ~fault:(Vnet.Fault.drop_nth drop);
   let s1 = TB.kernel tb 1 |> K.stats and s2 = TB.kernel tb 2 |> K.stats in
-  Alcotest.(check int) "receiver NAKed the gap" 1 s1.K.gap_naks_sent;
-  Alcotest.(check int) "mover timer never fired" 0 s2.K.timeouts_fired
+  let case what =
+    Printf.sprintf "drop %s: %s"
+      (String.concat "," (List.map string_of_int drop))
+      what
+  in
+  Alcotest.(check int) (case "gap NAKs") naks s1.K.gap_naks_sent;
+  Alcotest.(check int) (case "duplicates") dups s1.K.duplicates_filtered;
+  Alcotest.(check int) (case "mover timeouts") timeouts s2.K.timeouts_fired
+
+let test_scripted_moveto_fragment_loss () =
+  List.iter moveto_fragment_loss
+    [
+      (* A lost mid-train fragment is repaired by the receiver's gap NAK,
+         well before the mover's end-of-train timer can fire. *)
+      ([ 3 ], 1, 0, 0);
+      (* A lost first fragment: the two stale fragments past the gap draw
+         one NAK between them, so the mover restreams once. *)
+      ([ 2 ], 1, 0, 0);
+      (* The one NAK is lost too: the mover's timer fires, and its probe,
+         which is always answered, draws the second NAK. *)
+      ([ 2; 4 ], 2, 0, 1);
+    ]
 
 let test_scripted_moveto_ack_loss () =
   let tb = Util.testbed ~kernel_config:move_config ~hosts:2 () in

@@ -492,7 +492,10 @@ let broadcast_minor_words ports =
    alien kept its cached reply, forward target and reply time in fields
    of their own, and an inbound MoveTo stored its completion, 100
    exchanges took 37,600 words, 20 page-train pairs 51,052, and the net
-   and crash schedules 13,271 and 17,014. *)
+   and crash schedules 13,271 and 17,014.  While the file server had a
+   write-behind mode, every page write built a closure for its store
+   whichever mode ran, and the net and crash schedules took 13,166 and
+   16,967. *)
 let test_host_allocation_gate () =
   Alcotest.(check int) "minor words for 1000 engine steps" 0
     (marginal_minor_words engine_steps 1000);
@@ -505,9 +508,9 @@ let test_host_allocation_gate () =
     1_000 in_place;
   Alcotest.(check int) "minor words for 20 remote 4 KB MoveTo+MoveFrom pairs"
     51_032 (marginal_minor_words remote_moves 20);
-  Alcotest.(check int) "minor words for a fault-free net schedule" 13_166
+  Alcotest.(check int) "minor words for a fault-free net schedule" 13_135
     (schedule_minor_words Vcheck.Checker.Scenario.net);
-  Alcotest.(check int) "minor words for a fault-free crash schedule" 16_967
+  Alcotest.(check int) "minor words for a fault-free crash schedule" 16_898
     (schedule_minor_words Vcheck.Checker.Scenario.crash);
   let events, words = boot_storm_cost () in
   Alcotest.(check int) "events fired for a 16-client boot storm" 1_092 events;

@@ -154,29 +154,6 @@ let test_sequential_read_with_latency () =
       if ms < 10.0 || ms > 14.0 then
         Alcotest.failf "per-page %.2f ms out of band" ms)
 
-let test_write_behind_faster () =
-  let slow_disk = Vfs.Disk.Fixed (Vsim.Time.ms 20) in
-  let run ~write_behind =
-    let server_config = { Vfs.Server.default_config with Vfs.Server.write_behind } in
-    let tb, _, _ = rig ~files:[ ("wb", 8 * 512) ] ~server_config ~latency:slow_disk () in
-    let k2 = TB.kernel tb 2 in
-    let elapsed = ref 0 in
-    Util.run_as_process tb ~host:2 (fun pid ->
-        let mem = K.memory k2 pid in
-        Util.fill_pattern mem ~pos:0 ~len:512;
-        let conn = connect k2 in
-        let h = get (Vfs.Client.open_file conn "wb") in
-        let t0 = Vsim.Engine.now (K.engine k2) in
-        let n = get (Vfs.Client.write_page conn h ~block:1 ~buf:0 ~count:512) in
-        Alcotest.(check int) "wrote" 512 n;
-        elapsed := Vsim.Engine.now (K.engine k2) - t0);
-    !elapsed
-  in
-  let behind = run ~write_behind:true in
-  let through = run ~write_behind:false in
-  Alcotest.(check bool) "write-behind hides disk latency" true
-    (behind + Vsim.Time.ms 15 < through)
-
 let test_partial_page_count () =
   (* A read with count < block size returns exactly count bytes, from the
      right offset. *)
@@ -348,7 +325,6 @@ let suite =
     Alcotest.test_case "delete" `Quick test_delete;
     Alcotest.test_case "sequential read + disk latency" `Quick
       test_sequential_read_with_latency;
-    Alcotest.test_case "write-behind" `Quick test_write_behind_faster;
     Alcotest.test_case "partial page count" `Quick test_partial_page_count;
     Alcotest.test_case "exec scan" `Quick test_exec_scan;
     Alcotest.test_case "exec wire cost" `Quick test_exec_cheaper_on_the_wire;

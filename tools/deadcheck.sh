@@ -10,6 +10,11 @@
 # interface, and from the implementation if the module does not use it
 # either.
 #
+# It also lists every optional label (`?label:`) that such an .mli
+# declares and that no .ml outside the module passes, as `~label` or
+# `?label`.  Such an option has one value in every call; make it a
+# constant, and delete the branches that only another value reaches.
+#
 # Comments are stripped before matching.  A use is then either a
 # qualified reference (`.name`, as in `Mod.name` or `Alias.name`) in
 # any of those files, or the bare word in a file that opens the module
@@ -20,11 +25,16 @@
 # a value of any module reached by its path (`.size` is also
 # `Mem.size`, and a dead `Pid.hash` read as used because `Itbl.hash`
 # is called), counts as used, as does one a file that opens its module
-# names in a string or as a local variable.  It never reports a value
+# names in a string or as a local variable.  An option counts as passed
+# when any other .ml has its label as a `~label` or `?label` word, so
+# one whose label another function also takes, or that a file passes
+# to a function of another module, is missed; an option its own module
+# passes to itself is reported.  It never reports a value or an option
 # that is used.  There is no allowlist.
 #
-# Prints one line per dead export as MODULE.NAME (file), and exits 0
-# when there is none, 1 when there is any.  Run from the repository
+# Prints one line per dead export as MODULE.NAME (file), and one per
+# unpassed option as MODULE ?LABEL (file); exits 0 when there is none,
+# 1 when there is any.  Run from the repository
 # root; it reads sources only and needs no build.
 set -eu
 
@@ -59,7 +69,7 @@ while ((pos($s) // 0) < length $s) {
 }
 print $o;
 PERL
-for ml in $mls; do
+for ml in $mls $(find lib -name '*.mli' -not -path '*/_build/*'); do
   mkdir -p "$stripped/$(dirname "$ml")"
   perl "$stripped/strip.pl" "$ml" >"$stripped/$ml"
 done
@@ -82,9 +92,17 @@ for mli in $(find lib -name '*.mli' -not -path '*/_build/*' | sort); do
     found=1
     echo "$mod.$n ($mli)"
   done
+  labels=$(grep -oE "\?[a-z_][A-Za-z0-9_']*:" "$stripped/$mli" \
+    | sed 's/^?//; s/:$//' | sort -u)
+  for l in $labels; do
+    # shellcheck disable=SC2086
+    if grep -qE -- "[~?]$l([^A-Za-z0-9_']|\$)" $others; then continue; fi
+    found=1
+    echo "$mod ?$l ($mli)"
+  done
 done
 
 if [ "$found" -eq 0 ]; then
-  echo "deadcheck: every exported value has a caller outside its own module"
+  echo "deadcheck: every exported value and option has a caller outside its own module"
 fi
 exit "$found"
