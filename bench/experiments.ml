@@ -1018,6 +1018,131 @@ let loss_sweep () =
     rows
 
 (* ------------------------------------------------------------------ *)
+(* Train loss: 64 KB page trains under random loss                     *)
+
+let train_loss () =
+  Report.section
+    "Train loss: 64 KB MoveTo and MoveFrom under random loss, fixed vs \
+     adaptive retransmission timers (10 MHz, 10 Mb Ethernet)";
+  (* Each trial is one 64 KB move inside a Send-Receive-Move-Reply
+     exchange, timed at the moving process from its first Move call to
+     the one that succeeds: a move that exhausts its retries is retried,
+     as a real client would, and the time it wasted counts.  The granting
+     Send can exhaust too, during a long move: its sender sends the trial
+     again, and the move goes on under the new grant from where the trial
+     began (a Move that finds the grant gone fails, and the trial resumes
+     when the Send arrives again). *)
+  let trials = 41 and count = 64 * 1024 in
+  let cell (dir, mode, drop) =
+    let kcfg = { K.default_config with K.rto_mode = mode } in
+    let tb =
+      TB.create ~seed:1L ~cpu_model:m10 ~medium_config:net10
+        ~kernel_config:kcfg ~hosts:2 ()
+    in
+    if drop > 0.0 then
+      Vnet.Medium.set_fault tb.TB.medium (Vnet.Fault.drop drop);
+    let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 in
+    let times = Vsim.Stat.Series.create () and failed = ref 0 in
+    let began = Array.make trials (-1) and finished = Array.make trials false in
+    let mover =
+      K.spawn k2 ~name:"mover" (fun _ ->
+          let msg = Msg.create () in
+          let rec go src =
+            match
+              match dir with
+              | Vsim.Event.To -> K.move_to k2 ~dst_pid:src ~dst:0 ~src:0 ~count
+              | Vsim.Event.From ->
+                  K.move_from k2 ~src_pid:src ~dst:0 ~src:0 ~count
+            with
+            | K.Ok -> true
+            | K.Retryable | K.Dead ->
+                incr failed;
+                go src
+            | K.No_permission | K.Nonexistent ->
+                (* The grant ended: the trial waits for its Send again. *)
+                incr failed;
+                false
+            | st -> Fmt.failwith "train_loss move: %s" (K.status_to_string st)
+          in
+          while true do
+            let src = K.receive k2 msg in
+            let i = Msg.get_u8 msg 4 in
+            if not finished.(i) then begin
+              if began.(i) < 0 then began.(i) <- Vsim.Engine.now (K.engine k2);
+              if go src then begin
+                finished.(i) <- true;
+                Vsim.Stat.Series.add times
+                  (Vsim.Time.to_float_ms
+                     (Vsim.Engine.now (K.engine k2) - began.(i)))
+              end
+            end;
+            if finished.(i) then ignore (K.reply k2 msg src : K.status)
+          done)
+    in
+    R.as_process tb ~host:1 (fun _ ->
+        let msg = Msg.create () in
+        for i = 0 to trials - 1 do
+          let rec grant () =
+            Msg.set_segment msg Msg.Read_write ~ptr:0 ~len:count;
+            Msg.set_no_piggyback msg;
+            Msg.set_u8 msg 4 i;
+            match K.send k1 msg mover with
+            | K.Ok -> ()
+            | K.Retryable | K.Dead -> grant ()
+            | st -> Fmt.failwith "train_loss grant: %s" (K.status_to_string st)
+          in
+          grant ()
+        done);
+    assert (Vsim.Stat.Series.count times = trials);
+    (dir, mode, drop, times, !failed)
+  in
+  let rows =
+    grid ~label:"train"
+      cell
+      (List.concat_map
+         (fun dir ->
+           List.concat_map
+             (fun mode ->
+               List.map (fun d -> (dir, mode, d)) [ 0.0; 0.05; 0.10; 0.20 ])
+             [ K.Fixed; K.Adaptive ])
+         [ Vsim.Event.To; Vsim.Event.From ])
+  in
+  let move = function Vsim.Event.To -> "MoveTo" | Vsim.Event.From -> "MoveFrom" in
+  let rto = function K.Fixed -> "fixed" | K.Adaptive -> "adaptive" in
+  let pct p (_, _, _, times, _) = Vsim.Stat.Series.percentile times p in
+  Report.table
+    ~params:(fun (dir, mode, d, _, _) ->
+      [
+        ps "move" (move dir);
+        ps "rto" (rto mode);
+        ps "drop" (Printf.sprintf "%.2f" d);
+        pi "kb" 64;
+        pi "mhz" 10;
+        pi "net" 10;
+      ])
+    [
+      Report.text "move" (fun (dir, _, _, _, _) -> move dir);
+      Report.text "rto" (fun (_, mode, _, _, _) -> rto mode);
+      Report.text "drop prob" (fun (_, _, d, _, _) -> Printf.sprintf "%.2f" d);
+      Report.col "p50 ms" ~metric:"p50_ms" msf (pct 50.0);
+      Report.col "p90 ms" ~metric:"p90_ms" msf (pct 90.0);
+      Report.col "mean ms" ~metric:"mean_ms" msf (fun (_, _, _, times, _) ->
+          Vsim.Stat.Series.mean times);
+      Report.col "failed calls" ~metric:"failed_calls" Report.count
+        (fun (_, _, _, _, failed) -> failed);
+    ]
+    rows;
+  Report.note
+    "%d trials a cell; a failed call is a Move that failed (its retries \
+     ran out, or its grant ended) and was made again."
+    trials;
+  (* Without loss nothing fails, and no timer fires, so both timer modes
+     run the same trials. *)
+  List.iter
+    (fun (_, _, d, _, failed) -> if d = 0.0 then assert (failed = 0))
+    rows
+
+(* ------------------------------------------------------------------ *)
 (* Server scaling: worker teams over a queued disk                     *)
 
 let server_scaling () =

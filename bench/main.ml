@@ -11,8 +11,8 @@
    Usage:
      dune exec bench/main.exe                 # all experiments
      dune exec bench/main.exe -- table_6_3    # a single experiment
-     dune exec bench/main.exe -- all --json-out BENCH_2026-10-20.json
-     dune exec bench/main.exe -- compare --baseline BENCH_2026-10-20.json \
+     dune exec bench/main.exe -- all --json-out BENCH_2026-10-20b.json
+     dune exec bench/main.exe -- compare --baseline BENCH_2026-10-20b.json \
          [--json-out fresh.json]
      dune exec bench/main.exe -- --list
      dune exec bench/main.exe -- all --domains 4   # fan grids across domains *)
@@ -37,6 +37,7 @@ let experiments =
     ("ablations", Experiments.ablations);
     ("span_decomposition", Experiments.span_decomposition);
     ("loss_sweep", Experiments.loss_sweep);
+    ("train_loss", Experiments.train_loss);
     ("server_scaling", Experiments.server_scaling);
     ("check_sweep", Experiments.check_sweep);
     ("journal_overhead", Experiments.journal_overhead);

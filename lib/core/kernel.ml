@@ -86,16 +86,21 @@ type queued = {
 }
 
 (* The retransmission timer of one remote exchange (Section 3.2): every
-   remote Send, MoveTo, MoveFrom and GetPid embeds one.  Each arm cancels
-   the previous handle and every end of the exchange cancels the last, so
-   a timer that fires always belongs to a live exchange. *)
+   remote Send, MoveTo, MoveFrom and GetPid embeds one, with the
+   exchange's retry budget and its round-trip clock.  Each arm cancels the
+   previous handle and every end of the exchange cancels the last, so a
+   timer that fires always belongs to a live exchange. *)
 type retx = {
   mutable rx_dst : int;
       (** estimator key: the destination host, or GetPid's
           pseudo-destination *)
   mutable rx_tries : int;
-      (** timer expiries since the exchange began or last showed proof of
-          life *)
+      (** consecutive silent timer periods: expiries since the exchange
+          began or last showed proof of life ({!alive}) *)
+  mutable rx_since : Vsim.Time.t;
+      (** when the round trip started, [-1] once it yielded its one
+          sample or was disturbed: by a timer expiry, a reply-pending, a
+          forward or a MoveTo fragment to a blocked sender (Karn) *)
   mutable rx_timer : Vsim.Engine.handle;
 }
 
@@ -119,15 +124,7 @@ type pstate =
   | Dead
 
 (* Remote-send state of a locally blocked sender. *)
-and rsend = {
-  rs_desc : desc;
-  mutable rs_pkt : Packet.t;
-  mutable rs_since : Vsim.Time.t;
-      (** when the round-trip clock started; [-1] once anything disturbed
-          the exchange (reply-pending, forward, proof-of-life) — Karn's
-          rule: such exchanges contribute no RTT sample *)
-  rs_retx : retx;
-}
+and rsend = { rs_desc : desc; mutable rs_pkt : Packet.t; rs_retx : retx }
 
 and desc = {
   d_pid : Pid.t;
@@ -136,10 +133,11 @@ and desc = {
   d_queue : queued Queue.t;
   mutable d_state : pstate;
   mutable d_train_gen : int;
-      (** invalidates superseded MoveFrom streams sourced from this
-          process — a retransmitted request or a NAK starts a fresh
-          stream, and without supersession the old ones keep running and
-          flood the requester with out-of-order fragments *)
+      (** names the one page train this process sources, as a MoveTo's
+          mover or a MoveFrom's source: a NAK or a retransmitted request
+          starts a fresh stream, and without supersession the old ones
+          keep running and flood the receiver with out-of-order
+          fragments *)
 }
 
 (* Tests on [pstate] match rather than use [=], which on a type with a
@@ -182,25 +180,20 @@ let unanswered al =
 (* The direction of a bulk transfer: MoveTo or MoveFrom. *)
 type dir = Vsim.Event.dir = To | From
 
-(* One end of a page train (Section 3.3): the [total] bytes at [ptr] in
-   [mem].  The sending end is a MoveTo's mover; the receiving end is a
-   MoveTo's receiver or a MoveFrom's requester. *)
+(* One end of a page train (Section 3.3): the [total] bytes at [ptr].
+   The sending end is a MoveTo's mover, whose own space holds them, and
+   streams them as its process's one train ({!stream}); the receiving
+   end, a MoveTo's receiver or a MoveFrom's requester, places them in
+   [mem]. *)
 type train =
-  | Out of {
-      mem : Mem.t;
-      ptr : int;
-      total : int;
-      mutable gen : int;
-          (** invalidates the streaming chains a NAK superseded *)
-      mutable since : Vsim.Time.t;
-          (** when the full train was last on the wire and we began
-              waiting for the Data_ack, [-1] until then *)
-    }
+  | Out of { ptr : int; total : int }
   | In of {
       mem : Mem.t;
       ptr : int;
       total : int;
       born : Vsim.Time.t;
+          (** when the first fragment arrived or the request went out; a
+              MoveTo receiver reclaims abandoned entries by their age *)
       mutable expected : int;  (** the next offset to place *)
       mutable nak_at : int;
           (** the offset the last NAK reported, [-1] if none is
@@ -232,7 +225,6 @@ type getpid_wait = {
   gw_me : Pid.t;  (** the process that first asked *)
   mutable gw_seq : int;  (** of the latest broadcast *)
   gw_retx : retx;
-  gw_born : Vsim.Time.t;
   mutable gw_waiters : (Pid.t option -> unit) list;
 }
 
@@ -702,27 +694,30 @@ let send_reply_pending t ~dst_host ~src_pid ~dst_pid ~seq =
 (* ------------------------------------------------------------------ *)
 (* Ending remote exchanges                                             *)
 
-let new_retx ~dst =
-  { rx_dst = dst; rx_tries = 0; rx_timer = Vsim.Eventq.none }
+let new_retx ~dst ~since =
+  { rx_dst = dst; rx_tries = 0; rx_since = since; rx_timer = Vsim.Eventq.none }
 
 let stop t rx = Vsim.Engine.cancel t.eng rx.rx_timer
 
-(* The round trip since [since], if it is one (Karn): no timer expired
-   since the clock started, and nothing else disturbed it ([since] >= 0). *)
-let karn_sample t rx ~since =
-  if rx.rx_tries = 0 && since >= 0 then Some (Vsim.Engine.now t.eng - since)
-  else None
+(* Proof of life from the peer: restart the retry budget, which counts
+   consecutive silent periods, not total loss over a long exchange. *)
+let alive rx = rx.rx_tries <- 0
+
+(* The round trip since the clock started, if it is one (Karn): nothing
+   disturbed the clock.  A clock yields at most one sample. *)
+let karn_sample t rx =
+  let since = rx.rx_since in
+  rx.rx_since <- -1;
+  if since >= 0 then Some (Vsim.Engine.now t.eng - since) else None
 
 (* Feed the estimator as an exchange ends with [st]: a completed exchange
    may be a round-trip sample, any other answer proves the peer alive,
    and exhaustion statuses feed nothing — they must not reset the failure
    count they just raised. *)
-let settle t rx st ~since =
+let settle t rx st =
   match st with
   | Retryable | Dead -> ()
-  | Ok ->
-      Rto.note_success t.rto ~dst:rx.rx_dst
-        ~sample_ns:(karn_sample t rx ~since)
+  | Ok -> Rto.note_success t.rto ~dst:rx.rx_dst ~sample_ns:(karn_sample t rx)
   | Nonexistent | Bad_address | No_permission | Too_big ->
       Rto.note_success t.rto ~dst:rx.rx_dst ~sample_ns:None
 
@@ -762,7 +757,7 @@ let wake_sender t ~tail ~ns (d : desc) st =
 (* End remote Send [rs] with [st] and wake its sender after a context
    switch. *)
 let finish_send t ~tail (rs : rsend) st =
-  settle t rs.rs_retx st ~since:rs.rs_since;
+  settle t rs.rs_retx st;
   if st = Nonexistent then begin
     (* Proof-positive the pid itself is gone — e.g. its host crashed and
        restarted, so the local-id space moved on.  Any GetPid binding
@@ -791,10 +786,9 @@ let move_finish t (mo : move_out) st =
     stop t mo.mo_retx;
     Itbl.remove t.move_outs mo.mo_seq;
     (* A MoveTo's gap from end-of-train to Data_ack is a pure control
-       round trip; a MoveFrom samples at its first fragment
-       (handle_data_mf), so here it only records liveness. *)
-    settle t mo.mo_retx st
-      ~since:(match mo.mo_train with Out o -> o.since | In _ -> -1);
+       round trip; a MoveFrom's clock gave its sample at the first
+       fragment (handle_data_mf), so here it only records liveness. *)
+    settle t mo.mo_retx st;
     charge_k t (model t).Vhw.Cost_model.context_switch_ns (fun () ->
         if Vsim.Trace.tracing t.eng then
           Vsim.Trace.event t.eng
@@ -866,6 +860,7 @@ let rec arm t x =
 and expire t x ~rto =
   let rx = retx_of x in
   rx.rx_tries <- rx.rx_tries + 1;
+  rx.rx_since <- -1;
   Rto.note_expiry t.rto ~dst:rx.rx_dst ~kind:(retx_label x) ~seq:(retx_seq x)
     ~attempt:rx.rx_tries ~rto_ns:rto;
   if rx.rx_tries > t.cfg.max_retries then
@@ -921,13 +916,15 @@ and transmit t x =
         ignore;
       arm t x
 
-(* Proof of life from the peer of a blocked remote Send: restart the
-   retry budget and the timer.  The elapsed time now includes more than a
-   round trip, so the exchange no longer yields an RTT sample. *)
-let restart_send t rs =
-  rs.rs_retx.rx_tries <- 0;
-  rs.rs_since <- -1;
-  arm t (Send rs)
+(* Proof of life that is not the awaited answer (a reply-pending, a
+   forward notice, a MoveTo fragment to a blocked sender): restart the
+   budget and the timer.  The elapsed time now spans more than one round
+   trip, so the clock is disturbed. *)
+let restart t x =
+  let rx = retx_of x in
+  alive rx;
+  rx.rx_since <- -1;
+  arm t x
 
 (* A remote Send for local process [d], piggybacking the head of a
    read-accessible segment (Section 3.4).  [since] starts the round-trip
@@ -947,12 +944,7 @@ let new_rsend (d : desc) msg ~dst ~seq ~since =
     Packet.make ~op:Packet.Send ~src_pid:d.d_pid ~dst_pid:dst ~seq ~msg
       ?data ()
   in
-  {
-    rs_desc = d;
-    rs_pkt = pkt;
-    rs_since = since;
-    rs_retx = new_retx ~dst:(Pid.host dst);
-  }
+  { rs_desc = d; rs_pkt = pkt; rs_retx = new_retx ~dst:(Pid.host dst) ~since }
 
 (* Put [rs], which its sender now awaits, on the wire; its timer arms
    once the packet is, if the sender still awaits it.  [tail] as for
@@ -967,27 +959,32 @@ let launch_send t ~tail (rs : rsend) =
 (* ------------------------------------------------------------------ *)
 (* MoveTo / MoveFrom streaming                                         *)
 
-(* Send a page train (Section 3.3): the [total] bytes at [ptr] in [mem]
-   from offset [from] on, as back-to-back maximally sized packets with no
-   per-packet acknowledgement.  A train is at least one packet, so a
-   0-byte move sends one empty fragment at offset 0.  Each fragment goes
-   out only while [live ()] holds, and [at_end] runs once the last one is
-   on the wire.  Every caller makes the stream its last call while it
-   holds the tail of the event firing, and so does each fragment's
-   copy-out completion for the next, so a fragment that finds the
-   transmit buffer free (the first, unless an earlier train still
-   holds it) may copy out in place. *)
-let stream t ~op ~src_pid ~dst_pid ~seq ~mem ~ptr ~total ~aux ~live ~at_end
+(* Send [sd]'s page train (Section 3.3): the [total] bytes at [ptr] in
+   its space from offset [from] on, as back-to-back maximally sized
+   packets with no per-packet acknowledgement.  A process sources at most
+   one train at a time (a mover is blocked in its move, a MoveFrom source
+   awaits its reply), so the stream supersedes any that [sd] still runs:
+   a NAK or a retransmitted request starts a fresh one.  A train is at
+   least one packet, so a 0-byte move sends one empty fragment at offset
+   0.  Each fragment goes out only while [live ()] holds, and [at_end]
+   runs once the last one is on the wire.  Every caller makes the stream
+   its last call while it holds the tail of the event firing, and so does
+   each fragment's copy-out completion for the next, so a fragment that
+   finds the transmit buffer free (the first, unless an earlier train
+   still holds it) may copy out in place. *)
+let stream t (sd : desc) ~op ~dst_pid ~seq ~ptr ~total ~aux ~live ~at_end
     ~from =
+  sd.d_train_gen <- sd.d_train_gen + 1;
+  let gen = sd.d_train_gen in
   (* An empty train's one fragment steps the cursor past its end. *)
   let rec go cursor =
-    if not (live ()) then ()
+    if not (sd.d_train_gen = gen && live ()) then ()
     else if cursor >= Int.max total 1 then at_end ()
     else begin
       let len = Int.min max_packet_data (total - cursor) in
       let pkt =
-        Packet.make ~op ~src_pid ~dst_pid ~seq ~offset:cursor ~total ~aux
-          ~data:(mem, ptr + cursor, len) ()
+        Packet.make ~op ~src_pid:sd.d_pid ~dst_pid ~seq ~offset:cursor ~total
+          ~aux ~data:(sd.d_mem, ptr + cursor, len) ()
       in
       send_pkt_k t ~pre_cost:(model t).Vhw.Cost_model.data_pkt_op_ns
         ~tail:true ~dst_host:(Pid.host dst_pid) pkt (fun () ->
@@ -996,40 +993,25 @@ let stream t ~op ~src_pid ~dst_pid ~seq ~mem ~ptr ~total ~aux ~live ~at_end
   in
   go from
 
-(* (Re)stream our MoveTo from [from], superseding any chain still
-   running, then wait for the Data_ack.  The closures reach the train
-   through [mo], which they hold anyway, rather than capture it too. *)
-let stream_to t (mo : move_out) ~from =
-  match mo.mo_train with
-  | In _ -> ()
-  | Out o ->
-      o.gen <- o.gen + 1;
-      stop t mo.mo_retx;
-      let gen = o.gen in
-      stream t ~op:Packet.Data_mt ~src_pid:mo.mo_me ~dst_pid:mo.mo_peer
-        ~seq:mo.mo_seq ~mem:o.mem ~ptr:o.ptr ~total:o.total
-        ~aux:mo.mo_peer_ptr ~from
-        ~live:(fun () ->
-          move_alive t mo
-          && match mo.mo_train with Out o -> o.gen = gen | In _ -> false)
-        ~at_end:(fun () ->
-          charge_async t (model t).Vhw.Cost_model.send_bookkeep_ns;
-          (match mo.mo_train with
-          | Out o -> o.since <- Vsim.Engine.now t.eng
-          | In _ -> ());
-          arm t (Move mo))
+(* (Re)stream mover [sd]'s MoveTo [mo], whose train is the [total] bytes
+   at [ptr], from [from], then wait for the Data_ack: each end of train
+   starts the round trip that the Data_ack ends. *)
+let stream_to t (sd : desc) (mo : move_out) ~ptr ~total ~from =
+  stop t mo.mo_retx;
+  stream t sd ~op:Packet.Data_mt ~dst_pid:mo.mo_peer ~seq:mo.mo_seq ~ptr ~total
+    ~aux:mo.mo_peer_ptr ~from
+    ~live:(fun () -> move_alive t mo)
+    ~at_end:(fun () ->
+      charge_async t (model t).Vhw.Cost_model.send_bookkeep_ns;
+      mo.mo_retx.rx_since <- Vsim.Engine.now t.eng;
+      arm t (Move mo))
 
 (* (Re)stream a MoveFrom's data from local reply-blocked process [sd]'s
-   granted segment back to the remote [requester], superseding any
-   stream [sd] still sources. *)
+   granted segment back to the remote [requester]. *)
 let stream_from t (sd : desc) ~requester ~seq ~ptr ~total ~from =
-  sd.d_train_gen <- sd.d_train_gen + 1;
-  let gen = sd.d_train_gen in
-  stream t ~op:Packet.Data_mf ~src_pid:sd.d_pid ~dst_pid:requester ~seq
-    ~mem:sd.d_mem ~ptr ~total ~aux:0 ~from
-    ~live:(fun () ->
-      sd.d_train_gen = gen
-      && granted sd ~who:requester ~ptr ~len:total ~need_write:false)
+  stream t sd ~op:Packet.Data_mf ~dst_pid:requester ~seq ~ptr ~total ~aux:0
+    ~from
+    ~live:(fun () -> granted sd ~who:requester ~ptr ~len:total ~need_write:false)
     ~at_end:(fun () ->
       charge_async t (model t).Vhw.Cost_model.server_bookkeep_ns)
 
@@ -1162,7 +1144,7 @@ let handle_reply_pending t (pkt : Packet.t) =
   | Some { d_state = Awaiting_reply { rsend = Some rs; _ }; _ }
     when rs.rs_pkt.Packet.seq = pkt.Packet.seq ->
       (* The receiver lives; be patient indefinitely. *)
-      restart_send t rs
+      restart t (Send rs)
   | Some _ | None -> ()
 
 let handle_nack t (pkt : Packet.t) =
@@ -1182,63 +1164,67 @@ let handle_nack t (pkt : Packet.t) =
 let mt_in_key ~host ~seq = (host lsl 32) lor seq
 let mt_in_host key = key lsr 32
 
+(* A MoveTo receiver's train for the transfer [key] that starts with the
+   [total] bytes at [ptr] in [dd]'s space.  Entries old enough that their
+   mover has long since given up retransmitting are reclaimed lazily
+   here.  The horizon follows each entry's current per-destination RTO:
+   under an adaptive, backed-off estimator the static configured timeout
+   can be far shorter than the mover's live timer, and a fixed horizon
+   would reclaim an in-progress inbound transfer whose next fragment is
+   merely slow.  The walk only picks keys to remove, and the estimators it
+   may create are never walked, so its order does not matter. *)
+let new_mt_in t key (dd : desc) ~ptr ~total =
+  let now = Vsim.Engine.now t.eng in
+  let stale =
+    Itbl.fold
+      (fun k train acc ->
+        match train with
+        | In { total; born; _ } ->
+            let horizon =
+              20
+              * Rto.current_ns t.rto ~dst:(mt_in_host k)
+                  ~bytes:(Int.min total max_packet_data)
+            in
+            if now - born > horizon then k :: acc else acc
+        | Out _ -> acc)
+      t.mt_ins []
+  in
+  List.iter (Itbl.remove t.mt_ins) stale;
+  let train = train_in ~mem:dd.d_mem ~ptr ~total ~born:now in
+  Itbl.replace t.mt_ins key train;
+  train
+
 (* Incoming MoveTo fragment. *)
 let handle_data_mt t (pkt : Packet.t) =
   let key = mt_in_key ~host:(Pid.host pkt.Packet.src_pid) ~seq:pkt.Packet.seq in
   let mover = pkt.Packet.src_pid in
+  let receiver = find_proc t pkt.Packet.dst_pid in
   (* Data arriving from the process we are send-blocked on is proof of
      life: a long MoveTo into our space must not trip our own Send
      retransmission (the transfer can far outlast T). *)
-  (match find_proc t pkt.Packet.dst_pid with
+  (match receiver with
   | Some { d_state = Awaiting_reply { peer; rsend = Some rs; _ }; _ }
     when Pid.equal peer mover ->
-      restart_send t rs
+      restart t (Send rs)
   | Some _ | None -> ());
   let train =
     match Itbl.find_opt t.mt_ins key with
-    | Some _ as found -> found
-    | None -> (
-        (* First fragment of a new transfer: validate the grant. *)
-        match find_proc t pkt.Packet.dst_pid with
-        | None ->
-            refuse t pkt Nonexistent;
-            None
-        | Some dd ->
-            let ptr = pkt.Packet.aux and len = pkt.Packet.total in
-            if not (granted dd ~who:mover ~ptr ~len ~need_write:true) then begin
-              refuse t pkt No_permission;
-              None
-            end
-            else begin
-              (* Lazily reclaim entries old enough that their mover has
-                 long since given up retransmitting.  The horizon follows
-                 each entry's current per-destination RTO: under an
-                 adaptive, backed-off estimator the static configured
-                 timeout can be far shorter than the mover's live timer,
-                 and a fixed horizon would reclaim an in-progress inbound
-                 transfer whose next fragment is merely slow.  The walk
-                 only picks keys to remove, and the estimators it may
-                 create are never walked, so its order does not matter. *)
-              let now = Vsim.Engine.now t.eng in
-              let stale =
-                Itbl.fold
-                  (fun k train acc ->
-                    match train with
-                    | In { total; born; _ } ->
-                        let horizon =
-                          20
-                          * Rto.current_ns t.rto ~dst:(mt_in_host k)
-                              ~bytes:(Int.min total max_packet_data)
-                        in
-                        if now - born > horizon then k :: acc else acc
-                    | Out _ -> acc)
-                  t.mt_ins []
-              in
-              List.iter (Itbl.remove t.mt_ins) stale;
-              let train = train_in ~mem:dd.d_mem ~ptr ~total:len ~born:now in
-              Itbl.replace t.mt_ins key train;
-              Some train
-            end)
+    | Some train when complete train -> Some train
+    | found -> (
+        (* A train is placed only while its receiver grants the mover the
+           range, as on the first fragment. *)
+        let ptr = pkt.Packet.aux and total = pkt.Packet.total in
+        match receiver with
+        | Some dd when granted dd ~who:mover ~ptr ~len:total ~need_write:true
+          -> (
+            match found with
+            | Some _ -> found
+            | None -> Some (new_mt_in t key dd ~ptr ~total))
+        | Some _ | None ->
+            Itbl.remove t.mt_ins key;
+            refuse t pkt
+              (match receiver with Some _ -> No_permission | None -> Nonexistent);
+            None)
   in
   match train with
   | None -> ()
@@ -1252,20 +1238,14 @@ let handle_data_mt t (pkt : Packet.t) =
           (Packet.make ~op:Packet.Data_ack ~src_pid:pkt.Packet.dst_pid
              ~dst_pid:mover ~seq:pkt.Packet.seq ())
 
-(* Incoming MoveFrom data fragment at the requester. *)
+(* Incoming MoveFrom data fragment at the requester: fresh data is proof
+   of life, and the one at offset 0 ends the request's round trip. *)
 let handle_data_mf t (pkt : Packet.t) =
   match Itbl.find t.move_outs pkt.Packet.seq with
-  | { mo_train = In r; _ } as mo ->
+  | { mo_train = In r; mo_retx = rx; _ } as mo ->
       if take t mo.mo_train pkt ~total:r.total ~aux:mo.mo_peer_ptr then begin
-        (* The request-to-first-data gap is a clean round-trip sample,
-           provided no timeout retransmitted the request (Karn): the one
-           request then went out at the train's birth. *)
-        if pkt.Packet.offset = 0 && mo.mo_retx.rx_tries = 0 then
-          settle t mo.mo_retx Ok ~since:r.born;
-        (* Fresh data: the source is alive, push the timeout out and
-           restart the retry budget — retries count consecutive silent
-           periods, not total loss over a long transfer. *)
-        mo.mo_retx.rx_tries <- 0;
+        if pkt.Packet.offset = 0 && rx.rx_since >= 0 then settle t rx Ok;
+        alive rx;
         if r.expected >= r.total then move_finish t mo Ok else arm t (Move mo)
       end
   | { mo_train = Out _; _ } | (exception Not_found) -> ()
@@ -1275,19 +1255,30 @@ let handle_data_ack t (pkt : Packet.t) =
   | { mo_train = Out _; _ } as mo -> move_finish t mo Ok
   | { mo_train = In _; _ } | (exception Not_found) -> ()
 
-(* A NAK against one of our outgoing streams: rewind to the offset the
-   receiver reports and restart the stream from there. *)
+(* A NAK against a train we source: restart the stream from the offset
+   the receiver reports.  A MoveTo's NAK is proof of life from its
+   receiver; a MoveFrom's carries the transfer shape (base/total), so the
+   source keeps no transfer state. *)
 let handle_data_nak t (pkt : Packet.t) =
+  let from = pkt.Packet.offset in
   match Itbl.find t.move_outs pkt.Packet.seq with
-  | { mo_train = Out _; _ } as mo -> stream_to t mo ~from:pkt.Packet.offset
-  | { mo_train = In _; _ } | (exception Not_found) -> (
-      (* NAK of a MoveFrom stream we source: the NAK carries the transfer
-         shape (base/total) so no source-side transfer state is needed. *)
-      match find_proc t pkt.Packet.dst_pid with
+  | { mo_train = Out { ptr; total }; _ } as mo -> (
+      match find_proc t mo.mo_me with
       | Some sd ->
-          stream_from t sd ~requester:pkt.Packet.src_pid ~seq:pkt.Packet.seq
-            ~ptr:pkt.Packet.aux ~total:pkt.Packet.total ~from:pkt.Packet.offset
+          alive mo.mo_retx;
+          stream_to t sd mo ~ptr ~total ~from
       | None -> ())
+  | { mo_train = In _; _ } | (exception Not_found) -> (
+      (* Only a train the process still sources restarts: a stray NAK
+         must not supersede the train of a mover. *)
+      let requester = pkt.Packet.src_pid
+      and ptr = pkt.Packet.aux
+      and total = pkt.Packet.total in
+      match find_proc t pkt.Packet.dst_pid with
+      | Some sd when granted sd ~who:requester ~ptr ~len:total ~need_write:false
+        ->
+          stream_from t sd ~requester ~seq:pkt.Packet.seq ~ptr ~total ~from
+      | Some _ | None -> ())
 
 let handle_move_from_req t (pkt : Packet.t) =
   let requester = pkt.Packet.src_pid in
@@ -1310,7 +1301,7 @@ let handle_fwd_notice t (pkt : Packet.t) =
       let new_pid = Pid.of_int pkt.Packet.aux in
       rs.rs_pkt <- Packet.retarget rs.rs_pkt ~dst_pid:new_pid;
       rs.rs_retx.rx_dst <- Pid.host new_pid;
-      restart_send t rs;
+      restart t (Send rs);
       w.peer <- new_pid
   | Some _ | None -> ()
 
@@ -1333,13 +1324,12 @@ let handle_getpid_reply t (pkt : Packet.t) =
   | None -> ()
   | Some gw ->
       (* First-try replies sample the broadcast round trip; the answering
-         host's own estimator is credited too, so a later direct exchange
-         starts informed. *)
-      settle t gw.gw_retx Ok ~since:gw.gw_born;
+         host's own estimator is credited with the same sample, so a later
+         direct exchange starts informed. *)
+      let sample_ns = karn_sample t gw.gw_retx in
+      Rto.note_success t.rto ~dst:gw.gw_retx.rx_dst ~sample_ns;
       if not (Pid.is_nil pkt.Packet.src_pid) then
-        Rto.note_success t.rto
-          ~dst:(Pid.host pkt.Packet.src_pid)
-          ~sample_ns:(karn_sample t gw.gw_retx ~since:gw.gw_born);
+        Rto.note_success t.rto ~dst:(Pid.host pkt.Packet.src_pid) ~sample_ns;
       getpid_finish t gw (Some found)
 
 (* Main receive dispatch, invoked by the NIC after the receive-side CPU
@@ -1977,6 +1967,7 @@ let move t dir ~peer ~dst ~src ~count =
         | None ->
             charge t m.Vhw.Cost_model.remote_op_extra_ns;
             Vsim.Proc.suspend_tail (fun resume ->
+                let now = Vsim.Engine.now t.eng in
                 let mo =
                   {
                     mo_seq = seq;
@@ -1984,19 +1975,18 @@ let move t dir ~peer ~dst ~src ~count =
                     mo_peer = peer;
                     mo_peer_ptr = peer_ptr;
                     mo_train =
-                      (let mem = d.d_mem and total = count in
-                       match dir with
-                       | To -> Out { mem; ptr; total; gen = 0; since = -1 }
-                       | From ->
-                           train_in ~mem ~ptr ~total
-                             ~born:(Vsim.Engine.now t.eng));
-                    mo_retx = new_retx ~dst:(Pid.host peer);
+                      (match dir with
+                      | To -> Out { ptr; total = count }
+                      | From -> train_in ~mem:d.d_mem ~ptr ~total:count ~born:now);
+                    mo_retx =
+                      new_retx ~dst:(Pid.host peer)
+                        ~since:(match dir with To -> -1 | From -> now);
                     mo_done = resume;
                   }
                 in
                 Itbl.replace t.move_outs seq mo;
                 match dir with
-                | To -> stream_to t mo ~from:0
+                | To -> stream_to t d mo ~ptr ~total:count ~from:0
                 | From -> transmit t (Move mo)))
   end
 
@@ -2048,8 +2038,9 @@ let get_pid t ~logical_id scope =
                           gw_lid = logical_id;
                           gw_me = d.d_pid;
                           gw_seq = next_seq t;
-                          gw_retx = new_retx ~dst:(getpid_dst ~logical_id);
-                          gw_born = Vsim.Engine.now t.eng;
+                          gw_retx =
+                            new_retx ~dst:(getpid_dst ~logical_id)
+                              ~since:(Vsim.Engine.now t.eng);
                           gw_waiters = [ resume ];
                         }
                       in

@@ -298,7 +298,86 @@ let test_scripted_moveto_fragment_loss () =
       (* The one NAK is lost too: the mover's timer fires, and its probe,
          which is always answered, draws the second NAK. *)
       ([ 2; 4 ], 2, 0, 1);
+      (* The first fragment and then the head of six restreams in a row
+         (each restream is frames n..n+2 after probe n-2 and NAK n-1): the
+         stale fragments past each gap draw no NAK, so each loss costs a
+         mover timeout, and its probe's NAK repairs it.  Six timeouts are
+         more than max_retries (5), yet every NAK is proof of life and
+         restarts the budget, so the move completes with exact data; a
+         budget that counted every timeout of the train gave up on the
+         sixth with Retryable. *)
+      ([ 2; 6; 11; 16; 21; 26; 31 ], 7, 0, 6);
     ]
+
+let test_moveto_to_silent_receiver_exhausts () =
+  (* The budget restarts only on proof of life: a mover whose receiver
+     falls silent mid-train spends it, as a Send to a dead host does. *)
+  let tb = Util.testbed ~kernel_config:move_config ~hosts:2 () in
+  let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 in
+  let count = 3 * 1024 in
+  let mover =
+    K.spawn k2 ~name:"mover" (fun _ ->
+        let msg = Msg.create () in
+        let src = K.receive k2 msg in
+        Vnet.Medium.set_fault tb.Vworkload.Testbed.medium (Vnet.Fault.drop 1.0);
+        let t0 = Vsim.Engine.now (K.engine k2) in
+        Alcotest.check Util.status "move_to exhausts" K.Retryable
+          (K.move_to k2 ~dst_pid:src ~dst:0 ~src:0 ~count);
+        let took = Vsim.Engine.now (K.engine k2) - t0 in
+        Alcotest.(check bool) "took the retry budget" true
+          (took
+          >= move_config.K.max_retries * move_config.K.retransmit_timeout_ns))
+  in
+  let (_ : Vkernel.Pid.t) =
+    K.spawn k1 ~name:"receiver" (fun _ ->
+        let msg = Msg.create () in
+        Msg.set_segment msg Msg.Read_write ~ptr:0 ~len:count;
+        Msg.set_no_piggyback msg;
+        ignore (K.send k1 msg mover : K.status))
+  in
+  Vworkload.Testbed.run tb;
+  Alcotest.(check int) "one timeout per try" (move_config.K.max_retries + 1)
+    (K.stats k2).K.timeouts_fired
+
+let test_moveto_into_destroyed_receiver () =
+  (* The receiver dies after the first fragment lands: the rest of the
+     train must not be placed in its space nor acknowledged, and the
+     mover reads Nonexistent. *)
+  let tb = Util.testbed ~kernel_config:move_config ~hosts:2 () in
+  let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 in
+  let count = 16 * 1024 in
+  let acks = ref 0 in
+  Vsim.Trace.attach tb.Vworkload.Testbed.eng (fun _ ev ->
+      match ev with
+      | Vsim.Event.Packet_tx { op = "data-ack"; _ } -> incr acks
+      | _ -> ());
+  let moved = ref None in
+  let mover =
+    K.spawn k2 ~name:"mover" (fun _ ->
+        let msg = Msg.create () in
+        let src = K.receive k2 msg in
+        moved := Some (K.move_to k2 ~dst_pid:src ~dst:0 ~src:0 ~count);
+        ignore (K.reply k2 msg src))
+  in
+  let receiver =
+    K.spawn k1 ~name:"receiver" (fun _ ->
+        let msg = Msg.create () in
+        Msg.set_segment msg Msg.Read_write ~ptr:0 ~len:count;
+        Msg.set_no_piggyback msg;
+        ignore (K.send k1 msg mover : K.status))
+  in
+  let (_ : Vkernel.Pid.t) =
+    K.spawn k1 ~name:"killer" (fun _ ->
+        while (K.table_counts k1).K.mt_ins_total = 0 do
+          Vsim.Proc.sleep (Vsim.Time.us 100)
+        done;
+        K.destroy k1 receiver)
+  in
+  Vworkload.Testbed.run tb;
+  Alcotest.(check (option Util.status)) "mover reads Nonexistent"
+    (Some K.Nonexistent) !moved;
+  Alcotest.(check int) "no Data_ack" 0 !acks;
+  Alcotest.(check int) "entry dropped" 0 (K.table_counts k1).K.mt_ins_total
 
 let test_scripted_moveto_ack_loss () =
   let tb = Util.testbed ~kernel_config:move_config ~hosts:2 () in
@@ -681,6 +760,10 @@ let suite =
       test_scripted_send_reply_loss;
     Alcotest.test_case "scripted move_to fragment loss" `Quick
       test_scripted_moveto_fragment_loss;
+    Alcotest.test_case "move_to to a silent receiver exhausts" `Quick
+      test_moveto_to_silent_receiver_exhausts;
+    Alcotest.test_case "move_to into a destroyed receiver" `Quick
+      test_moveto_into_destroyed_receiver;
     Alcotest.test_case "scripted move_to ack loss" `Quick
       test_scripted_moveto_ack_loss;
     Alcotest.test_case "scripted move_from fragment loss" `Quick
