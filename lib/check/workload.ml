@@ -561,8 +561,7 @@ let net_setup (w : world) =
       ignore (K.reply k2 msg src));
   serve k2 "reader" (fun pid msg src ->
       let st = K.move_from k2 ~src_pid:src ~dst:0 ~src:8192 ~count:from_len in
-      let got = Mem.read (K.memory k2 pid) ~pos:0 ~len:from_len in
-      let data_ok = Bytes.equal got from_image in
+      let data_ok = Mem.equal (K.memory k2 pid) ~pos:0 from_image in
       Msg.set_u8 msg 4 (if st = K.Ok && data_ok then 1 else 0);
       (* Diagnosis detail: the reader's status and data verdict. *)
       Msg.set_u8 msg 5 (K.status_to_code st);
@@ -594,14 +593,14 @@ let net_script =
     exchange "reply-segment" "seg"
       (fun _ msg -> Msg.set_segment msg Msg.Write_only ~ptr:2048 ~len:seg_len)
       (fun mem _ ->
-        Bytes.equal (Mem.read mem ~pos:2048 ~len:seg_len) seg_image);
+        Mem.equal mem ~pos:2048 seg_image);
     (* Inbound MoveTo page train. *)
     exchange "move-to" "mover"
       (fun _ msg ->
         Msg.set_segment msg Msg.Read_write ~ptr:4096 ~len:move_len;
         Msg.set_no_piggyback msg)
       (fun mem _ ->
-        Bytes.equal (Mem.read mem ~pos:4096 ~len:move_len) move_image);
+        Mem.equal mem ~pos:4096 move_image);
     (* Outbound MoveFrom page train; the reader verifies. *)
     call "move-from" (fun e ->
         Mem.write (K.my_memory e.k) ~pos:8192 from_image;

@@ -1,4 +1,4 @@
-let page_bits = 12
+let page_bits = 10
 let page_size = 1 lsl page_bits
 
 (* Every page of every space starts as this one buffer.  It is never
@@ -6,11 +6,13 @@ let page_size = 1 lsl page_bits
    zeros and is safe to share between spaces and domains. *)
 let zero_page = Bytes.make page_size '\000'
 
-type t = { size : int; pages : Bytes.t array }
+(* [pages] is empty until the first store: a space holds no page table
+   before then.  [size] is positive, so a made table is never empty. *)
+type t = { size : int; mutable pages : Bytes.t array }
 
 let create ~size =
   if size <= 0 then invalid_arg "Mem.create: size must be positive";
-  { size; pages = Array.make ((size + page_size - 1) lsr page_bits) zero_page }
+  { size; pages = [||] }
 
 let size t = t.size
 let valid t ~pos ~len = pos >= 0 && len >= 0 && pos + len <= t.size
@@ -25,8 +27,13 @@ let check t ~pos ~len what =
 let check_buf b off len =
   if off < 0 || off > Bytes.length b - len then invalid_arg "Bytes.blit"
 
-(* Page [i], given its own buffer if it still shares [zero_page]. *)
+let page t i = if Array.length t.pages = 0 then zero_page else t.pages.(i)
+
+(* Page [i], given its own buffer if it still shares [zero_page], and
+   the space its table if it has none yet. *)
 let own t i =
+  if Array.length t.pages = 0 then
+    t.pages <- Array.make ((t.size + page_size - 1) lsr page_bits) zero_page;
   let p = t.pages.(i) in
   if p != zero_page then p
   else begin
@@ -52,18 +59,36 @@ let blit_out t ~pos dst ~dst_off ~len =
   check t ~pos ~len "blit_out";
   check_buf dst dst_off len;
   iter_pages ~pos ~len (fun i off k n ->
-      Bytes.blit t.pages.(i) off dst (dst_off + k) n)
+      Bytes.blit (page t i) off dst (dst_off + k) n)
 
 let read t ~pos ~len =
   check t ~pos ~len "read";
   let off = pos land (page_size - 1) in
   if len > 0 && off + len <= page_size then
-    Bytes.sub t.pages.(pos lsr page_bits) off len
+    Bytes.sub (page t (pos lsr page_bits)) off len
   else begin
     let b = Bytes.create len in
     blit_out t ~pos b ~dst_off:0 ~len;
     b
   end
+
+(* Piece by piece, each compared by [Bytes.equal] (a memcmp); a piece
+   is at most a page, so its copies stay in the minor heap. *)
+let equal t ~pos b =
+  let len = Bytes.length b in
+  check t ~pos ~len "equal";
+  let rec go pos k =
+    k >= len
+    ||
+    let off = pos land (page_size - 1) in
+    let n = Int.min (len - k) (page_size - off) in
+    let p = page t (pos lsr page_bits) in
+    Bytes.equal
+      (if n = page_size then p else Bytes.sub p off n)
+      (Bytes.sub b k n)
+    && go (pos + n) (k + n)
+  in
+  go pos 0
 
 let blit_in t ~pos src ~src_off ~len =
   check t ~pos ~len "blit_in";
@@ -79,20 +104,23 @@ let write t ~pos data =
 let fill t ~pos ~len c =
   check t ~pos ~len "fill";
   iter_pages ~pos ~len (fun i off _ n ->
-      if c <> '\000' || t.pages.(i) != zero_page then
+      if c <> '\000' || page t i != zero_page then
         Bytes.fill (own t i) off n c)
 
 let transfer ~src ~src_pos ~dst ~dst_pos ~len =
   check src ~pos:src_pos ~len "transfer(src)";
   check dst ~pos:dst_pos ~len "transfer(dst)";
-  if src == dst && src_pos < dst_pos + len && dst_pos < src_pos + len then
+  if src == dst && src_pos < dst_pos + len && dst_pos < src_pos + len then begin
     (* Overlapping ranges of one space: copy through a buffer, which
-       gives [Bytes.blit]'s memmove result in either direction. *)
-    blit_in dst ~pos:dst_pos (read src ~pos:src_pos ~len) ~src_off:0 ~len
+       gives [Bytes.blit]'s memmove result in either direction.  A space
+       with no table yet holds only zeros, so the copy stores nothing. *)
+    if Array.length src.pages > 0 then
+      blit_in dst ~pos:dst_pos (read src ~pos:src_pos ~len) ~src_off:0 ~len
+  end
   else
     iter_pages ~pos:dst_pos ~len (fun i off k n ->
         (* A destination piece may straddle two source pages. *)
         iter_pages ~pos:(src_pos + k) ~len:n (fun si soff sk sn ->
-            let s = src.pages.(si) in
-            if s != zero_page || dst.pages.(i) != zero_page then
+            let s = page src si in
+            if s != zero_page || page dst i != zero_page then
               Bytes.blit s soff (own dst i) (off + sk) sn))

@@ -6,16 +6,27 @@
     data-integrity properties (e.g. a page read returns exactly what was
     written, even under packet loss) are testable end to end.
 
-    A space is stored as 4 KB pages that all start as one shared,
-    all-zero page; a page gets its own buffer the first time a write,
-    blit, fill or transfer stores into it (zeros filled or transferred
-    onto a page that is still shared store nothing).  So a space costs
-    O(touched pages), not O(size): creating one is a pointer array, and
-    untouched pages read as zeros.  The shared zero page is never
-    written.  It is immutable, so spaces built on different
-    {!Vsim.Pool} domains may share it. *)
+    A space is stored as {!page_size}-byte pages that all start as one
+    shared, all-zero page; a page gets its own buffer the first time a
+    write, blit, fill or transfer stores into it (zeros filled or
+    transferred onto a page that is still shared store nothing).  A
+    space holds no page table at all until its first store, so a space
+    never written costs only its size, and a written one O(touched
+    pages): untouched pages read as zeros.  The shared zero page is
+    never written.  It is immutable, so spaces built on different
+    {!Vsim.Pool} domains may share it.
+
+    A page is 1 KB (129 words) because that is the largest power of two
+    that OCaml's minor heap takes (objects over 256 words go straight
+    to the major heap), and a default 256 KB space's 256-entry table is
+    still a minor block.  So the spaces a short run builds and drops,
+    such as a checker schedule's, are allocated and collected in the
+    minor heap, not left for the major collector. *)
 
 type t
+
+val page_size : int
+(** Bytes per page: 1024. *)
 
 val create : size:int -> t
 val size : t -> int
@@ -29,6 +40,11 @@ val read : t -> pos:int -> len:int -> Bytes.t
 
 val write : t -> pos:int -> Bytes.t -> unit
 (** Copy bytes in. Raises [Invalid_argument] on a bad range. *)
+
+val equal : t -> pos:int -> Bytes.t -> bool
+(** [equal t ~pos b]: the space holds [b] at [pos].  Compares in place,
+    page by page, so it copies no more than a page at a time.  Raises
+    [Invalid_argument] on a bad range. *)
 
 val blit_out : t -> pos:int -> Bytes.t -> dst_off:int -> len:int -> unit
 val blit_in : t -> pos:int -> Bytes.t -> src_off:int -> len:int -> unit

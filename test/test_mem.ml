@@ -2,7 +2,7 @@
 
 module Mem = Vkernel.Mem
 
-let page = 4096
+let page = Mem.page_size
 
 (* Not a whole number of pages, so the last page is partly outside. *)
 let size = (3 * page) + 100
@@ -45,7 +45,7 @@ let test_random_against_model () =
     let s = Vsim.Rng.int rng 2 in
     let m = spaces.(s) and model = models.(s) in
     let pos, len = range rng in
-    (match Vsim.Rng.int rng 6 with
+    (match Vsim.Rng.int rng 7 with
     | 0 ->
         Alcotest.(check bytes) "read" (Bytes.sub model pos len)
           (Mem.read m ~pos ~len)
@@ -71,6 +71,16 @@ let test_random_against_model () =
         let c = if Vsim.Rng.bool rng then '\000' else Char.chr (Vsim.Rng.int rng 256) in
         Mem.fill m ~pos ~len c;
         Bytes.fill model pos len c
+    | 5 ->
+        (* The model's bytes, then the same with one byte changed. *)
+        let want = Bytes.sub model pos len in
+        Alcotest.(check bool) "equal" true (Mem.equal m ~pos want);
+        if len > 0 then begin
+          let i = Vsim.Rng.int rng len in
+          Bytes.set want i (Char.chr ((Char.code (Bytes.get want i) + 1) land 255));
+          Alcotest.(check bool) "equal, one byte changed" false
+            (Mem.equal m ~pos want)
+        end
     | _ ->
         let d = Vsim.Rng.int rng 2 in
         let dst_pos, dlen = range rng in
@@ -83,19 +93,31 @@ let test_random_against_model () =
     end
   done
 
+(* Each overlap in a written space and in one never written, which
+   holds no page table until the transfer's first store. *)
 let test_overlapping_transfer () =
   let pattern = Bytes.init size (fun i -> Char.chr (i * 7 land 255)) in
   List.iter
     (fun (src_pos, dst_pos, len) ->
-      let m = Mem.create ~size in
-      Mem.write m ~pos:0 pattern;
-      let model = Bytes.copy pattern in
-      Mem.transfer ~src:m ~src_pos ~dst:m ~dst_pos ~len;
-      Bytes.blit model src_pos model dst_pos len;
-      check_model (Fmt.str "%d -> %d (%d bytes)" src_pos dst_pos len) m model)
+      List.iter
+        (fun written ->
+          let m = Mem.create ~size in
+          let model = if written then Bytes.copy pattern else zeros size in
+          if written then Mem.write m ~pos:0 pattern;
+          Mem.transfer ~src:m ~src_pos ~dst:m ~dst_pos ~len;
+          Bytes.blit model src_pos model dst_pos len;
+          check_model
+            (Fmt.str "%d -> %d (%d bytes)%s" src_pos dst_pos len
+               (if written then "" else ", never written"))
+            m model;
+          (* The space takes stores after the transfer. *)
+          Mem.write m ~pos:(dst_pos + 1) (Bytes.of_string "after");
+          Bytes.blit_string "after" 0 model (dst_pos + 1) 5;
+          check_model "store after the transfer" m model)
+        [ true; false ])
     [
-      (100, 150, 5000);  (* forward, straddling page 0/1 *)
-      (150, 100, 5000);  (* backward *)
+      (100, 150, page + 900);  (* forward, straddling page 0/1 *)
+      (150, 100, page + 900);  (* backward *)
       (0, 1, size - 1);  (* whole space, one byte up *)
       (1, 0, size - 1);  (* and down *)
       (page - 3, page + 2, 2 * page);
@@ -162,20 +184,75 @@ let test_zero_page_never_shows_writes () =
   Alcotest.(check bytes) "zeros transferred over data" (zeros page)
     (Mem.read a ~pos:0 ~len:page)
 
-(* Direct major-heap words, i.e. blocks too big for the minor heap,
-   allocated by [f].  Deterministic for a fixed program. *)
-let direct_major_words f =
-  Gc.minor ();
-  let s0 = Gc.quick_stat () in
-  let r = f () in
-  let s1 = Gc.quick_stat () in
-  ignore (Sys.opaque_identity r);
-  s1.Gc.major_words -. s0.Gc.major_words
-  -. (s1.Gc.promoted_words -. s0.Gc.promoted_words)
+(* Equality over ranges that straddle one and two page boundaries,
+   true and then false at each piece of the range. *)
+let test_equal_across_pages () =
+  let m = Mem.create ~size in
+  let data = Bytes.init (2 * page) (fun i -> Char.chr (((i * 13) + 1) land 255)) in
+  Alcotest.(check bool) "zeros, never written" true
+    (Mem.equal m ~pos:(page - 10) (zeros (page + 20)));
+  Alcotest.(check bool) "data, never written" false
+    (Mem.equal m ~pos:(page - 10) data);
+  Mem.write m ~pos:(page - 10) data;
+  Alcotest.(check bool) "empty range" true (Mem.equal m ~pos:size Bytes.empty);
+  List.iter
+    (fun (pos, len) ->
+      let want = Bytes.sub data (pos - (page - 10)) len in
+      let what = Fmt.str "%d+%d" pos len in
+      Alcotest.(check bool) what true (Mem.equal m ~pos want);
+      List.iter
+        (fun i ->
+          let bad = Bytes.copy want in
+          Bytes.set bad i (Char.chr (Char.code (Bytes.get bad i) lxor 1));
+          Alcotest.(check bool) (Fmt.str "%s, byte %d changed" what i) false
+            (Mem.equal m ~pos bad))
+        [ 0; (page - pos) land (page - 1); len - 1 ])
+    [
+      (page - 10, 2 * page);  (* three pages *)
+      (page - 5, 10);  (* one boundary *)
+      (page, page);  (* exactly one page *)
+      (2 * page - 1, 2);
+    ];
+  Alcotest.check_raises "out of range"
+    (Invalid_argument "Mem.equal: range 3170+4 outside space of 3172 bytes")
+    (fun () -> ignore (Mem.equal m ~pos:(size - 2) (zeros 4)))
+
+(* A space never written reads, zero-fills and transfers out zeros, and
+   none of those stores anything: such a space still holds no page and
+   no table, only its record (a 256 KB space's table alone would be 257
+   words). *)
+let test_never_written () =
+  let big = 256 * 1024 in
+  let m = Mem.create ~size:big and other = Mem.create ~size:big in
+  Mem.fill m ~pos:0 ~len:big '\000';
+  Mem.transfer ~src:m ~src_pos:0 ~dst:other ~dst_pos:0 ~len:big;
+  Mem.transfer ~src:m ~src_pos:0 ~dst:m ~dst_pos:1 ~len:(big - 1);
+  List.iter
+    (fun (what, m) ->
+      let words = Obj.reachable_words (Obj.repr m) in
+      if words > 8 then
+        Alcotest.failf "%s: a never-written space holds %d words" what words)
+    [ ("filled and transferred", m); ("transfer destination", other) ];
+  Alcotest.(check bytes) "read across pages" (zeros (page + 2))
+    (Mem.read m ~pos:(page - 1) ~len:(page + 2));
+  Alcotest.(check bytes) "read in a page" (zeros 5) (Mem.read m ~pos:7 ~len:5);
+  let dst = Bytes.make 10 '?' in
+  Mem.blit_out m ~pos:(page - 4) dst ~dst_off:1 ~len:8;
+  Alcotest.(check string) "blit_out" "?\000\000\000\000\000\000\000\000?"
+    (Bytes.to_string dst);
+  (* Zeros transferred from it over written data replace the data. *)
+  Mem.fill other ~pos:0 ~len:(3 * page) 'x';
+  Mem.transfer ~src:m ~src_pos:(page + 3) ~dst:other ~dst_pos:10
+    ~len:(page + 7);
+  Alcotest.(check bytes) "zeros over data" (zeros (page + 7))
+    (Mem.read other ~pos:10 ~len:(page + 7));
+  Alcotest.(check string) "data around them" "xx"
+    (Bytes.to_string (Mem.read other ~pos:9 ~len:1)
+    ^ Bytes.to_string (Mem.read other ~pos:(page + 17) ~len:1))
 
 let test_host_footprint () =
   let words =
-    direct_major_words (fun () ->
+    Util.direct_major_words (fun () ->
         let tb = Vworkload.Testbed.create ~hosts:3 () in
         let pids =
           List.init 8 (fun i ->
@@ -194,9 +271,13 @@ let test_host_footprint () =
   in
   (* Eager zeroing costs ~262,000 words here: 8 x 256 KB spaces plus
      the disk's 16,384-slot table. *)
-  if words >= 4096. then
-    Alcotest.failf "testbed + 8 spaces + disk took %.0f direct major words"
-      words
+  Alcotest.(check int) "testbed + 8 spaces + disk: direct major words" 0 words;
+  (* The store makes the table and two pages, all minor blocks. *)
+  Alcotest.(check int) "a 1,000-byte store into a fresh space" 0
+    (Util.direct_major_words (fun () ->
+         let m = Mem.create ~size:(256 * 1024) in
+         Mem.write m ~pos:100 (Bytes.make 1000 's');
+         m))
 
 let suite =
   [
@@ -209,5 +290,7 @@ let suite =
       test_untouched_pages_read_zero;
     Alcotest.test_case "zero page never shows writes" `Quick
       test_zero_page_never_shows_writes;
+    Alcotest.test_case "equal across pages" `Quick test_equal_across_pages;
+    Alcotest.test_case "never-written space" `Quick test_never_written;
     Alcotest.test_case "host footprint" `Quick test_host_footprint;
   ]

@@ -38,3 +38,15 @@ let status = Alcotest.testable Vkernel.Kernel.pp_status ( = )
 
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
+
+(* Words [f] allocates directly in the major heap, i.e. blocks too big
+   for the minor heap: [Gc.counters]' major words less those promoted
+   from the minor heap.  [Gc.counters] counts to the word at the call,
+   with no collection needed before or after [f].  Deterministic for a
+   fixed program. *)
+let direct_major_words f =
+  let _, promoted0, major0 = Gc.counters () in
+  let r = f () in
+  let _, promoted1, major1 = Gc.counters () in
+  ignore (Sys.opaque_identity r);
+  int_of_float (major1 -. major0 -. (promoted1 -. promoted0))

@@ -6,7 +6,9 @@
 # Builds tools/pcprof (a small executable that links vbench_lib; nothing
 # under benchmark/ changes), runs WORKLOAD's measured reps for SECONDS
 # (default 3) at SEED (default 1) with SIGPROF sampling the interrupted
-# instruction pointer, and prints the top symbols and OCaml modules.
+# instruction pointer, and prints the top symbols and OCaml modules,
+# after the minor, promoted and direct-major (too big for the minor
+# heap) words each measured rep allocated.
 # A sample inside caml_modify is booked to its caller, so a write
 # barrier shows up where the store is.  Unlike an OCaml-level sampler,
 # it sees C calls and leaf code that never polls.

@@ -1,8 +1,8 @@
 (* pcprof WORKLOAD SECONDS SEED SYMS MODIFY [PREFIX DISASM]: run a
    vbench workload's measured reps for SECONDS under a machine-code PC
-   sampler and print where the host time went, by symbol and by OCaml
-   module, and with PREFIX, by instruction inside the symbols whose
-   names start with it.
+   sampler and print the GC words each rep allocated, and where the
+   host time went, by symbol and by OCaml module, and with PREFIX, by
+   instruction inside the symbols whose names start with it.
 
    SYMS is [nm -n] of this executable and MODIFY its disassembly of
    [caml_modify] ([objdump -d --disassemble=caml_modify]); tools/pcprof.sh
@@ -182,6 +182,7 @@ let () =
       in
       let prepared = w.V.Workloads.prepare V.Workloads.Full ~seed in
       ignore (prepared None);
+      let minor0, promoted0, major0 = Gc.counters () in
       let t0 = Unix.gettimeofday () in
       start 1000;
       let reps = ref 0 in
@@ -191,6 +192,7 @@ let () =
       done;
       let modify_at, samples = stop () in
       let wall = Unix.gettimeofday () -. t0 in
+      let minor1, promoted1, major1 = Gc.counters () in
       let maps = mappings () and exe = Unix.readlink "/proc/self/exe" in
       let modify_at = Nativeint.to_int modify_at in
       (* Zero when linked without PIE; the load base otherwise. *)
@@ -226,6 +228,12 @@ let () =
       Printf.printf "pcprof: %s seed %d, %d reps in %.1f s, %d samples (%.0f/s)\n" name
         seed !reps wall n
         (float n /. wall);
+      (* Direct-major words are blocks too big for the minor heap. *)
+      let per_rep x = x /. float !reps in
+      Printf.printf "pcprof: GC words per rep: %.0f minor, %.0f promoted, %.0f direct-major\n"
+        (per_rep (minor1 -. minor0))
+        (per_rep (promoted1 -. promoted0))
+        (per_rep (major1 -. major0 -. (promoted1 -. promoted0)));
       if n > 0 then begin
         print_table "symbol (caml_modify booked to its caller)" n by_sym;
         print_table "module (a write barrier booked to its caller's)" n by_mod;
