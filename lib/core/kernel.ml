@@ -162,13 +162,13 @@ type alien_state =
 
 type alien = {
   al_src : Pid.t;
-  al_dst : Pid.t;
-  al_seq : int;
+  mutable al_dst : Pid.t;
+  mutable al_seq : int;
   mutable al_state : alien_state;
-  al_msg : Msg.t;
-  al_pkt : Packet.t;
-      (** the Send packet that made the alien; its data is the
-          piggybacked segment prefix *)
+  mutable al_msg : Msg.t;
+  mutable al_pkt : Packet.t;
+      (** the Send packet of the sender's latest exchange; its data is
+          the piggybacked segment prefix *)
 }
 
 (* An alien whose exchange still awaits its answer. *)
@@ -1057,8 +1057,16 @@ let complete = function
 (* ------------------------------------------------------------------ *)
 (* Receive path: packet handlers                                       *)
 
-(* An incoming Send packet: create (or refresh) the alien, queue the
-   message, answer retransmissions per Section 3.2. *)
+(* Queue an alien's new message for [dd]. *)
+let accept_alien t dd al =
+  t.s_aliens <- t.s_aliens + 1;
+  enqueue_msg t dd
+    { q_src = al.al_src; q_seq = al.al_seq; q_msg = al.al_msg;
+      q_local = false };
+  try_deliver t ~tail:true dd
+
+(* An incoming Send packet: create (or rebind) the sender's alien, queue
+   the message, answer retransmissions per Section 3.2. *)
 let handle_send_pkt t (pkt : Packet.t) =
   let src = pkt.Packet.src_pid and dst = pkt.Packet.dst_pid in
   let reply_host = Pid.host src in
@@ -1089,9 +1097,17 @@ let handle_send_pkt t (pkt : Packet.t) =
              proves the sender moved on.  Filter it — delivering it as a
              fresh message would apply a non-idempotent operation twice. *)
           t.s_dups <- t.s_dups + 1
-      | existing ->
-          (* A new message from this sender supersedes any older alien. *)
-          (match existing with Some al -> remove_alien t al | None -> ());
+      | Some al ->
+          (* A new message from this sender supersedes its older one: the
+             sender's alien takes it in place, so entries queued for the
+             old seq go stale and the pool keeps its count. *)
+          al.al_dst <- dst;
+          al.al_seq <- pkt.Packet.seq;
+          al.al_state <- A_queued;
+          al.al_msg <- Packet.msg pkt;
+          al.al_pkt <- pkt;
+          accept_alien t dd al
+      | None ->
           if t.alien_count >= t.cfg.max_aliens && not (reclaim_one_alien t)
           then begin
             (* No descriptors available: discard, tell sender to wait. *)
@@ -1112,15 +1128,7 @@ let handle_send_pkt t (pkt : Packet.t) =
             in
             Itbl.replace t.aliens (Pid.to_int src) al;
             t.alien_count <- t.alien_count + 1;
-            t.s_aliens <- t.s_aliens + 1;
-            enqueue_msg t dd
-              {
-                q_src = src;
-                q_seq = al.al_seq;
-                q_msg = al.al_msg;
-                q_local = false;
-              };
-            try_deliver t ~tail:true dd
+            accept_alien t dd al
           end)
 
 (* A Reply packet for one of our blocked senders. *)
@@ -1882,10 +1890,10 @@ let forward t msg ~from_pid ~to_pid =
               Nonexistent
           | Some td ->
               Msg.blit ~src:msg ~dst:al.al_msg;
-              let al' = { al with al_dst = to_pid; al_state = A_queued } in
-              Itbl.replace t.aliens (Pid.to_int from_pid) al';
+              al.al_dst <- to_pid;
+              al.al_state <- A_queued;
               enqueue_msg t td
-                { q_src = from_pid; q_seq = al.al_seq; q_msg = al'.al_msg;
+                { q_src = from_pid; q_seq = al.al_seq; q_msg = al.al_msg;
                   q_local = false };
               (* The reply will come from [to_pid]: the sender's kernel
                  must retarget its retransmissions and segment grant or
@@ -1900,12 +1908,14 @@ let forward t msg ~from_pid ~to_pid =
              sender and sequence number so the new server's reply matches
              the sender's outstanding rsend, and notify the sender's
              kernel so its retransmissions and grants retarget. *)
+          let seq = al.al_seq and pkt = al.al_pkt in
           charge t m.Vhw.Cost_model.remote_op_extra_ns;
-          al.al_state <- A_forwarded to_pid;
+          (* A new Send from the sender during the charge rebinds [al]
+             to it; that exchange is not the one forwarded. *)
+          if al.al_seq = seq then al.al_state <- A_forwarded to_pid;
           send_pkt t ~dst_host:(Pid.host to_pid)
-            (Packet.retarget al.al_pkt ~msg ~dst_pid:to_pid);
-          send_fwd_notice t ~by:d.d_pid ~sender:from_pid ~seq:al.al_seq
-            ~to_pid;
+            (Packet.retarget pkt ~msg ~dst_pid:to_pid);
+          send_fwd_notice t ~by:d.d_pid ~sender:from_pid ~seq ~to_pid;
           charge_async t m.Vhw.Cost_model.send_bookkeep_ns;
           Ok
         end

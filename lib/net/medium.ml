@@ -29,6 +29,7 @@ let byte_time_ns cfg = 8_000_000_000 / cfg.bit_rate_bps
 type port = {
   paddr : Addr.t;
   prx : Frame.t -> unit;
+  tap : bool;  (** attached by [attach_tap] *)
   mutable slot : int;
       (** this port's index in the medium's [fan], set by [refresh] *)
 }
@@ -78,6 +79,10 @@ and t = {
   ports : port Vsim.Itbl.t;
   taps : port Vsim.Itbl.t;
       (** promiscuous stations (bridges): targeted by every frame *)
+  mutable stations : port array;
+      (** every port and tap at its address, [no_port] elsewhere, up to
+          the highest address attached; the tables above are read only
+          for their walk order *)
   mutable fan : fan option;
       (** the delivery order, or [None] if a station attached since it
           was built *)
@@ -112,6 +117,9 @@ let k_tx_done = Vsim.Eventq.Kind.intern "net.tx_done"
 let k_backoff = Vsim.Eventq.Kind.intern "net.backoff"
 let k_host_restart = Vsim.Eventq.Kind.intern "net.host_restart"
 
+(* The station at an address where none is attached. *)
+let no_port = { paddr = Addr.broadcast; prx = ignore; tap = false; slot = -1 }
+
 let create eng cfg =
   {
     cfg;
@@ -119,6 +127,7 @@ let create eng cfg =
     rng = Vsim.Rng.split (Vsim.Engine.rng eng);
     ports = Vsim.Itbl.create 16;
     taps = Vsim.Itbl.create 4;
+    stations = [||];
     fan = None;
     waiters = Queue.create ();
     busy_until = 0;
@@ -145,16 +154,31 @@ let engine t = t.eng
 let set_fault t f = t.flt <- f
 let set_host_handler t ~crash ~restart = t.host_handler <- Some (crash, restart)
 
-let add t tbl ~who addr rx =
+(* The station at [addr], or [no_port]; every frame address is valid,
+   so only the top of the range can lie past the array. *)
+let[@inline] station t addr =
+  if addr < Array.length t.stations then Array.unsafe_get t.stations addr
+  else no_port
+
+let add t ~tap addr rx =
+  let who = if tap then "Medium.attach_tap" else "Medium.attach" in
   if not (Addr.is_valid addr) || Addr.is_broadcast addr then
     invalid_arg (who ^ ": bad address");
-  if Vsim.Itbl.mem t.ports addr || Vsim.Itbl.mem t.taps addr then
+  if station t addr != no_port then
     Fmt.invalid_arg "%s: address %d already attached" who addr;
-  Vsim.Itbl.replace tbl addr { paddr = addr; prx = rx; slot = -1 };
+  let port = { paddr = addr; prx = rx; tap; slot = -1 } in
+  let n = Array.length t.stations in
+  if addr >= n then begin
+    let grown = Array.make (addr + 1) no_port in
+    Array.blit t.stations 0 grown 0 n;
+    t.stations <- grown
+  end;
+  t.stations.(addr) <- port;
+  Vsim.Itbl.replace (if tap then t.taps else t.ports) addr port;
   t.fan <- None
 
-let attach t ~addr ~rx = add t t.ports ~who:"Medium.attach" addr rx
-let attach_tap t ~addr ~rx = add t t.taps ~who:"Medium.attach_tap" addr rx
+let attach t ~addr ~rx = add t ~tap:false addr rx
+let attach_tap t ~addr ~rx = add t ~tap:true addr rx
 
 let stats t =
   {
@@ -234,7 +258,6 @@ let lose t frame port =
    costs one rebuild, not n) and gives every station its [slot] in it.
    A rebuild makes new arrays and never writes old ones, so a delivery
    scheduled before it walks the order it was given. *)
-let no_port = { paddr = Addr.broadcast; prx = ignore; slot = -1 }
 
 (* [Vsim.Itbl.fold] steps: number a port, number a tap, put a station in
    its slot.  None captures anything, so building a fan allocates only
@@ -281,21 +304,15 @@ let[@inline] refresh t = match t.fan with Some fan -> fan | None -> build t
    at the first tap; the destination is never skipped, so a station that
    unicasts to itself hears its frame.  [skip] is -1 for a station
    attached here as neither port nor tap (the source of a frame bridged
-   in from another segment). *)
+   in from another segment).  Both come from the station array, whose
+   [no_port] has slot -1; a tap is no frame's destination port. *)
 let dst_slot t frame =
   if Frame.is_broadcast frame then -1
   else
-    match Vsim.Itbl.find t.ports frame.Frame.dst with
-    | port -> port.slot
-    | exception Not_found -> -1
+    let port = station t frame.Frame.dst in
+    if port.tap then -1 else port.slot
 
-let source_slot t src =
-  match Vsim.Itbl.find t.ports src with
-  | port -> port.slot
-  | exception Not_found -> (
-      match Vsim.Itbl.find t.taps src with
-      | tap -> tap.slot
-      | exception Not_found -> -1)
+let[@inline] source_slot t src = (station t src).slot
 
 let[@inline] first fan frame =
   if Frame.is_broadcast frame then 0 else fan.ftap0
@@ -531,7 +548,10 @@ let transmit ?(on_sent = ignore) ?(bridged = false) t frame =
   (* A bridge forwards frames transparently: the original source address
      is preserved even though that station is attached to another segment,
      so Mapped-mode address learning keeps working across the gateway. *)
-  if (not bridged) && not (Vsim.Itbl.mem t.ports frame.Frame.src) then
-    invalid_arg "Medium.transmit: source not attached";
+  if not bridged then begin
+    let port = station t frame.Frame.src in
+    if port == no_port || port.tap then
+      invalid_arg "Medium.transmit: source not attached"
+  end;
   t.s_attempted <- t.s_attempted + 1;
   attempt t { frame; attempts = 0; on_sent }

@@ -43,6 +43,19 @@ val create : Vsim.Engine.t -> config -> t
 val config : t -> config
 val engine : t -> Vsim.Engine.t
 
+(** {2 Stations}
+
+    Each address holds at most one station, a port or a tap.  A medium
+    finds a frame's stations by address, in an array as long as its
+    highest attached address: per frame, one read for the source and
+    one for the destination, never a hash probe.  The destination is
+    the port at the frame's address; a tap's address, an address with
+    nothing attached and one above the highest station name no port,
+    so only the taps hear such a frame.  The source is whichever
+    station sits at its address, or none for a frame bridged in from
+    another segment.  Attaching a station grows the array to its
+    address and makes the next frame rebuild the delivery order. *)
+
 val attach : t -> addr:Addr.t -> rx:(Frame.t -> unit) -> unit
 (** Connect a station. [rx] is invoked (in event context) when a frame
     addressed to [addr] — or broadcast — arrives, including corrupted

@@ -503,6 +503,137 @@ let test_stale_straggler_filtered () =
   Alcotest.(check bool) "straggler was filtered" true
     ((K.stats k2).K.duplicates_filtered >= 1)
 
+(* A kernel keeps one alien per remote sender: a new Send takes over the
+   sender's alien whatever state its last exchange left it in (replied,
+   still queued, or forwarded), the process it names receives the new
+   message and nothing of the old one, and a stale copy of the old Send
+   that lands afterwards is still filtered.  [marks] collects byte 4 of
+   every message a process receives; the client numbers its Sends. *)
+let receive_marked k marks msg =
+  let src = K.receive k msg in
+  marks := Msg.get_u8 msg 4 :: !marks;
+  src
+
+let send_marked k server mark =
+  let msg = Msg.create () in
+  Msg.set_u8 msg 4 mark;
+  let st = K.send k msg server in
+  (st, Msg.get_u8 msg 4)
+
+let check_one_alien ~replied k =
+  let c = K.table_counts k in
+  Alcotest.(check (list int))
+    "aliens live, replied, forwarded" [ 0; replied; 0 ]
+    [ c.K.aliens_live; c.K.aliens_replied; c.K.aliens_forwarded ]
+
+let rebind_replied () =
+  let tb = Util.testbed ~kernel_config:fast_config ~hosts:2 () in
+  let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 in
+  let marks = ref [] in
+  let server =
+    K.spawn k2 ~name:"server" (fun _ ->
+        let msg = Msg.create () in
+        let rec loop () =
+          ignore (K.reply k2 msg (receive_marked k2 marks msg));
+          loop ()
+        in
+        loop ())
+  in
+  (* The first Send lands only after both exchanges are over; its
+     retransmission is what the server serves. *)
+  Vnet.Medium.set_fault tb.Vworkload.Testbed.medium
+    (Vnet.Fault.script [ (1, Vnet.Fault.Delay (Vsim.Time.ms 50)) ]);
+  Util.run_as_process tb ~host:1 (fun _ ->
+      List.iter
+        (fun mark ->
+          Alcotest.(check (pair Util.status int))
+            "echoed" (K.Ok, mark) (send_marked k1 server mark))
+        [ 1; 2 ]);
+  Alcotest.(check (list int)) "served each once" [ 1; 2 ] (List.rev !marks);
+  let s2 = K.stats k2 in
+  Alcotest.(check int) "aliens created" 2 s2.K.aliens_created;
+  Alcotest.(check bool) "stale Send filtered" true
+    (s2.K.duplicates_filtered >= 1);
+  check_one_alien ~replied:1 k2
+
+let rebind_queued () =
+  let tb = Util.testbed ~kernel_config:fast_config ~hosts:2 () in
+  let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 in
+  let medium = tb.Vworkload.Testbed.medium in
+  let marks = ref [] in
+  let server =
+    K.spawn k2 ~name:"late" (fun _ ->
+        let msg = Msg.create () in
+        Vsim.Proc.sleep (Vsim.Time.ms 1000);
+        let rec loop () =
+          ignore (K.reply k2 msg (receive_marked k2 marks msg));
+          loop ()
+        in
+        loop ())
+  in
+  (* The first Send reaches the server's queue; then the wire goes dead
+     until the client has given up on it. *)
+  let eng = K.engine k1 in
+  ignore
+    (Vsim.Engine.at eng (Vsim.Time.ms 5) (fun () ->
+         Vnet.Medium.set_fault medium (Vnet.Fault.drop 1.0)));
+  ignore
+    (Vsim.Engine.at eng (Vsim.Time.ms 300) (fun () ->
+         Vnet.Medium.set_fault medium Vnet.Fault.none));
+  Util.run_as_process tb ~host:1 (fun _ ->
+      let st, _ = send_marked k1 server 1 in
+      Alcotest.(check bool) "the first Send gave up" true (st <> K.Ok);
+      Vsim.Proc.sleep (Vsim.Time.ms 400 - Vsim.Engine.now eng);
+      Alcotest.(check (pair Util.status int))
+        "the second is served" (K.Ok, 2) (send_marked k1 server 2));
+  Alcotest.(check (list int)) "the queued message went stale" [ 2 ] !marks;
+  Alcotest.(check int) "aliens created" 2 (K.stats k2).K.aliens_created;
+  check_one_alien ~replied:1 k2
+
+let rebind_forwarded () =
+  let tb = Util.testbed ~kernel_config:fast_config ~hosts:3 () in
+  let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 and k3 = TB.kernel tb 3 in
+  let worked = ref [] and dispatched = ref [] in
+  let worker =
+    K.spawn k3 ~name:"worker" (fun _ ->
+        let msg = Msg.create () in
+        let src = receive_marked k3 worked msg in
+        Msg.set_u8 msg 4 (Msg.get_u8 msg 4 + 10);
+        ignore (K.reply k3 msg src))
+  in
+  (* The dispatcher forwards its first message to the worker on another
+     host and answers the second itself. *)
+  let dispatcher =
+    K.spawn k2 ~name:"dispatcher" (fun _ ->
+        let msg = Msg.create () in
+        let src = receive_marked k2 dispatched msg in
+        Alcotest.check Util.status "forwarded" K.Ok
+          (K.forward k2 msg ~from_pid:src ~to_pid:worker);
+        let src = receive_marked k2 dispatched msg in
+        Msg.set_u8 msg 4 (Msg.get_u8 msg 4 + 100);
+        ignore (K.reply k2 msg src))
+  in
+  Vnet.Medium.set_fault tb.Vworkload.Testbed.medium
+    (Vnet.Fault.script [ (1, Vnet.Fault.Delay (Vsim.Time.ms 50)) ]);
+  Util.run_as_process tb ~host:1 (fun _ ->
+      Alcotest.(check (pair Util.status int))
+        "the worker answers the first" (K.Ok, 11)
+        (send_marked k1 dispatcher 1);
+      Alcotest.(check (pair Util.status int))
+        "the dispatcher answers the second" (K.Ok, 102)
+        (send_marked k1 dispatcher 2));
+  Alcotest.(check (list int)) "dispatcher received" [ 1; 2 ]
+    (List.rev !dispatched);
+  Alcotest.(check (list int)) "worker received" [ 1 ] !worked;
+  Alcotest.(check bool) "stale Send filtered" true
+    ((K.stats k2).K.duplicates_filtered >= 1);
+  check_one_alien ~replied:1 k2
+
+let test_new_send_rebinds_alien () =
+  rebind_replied ();
+  rebind_queued ();
+  rebind_forwarded ()
+
 let test_movefrom_nak_storm_suppressed () =
   (* Found by the vcheck sweep (drop@13 drop@21 over its workload): losing
      the first MoveFrom fragment AND the first fragment of the NAK-driven
@@ -776,6 +907,8 @@ let suite =
       test_scripted_duplicate_moveto_data;
     Alcotest.test_case "stale straggler filtered" `Quick
       test_stale_straggler_filtered;
+    Alcotest.test_case "a new Send rebinds its sender's alien" `Quick
+      test_new_send_rebinds_alien;
     Alcotest.test_case "move_from NAK storm suppressed" `Quick
       test_movefrom_nak_storm_suppressed;
     Alcotest.test_case "mt_in reclaim follows adaptive RTO" `Quick

@@ -240,6 +240,75 @@ let test_broadcast_order () =
     (Invalid_argument "Medium.attach: address 60 already attached")
     (fun () -> station Vnet.Medium.attach 60)
 
+(* The medium finds a frame's source and destination by station address.
+   Ports at the ends of the address range, a tap, an address inside the
+   attached range with no station and one past the highest station must
+   each read as they did when the medium looked them up by hash. *)
+let test_station_lookup () =
+  let eng, medium = setup () in
+  let heard = ref [] in
+  let station attach a = attach medium ~addr:a ~rx:(fun _ -> heard := a :: !heard) in
+  List.iter (station Vnet.Medium.attach) [ 3; 0 ];
+  station Vnet.Medium.attach_tap 100;
+  let frame ~src ~dst =
+    Vnet.Frame.make ~src ~dst ~ethertype:0 (Bytes.make 10 'u')
+  in
+  let targeted () = (Vnet.Medium.stats medium).Vnet.Medium.targeted in
+  let send ?bridged ~src ~dst () =
+    heard := [];
+    Vnet.Medium.transmit ?bridged medium (frame ~src ~dst);
+    Vsim.Engine.run eng;
+    List.sort compare !heard
+  in
+  let check name expect got = Alcotest.(check (list int)) name expect got in
+  check "past the highest station: the taps only" [ 100 ]
+    (send ~src:3 ~dst:200 ());
+  check "to an unattached address: the taps only" [ 100 ]
+    (send ~src:3 ~dst:50 ());
+  let before = targeted () in
+  check "to a tap's address: the tap, once" [ 100 ] (send ~src:3 ~dst:100 ());
+  Alcotest.(check int) "a tap is no destination port" 1 (targeted () - before);
+  check "to itself" [ 3; 100 ] (send ~src:3 ~dst:3 ());
+  check "bridged from an unattached address" [ 0; 100 ]
+    (send ~bridged:true ~src:50 ~dst:0 ());
+  check "bridged from past the highest station" [ 0; 100 ]
+    (send ~bridged:true ~src:200 ~dst:0 ());
+  check "bridged from the tap" [ 0 ] (send ~bridged:true ~src:100 ~dst:0 ());
+  let not_attached = Invalid_argument "Medium.transmit: source not attached" in
+  List.iter
+    (fun src ->
+      Alcotest.check_raises
+        (Printf.sprintf "transmit from %d" src)
+        not_attached
+        (fun () -> Vnet.Medium.transmit medium (frame ~src ~dst:0)))
+    [ 50; 200; 100 ];
+  station Vnet.Medium.attach 254;
+  check "attached after traffic" [ 100; 254 ] (send ~src:0 ~dst:254 ());
+  check "from the top address" [ 0; 100 ] (send ~src:254 ~dst:0 ());
+  check "broadcast after the attach" [ 0; 3; 100 ]
+    (send ~src:254 ~dst:Vnet.Addr.broadcast ());
+  Alcotest.(check int) "refused transmits are not attempts" 10
+    (Vnet.Medium.stats medium).Vnet.Medium.attempted;
+  let taken who a =
+    Invalid_argument (Printf.sprintf "%s: address %d already attached" who a)
+  in
+  List.iter
+    (fun (who, attach, a) ->
+      Alcotest.check_raises
+        (Printf.sprintf "%s at %d" who a)
+        (taken who a)
+        (fun () -> station attach a))
+    [
+      ("Medium.attach_tap", Vnet.Medium.attach_tap, 3);
+      ("Medium.attach_tap", Vnet.Medium.attach_tap, 100);
+      ("Medium.attach_tap", Vnet.Medium.attach_tap, 0);
+      ("Medium.attach", Vnet.Medium.attach, 254);
+      ("Medium.attach", Vnet.Medium.attach, 100);
+    ];
+  Alcotest.check_raises "the broadcast address"
+    (Invalid_argument "Medium.attach: bad address")
+    (fun () -> station Vnet.Medium.attach Vnet.Addr.broadcast)
+
 (* The same order over random stations, attached in random order between
    frames, against a model: the reverse of a [Hashtbl]'s walk of the
    ports (an [Itbl] walks in [Hashtbl] order), then its walk of the taps,
@@ -493,6 +562,7 @@ let suite =
     Alcotest.test_case "delivery timing" `Quick test_delivery_timing;
     Alcotest.test_case "broadcast" `Quick test_broadcast;
     Alcotest.test_case "broadcast order" `Quick test_broadcast_order;
+    Alcotest.test_case "station lookup" `Quick test_station_lookup;
     test_broadcast_order_model;
     Alcotest.test_case "carrier sense" `Quick test_carrier_sense;
     Alcotest.test_case "collision backoff" `Quick test_collision_backoff;
