@@ -234,19 +234,19 @@ type stats = {
 val stats : t -> stats
 val pp_stats : Format.formatter -> stats -> unit
 
-(** Sizes of the kernel's protocol tables, for invariant checks.  After a
-    workload quiesces, everything here except [aliens_replied] /
-    [aliens_forwarded] (cached replies awaiting reclaim) and
-    [mt_ins_total] (completed transfers retained as duplicate filters)
-    must be zero. *)
+(** Counts of the kernel's live protocol state, for invariant checks.
+    After a workload quiesces, everything here except [aliens_replied] /
+    [aliens_forwarded] (cached replies awaiting reclaim) must be zero. *)
 type table_counts = {
   aliens_live : int;  (** A_queued or A_received: exchange unanswered *)
   aliens_replied : int;
   aliens_forwarded : int;
-  mt_ins_incomplete : int;  (** inbound MoveTo trains still missing data *)
+  mt_ins_incomplete : int;  (** of [mt_ins_total], trains missing data *)
   mt_ins_total : int;
-  mt_outs_pending : int;
-  mf_outs_pending : int;
+      (** reply waits whose grant holds an inbound MoveTo train, finished
+          or not: a train lives as long as its receiver's wait *)
+  mt_outs_pending : int;  (** processes blocked in a remote MoveTo *)
+  mf_outs_pending : int;  (** processes blocked in a remote MoveFrom *)
   getpid_pending : int;
   sends_blocked : int;  (** local processes stuck in a remote Send *)
 }

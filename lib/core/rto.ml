@@ -103,11 +103,6 @@ let base_ns t ~dst ~bytes =
   | Fixed -> t.fixed_ns
   | Adaptive -> base_of t (state t dst) ~bytes
 
-let current_ns t ~dst ~bytes =
-  match t.mode with
-  | Fixed -> t.fixed_ns
-  | Adaptive -> backed_off t (state t dst) ~bytes
-
 let timeout_ns t ~dst ~bytes =
   match t.mode with
   | Fixed -> t.fixed_ns

@@ -38,13 +38,10 @@ val base_ns : t -> dst:int -> bytes:int -> int
 (** The timeout without backoff or jitter, for [bytes] outstanding: a
     conservative interval for timer-free decisions.  Draws no RNG. *)
 
-val current_ns : t -> dst:int -> bytes:int -> int
-(** {!base_ns} shifted by the live backoff and capped: the interval a
-    peer's timers plausibly use right now.  Draws no RNG. *)
-
 val timeout_ns : t -> dst:int -> bytes:int -> int
-(** The interval to arm now: {!current_ns}, plus jitter on backed-off
-    [Adaptive] arms only, so a loss-free run consumes no RNG. *)
+(** The interval to arm now: {!base_ns} shifted by the live backoff and
+    capped, plus jitter on backed-off [Adaptive] arms only, so a
+    loss-free run consumes no RNG. *)
 
 val note_expiry :
   t -> dst:int -> kind:string -> seq:int -> attempt:int -> rto_ns:int -> unit

@@ -143,6 +143,54 @@ let test_forward_with_segment_grant () =
       Alcotest.check Util.status "send" K.Ok (K.send k1 msg disp);
       Util.check_pattern mem ~pos:4096 ~len:512 ~name:"segment via forward")
 
+let test_forward_drops_train () =
+  (* A MoveTo train lives in its receiver's grant and ends with a change
+     of peer.  The dispatcher on host 2 moves 2 KB of 'a' into the
+     sender's grant and forwards the Send to a worker on host 3, whose
+     MoveTo of 2 KB of 'b' into the same range carries the same sequence
+     number: each host numbers its own exchanges.  The worker's train
+     must start fresh and land its bytes, not be acked as a repeat of
+     the dispatcher's finished one. *)
+  let tb = Util.testbed ~hosts:3 () in
+  let count = 2048 in
+  let seqs = ref [] in
+  Vsim.Trace.attach tb.Vworkload.Testbed.eng (fun _ ev ->
+      match ev with
+      | Vsim.Event.Move { seq; remote = true; _ } -> seqs := seq :: !seqs
+      | _ -> ());
+  let mover k pid byte =
+    Vkernel.Mem.write (K.memory k pid) ~pos:0 (Bytes.make count byte);
+    let msg = Msg.create () in
+    let src = K.receive k msg in
+    Alcotest.check Util.status "move_to" K.Ok
+      (K.move_to k ~dst_pid:src ~dst:0 ~src:0 ~count);
+    (msg, src)
+  in
+  let k2 = TB.kernel tb 2 and k3 = TB.kernel tb 3 in
+  let worker =
+    K.spawn k3 ~name:"worker" (fun pid ->
+        let msg, src = mover k3 pid 'b' in
+        ignore (K.reply k3 msg src))
+  in
+  let disp =
+    K.spawn k2 ~name:"dispatcher" (fun pid ->
+        let msg, src = mover k2 pid 'a' in
+        Alcotest.check Util.status "forward" K.Ok
+          (K.forward k2 msg ~from_pid:src ~to_pid:worker))
+  in
+  let k1 = TB.kernel tb 1 in
+  Util.run_as_process tb ~host:1 (fun pid ->
+      let msg = Msg.create () in
+      Msg.set_segment msg Msg.Read_write ~ptr:0 ~len:count;
+      Msg.set_no_piggyback msg;
+      Alcotest.check Util.status "send" K.Ok (K.send k1 msg disp);
+      let got = Vkernel.Mem.read (K.memory k1 pid) ~pos:0 ~len:count in
+      Alcotest.(check string) "the worker's bytes" (String.make count 'b')
+        (Bytes.to_string got));
+  match !seqs with
+  | [ a; b ] -> Alcotest.(check int) "both trains carry one seq" a b
+  | _ -> Alcotest.fail "expected two remote moves"
+
 let test_forward_chain () =
   (* Two dispatchers in a row across four hosts: sender -> d1 -> d2 ->
      worker; each hop re-targets the sender's retransmission state, and
@@ -322,6 +370,8 @@ let suite =
     Alcotest.test_case "forward to dead process" `Quick test_forward_to_dead;
     Alcotest.test_case "forward preserves grant" `Quick
       test_forward_with_segment_grant;
+    Alcotest.test_case "forward drops the old peer's train" `Quick
+      test_forward_drops_train;
     Alcotest.test_case "forward chain (two hops)" `Quick test_forward_chain;
     Alcotest.test_case "forward under loss" `Quick test_forward_under_loss;
     Alcotest.test_case "receive_specific order" `Quick
