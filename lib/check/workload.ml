@@ -115,6 +115,17 @@ type 'x t = Spec : ('s, 'x) spec -> 'x t
 let fast_config =
   { K.default_config with retransmit_timeout_ns = Vsim.Time.ms 10 }
 
+(* [List.assoc] and [List.remove_assoc] on a list keyed by name,
+   comparing names with [String.equal], not polymorphically. *)
+let rec named key = function
+  | [] -> raise Not_found
+  | (k, v) :: rest -> if String.equal k key then v else named key rest
+
+let rec unnamed key = function
+  | [] -> []
+  | ((k, _) as kv) :: rest ->
+      if String.equal k key then rest else kv :: unnamed key rest
+
 let bs = Vfs.Fs.block_size
 let pattern = Vworkload.Testbed.pattern_byte
 let block_of f = Bytes.init bs (fun i -> pattern (f i))
@@ -179,21 +190,21 @@ let run_client log st k ~last (c : _ client) =
   in
   let fail op e = record op false (Vfs.Client.error_to_string e) in
   let files = ref [] in
-  let env = { st; k; file = (fun f -> List.assoc f !files) } in
+  let env = { st; k; file = (fun f -> named f !files) } in
   let attach = c.session env in
   let opener = ref (fun _ -> Error Vfs.Client.No_server) in
   let opened op file = function
     | Ok f ->
-        files := (file, f) :: List.remove_assoc file !files;
+        files := (file, f) :: unnamed file !files;
         record op true "ok";
         true
     | Error detail ->
-        files := List.remove_assoc file !files;
+        files := unnamed file !files;
         record op false detail;
         !files <> []
   in
   let on file f =
-    Option.iter f (List.assoc_opt file !files);
+    (match named file !files with v -> f v | exception Not_found -> ());
     true
   in
   let step = function
@@ -457,7 +468,7 @@ let audit_recovery (w : world) (r : run) ~recover ~file =
                   let is_new = Bytes.equal got (new_block b) in
                   if (not is_new) && not (Bytes.equal got (old_block b)) then
                     torn := b :: !torn;
-                  if List.mem b r.acked && not is_new then
+                  if List.exists (Int.equal b) r.acked && not is_new then
                     acked_lost := b :: !acked_lost
             done);
         (* The last file system is checked first: its disk reads come
@@ -543,7 +554,8 @@ let net_setup (w : world) =
   in
   let pids = ref [] in
   let serve ?init k name handle =
-    let count () = incr (List.assoc name counts) in
+    let n = named name counts in
+    let count () = incr n in
     pids := (name, serve k name ?init ~count handle) :: !pids
   in
   let load image pid = Mem.write (K.memory k2 pid) ~pos:0 image in
@@ -568,8 +580,8 @@ let net_setup (w : world) =
       Msg.set_u8 msg 6 (if data_ok then 1 else 0);
       ignore (K.reply k2 msg src));
   serve k3 "worker" (bump k3 ~add:7);
+  let worker = named "worker" !pids in
   serve k2 "dispatcher" (fun _ msg src ->
-      let worker = List.assoc "worker" !pids in
       ignore (K.forward k2 msg ~from_pid:src ~to_pid:worker));
   { server; counts; pids = !pids }
 
@@ -580,7 +592,7 @@ let exchange op service prepare check =
       let mem = K.my_memory e.k in
       let msg = Msg.create () in
       prepare mem msg;
-      let st = K.send e.k msg (List.assoc service e.st.pids) in
+      let st = K.send e.k msg (named service e.st.pids) in
       Ok (st = K.Ok && check mem msg, K.status_to_string st))
 
 let net_script =
@@ -607,7 +619,7 @@ let net_script =
         let msg = Msg.create () in
         Msg.set_segment msg Msg.Read_only ~ptr:8192 ~len:from_len;
         Msg.set_no_piggyback msg;
-        let st = K.send e.k msg (List.assoc "reader" e.st.pids) in
+        let st = K.send e.k msg (named "reader" e.st.pids) in
         Ok
           ( st = K.Ok && Msg.get_u8 msg 4 = 1,
             Printf.sprintf "send=%s reader-status=%d reader-data=%d"
@@ -651,8 +663,11 @@ let net =
                   match Vfs.Fs.lookup fs "data" with
                   | None -> false
                   | Some inum ->
-                      Vfs.Fs.read fs ~inum ~pos:(io_block * bs) ~len:bs
-                      = Ok io_expect);
+                      match
+                        Vfs.Fs.read fs ~inum ~pos:(io_block * bs) ~len:bs
+                      with
+                      | Ok got -> Bytes.equal got io_expect
+                      | Error _ -> false);
           {
             ledger = List.map (fun (name, n) -> (name, !n)) st.counts;
             pages_written = Vfs.Server.pages_written st.server;

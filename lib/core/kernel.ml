@@ -1433,9 +1433,9 @@ let make_kernel eng ~cpu ~nic ~host ~config ~addressing =
       cfg = config;
       addressing;
       host_map = Itbl.create 16;
-      procs = Itbl.create 64;
-      fibers = Itbl.create 64;
-      aliens = Itbl.create 64;
+      procs = Itbl.create 16;
+      fibers = Itbl.create 16;
+      aliens = Itbl.create 16;
       alien_count = 0;
       registry = Itbl.create 16;
       getpid_cache = Itbl.create 16;
@@ -1443,7 +1443,7 @@ let make_kernel eng ~cpu ~nic ~host ~config ~addressing =
       rto =
         Rto.create eng ~host ~model:(Vhw.Cpu.model cpu) ~mode:config.rto_mode
           ~fixed_ns:config.retransmit_timeout_ns;
-      kfibers = Itbl.create 64;
+      kfibers = Itbl.create 16;
       down = false;
       reply_sent = ignore;
       restart_hooks = [];
@@ -1548,8 +1548,10 @@ let destroy t pid =
         d.d_queue;
       Queue.clear d.d_queue;
       (* Fail ReceiveSpecific waiters blocked on the destroyed process.
-         They resume in [procs]'s walk order, which [Itbl] keeps equal
-         to a polymorphic [Hashtbl]'s. *)
+         They resume in [procs]'s walk order, which follows its bucket
+         count (16 buckets at creation, see [Itbl]).  The order shows
+         only with two waiters on one process; no rig, workload or
+         checker scenario waits in ReceiveSpecific. *)
       Itbl.iter
         (fun _ (w : desc) ->
           match w.d_state with
@@ -1584,8 +1586,11 @@ let process_name t pid =
 let crash t =
   if not t.down then begin
     t.down <- true;
-    (* Killing a fiber wakes its joiners, in [kfibers]'s walk order, which
-       [Itbl] keeps equal to a polymorphic [Hashtbl]'s. *)
+    (* Killing a fiber wakes its joiners, in [kfibers]'s walk order,
+       which follows its bucket count (16 at creation, see [Itbl]); no
+       code joins a kernel's fiber, so the order reaches no output.  The
+       walks below only cancel timers, which leaves no trace of their
+       order. *)
     Itbl.iter (fun _ p -> Vsim.Proc.kill p) t.kfibers;
     Itbl.reset t.kfibers;
     Itbl.iter
@@ -2078,6 +2083,7 @@ type table_counts = {
   sends_blocked : int;
 }
 
+(* Counts only: the walks' order reaches no output. *)
 let table_counts t =
   let aliens_live = ref 0
   and aliens_replied = ref 0

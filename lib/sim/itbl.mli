@@ -14,6 +14,13 @@
     the same operations.  Switching a table to [Itbl] therefore changes
     no walk order.  Each function behaves as its [Hashtbl] namesake.
 
+    A walk visits the buckets in index order, and a key's bucket is its
+    hash modulo the bucket count: the size asked of {!create}, rounded
+    up to a power of two of at least 16, doubled by each resize.  So
+    the same bindings walk in another order in a table created with
+    another size; a caller whose walk order can reach an output says
+    so where it walks.
+
     A table remembers the binding it last found for an even key and the
     one for an odd key, so {!find}, {!find_opt}, {!mem} and {!replace}
     of a key found just before cost a compare, with no hash and no

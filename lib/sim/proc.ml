@@ -151,11 +151,17 @@ let self () = Effect.perform Self
 let suspend register = Effect.perform (Suspend register)
 let suspend_tail register = Effect.perform (Suspend_tail register)
 
+(* A sleep follows [Vhw.Cpu.charge]'s rule: when its wake-up would be
+   the next event it fires in place; otherwise its event's callback is
+   the resume itself, so it is a tail resume. *)
 let sleep delay =
-  let p = self () in
-  suspend (fun resume ->
-      ignore
-        (Engine.after_kind p.eng ~kind:k_sleep delay (fun () -> resume ())))
+  let eng = (self ()).eng in
+  let wake = Engine.now eng + delay in
+  if delay >= 0 && Engine.next_is eng wake then
+    Engine.advance eng ~kind:k_sleep wake
+  else
+    suspend_tail (fun resume ->
+        ignore (Engine.after_kind eng ~kind:k_sleep delay resume))
 
 let join other =
   if not (terminated other) then

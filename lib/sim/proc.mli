@@ -60,7 +60,11 @@ val suspend_tail : (('a -> unit) -> unit) -> 'a
     fire out of order; when in doubt use {!suspend}. *)
 
 val sleep : Time.t -> unit
-(** Block the current fiber for a simulated duration. *)
+(** Block the current fiber for a simulated duration.  When the fiber
+    holds the tail of the event firing and its wake-up would be the
+    next event ({!Engine.next_is}), the [proc.sleep] event fires in
+    place ({!Engine.advance}) with no park; otherwise the fiber parks
+    with a tail resume, which its event's callback is. *)
 
 val join : t -> unit
 (** Block until the given fiber terminates. Returns immediately if it

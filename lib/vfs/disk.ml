@@ -18,7 +18,9 @@ let k_complete = Vsim.Eventq.Kind.intern "disk.complete"
    only for the chunks and blocks it writes.
 
    Blocks are immutable: a completed write stores the private copy
-   [write_k] took at submission, and reads hand out copies.  So a chunk
+   taken at submission (or, from [write_shared], a block its caller
+   never changes), and reads hand out copies, or from [read_shared] the
+   block itself.  So a chunk
    array can be shared with snapshots and with other disks; [owned.(i)]
    says whether chunk [i] is this disk's alone, and a write to a shared
    chunk copies its pointer array first. *)
@@ -139,18 +141,22 @@ let rec begin_service t cost action =
          | Some p -> begin_service t p.p_cost p.p_action
          | None -> t.in_service <- false))
 
-let schedule t ~rw b k =
-  let cost = access_time t b in
-  let now = Vsim.Engine.now t.eng in
-  let start = Int.max now t.free_at in
+(* Book an access of block [b] that takes [cost]: the device is busy
+   with it from when it frees up, and its [Disk_io] event is traced at
+   submission.  Returns the instant its service starts. *)
+let book t ~rw b cost =
+  let start = Int.max (Vsim.Engine.now t.eng) t.free_at in
   t.free_at <- start + cost;
   t.busy <- t.busy + cost;
   if Vsim.Trace.tracing t.eng then
     Vsim.Trace.event t.eng
       (Vsim.Event.Disk_io { host = t.dhost; rw; block = b; ns = cost });
+  start
+
+let schedule t ~rw b cost k =
+  let wait = book t ~rw b cost - Vsim.Engine.now t.eng in
   if t.in_service then begin
     Queue.push { p_cost = cost; p_action = k } t.queue;
-    let wait = start - now in
     (* [wait = 0] happens when a request is submitted from within the
        previous completion (a fiber resumed at the finish instant reads
        its next block); that is back-to-back service, not contention, so
@@ -168,23 +174,34 @@ let schedule t ~rw b k =
   end
   else begin_service t cost k
 
-let read_k t b k =
+(* Check and count a read or a write of block [b], and draw its
+   cost. *)
+let start_read t b =
   check_block t b;
   t.n_reads <- t.n_reads + 1;
-  schedule t ~rw:"read" b (fun () -> k (Bytes.copy (block t b)))
+  access_time t b
 
-(* [data] itself becomes block [b] when the write completes. *)
-let write_shared_k t b data k =
+let start_write t b data =
   check_block t b;
   if Bytes.length data <> t.bsize then
     Fmt.invalid_arg "Disk.write: expected %d-byte block, got %d" t.bsize
       (Bytes.length data);
   t.n_writes <- t.n_writes + 1;
-  schedule t ~rw:"write" b (fun () ->
-      set_block t b data;
-      k ())
+  access_time t b
 
-let write_k t b data k = write_shared_k t b (Bytes.copy data) k
+(* A write's completion: [data] itself becomes block [b]. *)
+let stored t b data k () =
+  set_block t b data;
+  k ()
+
+let read_k t b k =
+  let cost = start_read t b in
+  schedule t ~rw:"read" b cost (fun () -> k (Bytes.copy (block t b)))
+
+let write_k t b data k =
+  let data = Bytes.copy data in
+  let cost = start_write t b data in
+  schedule t ~rw:"write" b cost (stored t b data k)
 
 (* A snapshot is the media plus the access counters (not queue or
    timing state).  It shares the disk's chunk arrays, so taking one
@@ -224,13 +241,40 @@ let peek t b =
   check_block t b;
   Bytes.copy (block t b)
 
-let read t b =
-  Vsim.Proc.suspend (fun resume -> read_k t b resume)
+(* A fiber's access follows [Vhw.Cpu.charge]'s rule.  When the fiber
+   holds the tail of the event firing, the device is idle and the
+   access's completion would be the next event, the access is booked as
+   a queued one is and its completion fires in place
+   ([Vsim.Engine.advance]): [in_place] returns [true] and the caller
+   completes it with no park.  Otherwise the fiber parks on a queued
+   access, as the callback forms do. *)
+let in_place t ~rw b cost =
+  let finish = Vsim.Engine.now t.eng + cost in
+  (not t.in_service)
+  && Vsim.Engine.next_is t.eng finish
+  && begin
+    ignore (book t ~rw b cost);
+    Vsim.Engine.advance t.eng ~kind:k_complete finish;
+    true
+  end
 
-let write t b data =
-  Vsim.Proc.suspend (fun resume ->
-      write_k t b data resume)
+(* A parked read takes the block when it resumes, which is the instant
+   of its completion. *)
+let read_shared t b =
+  let cost = start_read t b in
+  if not (in_place t ~rw:"read" b cost) then
+    Vsim.Proc.suspend (fun resume -> schedule t ~rw:"read" b cost resume);
+  block t b
 
+let read t b = Bytes.copy (read_shared t b)
+
+(* A parked write's block is stored by its completion, not by the fiber,
+   so it lands even if the fiber is killed meanwhile. *)
 let write_shared t b data =
-  Vsim.Proc.suspend (fun resume ->
-      write_shared_k t b data resume)
+  let cost = start_write t b data in
+  if in_place t ~rw:"write" b cost then set_block t b data
+  else
+    Vsim.Proc.suspend (fun resume ->
+        schedule t ~rw:"write" b cost (stored t b data resume))
+
+let write t b data = write_shared t b (Bytes.copy data)

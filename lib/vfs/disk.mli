@@ -37,9 +37,26 @@ val blocks : t -> int
 val latency : t -> latency
 val set_latency : t -> latency -> unit
 
+(** {1 Access from a fiber}
+
+    {!read}, {!read_shared}, {!write} and {!write_shared} block the
+    calling fiber for the access, queued behind the accesses before
+    it.  They follow {!Vhw.Cpu.charge}'s rule: when the fiber holds
+    the tail of the event firing ({!Vsim.Engine.next_is}), the device
+    is idle and the access's completion would be the next event, the
+    access is booked, counted and traced as a queued one is and its
+    [disk.complete] event fires in place ({!Vsim.Engine.advance}), so
+    the fiber does not park.  Either way the simulated instants, the
+    trace and the counters are the same. *)
+
 val read : t -> int -> Bytes.t
 (** [read t b] blocks the calling fiber for the access latency and returns
     a copy of block [b]. *)
+
+val read_shared : t -> int -> Bytes.t
+(** {!read} without the copy: the disk's block [b] itself.  Blocks are
+    immutable, so a later write leaves it as it was; the caller (a
+    metadata cache keeps it as its entry) must never write to it. *)
 
 val write : t -> int -> Bytes.t -> unit
 (** [write t b data] blocks for the access latency. [data] must be exactly
@@ -51,14 +68,16 @@ val write_shared : t -> int -> Bytes.t -> unit
     entry) but must never change it. *)
 
 val read_k : t -> int -> (Bytes.t -> unit) -> unit
-(** Callback form, e.g. for asynchronous read-ahead. *)
+(** Callback form, e.g. for asynchronous read-ahead.  The callback forms
+    always queue their completion as an event. *)
 
 val write_k : t -> int -> Bytes.t -> (unit -> unit) -> unit
 
 (** {1 Images}
 
     Blocks are immutable values: a write stores a private copy of its
-    data when it completes, and reads return copies.  So a snapshot
+    data when it completes, and reads return copies or, from
+    {!read_shared}, a block no one may change.  So a snapshot
     shares the disk's blocks instead of copying them, and costs one
     pointer per 256 blocks.  A snapshot is an image that any number of
     disks, on any domain, may restore or be seeded from: each disk

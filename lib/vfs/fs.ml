@@ -92,10 +92,10 @@ let get32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFF_FFFF
    one-disk-access-per-page condition.
 
    [view] returns the block itself — the open transaction's buffer, the
-   cache entry, or on a miss the disk's copy, which becomes the entry —
-   so its caller must only read it.  That is safe because none of these
-   is ever changed in place: every write stores a fresh copy in its
-   place.  A caller that changes the block takes a copy with
+   cache entry, or on a miss the disk's own block ([Disk.read_shared]),
+   which becomes the entry — so its caller must only read it.  That is
+   safe because none of these is ever changed in place: every write
+   stores a fresh copy in its place.  A caller that changes the block takes a copy with
    [read_block]. *)
 let view ?(meta = false) t b =
   match
@@ -112,7 +112,7 @@ let view ?(meta = false) t b =
           data
       | None ->
           t.misses <- t.misses + 1;
-          let data = Disk.read t.dsk b in
+          let data = Disk.read_shared t.dsk b in
           if cached then Vsim.Itbl.replace t.cache b data;
           data)
 
@@ -235,8 +235,10 @@ let commit_txn t =
           t.jseq <- t.jseq + 1;
           let seq = t.jseq in
           let pos = ref t.geo.journal_start in
+          (* Each block put is fresh or a buffered copy, and never
+             changed. *)
           let put data =
-            Disk.write t.dsk !pos data;
+            Disk.write_shared t.dsk !pos data;
             incr pos
           in
           let rec emit = function
@@ -280,7 +282,7 @@ let commit_txn t =
               in
               write_block ~meta t b (Vsim.Itbl.find tx.tbuf b))
             blocks;
-          Disk.write t.dsk t.geo.journal_start (retired t);
+          Disk.write_shared t.dsk t.geo.journal_start (retired t);
           Ok ()
         end
       end
@@ -300,18 +302,20 @@ let with_txn t f =
 
 (* Replay straight against the disk: the caller guarantees the block
    cache is empty (fresh mount or just-reset after a crash).  The epoch
-   becomes the head block's plus [bump]. *)
+   becomes the head block's plus [bump].  It only reads the journal's
+   blocks, and an after-image becomes its home block as it is, so none
+   is copied. *)
 let journal_replay t ~bump =
   if journaled t then begin
     let jend = t.geo.journal_start + t.geo.journal_blocks in
-    let hdr0 = Disk.read t.dsk t.geo.journal_start in
+    let hdr0 = Disk.read_shared t.dsk t.geo.journal_start in
     t.epoch <- get32 hdr0 epoch_off + bump;
     if get32 hdr0 0 = jmagic then begin
       let seq = get32 hdr0 4 in
       let rec scan pos acc =
         if pos >= jend then None
         else begin
-          let hdr = Disk.read t.dsk pos in
+          let hdr = Disk.read_shared t.dsk pos in
           if get32 hdr 0 <> jmagic || get32 hdr 4 <> seq then None
           else if get32 hdr 8 = j_commit then
             if get32 hdr 12 = List.length acc then Some (List.rev acc)
@@ -323,7 +327,7 @@ let journal_replay t ~bump =
               let acc = ref acc in
               for i = 0 to k - 1 do
                 let b = get32 hdr (jtags_off + (4 * i)) in
-                let img = Disk.read t.dsk (pos + 1 + i) in
+                let img = Disk.read_shared t.dsk (pos + 1 + i) in
                 acc := (b, img) :: !acc
               done;
               scan (pos + 1 + k) !acc
@@ -337,10 +341,11 @@ let journal_replay t ~bump =
           t.jseq <- Int.max t.jseq seq;
           List.iter
             (fun (b, img) ->
-              if b >= 0 && b < t.geo.journal_start then Disk.write t.dsk b img)
+              if b >= 0 && b < t.geo.journal_start then
+                Disk.write_shared t.dsk b img)
             writes
       | None -> ());
-      Disk.write t.dsk t.geo.journal_start (retired t)
+      Disk.write_shared t.dsk t.geo.journal_start (retired t)
     end
   end
 

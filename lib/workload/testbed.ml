@@ -21,7 +21,7 @@ let create ?seed ?(medium_config = Vnet.Medium.config_3mb)
     let addr = i + 1 in
     let cpu =
       Vhw.Cpu.create eng ~host:addr ~model:cpu_model
-        ~name:(Printf.sprintf "cpu%d" addr)
+        ~name:("cpu" ^ Int.to_string addr)
     in
     let nic = Vnet.Nic.create eng ~cpu ~medium ~addr in
     let kernel =

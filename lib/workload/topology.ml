@@ -35,7 +35,7 @@ let create ?seed ?(cpu_model = Vhw.Cost_model.sun_10mhz)
         let medium = media.(seg) in
         let cpu =
           Vhw.Cpu.create eng ~host:addr ~model:cpu_model
-            ~name:(Printf.sprintf "cpu%d" addr)
+            ~name:("cpu" ^ Int.to_string addr)
         in
         let nic = Vnet.Nic.create eng ~cpu ~medium ~addr in
         let kernel =

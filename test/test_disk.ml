@@ -278,6 +278,191 @@ let test_image_geometry () =
       refuses "seed" (fun () -> Vfs.Disk.seed d img))
     [ (64, 32); (65, 16) ]
 
+(* A fiber's access that completes in place changes host work only.
+   Seeded scripts of 1-4 fibers read, write and [write_shared] blocks of
+   a 64-block disk and sleep, beside plain events that read with
+   [read_k] and kill a fiber (perhaps parked on a write, which must land
+   all the same).  Each script runs once through the fiber API, where a
+   fiber that holds the tail of its event may complete an access or a
+   sleep in place, and once with every access a [read_k] or [write_k]
+   under a plain [suspend] and every sleep a plain park on a queued
+   event, so nothing runs in place.  The [Disk_io] and [Disk_queue]
+   trace lines with their instants, the completions with their instants
+   and the blocks read, the media, the counters and the fires per kind
+   must match.  The scripts overlap enough that accesses queue behind
+   busy ones; with [Seek] latency an access may be shorter than the one
+   in service, so an in-place rule that ignored a busy disk would
+   complete it early. *)
+type disk_op =
+  | Rd of int
+  | Wr of int * char
+  | Wr_shared of int * char
+  | Nap of int  (* sleep this long *)
+
+type disk_script = {
+  fibers : disk_op list array;
+  reads_k : (int * int) list;  (* time, block *)
+  kills : (int * int) list;  (* time, fiber *)
+}
+
+let ms = Vsim.Time.ms
+
+let gen_disk_script st =
+  let int n = Random.State.int st n in
+  let letter () = Char.chr (Char.code 'a' + int 26) in
+  let op () =
+    match int 10 with
+    | 0 | 1 | 2 -> Rd (int 64)
+    | 3 | 4 -> Wr (int 64, letter ())
+    | 5 | 6 -> Wr_shared (int 64, letter ())
+    | _ -> Nap (ms (int 6))
+  in
+  let nfibers = 1 + int 4 in
+  {
+    fibers = Array.init nfibers (fun _ -> List.init (int 10) (fun _ -> op ()));
+    reads_k = List.init (int 4) (fun _ -> (ms (int 30), int 64));
+    kills = List.init (int 2) (fun _ -> (ms (int 30), int nfibers));
+  }
+
+let k_sleep = Vsim.Eventq.Kind.intern "proc.sleep"
+
+(* What [sc] did on a disk of [latency], and the disk completions fired
+   in place. *)
+let exec_disk_script ~in_place latency sc =
+  let eng = Vsim.Engine.create () in
+  let prof = Vsim.Engine.enable_profiling eng in
+  let trace = ref [] in
+  Vsim.Trace.attach eng (fun time ev ->
+      match ev with
+      | Vsim.Event.Disk_io { rw; block; ns; _ } ->
+          trace := Printf.sprintf "%d io %s %d %d" time rw block ns :: !trace
+      | Vsim.Event.Disk_queue { depth; wait_ns; _ } ->
+          trace := Printf.sprintf "%d queue %d %d" time depth wait_ns :: !trace
+      | _ -> ());
+  let d = Vfs.Disk.create eng ~latency ~blocks:64 ~block_size:16 () in
+  let log = ref [] in
+  let note label = log := (Vsim.Engine.now eng, label) :: !log in
+  let read b =
+    if in_place then Vfs.Disk.read d b
+    else Vsim.Proc.suspend (fun resume -> Vfs.Disk.read_k d b resume)
+  in
+  let write ~shared b data =
+    if not in_place then
+      Vsim.Proc.suspend (fun resume -> Vfs.Disk.write_k d b data resume)
+    else if shared then Vfs.Disk.write_shared d b data
+    else Vfs.Disk.write d b data
+  in
+  let sleep ns =
+    if in_place then Vsim.Proc.sleep ns
+    else
+      Vsim.Proc.suspend (fun resume ->
+          ignore (Vsim.Engine.after eng ~kind:k_sleep ns resume))
+  in
+  let procs =
+    Array.mapi
+      (fun i ops ->
+        Vsim.Proc.spawn eng (fun () ->
+            List.iteri
+              (fun j op ->
+                let label = Printf.sprintf "f%d.%d" i j in
+                match op with
+                | Rd b -> note (label ^ " " ^ Bytes.to_string (read b))
+                | Wr (b, c) ->
+                    write ~shared:false b (Bytes.make 16 c);
+                    note label
+                | Wr_shared (b, c) ->
+                    write ~shared:true b (Bytes.make 16 c);
+                    note label
+                | Nap ns ->
+                    sleep ns;
+                    note label)
+              ops))
+      sc.fibers
+  in
+  List.iteri
+    (fun j (time, b) ->
+      ignore
+        (Vsim.Engine.at eng time (fun () ->
+             Vfs.Disk.read_k d b (fun data ->
+                 note (Printf.sprintf "k%d %s" j (Bytes.to_string data))))))
+    sc.reads_k;
+  List.iter
+    (fun (time, i) ->
+      ignore (Vsim.Engine.at eng time (fun () -> Vsim.Proc.kill procs.(i))))
+    sc.kills;
+  Vsim.Engine.run eng;
+  let media = List.init 64 (fun b -> Bytes.to_string (Vfs.Disk.peek d b)) in
+  let counters =
+    Vfs.Disk.
+      [ reads d; writes d; busy_ns d; queue_waits d; queue_wait_ns d;
+        max_queue_depth d; queue_depth d; Vsim.Engine.now eng ]
+  in
+  let fires =
+    List.map
+      (fun (kind, e) -> (kind, e.Vsim.Profile.fires))
+      (Vsim.Profile.entries prof)
+  in
+  let in_place_completions =
+    match List.assoc_opt "disk.complete" (Vsim.Profile.entries prof) with
+    | Some e -> e.Vsim.Profile.in_place
+    | None -> 0
+  in
+  Vsim.Proc.reap eng;
+  (((List.rev !trace, List.rev !log), (media, (counters, fires))),
+   in_place_completions)
+
+let test_in_place_equivalence () =
+  let st = Random.State.make [| 45 |] in
+  let outcome =
+    Alcotest.(
+      pair
+        (pair (list string) (list (pair int string)))
+        (pair (list string) (pair (list int) (list (pair string int)))))
+  in
+  (* A zero-latency access never waits: one submitted while another is
+     in service finishes at the same instant, uncounted. *)
+  let latencies =
+    [ ("fixed 0", Vfs.Disk.Fixed 0, false);
+      ("fixed 4 ms", Vfs.Disk.Fixed (ms 4), true);
+      ( "seek",
+        Vfs.Disk.Seek
+          { base_ns = ms 1; full_seek_ns = ms 10; rotation_ns = ms 8;
+            cylinders = 8 },
+        true ) ]
+  in
+  List.iter
+    (fun (lname, latency, queues) ->
+      let in_place = ref 0 and waits = ref 0 in
+      for i = 1 to 200 do
+        let sc = gen_disk_script st in
+        let fast, n = exec_disk_script ~in_place:true latency sc in
+        let parked, none = exec_disk_script ~in_place:false latency sc in
+        let name = Printf.sprintf "%s, script %d" lname i in
+        Alcotest.check outcome name parked fast;
+        Alcotest.(check int) (name ^ ": a queued access never runs in place")
+          0 none;
+        in_place := !in_place + n;
+        let _, (_, (counters, _)) = fast in
+        waits := !waits + List.nth counters 3
+      done;
+      Alcotest.(check bool) (lname ^ ": some completed in place") true
+        (!in_place > 0);
+      Alcotest.(check bool) (lname ^ ": some waited behind a busy disk")
+        queues (!waits > 0))
+    latencies
+
+(* A block [read_shared] hands out is the disk's own, and blocks are
+   immutable: a later write of that block leaves it as it was. *)
+let test_read_shared_unchanged () =
+  ignore
+    (with_big_disk (fun d ->
+         Vfs.Disk.write d 3 (block 'a');
+         let shared = Vfs.Disk.read_shared d 3 in
+         Vfs.Disk.write d 3 (block 'b');
+         Vfs.Disk.write_shared d 3 (block 'c');
+         Alcotest.(check bytes) "the shared block" (block 'a') shared;
+         check_block d 3 (block 'c')))
+
 let suite =
   [
     Alcotest.test_case "fixed latency" `Quick test_fixed_latency;
@@ -292,4 +477,7 @@ let suite =
     Alcotest.test_case "snapshot restore" `Quick test_snapshot_restore;
     Alcotest.test_case "image sharing" `Quick test_image_sharing;
     Alcotest.test_case "image geometry" `Quick test_image_geometry;
+    Alcotest.test_case "in-place equivalence" `Quick test_in_place_equivalence;
+    Alcotest.test_case "read_shared unchanged by a write" `Quick
+      test_read_shared_unchanged;
   ]

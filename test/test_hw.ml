@@ -208,16 +208,17 @@ let test_scale () =
     (Invalid_argument "Cost_model.scale: mhz must be positive") (fun () ->
       ignore (Vhw.Cost_model.scale Vhw.Cost_model.sun_8mhz ~mhz:0))
 
-(* A CPU wait that runs in place changes host work only.  Random scripts
-   of processes on 1-3 CPUs charge time, log, schedule plain events,
-   sleep, wait to be woken (by a tail resume, or by a plain one that
+(* A CPU wait or a sleep that runs in place changes host work only.
+   Random scripts of processes on 1-3 CPUs charge time, log, schedule
+   plain events, sleep (some for no time), wait to be woken (by a tail resume, or by a plain one that
    the waker runs on after), wake each other from inside a process, park
    with a registration that charges a CPU as its last call, and kill
    themselves, beside plain events (some at equal times, some charging
    a chain of callback-tail charges, some waking a process as their
    last call), under [run ~until] and [run_bounded ~max_events].
-   Each script runs once with [Cpu.charge] and [Cpu.charge_tail] and
-   once with an explicit park and [Cpu.charge_k], which never run in
+   Each script runs once with [Cpu.charge], [Cpu.charge_tail] and
+   [Proc.sleep] and once with an explicit park and [Cpu.charge_k], or a
+   plain park on a queued [proc.sleep] event, which never run in
    place; the logs, run results, clocks and profile fire counts must
    match.  Driven by [Engine.step] instead, no grant may run in
    place. *)
@@ -261,7 +262,7 @@ let gen_script st =
         | 6 -> Sleep (50 * int 4)
         | 7 -> Wait
         | 8 -> Wake (int nprocs)
-        | _ -> Charge (int cpus, 0))
+        | _ -> if int 2 = 0 then Sleep (50 * int 3) else Charge (int cpus, 0))
   in
   {
     cpus;
@@ -277,8 +278,10 @@ let gen_script st =
             if int 2 = 0 then 1 + int 12 else max_int ));
   }
 
+let k_sleep = Vsim.Eventq.Kind.intern "proc.sleep"
+
 (* The log, the run results, the final clock, the fires per kind and the
-   grants run in place of [sc], stepped one event at a time or run. *)
+   waits run in place of [sc], stepped one event at a time or run. *)
 let exec_script ~in_place ~stepping sc =
   let eng = Vsim.Engine.create () in
   let prof = Vsim.Engine.enable_profiling eng in
@@ -305,6 +308,12 @@ let exec_script ~in_place ~stepping sc =
     else Vsim.Proc.suspend (fun resume -> Vhw.Cpu.charge_k cpu ns resume)
   in
   let charge_tail = if in_place then Vhw.Cpu.charge_tail else Vhw.Cpu.charge_k in
+  let sleep d =
+    if in_place then Vsim.Proc.sleep d
+    else
+      Vsim.Proc.suspend (fun resume ->
+          ignore (Vsim.Engine.after eng ~kind:k_sleep d resume))
+  in
   (* Charge each of [chain] in turn, logging after each, then [k]. *)
   let rec charge_chain label chain k =
     match chain with
@@ -328,7 +337,7 @@ let exec_script ~in_place ~stepping sc =
             | After d ->
                 ignore (Vsim.Engine.after eng d (fun () -> note (label ^ "+")))
             | Sleep d ->
-                Vsim.Proc.sleep d;
+                sleep d;
                 note label
             | Wait ->
                 Vsim.Proc.suspend_tail (fun resume ->
@@ -386,14 +395,20 @@ let exec_script ~in_place ~stepping sc =
     List.map (fun (kind, e) -> (kind, e.Vsim.Profile.fires))
       (Vsim.Profile.entries prof)
   in
+  let in_place =
+    List.filter_map
+      (fun (kind, e) ->
+        let n = e.Vsim.Profile.in_place in
+        if n > 0 then Some (kind, n) else None)
+      (Vsim.Profile.entries prof)
+  in
   let clock = Vsim.Engine.now eng in
   Vsim.Proc.reap eng;
-  ( (List.rev !log, results, clock, fires),
-    Vsim.Profile.in_place_total prof )
+  ((List.rev !log, results, clock, fires), in_place)
 
 let test_cpu_in_place_equivalence () =
   let st = Random.State.make [| 35 |] in
-  let in_place_runs = ref 0 in
+  let in_place_runs = ref [] in
   let outcome =
     Alcotest.(
       pair
@@ -401,22 +416,29 @@ let test_cpu_in_place_equivalence () =
         (pair int (list (pair string int))))
   in
   let as_pairs (log, results, clock, fires) = ((log, results), (clock, fires)) in
+  let in_place = Alcotest.(list (pair string int)) in
   for i = 1 to 300 do
     let sc = gen_script st in
     let fast, n = exec_script ~in_place:true ~stepping:false sc in
     let parked, none = exec_script ~in_place:false ~stepping:false sc in
     let name = Printf.sprintf "script %d" i in
     Alcotest.check outcome name (as_pairs parked) (as_pairs fast);
-    Alcotest.(check int) (name ^ ": an explicit park never runs in place") 0
-      none;
-    in_place_runs := !in_place_runs + n;
+    Alcotest.check in_place (name ^ ": an explicit park never runs in place")
+      [] none;
+    in_place_runs := n @ !in_place_runs;
     let stepped, n = exec_script ~in_place:true ~stepping:true sc in
     let stepped_parked, _ = exec_script ~in_place:false ~stepping:true sc in
     Alcotest.check outcome (name ^ " stepped") (as_pairs stepped_parked)
       (as_pairs stepped);
-    Alcotest.(check int) (name ^ ": Engine.step runs nothing in place") 0 n
+    Alcotest.check in_place (name ^ ": Engine.step runs nothing in place") []
+      n
   done;
-  Alcotest.(check bool) "some grants ran in place" true (!in_place_runs > 0)
+  List.iter
+    (fun kind ->
+      Alcotest.(check bool)
+        (kind ^ ": some ran in place") true
+        (List.mem_assoc kind !in_place_runs))
+    [ "cpu.grant"; "proc.sleep" ]
 
 (* A medium hides the tail of a delivery from every receiver but the
    last, so only the last receiver's read-in may run in place.  Random

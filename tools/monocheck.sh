@@ -57,7 +57,8 @@ lib/vfs/.vfs.objs/native/vfs__Disk.o
 lib/vfs/.vfs.objs/native/vfs__Cache.o
 lib/vfs/.vfs.objs/native/vfs__Client.o
 lib/vfs/.vfs.objs/native/vfs__Server.o
-lib/workload/.vworkload.objs/native/vworkload__Boot.o"
+lib/workload/.vworkload.objs/native/vworkload__Boot.o
+lib/check/.vcheck.objs/native/vcheck__Workload.o"
 
 poly='^(caml_(equal|notequal|compare|lessthan|lessequal|greaterthan|greaterequal|hash)|camlStdlib\.(max|min)_[0-9]+|camlStdlib__List\.(assoc|assoc_opt|mem|mem_assoc|remove_assoc)_[0-9]+)$'
 
