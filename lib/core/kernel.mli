@@ -204,34 +204,38 @@ val get_time : t -> Vsim.Time.t
 
 (** {1 Introspection} *)
 
-type stats = {
-  packets_sent : int;
-  packets_received : int;
-  retransmissions : int;
-  timeouts_fired : int;
+type stats = private {
+  mutable packets_sent : int;
+  mutable packets_received : int;
+  mutable retransmissions : int;
+  mutable timeouts_fired : int;
       (** retransmission-timer expiries (Send, MoveTo, MoveFrom, GetPid);
           [>= retransmissions] since the final, exhausting expiry
           retransmits nothing *)
-  duplicates_filtered : int;
-  reply_pendings_sent : int;
-  nonexistent_nacks_sent : int;
+  mutable duplicates_filtered : int;
+  mutable reply_pendings_sent : int;
+  mutable nonexistent_nacks_sent : int;
       (** NACKs sent for packets addressed to nonexistent processes *)
-  gap_naks_sent : int;  (** data-transfer gap NAKs (missing MoveTo/MoveFrom
+  mutable gap_naks_sent : int;  (** data-transfer gap NAKs (missing MoveTo/MoveFrom
       data packets requested for retransmission) *)
-  aliens_created : int;
-  alien_pool_full : int;
-  aliens_reclaimed : int;
+  mutable aliens_created : int;
+  mutable alien_pool_full : int;
+  mutable aliens_reclaimed : int;
       (** replied aliens evicted under pool pressure (only ever past their
           sender's plausible retransmission window) *)
-  hosts_suspected : int;
+  mutable hosts_suspected : int;
       (** failure-detector trips: destinations marked suspect *)
-  sends_local : int;
-  sends_remote : int;
-  moves_local : int;
-  moves_remote : int;
+  mutable sends_local : int;
+  mutable sends_remote : int;
+  mutable moves_local : int;
+  mutable moves_remote : int;
 }
+(** The kernel's counters, one record it bumps in place; callers read
+    copies. *)
 
 val stats : t -> stats
+(** A copy of the counters now. *)
+
 val pp_stats : Format.formatter -> stats -> unit
 
 (** Counts of the kernel's live protocol state, for invariant checks.

@@ -18,8 +18,6 @@ type t = {
   fixed_ns : int;
   seed_ns : int;
   dests : dest Vsim.Itbl.t;
-  mutable timeouts : int;
-  mutable suspects : int;
 }
 
 (* Cost-model seed for a destination we have never measured: the CPU side
@@ -53,13 +51,9 @@ let create eng ~host ~model ~mode ~fixed_ns =
     fixed_ns;
     seed_ns = rtt_seed model;
     dests = Vsim.Itbl.create 16;
-    timeouts = 0;
-    suspects = 0;
   }
 
 let reset t = Vsim.Itbl.reset t.dests
-let timeouts t = t.timeouts
-let suspects t = t.suspects
 
 let state t dst =
   match Vsim.Itbl.find t.dests dst with
@@ -113,7 +107,6 @@ let timeout_ns t ~dst ~bytes =
       else rto + Vsim.Rng.int (Vsim.Engine.rng t.eng) (1 + (rto / 8))
 
 let note_expiry t ~dst ~kind ~seq ~attempt ~rto_ns =
-  t.timeouts <- t.timeouts + 1;
   let d = state t dst in
   d.backoff <- d.backoff + 1;
   if Vsim.Trace.tracing t.eng then
@@ -156,7 +149,6 @@ let note_exhausted t ~dst =
   d.fails <- d.fails + 1;
   if (not d.suspected) && d.fails >= suspect_threshold then begin
     d.suspected <- true;
-    t.suspects <- t.suspects + 1;
     if Vsim.Trace.tracing t.eng then
       Vsim.Trace.event t.eng
         (Vsim.Event.Host_suspected

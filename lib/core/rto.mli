@@ -28,7 +28,7 @@ val create :
     destination suspect. *)
 
 val reset : t -> unit
-(** Forget every destination (host crash).  The counters survive. *)
+(** Forget every destination (host crash). *)
 
 val suspected : t -> dst:int -> bool
 (** Whether [dst] is currently suspect; [false] for an unseen key, which
@@ -45,8 +45,8 @@ val timeout_ns : t -> dst:int -> bytes:int -> int
 
 val note_expiry :
   t -> dst:int -> kind:string -> seq:int -> attempt:int -> rto_ns:int -> unit
-(** A timer armed for [rto_ns] expired: count it, grow [dst]'s backoff
-    and trace a [Backoff] event of [kind]. *)
+(** A timer armed for [rto_ns] expired: grow [dst]'s backoff and trace
+    a [Backoff] event of [kind]. *)
 
 val note_success : t -> dst:int -> sample_ns:int option -> unit
 (** [dst] answered: clear its failure count and suspicion.  A [Some]
@@ -57,9 +57,3 @@ val note_exhausted : t -> dst:int -> bool
 (** An exchange with [dst] spent its retries.  Returns whether [dst] is
     now suspect; it becomes so after [suspect_threshold] consecutive
     exhaustions, tracing [Host_suspected] once. *)
-
-val timeouts : t -> int
-(** Timer expiries so far, both modes. *)
-
-val suspects : t -> int
-(** Destinations marked suspect so far. *)

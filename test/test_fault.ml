@@ -949,6 +949,240 @@ let test_stale_train_straggler_in_later_wait () =
     (count "data-nak");
   Alcotest.(check int) "no NACK" 0 (count "nack")
 
+(* Hand-built packets: [inject] puts one on the wire from [host]'s
+   interface (call it from a process of that host), standing in for a
+   malformed or network-delayed packet; [nack_tap] records the code of
+   every NACK on the wire, newest first, from an unused station
+   address. *)
+let inject tb ~host ~dst pkt =
+  Vnet.Nic.send (TB.nic tb host) ~dst ~ethertype:Vnet.Frame.ethertype_kernel
+    (Vkernel.Packet.to_bytes pkt)
+
+let nack_tap (tb : TB.t) =
+  let codes = ref [] in
+  Vnet.Medium.attach_tap tb.TB.medium ~addr:99 ~rx:(fun frame ->
+      match Vkernel.Packet.of_bytes frame.Vnet.Frame.payload with
+      | Ok { Vkernel.Packet.op = Vkernel.Packet.Nack; aux; _ } ->
+          codes := aux :: !codes
+      | Ok _ | Error _ -> ());
+  codes
+
+(* A process's remote move seqs, in order: what a hand-built fragment
+   of one of its trains carries. *)
+let move_seqs (tb : TB.t) ~host =
+  let seqs = ref [] in
+  Vsim.Trace.attach tb.TB.eng (fun _ ev ->
+      match ev with
+      | Vsim.Event.Move { host = h; seq; remote = true; _ } when h = host ->
+          seqs := !seqs @ [ seq ]
+      | _ -> ());
+  seqs
+
+let data_mt ~mover ~receiver ~seq ~offset ~total ~ptr ?data () =
+  Vkernel.Packet.make ~op:Vkernel.Packet.Data_mt ~src_pid:mover
+    ~dst_pid:receiver ~seq ~offset ~total ~aux:ptr ?data ()
+
+let test_nack_without_refusal_dropped () =
+  (* A NACK carries a refusal.  One whose code is none, Ok's 0 or an
+     unknown 99, is dropped as undecodable: the blocked sender neither
+     fails nor forgets the GetPid binding that named its server, and
+     completes on the real reply. *)
+  let tb = Util.testbed ~hosts:2 () in
+  let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 in
+  let sent = ref [] and drops = ref [] and lookups = ref 0 in
+  Vsim.Trace.attach tb.TB.eng (fun _ ev ->
+      match ev with
+      | Vsim.Event.Send { host = 1; seq; _ } -> sent := seq :: !sent
+      | Vsim.Event.Packet_drop { host = 1; reason; _ } ->
+          drops := reason :: !drops
+      | Vsim.Event.Packet_tx { host = 1; op = "getpid-req"; _ } ->
+          incr lookups
+      | _ -> ());
+  let (_ : Vkernel.Pid.t) =
+    K.spawn k2 ~name:"server" (fun pid ->
+        K.set_pid k2 ~logical_id:7 pid K.Remote;
+        let msg = Msg.create () in
+        let client = K.receive k2 msg in
+        List.iter
+          (fun aux ->
+            inject tb ~host:2 ~dst:1
+              (Vkernel.Packet.make ~op:Vkernel.Packet.Nack ~src_pid:pid
+                 ~dst_pid:client ~seq:(List.hd !sent) ~aux ()))
+          [ 0; 99 ];
+        Vsim.Proc.sleep (Vsim.Time.ms 5);
+        Msg.set_u8 msg 4 42;
+        Alcotest.check Util.status "reply" K.Ok (K.reply k2 msg client))
+  in
+  Util.run_as_process tb ~host:1 (fun _ ->
+      let server = Option.get (K.get_pid k1 ~logical_id:7 K.Remote) in
+      let msg = Msg.create () in
+      Alcotest.check Util.status "send completes" K.Ok (K.send k1 msg server);
+      Alcotest.(check int) "the server's reply" 42 (Msg.get_u8 msg 4);
+      Alcotest.(check bool) "the binding stands" true
+        (K.get_pid k1 ~logical_id:7 K.Remote = Some server));
+  Alcotest.(check int) "one GetPid broadcast" 1 !lookups;
+  Alcotest.(check (list string)) "both NACKs dropped undecoded"
+    [ "decode: nack code 0"; "decode: nack code 99" ]
+    (List.rev !drops)
+
+(* A client on host 1 grants a mover on host 2 write access to a zeroed
+   4 KB buffer; the mover moves the pattern's first [count] bytes into
+   it and runs [after], which ends the client's wait with [reply ()].
+   [after]'s [send] puts a hand-built packet on the wire from the mover's
+   host; [client_after] runs once the client's Send has returned. *)
+let moveto_rig ~count ~after ~client_after =
+  let tb = Util.testbed ~hosts:2 () in
+  let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 in
+  let codes = nack_tap tb and seqs = move_seqs tb ~host:2 in
+  let mover =
+    K.spawn k2 ~name:"mover" (fun pid ->
+        let mem = K.memory k2 pid in
+        Util.fill_pattern mem ~pos:0 ~len:4096;
+        let msg = Msg.create () in
+        let client = K.receive k2 msg in
+        Alcotest.check Util.status "move_to" K.Ok
+          (K.move_to k2 ~dst_pid:client ~dst:0 ~src:0 ~count);
+        after ~send:(inject tb ~host:2 ~dst:1) ~mover:pid ~mem ~client
+          ~seq:(List.hd !seqs) ~reply:(fun () ->
+            ignore (K.reply k2 msg client)))
+  in
+  Util.run_as_process tb ~host:1 (fun pid ->
+      let msg = Msg.create () in
+      Msg.set_segment msg Msg.Read_write ~ptr:0 ~len:4096;
+      Msg.set_no_piggyback msg;
+      Alcotest.check Util.status "grant send" K.Ok (K.send k1 msg mover);
+      client_after (K.memory k1 pid));
+  codes
+
+let test_moveto_shape_mismatch_refused () =
+  (* A fragment of the train the receiver holds, but naming another
+     place (aux) and size (total) than that train, is refused
+     No_permission, and none of its bytes land. *)
+  let codes =
+    moveto_rig ~count:2048
+      ~after:(fun ~send ~mover ~mem ~client ~seq ~reply ->
+        send
+          (data_mt ~mover ~receiver:client ~seq ~offset:0 ~total:1024
+             ~ptr:2048 ~data:(mem, 0, 1024) ());
+        Vsim.Proc.sleep (Vsim.Time.ms 5);
+        reply ())
+      ~client_after:(fun mem ->
+        Util.check_pattern mem ~pos:0 ~len:2048 ~name:"the moved train";
+        Alcotest.(check bool) "no bytes of the refused fragment" true
+          (Vkernel.Mem.equal mem ~pos:2048 (Bytes.make 2048 '\000')))
+  in
+  Alcotest.(check (list int)) "refused No_permission"
+    [ K.status_to_code K.No_permission ]
+    !codes
+
+let test_moveto_after_wait_refused () =
+  (* A late fragment and a late probe of a finished train, arriving after
+     the mover's Reply ended the receiver's wait, are each refused
+     No_permission, and no bytes land in the receiver's space. *)
+  let codes =
+    moveto_rig ~count:2048
+      ~after:(fun ~send ~mover ~mem ~client ~seq ~reply ->
+        reply ();
+        Vsim.Proc.sleep (Vsim.Time.ms 5);
+        send
+          (data_mt ~mover ~receiver:client ~seq ~offset:0 ~total:2048 ~ptr:0
+             ~data:(mem, 0, 1024) ());
+        send
+          (data_mt ~mover ~receiver:client ~seq ~offset:2048 ~total:2048
+             ~ptr:0 ()))
+      ~client_after:(fun mem ->
+        Vkernel.Mem.fill mem ~pos:0 ~len:4096 '\000';
+        Vsim.Proc.sleep (Vsim.Time.ms 20);
+        Alcotest.(check bool) "nothing lands after the wait" true
+          (Vkernel.Mem.equal mem ~pos:0 (Bytes.make 4096 '\000')))
+  in
+  let no_permission = K.status_to_code K.No_permission in
+  Alcotest.(check (list int)) "both refused No_permission"
+    [ no_permission; no_permission ] !codes
+
+let test_moveto_to_non_awaiting_refused () =
+  (* A process blocked in a Send to one process refuses the MoveTo of
+     another, whatever its grant covers: the mover's move fails with
+     No_permission and no bytes land. *)
+  let tb = Util.testbed ~hosts:2 () in
+  let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 in
+  let codes = nack_tap tb in
+  let client = ref Vkernel.Pid.nil in
+  let server =
+    K.spawn k2 ~name:"server" (fun _ ->
+        let msg = Msg.create () in
+        let src = K.receive k2 msg in
+        Vsim.Proc.sleep (Vsim.Time.ms 10);
+        ignore (K.reply k2 msg src))
+  in
+  let (_ : Vkernel.Pid.t) =
+    K.spawn k2 ~name:"intruder" (fun pid ->
+        Util.fill_pattern (K.memory k2 pid) ~pos:0 ~len:1024;
+        Vsim.Proc.sleep (Vsim.Time.ms 2);
+        Alcotest.check Util.status "move_to refused" K.No_permission
+          (K.move_to k2 ~dst_pid:!client ~dst:0 ~src:0 ~count:1024))
+  in
+  Util.run_as_process tb ~host:1 (fun pid ->
+      client := pid;
+      let msg = Msg.create () in
+      Msg.set_segment msg Msg.Read_write ~ptr:0 ~len:4096;
+      Msg.set_no_piggyback msg;
+      Alcotest.check Util.status "send" K.Ok (K.send k1 msg server);
+      Alcotest.(check bool) "no bytes of the refused train" true
+        (Vkernel.Mem.equal (K.memory k1 pid) ~pos:0 (Bytes.make 4096 '\000')));
+  Alcotest.(check (list int)) "refused No_permission"
+    [ K.status_to_code K.No_permission ]
+    !codes
+
+let test_known_limit_fragment_across_hosts () =
+  (* Known limit (ROADMAP, page trains second version, "Name the wait"):
+     a receiver names the last MoveTo train it took in by its mover's
+     host and seq, so a stale fragment is known only against the last
+     train.  Here mover A (host 2) moves one fragment into the receiver;
+     mover B (host 3) then moves its own train in; and in the receiver's
+     next wait on A, a copy of A's first fragment arrives, standing in
+     for one the network delayed across B's whole train.  Against B's
+     train it reads as new, so today it is placed in a wait it never
+     served.  Once each fragment names the wait it serves, it is dropped
+     and this test's last assertion flips. *)
+  let tb = Util.testbed ~hosts:3 () in
+  let k1 = TB.kernel tb 1 in
+  let a_seqs = move_seqs tb ~host:2 in
+  let mover ~host ~late =
+    let k = TB.kernel tb host in
+    K.spawn k ~name:"mover" (fun pid ->
+        let mem = K.memory k pid in
+        Util.fill_pattern mem ~pos:0 ~len:1024;
+        let msg = Msg.create () in
+        let client = K.receive k msg in
+        Alcotest.check Util.status "move_to" K.Ok
+          (K.move_to k ~dst_pid:client ~dst:0 ~src:0 ~count:1024);
+        ignore (K.reply k msg client);
+        if late then begin
+          let client = K.receive k msg in
+          inject tb ~host ~dst:1
+            (data_mt ~mover:pid ~receiver:client ~seq:(List.hd !a_seqs)
+               ~offset:0 ~total:1024 ~ptr:0 ~data:(mem, 0, 1024) ());
+          Vsim.Proc.sleep (Vsim.Time.ms 5);
+          ignore (K.reply k msg client)
+        end)
+  in
+  let a = mover ~host:2 ~late:true and b = mover ~host:3 ~late:false in
+  Util.run_as_process tb ~host:1 (fun pid ->
+      let mem = K.memory k1 pid in
+      let send name peer =
+        let msg = Msg.create () in
+        Msg.set_segment msg Msg.Read_write ~ptr:0 ~len:1024;
+        Msg.set_no_piggyback msg;
+        Alcotest.check Util.status name K.Ok (K.send k1 msg peer);
+        Util.check_pattern mem ~pos:0 ~len:1024 ~name;
+        Vkernel.Mem.fill mem ~pos:0 ~len:1024 '\000'
+      in
+      send "A's train" a;
+      send "B's train" b;
+      (* Today: the stale fragment lands. *)
+      send "the delayed fragment is placed" a)
+
 let test_reply_just_before_timeout () =
   (* A reply that lands a hair before the client's retransmission timer:
      the stale timer must be a no-op — no spurious retransmission, no
@@ -1037,6 +1271,17 @@ let suite =
       test_stale_train_straggler_filtered;
     Alcotest.test_case "stale train straggler in a later wait" `Quick
       test_stale_train_straggler_in_later_wait;
+    Alcotest.test_case "NACK without a refusal dropped" `Quick
+      test_nack_without_refusal_dropped;
+    Alcotest.test_case "move_to fragment of another shape refused" `Quick
+      test_moveto_shape_mismatch_refused;
+    Alcotest.test_case "move_to fragment after the wait refused" `Quick
+      test_moveto_after_wait_refused;
+    Alcotest.test_case "move_to to a process awaiting another refused" `Quick
+      test_moveto_to_non_awaiting_refused;
+    Alcotest.test_case
+      "known limit: a fragment delayed across another host's train is placed"
+      `Quick test_known_limit_fragment_across_hosts;
     Alcotest.test_case "alien reclaim safety" `Quick test_alien_reclaim_safety;
     Alcotest.test_case "reply just before timeout" `Quick
       test_reply_just_before_timeout;
