@@ -85,68 +85,72 @@ let accept t dd al =
       q_local = false };
   try_deliver t ~tail:true dd
 
+(* A retransmission of an exchange already answered gets the cached
+   reply whether or not its replier still exists: the request ran, and
+   only the reply was lost.  Any other Send needs a live destination. *)
 let handle_send_pkt t (pkt : Packet.t) =
   let src = pkt.Packet.src_pid and dst = pkt.Packet.dst_pid in
   let reply_host = Pid.host src in
-  match find_proc t dst with
-  | None -> refuse t pkt Nonexistent
-  | Some dd -> (
-      match Itbl.find_opt t.aliens (Pid.to_int src) with
-      | Some al when al.al_seq = pkt.Packet.seq -> (
-          (* Retransmission of a message we already hold. *)
-          t.st.duplicates_filtered <- t.st.duplicates_filtered + 1;
-          match al.al_state with
-          | A_replied r ->
-              (* Re-serving the cached reply proves the sender is still
-                 retransmitting: restart its reclaim grace period. *)
-              r.at <- Vsim.Engine.now t.eng;
-              send_pkt t ~dst_host:reply_host r.reply
-          | A_forwarded to_pid ->
-              (* The exchange moved on: remind the sender where, so its
-                 retransmissions reach the kernel that can answer. *)
-              send_fwd_notice t ~by:dst ~sender:src ~seq:pkt.Packet.seq ~to_pid
-          | A_queued | A_received ->
-              send_reply_pending t ~dst_host:reply_host ~src_pid:dst
-                ~dst_pid:src ~seq:pkt.Packet.seq)
-      | Some al when pkt.Packet.seq < al.al_seq ->
-          (* A stale straggler (delayed or reordered in the network) from
-             an exchange this sender has already completed: sequence
-             numbers from one sender only grow, so the alien's newer seq
-             proves the sender moved on.  Filter it — delivering it as a
-             fresh message would apply a non-idempotent operation twice. *)
-          t.st.duplicates_filtered <- t.st.duplicates_filtered + 1
-      | Some al ->
-          (* A new message from this sender supersedes its older one: the
-             sender's alien takes it in place, so entries queued for the
-             old seq go stale and the pool keeps its count. *)
-          al.al_dst <- dst;
-          al.al_seq <- pkt.Packet.seq;
-          al.al_state <- A_queued;
-          al.al_msg <- Packet.msg pkt;
-          al.al_pkt <- pkt;
-          accept t dd al
-      | None ->
-          if Itbl.length t.aliens >= t.cfg.max_aliens && not (reclaim_one t)
-          then begin
-            (* No descriptors available: discard, tell sender to wait. *)
-            t.st.alien_pool_full <- t.st.alien_pool_full + 1;
-            send_reply_pending t ~dst_host:reply_host ~src_pid:dst
-              ~dst_pid:src ~seq:pkt.Packet.seq
-          end
-          else begin
-            let al =
-              {
-                al_src = src;
-                al_dst = dst;
-                al_seq = pkt.Packet.seq;
-                al_state = A_queued;
-                al_msg = Packet.msg pkt;
-                al_pkt = pkt;
-              }
-            in
-            Itbl.replace t.aliens (Pid.to_int src) al;
-            accept t dd al
-          end)
+  match Itbl.find_opt t.aliens (Pid.to_int src), find_proc t dst with
+  | Some { al_seq; al_state = A_replied r; _ }, _ when al_seq = pkt.Packet.seq
+    ->
+      t.st.duplicates_filtered <- t.st.duplicates_filtered + 1;
+      (* Re-serving the cached reply proves the sender is still
+         retransmitting: restart its reclaim grace period. *)
+      r.at <- Vsim.Engine.now t.eng;
+      send_pkt t ~dst_host:reply_host r.reply
+  | _, None -> refuse t pkt Nonexistent
+  | Some al, Some _ when al.al_seq = pkt.Packet.seq -> (
+      (* Retransmission of a message we already hold. *)
+      t.st.duplicates_filtered <- t.st.duplicates_filtered + 1;
+      match al.al_state with
+      | A_forwarded to_pid ->
+          (* The exchange moved on: remind the sender where, so its
+             retransmissions reach the kernel that can answer. *)
+          send_fwd_notice t ~by:dst ~sender:src ~seq:pkt.Packet.seq ~to_pid
+      | A_queued | A_received ->
+          send_reply_pending t ~dst_host:reply_host ~src_pid:dst
+            ~dst_pid:src ~seq:pkt.Packet.seq
+      | A_replied _ -> (* served above *) ())
+  | Some al, Some _ when pkt.Packet.seq < al.al_seq ->
+      (* A stale straggler (delayed or reordered in the network) from
+         an exchange this sender has already completed: sequence
+         numbers from one sender only grow, so the alien's newer seq
+         proves the sender moved on.  Filter it — delivering it as a
+         fresh message would apply a non-idempotent operation twice. *)
+      t.st.duplicates_filtered <- t.st.duplicates_filtered + 1
+  | Some al, Some dd ->
+      (* A new message from this sender supersedes its older one: the
+         sender's alien takes it in place, so entries queued for the
+         old seq go stale and the pool keeps its count. *)
+      al.al_dst <- dst;
+      al.al_seq <- pkt.Packet.seq;
+      al.al_state <- A_queued;
+      al.al_msg <- Packet.msg pkt;
+      al.al_pkt <- pkt;
+      accept t dd al
+  | None, Some dd ->
+      if Itbl.length t.aliens >= t.cfg.max_aliens && not (reclaim_one t)
+      then begin
+        (* No descriptors available: discard, tell sender to wait. *)
+        t.st.alien_pool_full <- t.st.alien_pool_full + 1;
+        send_reply_pending t ~dst_host:reply_host ~src_pid:dst
+          ~dst_pid:src ~seq:pkt.Packet.seq
+      end
+      else begin
+        let al =
+          {
+            al_src = src;
+            al_dst = dst;
+            al_seq = pkt.Packet.seq;
+            al_state = A_queued;
+            al_msg = Packet.msg pkt;
+            al_pkt = pkt;
+          }
+        in
+        Itbl.replace t.aliens (Pid.to_int src) al;
+        accept t dd al
+      end
 
 (* ------------------------------------------------------------------ *)
 (* Reply and Forward to an alien                                       *)

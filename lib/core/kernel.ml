@@ -199,8 +199,8 @@ let make_kernel eng ~cpu ~nic ~host ~config ~addressing =
       cfg = config;
       addressing;
       host_map = Itbl.create 16;
-      procs = Itbl.create 16;
-      fibers = Itbl.create 16;
+      procs = Array.make 8 None;
+      last_slot = 0;
       aliens = Itbl.create 16;
       registry = Itbl.create 16;
       getpid_cache = Itbl.create 16;
@@ -208,11 +208,9 @@ let make_kernel eng ~cpu ~nic ~host ~config ~addressing =
       rto =
         Rto.create eng ~host ~model:(Vhw.Cpu.model cpu) ~mode:config.rto_mode
           ~fixed_ns:config.retransmit_timeout_ns;
-      kfibers = Itbl.create 16;
       down = false;
       reply_sent = ignore;
       restart_hooks = [];
-      next_local_id = 0;
       next_seq = 0;
       st =
         {
@@ -252,15 +250,34 @@ let create_mapped eng ~cpu ~nic ~host ?(config = default_config) () =
 (* ------------------------------------------------------------------ *)
 (* Processes                                                           *)
 
+(* The first free slot after the one handed out last, round the table:
+   a never-used slot while any remain, since they are handed out in
+   order, and then each freed slot in turn, so a slot's generation
+   wraps only after every other free slot has been handed out as
+   often.  Slot 0 is never handed out. *)
+let claim_slot t =
+  let rec probe slot left =
+    if left = 0 then failwith "Kernel.spawn: out of process slots"
+    else
+      let slot = if slot = Pid.slots then 1 else slot in
+      match in_slot t slot with
+      | None -> (slot, Pid.make ~host:t.khost ~local:slot)
+      | Some { d_state = Dead; d_pid; _ } -> (slot, Pid.next_generation d_pid)
+      | Some _ -> probe (slot + 1) (left - 1)
+  in
+  probe (t.last_slot + 1) (Pid.slots - 1)
+
 let spawn t ?(name = "process") ?mem_size body =
   if t.down then invalid_arg "Kernel.spawn: host is down";
-  t.next_local_id <- t.next_local_id + 1;
-  if t.next_local_id > 0xFFFF then failwith "Kernel.spawn: out of local ids";
-  let pid = Pid.make ~host:t.khost ~local:t.next_local_id in
+  let slot, pid = claim_slot t in
   let mem_size = Option.value mem_size ~default:default_mem_size in
+  let p =
+    Vsim.Proc.spawn t.eng ~name ~owner:(Pid.to_int pid) (fun () -> body pid)
+  in
   let d =
     {
       d_pid = pid;
+      d_fiber = p;
       d_name = name;
       d_mem = Mem.create ~size:mem_size;
       d_queue = Queue.create ();
@@ -269,19 +286,19 @@ let spawn t ?(name = "process") ?mem_size body =
       d_mt_last = -1;
     }
   in
-  Itbl.replace t.procs (Pid.local pid) d;
-  let p =
-    Vsim.Proc.spawn t.eng ~name (fun () ->
-        let self = Vsim.Engine.current t.eng in
-        Itbl.replace t.fibers self d;
-        Fun.protect
-          ~finally:(fun () ->
-            Itbl.remove t.fibers self;
-            Itbl.remove t.kfibers self)
-          (fun () -> body pid))
-  in
-  Itbl.replace t.kfibers (Vsim.Proc.id p) p;
+  let n = Array.length t.procs in
+  if slot >= n then begin
+    let procs = Array.make (2 * n) None in
+    Array.blit t.procs 0 procs 0 n;
+    t.procs <- procs
+  end;
+  t.procs.(slot) <- Some d;
+  t.last_slot <- slot;
   pid
+
+(* [f] on each slot's descriptor, dead or alive, in slot order. *)
+let iter_procs t f =
+  Array.iter (function Some d -> f d | None -> ()) t.procs
 
 let destroy t pid =
   match find_proc t pid with
@@ -292,14 +309,11 @@ let destroy t pid =
          the failure detector's view of live peers. *)
       Exchange.stop_exchange t d;
       d.d_state <- Dead;
-      Itbl.remove t.procs (Pid.local pid);
       (* Fail everyone who was talking to it. *)
       Queue.iter
         (fun entry ->
           if entry.q_local then (
-            match
-              Itbl.find_opt t.procs (Pid.local entry.q_src)
-            with
+            match find_proc t entry.q_src with
             | Some sender when awaiting_reply sender.d_state pid ->
                 Exchange.wake_sender t ~tail:false ~ns:0 sender Nonexistent
             | Some _ | None -> ())
@@ -314,18 +328,15 @@ let destroy t pid =
         d.d_queue;
       Queue.clear d.d_queue;
       (* Fail ReceiveSpecific waiters blocked on the destroyed process.
-         They resume in [procs]'s walk order, which follows its bucket
-         count (16 buckets at creation, see [Itbl]).  The order shows
-         only with two waiters on one process; no rig, workload or
-         checker scenario waits in ReceiveSpecific. *)
-      Itbl.iter
-        (fun _ (w : desc) ->
+         They resume in slot order.  The order shows only with two
+         waiters on one process; no rig, workload or checker scenario
+         waits in ReceiveSpecific. *)
+      iter_procs t (fun w ->
           match w.d_state with
           | Receiving { from = Some from; k; _ } when Pid.equal from pid ->
               w.d_state <- Ready;
               charge_k t 0 (fun () -> k (Pid.nil, 0))
           | Receiving _ | Ready | Awaiting_reply _ | Moving _ | Dead -> ())
-        t.procs
 
 let memory t pid =
   match find_proc t pid with
@@ -345,28 +356,24 @@ let process_name t pid =
    abandoned, wake-ups already registered elsewhere become no-ops), every
    protocol timer is cancelled, and all volatile kernel state vanishes.
    Nothing is transmitted — a dying host sends no NACKs, unlike [destroy].
-   The local-id and sequence counters deliberately survive: pids of
-   pre-crash incarnations stay dead forever, so a stale client addressing
-   an old pid after restart gets a Nonexistent NACK instead of reaching an
-   unrelated new process. *)
+   The slot table and the sequence counter deliberately survive: every
+   process is dead but keeps its slot, and the next spawns take the
+   slots after the last one handed out, so a pid of a pre-crash
+   incarnation stays dead until its slot's generation wraps, and a
+   stale client addressing it after restart gets a Nonexistent NACK
+   instead of reaching an unrelated new process. *)
 let crash t =
   if not t.down then begin
     t.down <- true;
-    (* Killing a fiber wakes its joiners, in [kfibers]'s walk order,
-       which follows its bucket count (16 at creation, see [Itbl]); no
-       code joins a kernel's fiber, so the order reaches no output.  The
-       walks below only cancel timers, which leaves no trace of their
+    (* Killing a fiber wakes its joiners, in slot order; no code joins
+       a kernel's fiber, so the order reaches no output.  The walks
+       otherwise only cancel timers, which leaves no trace of their
        order. *)
-    Itbl.iter (fun _ p -> Vsim.Proc.kill p) t.kfibers;
-    Itbl.reset t.kfibers;
-    Itbl.iter
-      (fun _ d ->
+    iter_procs t (fun d ->
+        Vsim.Proc.kill d.d_fiber;
         Exchange.stop_exchange t d;
-        d.d_state <- Dead)
-      t.procs;
+        d.d_state <- Dead);
     Itbl.iter (fun _ gw -> Exchange.stop t gw.gw_retx) t.getpid_waits;
-    Itbl.reset t.procs;
-    Itbl.reset t.fibers;
     Itbl.reset t.aliens;
     Itbl.reset t.registry;
     Itbl.reset t.getpid_cache;
@@ -670,8 +677,7 @@ let table_counts t =
   let mt_ins_incomplete = ref 0 and mt_ins_total = ref 0 in
   let mt_outs_pending = ref 0 and mf_outs_pending = ref 0 in
   let sends_blocked = ref 0 in
-  Itbl.iter
-    (fun _ d ->
+  iter_procs t (fun d ->
       match d.d_state with
       | Awaiting_reply { grant; rsend; _ } -> (
           (match rsend with Some _ -> incr sends_blocked | None -> ());
@@ -682,8 +688,7 @@ let table_counts t =
           | Some { g_in = None; _ } | None -> ())
       | Moving { mo_train = Out _; _ } -> incr mt_outs_pending
       | Moving { mo_train = In _; _ } -> incr mf_outs_pending
-      | Ready | Receiving _ | Dead -> ())
-    t.procs;
+      | Ready | Receiving _ | Dead -> ());
   {
     aliens_live = !aliens_live;
     aliens_replied = !aliens_replied;

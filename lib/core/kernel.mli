@@ -101,12 +101,20 @@ val config : t -> config
 val spawn : t -> ?name:string -> ?mem_size:int -> (Pid.t -> unit) -> Pid.t
 (** Create a process; its body starts as a fiber at the current instant.
     Its address space has [mem_size] bytes, by default the constant
-    [default_mem_size] (256 KB). *)
+    [default_mem_size] (256 KB).  Its pid takes a free slot of the
+    kernel's 255 ({!Pid}): never-used slots first, in order, then each
+    dead process's slot in turn, one generation on.
+    @raise Failure when 255 processes live on the kernel. *)
 
 val destroy : t -> Pid.t -> unit
 (** Destroy a process: queued and blocked senders are failed with
     [Nonexistent].  Its own remote Send, MoveTo or MoveFrom is abandoned:
-    no further retransmission, and the process is never resumed. *)
+    no further retransmission, and the process is never resumed.
+
+    A process lives until it is destroyed or its host crashes: a body
+    that returns leaves its process alive, so {!alive} stays true and a
+    Send to it waits until [destroy] fails it.  Only a dead process's
+    slot may be handed out again. *)
 
 val memory : t -> Pid.t -> Mem.t
 (** The process's address space (test and stub-library access). *)
@@ -124,12 +132,14 @@ val crash : t -> unit
     timer is cancelled, and all volatile kernel state (processes, aliens,
     move streams, name registry, GetPid cache, RTO estimators) vanishes.
     Nothing is transmitted — a dying host sends no NACKs.  The host stops
-    hearing and sending frames until {!restart}.  Idempotent. *)
+    hearing and sending frames until {!restart}.  Idempotent.  Each dead
+    process keeps its slot, so a pre-crash pid stays dead until its
+    slot's generation wraps, after 256 more hand-outs of that slot. *)
 
 val restart : t -> unit
-(** Bring a crashed host back up: the kernel starts empty (fresh pid
-    incarnations, nothing registered) and each hook registered with
-    {!on_restart} runs, in registration order.  No-op if not down. *)
+(** Bring a crashed host back up: the kernel starts empty (new pids,
+    nothing registered) and each hook registered with {!on_restart}
+    runs, in registration order.  No-op if not down. *)
 
 val is_down : t -> bool
 

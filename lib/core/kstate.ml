@@ -38,20 +38,30 @@ let next_seq t =
   t.next_seq <- t.next_seq + 1;
   t.next_seq
 
-let find_proc t pid =
-  if Pid.host pid <> t.khost then None
-  else
-    match Itbl.find_opt t.procs (Pid.local pid) with
-    | Some { d_state = Dead; _ } | None -> None
-    | Some _ as found -> found
+let[@inline] in_slot t slot =
+  if slot < Array.length t.procs then Array.unsafe_get t.procs slot else None
 
-(* The engine names the fiber it is running (0 in a plain event
-   callback, which no table holds); a fiber of another kernel is not in
-   this one's table either. *)
+(* The slot's descriptor is the pid's only while the whole pid matches:
+   a pid of another host, or of an earlier generation of the slot, is
+   not. *)
+let find_proc t pid =
+  match in_slot t (Pid.slot pid) with
+  | Some d as found when Pid.equal d.d_pid pid -> (
+      match d.d_state with
+      | Dead -> None
+      | Ready | Receiving _ | Awaiting_reply _ | Moving _ -> found)
+  | Some _ | None -> None
+
+(* The running fiber's owner is its process's pid (0 in a plain event
+   callback, or a fiber the kernel did not spawn: slot 0 holds none); a
+   fiber of another kernel names another host.  A destroyed process
+   that runs on still finds itself, until its slot is handed out
+   again. *)
 let current t =
-  match Itbl.find t.fibers (Vsim.Engine.current t.eng) with
-  | d -> d
-  | exception Not_found ->
+  let owner = Vsim.Proc.current_owner t.eng in
+  match in_slot t (owner land (Pid.slots - 1)) with
+  | Some d when Pid.to_int d.d_pid = owner -> d
+  | Some _ | None ->
       Fmt.failwith "V kernel operation outside a process of host %d" t.khost
 
 (* ------------------------------------------------------------------ *)

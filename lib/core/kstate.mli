@@ -37,8 +37,13 @@ val charge_async : t -> int -> unit
 val next_seq : t -> int
 (** A fresh sequence number, unique on this host across crashes. *)
 
+val in_slot : t -> int -> desc option
+(** The descriptor of the slot's latest process, dead or alive; [None]
+    for a slot never handed out. *)
+
 val find_proc : t -> Pid.t -> desc option
-(** A live local process. *)
+(** A live local process: the one in the pid's slot, if it is that
+    pid's. *)
 
 val current : t -> desc
 (** The calling process; fails outside a process of this kernel. *)

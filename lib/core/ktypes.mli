@@ -107,6 +107,7 @@ and rsend = { rs_desc : desc; mutable rs_pkt : Packet.t; rs_retx : retx }
 
 and desc = {
   d_pid : Pid.t;
+  d_fiber : Vsim.Proc.t;  (** the fiber that runs the process's body *)
   mutable d_name : string;
   d_mem : Mem.t;
   d_queue : queued Queue.t;
@@ -208,21 +209,21 @@ type t = {
   cfg : config;
   addressing : addressing;
   host_map : Vnet.Addr.t Vsim.Itbl.t;  (** Mapped mode only *)
-  procs : desc Vsim.Itbl.t;  (** local id -> descriptor *)
-  fibers : desc Vsim.Itbl.t;  (** fiber id -> descriptor *)
+  mutable procs : desc option array;
+      (** slot ({!Pid.slot}) -> the descriptor of the slot's latest
+          process, dead or alive; [None] for a slot never handed out.
+          Grows by doubling up to {!Pid.slots}. *)
+  mutable last_slot : int;  (** the slot handed out last, 0 for none *)
   aliens : alien Vsim.Itbl.t;  (** keyed by [Pid.to_int] of the sender *)
   registry : registry_entry Vsim.Itbl.t;
   getpid_cache : Pid.t Vsim.Itbl.t;
   getpid_waits : getpid_wait Vsim.Itbl.t;
   rto : Rto.t;  (** per-destination timeouts and failure detector *)
-  kfibers : Vsim.Proc.t Vsim.Itbl.t;
-      (** fiber id -> fiber, so a crash can kill every process *)
   mutable down : bool;  (** crashed and not yet restarted *)
   mutable reply_sent : unit -> unit;
       (** books a remote Reply's server bookkeeping once it is on the
           wire; built once per kernel *)
   mutable restart_hooks : (unit -> unit) list;
-  mutable next_local_id : int;
   mutable next_seq : int;
   st : stats;
 }

@@ -6,8 +6,8 @@ let page_size = 1 lsl page_bits
    zeros and is safe to share between spaces and domains. *)
 let zero_page = Bytes.make page_size '\000'
 
-(* [pages] is empty until the first store: a space holds no page table
-   before then.  [size] is positive, so a made table is never empty. *)
+(* [pages] reaches the highest page stored so far, and is empty until
+   the first store; a page past its end reads as [zero_page]. *)
 type t = { size : int; mutable pages : Bytes.t array }
 
 let create ~size =
@@ -27,13 +27,23 @@ let check t ~pos ~len what =
 let check_buf b off len =
   if off < 0 || off > Bytes.length b - len then invalid_arg "Bytes.blit"
 
-let page t i = if Array.length t.pages = 0 then zero_page else t.pages.(i)
+let page t i =
+  if i < Array.length t.pages then Array.unsafe_get t.pages i else zero_page
 
-(* Page [i], given its own buffer if it still shares [zero_page], and
-   the space its table if it has none yet. *)
+(* Page [i], given its own buffer if it still shares [zero_page]; a
+   table that stops short of it first doubles until it reaches it, or
+   the space's last page. *)
 let own t i =
-  if Array.length t.pages = 0 then
-    t.pages <- Array.make ((t.size + page_size - 1) lsr page_bits) zero_page;
+  let n = Array.length t.pages in
+  if i >= n then begin
+    let rec reach len = if len > i then len else reach (2 * len) in
+    let len =
+      Int.min (reach (Int.max n 1)) ((t.size + page_size - 1) lsr page_bits)
+    in
+    let pages = Array.make len zero_page in
+    Array.blit t.pages 0 pages 0 n;
+    t.pages <- pages
+  end;
   let p = t.pages.(i) in
   if p != zero_page then p
   else begin

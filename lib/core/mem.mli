@@ -10,18 +10,19 @@
     shared, all-zero page; a page gets its own buffer the first time a
     write, blit, fill or transfer stores into it (zeros filled or
     transferred onto a page that is still shared store nothing).  A
-    space holds no page table at all until its first store, so a space
-    never written costs only its size, and a written one O(touched
-    pages): untouched pages read as zeros.  The shared zero page is
-    never written.  It is immutable, so spaces built on different
-    {!Vsim.Pool} domains may share it.
+    space's page table reaches only as far as the highest page stored
+    so far, doubling as stores reach further, and a space never written
+    holds none, so it costs only its size, and a written one O(its
+    highest stored page): untouched pages read as zeros.  The shared
+    zero page is never written.  It is immutable, so spaces built on
+    different {!Vsim.Pool} domains may share it.
 
     A page is 1 KB (129 words) because that is the largest power of two
     that OCaml's minor heap takes (objects over 256 words go straight
-    to the major heap), and a default 256 KB space's 256-entry table is
-    still a minor block.  So the spaces a short run builds and drops,
-    such as a checker schedule's, are allocated and collected in the
-    minor heap, not left for the major collector. *)
+    to the major heap), and even a default 256 KB space's full
+    256-entry table is still a minor block.  So the spaces a short run
+    builds and drops, such as a checker schedule's, are allocated and
+    collected in the minor heap, not left for the major collector. *)
 
 type t
 

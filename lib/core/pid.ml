@@ -11,6 +11,12 @@ let make ~host ~local =
 let host t = (t lsr 16) land 0xFFFF
 let local t = t land 0xFFFF
 let is_nil t = t = 0
+let slots = 0x100
+let slot t = t land (slots - 1)
+
+(* The local id's high byte is the generation, counted modulo 256. *)
+let next_generation t =
+  (t land lnot 0xFFFF) lor ((t + slots) land 0xFF00) lor slot t
 
 let of_int i =
   if i < 0 || i > 0xFFFF_FFFF then invalid_arg "Pid.of_int: out of range";

@@ -15,6 +15,7 @@ val forget_pid : t -> logical_id:int -> unit
 
 val forget_bindings : t -> Pid.t -> unit
 (** Drop every cached binding that names the pid: a NACK proved the pid
-    itself gone (say, its host crashed and restarted, so the local-id
-    space moved on), and the next lookup must broadcast to find the pid
-    the new incarnation registered. *)
+    itself gone (say, its host crashed and restarted, so its process is
+    dead and its slot's next process has a later generation), and the
+    next lookup must broadcast to find the pid the new incarnation
+    registered. *)

@@ -69,6 +69,7 @@ let enable_profiling ?profile t =
 let profile t = t.profile
 
 let add_fiber t f = t.fibers <- f :: t.fibers
+let fibers t = t.fibers
 
 let take_fibers t =
   let fs = t.fibers in

@@ -85,6 +85,10 @@ type fiber = ..
 val add_fiber : t -> fiber -> unit
 (** Register a process at spawn. *)
 
+val fibers : t -> fiber list
+(** Every process registered since the last {!take_fibers}, newest
+    first. *)
+
 val take_fibers : t -> fiber list
 (** Every process registered since the last call, newest first; the
     engine forgets them. *)
@@ -94,10 +98,11 @@ val running : t -> bool
     a callback of this engine. *)
 
 val current : t -> int
-(** The {!Proc.id} of the process this engine is running now, or [0]
-    (no process has it) while it runs a plain event callback or none.
-    An int read, where [Proc.self] performs an effect: it is how the
-    kernel finds its caller on every call. *)
+(** The id of the process this engine is running now, or [0] (no
+    process has it) while it runs a plain event callback or none.  An
+    int read, where [Proc.self] performs an effect: the kernel finds its
+    caller on every call by the owner packed in it
+    ({!Proc.current_owner}). *)
 
 val set_current : t -> int -> unit
 (** {!Proc} keeps {!current}: it sets it to a process's id when it

@@ -32,14 +32,16 @@ type _ Effect.t +=
   | Suspend_tail : (('a -> unit) -> unit) -> 'a Effect.t
   | Self : t Effect.t
 
-(* Atomic so concurrent Pool domains can spawn processes without racing;
-   pids stay deterministic per engine only when a single domain drives
-   it, which is the Pool contract (each job owns its engine). *)
-let counter = Atomic.make 0
+(* A fiber's id is a serial above its owner's 32 bits: one more than
+   the newest fiber's of its engine, so unique among the fibers the
+   engine holds (after a [reap] they start again at 1, but every fiber
+   the engine held before is dead), never 0 and never negative. *)
+let owner_bits = 32
+let owner_mask = (1 lsl owner_bits) - 1
+let max_serial = (1 lsl 30) - 1
 let k_start = Eventq.Kind.intern "proc.start"
 let k_sleep = Eventq.Kind.intern "proc.sleep"
 
-let id t = t.pid
 let name t = t.pname
 let engine t = t.eng
 let terminated t = t.terminated
@@ -127,8 +129,17 @@ let run_fiber proc fn =
           | _ -> None);
     }
 
-let spawn eng ?(name = "proc") fn =
-  let pid = 1 + Atomic.fetch_and_add counter 1 in
+let spawn eng ?(name = "proc") ?(owner = 0) fn =
+  if owner < 0 || owner > owner_mask then
+    invalid_arg "Proc.spawn: owner out of range";
+  let serial =
+    match Engine.fibers eng with
+    | Fiber newest :: _ -> (newest.pid lsr owner_bits) + 1
+    | _ -> 1
+  in
+  if serial > max_serial then
+    failwith "Proc.spawn: more than 2^30 - 1 fibers on one engine";
+  let pid = (serial lsl owner_bits) lor owner in
   let proc =
     {
       pid;
@@ -147,6 +158,7 @@ let spawn eng ?(name = "proc") fn =
          if not proc.killed then run_fiber proc fn));
   proc
 
+let current_owner eng = Engine.current eng land owner_mask
 let self () = Effect.perform Self
 let suspend register = Effect.perform (Suspend register)
 let suspend_tail register = Effect.perform (Suspend_tail register)

@@ -20,11 +20,21 @@
 
 type t
 
-val spawn : Engine.t -> ?name:string -> (unit -> unit) -> t
+val spawn : Engine.t -> ?name:string -> ?owner:int -> (unit -> unit) -> t
 (** Create a fiber; its body starts at the current simulation instant (via a
-    zero-delay event), not synchronously. *)
+    zero-delay event), not synchronously.  [owner], a 32-bit number and
+    0 by default, names what the fiber runs for ({!current_owner}): the
+    V kernel passes the process's pid.  The fiber's id, which
+    {!Engine.current} reads, is a serial above the owner's 32 bits,
+    one more than the engine's newest fiber's, so an engine holds at
+    most 2^30 - 1 fibers between {!reap}s.
+    @raise Invalid_argument when [owner] is negative or does not fit
+    in 32 bits. *)
 
-val id : t -> int
+val current_owner : Engine.t -> int
+(** The owner of the fiber the engine is running now, [0] while it runs
+    a plain event callback or none: an int read, with no effect. *)
+
 val name : t -> string
 val engine : t -> Engine.t
 

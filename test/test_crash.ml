@@ -12,8 +12,8 @@ let violation_strings vs =
     vs
 
 (* Crash drops every process and table; restart runs hooks and brings
-   the host back with a fresh local-id space, so a pre-crash pid is
-   answered Nonexistent — never silently aliased to a new process. *)
+   the host back with new pids, so a pre-crash pid is answered
+   Nonexistent — never silently aliased to a new process. *)
 let test_kernel_crash_restart () =
   let tb =
     Vworkload.Testbed.create ~hosts:2
@@ -63,8 +63,9 @@ let test_kernel_crash_restart () =
         (match K.send k1 msg new_echo with
         | K.Ok -> Alcotest.(check int) "new echo answers" 11 (Msg.get_u8 msg 4)
         | st -> Alcotest.failf "send after restart: %s" (K.status_to_string st));
-        (* The stale pid must be refused, not aliased: local ids are not
-           reused across an incarnation. *)
+        (* The stale pid must be refused, not aliased: the new echo
+           took a never-used slot, and a pid's slot is handed out again
+           only under a new generation. *)
         let msg = Msg.create () in
         (match K.send k1 msg old_echo with
         | K.Nonexistent -> ()
@@ -73,6 +74,37 @@ let test_kernel_crash_restart () =
   in
   Vworkload.Testbed.run tb;
   Alcotest.(check bool) "driver finished" true !done_
+
+(* A pid from before a crash still misses after the restart once its
+   slot has been handed out again: the slot's new process is a later
+   generation. *)
+let test_precrash_pid_after_slot_reuse () =
+  let tb =
+    Vworkload.Testbed.create ~hosts:2
+      ~kernel_config:Vcheck.Workload.fast_config ()
+  in
+  let kernel i = (Vworkload.Testbed.host tb i).Vworkload.Testbed.kernel in
+  let k1 = kernel 1 and k2 = kernel 2 in
+  let old = Vworkload.Rigs.start_echo k2 in
+  K.crash k2;
+  K.restart k2;
+  for _ = 2 to Vkernel.Pid.slots - 1 do
+    K.destroy k2 (K.spawn k2 ignore)
+  done;
+  let echo = Vworkload.Rigs.start_echo k2 in
+  Alcotest.(check int) "the old pid's slot" (Vkernel.Pid.slot old)
+    (Vkernel.Pid.slot echo);
+  let stale = ref None and fresh = ref None in
+  let (_ : Vkernel.Pid.t) =
+    K.spawn k1 ~name:"driver" (fun _ ->
+        stale := Some (K.send k1 (Msg.create ()) old);
+        fresh := Some (K.send k1 (Msg.create ()) echo))
+  in
+  Vworkload.Testbed.run tb;
+  Alcotest.(check (option string)) "the pre-crash pid" (Some "nonexistent")
+    (Option.map K.status_to_string !stale);
+  Alcotest.(check (option string)) "the slot's new process" (Some "ok")
+    (Option.map K.status_to_string !fresh)
 
 (* The acceptance scenario: the server host dies in the middle of the
    client's writes and comes back; the client must finish its whole
@@ -226,6 +258,8 @@ let suite =
   [
     Alcotest.test_case "kernel crash/restart semantics" `Quick
       test_kernel_crash_restart;
+    Alcotest.test_case "a pre-crash pid after its slot is reused" `Quick
+      test_precrash_pid_after_slot_reuse;
     Alcotest.test_case "mid-write crash recovers" `Quick
       test_mid_write_crash_recovers;
     Alcotest.test_case "regression: stale getpid cache" `Quick

@@ -1228,6 +1228,36 @@ let test_reply_just_before_timeout () =
   Alcotest.(check int) "no duplicate reached the server" 0
     s2.K.duplicates_filtered
 
+(* The server replies and then destroys itself, and the reply is lost:
+   the request ran and was answered, so the client's retransmission is
+   served the cached reply, not refused as sent to a process that no
+   longer exists. *)
+let test_cached_reply_outlives_replier () =
+  let tb = Util.testbed ~kernel_config:fast_config ~hosts:2 () in
+  let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 in
+  let served = ref 0 in
+  let server =
+    K.spawn k2 ~name:"server" (fun self ->
+        let msg = Msg.create () in
+        let src = K.receive k2 msg in
+        incr served;
+        Msg.set_u8 msg 4 42;
+        ignore (K.reply k2 msg src);
+        K.destroy k2 self)
+  in
+  Vnet.Medium.set_fault tb.Vworkload.Testbed.medium (Vnet.Fault.drop_nth [ 2 ]);
+  let got = ref None in
+  Util.run_as_process tb ~host:1 (fun _ ->
+      let msg = Msg.create () in
+      let st = K.send k1 msg server in
+      got := Some (st, Msg.get_u8 msg 4));
+  Alcotest.(check (option (pair Util.status int)))
+    "the cached reply answers" (Some (K.Ok, 42)) !got;
+  Alcotest.(check int) "the server ran once" 1 !served;
+  Alcotest.(check bool) "the server is gone" false (K.alive k2 server);
+  Alcotest.(check bool) "the Send was retransmitted" true
+    ((K.stats k1).K.retransmissions > 0)
+
 let suite =
   [
     Alcotest.test_case "send survives loss" `Quick test_send_survives_loss;
@@ -1283,6 +1313,8 @@ let suite =
       "known limit: a fragment delayed across another host's train is placed"
       `Quick test_known_limit_fragment_across_hosts;
     Alcotest.test_case "alien reclaim safety" `Quick test_alien_reclaim_safety;
+    Alcotest.test_case "a cached reply outlives its replier" `Quick
+      test_cached_reply_outlives_replier;
     Alcotest.test_case "reply just before timeout" `Quick
       test_reply_just_before_timeout;
   ]

@@ -234,6 +234,88 @@ let test_outside_a_process () =
     (Printexc.to_string outside)
     (Printexc.to_string !from_host_2)
 
+(* A process lives until it is destroyed or its host crashes, even once
+   its body has returned: a Send to it queues, and only [destroy] fails
+   the blocked sender. *)
+let test_returned_process_stays_alive () =
+  let tb = Util.testbed ~hosts:1 () in
+  let k = TB.kernel tb 1 in
+  let finished = K.spawn k ~name:"finished" ignore in
+  let sent = ref None in
+  let (_ : Vkernel.Pid.t) =
+    K.spawn k ~name:"sender" (fun _ ->
+        Vsim.Proc.sleep (Vsim.Time.ms 1);
+        Alcotest.(check bool) "alive after its body returned" true
+          (K.alive k finished);
+        sent := Some (K.send k (Msg.create ()) finished))
+  in
+  Vworkload.Testbed.run tb;
+  Alcotest.(check (option Util.status)) "the sender waits" None !sent;
+  K.destroy k finished;
+  Vworkload.Testbed.run tb;
+  Alcotest.(check (option Util.status)) "destroy fails the sender"
+    (Some K.Nonexistent) !sent;
+  Alcotest.(check bool) "gone after destroy" false (K.alive k finished)
+
+(* One kernel spawns and destroys 200,000 processes, far more than its
+   local ids could name once each: slots are handed out again, and a
+   process that lives throughout keeps its own. *)
+let test_spawn_destroy_many () =
+  let tb = Util.testbed ~hosts:1 () in
+  let k = TB.kernel tb 1 in
+  let keeper = K.spawn k ~name:"keeper" ignore in
+  let last = ref Vkernel.Pid.nil in
+  for i = 1 to 200_000 do
+    let pid = K.spawn k ignore in
+    K.destroy k pid;
+    last := pid;
+    if i mod 1000 = 0 then begin
+      Vworkload.Testbed.run tb;
+      Vsim.Proc.reap tb.TB.eng
+    end
+  done;
+  Alcotest.(check bool) "the last one is gone" false (K.alive k !last);
+  Alcotest.(check (option string)) "the keeper keeps its slot"
+    (Some "keeper") (K.process_name k keeper)
+
+(* Spawn and destroy a process in each slot from 2 up, in turn: on a
+   kernel that has handed out slot 1 only, the next spawn takes slot 1
+   again. *)
+let cycle_other_slots k =
+  for _ = 2 to Vkernel.Pid.slots - 1 do
+    K.destroy k (K.spawn k ignore)
+  done
+
+(* Once a dead process's slot is handed out again, its pid names an
+   earlier generation: a local sender and a remote one (by a NACK) both
+   read Nonexistent, and the slot's new process answers. *)
+let test_stale_pid_after_slot_reuse () =
+  let tb = Util.testbed ~hosts:2 () in
+  let k1 = TB.kernel tb 1 and k2 = TB.kernel tb 2 in
+  let old = K.spawn k2 ~name:"old" ignore in
+  K.destroy k2 old;
+  cycle_other_slots k2;
+  let server = Vworkload.Rigs.start_echo k2 in
+  Alcotest.(check int) "same slot" (Vkernel.Pid.slot old)
+    (Vkernel.Pid.slot server);
+  Alcotest.(check bool) "another pid" false (Vkernel.Pid.equal old server);
+  Alcotest.(check bool) "the stale pid is not alive" false (K.alive k2 old);
+  Alcotest.(check bool) "the new one is" true (K.alive k2 server);
+  let local = ref None and remote = ref None in
+  let (_ : Vkernel.Pid.t) =
+    K.spawn k2 ~name:"local" (fun _ ->
+        local := Some (K.send k2 (Msg.create ()) old))
+  in
+  Util.run_as_process tb ~host:1 (fun _ ->
+      remote := Some (K.send k1 (Msg.create ()) old);
+      Alcotest.check Util.status "the new process answers" K.Ok
+        (K.send k1 (Msg.create ()) server));
+  Alcotest.(check (option Util.status)) "local sender" (Some K.Nonexistent)
+    !local;
+  Alcotest.(check (option Util.status)) "remote sender" (Some K.Nonexistent)
+    !remote;
+  Alcotest.(check int) "by a NACK" 1 (K.stats k2).K.nonexistent_nacks_sent
+
 let suite =
   [
     Alcotest.test_case "send-receive-reply" `Quick test_send_receive_reply;
@@ -250,4 +332,10 @@ let suite =
     Alcotest.test_case "spawn metadata" `Quick test_spawn_metadata;
     Alcotest.test_case "kernel call outside a process" `Quick
       test_outside_a_process;
+    Alcotest.test_case "a returned process stays alive" `Quick
+      test_returned_process_stays_alive;
+    Alcotest.test_case "spawn and destroy 200,000 processes" `Quick
+      test_spawn_destroy_many;
+    Alcotest.test_case "a stale pid after its slot is reused" `Quick
+      test_stale_pid_after_slot_reuse;
   ]
